@@ -4,7 +4,7 @@
 # the tree-walk reference.
 GO ?= go
 
-.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner obs-smoke serve-smoke
+.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke obs-smoke serve-smoke
 
 check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 
@@ -81,3 +81,10 @@ bench-parallel:
 # hit-rate sweep; writes BENCH_planner.json to the working directory.
 bench-planner:
 	$(GO) run ./cmd/benchrunner -fig planner
+
+# A 3-second pass of the serving benchmark (BENCHMARK.json) on its
+# hottest workload, without the traced per-layer pass: catches an API
+# change that breaks the benchmark's imports or answer checks. Not part
+# of `make check` — the numbers are not a gate here.
+bench-smoke:
+	$(GO) run ./benchmark -workload point_hot -seconds 3 -trace 0

@@ -27,7 +27,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"pcqe/internal/core"
@@ -37,11 +36,6 @@ import (
 	"pcqe/internal/sql"
 )
 
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "pcqe:", err)
@@ -50,10 +44,10 @@ func main() {
 }
 
 func run() error {
-	var tables, roles, policies listFlag
-	flag.Var(&tables, "table", "Name=file.csv (repeatable)")
-	flag.Var(&roles, "role", "user=role assignment (repeatable)")
-	flag.Var(&policies, "policy", "role:purpose:beta confidence policy (repeatable)")
+	var tables, roles, policies []string
+	flag.Func("table", "Name=file.csv (repeatable)", func(v string) error { tables = append(tables, v); return nil })
+	flag.Func("role", "user=role assignment (repeatable)", func(v string) error { roles = append(roles, v); return nil })
+	flag.Func("policy", "role:purpose:beta confidence policy (repeatable)", func(v string) error { policies = append(policies, v); return nil })
 	user := flag.String("user", "", "user issuing the query")
 	purpose := flag.String("purpose", "any", "purpose of the query")
 	minFrac := flag.Float64("min", 0, "θ: fraction of results required (enables improvement proposals)")
@@ -125,9 +119,11 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("bad -table %q, want Name=file.csv", spec)
 		}
-		if err := loadTable(cat, name, file); err != nil {
+		n, err := relation.LoadCSVFile(cat, name, file)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "loaded %s: %d rows\n", name, n)
 	}
 	if *execScript != "" {
 		script, err := os.ReadFile(*execScript)
@@ -143,37 +139,9 @@ func run() error {
 		}
 	}
 
-	rbac := policy.NewRBAC()
-	purposes := policy.NewPurposeTree()
-	store := policy.NewStore(rbac, purposes)
-	for _, spec := range policies {
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -policy %q, want role:purpose:beta", spec)
-		}
-		beta, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return fmt.Errorf("bad -policy threshold %q: %w", parts[2], err)
-		}
-		rbac.AddRole(parts[0])
-		if parts[1] != policy.Root && !purposes.Has(parts[1]) {
-			if err := purposes.Add(parts[1], ""); err != nil {
-				return err
-			}
-		}
-		if err := store.Add(policy.ConfidencePolicy{Role: parts[0], Purpose: parts[1], Beta: beta}); err != nil {
-			return err
-		}
-	}
-	for _, spec := range roles {
-		u, r, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("bad -role %q, want user=role", spec)
-		}
-		rbac.AddRole(r)
-		if err := rbac.AssignUser(u, r); err != nil {
-			return err
-		}
+	store, err := policy.NewStoreFromSpecs(policies, roles)
+	if err != nil {
+		return err
 	}
 
 	engine := core.NewEngine(cat, store, nil)
@@ -200,16 +168,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		op, info, err := sql.PlanDetailed(cat, stmt)
+		res, err := sql.ExecStatement(cat, &sql.ExplainStmt{Query: stmt})
 		if err != nil {
 			return err
 		}
-		kind := "rule-based"
-		if info.CostBased {
-			kind = "cost-based"
-		}
-		fmt.Fprintf(os.Stderr, "plan (%s, lineage %s):\n%s\n",
-			kind, info.LineageHint, relation.ExplainAnnotated(op, info.Notes))
+		fmt.Fprintf(os.Stderr, "%s:\n%s\n", res.Message, res.Plan)
 	}
 
 	req := core.Request{User: *user, Query: query, Purpose: *purpose, MinFraction: *minFrac, Timeout: *timeout, Workers: nworkers}
@@ -240,64 +203,4 @@ func run() error {
 		fmt.Fprint(os.Stderr, "metrics:\n"+metrics.Snapshot().String())
 	}
 	return nil
-}
-
-// loadTable infers a schema from the CSV header and first data row,
-// creates the table and loads every row.
-func loadTable(cat *relation.Catalog, name, file string) error {
-	f, err := os.Open(file)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	schema, err := inferSchema(file)
-	if err != nil {
-		return err
-	}
-	tab, err := cat.CreateTable(name, schema)
-	if err != nil {
-		return err
-	}
-	n, err := relation.LoadCSV(tab, f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loaded %s: %d rows\n", name, n)
-	return nil
-}
-
-func inferSchema(file string) (*relation.Schema, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var header, sample []string
-	buf := make([]byte, 1<<20)
-	n, _ := f.Read(buf)
-	lines := strings.SplitN(string(buf[:n]), "\n", 3)
-	if len(lines) < 2 {
-		return nil, fmt.Errorf("%s: need a header and at least one row", file)
-	}
-	header = strings.Split(strings.TrimRight(lines[0], "\r"), ",")
-	sample = strings.Split(strings.TrimRight(lines[1], "\r"), ",")
-	var cols []relation.Column
-	for i, h := range header {
-		h = strings.TrimSpace(h)
-		if h == relation.ConfidenceColumn || h == relation.CostColumn {
-			continue
-		}
-		typ := relation.TypeString
-		if i < len(sample) {
-			v := strings.TrimSpace(sample[i])
-			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-				typ = relation.TypeInt
-			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
-				typ = relation.TypeFloat
-			}
-		}
-		cols = append(cols, relation.Column{Name: h, Type: typ})
-	}
-	return relation.NewSchema(cols...), nil
 }

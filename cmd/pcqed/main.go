@@ -42,7 +42,6 @@ import (
 	_ "net/http/pprof" // debug listener endpoints, opt-in via -debug-listen
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,11 +55,6 @@ import (
 	"pcqe/internal/strategy"
 )
 
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "pcqed:", err)
@@ -69,10 +63,10 @@ func main() {
 }
 
 func run() error {
-	var tables, roles, policies listFlag
-	flag.Var(&tables, "table", "Name=file.csv (repeatable)")
-	flag.Var(&roles, "role", "user=role assignment (repeatable)")
-	flag.Var(&policies, "policy", "role:purpose:beta confidence policy (repeatable)")
+	var tables, roles, policies []string
+	flag.Func("table", "Name=file.csv (repeatable)", func(v string) error { tables = append(tables, v); return nil })
+	flag.Func("role", "user=role assignment (repeatable)", func(v string) error { roles = append(roles, v); return nil })
+	flag.Func("policy", "role:purpose:beta confidence policy (repeatable)", func(v string) error { policies = append(policies, v); return nil })
 	execScript := flag.String("exec", "", "SQL script file to execute at startup (CREATE TABLE / INSERT ... WITH CONFIDENCE / ...)")
 	listen := flag.String("listen", "127.0.0.1:8633", "address to serve on (use port 0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripted clients with -listen ...:0)")
@@ -100,9 +94,11 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("bad -table %q, want Name=file.csv", spec)
 		}
-		if err := loadTable(cat, name, file); err != nil {
+		n, err := relation.LoadCSVFile(cat, name, file)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "loaded %s: %d rows\n", name, n)
 	}
 	if *execScript != "" {
 		script, err := os.ReadFile(*execScript)
@@ -118,37 +114,9 @@ func run() error {
 		}
 	}
 
-	rbac := policy.NewRBAC()
-	purposes := policy.NewPurposeTree()
-	store := policy.NewStore(rbac, purposes)
-	for _, spec := range policies {
-		parts := strings.Split(spec, ":")
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -policy %q, want role:purpose:beta", spec)
-		}
-		beta, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return fmt.Errorf("bad -policy threshold %q: %w", parts[2], err)
-		}
-		rbac.AddRole(parts[0])
-		if parts[1] != policy.Root && !purposes.Has(parts[1]) {
-			if err := purposes.Add(parts[1], ""); err != nil {
-				return err
-			}
-		}
-		if err := store.Add(policy.ConfidencePolicy{Role: parts[0], Purpose: parts[1], Beta: beta}); err != nil {
-			return err
-		}
-	}
-	for _, spec := range roles {
-		u, r, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("bad -role %q, want user=role", spec)
-		}
-		rbac.AddRole(r)
-		if err := rbac.AssignUser(u, r); err != nil {
-			return err
-		}
+	store, err := policy.NewStoreFromSpecs(policies, roles)
+	if err != nil {
+		return err
 	}
 
 	engine := core.NewEngine(cat, store, nil)
@@ -231,64 +199,4 @@ func run() error {
 	}
 	fmt.Println("pcqed drained cleanly")
 	return nil
-}
-
-// loadTable infers a schema from the CSV header and first data row,
-// creates the table and loads every row (same conventions as pcqe:
-// optional "_confidence" and "_cost_rate" columns).
-func loadTable(cat *relation.Catalog, name, file string) error {
-	f, err := os.Open(file)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	schema, err := inferSchema(file)
-	if err != nil {
-		return err
-	}
-	tab, err := cat.CreateTable(name, schema)
-	if err != nil {
-		return err
-	}
-	n, err := relation.LoadCSV(tab, f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loaded %s: %d rows\n", name, n)
-	return nil
-}
-
-func inferSchema(file string) (*relation.Schema, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, 1<<20)
-	n, _ := f.Read(buf)
-	lines := strings.SplitN(string(buf[:n]), "\n", 3)
-	if len(lines) < 2 {
-		return nil, fmt.Errorf("%s: need a header and at least one row", file)
-	}
-	header := strings.Split(strings.TrimRight(lines[0], "\r"), ",")
-	sample := strings.Split(strings.TrimRight(lines[1], "\r"), ",")
-	var cols []relation.Column
-	for i, h := range header {
-		h = strings.TrimSpace(h)
-		if h == relation.ConfidenceColumn || h == relation.CostColumn {
-			continue
-		}
-		typ := relation.TypeString
-		if i < len(sample) {
-			v := strings.TrimSpace(sample[i])
-			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-				typ = relation.TypeInt
-			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
-				typ = relation.TypeFloat
-			}
-		}
-		cols = append(cols, relation.Column{Name: h, Type: typ})
-	}
-	return relation.NewSchema(cols...), nil
 }

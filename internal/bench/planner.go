@@ -86,7 +86,8 @@ func FigPlanner(opt Options) ([]*Table, error) {
 			return nil, err
 		}
 		costDur, costRows, err := timePlanAndRun(cat, func(asOf int64) (relation.Operator, error) {
-			return sql.PlanAt(cat, stmt, asOf)
+			op, _, err := sql.PlanDetailedAt(cat, stmt, asOf)
+			return op, err
 		})
 		if err != nil {
 			return nil, err
@@ -124,10 +125,14 @@ func FigPlanner(opt Options) ([]*Table, error) {
 			"SELECT fact.amount, dim1.attr, dim2.attr FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k WHERE dim2.attr = %d", i)
 	}
 	pc := sql.NewPlanCache(64)
+	// One snapshot pins the whole sweep (nothing mutates the catalog
+	// here), so every repetition reads the version its plan was cached at.
+	snap := cat.Snapshot()
+	defer snap.Release()
 	cachedStart := time.Now()
 	for r := 0; r < reps; r++ {
 		for _, q := range queries {
-			if _, _, err := pc.Query(cat, q); err != nil {
+			if _, err := pc.QuerySnap(snap, q); err != nil {
 				return nil, err
 			}
 		}
@@ -136,7 +141,7 @@ func FigPlanner(opt Options) ([]*Table, error) {
 	uncachedStart := time.Now()
 	for r := 0; r < reps; r++ {
 		for _, q := range queries {
-			if _, _, err := sql.Query(cat, q); err != nil {
+			if _, _, err := sql.QuerySnap(snap, q); err != nil {
 				return nil, err
 			}
 		}
@@ -153,7 +158,7 @@ func FigPlanner(opt Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, _, err := sql.PlanDetailed(cat, stmt); err != nil {
+			if _, _, err := sql.PlanDetailedAt(cat, stmt, snap.Version()); err != nil {
 				return nil, err
 			}
 		}

@@ -198,6 +198,20 @@ func (e *Engine) Evaluate(req Request) (*Response, error) {
 // becomes a partial Proposal (or none), Response.Degraded records why,
 // and the released rows are returned either way.
 func (e *Engine) EvaluateContext(ctx context.Context, req Request) (*Response, error) {
+	// One snapshot covers the whole flow: query evaluation, confidence
+	// computation and the improvement instance all read the same
+	// committed version, whatever writers commit meanwhile.
+	snap := e.catalog.Snapshot()
+	defer snap.Release()
+	return e.evaluateAt(ctx, snap, req)
+}
+
+// evaluateAt runs Figure 1's steps 1–4 for one request at the pinned
+// snapshot. It is the engine's one way into the pipeline:
+// EvaluateContext pins a snapshot for one call, EvaluateMultiContext
+// pins one for every query of its batch (with θ zeroed, leaving step 4
+// to its shared solve).
+func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Request) (*Response, error) {
 	if math.IsNaN(req.MinFraction) || req.MinFraction < 0 || req.MinFraction > 1 {
 		return nil, fmt.Errorf("core: min fraction θ=%g outside [0,1]", req.MinFraction)
 	}
@@ -219,44 +233,31 @@ func (e *Engine) EvaluateContext(ctx context.Context, req Request) (*Response, e
 	e.metrics.Gauge("engine.inflight").Add(1)
 	defer e.metrics.Gauge("engine.inflight").Add(-1)
 	root := e.startSpan("request")
-
-	// One snapshot covers the whole flow: query evaluation, confidence
-	// computation and the improvement instance all read the same
-	// committed version, whatever writers commit meanwhile.
-	snap := e.catalog.Snapshot()
-	defer snap.Release()
 	root.SetAttr("snapshot_version", snap.Version())
-
-	evalSpan := root.StartChild("eval")
-	rows, schema, info, planHit, err := e.plans.QueryDetailedSnapHit(snap, req.Query)
-	evalSpan.SetAttr("rows", int64(len(rows)))
-	// Per-call attribution, not a Stats() delta: the cache counters are
-	// shared by every concurrent session, so a before/after difference
-	// here would charge this request with other sessions' lookups.
-	planHits, planMisses := int64(0), int64(1)
-	if planHit {
-		planHits, planMisses = 1, 0
-	}
-	evalSpan.SetAttr("plan_cache_hits", planHits)
-	evalSpan.SetAttr("plan_cache_misses", planMisses)
-	if info != nil {
-		costBased := int64(0)
-		if info.CostBased {
-			costBased = 1
-		}
-		evalSpan.SetAttr("cost_based", costBased)
-		readOnceHint := int64(0)
-		if info.LineageHint == "read-once" {
-			readOnceHint = 1
-		}
-		evalSpan.SetAttr("lineage_hint_read_once", readOnceHint)
-	}
-	evalSpan.End()
-	if err != nil {
+	fail := func(phase *obs.Span, err error) (*Response, error) {
+		phase.SetStatus(err.Error())
+		phase.End()
 		root.End()
 		return nil, err
 	}
-	resp := &Response{Schema: schema, Timings: root, Version: snap.Version()}
+
+	evalSpan := root.StartChild("eval")
+	res, err := e.plans.QuerySnap(snap, req.Query)
+	evalSpan.SetAttr("rows", int64(len(res.Rows)))
+	// Per-call attribution, not a Stats() delta: the cache counters are
+	// shared by every concurrent session, so a before/after difference
+	// here would charge this request with other sessions' lookups.
+	evalSpan.SetAttr("plan_cache_hits", boolAttr(res.Hit))
+	evalSpan.SetAttr("plan_cache_misses", boolAttr(!res.Hit))
+	if res.Info != nil {
+		evalSpan.SetAttr("cost_based", boolAttr(res.Info.CostBased))
+		evalSpan.SetAttr("lineage_hint_read_once", boolAttr(res.Info.LineageHint == "read-once"))
+	}
+	if err != nil {
+		return fail(evalSpan, err)
+	}
+	evalSpan.End()
+	resp := &Response{Schema: res.Schema, Timings: root, Version: snap.Version()}
 
 	// Confidence computation is its own measured phase: lineage
 	// probability is #P-hard in general and routinely dominates query
@@ -266,8 +267,8 @@ func (e *Engine) EvaluateContext(ctx context.Context, req Request) (*Response, e
 	// carries the per-class row and Shannon-pivot totals.
 	linSpan := root.StartChild("lineage")
 	var cc relation.ConfCacheStats
-	all := make([]Row, len(rows))
-	for i, t := range rows {
+	all := make([]Row, len(res.Rows))
+	for i, t := range res.Rows {
 		// A disconnected or deadline-expired client must not ride the
 		// lineage phase to completion: confidence computation is #P-hard
 		// and routinely dominates the request, and nothing below this
@@ -278,13 +279,16 @@ func (e *Engine) EvaluateContext(ctx context.Context, req Request) (*Response, e
 		if i&0x3f == 0 {
 			fault.Probe("core.lineage.row")
 			if err := ctx.Err(); err != nil {
-				linSpan.SetStatus(err.Error())
-				linSpan.End()
-				root.End()
-				return nil, err
+				return fail(linSpan, err)
 			}
 		}
-		all[i] = Row{Tuple: t, Confidence: e.confs.ConfidenceAtAcc(t, snap, &cc)}
+		p, err := e.confs.ConfidenceAtAcc(t, snap, &cc)
+		if err != nil {
+			// Beyond exact evaluation (wraps lineage.ErrTooManyShared): with
+			// no confidence the row can be neither released nor withheld.
+			return fail(linSpan, fmt.Errorf("core: confidence of result row %d: %w", i, err))
+		}
+		all[i] = Row{Tuple: t, Confidence: p}
 	}
 	linSpan.SetAttr("rows", int64(len(all)))
 	linSpan.SetAttr("readonce_rows", cc.Rows[relation.LineageReadOnce])
@@ -317,66 +321,84 @@ func (e *Engine) EvaluateContext(ctx context.Context, req Request) (*Response, e
 	polSpan.SetAttr("withheld", int64(len(resp.Withheld)))
 	polSpan.End()
 
-	if applied && req.MinFraction > 0 {
-		if need := resp.Need(req); need > 0 {
-			stratSpan := root.StartChild("strategy")
-			stratSpan.SetAttr("need", int64(need))
-			prop, err := e.propose(obs.ContextWithSpan(ctx, stratSpan), resp, need, req.budget(), snap)
-			switch {
-			case err == nil || errors.Is(err, strategy.ErrInfeasible):
-				// prop is nil on infeasibility: nothing to offer.
-			case isDegradation(err):
-				// Deadline/budget exhaustion or a recovered solver fault:
-				// the query results stand, planning degrades. prop (when
-				// non-nil) is the solver's partial incumbent.
-				resp.Degraded = err
-				stratSpan.SetStatus(err.Error())
-			default:
-				stratSpan.End()
-				root.End()
-				return nil, err
-			}
-			stratSpan.End()
-			resp.Proposal = prop
-			if prop != nil {
-				prop.user, prop.purpose = req.User, req.Purpose
-			}
+	// Need is 0 when no policy applied (nothing is withheld) or θ is 0.
+	if need := resp.Need(req); need > 0 {
+		stratSpan := root.StartChild("strategy")
+		stratSpan.SetAttr("need", int64(need))
+		prop, err := e.propose(obs.ContextWithSpan(ctx, stratSpan), resp, need, req.budget(), snap)
+		switch {
+		case err == nil || errors.Is(err, strategy.ErrInfeasible):
+			// prop is nil on infeasibility: nothing to offer.
+		case isDegradation(err):
+			// Deadline/budget exhaustion or a recovered solver fault:
+			// the query results stand, planning degrades. prop (when
+			// non-nil) is the solver's partial incumbent.
+			resp.Degraded = err
+			stratSpan.SetStatus(err.Error())
+		default:
+			return fail(stratSpan, err)
+		}
+		stratSpan.End()
+		resp.Proposal = prop
+		if prop != nil {
+			prop.user, prop.purpose = req.User, req.Purpose
 		}
 	}
+
 	e.recordAudit(AuditEvent{
 		Kind: AuditEvaluate, User: req.User, Purpose: req.Purpose,
 		Query: req.Query, Beta: resp.Threshold,
 		Released: len(resp.Released), Withheld: len(resp.Withheld),
 		ReadVersion: snap.Version(),
 	})
-	if resp.Degraded != nil {
-		e.recordAudit(AuditEvent{
-			Kind: AuditDegrade, User: req.User, Purpose: req.Purpose,
-			Query: req.Query, Beta: resp.Threshold,
-			Partial: resp.Proposal != nil, Detail: resp.Degraded.Error(),
-		})
-	} else if resp.Proposal != nil && resp.Proposal.DegradedGroups() > 0 {
-		// Group-level degradation: the divide-and-conquer driver absorbed
-		// panicking or budget-starved group sub-solves into a still-valid
-		// overall plan (no solve error), which would otherwise leave no
-		// audit trail of the skipped groups.
-		e.recordAudit(AuditEvent{
-			Kind: AuditDegrade, User: req.User, Purpose: req.Purpose,
-			Query: req.Query, Beta: resp.Threshold, Partial: true,
-			Detail: fmt.Sprintf("%d divide-and-conquer group sub-solve(s) degraded", resp.Proposal.DegradedGroups()),
-		})
-	}
-	if resp.Proposal != nil {
-		e.recordAudit(AuditEvent{
-			Kind: AuditPropose, User: req.User, Purpose: req.Purpose,
-			Query: req.Query, Beta: resp.Threshold,
-			Cost: resp.Proposal.Cost(), Increments: resp.Proposal.Increments(),
-			Partial: resp.Proposal.Partial(),
-		})
-	}
+	e.recordProposal(req, resp.Threshold, resp.Proposal, resp.Degraded)
 	root.End()
-	e.recordResponseMetrics(resp, root.Duration())
+	e.metrics.Counter("engine.queries").Inc()
+	e.metrics.Counter("engine.rows.released").Add(int64(len(resp.Released)))
+	e.metrics.Counter("engine.rows.withheld").Add(int64(len(resp.Withheld)))
+	e.metrics.Histogram("engine.request.seconds", obs.LatencyBuckets).Observe(root.Duration().Seconds())
+	e.metrics.Histogram("engine.result.rows", obs.SizeBuckets).Observe(float64(len(resp.Released) + len(resp.Withheld)))
+	if resp.Degraded != nil {
+		e.metrics.Counter("engine.degraded").Inc()
+	}
 	return resp, nil
+}
+
+// boolAttr renders a flag as a 0/1 span attribute.
+func boolAttr(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// recordProposal journals and counts the outcome of one improvement
+// solve, single-query or shared, under req's audit identity: a degrade
+// event when planning was cut short (cause non-nil) or group sub-solves
+// failed inside a still-valid plan, a propose event for a plan on offer.
+func (e *Engine) recordProposal(req Request, beta float64, prop *Proposal, cause error) {
+	ev := AuditEvent{User: req.User, Purpose: req.Purpose, Query: req.Query, Beta: beta}
+	if cause != nil {
+		ev.Kind, ev.Partial, ev.Detail = AuditDegrade, prop != nil, cause.Error()
+		e.recordAudit(ev)
+	} else if prop != nil && prop.DegradedGroups() > 0 {
+		// Group-level degradation: no solve error, which would otherwise
+		// leave no audit trail of the skipped groups.
+		ev.Kind, ev.Partial = AuditDegrade, true
+		ev.Detail = fmt.Sprintf("%d divide-and-conquer group sub-solve(s) degraded", prop.DegradedGroups())
+		e.recordAudit(ev)
+	}
+	if prop == nil {
+		return
+	}
+	ev.Kind, ev.Partial, ev.Detail = AuditPropose, prop.Partial(), ""
+	ev.Cost, ev.Increments = prop.Cost(), prop.Increments()
+	e.recordAudit(ev)
+	e.metrics.Counter("engine.proposals").Inc()
+	if prop.Partial() {
+		e.metrics.Counter("engine.proposals.partial").Inc()
+	}
+	e.metrics.Histogram("engine.proposal.cost", obs.CostBuckets).Observe(prop.Cost())
 }
 
 // startSpan opens a root span for one request: through the attached
@@ -387,29 +409,6 @@ func (e *Engine) startSpan(name string) *obs.Span {
 		return e.tracer.StartSpan(name)
 	}
 	return obs.NewSpan(name)
-}
-
-// recordResponseMetrics aggregates one evaluation into the metrics
-// registry (a no-op without one).
-func (e *Engine) recordResponseMetrics(resp *Response, took time.Duration) {
-	if e.metrics == nil {
-		return
-	}
-	e.metrics.Counter("engine.queries").Inc()
-	e.metrics.Counter("engine.rows.released").Add(int64(len(resp.Released)))
-	e.metrics.Counter("engine.rows.withheld").Add(int64(len(resp.Withheld)))
-	e.metrics.Histogram("engine.request.seconds", obs.LatencyBuckets).Observe(took.Seconds())
-	e.metrics.Histogram("engine.result.rows", obs.SizeBuckets).Observe(float64(len(resp.Released) + len(resp.Withheld)))
-	if resp.Degraded != nil {
-		e.metrics.Counter("engine.degraded").Inc()
-	}
-	if resp.Proposal != nil {
-		e.metrics.Counter("engine.proposals").Inc()
-		if resp.Proposal.Partial() {
-			e.metrics.Counter("engine.proposals.partial").Inc()
-		}
-		e.metrics.Histogram("engine.proposal.cost", obs.CostBuckets).Observe(resp.Proposal.Cost())
-	}
 }
 
 // isDegradation reports whether a solver error should degrade the

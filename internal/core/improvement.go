@@ -24,9 +24,6 @@ type Proposal struct {
 	// skipped counts withheld rows whose lineage could not enter the
 	// optimization (non-monotone lineage from EXCEPT-style queries).
 	skipped int
-	// partial marks a plan cut short by a deadline or budget: feasible
-	// for fewer results (or unrefined) compared to a full solve.
-	partial bool
 	// user and purpose identify the request that triggered the
 	// proposal, for the audit journal.
 	user, purpose string
@@ -55,7 +52,7 @@ func (p *Proposal) Skipped() int { return p.skipped }
 // plans are still internally consistent (they pass Verify when they
 // satisfy enough results) but may cost more or satisfy fewer rows than
 // a full solve would.
-func (p *Proposal) Partial() bool { return p.partial }
+func (p *Proposal) Partial() bool { return p.plan.Partial }
 
 // DegradedGroups reports how many divide-and-conquer group sub-solves
 // behind the plan panicked or exhausted their budget and were skipped
@@ -95,26 +92,37 @@ func (p *Proposal) Increments() []Increment {
 	return out
 }
 
-// propose builds the optimization instance from the withheld rows and
-// solves it under the request context and the request's solver budget
-// (work-counter bounds and worker-pool width from Request via
-// Request.budget; the wall clock rides on ctx). When the solver runs
-// out of deadline or budget but still produced an anytime incumbent,
-// propose returns that plan as a partial Proposal alongside the
-// *strategy.BudgetExceededError so the caller can degrade instead of
-// fail.
-func (e *Engine) propose(ctx context.Context, resp *Response, need int, budget strategy.Budget, snap *relation.Snapshot) (*Proposal, error) {
-	in := &strategy.Instance{
-		Beta: resp.Threshold + betaMargin,
-		// The paper's evaluation grid uses δ=0.1; keep it as the
-		// default planning granularity.
-		Delta: 0.1,
-	}
-	seen := map[lineage.Var]int{}
-	skipped := 0
-	for _, row := range resp.Withheld {
+// instanceBuilder accumulates withheld rows into one optimization
+// instance: one response's rows for a single-query proposal, every
+// participating response's in turn for the multi-query extension (the
+// search space is the union of their base tuples).
+type instanceBuilder struct {
+	// snap resolves base tuples at the evaluation's snapshot: the
+	// instance's starting confidences must match the ones the withheld
+	// rows were filtered under, not whatever a concurrent commit left
+	// behind.
+	snap *relation.Snapshot
+	in   *strategy.Instance
+	// baseIdx maps a variable to its index in in.Base.
+	baseIdx map[lineage.Var]int
+	// skipped counts rows whose lineage could not enter the
+	// optimization (non-monotone lineage from EXCEPT-style queries).
+	skipped int
+}
+
+func newInstanceBuilder(snap *relation.Snapshot) *instanceBuilder {
+	// The paper's evaluation grid uses δ=0.1; keep it as the default
+	// planning granularity.
+	return &instanceBuilder{snap: snap, in: &strategy.Instance{Delta: 0.1}, baseIdx: map[lineage.Var]int{}}
+}
+
+// add appends the improvable rows as results (and their not-yet-seen
+// base tuples) and returns how many it added.
+func (b *instanceBuilder) add(rows []Row) (int, error) {
+	added := 0
+	for _, row := range rows {
 		if !row.Tuple.Lineage.Monotone() {
-			skipped++
+			b.skipped++
 			continue
 		}
 		// Simplification (idempotence/absorption) shrinks lineage that
@@ -122,22 +130,14 @@ func (e *Engine) propose(ctx context.Context, resp *Response, need int, budget s
 		// optimization formulas small and read-once where possible.
 		formula := lineage.Simplify(row.Tuple.Lineage)
 		for _, v := range formula.Vars() {
-			if _, ok := seen[v]; ok {
+			if _, ok := b.baseIdx[v]; ok {
 				continue
 			}
-			// Resolve at the evaluation's snapshot: the instance's starting
-			// confidences must match the ones the withheld rows were
-			// filtered under, not whatever a concurrent commit left behind.
-			base, ok := snap.BaseTupleByVar(v)
+			base, ok := b.snap.BaseTupleByVar(v)
 			if !ok {
-				return nil, fmt.Errorf("core: lineage references unknown base tuple %d", int(v))
+				return added, fmt.Errorf("core: lineage references unknown base tuple %d", int(v))
 			}
-			bt := strategy.BaseTuple{
-				Var:  v,
-				P:    base.Confidence,
-				MaxP: base.MaxConf,
-				Cost: base.Cost,
-			}
+			bt := strategy.BaseTuple{Var: v, P: base.Confidence, MaxP: base.MaxConf, Cost: base.Cost}
 			if bt.Cost == nil || base.Confidence >= base.MaxConf {
 				// Not improvable: freeze at the current confidence.
 				bt.MaxP = base.Confidence
@@ -149,31 +149,53 @@ func (e *Engine) propose(ctx context.Context, resp *Response, need int, budget s
 				}
 				bt.Cost = cost.Linear{Rate: 0}
 			}
-			seen[v] = len(in.Base)
-			in.Base = append(in.Base, bt)
+			b.baseIdx[v] = len(b.in.Base)
+			b.in.Base = append(b.in.Base, bt)
 		}
-		in.Results = append(in.Results, strategy.Result{
-			ID:      len(in.Results),
+		b.in.Results = append(b.in.Results, strategy.Result{
+			ID:      len(b.in.Results),
 			Formula: formula,
 		})
+		added++
 	}
-	if need > len(in.Results) {
-		need = len(in.Results)
+	return added, nil
+}
+
+// solve runs the engine's solver on the built instance under ctx and
+// budget and wraps the plan as a Proposal. When the solver runs out of
+// deadline or budget but still produced an anytime incumbent, the plan
+// comes back (tagged Partial) alongside the *strategy.BudgetExceededError
+// so the caller can degrade instead of fail.
+func (e *Engine) solve(ctx context.Context, b *instanceBuilder, budget strategy.Budget) (*Proposal, error) {
+	e.metrics.Gauge("engine.solver.workers").Set(int64(strategy.EffectiveWorkers(e.solver, budget)))
+	plan, err := strategy.SolveContext(ctx, e.solver, b.in, budget)
+	if plan == nil {
+		return nil, err
+	}
+	return &Proposal{
+		instance: b.in, plan: plan, solver: e.solver.Name(), skipped: b.skipped,
+		readVersion: b.snap.Version(),
+	}, err
+}
+
+// propose builds the optimization instance from the response's withheld
+// rows and solves it under the request context and the request's solver
+// budget (work-counter bounds and worker-pool width from Request via
+// Request.budget; the wall clock rides on ctx).
+func (e *Engine) propose(ctx context.Context, resp *Response, need int, budget strategy.Budget, snap *relation.Snapshot) (*Proposal, error) {
+	b := newInstanceBuilder(snap)
+	n, err := b.add(resp.Withheld)
+	if err != nil {
+		return nil, err
+	}
+	if need > n {
+		need = n
 	}
 	if need == 0 {
 		return nil, strategy.ErrInfeasible
 	}
-	in.Need = need
-	e.metrics.Gauge("engine.solver.workers").Set(int64(strategy.EffectiveWorkers(e.solver, budget)))
-	plan, err := strategy.SolveContext(ctx, e.solver, in, budget)
-	if plan == nil && err != nil {
-		return nil, err
-	}
-	prop := &Proposal{
-		instance: in, plan: plan, solver: e.solver.Name(), skipped: skipped,
-		partial: plan.Partial, readVersion: snap.Version(),
-	}
-	return prop, err
+	b.in.Beta, b.in.Need = resp.Threshold+betaMargin, need
+	return e.solve(ctx, b, budget)
 }
 
 // betaMargin lifts the optimization target infinitesimally above the
@@ -273,78 +295,45 @@ func (e *Engine) EvaluateMulti(reqs []Request) ([]*Response, *Proposal, error) {
 // A shared solve cut short by the context degrades to no shared plan
 // (the individual responses stand alone), mirroring EvaluateContext.
 func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*Response, *Proposal, error) {
+	// One snapshot covers every query and the combined instance: the
+	// solver starts from exactly the confidences each response's rows
+	// were filtered under, whatever writers commit between the queries.
+	snap := e.catalog.Snapshot()
+	defer snap.Release()
+
+	// Every query runs the pipeline without improvement planning (θ
+	// zeroed); those that need improvement contribute their withheld
+	// rows as one block of the combined instance and carry their own
+	// need.
 	resps := make([]*Response, len(reqs))
-	// First pass: evaluate all queries without improvement planning.
+	b := newInstanceBuilder(snap)
+	var maxBeta float64
+	var blocks []queryBlock
 	for i, req := range reqs {
-		r := req
-		r.MinFraction = 0
-		resp, err := e.EvaluateContext(ctx, r)
+		unplanned := req
+		unplanned.MinFraction = 0
+		resp, err := e.evaluateAt(ctx, snap, unplanned)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: query %d: %w", i, err)
 		}
 		resps[i] = resp
-	}
-
-	// Build a combined instance: every query contributes its withheld
-	// monotone rows, and carries its own need; the combined need is the
-	// sum, with the constraint expressed by solving sequentially. One
-	// snapshot pins the starting confidences of every block.
-	snap := e.catalog.Snapshot()
-	defer snap.Release()
-	combined := &strategy.Instance{Delta: 0.1}
-	seen := map[lineage.Var]int{}
-	var maxBeta float64
-	var blocks []queryBlock
-	for i, req := range reqs {
-		resp := resps[i]
-		if !resp.PolicyApplied || req.MinFraction <= 0 {
-			continue
-		}
 		need := resp.Need(req)
 		if need == 0 {
 			continue
 		}
-		if resp.Threshold > maxBeta {
-			maxBeta = resp.Threshold
-		}
-		first := len(combined.Results)
-		n := 0
-		for _, row := range resp.Withheld {
-			if !row.Tuple.Lineage.Monotone() {
-				continue
-			}
-			for _, v := range row.Tuple.Lineage.Vars() {
-				if _, ok := seen[v]; ok {
-					continue
-				}
-				base, ok := snap.BaseTupleByVar(v)
-				if !ok {
-					return nil, nil, fmt.Errorf("core: lineage references unknown base tuple %d", int(v))
-				}
-				bt := strategy.BaseTuple{Var: v, P: base.Confidence, MaxP: base.MaxConf, Cost: base.Cost}
-				if bt.Cost == nil || base.Confidence >= base.MaxConf {
-					bt.MaxP = base.Confidence
-					//lint:allow confrange exact zero-value probe (see propose):
-					// MaxP==0 is strategy's "unset" sentinel.
-					if bt.MaxP == 0 {
-						bt.MaxP = 1e-12
-					}
-					bt.Cost = cost.Linear{Rate: 0}
-				}
-				seen[v] = len(combined.Base)
-				combined.Base = append(combined.Base, bt)
-			}
-			combined.Results = append(combined.Results, strategy.Result{
-				ID:      len(combined.Results),
-				Formula: row.Tuple.Lineage,
-			})
-			n++
+		first := len(b.in.Results)
+		n, err := b.add(resp.Withheld)
+		if err != nil {
+			return nil, nil, err
 		}
 		if need > n {
 			need = n
 		}
 		if need > 0 {
-			blocks = append(blocks, queryBlock{first: first, count: n, need: need})
+			blocks = append(blocks, queryBlock{req: i, first: first, count: n, need: need})
+			if resp.Threshold > maxBeta {
+				maxBeta = resp.Threshold
+			}
 		}
 	}
 	if len(blocks) == 0 {
@@ -355,73 +344,47 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 	// block falls short, topping it up with a block-local solve that
 	// starts from the combined plan (mirrors the paper's "check whether
 	// a solution is found for all queries").
-	combined.Beta = maxBeta + betaMargin
-	totalNeed := 0
-	for _, b := range blocks {
-		totalNeed += b.need
+	b.in.Beta = maxBeta + betaMargin
+	for _, blk := range blocks {
+		b.in.Need += blk.need
 	}
-	combined.Need = totalNeed
 	// The shared solve gets its own root span (there is no single
 	// response to hang it on); solver and per-group child spans attach
 	// through the context, and an attached tracer retains the tree.
 	shared := e.startSpan("strategy-shared")
+	defer shared.End()
 	shared.SetAttr("queries", int64(len(blocks)))
-	shared.SetAttr("need", int64(totalNeed))
+	shared.SetAttr("need", int64(b.in.Need))
 	sctx := obs.ContextWithSpan(ctx, shared)
 	// The shared solve serves every query at once; give it the most
 	// permissive budget across the participating requests.
 	budget := combinedBudget(reqs)
-	e.metrics.Gauge("engine.solver.workers").Set(int64(strategy.EffectiveWorkers(e.solver, budget)))
-	plan, err := strategy.SolveContext(sctx, e.solver, combined, budget)
-	if err != nil && isDegradation(err) {
+	prop, err := e.solve(sctx, b, budget)
+	if err != nil && !isDegradation(err) {
+		return resps, nil, nil // no feasible shared plan; responses stand alone
+	}
+	if err != nil {
 		// The shared solve was cut short by the deadline, a budget, or a
 		// recovered solver fault. That is a reviewable policy decision:
 		// mark every response that wanted improvement as degraded and
-		// journal the event — whether or not an anytime incumbent
-		// survives to become a partial shared proposal below.
+		// journal the event (below) — whether or not an anytime
+		// incumbent survives to become a partial shared proposal.
 		shared.SetStatus(err.Error())
-		for i := range resps {
-			if resps[i].PolicyApplied && resps[i].Need(reqs[i]) > 0 {
-				resps[i].Degraded = err
-				e.metrics.Counter("engine.degraded").Inc()
-			}
-		}
-		user, purpose, query := multiAuditKey(reqs, resps)
-		e.recordAudit(AuditEvent{
-			Kind: AuditDegrade, User: user, Purpose: purpose, Query: query,
-			Beta: combined.Beta, Partial: plan != nil, Detail: err.Error(),
-		})
-	}
-	if plan == nil || (err != nil && !isDegradation(err)) {
-		shared.End()
-		return resps, nil, nil // no feasible shared plan; responses stand alone
-	}
-	plan = topUpBlocks(sctx, e, combined, plan, blocks, budget)
-	shared.End()
-	prop := &Proposal{
-		instance: combined, plan: plan, solver: e.solver.Name(),
-		partial: plan.Partial, readVersion: snap.Version(),
-	}
-	for i := range resps {
-		if resps[i].PolicyApplied && resps[i].Need(reqs[i]) > 0 {
-			resps[i].Proposal = prop
-			if prop.user == "" {
-				prop.user, prop.purpose = reqs[i].User, reqs[i].Purpose
-			}
+		for _, blk := range blocks {
+			resps[blk.req].Degraded = err
+			e.metrics.Counter("engine.degraded").Inc()
 		}
 	}
-	e.recordAudit(AuditEvent{
-		Kind: AuditPropose, User: prop.user, Purpose: prop.purpose,
-		Beta: combined.Beta, Cost: plan.Cost,
-		Increments: prop.Increments(), Partial: prop.partial,
-	})
-	if e.metrics != nil {
-		e.metrics.Counter("engine.proposals").Inc()
-		if prop.partial {
-			e.metrics.Counter("engine.proposals.partial").Inc()
+	// The first request wanting improvement is the audit identity.
+	owner := reqs[blocks[0].req]
+	if prop != nil {
+		prop.plan = topUpBlocks(sctx, e, b, prop.plan, blocks, budget)
+		prop.user, prop.purpose = owner.User, owner.Purpose
+		for _, blk := range blocks {
+			resps[blk.req].Proposal = prop
 		}
-		e.metrics.Histogram("engine.proposal.cost", obs.CostBuckets).Observe(plan.Cost)
 	}
+	e.recordProposal(owner, b.in.Beta, prop, err)
 	return resps, prop, nil
 }
 
@@ -433,24 +396,21 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 // serves every query at once, so the tightest session must not starve
 // its peers' planning.
 func combinedBudget(reqs []Request) strategy.Budget {
-	var b strategy.Budget
-	for i, req := range reqs {
+	b := reqs[0].budget()
+	for _, req := range reqs[1:] {
 		if req.Workers > b.Workers {
 			b.Workers = req.Workers
 		}
-		b.MaxNodes = mergeLimit(b.MaxNodes, req.MaxNodes, i == 0)
-		b.MaxPivots = mergeLimit(b.MaxPivots, req.MaxPivots, i == 0)
-		b.MaxSteps = mergeLimit(b.MaxSteps, req.MaxSteps, i == 0)
+		b.MaxNodes = mergeLimit(b.MaxNodes, req.MaxNodes)
+		b.MaxPivots = mergeLimit(b.MaxPivots, req.MaxPivots)
+		b.MaxSteps = mergeLimit(b.MaxSteps, req.MaxSteps)
 	}
 	return b
 }
 
 // mergeLimit folds one request's work-counter bound into the running
 // shared bound: 0 means unlimited and absorbs everything.
-func mergeLimit(acc, next int, first bool) int {
-	if first {
-		return next
-	}
+func mergeLimit(acc, next int) int {
 	if acc == 0 || next == 0 {
 		return 0
 	}
@@ -460,40 +420,22 @@ func mergeLimit(acc, next int, first bool) int {
 	return acc
 }
 
-// multiAuditKey picks the audit identity for a multi-query event: the
-// first request whose response wanted improvement.
-func multiAuditKey(reqs []Request, resps []*Response) (user, purpose, query string) {
-	for i := range resps {
-		if resps[i].PolicyApplied && resps[i].Need(reqs[i]) > 0 {
-			return reqs[i].User, reqs[i].Purpose, reqs[i].Query
-		}
-	}
-	if len(reqs) > 0 {
-		return reqs[0].User, reqs[0].Purpose, reqs[0].Query
-	}
-	return "", "", ""
-}
-
 // queryBlock identifies one query's slice of the combined instance's
-// results and its individual requirement.
-type queryBlock struct{ first, count, need int }
+// results (req indexes the batch's requests) and its individual
+// requirement.
+type queryBlock struct{ req, first, count, need int }
 
 // topUpBlocks ensures every query block meets its own need under the
 // combined plan; blocks that fall short are re-solved locally starting
 // from the combined confidences, then merged (max per tuple).
-func topUpBlocks(ctx context.Context, e *Engine, combined *strategy.Instance, plan *strategy.Plan, blocks []queryBlock, budget strategy.Budget) *strategy.Plan {
-	assign := func(p []float64) lineage.Assignment {
-		idx := map[lineage.Var]int{}
-		for i, b := range combined.Base {
-			idx[b.Var] = i
-		}
-		return lineage.FuncAssignment(func(v lineage.Var) float64 { return p[idx[v]] })
-	}
+func topUpBlocks(ctx context.Context, e *Engine, b *instanceBuilder, plan *strategy.Plan, blocks []queryBlock, budget strategy.Budget) *strategy.Plan {
+	combined := b.in
 	newP := append([]float64{}, plan.NewP...)
+	// a reads newP live, so every check below sees the merged state.
+	a := lineage.FuncAssignment(func(v lineage.Var) float64 { return newP[b.baseIdx[v]] })
 	partial := plan.Partial
 	for _, blk := range blocks {
 		sat := 0
-		a := assign(newP)
 		for ri := blk.first; ri < blk.first+blk.count; ri++ {
 			if conf.GE(lineage.Prob(combined.Results[ri].Formula, a), combined.Beta) {
 				sat++
@@ -513,14 +455,11 @@ func topUpBlocks(ctx context.Context, e *Engine, combined *strategy.Instance, pl
 					continue
 				}
 				seen[v] = true
-				for bi, b := range combined.Base {
-					if b.Var == v {
-						nb := b
-						nb.P = newP[bi]
-						sub.Base = append(sub.Base, nb)
-						mapping = append(mapping, bi)
-					}
-				}
+				bi := b.baseIdx[v]
+				nb := combined.Base[bi]
+				nb.P = newP[bi]
+				sub.Base = append(sub.Base, nb)
+				mapping = append(mapping, bi)
 			}
 		}
 		// A block solve cut short may still carry an anytime incumbent:
@@ -539,11 +478,10 @@ func topUpBlocks(ctx context.Context, e *Engine, combined *strategy.Instance, pl
 		}
 	}
 	total := 0.0
-	for i, b := range combined.Base {
-		total += b.Cost.Increment(b.P, newP[i])
+	for i, bt := range combined.Base {
+		total += bt.Cost.Increment(bt.P, newP[i])
 	}
 	out := &strategy.Plan{NewP: newP, Cost: total, Nodes: plan.Nodes, Partial: partial, Degraded: plan.Degraded}
-	a := assign(newP)
 	for ri, r := range combined.Results {
 		if conf.GE(lineage.Prob(r.Formula, a), combined.Beta) {
 			out.Satisfied = append(out.Satisfied, ri)

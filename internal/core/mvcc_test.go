@@ -290,3 +290,51 @@ func TestMVCCEvaluateUnaffectedByConcurrentCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestMVCCEvaluateMultiPinsOneSnapshot commits a confidence change in
+// the middle of a multi-query batch (during the second query's lineage
+// phase). Every response and the shared proposal's instance must still
+// read one committed version: the solver has to start from exactly the
+// confidences the withheld rows were filtered under.
+func TestMVCCEvaluateMultiPinsOneSnapshot(t *testing.T) {
+	e := overlapEngine(t)
+	cat := e.Catalog()
+	items, err := cat.Table("Items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := items.Rows()[0].Var
+
+	defer fault.Reset()
+	queries := 0
+	fault.Register("core.lineage.row", func() {
+		if queries++; queries == 2 {
+			if err := cat.SetConfidence(victim, 0.3); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	fault.Enable()
+	before := cat.Version()
+	resps, prop, err := e.EvaluateMulti(multiReqs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Version() != before+1 {
+		t.Fatalf("catalog version = %d, want %d: the mid-batch commit did not happen", cat.Version(), before+1)
+	}
+	if prop == nil {
+		t.Fatal("expected a shared proposal")
+	}
+	for i, resp := range resps {
+		if resp.Version != prop.ReadVersion() {
+			t.Errorf("response %d read version %d, shared proposal built at version %d",
+				i, resp.Version, prop.ReadVersion())
+		}
+	}
+	for _, inc := range prop.Increments() {
+		if inc.Var == victim && inc.From != 0.2 {
+			t.Errorf("shared plan starts tuple %d from %v, want the filtered-under confidence 0.2", int(victim), inc.From)
+		}
+	}
+}

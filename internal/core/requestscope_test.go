@@ -16,6 +16,9 @@ import (
 	"testing"
 
 	"pcqe/internal/fault"
+	"pcqe/internal/lineage"
+	"pcqe/internal/obs"
+	"pcqe/internal/relation"
 	"pcqe/internal/strategy"
 )
 
@@ -169,5 +172,60 @@ func TestAuditEventKindJSONRoundTrip(t *testing.T) {
 	}
 	if back.Kind != AuditDegrade || back.Seq != 7 {
 		t.Fatalf("round trip = %+v", back)
+	}
+}
+
+// TestLineagePhaseRejectsTooManySharedVariables pins the refusal of a
+// result formula beyond exact evaluation: EvaluateContext returns an
+// error wrapping lineage.ErrTooManyShared (it used to panic inside the
+// confidence cache), with the request's span tree closed and no
+// snapshot leaked.
+func TestLineagePhaseRejectsTooManySharedVariables(t *testing.T) {
+	e := newVentureEngine(t, nil)
+	tracer := obs.NewRingTracer(4)
+	e.SetTracer(tracer)
+	cat := e.Catalog()
+	info, err := cat.Table("CompanyInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposal, err := cat.Table("Proposal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each new company has income 1 and two proposals, so the DISTINCT
+	// below folds them into one row sharing every CompanyInfo variable.
+	x := cat.Begin()
+	for i := 0; i <= lineage.DefaultSharedLimit; i++ {
+		name := relation.String_(fmt.Sprintf("Wide%d", i))
+		if _, err := x.Insert(info, []relation.Value{name, relation.Float(1)}, 0.5, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"a", "b"} {
+			if _, err := x.Insert(proposal, []relation.Value{name, relation.String_(p), relation.Float(1)}, 0.5, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := e.EvaluateContext(context.Background(), Request{User: "sue", Purpose: "analysis", Query: `
+		SELECT DISTINCT Income
+		FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
+		WHERE Income = 1`})
+	if !errors.Is(err, lineage.ErrTooManyShared) {
+		t.Fatalf("err = %v, want one wrapping lineage.ErrTooManyShared", err)
+	}
+	if resp != nil {
+		t.Fatalf("refused request still produced a response: %v", resp)
+	}
+	if open := cat.OpenSnapshots(); open != 0 {
+		t.Fatalf("%d snapshots still open after the refusal", open)
+	}
+	spans := tracer.Spans()
+	if len(spans) != 1 || !spans[0].Ended() {
+		t.Fatalf("request span not closed on the refusal path: %v", spans)
 	}
 }

@@ -3,6 +3,8 @@ package policy
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // ConfidencePolicy is the paper's Definition 1: a user under Role issuing
@@ -31,6 +33,46 @@ type Store struct {
 // purpose tree.
 func NewStore(rbac *RBAC, purposes *PurposeTree) *Store {
 	return &Store{rbac: rbac, purposes: purposes}
+}
+
+// NewStoreFromSpecs builds a store, with its RBAC model and purpose
+// tree, from the textual specs the command-line tools take: each policy
+// is "role:purpose:beta", each assignment "user=role". Roles and
+// purposes come into existence on first mention (purposes directly
+// under the root).
+func NewStoreFromSpecs(policies, assignments []string) (*Store, error) {
+	rbac, purposes := NewRBAC(), NewPurposeTree()
+	store := NewStore(rbac, purposes)
+	for _, spec := range policies {
+		parts := strings.Split(spec, ":")
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("bad -policy %q, want role:purpose:beta", spec)
+		}
+		beta, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -policy threshold %q: %w", parts[2], err)
+		}
+		rbac.AddRole(parts[0])
+		if parts[1] != Root && !purposes.Has(parts[1]) {
+			if err := purposes.Add(parts[1], ""); err != nil {
+				return nil, err
+			}
+		}
+		if err := store.Add(ConfidencePolicy{Role: parts[0], Purpose: parts[1], Beta: beta}); err != nil {
+			return nil, err
+		}
+	}
+	for _, spec := range assignments {
+		u, r, ok := strings.Cut(spec, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad -role %q, want user=role", spec)
+		}
+		rbac.AddRole(r)
+		if err := rbac.AssignUser(u, r); err != nil {
+			return nil, err
+		}
+	}
+	return store, nil
 }
 
 // RBAC returns the store's RBAC model.

@@ -323,3 +323,28 @@ func TestUserRolesOfUnknownUser(t *testing.T) {
 		t.Fatal("unknown user has no roles")
 	}
 }
+
+func TestNewStoreFromSpecs(t *testing.T) {
+	s, err := NewStoreFromSpecs(
+		[]string{"manager:investment:0.06", "secretary:any:0.05"},
+		[]string{"mark=manager", "sue=secretary"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beta, ok := s.Threshold("mark", "investment"); !ok || beta != 0.06 {
+		t.Errorf("mark/investment threshold = %v, %v; want 0.06", beta, ok)
+	}
+	if beta, ok := s.Threshold("sue", "investment"); !ok || beta != 0.05 {
+		t.Errorf("sue/investment threshold = %v, %v; want the root-purpose policy's 0.05", beta, ok)
+	}
+	for _, bad := range [][2][]string{
+		{{"manager:investment"}, nil},
+		{{"manager:investment:high"}, nil},
+		{{"manager:investment:1.5"}, nil},
+		{nil, {"mark"}},
+	} {
+		if _, err := NewStoreFromSpecs(bad[0], bad[1]); err == nil {
+			t.Errorf("specs %v / %v accepted, want an error", bad[0], bad[1])
+		}
+	}
+}

@@ -46,19 +46,6 @@ func (c LineageClass) String() string {
 // is still cheap enough to treat as routine.
 const BoundedPivotLimit = 8
 
-// ClassifyLineage reports a formula's complexity class and its shared
-// (Shannon pivot) variable count.
-func ClassifyLineage(e *lineage.Expr) (LineageClass, int) {
-	if e.ReadOnce() {
-		return LineageReadOnce, 0
-	}
-	shared := len(lineage.Compile(e).SharedSlots())
-	if shared <= BoundedPivotLimit {
-		return LineageBounded, shared
-	}
-	return LineageHard, shared
-}
-
 // ConfCacheStats is a snapshot of a ConfidenceCache's counters. The
 // per-class arrays are indexed by LineageClass.
 type ConfCacheStats struct {
@@ -79,23 +66,6 @@ type ConfCacheStats struct {
 	IncrementalReevals  int64
 	IncrementalRestamps int64
 	IncrementalDrops    int64
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (s ConfCacheStats) Sub(prev ConfCacheStats) ConfCacheStats {
-	d := ConfCacheStats{
-		Hits:                s.Hits - prev.Hits,
-		Misses:              s.Misses - prev.Misses,
-		IncrementalReevals:  s.IncrementalReevals - prev.IncrementalReevals,
-		IncrementalRestamps: s.IncrementalRestamps - prev.IncrementalRestamps,
-		IncrementalDrops:    s.IncrementalDrops - prev.IncrementalDrops,
-	}
-	for i := 0; i < numLineageClasses; i++ {
-		d.Rows[i] = s.Rows[i] - prev.Rows[i]
-		d.Evals[i] = s.Evals[i] - prev.Evals[i]
-		d.Pivots[i] = s.Pivots[i] - prev.Pivots[i]
-	}
-	return d
 }
 
 // ConfidenceCache memoizes derived-tuple confidences keyed on (formula
@@ -156,37 +126,28 @@ func (cc *ConfidenceCache) Len() int {
 	return len(cc.entries)
 }
 
-// Confidence returns the tuple's exact confidence under a snapshot it
-// takes itself, so the epoch the entry is keyed on and the confidences
-// the evaluation reads are guaranteed to belong to the same committed
-// version (looking the epoch up separately from the evaluation could
-// stamp a value computed at epoch N with epoch N+1).
-func (cc *ConfidenceCache) Confidence(t *Tuple) float64 {
-	snap := cc.cat.Snapshot()
-	defer snap.Release()
-	return cc.ConfidenceAt(t, snap)
-}
-
-// ConfidenceAt returns the tuple's exact confidence at the snapshot's
+// ConfidenceAtAcc returns the tuple's exact confidence at the snapshot's
 // pinned version, serving it from the cache when the formula was
-// already evaluated under the snapshot's confidence epoch. Historical
-// snapshots (SnapshotAt behind the latest commit) bypass the cache:
-// entries are keyed on the current epoch only.
-func (cc *ConfidenceCache) ConfidenceAt(t *Tuple, snap *Snapshot) float64 {
-	return cc.ConfidenceAtAcc(t, snap, nil)
-}
-
-// ConfidenceAtAcc is ConfidenceAt, additionally accumulating this
-// call's counter deltas into acc (nil-safe). Callers that attribute
-// cache behavior to one request (per-phase span attributes) need the
-// per-call deltas: the cache-wide Stats() counters advance for every
-// concurrent session, so a before/after difference around one request
-// charges it with other sessions' rows and pivots. Historical reads
-// bypass the cache and accumulate nothing, matching Stats().
-func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCacheStats) float64 {
+// already evaluated under the snapshot's confidence epoch. Taking the
+// snapshot guarantees the epoch the entry is keyed on and the
+// confidences the evaluation reads belong to the same committed version
+// (looking the epoch up separately from the evaluation could stamp a
+// value computed at epoch N with epoch N+1). A formula with more than
+// lineage.DefaultSharedLimit shared variables fails with an error
+// wrapping lineage.ErrTooManyShared and caches nothing.
+//
+// The call's counter deltas accumulate into acc (nil-safe). Callers
+// that attribute cache behavior to one request (per-phase span
+// attributes) need the per-call deltas: the cache-wide Stats() counters
+// advance for every concurrent session, so a before/after difference
+// around one request charges it with other sessions' rows and pivots.
+// Historical snapshots (SnapshotAt behind the latest commit) bypass the
+// cache — entries are keyed on the current epoch only — and accumulate
+// nothing, matching Stats().
+func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCacheStats) (float64, error) {
 	if snap.Historical() {
-		_, p, _ := evalClassified(t.Lineage, snap)
-		return p
+		_, p, _, err := evalClassified(t.Lineage, snap)
+		return p, err
 	}
 	key := t.Lineage.String()
 	epoch := snap.ConfEpoch()
@@ -199,11 +160,14 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 			acc.Hits++
 			acc.Rows[e.class]++
 		}
-		return e.p
+		return e.p, nil
 	}
 	cc.mu.Unlock()
 
-	class, p, pivots := evalClassified(t.Lineage, snap)
+	class, p, pivots, err := evalClassified(t.Lineage, snap)
+	if err != nil {
+		return 0, err
+	}
 
 	cc.mu.Lock()
 	cc.stats.Misses++
@@ -225,7 +189,7 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 		acc.Evals[class]++
 		acc.Pivots[class] += pivots
 	}
-	return p
+	return p, nil
 }
 
 // advance moves the cache from confidence epoch prev to next after a
@@ -269,7 +233,9 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 			cc.stats.IncrementalRestamps++
 			continue
 		}
-		class, p, pivots := evalClassified(e.expr, cc.cat)
+		// The error is ignored for a reason: a cached formula already
+		// compiled under the shared limit once, and it is immutable.
+		class, p, pivots, _ := evalClassified(e.expr, cc.cat)
 		e.epoch, e.p, e.class = next, p, class
 		cc.entries[k] = e
 		cc.stats.IncrementalReevals++
@@ -282,12 +248,18 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 // dictates. Read-once formulas use the linear independent-product walk
 // (exact and bit-identical to Shannon expansion, which never pivots on
 // them); shared formulas use the compiled kernel so the Machine's pivot
-// counters surface the true Shannon cost.
-func evalClassified(e *lineage.Expr, assign lineage.Assignment) (LineageClass, float64, int64) {
+// counters surface the true Shannon cost. More shared variables than
+// lineage.DefaultSharedLimit is an error (wrapping
+// lineage.ErrTooManyShared), not a panic: a client's query shape decides
+// the count.
+func evalClassified(e *lineage.Expr, assign lineage.Assignment) (LineageClass, float64, int64, error) {
 	if e.ReadOnce() {
-		return LineageReadOnce, lineage.ProbIndependent(e, assign), 0
+		return LineageReadOnce, lineage.ProbIndependent(e, assign), 0, nil
 	}
-	prog := lineage.Compile(e)
+	prog, err := lineage.CompileExact(e, lineage.DefaultSharedLimit)
+	if err != nil {
+		return LineageHard, 0, 0, err
+	}
 	class := LineageBounded
 	if len(prog.SharedSlots()) > BoundedPivotLimit {
 		class = LineageHard
@@ -299,5 +271,5 @@ func evalClassified(e *lineage.Expr, assign lineage.Assignment) (LineageClass, f
 	}
 	p := m.Prob(probs)
 	_, pivots := m.Counters()
-	return class, p, pivots
+	return class, p, pivots, nil
 }

@@ -42,7 +42,7 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 	tuples := make([]*Tuple, len(exprs))
 	for i, e := range exprs {
 		tuples[i] = &Tuple{Lineage: e}
-		cc.Confidence(tuples[i])
+		confLatest(t, cc, tuples[i])
 	}
 	primed := cc.Stats()
 	if primed.Misses != int64(len(exprs)) {
@@ -62,34 +62,35 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tu := range tuples {
-			got := cc.Confidence(tu)
-			_, want, _ := evalClassified(tu.Lineage, c)
+			got := confLatest(t, cc, tu)
+			_, want, _, _ := evalClassified(tu.Lineage, c)
 			if got != want {
 				t.Fatalf("round %d formula %d: cached %v, fresh %v (not bit-identical)", r, i, got, want)
 			}
 		}
 	}
 
-	d := cc.Stats().Sub(primed)
+	after := cc.Stats()
 	// Every post-commit read must be a hit: the advance kept the whole
 	// cache fresh, so no read-path miss ever re-evaluates.
-	if d.Misses != 0 {
-		t.Errorf("post-commit reads caused %d misses, want 0", d.Misses)
+	if misses := after.Misses - primed.Misses; misses != 0 {
+		t.Errorf("post-commit reads caused %d misses, want 0", misses)
 	}
-	if d.Hits != int64(rounds*len(exprs)) {
-		t.Errorf("hits = %d, want %d", d.Hits, rounds*len(exprs))
+	if hits := after.Hits - primed.Hits; hits != int64(rounds*len(exprs)) {
+		t.Errorf("hits = %d, want %d", hits, rounds*len(exprs))
 	}
 	// Both triage outcomes must have occurred: touched entries recomputed,
 	// untouched ones carried over without evaluation.
-	if d.IncrementalReevals == 0 {
+	reevals := after.IncrementalReevals - primed.IncrementalReevals
+	restamps := after.IncrementalRestamps - primed.IncrementalRestamps
+	if reevals == 0 {
 		t.Error("no entry was incrementally re-evaluated")
 	}
-	if d.IncrementalRestamps == 0 {
+	if restamps == 0 {
 		t.Error("no entry was carried forward without recomputation")
 	}
-	if d.IncrementalRestamps <= d.IncrementalReevals {
-		t.Errorf("restamps (%d) should dominate re-evaluations (%d) for k ≪ N commits",
-			d.IncrementalRestamps, d.IncrementalReevals)
+	if restamps <= reevals {
+		t.Errorf("restamps (%d) should dominate re-evaluations (%d) for k ≪ N commits", restamps, reevals)
 	}
 }
 
@@ -115,6 +116,8 @@ func benchIncrementalCache(b *testing.B, n int) (*Catalog, []lineage.Var, *Confi
 		b.Fatal(err)
 	}
 	cc := NewConfidenceCache(c, 2*n)
+	snap := c.Snapshot()
+	defer snap.Release()
 	tuples := make([]*Tuple, n)
 	for i := 0; i < n; i++ {
 		e := lineage.And(
@@ -124,7 +127,9 @@ func benchIncrementalCache(b *testing.B, n int) (*Catalog, []lineage.Var, *Confi
 			lineage.NewVar(vars[(i+3)%n]),
 		)
 		tuples[i] = &Tuple{Lineage: e}
-		cc.Confidence(tuples[i])
+		if _, err := cc.ConfidenceAtAcc(tuples[i], snap, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return c, vars, cc, tuples
 }

@@ -8,12 +8,22 @@ import (
 	"pcqe/internal/lineage"
 )
 
-func TestClassifyLineage(t *testing.T) {
+// TestEvalClassifiedClasses pins the class boundaries the confidence
+// cache routes and counts by.
+func TestEvalClassifiedClasses(t *testing.T) {
 	v := func(i int) *lineage.Expr { return lineage.NewVar(lineage.Var(i)) }
+	half := lineage.FuncAssignment(func(lineage.Var) float64 { return 0.5 })
+	classOf := func(e *lineage.Expr) (LineageClass, int64) {
+		class, _, pivots, err := evalClassified(e, half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return class, pivots
+	}
 
 	readOnce := lineage.And(lineage.Or(v(1), v(2)), v(3))
-	if class, shared := ClassifyLineage(readOnce); class != LineageReadOnce || shared != 0 {
-		t.Errorf("read-once formula classified %v (%d shared)", class, shared)
+	if class, pivots := classOf(readOnce); class != LineageReadOnce || pivots != 0 {
+		t.Errorf("read-once formula classified %v (%d pivots)", class, pivots)
 	}
 
 	// v1 and v2 occur on both sides of the OR: two Shannon pivots.
@@ -21,8 +31,8 @@ func TestClassifyLineage(t *testing.T) {
 		lineage.And(v(1), v(2), v(10)),
 		lineage.And(v(1), v(2), v(11)),
 	)
-	if class, shared := ClassifyLineage(bounded); class != LineageBounded || shared != 2 {
-		t.Errorf("bounded formula classified %v (%d shared), want %v (2)", class, shared, LineageBounded)
+	if class, pivots := classOf(bounded); class != LineageBounded || pivots == 0 {
+		t.Errorf("bounded formula classified %v (%d pivots), want %v with pivots", class, pivots, LineageBounded)
 	}
 
 	// BoundedPivotLimit+1 shared variables: hard.
@@ -36,8 +46,8 @@ func TestClassifyLineage(t *testing.T) {
 	left = append(left, v(100))
 	right = append(right, v(101))
 	hard := lineage.Or(lineage.And(left...), lineage.And(right...))
-	if class, shared := ClassifyLineage(hard); class != LineageHard || shared != n {
-		t.Errorf("hard formula classified %v (%d shared), want %v (%d)", class, shared, LineageHard, n)
+	if class, _ := classOf(hard); class != LineageHard {
+		t.Errorf("formula sharing %d variables classified %v, want %v", n, class, LineageHard)
 	}
 }
 
@@ -60,16 +70,29 @@ func confCacheFixture(t *testing.T) (*Catalog, *Tuple, *Tuple, []*BaseTuple) {
 	return c, readOnce, shared, rows
 }
 
+// confLatest asks the cache for the tuple's confidence at a fresh
+// snapshot of the latest committed version. It reports failures with
+// Errorf so concurrent tests may call it off the test goroutine.
+func confLatest(t testing.TB, cc *ConfidenceCache, tup *Tuple) float64 {
+	snap := cc.cat.Snapshot()
+	defer snap.Release()
+	p, err := cc.ConfidenceAtAcc(tup, snap, nil)
+	if err != nil {
+		t.Errorf("ConfidenceAtAcc: %v", err)
+	}
+	return p
+}
+
 func TestConfidenceCacheValuesAndHits(t *testing.T) {
 	c, readOnce, shared, _ := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 
 	// Read-once routing must be bit-identical to the tree walk, not
 	// merely close: both sides compute the same independent product.
-	if got, want := cc.Confidence(readOnce), lineage.Prob(readOnce.Lineage, c); got != want {
+	if got, want := confLatest(t, cc, readOnce), lineage.Prob(readOnce.Lineage, c); got != want {
 		t.Fatalf("read-once confidence = %v, want exactly %v", got, want)
 	}
-	if got, want := cc.Confidence(shared), lineage.Prob(shared.Lineage, c); math.Abs(got-want) > 1e-12 {
+	if got, want := confLatest(t, cc, shared), lineage.Prob(shared.Lineage, c); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shared confidence = %v, want %v", got, want)
 	}
 
@@ -87,8 +110,8 @@ func TestConfidenceCacheValuesAndHits(t *testing.T) {
 		t.Errorf("read-once path must never pivot, got %d", st.Pivots[LineageReadOnce])
 	}
 
-	cc.Confidence(readOnce)
-	cc.Confidence(shared)
+	confLatest(t, cc, readOnce)
+	confLatest(t, cc, shared)
 	st = cc.Stats()
 	if st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("after second pass: hits=%d misses=%d, want 2/2", st.Hits, st.Misses)
@@ -101,13 +124,13 @@ func TestConfidenceCacheValuesAndHits(t *testing.T) {
 func TestConfidenceCacheInvalidation(t *testing.T) {
 	c, readOnce, shared, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
-	before := cc.Confidence(shared)
-	cc.Confidence(readOnce)
+	before := confLatest(t, cc, shared)
+	confLatest(t, cc, readOnce)
 
 	if err := c.SetConfidence(rows[0].Var, 0.95); err != nil {
 		t.Fatal(err)
 	}
-	after := cc.Confidence(shared)
+	after := confLatest(t, cc, shared)
 	want := lineage.Prob(shared.Lineage, c)
 	if math.Abs(after-want) > 1e-12 {
 		t.Fatalf("post-SetConfidence cache served %v, fresh evaluation gives %v", after, want)
@@ -148,7 +171,7 @@ func TestConfidenceCacheEviction(t *testing.T) {
 	cc := NewConfidenceCache(c, 2)
 	for i := 0; i < 5; i++ {
 		row := tab.MustInsert(0.5, nil, Int(int64(i)))
-		cc.Confidence(NewTuple(nil, lineage.NewVar(row.Var)))
+		confLatest(t, cc, NewTuple(nil, lineage.NewVar(row.Var)))
 	}
 	if n := cc.Len(); n > 2 {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
@@ -172,7 +195,7 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 100; i++ {
 					for tup, p := range want {
-						if got := cc.Confidence(tup); math.Abs(got-p) > 1e-12 {
+						if got := confLatest(t, cc, tup); math.Abs(got-p) > 1e-12 {
 							t.Errorf("concurrent read got %v, want %v", got, p)
 							return
 						}

@@ -69,9 +69,13 @@ func (a *AttachConfidence) Next() (*Tuple, error) {
 	}
 	vals := make([]Value, 0, len(t.Values)+1)
 	vals = append(vals, t.Values...)
+	p, err := lineage.ProbExact(t.Lineage, a.assign, lineage.DefaultSharedLimit)
+	if err != nil {
+		return nil, err
+	}
 	// Shannon expansion sums two products of [0,1] factors, which can
 	// overshoot 1 by an ulp; the column is user-visible, so repair it.
-	vals = append(vals, Float(conf.Clamp(lineage.Prob(t.Lineage, a.assign))))
+	vals = append(vals, Float(conf.Clamp(p)))
 	return &Tuple{Values: vals, Lineage: t.Lineage}, nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
+	"strings"
 
 	"pcqe/internal/cost"
 )
@@ -26,11 +28,60 @@ const (
 // The returned count is the number of rows staged before the error, for
 // "line N failed after M rows" reporting.
 func LoadCSV(t *Table, r io.Reader) (int, error) {
+	return loadCSV(r, func(_, _ []string) (*Table, error) { return t, nil })
+}
+
+// LoadCSVFile creates table name from a CSV file and loads it with
+// LoadCSV's conventions. The schema comes from the file itself: column
+// names from the header (minus the "_confidence" and "_cost_rate" meta
+// columns), column types from the first data row (integer, real, then
+// text) — both as parsed by the CSV reader that loads the rows, so
+// quoted cells infer exactly as they load.
+func LoadCSVFile(cat *Catalog, name, file string) (int, error) {
+	f, err := os.Open(file)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return loadCSV(f, func(header, first []string) (*Table, error) {
+		if first == nil {
+			return nil, fmt.Errorf("%s: need a header and at least one row", file)
+		}
+		var cols []Column
+		for i, h := range header {
+			if h == ConfidenceColumn || h == CostColumn {
+				continue
+			}
+			// first[i] exists: the reader rejects a ragged first row.
+			typ, v := TypeString, strings.TrimSpace(first[i])
+			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+				typ = TypeInt
+			} else if _, err := strconv.ParseFloat(v, 64); err == nil {
+				typ = TypeFloat
+			}
+			cols = append(cols, Column{Name: h, Type: typ})
+		}
+		return cat.CreateTable(name, NewSchema(cols...))
+	})
+}
+
+// loadCSV reads the header and the first data record (nil when there is
+// none), asks tableFor which table they belong in, and loads that
+// record and the rest of r into it in one transaction.
+func loadCSV(r io.Reader, tableFor func(header, first []string) (*Table, error)) (int, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	header, err := cr.Read()
 	if err != nil {
 		return 0, fmt.Errorf("relation: reading CSV header: %w", err)
+	}
+	first, err := cr.Read()
+	if err != nil && err != io.EOF {
+		return 0, fmt.Errorf("relation: CSV line 2: %w", err)
+	}
+	t, err := tableFor(header, first)
+	if err != nil {
+		return 0, err
 	}
 	schema := t.Schema()
 	colFor := make([]int, len(header)) // header position -> schema index; -1 = meta/skip
@@ -63,7 +114,7 @@ func LoadCSV(t *Table, r io.Reader) (int, error) {
 		}
 	}
 	x := t.catalog.Begin()
-	n, err := loadCSVRows(x, t, cr, header, colFor, confIdx, costIdx)
+	n, err := loadCSVRows(x, t, cr, first, header, colFor, confIdx, costIdx)
 	if err != nil {
 		x.Rollback()
 		return n, err
@@ -74,13 +125,17 @@ func LoadCSV(t *Table, r io.Reader) (int, error) {
 	return n, nil
 }
 
-// loadCSVRows stages the data rows into the open transaction and
-// returns how many it staged.
-func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, header []string, colFor []int, confIdx, costIdx int) (int, error) {
+// loadCSVRows stages first (when non-nil) and whatever cr still holds
+// into the open transaction and returns how many rows it staged.
+func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFor []int, confIdx, costIdx int) (int, error) {
 	schema := t.Schema()
 	n := 0
 	for line := 2; ; line++ {
-		rec, err := cr.Read()
+		rec, err := first, error(nil)
+		first = nil
+		if rec == nil {
+			rec, err = cr.Read()
+		}
 		if err == io.EOF {
 			return n, nil
 		}

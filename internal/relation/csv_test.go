@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -108,5 +110,44 @@ func TestLoadCSVNullFields(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "alice,,1") {
 		t.Errorf("NULL round trip:\n%s", buf.String())
+	}
+}
+
+// TestLoadCSVFileInfersFromQuotedFirstRow: schema inference reads the
+// header and first row through the same CSV reader that loads the
+// rows, so a quoted header cell names its column without the quotes, a
+// quoted comma does not shift the cells after it, and a quoted number
+// still types its column as a number.
+func TestLoadCSVFileInfersFromQuotedFirstRow(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "people.csv")
+	data := "\"Name\",Rating,_confidence,\"Age\"\n\"Smith, J\",\"4.5\",0.9,30\nbob,3,0.5,25\n"
+	if err := os.WriteFile(file, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCatalog()
+	n, err := LoadCSVFile(c, "People", file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("loaded %d rows, want 2", n)
+	}
+	tab, err := c.Table("People")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Column{{Name: "Name", Type: TypeString}, {Name: "Rating", Type: TypeFloat}, {Name: "Age", Type: TypeInt}}
+	got := tab.Schema().Columns
+	if len(got) != len(want) {
+		t.Fatalf("schema = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Type != want[i].Type {
+			t.Errorf("column %d = %s %s, want %s %s", i, got[i].Name, got[i].Type, want[i].Name, want[i].Type)
+		}
+	}
+	first := tab.Rows()[0]
+	if first.Values[0].String() != "Smith, J" || first.Confidence != 0.9 {
+		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values, first.Confidence)
 	}
 }

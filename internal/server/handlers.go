@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"pcqe/internal/lineage"
 	"pcqe/internal/obs"
 	"pcqe/internal/relation"
 	"pcqe/internal/sql"
@@ -178,7 +179,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.metrics.Counter("server.requests.abandoned").Inc()
 			return
 		}
-		s.writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, lineage.ErrTooManyShared) {
+			// Well-formed, but its result lineage is beyond exact evaluation.
+			status = http.StatusUnprocessableEntity
+		}
+		s.writeError(w, status, err)
 		return
 	}
 	span.Adopt(resp.Timings)

@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"pcqe/internal/core"
 	"pcqe/internal/cost"
+	"pcqe/internal/lineage"
 	"pcqe/internal/obs"
 	"pcqe/internal/policy"
 	"pcqe/internal/relation"
@@ -375,5 +377,72 @@ func TestAuditTailIsSessionScoped(t *testing.T) {
 		if ev.Kind != core.AuditEvaluate || ev.Purpose != "analysis" {
 			t.Fatalf("foreign event in sue's tail: %+v", ev)
 		}
+	}
+}
+
+// wideQuery collapses every widened company (see widenVenture) into one
+// result row whose lineage mentions each CompanyInfo tuple twice.
+const wideQuery = `
+	SELECT DISTINCT Income
+	FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
+	WHERE Income = 1`
+
+// widenVenture adds n companies with income 1 and two proposals each,
+// so wideQuery's single result shares n variables.
+func widenVenture(t *testing.T, cat *relation.Catalog, n int) {
+	t.Helper()
+	info, err := cat.Table("CompanyInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposal, err := cat.Table("Proposal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := cat.Begin()
+	for i := 0; i < n; i++ {
+		name := relation.String_(fmt.Sprintf("Wide%d", i))
+		if _, err := x.Insert(info, []relation.Value{name, relation.Float(1)}, 0.5, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"a", "b"} {
+			if _, err := x.Insert(proposal, []relation.Value{name, relation.String_(p), relation.Float(1)}, 0.5, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTooManySharedVariablesIs422 pins the refusal of a result formula
+// beyond exact evaluation (more than lineage.DefaultSharedLimit shared
+// variables): a 422 with the usual error body on a connection that
+// stays usable, with the session's only in-flight slot and the server's
+// only worker slot released — not a handler panic the client sees as
+// EOF.
+func TestTooManySharedVariablesIs422(t *testing.T) {
+	s := newVentureServer(t, Config{WorkerPool: 1, MaxInFlight: 1})
+	widenVenture(t, s.engine.Catalog(), lineage.DefaultSharedLimit+1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	token := handshake(t, ts, "sue", "analysis")
+
+	// The refusal comes from the lineage phase for the plain query and
+	// from the eval phase when the statement reads _confidence over the
+	// same rows (the AttachConfidence operator evaluates the formula).
+	for i, q := range []string{wideQuery, wideQuery, "SELECT Income, _confidence FROM (" + wideQuery + ") AS w"} {
+		var we wireError
+		if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: q}, &we); code != http.StatusUnprocessableEntity {
+			t.Fatalf("query %d: status %d (%s), want 422", i, code, we.Error)
+		}
+		if !strings.Contains(we.Error, lineage.ErrTooManyShared.Error()) {
+			t.Fatalf("query %d: error body %q does not name the cause", i, we.Error)
+		}
+	}
+	var ok WireResponse
+	if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery}, &ok); code != http.StatusOK {
+		t.Fatalf("follow-up query on the same session: status %d, want 200", code)
 	}
 }

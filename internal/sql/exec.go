@@ -52,30 +52,30 @@ func ExecScript(cat *relation.Catalog, script string) ([]*Result, error) {
 func ExecStatement(cat *relation.Catalog, stmt Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		// One snapshot covers planning (subquery materialization) and
-		// execution: concurrent commits cannot tear the result.
 		snap := cat.Snapshot()
 		defer snap.Release()
-		op, err := PlanAt(cat, s, snap.Version())
-		if err != nil {
-			return nil, err
-		}
-		rows, err := relation.RunAt(op, snap.Version())
+		op, _, rows, err := planAndRun(cat, s, snap.Version())
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Rows: rows, Schema: op.Schema(), Message: fmt.Sprintf("%d rows", len(rows))}, nil
 	case *ExplainStmt:
-		op, info, err := PlanDetailed(cat, s.Query)
+		// Pinned like SELECT: the plan shown is the one a query at this
+		// version would run, not one torn by a concurrent commit.
+		snap := cat.Snapshot()
+		defer snap.Release()
+		op, info, err := PlanDetailedAt(cat, s.Query, snap.Version())
 		if err != nil {
 			return nil, err
 		}
-		plan := relation.ExplainAnnotated(op, info.Notes)
-		msg := "plan"
+		kind := "rule-based"
 		if info.CostBased {
-			msg = "plan (cost-based, lineage " + info.LineageHint + ")"
+			kind = "cost-based"
 		}
-		return &Result{Plan: plan, Message: msg}, nil
+		return &Result{
+			Plan:    relation.ExplainAnnotated(op, info.Notes),
+			Message: "plan (" + kind + ", lineage " + info.LineageHint + ")",
+		}, nil
 	case *CreateTableStmt:
 		cols := make([]relation.Column, len(s.Columns))
 		for i, c := range s.Columns {

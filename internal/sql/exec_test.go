@@ -161,7 +161,7 @@ func TestExplainStatement(t *testing.T) {
 
 func TestFromSubquery(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, schema, err := Query(cat, `
+	rows, schema, err := queryLatest(cat, `
 		SELECT t.Company, t.total
 		FROM (SELECT Company, SUM(Funding) AS total FROM Proposal GROUP BY Company) t
 		WHERE t.total > 1000000
@@ -188,7 +188,7 @@ func TestFromSubqueryRequiresAlias(t *testing.T) {
 
 func TestFromSubqueryLineagePropagates(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, _, err := Query(cat, `
+	rows, _, err := queryLatest(cat, `
 		SELECT d.Company FROM (SELECT DISTINCT Company FROM Proposal WHERE Funding < 1000000) d`)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestFromSubqueryLineagePropagates(t *testing.T) {
 
 func TestInSubquery(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, _, err := Query(cat, `
+	rows, _, err := queryLatest(cat, `
 		SELECT Company, Income FROM CompanyInfo
 		WHERE Company IN (SELECT Company FROM Proposal WHERE Funding < 1000000)`)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestInSubquery(t *testing.T) {
 		t.Errorf("company = %v", rows[0].Values[0])
 	}
 	// NOT IN.
-	rows, _, err = Query(cat, `
+	rows, _, err = queryLatest(cat, `
 		SELECT Company FROM CompanyInfo
 		WHERE Company NOT IN (SELECT Company FROM Proposal WHERE Funding < 1000000)`)
 	if err != nil {
@@ -234,13 +234,13 @@ func TestInSubquery(t *testing.T) {
 func TestInSubqueryErrors(t *testing.T) {
 	cat := ventureCatalog(t)
 	// Two columns.
-	if _, _, err := Query(cat, `
+	if _, _, err := queryLatest(cat, `
 		SELECT Company FROM CompanyInfo
 		WHERE Company IN (SELECT Company, Funding FROM Proposal)`); err == nil {
 		t.Fatal("two-column subquery should fail")
 	}
 	// Subquery in projection is unsupported.
-	if _, _, err := Query(cat, `
+	if _, _, err := queryLatest(cat, `
 		SELECT Company IN (SELECT Company FROM Proposal) FROM CompanyInfo`); err == nil {
 		t.Fatal("IN subquery in projection should fail")
 	}
@@ -399,7 +399,7 @@ func TestCreateIndexStatement(t *testing.T) {
 
 func TestConfidencePseudoColumnSelect(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, schema, err := Query(cat, `
+	rows, schema, err := queryLatest(cat, `
 		SELECT Company, _confidence FROM Proposal ORDER BY _confidence DESC`)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestConfidencePseudoColumnSelect(t *testing.T) {
 
 func TestConfidencePseudoColumnWhere(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, _, err := Query(cat, `SELECT Company FROM Proposal WHERE _confidence >= 0.4`)
+	rows, _, err := queryLatest(cat, `SELECT Company FROM Proposal WHERE _confidence >= 0.4`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestConfidencePseudoColumnWhere(t *testing.T) {
 
 func TestConfidencePseudoColumnAggregate(t *testing.T) {
 	cat := ventureCatalog(t)
-	rows, _, err := Query(cat, `
+	rows, _, err := queryLatest(cat, `
 		SELECT Company, AVG(_confidence) AS avgc FROM Proposal GROUP BY Company ORDER BY Company`)
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +450,7 @@ func TestConfidencePseudoColumnJoinSemantics(t *testing.T) {
 	// Attached after the FROM block: for a join query the value reflects
 	// the joined row's combined (AND) lineage.
 	cat := ventureCatalog(t)
-	rows, _, err := Query(cat, `
+	rows, _, err := queryLatest(cat, `
 		SELECT CompanyInfo.Company, _confidence
 		FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
 		WHERE Funding < 1000000

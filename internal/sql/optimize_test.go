@@ -95,7 +95,7 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: rule-based run: %v", q, err)
 			}
-			costOp, info, err := PlanDetailed(cat, stmt)
+			costOp, info, err := PlanDetailedAt(cat, stmt, 0)
 			if err != nil {
 				t.Fatalf("%s: cost-based: %v", q, err)
 			}
@@ -222,16 +222,16 @@ func TestCanonicalCaseSensitivity(t *testing.T) {
 	// Behavioral form: a select item matches its GROUP BY key across
 	// identifier case, but a literal of different case must not match.
 	cat := ventureCatalog(t)
-	if _, _, err := Query(cat, `SELECT COMPANY FROM Proposal GROUP BY company`); err != nil {
+	if _, _, err := queryLatest(cat, `SELECT COMPANY FROM Proposal GROUP BY company`); err != nil {
 		t.Errorf("identifier case-fold in GROUP BY: %v", err)
 	}
-	if _, _, err := Query(cat, `SELECT Company = 'ZStart' FROM Proposal GROUP BY Company = 'ZStart'`); err != nil {
+	if _, _, err := queryLatest(cat, `SELECT Company = 'ZStart' FROM Proposal GROUP BY Company = 'ZStart'`); err != nil {
 		t.Errorf("matching literal expression in GROUP BY: %v", err)
 	}
 	// Before the fix, canonical() lowercased the whole rendering, so the
 	// select item silently bound to the differently-cased group key and
 	// returned the wrong comparison. Now it must fail validation.
-	if _, _, err := Query(cat, `SELECT Company = 'ZStart' FROM Proposal GROUP BY Company = 'zstart'`); err == nil {
+	if _, _, err := queryLatest(cat, `SELECT Company = 'ZStart' FROM Proposal GROUP BY Company = 'zstart'`); err == nil {
 		t.Error("Company = 'ZStart' must not match GROUP BY Company = 'zstart'")
 	}
 }

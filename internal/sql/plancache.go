@@ -74,132 +74,103 @@ func (pc *PlanCache) Len() int {
 	return len(pc.entries)
 }
 
-// Query parses, plans and runs a SQL string through the cache. It is
-// the cached equivalent of sql.Query.
-func (pc *PlanCache) Query(cat *relation.Catalog, query string) ([]*relation.Tuple, *relation.Schema, error) {
-	rows, schema, _, err := pc.QueryDetailed(cat, query)
-	return rows, schema, err
+// QueryResult is the outcome of one PlanCache.QuerySnap call.
+type QueryResult struct {
+	Rows   []*relation.Tuple
+	Schema *relation.Schema
+	// Info is the plan's metadata (cost annotations, lineage hint).
+	Info *PlanInfo
+	// Hit reports whether this call was served from the cache. Callers
+	// that attribute cache behavior to one request (span attributes)
+	// need the per-call flag: the process-wide Stats() counters advance
+	// for every concurrent session, so a before/after delta around one
+	// call misattributes other sessions' work.
+	Hit bool
 }
 
-// QueryDetailed is Query, additionally returning the plan's metadata.
-// It takes its own snapshot; QueryDetailedSnap runs against a
-// caller-provided one.
-func (pc *PlanCache) QueryDetailed(cat *relation.Catalog, query string) ([]*relation.Tuple, *relation.Schema, *PlanInfo, error) {
-	snap := cat.Snapshot()
-	defer snap.Release()
-	return pc.QueryDetailedSnap(snap, query)
-}
-
-// QueryDetailedSnap parses, plans and runs a SQL string through the
-// cache against the snapshot's pinned version: cache validity is judged
-// by the snapshot's epochs, and the plan (cached or fresh) executes
-// pinned to the snapshot, so concurrent commits can neither invalidate
-// the answer mid-run nor leak newer rows into it.
-func (pc *PlanCache) QueryDetailedSnap(snap *relation.Snapshot, query string) ([]*relation.Tuple, *relation.Schema, *PlanInfo, error) {
-	rows, schema, info, _, err := pc.QueryDetailedSnapHit(snap, query)
-	return rows, schema, info, err
-}
-
-// QueryDetailedSnapHit is QueryDetailedSnap, additionally reporting
-// whether this call was served from the cache. Callers that attribute
-// cache behavior to one request (span attributes) need the per-call
-// flag: the process-wide Stats() counters advance for every concurrent
-// session, so a before/after delta around one call misattributes other
-// sessions' work. Historical (time-travel) reads bypass the cache and
-// report a miss.
-func (pc *PlanCache) QueryDetailedSnapHit(snap *relation.Snapshot, query string) ([]*relation.Tuple, *relation.Schema, *PlanInfo, bool, error) {
+// QuerySnap parses, plans and runs a SQL string through the cache
+// against the snapshot's pinned version: cache validity is judged by
+// the snapshot's epochs, and the plan (cached or fresh) executes pinned
+// to the snapshot, so concurrent commits can neither invalidate the
+// answer mid-run nor leak newer rows into it. Historical (time-travel)
+// reads bypass the cache and report a miss: a historical snapshot has
+// no epoch counters to validate an entry against. So does a nil cache,
+// which is how the uncached sql.QuerySnap runs.
+func (pc *PlanCache) QuerySnap(snap *relation.Snapshot, query string) (QueryResult, error) {
 	stmt, err := Parse(query)
 	if err != nil {
-		return nil, nil, nil, false, err
+		return QueryResult{}, err
 	}
-	if snap.Historical() {
-		// Time-travel reads bypass the cache: a historical snapshot has
-		// no epoch counters to validate an entry against.
-		op, info, err := PlanDetailedAt(snap.Catalog(), stmt, snap.Version())
-		if err != nil {
-			return nil, nil, nil, false, err
+	var key string
+	cacheable := pc != nil && !snap.Historical()
+	if cacheable {
+		key = cacheKey(fingerprintStmt(stmt))
+		if e := pc.checkout(snap, key); e != nil {
+			rows, err := relation.RunAt(e.op, snap.Version())
+			pc.checkin(e)
+			if err != nil {
+				return QueryResult{Hit: true}, err
+			}
+			return QueryResult{Rows: rows, Schema: e.schema, Info: e.info, Hit: true}, nil
 		}
-		rows, err := relation.RunAt(op, snap.Version())
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		return rows, op.Schema(), info, false, nil
 	}
-	shape, lits := fingerprintStmt(stmt)
-	key := cacheKey(shape, lits)
-
-	entry, cached := pc.checkout(snap, key)
-	if !cached {
-		op, info, err := PlanDetailedAt(snap.Catalog(), stmt, snap.Version())
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		entry = &planEntry{
-			key: key, op: op, schema: op.Schema(), info: info,
+	op, info, rows, err := planAndRun(snap.Catalog(), stmt, snap.Version())
+	if err != nil {
+		return QueryResult{}, err
+	}
+	res := QueryResult{Rows: rows, Schema: op.Schema(), Info: info}
+	if cacheable {
+		pc.insert(&planEntry{
+			key: key, op: op, schema: res.Schema, info: info,
 			planEpoch:     snap.PlanEpoch(),
 			confSensitive: stmtTreeReferencesConfidence(stmt),
 			confEpoch:     snap.ConfEpoch(),
-			inUse:         true,
-		}
+		})
 	}
-	rows, err := relation.RunAt(entry.op, snap.Version())
-	pc.release(entry, cached, err == nil)
-	if err != nil {
-		return nil, nil, nil, cached, err
-	}
-	return rows, entry.schema, entry.info, cached, nil
+	return res, nil
 }
 
 // checkout looks the key up and, on a valid idle hit, marks the entry
-// in-use. Stale entries are dropped; busy or absent keys count as
-// misses.
-func (pc *PlanCache) checkout(snap *relation.Snapshot, key string) (*planEntry, bool) {
+// in-use and returns it. Stale entries are dropped; busy or absent keys
+// count as misses and return nil.
+func (pc *PlanCache) checkout(snap *relation.Snapshot, key string) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e, ok := pc.entries[key]
-	if ok {
+	if e, ok := pc.entries[key]; ok {
 		stale := e.planEpoch != snap.PlanEpoch() || (e.confSensitive && e.confEpoch != snap.ConfEpoch())
-		if stale && !e.inUse {
+		switch {
+		case stale && !e.inUse:
 			delete(pc.entries, key)
 			pc.order.Remove(e.elem)
-			ok = false
-		} else if stale || e.inUse {
-			ok = false
-			e = nil
+		case !stale && !e.inUse:
+			e.inUse = true
+			pc.order.MoveToFront(e.elem)
+			pc.hits++
+			pc.metrics.Counter("sql.plancache.hits").Inc()
+			return e
 		}
-	} else {
-		e = nil
-	}
-	if ok {
-		e.inUse = true
-		pc.order.MoveToFront(e.elem)
-		pc.hits++
-		pc.metrics.Counter("sql.plancache.hits").Inc()
-		return e, true
 	}
 	pc.misses++
 	pc.metrics.Counter("sql.plancache.misses").Inc()
-	return nil, false
+	return nil
 }
 
-// release returns an entry after a run. Fresh plans are inserted when
-// the run succeeded and the key is still free; cached ones are marked
-// idle again.
-func (pc *PlanCache) release(e *planEntry, wasCached, runOK bool) {
+// checkin marks a checked-out entry idle again after its run.
+func (pc *PlanCache) checkin(e *planEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if wasCached {
-		e.inUse = false
-		pc.order.MoveToFront(e.elem)
-		return
-	}
-	if !runOK {
-		return
-	}
+	e.inUse = false
+	pc.order.MoveToFront(e.elem)
+}
+
+// insert caches a fresh plan after a successful run, if the key is
+// still free.
+func (pc *PlanCache) insert(e *planEntry) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	if _, exists := pc.entries[e.key]; exists {
 		return // a concurrent run already cached this key
 	}
-	e.inUse = false
 	e.elem = pc.order.PushFront(e)
 	pc.entries[e.key] = e
 	for len(pc.entries) > pc.capacity {

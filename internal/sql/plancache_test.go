@@ -26,6 +26,15 @@ func cacheCatalog(t *testing.T) (*relation.Catalog, *relation.Table) {
 	return c, tab
 }
 
+// cachedLatest runs q through the cache at a fresh snapshot of the
+// latest committed version.
+func cachedLatest(pc *PlanCache, cat *relation.Catalog, q string) ([]*relation.Tuple, *relation.Schema, error) {
+	snap := cat.Snapshot()
+	defer snap.Release()
+	res, err := pc.QuerySnap(snap, q)
+	return res.Rows, res.Schema, err
+}
+
 func TestPlanCacheHitsAndEquivalence(t *testing.T) {
 	cat, _ := cacheCatalog(t)
 	pc := NewPlanCache(8)
@@ -37,11 +46,11 @@ func TestPlanCacheHitsAndEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			got, _, err := pc.Query(cat, q)
+			got, _, err := cachedLatest(pc, cat, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := Query(cat, q)
+			want, _, err := queryLatest(cat, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +129,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 	cat, tab := cacheCatalog(t)
 	pc := NewPlanCache(8)
 	const q = `SELECT v FROM T WHERE k = 1 ORDER BY v`
-	rows, _, err := pc.Query(cat, q)
+	rows, _, err := cachedLatest(pc, cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +137,7 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 	if _, err := tab.Insert([]relation.Value{relation.Int(1), relation.Int(99)}, 0.9, nil); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err = pc.Query(cat, q)
+	rows, _, err = cachedLatest(pc, cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +150,13 @@ func TestPlanCacheInvalidationOnMutation(t *testing.T) {
 
 	// An index created after caching must also invalidate: the cached
 	// plan would silently keep scanning.
-	if _, _, err := pc.Query(cat, q); err != nil {
+	if _, _, err := cachedLatest(pc, cat, q); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pc.Query(cat, q); err != nil {
+	if _, _, err := cachedLatest(pc, cat, q); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ := pc.Stats(); hits != 1 {
@@ -163,7 +172,7 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	cat, tab := cacheCatalog(t)
 	pc := NewPlanCache(8)
 	const q = `SELECT v FROM T WHERE _confidence > 0.5 ORDER BY v`
-	rows, _, err := pc.Query(cat, q)
+	rows, _, err := cachedLatest(pc, cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +186,7 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	if err := cat.SetConfidence(target.Var, 0.95); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err = pc.Query(cat, q)
+	rows, _, err = cachedLatest(pc, cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +196,13 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 
 	// A confidence-insensitive query is untouched by epoch bumps.
 	const plain = `SELECT v FROM T WHERE k = 1`
-	if _, _, err := pc.Query(cat, plain); err != nil {
+	if _, _, err := cachedLatest(pc, cat, plain); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.SetConfidence(target.Var, 0.85); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pc.Query(cat, plain); err != nil {
+	if _, _, err := cachedLatest(pc, cat, plain); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ := pc.Stats(); hits != 1 {
@@ -206,7 +215,7 @@ func TestPlanCacheEvictionRespectsCapacity(t *testing.T) {
 	pc := NewPlanCache(3)
 	for i := 0; i < 10; i++ {
 		q := fmt.Sprintf(`SELECT v FROM T WHERE k = %d`, i)
-		if _, _, err := pc.Query(cat, q); err != nil {
+		if _, _, err := cachedLatest(pc, cat, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +223,7 @@ func TestPlanCacheEvictionRespectsCapacity(t *testing.T) {
 		t.Fatalf("cache holds %d plans, capacity 3", pc.Len())
 	}
 	// The most recent template must still be resident.
-	if _, _, err := pc.Query(cat, `SELECT v FROM T WHERE k = 9`); err != nil {
+	if _, _, err := cachedLatest(pc, cat, `SELECT v FROM T WHERE k = 9`); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ := pc.Stats(); hits != 1 {
@@ -234,7 +243,7 @@ func TestPlanCacheConcurrency(t *testing.T) {
 	queries := make([]string, 4)
 	for i := range queries {
 		queries[i] = fmt.Sprintf(`SELECT v FROM T WHERE k = %d`, i%3)
-		rows, _, err := Query(cat, queries[i])
+		rows, _, err := queryLatest(cat, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +256,7 @@ func TestPlanCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				q := queries[(g+i)%len(queries)]
-				rows, _, err := pc.Query(cat, q)
+				rows, _, err := cachedLatest(pc, cat, q)
 				if err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
@@ -262,5 +271,51 @@ func TestPlanCacheConcurrency(t *testing.T) {
 	wg.Wait()
 	if hits, misses := pc.Stats(); hits+misses != 8*50 {
 		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*50)
+	}
+}
+
+// TestPlanCacheHitFlagAndBypasses pins the per-call Hit flag and the two
+// ways around the cache: a historical snapshot and a nil cache both plan
+// afresh, report a miss and leave the cache and its counters alone.
+func TestPlanCacheHitFlagAndBypasses(t *testing.T) {
+	cat, tab := cacheCatalog(t)
+	pc := NewPlanCache(8)
+	const q = `SELECT v FROM T WHERE k = 1 ORDER BY v`
+	before := cat.Version()
+	tab.MustInsert(0.5, nil, relation.Int(1), relation.Int(100))
+
+	latest := cat.Snapshot()
+	defer latest.Release()
+	for i, wantHit := range []bool{false, true} {
+		res, err := pc.QuerySnap(latest, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hit != wantHit || len(res.Rows) != 4 || res.Info == nil || res.Schema.Len() != 1 {
+			t.Fatalf("call %d: hit=%v rows=%d info=%v, want hit=%v rows=4", i, res.Hit, len(res.Rows), res.Info, wantHit)
+		}
+	}
+
+	old, err := cat.SnapshotAt(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Release()
+	for name, cache := range map[string]*PlanCache{"historical": pc, "nil cache": nil} {
+		snap := latest
+		wantRows := 4
+		if cache != nil {
+			snap, wantRows = old, 3
+		}
+		res, err := cache.QuerySnap(snap, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hit || len(res.Rows) != wantRows {
+			t.Fatalf("%s: hit=%v rows=%d, want a miss with %d rows", name, res.Hit, len(res.Rows), wantRows)
+		}
+	}
+	if hits, misses := pc.Stats(); hits != 1 || misses != 1 || pc.Len() != 1 {
+		t.Fatalf("bypasses touched the cache: hits=%d misses=%d len=%d, want 1/1/1", hits, misses, pc.Len())
 	}
 }

@@ -24,34 +24,17 @@ type PlanInfo struct {
 	LineageHint string
 }
 
-// Plan compiles a parsed statement into a relational operator tree over
-// the catalog's tables. The resulting operator propagates lineage, so
-// running it yields tuples whose confidence the catalog can compute.
-func Plan(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, error) {
-	op, _, err := PlanDetailed(cat, stmt)
-	return op, err
-}
-
-// PlanAt is Plan with plan-time evaluation (IN-subquery
-// materialization) pinned to committed version asOf; asOf <= 0 uses
-// the latest committed state, like Plan. Scans in the returned tree
-// are not pinned — run it with relation.RunAt to pin the whole
-// execution.
-func PlanAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, error) {
-	op, _, err := PlanDetailedAt(cat, stmt, asOf)
-	return op, err
-}
-
-// PlanDetailed is Plan, additionally returning the planner's metadata
-// (cost annotations, lineage hint). Join order and access paths are
-// chosen by estimated cost where the statement shape allows it, falling
-// back to the rule-based statement-order plan otherwise.
-func PlanDetailed(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, *PlanInfo, error) {
-	return PlanDetailedAt(cat, stmt, 0)
-}
-
-// PlanDetailedAt is PlanDetailed pinned to committed version asOf for
-// plan-time evaluation (see PlanAt).
+// PlanDetailedAt compiles a parsed statement into a relational operator
+// tree over the catalog's tables, with the planner's metadata (cost
+// annotations, lineage hint). The resulting operator propagates
+// lineage, so running it yields tuples whose confidence the catalog can
+// compute. Join order and access paths are chosen by estimated cost
+// where the statement shape allows it, falling back to the rule-based
+// statement-order plan otherwise. Plan-time evaluation (IN-subquery
+// materialization) is pinned to committed version asOf (asOf <= 0 reads
+// the latest committed state). Scans in the returned tree are not
+// pinned — run it with relation.RunAt at the same version to pin the
+// whole execution.
 func PlanDetailedAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, *PlanInfo, error) {
 	info := &PlanInfo{Notes: map[relation.Operator]string{}, LineageHint: lineageHint(stmt)}
 	op, err := planStmt(cat, stmt, info, true, asOf)
@@ -66,8 +49,7 @@ func PlanDetailedAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relati
 // equi-join, no reordering or pushdown beyond the single-table index
 // rewrite. Kept as the differential baseline for the cost-based path.
 func PlanRuleBased(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, error) {
-	info := &PlanInfo{Notes: map[relation.Operator]string{}}
-	return planStmt(cat, stmt, info, false, 0)
+	return planStmt(cat, stmt, &PlanInfo{Notes: map[relation.Operator]string{}}, false, 0)
 }
 
 func planStmt(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBased bool, asOf int64) (relation.Operator, error) {
@@ -95,32 +77,29 @@ func planStmt(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBased
 	return op, nil
 }
 
-// Query parses, plans and runs a SQL string in one call.
-func Query(cat *relation.Catalog, query string) ([]*relation.Tuple, *relation.Schema, error) {
-	return queryAt(cat, query, 0)
-}
-
 // QuerySnap parses, plans and runs a SQL string against the snapshot's
 // pinned version: scans, index lookups, attached confidences and
 // materialized IN-subqueries all resolve at that one committed state.
 func QuerySnap(snap *relation.Snapshot, query string) ([]*relation.Tuple, *relation.Schema, error) {
-	return queryAt(snap.Catalog(), query, snap.Version())
+	res, err := (*PlanCache)(nil).QuerySnap(snap, query)
+	return res.Rows, res.Schema, err
 }
 
-func queryAt(cat *relation.Catalog, query string, asOf int64) ([]*relation.Tuple, *relation.Schema, error) {
-	stmt, err := Parse(query)
+// planAndRun is the package's one plan → run body: it plans the
+// statement at committed version asOf and drains the plan pinned to
+// that same version, so planning (subquery materialization) and
+// execution read one committed state and concurrent commits cannot
+// tear the result.
+func planAndRun(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, *PlanInfo, []*relation.Tuple, error) {
+	op, info, err := PlanDetailedAt(cat, stmt, asOf)
 	if err != nil {
-		return nil, nil, err
-	}
-	op, err := PlanAt(cat, stmt, asOf)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rows, err := relation.RunAt(op, asOf)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return rows, op.Schema(), nil
+	return op, info, rows, nil
 }
 
 func planSingle(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBased bool, asOf int64) (relation.Operator, error) {
@@ -335,7 +314,7 @@ func planTable(cat *relation.Catalog, tr TableRef, asOf int64) (relation.Operato
 	if tr.Sub != nil {
 		// Derived table: plan the subquery and re-qualify its output
 		// columns with the mandatory alias.
-		sub, err := PlanAt(cat, tr.Sub, asOf)
+		sub, _, err := PlanDetailedAt(cat, tr.Sub, asOf)
 		if err != nil {
 			return nil, err
 		}
@@ -386,12 +365,12 @@ func resolveSubqueries(cat *relation.Catalog, e ExprNode, asOf int64) (ExprNode,
 		if n.Sub == nil {
 			return n, nil
 		}
-		rows, schema, err := queryAt(cat, n.Sub.SQL(), asOf)
+		sub, _, rows, err := planAndRun(cat, n.Sub, asOf)
 		if err != nil {
 			return nil, err
 		}
-		if schema.Len() != 1 {
-			return nil, errAt(n.Tok, "IN subquery must produce exactly one column, got %d", schema.Len())
+		if sub.Schema().Len() != 1 {
+			return nil, errAt(n.Tok, "IN subquery must produce exactly one column, got %d", sub.Schema().Len())
 		}
 		set := make(map[string]bool, len(rows))
 		for _, r := range rows {

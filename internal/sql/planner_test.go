@@ -42,9 +42,18 @@ func ventureCatalog(t *testing.T) *relation.Catalog {
 	return c
 }
 
+// queryLatest runs q through QuerySnap at a fresh snapshot of the
+// latest committed version, for tests that do not care which version
+// they read.
+func queryLatest(cat *relation.Catalog, q string) ([]*relation.Tuple, *relation.Schema, error) {
+	snap := cat.Snapshot()
+	defer snap.Release()
+	return QuerySnap(snap, q)
+}
+
 func TestQueryRunningExample(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, schema, err := Query(c, `
+	rows, schema, err := queryLatest(c, `
 		SELECT DISTINCT CompanyInfo.Company, Income
 		FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
 		WHERE Funding < 1000000`)
@@ -68,7 +77,7 @@ func TestQueryRunningExample(t *testing.T) {
 
 func TestQueryProjectionAndWhere(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, schema, err := Query(c, "SELECT Company, Funding / 1000 AS funding_k FROM Proposal WHERE Funding >= 900000 ORDER BY Funding DESC")
+	rows, schema, err := queryLatest(c, "SELECT Company, Funding / 1000 AS funding_k FROM Proposal WHERE Funding >= 900000 ORDER BY Funding DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestQueryProjectionAndWhere(t *testing.T) {
 
 func TestQueryStar(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, schema, err := Query(c, "SELECT * FROM Proposal")
+	rows, schema, err := queryLatest(c, "SELECT * FROM Proposal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +105,12 @@ func TestQueryStar(t *testing.T) {
 
 func TestQueryCommaJoinEqualsExplicitJoin(t *testing.T) {
 	c := ventureCatalog(t)
-	a, _, err := Query(c, `SELECT DISTINCT CompanyInfo.Company FROM CompanyInfo, Proposal
+	a, _, err := queryLatest(c, `SELECT DISTINCT CompanyInfo.Company FROM CompanyInfo, Proposal
 		WHERE CompanyInfo.Company = Proposal.Company AND Funding < 1000000`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Query(c, `SELECT DISTINCT CompanyInfo.Company FROM CompanyInfo
+	b, _, err := queryLatest(c, `SELECT DISTINCT CompanyInfo.Company FROM CompanyInfo
 		JOIN Proposal ON CompanyInfo.Company = Proposal.Company
 		WHERE Funding < 1000000`)
 	if err != nil {
@@ -121,7 +130,7 @@ func TestQueryCommaJoinEqualsExplicitJoin(t *testing.T) {
 func TestQueryTableAliasesAndSelfJoin(t *testing.T) {
 	c := ventureCatalog(t)
 	// Pairs of distinct proposals from the same company.
-	rows, _, err := Query(c, `
+	rows, _, err := queryLatest(c, `
 		SELECT a.Proposal, b.Proposal
 		FROM Proposal a JOIN Proposal b ON a.Company = b.Company
 		WHERE a.Proposal < b.Proposal`)
@@ -135,7 +144,7 @@ func TestQueryTableAliasesAndSelfJoin(t *testing.T) {
 
 func TestQueryAggregates(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, schema, err := Query(c, `
+	rows, schema, err := queryLatest(c, `
 		SELECT Company, COUNT(*) AS n, SUM(Funding) AS total, MIN(Funding), MAX(Funding), AVG(Funding)
 		FROM Proposal GROUP BY Company ORDER BY Company`)
 	if err != nil {
@@ -159,7 +168,7 @@ func TestQueryAggregates(t *testing.T) {
 
 func TestQueryHaving(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, `
+	rows, _, err := queryLatest(c, `
 		SELECT Company FROM Proposal GROUP BY Company HAVING COUNT(*) > 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +183,7 @@ func TestQueryHaving(t *testing.T) {
 
 func TestQueryGlobalAggregate(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, "SELECT COUNT(*), AVG(Funding) FROM Proposal")
+	rows, _, err := queryLatest(c, "SELECT COUNT(*), AVG(Funding) FROM Proposal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +197,7 @@ func TestQueryGlobalAggregate(t *testing.T) {
 
 func TestQuerySetOps(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, `
+	rows, _, err := queryLatest(c, `
 		SELECT Company FROM Proposal
 		UNION
 		SELECT Company FROM CompanyInfo`)
@@ -198,7 +207,7 @@ func TestQuerySetOps(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("union rows = %d, want 2", len(rows))
 	}
-	rows, _, err = Query(c, `
+	rows, _, err = queryLatest(c, `
 		SELECT Company FROM Proposal
 		INTERSECT
 		SELECT Company FROM CompanyInfo`)
@@ -208,7 +217,7 @@ func TestQuerySetOps(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("intersect rows = %d", len(rows))
 	}
-	rows, _, err = Query(c, `
+	rows, _, err = queryLatest(c, `
 		SELECT Company FROM Proposal WHERE Funding < 1000000
 		EXCEPT
 		SELECT Company FROM CompanyInfo WHERE Income > 1000000`)
@@ -222,19 +231,19 @@ func TestQuerySetOps(t *testing.T) {
 
 func TestQueryLikeInBetween(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, "SELECT Company FROM Proposal WHERE Company LIKE 'z%'")
+	rows, _, err := queryLatest(c, "SELECT Company FROM Proposal WHERE Company LIKE 'z%'")
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("LIKE rows = %d (%v)", len(rows), err)
 	}
-	rows, _, err = Query(c, "SELECT Company FROM Proposal WHERE Proposal IN ('cloud', 'mobile')")
+	rows, _, err = queryLatest(c, "SELECT Company FROM Proposal WHERE Proposal IN ('cloud', 'mobile')")
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("IN rows = %d (%v)", len(rows), err)
 	}
-	rows, _, err = Query(c, "SELECT Company FROM Proposal WHERE Funding BETWEEN 800000 AND 900000")
+	rows, _, err = queryLatest(c, "SELECT Company FROM Proposal WHERE Funding BETWEEN 800000 AND 900000")
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("BETWEEN rows = %d (%v)", len(rows), err)
 	}
-	rows, _, err = Query(c, "SELECT Company FROM Proposal WHERE Funding NOT BETWEEN 800000 AND 900000")
+	rows, _, err = queryLatest(c, "SELECT Company FROM Proposal WHERE Funding NOT BETWEEN 800000 AND 900000")
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("NOT BETWEEN rows = %d (%v)", len(rows), err)
 	}
@@ -242,7 +251,7 @@ func TestQueryLikeInBetween(t *testing.T) {
 
 func TestQueryLimitOffset(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, "SELECT Company FROM Proposal ORDER BY Funding LIMIT 2 OFFSET 1")
+	rows, _, err := queryLatest(c, "SELECT Company FROM Proposal ORDER BY Funding LIMIT 2 OFFSET 1")
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("rows = %d (%v)", len(rows), err)
 	}
@@ -253,7 +262,7 @@ func TestQueryLimitOffset(t *testing.T) {
 
 func TestQueryCrossJoin(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, "SELECT Proposal.Company FROM Proposal CROSS JOIN CompanyInfo")
+	rows, _, err := queryLatest(c, "SELECT Proposal.Company FROM Proposal CROSS JOIN CompanyInfo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestQueryCrossJoin(t *testing.T) {
 func TestQueryNonEquiJoinFallsBackToNestedLoop(t *testing.T) {
 	c := ventureCatalog(t)
 	stmt := mustParse(t, "SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Funding > Income")
-	op, err := Plan(c, stmt)
+	op, _, err := PlanDetailedAt(c, stmt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,22 +300,22 @@ func TestPlanErrors(t *testing.T) {
 		"SELECT Company FROM Proposal UNION SELECT 1 FROM Proposal WHERE Funding < 0 UNION SELECT Company FROM Nope", // nested plan error
 	}
 	for _, q := range bad {
-		if _, _, err := Query(c, q); err == nil {
-			t.Errorf("Query(%q) should fail", q)
+		if _, _, err := queryLatest(c, q); err == nil {
+			t.Errorf("query %q should fail", q)
 		}
 	}
 }
 
 func TestQueryWhereAggregateRejected(t *testing.T) {
 	c := ventureCatalog(t)
-	if _, _, err := Query(c, "SELECT Company FROM Proposal WHERE COUNT(*) > 1"); err == nil {
+	if _, _, err := queryLatest(c, "SELECT Company FROM Proposal WHERE COUNT(*) > 1"); err == nil {
 		t.Error("aggregate in WHERE should fail")
 	}
 }
 
 func TestQueryDistinctProjectionLineage(t *testing.T) {
 	c := ventureCatalog(t)
-	rows, _, err := Query(c, "SELECT DISTINCT Company FROM Proposal WHERE Funding < 1000000")
+	rows, _, err := queryLatest(c, "SELECT DISTINCT Company FROM Proposal WHERE Funding < 1000000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +360,11 @@ func TestPropertyIndexedQueriesMatchUnindexed(t *testing.T) {
 		plainCat, queries := build(false)
 		indexedCat, _ := build(true)
 		for _, q := range queries {
-			a, _, err := Query(plainCat, q)
+			a, _, err := queryLatest(plainCat, q)
 			if err != nil {
 				return false
 			}
-			b, _, err := Query(indexedCat, q)
+			b, _, err := queryLatest(indexedCat, q)
 			if err != nil {
 				return false
 			}

@@ -46,7 +46,7 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 			plan, err = solveRecover(r, b.Name(), in, best)
 		}
 	}()
-	if newEvaluatorCtx(in, false, bs).satAtMax() < in.Need {
+	if newEvaluator(in, evalOpts{bs: bs}).satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
 	limit := b.MaxAssignments
@@ -76,7 +76,7 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 		}
 	}
 
-	e := newEvaluatorCtx(in, false, bs)
+	e := newEvaluator(in, evalOpts{bs: bs})
 	bestCost := math.Inf(1)
 	nodes := 0
 	idx := make([]int, len(in.Base))

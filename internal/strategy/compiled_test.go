@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,22 +121,62 @@ func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
 		}
 	}
 	// Medium Table-4-shaped workloads (too slow for the exhaustive
-	// heuristic): greedy variants and D&C, with and without sharing.
-	for _, shared := range []bool{false, true} {
-		in := mediumInstance(11, 300, 5, shared)
+	// heuristic): greedy variants and D&C, without sharing, with
+	// sharing, and with one result over compiledSharedLimit that even
+	// the compiled evaluator runs through its tree-walk fallback.
+	for _, m := range []struct {
+		name string
+		in   *Instance
+	}{
+		{"no-sharing", mediumInstance(11, 300, 5, false)},
+		{"sharing", mediumInstance(11, 300, 5, true)},
+		{"over-compiled-limit", overLimitInstance(t)},
+	} {
 		for _, tc := range []pair{
 			{"greedy", &Greedy{}, &Greedy{TreeWalk: true}},
 			{"greedy-incremental", &Greedy{Incremental: true}, &Greedy{Incremental: true, TreeWalk: true}},
 			{"dnc", NewDivideAndConquer(), &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, TreeWalk: true}},
 		} {
-			pc, errC := tc.compiled.Solve(in)
-			pt, errT := tc.treeWalk.Solve(in)
+			pc, errC := tc.compiled.Solve(m.in)
+			pt, errT := tc.treeWalk.Solve(m.in)
 			if errC != nil || errT != nil {
-				t.Fatalf("%s shared=%v: compiled err %v, tree-walk err %v", tc.name, shared, errC, errT)
+				t.Fatalf("%s %s: compiled err %v, tree-walk err %v", tc.name, m.name, errC, errT)
 			}
-			requireSamePlan(t, tc.name, pc, pt)
+			requireSamePlan(t, tc.name+"/"+m.name, pc, pt)
+			if err := m.in.Verify(pc); err != nil {
+				t.Fatalf("%s %s: plan fails Verify: %v", tc.name, m.name, err)
+			}
 		}
 	}
+}
+
+// overLimitInstance is a sharing mediumInstance plus one result whose
+// formula shares compiledSharedLimit+1 variables, so the evaluator's
+// uncompiled fallback runs beside compiled results in one solve; Need
+// covers every result, so the plan has to raise the fallback one too.
+// The formula is (chain ∧ c) ∨ (chain ∧ d): pinning any chain variable
+// false collapses it, which keeps the tree walk's Shannon expansion
+// linear in the chain length instead of exponential.
+func overLimitInstance(t *testing.T) *Instance {
+	t.Helper()
+	in := mediumInstance(11, 60, 5, true)
+	fresh := func(p float64) *lineage.Expr {
+		v := lineage.Var(len(in.Base) + 1)
+		in.Base = append(in.Base, BaseTuple{Var: v, P: p, Cost: cost.Linear{Rate: 10}})
+		return lineage.NewVar(v)
+	}
+	var left, right []*lineage.Expr
+	for i := 0; i <= compiledSharedLimit; i++ {
+		v := fresh(0.9)
+		left, right = append(left, v), append(right, v)
+	}
+	f := lineage.Or(lineage.And(append(left, fresh(0.3))...), lineage.And(append(right, fresh(0.3))...))
+	if _, err := lineage.CompileExact(f, compiledSharedLimit); !errors.Is(err, lineage.ErrTooManyShared) {
+		t.Fatalf("fixture formula compiles under compiledSharedLimit (err %v); it would not reach the fallback", err)
+	}
+	in.Results = append(in.Results, Result{ID: len(in.Results), Formula: f})
+	in.Need = len(in.Results)
+	return in
 }
 
 // TestGreedyHeapMatchesRescanMedium: the lazy-heap incremental gain

@@ -152,7 +152,7 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 		dbs := bs
 		defer func() { finishWorkerSpan(ds, dbs, -1) }()
 	}
-	e := newEvaluatorCtx(in, d.TreeWalk, bs)
+	e := newEvaluator(in, evalOpts{bs: bs, treeWalk: d.TreeWalk})
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -387,7 +387,7 @@ func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, 
 	// Feasibility: one evaluator serves both the check and (when the
 	// target must be lowered) the satisfiable maximum.
 	ar.reset()
-	if max := newEvaluatorArena(sub, d.TreeWalk, bs, ar).satAtMax(); max < sub.Need {
+	if max := newEvaluator(sub, evalOpts{bs: bs, ar: ar, treeWalk: d.TreeWalk}).satAtMax(); max < sub.Need {
 		if max <= free {
 			// The group cannot deliver anything beyond its already
 			// satisfied results; skip it entirely.
@@ -453,13 +453,8 @@ func (d *DivideAndConquer) groupHeuristic(sub *Instance, seed *Plan, bs *budgetS
 		}
 	}()
 	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true, TreeWalk: d.TreeWalk}
-	hs = &heuristicSearch{Heuristic: h, in: sub, bs: bs, ar: ar, e: newEvaluatorArena(sub, d.TreeWalk, bs, ar), bestCost: seed.Cost, best: seed}
-	hs.order = make([]int, len(sub.Base))
-	for i := range hs.order {
-		hs.order[i] = i
-	}
-	cb := costBetas(sub, d.TreeWalk, bs, ar)
-	sort.SliceStable(hs.order, func(a, b int) bool { return cb[hs.order[a]] > cb[hs.order[b]] })
+	eo := evalOpts{bs: bs, ar: ar, treeWalk: d.TreeWalk}
+	hs = &heuristicSearch{Heuristic: h, in: sub, eo: eo, e: newEvaluator(sub, eo), bestCost: seed.Cost, best: seed}
 	hs.prepare()
 	hs.dfs(0, 0)
 	return hs.best, hs.nodes, nil

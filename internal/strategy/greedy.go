@@ -124,16 +124,11 @@ func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (plan
 	defer cancel()
 	span := startSolveSpan(ctx, g.Name())
 	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	return g.solveBudget(in, bs)
-}
-
-// solveBudget runs the algorithm under an existing budget state, owning
-// the recovery boundary.
-func (g *Greedy) solveBudget(in *Instance, bs *budgetState) (plan *Plan, err error) {
 	return g.solveArena(in, bs, nil)
 }
 
-// solveArena is solveBudget with the evaluator's scratch drawn from a
+// solveArena runs the algorithm under an existing budget state, owning
+// the recovery boundary. The evaluator's scratch is drawn from a
 // per-worker arena (nil = heap); the parallel D&C group solves pass
 // their worker's arena so consecutive groups reuse one slab.
 func (g *Greedy) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *Plan, err error) {
@@ -155,7 +150,7 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEvaluatorArena(in, g.TreeWalk, bs, ar)
+	e := newEvaluator(in, evalOpts{bs: bs, ar: ar, treeWalk: g.TreeWalk})
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}

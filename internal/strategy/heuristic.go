@@ -56,12 +56,11 @@ type heuristicSearch struct {
 	*Heuristic
 	in *Instance
 	e  *evaluator
-	// bs carries the solve's budget/cancellation state (nil when
-	// unbudgeted); dfs polls it at every node expansion.
-	bs *budgetState
-	// ar supplies evaluator scratch (nil = heap); D&C group solves pass
-	// their worker's arena.
-	ar    *arena
+	// eo builds the search's evaluators. eo.bs carries the solve's
+	// budget/cancellation state (nil when unbudgeted), which dfs polls
+	// at every node expansion; eo.ar supplies evaluator scratch (nil =
+	// heap) — D&C group solves pass their worker's arena.
+	eo    evalOpts
 	order []int // variable order (base indices)
 	// maxEval mirrors the search state but keeps every *unassigned*
 	// variable at its maximum; its satisfied count is exactly H3's
@@ -97,26 +96,15 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 	defer cancel()
 	span := startSolveSpan(ctx, h.Name())
 	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	return h.solveBudget(in, bs)
-}
 
-// solveBudget runs the search under an existing budget state, owning
-// the recovery boundary that converts budget unwinds and panics into
-// the anytime contract.
-func (h *Heuristic) solveBudget(in *Instance, bs *budgetState) (plan *Plan, err error) {
-	return h.solveArena(in, bs, nil)
-}
-
-// solveArena is solveBudget with evaluator scratch drawn from a
-// per-worker arena (nil = heap).
-func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *Plan, err error) {
 	s := &heuristicSearch{
 		Heuristic: h,
 		in:        in,
-		bs:        bs,
-		ar:        ar,
+		eo:        evalOpts{bs: bs, treeWalk: h.TreeWalk},
 		bestCost:  math.Inf(1),
 	}
+	// The recovery boundary converts budget unwinds and panics into the
+	// anytime contract; it runs before the span closes (defers are LIFO).
 	defer func() {
 		if r := recover(); r != nil {
 			plan, err = solveRecover(r, h.Name(), in, s.best)
@@ -125,21 +113,9 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 			}
 		}
 	}()
-	s.e = newEvaluatorArena(in, h.TreeWalk, bs, ar)
+	s.e = newEvaluator(in, s.eo)
 	if s.e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
-	}
-
-	// Variable ordering (H1 or instance order).
-	s.order = make([]int, len(in.Base))
-	for i := range s.order {
-		s.order[i] = i
-	}
-	if h.UseH1 {
-		cb := costBetas(in, h.TreeWalk, bs, ar)
-		sort.SliceStable(s.order, func(a, b int) bool {
-			return cb[s.order[a]] > cb[s.order[b]] // descending: costly near the root
-		})
 	}
 
 	s.prepare()
@@ -148,7 +124,7 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 		// The greedy seed shares this solve's budget; its feasible
 		// snapshots land in s.best as they form, so a budget unwind
 		// mid-seed still leaves the boundary an incumbent to return.
-		if gp, gerr := (&Greedy{Incremental: true, TreeWalk: h.TreeWalk}).solveCore(in, bs, &s.best, ar); gerr == nil {
+		if gp, gerr := (&Greedy{Incremental: true, TreeWalk: h.TreeWalk}).solveCore(in, bs, &s.best, nil); gerr == nil {
 			s.best = gp
 			s.bestCost = gp.Cost
 		} else if s.best != nil {
@@ -173,14 +149,25 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 	return s.best, nil
 }
 
-// prepare builds the ancillary search structures: the per-variable
-// cheapest-increment table, its suffix minima (H4), and the H3 mirror
-// evaluator with all variables at their maxima.
+// prepare builds the ancillary search structures: the variable order
+// (H1 or instance order), the per-variable cheapest-increment table,
+// its suffix minima (H4), and the H3 mirror evaluator with all
+// variables at their maxima.
 func (s *heuristicSearch) prepare() {
 	in := s.in
+	s.order = make([]int, len(in.Base))
+	for i := range s.order {
+		s.order[i] = i
+	}
+	if s.UseH1 {
+		cb := costBetas(in, s.eo)
+		sort.SliceStable(s.order, func(a, b int) bool {
+			return cb[s.order[a]] > cb[s.order[b]] // descending: costly near the root
+		})
+	}
 	s.cheapestInc = make([]float64, len(in.Base))
 	for i, b := range in.Base {
-		s.bs.poll()
+		s.eo.bs.poll()
 		next := b.P + in.Delta
 		if next > b.maxP() {
 			next = b.maxP()
@@ -195,7 +182,7 @@ func (s *heuristicSearch) prepare() {
 		s.minIncSuffix[d] = math.Min(s.minIncSuffix[d+1], s.cheapestInc[s.order[d]])
 	}
 	if s.UseH3 {
-		s.maxEval = newEvaluatorArena(in, s.TreeWalk, s.bs, s.ar)
+		s.maxEval = newEvaluator(in, s.eo)
 		for i, b := range in.Base {
 			s.maxEval.setP(i, b.maxP())
 		}
@@ -235,7 +222,7 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 		// Cooperative checkpoint: fault probe plus budget/cancellation
 		// poll (unwinds to the solver boundary on exhaustion).
 		fault.Probe(SiteHeuristicDFS)
-		s.bs.node()
+		s.eo.bs.node()
 		s.e.setP(bi, v)
 		if s.UseH3 {
 			s.maxEval.setP(bi, v)
@@ -314,8 +301,8 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 // where F_max is the best result confidence the tuple can reach. The
 // grid walk performs full formula evaluations, so it shares the solve's
 // budget state: a deadline can interrupt it via the pivot hook.
-func costBetas(in *Instance, treeWalk bool, bs *budgetState, ar *arena) []float64 {
-	e := newEvaluatorArena(in, treeWalk, bs, ar)
+func costBetas(in *Instance, eo evalOpts) []float64 {
+	e := newEvaluator(in, eo)
 	out := make([]float64, len(in.Base))
 	for bi, b := range in.Base {
 		out[bi] = costBetaOf(in, e, bi, b)

@@ -229,8 +229,7 @@ type occ struct {
 // through its flat program; the faithful tree-walk path remains
 // available for differential testing and the ablation benchmarks.
 type evaluator struct {
-	in       *Instance
-	treeWalk bool
+	in *Instance
 	// bs is the owning solve's budget state (nil when unbudgeted):
 	// recompute polls it, so even tree-walk evaluations — which have no
 	// pivot hook — stay cooperatively interruptible at per-formula
@@ -284,32 +283,34 @@ type evaluator struct {
 	stepOK   []bool
 }
 
-func newEvaluator(in *Instance) *evaluator { return newEvaluatorMode(in, false) }
-
-// newEvaluatorMode builds an evaluator; treeWalk selects the legacy
-// interface-typed tree evaluation instead of compiled programs.
-func newEvaluatorMode(in *Instance, treeWalk bool) *evaluator {
-	return newEvaluatorCtx(in, treeWalk, nil)
+// evalOpts configures newEvaluator; the zero value is a plain
+// unbudgeted, heap-backed, compiled evaluator.
+type evalOpts struct {
+	// bs is the owning solve's budget state: every compiled machine
+	// gets a pivot hook that counts Shannon pivot enumerations against
+	// it and polls for cancellation, making formula evaluation — the
+	// solvers' deepest and potentially exponential loop — cooperatively
+	// interruptible. nil builds an unbudgeted evaluator.
+	bs *budgetState
+	// ar supplies the float/bool state from a per-worker arena: the
+	// parallel D&C path builds one evaluator per group on the worker's
+	// arena and resets it between groups, so the probability vectors,
+	// derivative rows and step caches reuse one slab instead of being
+	// reallocated per group. The arena zeroes every segment, so an
+	// arena-backed evaluator starts in exactly the state a make()-backed
+	// one would — serial/parallel bit-identity depends on it. nil falls
+	// back to plain heap allocation.
+	ar *arena
+	// treeWalk selects the interface-typed tree evaluation for every
+	// result instead of compiled programs (the differential suite's
+	// reference and the compiled-vs-treewalk ablation). Results over
+	// compiledSharedLimit take that path regardless.
+	treeWalk bool
 }
 
-// newEvaluatorCtx is newEvaluatorMode with a budget: every compiled
-// machine gets a pivot hook that counts Shannon pivot enumerations
-// against bs and polls for cancellation, making formula evaluation —
-// the solvers' deepest and potentially exponential loop — cooperatively
-// interruptible. bs == nil builds a plain unbudgeted evaluator.
-func newEvaluatorCtx(in *Instance, treeWalk bool, bs *budgetState) *evaluator {
-	return newEvaluatorArena(in, treeWalk, bs, nil)
-}
-
-// newEvaluatorArena is newEvaluatorCtx with the float/bool state drawn
-// from a per-worker arena: the parallel D&C path builds one evaluator
-// per group on the worker's arena and resets it between groups, so the
-// probability vectors, derivative rows and step caches reuse one slab
-// instead of being reallocated per group. The arena zeroes every
-// segment, so an arena-backed evaluator starts in exactly the state a
-// make()-backed one would — serial/parallel bit-identity depends on it.
-// ar == nil falls back to plain heap allocation.
-func newEvaluatorArena(in *Instance, treeWalk bool, bs *budgetState, ar *arena) *evaluator {
+// newEvaluator builds the instance's evaluator at its initial confidences.
+func newEvaluator(in *Instance, o evalOpts) *evaluator {
+	bs, ar, treeWalk := o.bs, o.ar, o.treeWalk
 	var hook func(int)
 	if bs != nil {
 		hook = func(n int) {
@@ -319,7 +320,6 @@ func newEvaluatorArena(in *Instance, treeWalk bool, bs *budgetState, ar *arena) 
 	}
 	e := &evaluator{
 		in:         in,
-		treeWalk:   treeWalk,
 		bs:         bs,
 		p:          ar.floats(len(in.Base)),
 		resultProb: ar.floats(len(in.Results)),
@@ -617,12 +617,6 @@ func (e *evaluator) satAtMax() int {
 		}
 	}
 	return sat
-}
-
-// feasible reports whether raising every tuple to its maximum satisfies
-// the instance.
-func feasible(in *Instance, treeWalk bool) bool {
-	return newEvaluatorMode(in, treeWalk).satAtMax() >= in.Need
 }
 
 // plan snapshots the evaluator's state into a Plan.

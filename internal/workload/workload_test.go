@@ -229,8 +229,10 @@ func TestGenerateDBQueriesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := cat.Snapshot()
+	defer snap.Release()
 	for i, q := range queries {
-		rows, _, err := sql.Query(cat, q)
+		rows, _, err := sql.QuerySnap(snap, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

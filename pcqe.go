@@ -172,10 +172,6 @@ const (
 	TypeString = relation.TypeString
 )
 
-// Query parses, plans and runs a SQL SELECT against a catalog without
-// policy checking (the raw query-evaluation component).
-var Query = sql.Query
-
 // Exec executes any SQL statement (SELECT, EXPLAIN, CREATE/DROP TABLE,
 // INSERT ... WITH CONFIDENCE, UPDATE incl. the _confidence
 // pseudo-column, DELETE).
