@@ -4,7 +4,7 @@
 # the tree-walk reference.
 GO ?= go
 
-.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke obs-smoke serve-smoke
+.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving obs-smoke serve-smoke
 
 check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 
@@ -40,10 +40,17 @@ race:
 mvcc-stress:
 	$(GO) test -race -count=1 -run 'MVCC' ./internal/relation/ ./internal/core/
 
-# The compiled-vs-treewalk differential tests (bit-identical plans and
-# derivative rows) in internal/lineage and internal/strategy.
+# The differential suites, each pinning a fast path to its reference:
+# compiled lineage kernels vs the tree walk (internal/lineage,
+# internal/strategy); in internal/relation the compiled row predicate vs
+# EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
+# folds vs the pairwise fold, incremental cache advance vs scratch; in
+# internal/sql the cost-based vs the rule-based planner (the serving
+# benchmark's shapes included) and filter pushdown over the fuzz seeds.
 differential:
 	$(GO) test -run Differential -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown'
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree
@@ -81,6 +88,14 @@ bench-parallel:
 # hit-rate sweep; writes BENCH_planner.json to the working directory.
 bench-planner:
 	$(GO) run ./cmd/benchrunner -fig planner
+
+# The committed serving baseline: five runs of all four workloads on
+# seeds 1..5, traced pass included (≈15 min). A performance PR
+# regenerates it at its head and pastes
+# `go run ./benchmark -compare <parent>.json BENCH_serving.json` into
+# CHANGES.md.
+bench-serving:
+	$(GO) run ./benchmark -seed 1 -runs 5 -out BENCH_serving.json
 
 # A 3-second pass of the serving benchmark (BENCHMARK.json) on its
 # hottest workload, without the traced per-layer pass: catches an API

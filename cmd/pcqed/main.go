@@ -155,6 +155,11 @@ func run() error {
 		return err
 	}
 	addr := ln.Addr().String()
+	// Catch signals before the address is published: a scripted client
+	// may open its sessions and send SIGTERM within a millisecond of
+	// reading the file, and an unhandled SIGTERM kills without draining.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(addr+"\n"), 0o644); err != nil {
 			ln.Close()
@@ -173,8 +178,6 @@ func run() error {
 		errCh <- nil
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

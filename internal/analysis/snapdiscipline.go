@@ -10,9 +10,11 @@ import (
 // to one committed version: a snapshot (Table.RowsAt, Snapshot
 // confidence lookups) or a version-pinned operator drain
 // (relation.RunAt). The latest-version conveniences — Table.Rows(),
-// relation.Run, Catalog.Confidence/Catalog.ProbOf — each re-resolve
-// version chains at call time, so two of them in one request can
-// observe different commits and tear a logically atomic read. The
+// relation.Run, Index.Lookup, Catalog.Confidence/Catalog.ProbOf — each
+// re-resolve version chains at call time, so two of them in one request
+// can observe different commits and tear a logically atomic read (an
+// operator probing an index with Lookup would join its pinned outer
+// rows to whatever inner rows are newest). The
 // exclude list carves out internal/relation itself, which implements
 // the version store and must touch raw chains.
 func Snapdiscipline(exclude ...string) *Analyzer {
@@ -58,6 +60,10 @@ func checkSnapCall(pass *Pass, call *ast.CallExpr, sel *ast.SelectorExpr) {
 	case "Rows":
 		if namedTypeIs(recv, "Table") && len(call.Args) == 0 {
 			pass.Reportf(call.Pos(), "Table.Rows() reads the latest committed version; pin a Snapshot and use RowsAt (or Scan with RunAt) so the read cannot mix commits")
+		}
+	case "Lookup":
+		if namedTypeIs(recv, "Index") {
+			pass.Reportf(call.Pos(), "Index.Lookup probes the latest committed version; an operator resolves index candidates at its pinned version (filter and join through the planned leaf, run with RunAt)")
 		}
 	case "Confidence", "ProbOf":
 		if namedTypeIs(recv, "Catalog") {

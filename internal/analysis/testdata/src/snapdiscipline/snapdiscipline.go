@@ -28,6 +28,10 @@ func (s *Snapshot) Release()                    {}
 
 type Operator interface{ Next() (*Tuple, bool) }
 
+type Index struct{}
+
+func (ix *Index) Lookup(key int64) []*Tuple { return nil }
+
 func Run(op Operator) []*Tuple            { return nil }
 func RunAt(op Operator, v int64) []*Tuple { return nil }
 func Plan(c *Catalog, q string) Operator  { return nil }
@@ -64,17 +68,48 @@ func pinnedReads(t *Table, c *Catalog, tu *Tuple) float64 {
 	return total
 }
 
+// probeJoin is an operator that honours PinVersion for its outer side
+// but probes the inner index with Lookup: each outer row, read at the
+// pinned version, meets whatever inner rows the newest commit holds.
+type probeJoin struct {
+	outer Operator
+	inner *Index
+	pin   int64
+	rows  []*Tuple
+}
+
+func (j *probeJoin) PinVersion(v int64) { j.pin = v }
+
+func (j *probeJoin) Next() (*Tuple, bool) {
+	for len(j.rows) == 0 {
+		t, ok := j.outer.Next()
+		if !ok {
+			return nil, false
+		}
+		j.rows = j.inner.Lookup(int64(t.Confidence)) // want `Index.Lookup probes the latest committed version`
+	}
+	t := j.rows[0]
+	j.rows = j.rows[1:]
+	return t, true
+}
+
 // lookalikes must not trip the name-based checks: Rows with arguments,
-// Rows on a non-Table type, and Run without the Operator signature.
+// Rows on a non-Table type, Lookup on a non-Index type, and Run without
+// the Operator signature.
 type RowSet struct{}
 
 func (RowSet) Rows() []int { return nil }
 
 func RunJob(name string) {}
 
-func lookalikes(t *Table, rs RowSet) {
+type Directory struct{}
+
+func (Directory) Lookup(name string) int { return 0 }
+
+func lookalikes(t *Table, rs RowSet, d Directory) {
 	_ = t.Named("x")
 	_ = rs.Rows()
+	_ = d.Lookup("x")
 	RunJob("compact")
 }
 

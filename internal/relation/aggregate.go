@@ -54,15 +54,16 @@ type Aggregate struct {
 	GroupBy []Expr
 	Aggs    []AggSpec
 
-	out    *Schema
-	buffer []*Tuple
-	pos    int
+	out *Schema
+	materialized
 }
 
 type aggGroup struct {
 	keyVals []Value
-	lin     *lineage.Expr
-	states  []aggState
+	// lins collects the contributing rows' lineages; the group's one
+	// conjunction is built when the input ends (see distinctRows).
+	lins   []*lineage.Expr
+	states []aggState
 }
 
 type aggState struct {
@@ -149,11 +150,11 @@ func (a *Aggregate) Open() error {
 		key := kb.String()
 		grp, ok := groups[key]
 		if !ok {
-			grp = &aggGroup{keyVals: keyVals, lin: lineage.True(), states: make([]aggState, len(a.Aggs))}
+			grp = &aggGroup{keyVals: keyVals, states: make([]aggState, len(a.Aggs))}
 			groups[key] = grp
 			order = append(order, key)
 		}
-		grp.lin = lineage.And(grp.lin, t.Lineage)
+		grp.lins = append(grp.lins, t.Lineage)
 		for i, spec := range a.Aggs {
 			if err := grp.states[i].update(spec, t); err != nil {
 				return err
@@ -162,7 +163,7 @@ func (a *Aggregate) Open() error {
 	}
 	// Global aggregate over an empty input still yields one row.
 	if len(a.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggGroup{lin: lineage.True(), states: make([]aggState, len(a.Aggs))}
+		groups[""] = &aggGroup{states: make([]aggState, len(a.Aggs))}
 		order = append(order, "")
 	}
 	for _, key := range order {
@@ -171,7 +172,7 @@ func (a *Aggregate) Open() error {
 		for i, spec := range a.Aggs {
 			vals = append(vals, grp.states[i].result(spec))
 		}
-		a.buffer = append(a.buffer, &Tuple{Values: vals, Lineage: grp.lin})
+		a.buffer = append(a.buffer, &Tuple{Values: vals, Lineage: lineage.And(grp.lins...)})
 	}
 	return nil
 }
@@ -254,16 +255,6 @@ func (s *aggState) result(spec AggSpec) Value {
 		return s.max
 	}
 	return Null()
-}
-
-// Next implements Operator.
-func (a *Aggregate) Next() (*Tuple, error) {
-	if a.pos >= len(a.buffer) {
-		return nil, nil
-	}
-	t := a.buffer[a.pos]
-	a.pos++
-	return t, nil
 }
 
 // Close implements Operator.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"sync"
 
 	"pcqe/internal/lineage"
@@ -52,48 +53,59 @@ type ConfCacheStats struct {
 	Hits, Misses int64
 	// Rows counts confidence requests per class (hits and misses).
 	Rows [numLineageClasses]int64
-	// Evals counts evaluations per class: cache misses plus incremental
-	// re-evaluations at commit.
+	// Evals counts evaluations per class (one per cache miss).
 	Evals [numLineageClasses]int64
 	// Pivots totals the compiled Machine's Shannon pivot leaf
 	// evaluations per class (always 0 for read-once).
 	Pivots [numLineageClasses]int64
-	// IncrementalReevals counts entries recomputed at a commit because
-	// their lineage references a touched variable; IncrementalRestamps
-	// counts entries carried to the new epoch untouched (their formulas
-	// reference none of the committed variables); IncrementalDrops
-	// counts stale entries (more than one epoch behind) discarded.
-	IncrementalReevals  int64
-	IncrementalRestamps int64
-	IncrementalDrops    int64
+	// Invalidated counts entries a commit marked stale because their
+	// formula reads a changed variable — the only entries it visits;
+	// Dropped counts entries discarded because the cache was not told
+	// about an epoch in between.
+	Invalidated int64
+	Dropped     int64
 }
 
-// ConfidenceCache memoizes derived-tuple confidences keyed on (formula
-// fingerprint, confidence epoch): repeated policy filtering of the same
-// results skips the probability computation entirely until some base
-// confidence changes. Evaluation routes by lineage class — read-once
-// formulas go straight to the linear-time path, shared formulas through
-// the compiled Shannon kernel, whose pivot counters the cache
-// aggregates per class. Safe for concurrent use.
+// ConfidenceCache memoizes derived-tuple confidences keyed on the
+// formula's rendering: repeated policy filtering of the same results
+// skips the probability computation entirely until a base confidence
+// the formula reads changes. Evaluation routes by lineage class —
+// read-once formulas go straight to the linear-time path, shared
+// formulas through the compiled Shannon kernel, whose pivot counters
+// the cache aggregates per class. Safe for concurrent use.
+//
+// Validity invariant: the cache stands at the confidence epoch its
+// catalog last told it about, and an entry's value is the formula's
+// confidence at every epoch from its validFrom through the cache's — a
+// commit marks stale exactly the entries reading a changed variable
+// (the next reader recomputes them, outside every lock) and leaves the
+// rest alone, stamp included. A reader at snapshot epoch E is served an
+// entry iff validFrom ≤ E ≤ cache epoch and may insert or refresh only
+// when E is the cache's epoch; otherwise it evaluates for itself.
 type ConfidenceCache struct {
 	cat *Catalog
 	cap int
 
 	mu      sync.Mutex
-	entries map[string]confEntry
-	stats   ConfCacheStats
+	epoch   int64
+	entries map[string]*confEntry
+	// postings inverts entries: variable → the resident entries whose
+	// formula reads it, kept exact on insert and eviction, so a commit
+	// visits only what it touched.
+	postings map[lineage.Var][]*confEntry
+	stats    ConfCacheStats
 }
 
 type confEntry struct {
-	epoch int64
-	p     float64
-	class LineageClass
-	// expr and vars (the formula and its sorted, deduplicated variable
-	// set) drive incremental re-evaluation at commit: a commit touching
-	// none of vars carries the entry forward without recomputing.
-	expr *lineage.Expr
-	vars []lineage.Var
+	key       string
+	validFrom int64 // stale: invalidated by a commit, awaiting a reader
+	p         float64
+	class     LineageClass
+	vars      []lineage.Var // sorted and deduplicated: the postings to keep
 }
+
+// stale is past every epoch a reader can hold.
+const stale = math.MaxInt64
 
 // DefaultConfidenceCacheSize bounds the cache when NewConfidenceCache
 // is given a non-positive capacity.
@@ -106,9 +118,20 @@ func NewConfidenceCache(cat *Catalog, capacity int) *ConfidenceCache {
 	if capacity <= 0 {
 		capacity = DefaultConfidenceCacheSize
 	}
-	cc := &ConfidenceCache{cat: cat, cap: capacity, entries: make(map[string]confEntry)}
+	cc := &ConfidenceCache{cat: cat, cap: capacity}
+	cc.reset()
 	cat.registerCache(cc)
+	// Registered, then stamped under advance's lock: a racing commit is
+	// either published already (and read here) or advances the cache.
+	cc.mu.Lock()
+	cc.epoch = cat.ConfEpoch()
+	cc.mu.Unlock()
 	return cc
+}
+
+func (cc *ConfidenceCache) reset() {
+	cc.entries = make(map[string]*confEntry)
+	cc.postings = make(map[lineage.Var][]*confEntry)
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -118,8 +141,7 @@ func (cc *ConfidenceCache) Stats() ConfCacheStats {
 	return cc.stats
 }
 
-// Len returns the number of cached formulas (including stale epochs not
-// yet overwritten).
+// Len returns the number of cached formulas.
 func (cc *ConfidenceCache) Len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -127,14 +149,12 @@ func (cc *ConfidenceCache) Len() int {
 }
 
 // ConfidenceAtAcc returns the tuple's exact confidence at the snapshot's
-// pinned version, serving it from the cache when the formula was
-// already evaluated under the snapshot's confidence epoch. Taking the
-// snapshot guarantees the epoch the entry is keyed on and the
-// confidences the evaluation reads belong to the same committed version
-// (looking the epoch up separately from the evaluation could stamp a
-// value computed at epoch N with epoch N+1). A formula with more than
-// lineage.DefaultSharedLimit shared variables fails with an error
-// wrapping lineage.ErrTooManyShared and caches nothing.
+// pinned version, serving it from the cache when the cached value
+// covers the snapshot's confidence epoch (see the validity invariant).
+// Taking the snapshot guarantees the epoch and the confidences the
+// evaluation reads belong to the same committed version. A formula with
+// more than lineage.DefaultSharedLimit shared variables fails with an
+// error wrapping lineage.ErrTooManyShared and caches nothing.
 //
 // The call's counter deltas accumulate into acc (nil-safe). Callers
 // that attribute cache behavior to one request (per-phase span
@@ -142,8 +162,8 @@ func (cc *ConfidenceCache) Len() int {
 // advance for every concurrent session, so a before/after difference
 // around one request charges it with other sessions' rows and pivots.
 // Historical snapshots (SnapshotAt behind the latest commit) bypass the
-// cache — entries are keyed on the current epoch only — and accumulate
-// nothing, matching Stats().
+// cache — their epoch is unknowable — and accumulate nothing, matching
+// Stats().
 func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCacheStats) (float64, error) {
 	if snap.Historical() {
 		_, p, _, err := evalClassified(t.Lineage, snap)
@@ -152,15 +172,16 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	key := t.Lineage.String()
 	epoch := snap.ConfEpoch()
 	cc.mu.Lock()
-	if e, ok := cc.entries[key]; ok && e.epoch == epoch {
+	if e, ok := cc.entries[key]; ok && e.validFrom <= epoch && epoch <= cc.epoch {
+		p, class := e.p, e.class // a commit rewrites the entry in place
 		cc.stats.Hits++
-		cc.stats.Rows[e.class]++
+		cc.stats.Rows[class]++
 		cc.mu.Unlock()
 		if acc != nil {
 			acc.Hits++
-			acc.Rows[e.class]++
+			acc.Rows[class]++
 		}
-		return e.p, nil
+		return p, nil
 	}
 	cc.mu.Unlock()
 
@@ -174,14 +195,15 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	cc.stats.Rows[class]++
 	cc.stats.Evals[class]++
 	cc.stats.Pivots[class] += pivots
-	if _, exists := cc.entries[key]; !exists && len(cc.entries) >= cc.cap {
-		// Random eviction: drop one arbitrary entry (map iteration order).
-		for k := range cc.entries {
-			delete(cc.entries, k)
-			break
+	// A commit may have advanced the cache since the lookup: a value
+	// computed at an older epoch must not land beside current ones.
+	if epoch == cc.epoch {
+		if old, exists := cc.entries[key]; !exists {
+			cc.insert(&confEntry{key: key, validFrom: epoch, p: p, class: class, vars: t.Lineage.Vars()})
+		} else if old.validFrom == stale {
+			old.validFrom, old.p, old.class = epoch, p, class
 		}
 	}
-	cc.entries[key] = confEntry{epoch: epoch, p: p, class: class, expr: t.Lineage, vars: t.Lineage.Vars()}
 	cc.mu.Unlock()
 	if acc != nil {
 		acc.Misses++
@@ -192,55 +214,66 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	return p, nil
 }
 
-// advance moves the cache from confidence epoch prev to next after a
-// commit that changed the confidences of the changed variables. Called
-// by the catalog under the writer lock, immediately after publication,
-// so the base confidences it reads are exactly the committed state.
-//
-// Instead of letting a commit invalidate everything, each entry is
-// triaged: entries whose formula reads none of the changed variables
-// keep their value and are re-stamped to the new epoch (the dominant
-// case when a commit touches k of N base tuples, k ≪ N); entries whose
-// formula intersects the changed set are recomputed; entries already
-// behind by more than one epoch are dropped (their carried value may
-// reflect changes the triage cannot see).
-func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
-	changedSet := make(map[lineage.Var]struct{}, len(changed))
-	for _, v := range changed {
-		changedSet[v] = struct{}{}
+// insert adds a fresh entry and its postings, evicting an arbitrary
+// entry (map iteration order) from a full cache.
+func (cc *ConfidenceCache) insert(e *confEntry) {
+	if len(cc.entries) >= cc.cap {
+		for _, victim := range cc.entries {
+			cc.evict(victim)
+			break
+		}
 	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for k, e := range cc.entries {
-		if e.epoch >= next {
-			continue
-		}
-		if e.epoch != prev || e.expr == nil {
-			delete(cc.entries, k)
-			cc.stats.IncrementalDrops++
-			continue
-		}
-		touched := false
-		for _, v := range e.vars {
-			if _, ok := changedSet[v]; ok {
-				touched = true
+	cc.entries[e.key] = e
+	for _, v := range e.vars {
+		cc.postings[v] = append(cc.postings[v], e)
+	}
+}
+
+func (cc *ConfidenceCache) evict(e *confEntry) {
+	delete(cc.entries, e.key)
+	for _, v := range e.vars {
+		list := cc.postings[v]
+		for i, x := range list {
+			if x == e {
+				list[i] = list[len(list)-1]
+				list[len(list)-1] = nil
+				list = list[:len(list)-1]
 				break
 			}
 		}
-		if !touched {
-			e.epoch = next
-			cc.entries[k] = e
-			cc.stats.IncrementalRestamps++
-			continue
+		if len(list) == 0 {
+			delete(cc.postings, v)
+		} else {
+			cc.postings[v] = list
 		}
-		// The error is ignored for a reason: a cached formula already
-		// compiled under the shared limit once, and it is immutable.
-		class, p, pivots, _ := evalClassified(e.expr, cc.cat)
-		e.epoch, e.p, e.class = next, p, class
-		cc.entries[k] = e
-		cc.stats.IncrementalReevals++
-		cc.stats.Evals[class]++
-		cc.stats.Pivots[class] += pivots
+	}
+}
+
+// advance moves the cache from confidence epoch prev to next after a
+// commit that changed the confidences of the changed variables. Called
+// by the catalog under the writer lock, immediately after publication.
+//
+// The cost is what the commit touched: the postings lead to the entries
+// reading a changed variable, which are marked stale, one store each —
+// recomputing them here would do under the writer's locks, for every
+// such entry, what only the readers that ask again need. Every other
+// entry is not visited and stays valid by its stamp. A cache that
+// missed an epoch in between (prev is not where it stands) starts empty.
+func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.epoch != prev {
+		cc.stats.Dropped += int64(len(cc.entries))
+		cc.reset()
+	}
+	cc.epoch = next
+	for _, v := range changed {
+		for _, e := range cc.postings[v] {
+			if e.validFrom != stale {
+				e.validFrom = stale
+				cc.stats.Invalidated++
+			}
+		}
 	}
 }
 

@@ -139,13 +139,13 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 		t.Fatalf("confidence unchanged (%v) after a base-tuple update the formula depends on", after)
 	}
 	st := cc.Stats()
-	// The commit recomputed the dependent entry incrementally, so the
-	// read after it is a hit on the fresh value, not a new miss.
-	if st.Misses != 2 {
-		t.Fatalf("commit-time re-evaluation must not add misses: misses=%d, want 2", st.Misses)
+	// The commit marked the two dependent entries stale; the one read
+	// after it recomputed and refreshed its entry, and a second read hits.
+	if st.Invalidated != 2 || st.Misses != 3 {
+		t.Fatalf("invalidated=%d misses=%d, want 2 entries invalidated at commit and 1 miss after it", st.Invalidated, st.Misses)
 	}
-	if st.IncrementalReevals < 1 {
-		t.Fatalf("entry depending on the changed variable must re-evaluate at commit: reevals=%d", st.IncrementalReevals)
+	if confLatest(t, cc, shared); cc.Stats().Misses != 3 {
+		t.Fatal("the refreshed entry must serve the next read")
 	}
 
 	// Deleting base rows also bumps the confidence epoch.
@@ -214,4 +214,157 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	want[readOnce] = lineage.Prob(readOnce.Lineage, c)
 	want[shared] = lineage.Prob(shared.Lineage, c)
 	readAll()
+}
+
+// TestConfidenceCacheStaleSnapshot: a reader still holding the snapshot
+// it took at epoch N, reading after a commit advanced the cache to N+1,
+// gets N's confidence — a miss evaluated at its own snapshot, never the
+// entry recomputed for N+1 — and its late insert does not overwrite
+// that entry. An entry the commit did not touch still serves it.
+func TestConfidenceCacheStaleSnapshot(t *testing.T) {
+	c, readOnce, shared, rows := confCacheFixture(t)
+	cc := NewConfidenceCache(c, 0)
+	untouched := NewTuple(nil, lineage.And(lineage.NewVar(rows[1].Var), lineage.NewVar(rows[2].Var)))
+	old := c.Snapshot()
+	defer old.Release()
+	at := func(s *Snapshot, tu *Tuple) float64 {
+		t.Helper()
+		p, err := cc.ConfidenceAtAcc(tu, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wantOld := map[*Tuple]float64{shared: at(old, shared), untouched: at(old, untouched)}
+
+	if err := c.SetConfidence(rows[0].Var, 0.95); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
+		t.Fatal(err)
+	}
+	wantNew := lineage.Prob(shared.Lineage, c)
+	if wantNew == wantOld[shared] {
+		t.Fatal("fixture: the commit does not change the shared formula's confidence")
+	}
+	before := cc.Stats()
+	for i := 0; i < 2; i++ { // the second read would hit a wrongly inserted old value
+		if got := at(old, shared); got != wantOld[shared] {
+			t.Fatalf("snapshot at epoch N read %v after the advance, want its own %v (N+1's is %v)", got, wantOld[shared], wantNew)
+		}
+	}
+	if got := at(old, readOnce); got != lineage.Prob(readOnce.Lineage, old) { // never cached before: a late insert attempt
+		t.Fatalf("uncached formula at the old snapshot = %v", got)
+	}
+	if got := at(old, untouched); got != wantOld[untouched] {
+		t.Fatalf("untouched entry served %v at the old snapshot, want %v", got, wantOld[untouched])
+	}
+	st := cc.Stats()
+	if st.Misses-before.Misses != 3 || st.Hits-before.Hits != 1 {
+		t.Fatalf("old-snapshot reads: %d misses, %d hits; want 3 misses (entries newer than the snapshot, or absent) and 1 hit (the untouched entry)", st.Misses-before.Misses, st.Hits-before.Hits)
+	}
+	// Current readers see N+1's values: nothing computed at N landed.
+	for _, tu := range []*Tuple{shared, readOnce, untouched} {
+		if got, want := confLatest(t, cc, tu), lineage.Prob(tu.Lineage, c); got != want {
+			t.Fatalf("after the stale reads the cache serves %v for %s, want %v", got, tu.Lineage, want)
+		}
+	}
+}
+
+// TestConfidenceCachePostingsStayExact: after churning ten times the
+// capacity in distinct formulas, with commits in between, the inverted
+// index lists exactly the resident entries' variables — nothing of an
+// evicted entry is left behind.
+func TestConfidenceCachePostingsStayExact(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("B", NewSchema(Column{Name: "x", Type: TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, nVars = 32, 48
+	x := c.Begin()
+	vars := make([]lineage.Var, nVars)
+	for i := range vars {
+		vars[i] = x.MustInsert(tab, 0.5, nil, Int(int64(i))).Var
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cc := NewConfidenceCache(c, capacity)
+	for i := 0; i < 10*capacity; i++ {
+		a, b, d := vars[i%nVars], vars[(i/nVars+i+1)%nVars], vars[(7*i+3)%nVars]
+		confLatest(t, cc, NewTuple(nil, lineage.Or(lineage.And(lineage.NewVar(a), lineage.NewVar(b)), lineage.NewVar(d), lineage.NewVar(lineage.Var(1000+i)))))
+		if i%16 == 0 {
+			if err := c.SetConfidence(a, 0.25+float64(i%3)/4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.entries) != capacity {
+		t.Fatalf("cache holds %d entries, want it full at %d", len(cc.entries), capacity)
+	}
+	want := map[lineage.Var]int{}
+	for _, e := range cc.entries {
+		for _, v := range e.vars {
+			want[v]++
+		}
+	}
+	if len(cc.postings) != len(want) {
+		t.Errorf("postings index %d variables, resident entries read %d", len(cc.postings), len(want))
+	}
+	for v, list := range cc.postings {
+		if len(list) != want[v] {
+			t.Errorf("variable %d: %d postings, %d resident entries read it", v, len(list), want[v])
+		}
+		for _, e := range list {
+			if cc.entries[e.key] != e {
+				t.Errorf("variable %d lists evicted entry %s", v, e.key)
+			}
+		}
+	}
+}
+
+// TestConfidenceCacheReadersRaceCommits runs readers — each on its own
+// snapshot, held across commits — against a committing writer (under
+// -race in CI): every answer is the formula's confidence at the
+// reader's snapshot, whichever epoch the cache stands at by then.
+func TestConfidenceCacheReadersRaceCommits(t *testing.T) {
+	c, readOnce, shared, rows := confCacheFixture(t)
+	cc := NewConfidenceCache(c, 0)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := c.SetConfidence(rows[i%len(rows)].Var, dyadic(1+i%15)); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				snap := c.Snapshot()
+				for i := 0; i < 4; i++ {
+					for _, tu := range []*Tuple{readOnce, shared} {
+						got, err := cc.ConfidenceAtAcc(tu, snap, nil)
+						if _, want, _, _ := evalClassified(tu.Lineage, snap); err != nil || got != want {
+							t.Errorf("version %d: cache gave %v (%v), the snapshot's confidence is %v", snap.Version(), got, err, want)
+						}
+					}
+				}
+				snap.Release()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

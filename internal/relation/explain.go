@@ -8,11 +8,10 @@ import (
 // Explain renders an operator tree as an indented plan, one operator per
 // line, e.g.:
 //
-//	HashJoin (keys: CompanyInfo.Company = Proposal.Company)
-//	├─ Scan CompanyInfo
-//	└─ Project DISTINCT [Company]
-//	   └─ Select (Funding < 1000000)
-//	      └─ Scan Proposal
+//	Project DISTINCT [Company, Income]
+//	└─ HashJoin (CompanyInfo.Company = Proposal.Company)
+//	   ├─ Scan CompanyInfo cols [Company, Income]
+//	   └─ Scan Proposal filter (Proposal.Funding < 1000000) cols [Company]
 func Explain(op Operator) string {
 	return ExplainAnnotated(op, nil)
 }
@@ -46,10 +45,11 @@ func explain(b *strings.Builder, op Operator, prefix, childPrefix string, notes 
 
 func describe(op Operator) string {
 	switch o := op.(type) {
-	case *scanOp:
-		return "Scan " + o.table.Name
-	case *IndexScan:
-		return describeIndexScan(o)
+	case *access:
+		if o.index != nil {
+			return o.describe("IndexScan "+o.table.Name+" ("+o.table.schema.Columns[o.index.column].Name+" = "+o.key.String()+")", o.residual)
+		}
+		return o.describe("Scan "+o.table.Name, o.residual)
 	case *AttachConfidence:
 		return "AttachConfidence"
 	case *Values:
@@ -99,6 +99,18 @@ func describe(op Operator) string {
 			pairs[i] = ls.Columns[o.LeftKeys[i]].QualifiedName() + " = " + rs.Columns[o.RightKeys[i]].QualifiedName()
 		}
 		return "HashJoin (" + strings.Join(pairs, " AND ") + ")"
+	case *IndexJoin:
+		// One line carries the whole inner side: it is probed through
+		// its index, not run as a child.
+		head := "IndexJoin (" + o.Outer.Schema().Columns[o.OuterKey].QualifiedName() + " = " + o.Inner.Schema().Columns[o.InnerKey].QualifiedName() + ")"
+		leaf, alias := leafOf(o.Inner)
+		if leaf == nil {
+			return head
+		}
+		if alias != "" {
+			alias = " AS " + alias
+		}
+		return leaf.describe(head+" probe "+leaf.table.Name+alias, leaf.filter)
 	case *NestedLoopJoin:
 		if o.Pred == nil {
 			return "NestedLoopJoin (cross)"
@@ -148,6 +160,8 @@ func childrenOf(op Operator) []Operator {
 		return []Operator{o.Left, o.Right}
 	case *NestedLoopJoin:
 		return []Operator{o.Left, o.Right}
+	case *IndexJoin:
+		return []Operator{o.Outer}
 	case *Union:
 		return []Operator{o.Left, o.Right}
 	case *Intersect:

@@ -173,19 +173,24 @@ func evalComparison(op BinaryOp, l, r Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
+	return Bool(opHolds(op, c)), nil
+}
+
+// opHolds applies a comparison operator to a three-way Compare result.
+func opHolds(op BinaryOp, c int) bool {
 	switch op {
 	case OpEq:
-		return Bool(c == 0), nil
+		return c == 0
 	case OpNe:
-		return Bool(c != 0), nil
+		return c != 0
 	case OpLt:
-		return Bool(c < 0), nil
+		return c < 0
 	case OpLe:
-		return Bool(c <= 0), nil
+		return c <= 0
 	case OpGt:
-		return Bool(c > 0), nil
+		return c > 0
 	case OpGe:
-		return Bool(c >= 0), nil
+		return c >= 0
 	}
 	panic("relation: bad comparison op")
 }

@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"fmt"
 	"sync"
-
-	"pcqe/internal/lineage"
 )
 
 // Index is a hash index over one column of a table, mapping value keys
@@ -35,22 +32,39 @@ func (ix *Index) Len() int {
 // Lookup returns the rows whose indexed column equals v at the latest
 // committed version. The returned slice is freshly built.
 func (ix *Index) Lookup(v Value) []*BaseTuple {
-	return ix.lookupAt(v, ix.table.catalog.commitSeq.Load())
-}
-
-func (ix *Index) lookupAt(v Value, seq int64) []*BaseTuple {
-	k := v.Key()
-	ix.mu.RLock()
-	slots := ix.buckets[k]
-	ix.mu.RUnlock()
+	seq := ix.table.catalog.commitSeq.Load()
 	var out []*BaseTuple
-	for _, slot := range slots {
-		b := slot.visibleAt(seq)
-		if b != nil && b.Values[ix.column].Key() == k {
+	for _, slot := range ix.candidates(v) {
+		if b := ix.at(slot, v, seq); b != nil {
 			out = append(out, b)
 		}
 	}
 	return out
+}
+
+// candidates returns the bucket of v's key: every slot some version of
+// which holds that key. The slice is shared with the index and only
+// ever appended to, so callers iterate it in place, resolving each slot
+// with at: one probe builds one key string and nothing else.
+func (ix *Index) candidates(v Value) []*versionSlot {
+	k := v.Key()
+	ix.mu.RLock()
+	slots := ix.buckets[k]
+	ix.mu.RUnlock()
+	return slots
+}
+
+// at resolves a candidate slot at commit sequence seq: the live row
+// version, provided it still holds v there — tombstoned rows and rows
+// keyed otherwise at that version resolve to nil. Values are compared
+// directly (no key string per candidate), with the INTEGER/REAL folding
+// their keys have: 1 and 1.0 meet in one bucket.
+func (ix *Index) at(slot *versionSlot, v Value, seq int64) *BaseTuple {
+	b := slot.visibleAt(seq)
+	if b == nil || !sameKey(b.Values[ix.column], v) {
+		return nil
+	}
+	return b
 }
 
 // rebuild reconstructs the buckets chain-aware: every version of every
@@ -130,99 +144,6 @@ func (t *Table) IndexOn(column int) (*Index, bool) {
 	return ix, ok
 }
 
-// indexCount returns how many indexes the table has.
-func (t *Table) indexCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.indexes)
-}
-
-// IndexScan produces the rows whose indexed column equals Key, as an
-// operator interchangeable with Scan+Select on that equality. Unpinned,
-// it reads the latest committed version at Open; PinVersion pins it.
-type IndexScan struct {
-	Table *Table
-	Idx   *Index
-	Key   Value
-
-	pin  int64
-	rows []*BaseTuple
-	pos  int
-}
-
-// Schema implements Operator.
-func (s *IndexScan) Schema() *Schema { return s.Table.Schema() }
-
-// PinVersion implements VersionPinner.
-func (s *IndexScan) PinVersion(v int64) { s.pin = v }
-
-// Open implements Operator.
-func (s *IndexScan) Open() error {
-	if s.Idx == nil {
-		return fmt.Errorf("relation: IndexScan without an index")
-	}
-	at := s.pin
-	if at <= 0 {
-		at = s.Table.catalog.commitSeq.Load()
-	}
-	s.rows = s.Idx.lookupAt(s.Key, at)
-	s.pos = 0
-	return nil
-}
-
-// Next implements Operator.
-func (s *IndexScan) Next() (*Tuple, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return &Tuple{Values: row.Values, Lineage: lineage.NewVar(row.Var)}, nil
-}
-
-// Close implements Operator.
-func (s *IndexScan) Close() error { return nil }
-
-// OptimizeIndexedSelect rewrites Select(Scan T | Rename(Scan T)) into an
-// IndexScan plus a residual Select when the predicate's top-level
-// conjunction contains an equality between an indexed column and a
-// constant. It returns the input unchanged when the pattern does not
-// apply.
-func OptimizeIndexedSelect(sel *Select) Operator {
-	// Unwrap an optional Rename.
-	input := sel.Input
-	var rename *Rename
-	if rn, ok := input.(*Rename); ok {
-		rename = rn
-		input = rn.Input
-	}
-	scan, ok := input.(*scanOp)
-	if !ok || scan.table.indexCount() == 0 {
-		return sel
-	}
-	conjuncts := splitConjuncts(sel.Pred)
-	for i, c := range conjuncts {
-		colIdx, key, ok := equalityWithConst(c)
-		if !ok {
-			continue
-		}
-		ix, has := scan.table.IndexOn(colIdx)
-		if !has {
-			continue
-		}
-		var op Operator = &IndexScan{Table: scan.table, Idx: ix, Key: key}
-		if rename != nil {
-			op = &Rename{Input: op, Alias: rename.Alias}
-		}
-		residual := append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-		if len(residual) > 0 {
-			op = &Select{Input: op, Pred: joinConjuncts(residual)}
-		}
-		return op
-	}
-	return sel
-}
-
 // splitConjuncts flattens a top-level AND tree.
 func splitConjuncts(e Expr) []Expr {
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
@@ -231,7 +152,11 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// joinConjuncts is splitConjuncts' inverse; no conjuncts give nil.
 func joinConjuncts(es []Expr) Expr {
+	if len(es) == 0 {
+		return nil
+	}
 	out := es[0]
 	for _, e := range es[1:] {
 		out = &Binary{Op: OpAnd, Left: out, Right: e}
@@ -257,9 +182,4 @@ func equalityWithConst(e Expr) (colIdx int, key Value, ok bool) {
 		}
 	}
 	return 0, Value{}, false
-}
-
-func describeIndexScan(s *IndexScan) string {
-	return fmt.Sprintf("IndexScan %s (%s = %s)",
-		s.Table.Name, s.Table.Schema().Columns[s.Idx.column].Name, s.Key)
 }

@@ -1,7 +1,7 @@
 package relation
 
 import (
-	"strings"
+	"math"
 	"testing"
 )
 
@@ -54,10 +54,22 @@ func TestCreateIndexValidation(t *testing.T) {
 	}
 }
 
+// eqConst builds "a = k" over tab's first column.
+func eqConst(tab *Table, k Value) Expr {
+	a, _ := NewColRef(tab.Schema(), "", tab.Schema().Columns[0].Name)
+	return &Binary{Op: OpEq, Left: a, Right: Const{Value: k}}
+}
+
 func TestIndexScanOperator(t *testing.T) {
 	_, tab := intTable(t, 1, 2, 2)
-	ix, _ := tab.CreateIndex("a")
-	rows, err := Run(&IndexScan{Table: tab, Idx: ix, Key: Int(2)})
+	if _, err := tab.CreateIndex("a"); err != nil {
+		t.Fatal(err)
+	}
+	op := Filter(tab.Scan(), eqConst(tab, Int(2)))
+	if !ProbesIndex(op) {
+		t.Fatalf("equality on an indexed column must probe the index:\n%s", Explain(op))
+	}
+	rows, err := Run(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,72 +84,108 @@ func TestIndexScanOperator(t *testing.T) {
 			t.Fatal("index scan must attach lineage")
 		}
 	}
-	if _, err := Run(&IndexScan{Table: tab, Key: Int(2)}); err == nil {
-		t.Fatal("missing index should fail")
+}
+
+// TestIndexLookupFoldsIntAndReal: 1 and 1.0 hash to one key, so a REAL
+// probe finds INTEGER rows and the reverse — the bucket re-check
+// compares values with the folding Value.Key has, not rendered keys.
+func TestIndexLookupFoldsIntAndReal(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("F", NewSchema(Column{Name: "x", Type: TypeFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{1, 1.5, 2, 1} {
+		tab.MustInsert(0.5, nil, Float(f))
+	}
+	ix, err := tab.CreateIndex("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  Value
+		want int
+	}{{Int(1), 2}, {Float(1), 2}, {Float(1.5), 1}, {Int(2), 1}, {Float(2.5), 0}, {Null(), 0}, {String_("1"), 0}} {
+		if got := len(ix.Lookup(tc.key)); got != tc.want {
+			t.Errorf("Lookup(%v %s) = %d rows, want %d", tc.key, tc.key.Type(), got, tc.want)
+		}
+	}
+	for _, pair := range [][2]Value{
+		{Int(1), Float(1)}, {Float(1.5), Float(1.5)}, {Int(1), Float(1.5)}, {Null(), Null()},
+		{Null(), Int(0)}, {String_("a"), String_("a")}, {String_("1"), Int(1)}, {Bool(true), Bool(true)},
+		{Bool(true), Bool(false)}, {Float(math.NaN()), Float(math.NaN())}, {Float(math.NaN()), Float(5)}, {Float(math.Inf(1)), Float(math.Inf(1))},
+		{Int(1<<53 + 1), Float(1 << 53)}, {Int(1<<53 + 1), Int(1 << 53)}, {Float(0), Float(math.Copysign(0, -1))}, {Float(2), Float(2)},
+	} {
+		if got, want := sameKey(pair[0], pair[1]), pair[0].Key() == pair[1].Key(); got != want {
+			t.Errorf("sameKey(%v, %v) = %v, keys equal = %v", pair[0], pair[1], got, want)
+		}
 	}
 }
 
+// TestOptimizeIndexedSelect pins the push-filter rewrite both
+// planners reach the leaf through.
 func TestOptimizeIndexedSelect(t *testing.T) {
 	_, tab := intTable(t, 1, 2, 3)
 	if _, err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := NewColRef(tab.Schema(), "", "a")
-	eq := &Binary{Op: OpEq, Left: a, Right: Const{Value: Int(2)}}
-	// Plain equality: rewritten to a bare IndexScan.
-	op := OptimizeIndexedSelect(&Select{Input: tab.Scan(), Pred: eq})
-	if _, ok := op.(*IndexScan); !ok {
-		t.Fatalf("optimized to %T, want *IndexScan", op)
+	eq := eqConst(tab, Int(2))
+	// Plain equality: the leaf itself probes the index — no Select.
+	op := Filter(tab.Scan(), eq)
+	if _, ok := op.(*access); !ok || !ProbesIndex(op) {
+		t.Fatalf("filtered scan = %T (index %v), want the leaf probing its index", op, ProbesIndex(op))
 	}
 	rows, err := Run(op)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows = %d, %v", len(rows), err)
 	}
-	// Equality with a residual conjunct: IndexScan under Select.
+	// Equality with a further conjunct: same leaf, residual filter inside.
 	gt := &Binary{Op: OpGt, Left: a, Right: Const{Value: Int(0)}}
-	both := &Binary{Op: OpAnd, Left: gt, Right: eq}
-	op = OptimizeIndexedSelect(&Select{Input: tab.Scan(), Pred: both})
-	sel, ok := op.(*Select)
-	if !ok {
-		t.Fatalf("optimized to %T, want *Select over IndexScan", op)
-	}
-	if _, ok := sel.Input.(*IndexScan); !ok {
-		t.Fatalf("inner = %T, want *IndexScan", sel.Input)
+	op = Filter(tab.Scan(), &Binary{Op: OpAnd, Left: gt, Right: eq})
+	if got := Explain(op); got != "IndexScan T (a = 2) filter (T.a > 0)" {
+		t.Fatalf("Explain = %q", got)
 	}
 	// Reversed constant side also matches.
 	rev := &Binary{Op: OpEq, Left: Const{Value: Int(2)}, Right: a}
-	if _, ok := OptimizeIndexedSelect(&Select{Input: tab.Scan(), Pred: rev}).(*IndexScan); !ok {
-		t.Fatal("reversed equality should optimize")
+	if !ProbesIndex(Filter(tab.Scan(), rev)) {
+		t.Fatal("reversed equality should probe the index")
 	}
 	// Rename-wrapped scan keeps the alias.
-	op = OptimizeIndexedSelect(&Select{
-		Input: &Rename{Input: tab.Scan(), Alias: "x"},
-		Pred:  eq,
-	})
+	op = Filter(&Rename{Input: tab.Scan(), Alias: "x"}, eq)
 	rn, ok := op.(*Rename)
-	if !ok {
-		t.Fatalf("aliased optimize = %T", op)
+	if !ok || rn.Alias != "x" || !ProbesIndex(op) {
+		t.Fatalf("aliased filter = %T, index %v", op, ProbesIndex(op))
 	}
-	if _, ok := rn.Input.(*IndexScan); !ok {
-		t.Fatal("aliased optimize should wrap an IndexScan")
-	}
-	// Unindexed column: unchanged.
+	// Unindexed column, and inequality only: a filtered scan.
 	c := NewCatalog()
 	plain, _ := c.CreateTable("P", NewSchema(Column{Name: "a", Type: TypeInt}))
 	plain.MustInsert(1, nil, Int(1))
-	sel2 := &Select{Input: plain.Scan(), Pred: eq}
-	if got := OptimizeIndexedSelect(sel2); got != sel2 {
-		t.Fatal("unindexed select should be unchanged")
+	if op := Filter(plain.Scan(), eqConst(plain, Int(2))); ProbesIndex(op) || Explain(op) != "Scan P filter (P.a = 2)" {
+		t.Fatalf("unindexed filter: %s", Explain(op))
 	}
-	// Inequality only: unchanged.
-	sel3 := &Select{Input: tab.Scan(), Pred: gt}
-	if got := OptimizeIndexedSelect(sel3); got != sel3 {
-		t.Fatal("inequality select should be unchanged")
+	if op := Filter(tab.Scan(), gt); ProbesIndex(op) || Explain(op) != "Scan T filter (T.a > 0)" {
+		t.Fatalf("inequality filter: %s", Explain(op))
+	}
+	// Anything but a base-table leaf reading all its columns: Select.
+	if _, ok := Filter(&Limit{Input: tab.Scan(), N: 1}, eq).(*Select); !ok {
+		t.Fatal("filter over a non-leaf input should be a Select")
+	}
+	if _, ok := Filter(Prune(tab.Scan(), []int{0}), eq).(*Select); !ok {
+		t.Fatal("filter over a pruned leaf should be a Select (its indices are the pruned schema's)")
+	}
+	// Prune keeps the leaf and its filter; elsewhere it is a ColumnMap.
+	if got := Explain(Prune(Filter(tab.Scan(), gt), []int{0})); got != "Scan T filter (T.a > 0) cols [a]" {
+		t.Fatalf("Explain = %q", got)
+	}
+	if _, ok := Prune(&Limit{Input: tab.Scan(), N: 1}, []int{0}).(*ColumnMap); !ok {
+		t.Fatal("prune over a non-leaf input should be a ColumnMap")
 	}
 }
 
 func TestOptimizedSelectEquivalence(t *testing.T) {
-	// Same results with and without the index, lineage included.
+	// Same results with and without the index, lineage included — and
+	// the same as the tree-walk Select over a bare scan.
 	c := NewCatalog()
 	tab, _ := c.CreateTable("T", NewSchema(
 		Column{Name: "k", Type: TypeInt},
@@ -146,27 +194,30 @@ func TestOptimizedSelectEquivalence(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tab.MustInsert(0.5, nil, Int(int64(i%7)), String_("x"))
 	}
-	k, _ := NewColRef(tab.Schema(), "", "k")
-	pred := &Binary{Op: OpEq, Left: k, Right: Const{Value: Int(3)}}
-	plain, err := Run(&Select{Input: tab.Scan(), Pred: pred})
+	pred := eqConst(tab, Int(3))
+	plain, err := Run(&Select{Input: &Limit{Input: tab.Scan(), N: -1}, Pred: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := Run(Filter(tab.Scan(), pred))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(OptimizeIndexedSelect(&Select{Input: tab.Scan(), Pred: pred}))
+	fast, err := Run(Filter(tab.Scan(), pred))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != len(fast) {
-		t.Fatalf("plain %d rows, indexed %d rows", len(plain), len(fast))
+	if len(plain) != len(fast) || len(plain) != len(scanned) {
+		t.Fatalf("select %d rows, filtered scan %d, indexed %d", len(plain), len(scanned), len(fast))
 	}
 	for i := range plain {
-		if plain[i].Key() != fast[i].Key() {
+		if plain[i].Key() != fast[i].Key() || plain[i].Key() != scanned[i].Key() {
 			t.Fatalf("row %d differs", i)
 		}
-		if plain[i].Lineage.String() != fast[i].Lineage.String() {
+		if plain[i].Lineage.String() != fast[i].Lineage.String() || plain[i].Lineage.String() != scanned[i].Lineage.String() {
 			t.Fatalf("row %d lineage differs", i)
 		}
 	}
@@ -174,9 +225,11 @@ func TestOptimizedSelectEquivalence(t *testing.T) {
 
 func TestExplainIndexScan(t *testing.T) {
 	_, tab := intTable(t, 1, 2)
-	ix, _ := tab.CreateIndex("a")
-	got := Explain(&IndexScan{Table: tab, Idx: ix, Key: Int(2)})
-	if !strings.Contains(got, "IndexScan T (a = 2)") {
+	if _, err := tab.CreateIndex("a"); err != nil {
+		t.Fatal(err)
+	}
+	got := Explain(Filter(tab.Scan(), eqConst(tab, Int(2))))
+	if got != "IndexScan T (a = 2)" {
 		t.Fatalf("Explain = %q", got)
 	}
 }

@@ -149,6 +149,90 @@ func (j *HashJoin) Close() error {
 	return j.Left.Close()
 }
 
+// IndexJoin is an equi-join on one column pair that never reads the
+// inner side as a whole: each outer tuple probes the inner base table's
+// hash index at the pinned version, the inner leaf's filter and column
+// pruning apply per match, and outer ++ inner is emitted with the
+// conjunction of their lineages — the multiset and lineage of a
+// HashJoin probing with Outer (NULL keys meet NULL keys there too).
+type IndexJoin struct {
+	Outer Operator
+	// Inner is a base-table leaf (Table.Scan through Filter, Prune and
+	// Rename) with a hash index on InnerKey. It is probed, never opened.
+	Inner Operator
+	// OuterKey and InnerKey are column positions in the two schemas.
+	OuterKey, InnerKey int
+
+	out     *Schema
+	pin     int64
+	probe   access // Inner's leaf, re-aimed at the join column's index
+	current *Tuple
+}
+
+// Schema implements Operator.
+func (j *IndexJoin) Schema() *Schema {
+	if j.out == nil {
+		j.out = j.Outer.Schema().Concat(j.Inner.Schema())
+	}
+	return j.out
+}
+
+// PinVersion implements VersionPinner.
+func (j *IndexJoin) PinVersion(v int64) {
+	j.pin = v
+	PinOperator(j.Outer, v)
+}
+
+// Open implements Operator.
+func (j *IndexJoin) Open() error {
+	leaf, _ := leafOf(j.Inner)
+	var ix *Index
+	if leaf != nil && j.InnerKey >= 0 && j.InnerKey < j.Inner.Schema().Len() {
+		stored := j.InnerKey
+		if leaf.keep != nil {
+			stored = leaf.keep[stored]
+		}
+		ix, _ = leaf.table.IndexOn(stored)
+	}
+	if ix == nil {
+		return fmt.Errorf("relation: index join requires a base-table leaf with a hash index on its key column as inner side")
+	}
+	// Whatever index the leaf's own filter chose, the join reads through
+	// the join column's and checks the whole filter per match.
+	j.probe = *leaf
+	j.probe.index, j.probe.residual, j.probe.pin = ix, leaf.filter, j.pin
+	j.current = nil
+	if err := j.probe.Open(); err != nil {
+		return err
+	}
+	return j.Outer.Open()
+}
+
+// Next implements Operator.
+func (j *IndexJoin) Next() (*Tuple, error) {
+	for {
+		if j.current == nil {
+			t, err := j.Outer.Next()
+			if err != nil || t == nil {
+				return nil, err
+			}
+			j.current = t
+			j.probe.seek(t.Values[j.OuterKey])
+		}
+		r, err := j.probe.Next()
+		if err != nil {
+			return nil, err
+		}
+		if r != nil {
+			return combine(j.current, r), nil
+		}
+		j.current = nil
+	}
+}
+
+// Close implements Operator.
+func (j *IndexJoin) Close() error { return j.Outer.Close() }
+
 // combine concatenates two tuples, AND-ing their lineages.
 func combine(l, r *Tuple) *Tuple {
 	vals := make([]Value, 0, len(l.Values)+len(r.Values))

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,6 +284,58 @@ func TestMVCCStressScansAttributableToOneVersion(t *testing.T) {
 							break
 						}
 					}
+				}
+				s.Release()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestMVCCStressIndexJoinPinned races index-join readers against a
+// writer that keeps re-keying, deleting and inserting inner rows: at
+// whatever version a reader pins, probing the index gives exactly what
+// building a hash table over a scan at that version gives.
+func TestMVCCStressIndexJoinPinned(t *testing.T) {
+	c, inner, inl, hash := indexJoinFixture(t)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for round := 0; round < 120; round++ {
+			if err := churnInner(c, inner, round); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s := c.Snapshot()
+				rowsOf := func(op Operator) string {
+					rows, err := RunAt(op, s.Version())
+					if err != nil {
+						t.Errorf("reader at version %d: %v", s.Version(), err)
+					}
+					img := make([]string, len(rows))
+					for i, tu := range rows {
+						img[i] = tu.String() + tu.Lineage.String()
+					}
+					sort.Strings(img)
+					return strings.Join(img, ";")
+				}
+				if got, want := rowsOf(inl()), rowsOf(hash()); got != want {
+					t.Errorf("version %d: index join %s, hash join %s", s.Version(), got, want)
 				}
 				s.Release()
 				select {

@@ -529,3 +529,33 @@ func TestMVCCVersionCountersConcurrentReads(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMVCCIndexJoinMatchesHashJoinAtPinnedVersion: an index join pinned
+// at version v returns HashJoin's multiset and lineage at v — duplicate
+// and NULL outer keys included — however the inner rows were re-keyed,
+// deleted and inserted since: the chain-aware buckets still reach v's
+// rows, and rows keyed otherwise at v are screened out per probe.
+func TestMVCCIndexJoinMatchesHashJoinAtPinnedVersion(t *testing.T) {
+	c, inner, inl, hash := indexJoinFixture(t)
+	versions := []int64{c.Version()}
+	for round := 0; round < 6; round++ {
+		if err := churnInner(c, inner, round); err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, c.Version())
+	}
+	images := map[string]bool{}
+	for _, v := range versions {
+		got, want := joinImage(t, inl(), v), joinImage(t, hash(), v)
+		if len(want) == 0 {
+			t.Fatalf("version %d: empty reference join", v)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("version %d: index join\n%s\nhash join\n%s", v, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		images[strings.Join(want, "\n")] = true
+	}
+	if len(images) < len(versions)/2 {
+		t.Fatalf("only %d distinct join results over %d versions: the churn does not exercise the join", len(images), len(versions))
+	}
+}

@@ -1,9 +1,5 @@
 package relation
 
-import (
-	"pcqe/internal/lineage"
-)
-
 // Operator is a Volcano-style iterator over tuples. Next returns
 // (nil, nil) at end of stream. Operators propagate lineage: every output
 // tuple's Lineage field records how it was derived from base tuples.
@@ -64,18 +60,42 @@ func (v *Values) Next() (*Tuple, error) {
 // Close implements Operator.
 func (v *Values) Close() error { return nil }
 
+// materialized is the output side of the operators that build their
+// whole result in Open (DISTINCT, set operations, Aggregate, Sort):
+// Next hands the buffer out row by row.
+type materialized struct {
+	buffer []*Tuple
+	pos    int
+}
+
+// Next implements Operator.
+func (m *materialized) Next() (*Tuple, error) {
+	if m.pos >= len(m.buffer) {
+		return nil, nil
+	}
+	m.pos++
+	return m.buffer[m.pos-1], nil
+}
+
 // Select filters tuples by a boolean predicate. Lineage passes through
-// unchanged: selection does not combine evidence.
+// unchanged: selection does not combine evidence. Filter builds it only
+// over inputs that are not a base-table leaf (the leaf filters stored
+// rows itself); both run the predicate in its compiled form.
 type Select struct {
 	Input Operator
 	Pred  Expr
+
+	pred *rowPred
 }
 
 // Schema implements Operator.
 func (s *Select) Schema() *Schema { return s.Input.Schema() }
 
 // Open implements Operator.
-func (s *Select) Open() error { return s.Input.Open() }
+func (s *Select) Open() error {
+	s.pred = compilePred(s.Pred)
+	return s.Input.Open()
+}
 
 // Next implements Operator.
 func (s *Select) Next() (*Tuple, error) {
@@ -84,7 +104,7 @@ func (s *Select) Next() (*Tuple, error) {
 		if err != nil || t == nil {
 			return nil, err
 		}
-		ok, err := EvalBool(s.Pred, t)
+		ok, err := s.pred.holds(t.Values)
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +130,8 @@ type Project struct {
 	Names    []string // output column names, parallel to Exprs
 	Distinct bool
 
-	out    *Schema
-	buffer []*Tuple
-	pos    int
+	out *Schema
+	materialized
 }
 
 // Schema implements Operator.
@@ -148,7 +167,7 @@ func (p *Project) Open() error {
 		return nil
 	}
 	// DISTINCT materializes: merge duplicates, OR their lineage.
-	index := map[string]int{}
+	var d distinctRows
 	for {
 		in, err := p.Input.Next()
 		if err != nil {
@@ -161,14 +180,9 @@ func (p *Project) Open() error {
 		if err != nil {
 			return err
 		}
-		key := out.Key()
-		if i, dup := index[key]; dup {
-			p.buffer[i].Lineage = lineage.Or(p.buffer[i].Lineage, out.Lineage)
-			continue
-		}
-		index[key] = len(p.buffer)
-		p.buffer = append(p.buffer, out)
+		d.add(out)
 	}
+	p.buffer = d.rows()
 	return nil
 }
 
@@ -187,12 +201,7 @@ func (p *Project) projectRow(in *Tuple) (*Tuple, error) {
 // Next implements Operator.
 func (p *Project) Next() (*Tuple, error) {
 	if p.Distinct {
-		if p.pos >= len(p.buffer) {
-			return nil, nil
-		}
-		t := p.buffer[p.pos]
-		p.pos++
-		return t, nil
+		return p.materialized.Next()
 	}
 	in, err := p.Input.Next()
 	if err != nil || in == nil {

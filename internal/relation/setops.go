@@ -6,6 +6,70 @@ import (
 	"pcqe/internal/lineage"
 )
 
+// distinctRows merges equal rows as they arrive, in first-seen order,
+// and ORs the lineages of each group of duplicates — the row exists if
+// any of its derivations does. A group's operands are collected and its
+// n-ary node built once, in rows: Or(acc, x) per duplicate copies the
+// accumulated operands every time, quadratic in the group. Flattening
+// is associative, so the formula is the pairwise fold's.
+type distinctRows struct {
+	index map[string]int
+	first []*Tuple
+	// dups[i] holds the lineages merged into first[i], its own leading;
+	// nil while the row is unique.
+	dups [][]*lineage.Expr
+}
+
+// distinct merges the rows of the given inputs, in order.
+func distinct(inputs ...[]*Tuple) *distinctRows {
+	d := &distinctRows{}
+	for _, rows := range inputs {
+		for _, t := range rows {
+			d.add(t)
+		}
+	}
+	d.rows()
+	return d
+}
+
+func (d *distinctRows) add(t *Tuple) {
+	if d.index == nil {
+		d.index = map[string]int{}
+	}
+	key := t.Key()
+	i, dup := d.index[key]
+	if !dup {
+		d.index[key] = len(d.first)
+		d.first = append(d.first, t)
+		d.dups = append(d.dups, nil)
+		return
+	}
+	if d.dups[i] == nil {
+		d.dups[i] = []*lineage.Expr{d.first[i].Lineage}
+	}
+	d.dups[i] = append(d.dups[i], t.Lineage)
+}
+
+// rows returns the merged rows. Input tuples are never modified: a
+// merged group is a fresh tuple sharing its first row's values.
+func (d *distinctRows) rows() []*Tuple {
+	for i, ops := range d.dups {
+		if ops != nil {
+			d.first[i] = &Tuple{Values: d.first[i].Values, Lineage: lineage.Or(ops...)}
+			d.dups[i] = nil
+		}
+	}
+	return d.first
+}
+
+// find returns the merged row equal to t, or nil (call rows first).
+func (d *distinctRows) find(t *Tuple) *Tuple {
+	if i, ok := d.index[t.Key()]; ok {
+		return d.first[i]
+	}
+	return nil
+}
+
 // Union merges two union-compatible inputs. With All set duplicates are
 // kept; otherwise rows equal across inputs are merged and their lineages
 // OR-ed (the row exists if either source row does).
@@ -13,8 +77,7 @@ type Union struct {
 	Left, Right Operator
 	All         bool
 
-	buffer []*Tuple
-	pos    int
+	materialized
 	opened bool
 }
 
@@ -40,31 +103,8 @@ func (u *Union) Open() error {
 		u.buffer = append(append([]*Tuple{}, left...), right...)
 		return nil
 	}
-	index := map[string]int{}
-	u.buffer = nil
-	for _, t := range append(append([]*Tuple{}, left...), right...) {
-		key := t.Key()
-		if i, dup := index[key]; dup {
-			u.buffer[i] = &Tuple{
-				Values:  u.buffer[i].Values,
-				Lineage: lineage.Or(u.buffer[i].Lineage, t.Lineage),
-			}
-			continue
-		}
-		index[key] = len(u.buffer)
-		u.buffer = append(u.buffer, t)
-	}
+	u.buffer = distinct(left, right).rows()
 	return nil
-}
-
-// Next implements Operator.
-func (u *Union) Next() (*Tuple, error) {
-	if u.pos >= len(u.buffer) {
-		return nil, nil
-	}
-	t := u.buffer[u.pos]
-	u.pos++
-	return t, nil
 }
 
 // Close implements Operator.
@@ -79,8 +119,7 @@ func (u *Union) Close() error {
 type Intersect struct {
 	Left, Right Operator
 
-	buffer []*Tuple
-	pos    int
+	materialized
 }
 
 // Schema implements Operator.
@@ -99,48 +138,16 @@ func (op *Intersect) Open() error {
 	if err != nil {
 		return err
 	}
-	// Deduplicate each side, OR-ing lineages of duplicates.
-	dedup := func(rows []*Tuple) map[string]*Tuple {
-		m := map[string]*Tuple{}
-		for _, t := range rows {
-			key := t.Key()
-			if prev, ok := m[key]; ok {
-				m[key] = &Tuple{Values: prev.Values, Lineage: lineage.Or(prev.Lineage, t.Lineage)}
-			} else {
-				m[key] = t
-			}
-		}
-		return m
-	}
-	lm := dedup(left)
-	rm := dedup(right)
+	// Deduplicate each side, OR-ing lineages of duplicates; left-input
+	// order is preserved.
+	rm := distinct(right)
 	op.buffer, op.pos = nil, 0
-	// Preserve left-input order.
-	seen := map[string]bool{}
-	for _, t := range left {
-		key := t.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if rt, ok := rm[key]; ok {
-			op.buffer = append(op.buffer, &Tuple{
-				Values:  t.Values,
-				Lineage: lineage.And(lm[key].Lineage, rt.Lineage),
-			})
+	for _, t := range distinct(left).rows() {
+		if rt := rm.find(t); rt != nil {
+			op.buffer = append(op.buffer, &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, rt.Lineage)})
 		}
 	}
 	return nil
-}
-
-// Next implements Operator.
-func (op *Intersect) Next() (*Tuple, error) {
-	if op.pos >= len(op.buffer) {
-		return nil, nil
-	}
-	t := op.buffer[op.pos]
-	op.pos++
-	return t, nil
 }
 
 // Close implements Operator.
@@ -155,8 +162,7 @@ func (op *Intersect) Close() error {
 type Except struct {
 	Left, Right Operator
 
-	buffer []*Tuple
-	pos    int
+	materialized
 }
 
 // Schema implements Operator.
@@ -175,46 +181,16 @@ func (op *Except) Open() error {
 	if err != nil {
 		return err
 	}
-	rm := map[string]*lineage.Expr{}
-	for _, t := range right {
-		key := t.Key()
-		if prev, ok := rm[key]; ok {
-			rm[key] = lineage.Or(prev, t.Lineage)
-		} else {
-			rm[key] = t.Lineage
-		}
-	}
-	// Merge left duplicates first (OR), then attach ∧¬right.
+	// Merge duplicates on each side first (OR), then attach ∧¬right.
+	rm := distinct(right)
 	op.buffer, op.pos = nil, 0
-	merged := map[string]int{}
-	for _, t := range left {
-		key := t.Key()
-		if i, dup := merged[key]; dup {
-			op.buffer[i] = &Tuple{
-				Values:  op.buffer[i].Values,
-				Lineage: lineage.Or(op.buffer[i].Lineage, t.Lineage),
-			}
-			continue
+	for _, t := range distinct(left).rows() {
+		if rt := rm.find(t); rt != nil {
+			t = &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, lineage.Not(rt.Lineage))}
 		}
-		merged[key] = len(op.buffer)
-		op.buffer = append(op.buffer, &Tuple{Values: t.Values, Lineage: t.Lineage})
-	}
-	for i, t := range op.buffer {
-		if rlin, ok := rm[t.Key()]; ok {
-			op.buffer[i] = &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, lineage.Not(rlin))}
-		}
+		op.buffer = append(op.buffer, t)
 	}
 	return nil
-}
-
-// Next implements Operator.
-func (op *Except) Next() (*Tuple, error) {
-	if op.pos >= len(op.buffer) {
-		return nil, nil
-	}
-	t := op.buffer[op.pos]
-	op.pos++
-	return t, nil
 }
 
 // Close implements Operator.

@@ -16,8 +16,7 @@ type Sort struct {
 	Input Operator
 	Keys  []SortKey
 
-	buffer []*Tuple
-	pos    int
+	materialized
 }
 
 // Schema implements Operator.
@@ -70,16 +69,6 @@ func (s *Sort) Open() error {
 	}
 	s.pos = 0
 	return nil
-}
-
-// Next implements Operator.
-func (s *Sort) Next() (*Tuple, error) {
-	if s.pos >= len(s.buffer) {
-		return nil, nil
-	}
-	t := s.buffer[s.pos]
-	s.pos++
-	return t, nil
 }
 
 // Close implements Operator.

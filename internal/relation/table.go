@@ -170,47 +170,3 @@ func (t *Table) MustInsert(confidence float64, fn cost.Function, values ...Value
 	}
 	return row
 }
-
-// Scan returns a Volcano operator producing the table's rows as derived
-// tuples whose lineage is their own variable. Unpinned, it reads the
-// latest committed version at Open; PinVersion (or relation.RunAt) pins
-// it to a fixed committed version.
-func (t *Table) Scan() Operator { return &scanOp{table: t} }
-
-type scanOp struct {
-	table *Table
-	// pin is the committed version to read; <= 0 means capture the
-	// latest at Open.
-	pin   int64
-	at    int64
-	slots []*versionSlot
-	pos   int
-}
-
-func (s *scanOp) Schema() *Schema { return s.table.schema }
-
-// PinVersion implements VersionPinner.
-func (s *scanOp) PinVersion(v int64) { s.pin = v }
-
-func (s *scanOp) Open() error {
-	s.at = s.pin
-	if s.at <= 0 {
-		s.at = s.table.catalog.commitSeq.Load()
-	}
-	s.slots = s.table.snapshotSlots()
-	s.pos = 0
-	return nil
-}
-
-func (s *scanOp) Next() (*Tuple, error) {
-	for s.pos < len(s.slots) {
-		slot := s.slots[s.pos]
-		s.pos++
-		if b := slot.visibleAt(s.at); b != nil {
-			return &Tuple{Values: b.Values, Lineage: lineage.NewVar(b.Var)}, nil
-		}
-	}
-	return nil, nil
-}
-
-func (s *scanOp) Close() error { return nil }

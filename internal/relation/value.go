@@ -221,6 +221,22 @@ func (v Value) Key() string {
 	return "?"
 }
 
+// sameKey reports a.Key() == b.Key() without building either string.
+func sameKey(a, b Value) bool {
+	if a.typ == TypeInt && b.typ == TypeFloat {
+		a, b = b, a
+	}
+	switch {
+	case a.typ == TypeFloat && b.typ == TypeInt: // an integral REAL hashes as its INTEGER
+		return a.f == float64(int64(a.f)) && int64(a.f) == b.i
+	case a.typ != b.typ:
+		return false
+	case a.typ == TypeFloat: // every NaN renders as one key
+		return a.f == b.f || (a.f != a.f && b.f != b.f)
+	}
+	return a.i == b.i && a.b == b.b && a.s == b.s
+}
+
 // Compare orders two values. NULL sorts first; numeric types compare by
 // value across INT/REAL; comparing incompatible types returns an error.
 func Compare(a, b Value) (int, error) {
@@ -237,13 +253,7 @@ func Compare(a, b Value) (int, error) {
 	af, aNum := a.AsFloat()
 	bf, bNum := b.AsFloat()
 	if aNum && bNum {
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
+		return cmpFloat(af, bf), nil
 	}
 	if a.typ != b.typ {
 		return 0, fmt.Errorf("relation: cannot compare %s with %s", a.typ, b.typ)
@@ -261,6 +271,18 @@ func Compare(a, b Value) (int, error) {
 		return strings.Compare(a.s, b.s), nil
 	}
 	return 0, fmt.Errorf("relation: cannot compare %s values", a.typ)
+}
+
+// cmpFloat is Compare on two numeric payloads (a NaN orders equal to
+// everything, as neither < nor > holds).
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Equal reports whether two values are equal under Compare semantics;

@@ -152,7 +152,7 @@ func TestExplainStatement(t *testing.T) {
 	res := execAll(t, cat, `EXPLAIN SELECT DISTINCT CompanyInfo.Company
 		FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
 		WHERE Funding < 1000000`)
-	for _, want := range []string{"Project DISTINCT", "HashJoin", "Select", "Scan Proposal", "Scan CompanyInfo"} {
+	for _, want := range []string{"Project DISTINCT", "HashJoin", "Scan Proposal filter (Proposal.Funding < 1000000)", "Scan CompanyInfo cols [Company]"} {
 		if !strings.Contains(res.Plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, res.Plan)
 		}
@@ -372,10 +372,11 @@ func TestCreateIndexStatement(t *testing.T) {
 	if len(sel.Rows) != 2 {
 		t.Fatalf("rows = %d", len(sel.Rows))
 	}
-	// Residual predicates stay above the index scan.
+	// Residual predicates are checked on the rows the index yields, in
+	// the same leaf.
 	res = execAll(t, cat, `EXPLAIN SELECT v FROM T WHERE k = 2 AND v = 'b'`)
-	if !strings.Contains(res.Plan, "IndexScan") || !strings.Contains(res.Plan, "Select") {
-		t.Fatalf("expected Select over IndexScan:\n%s", res.Plan)
+	if !strings.Contains(res.Plan, "IndexScan T (k = 2) filter (T.v = 'b')") {
+		t.Fatalf("expected the residual filter on the index-scan leaf:\n%s", res.Plan)
 	}
 	// Errors.
 	if _, err := Exec(cat, `CREATE INDEX ON Missing (k)`); err == nil {

@@ -42,9 +42,9 @@ func (bs *budgetState) poll() bool {
 	return !bs.exhausted
 }
 
-// planRel is one base relation of the join, carrying its access path
-// (scan or index scan, with pushed-down filters and pruned columns) and
-// cardinality estimates.
+// planRel is one base relation of the join, carrying its access-path
+// leaf (scan or index probe, with the pushed-down filter and the pruned
+// column set inside it) and cardinality estimates.
 type planRel struct {
 	op     relation.Operator
 	tab    *relation.Table
@@ -167,14 +167,8 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 	// relation; otherwise (unknown or ambiguous) the rule-based path
 	// owns the error message.
 	owner := func(id *Ident) (int, bool) {
-		found, n := -1, 0
-		for ri, rel := range rels {
-			if _, err := rel.schema.Resolve(id.Qualifier, id.Name); err == nil {
-				found = ri
-				n++
-			}
-		}
-		return found, n == 1
+		o, ok := resolveIn(id, rels)
+		return o.rel, ok
 	}
 	resolvable := true
 	maskOf := func(e ExprNode) uint {
@@ -260,18 +254,11 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 		if err != nil {
 			return nil, nil
 		}
-		sel := 1.0
-		for _, p := range push {
-			sel *= filterSelectivity(p, rel)
-		}
-		rel.op = relation.OptimizeIndexedSelect(&relation.Select{Input: rel.op, Pred: pred})
-		rel.rows *= sel
-		if usesIndexScan(rel.op) {
+		rel.op = relation.Filter(rel.op, pred)
+		rel.rows *= conjunctionSelectivity(push, rel)
+		if relation.ProbesIndex(rel.op) {
 			rel.cost = rel.rows
 		}
-	}
-	for _, rel := range rels {
-		info.Notes[rel.op] = fmt.Sprintf("rows≈%.0f", rel.rows)
 	}
 
 	// Projection pushdown: keep only referenced columns (never under
@@ -286,10 +273,13 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 				keep = append(keep, idx)
 			}
 			sort.Ints(keep)
-			rel.op = &relation.ColumnMap{Input: rel.op, Indices: keep}
+			rel.op = relation.Prune(rel.op, keep)
 			rel.schema = rel.op.Schema()
 			rel.keep = keep
 		}
+	}
+	for _, rel := range rels {
+		info.Notes[rel.op] = fmt.Sprintf("rows≈%.0f", rel.rows)
 	}
 
 	// Classify equi-join conjuncts against the (possibly pruned)
@@ -445,7 +435,7 @@ func joinStep(left *joinNode, ri int, rels []*planRel, conjs []conjunct, notes m
 
 	// Conjuncts newly covered by this subset.
 	var keysL, keysR []int // key column indices in left node / right rel
-	var keyPairs []conjunct
+	var keyExprs []ExprNode
 	var residual []ExprNode
 	sel := 1.0
 	for _, c := range conjs {
@@ -461,7 +451,7 @@ func joinStep(left *joinNode, ri int, rels []*planRel, conjs []conjunct, notes m
 			if li >= 0 {
 				keysL = append(keysL, li)
 				keysR = append(keysR, ro.idx)
-				keyPairs = append(keyPairs, c)
+				keyExprs = append(keyExprs, c.expr)
 				dl := rels[lo.rel].distinctOf(lo.idx)
 				dr := rel.distinctOf(ro.idx)
 				if dr > dl {
@@ -486,86 +476,73 @@ func joinStep(left *joinNode, ri int, rels []*planRel, conjs []conjunct, notes m
 	const nlCompareCost = 4.0
 	costNL := left.cost + rel.cost + nlCompareCost*left.rows*rel.rows
 	costHash := left.cost + rel.cost + left.rows + rel.rows + outRows
-	useHash := len(keysL) > 0 && costHash <= costNL
-
-	var op relation.Operator
-	var schema *relation.Schema
-	var origins []colOrigin
-	cost := costNL
-	if useHash {
-		cost = costHash
-		// HashJoin builds its map on Right: put the smaller input there.
-		if rel.rows <= left.rows {
-			op = &relation.HashJoin{Left: left.op, Right: rel.op, LeftKeys: keysL, RightKeys: keysR}
-			schema = left.schema.Concat(rel.schema)
-			origins = concatOrigins(left.origins, leafOrigins(ri, rel))
-		} else {
-			op = &relation.HashJoin{Left: rel.op, Right: left.op, LeftKeys: keysR, RightKeys: keysL}
-			schema = rel.schema.Concat(left.schema)
-			origins = concatOrigins(leafOrigins(ri, rel), left.origins)
+	// An index nested-loop join reads nothing of rel up front: each left
+	// row probes rel's hash index on a join column, fetches the rows
+	// stored under its key (rel's filter runs per fetched row) and emits
+	// the matches as a hash join does. A probe builds a key and looks it
+	// up, a fetched row sits behind three dependent pointers: both are
+	// priced in scanned-and-rejected rows, as measured (DESIGN.md §10).
+	const inlProbeCost, inlFetchCost = 8.0, 12.0
+	inlKey, costINL := -1, 0.0
+	for k, col := range keysR {
+		base := rel.baseCol(col)
+		if _, ok := rel.tab.IndexOn(base); !ok {
+			continue
 		}
-		notes[op] = fmt.Sprintf("rows≈%.0f cost≈%.0f", outRows, cost)
-		if len(residual) > 0 {
-			pred, err := compileOnOrigins(residual, schema)
-			if err != nil {
-				// Should not happen (idents were validated); degrade to
-				// treating the equi keys only and let the caller's
-				// residual application fail loudly via nested loop.
-				return nestedLoopNode(left, ri, rel, append(residual, exprsOf(keyPairs)...), outRows, costNL, notes)
+		fetched := left.rows * float64(rel.stats.Rows) / rel.stats.DistinctOf(base)
+		if c := left.cost + inlProbeCost*left.rows + inlFetchCost*fetched + outRows; inlKey < 0 || c < costINL {
+			inlKey, costINL = k, c
+		}
+	}
+
+	node := &joinNode{mask: newmask, rows: outRows}
+	useINL := inlKey >= 0 && costINL <= costHash && costINL <= costNL
+	// HashJoin builds its map on Right and NestedLoopJoin materializes
+	// Right in Open: the smaller input goes there.
+	relFirst := !useINL && rel.rows > left.rows
+	l, r, kl, kr := left.op, rel.op, keysL, keysR
+	if relFirst {
+		l, r, kl, kr = r, l, kr, kl
+	}
+	var nl *relation.NestedLoopJoin
+	switch {
+	case useINL:
+		node.cost = costINL
+		node.op = &relation.IndexJoin{Outer: l, Inner: r, OuterKey: kl[inlKey], InnerKey: kr[inlKey]}
+		// Further key pairs filter the matches.
+		for k, e := range keyExprs {
+			if k != inlKey {
+				residual = append(residual, e)
 			}
-			op = &relation.Select{Input: op, Pred: pred}
 		}
-	} else {
-		all := append(append([]ExprNode{}, residual...), exprsOf(keyPairs)...)
-		return nestedLoopNode(left, ri, rel, all, outRows, costNL, notes)
+	case len(keysL) > 0 && costHash <= costNL:
+		node.cost = costHash
+		node.op = &relation.HashJoin{Left: l, Right: r, LeftKeys: kl, RightKeys: kr}
+	default:
+		node.cost = costNL
+		residual = append(residual, keyExprs...)
+		nl = &relation.NestedLoopJoin{Left: l, Right: r}
+		node.op = nl
 	}
-	return &joinNode{op: op, mask: newmask, rows: outRows, cost: cost, schema: schema, origins: origins}
-}
-
-func nestedLoopNode(left *joinNode, ri int, rel *planRel, preds []ExprNode, rows, cost float64, notes map[relation.Operator]string) *joinNode {
-	// NestedLoopJoin materializes Right in Open: smaller side there.
-	var l, r relation.Operator
-	var schema *relation.Schema
-	var origins []colOrigin
-	if rel.rows <= left.rows {
-		l, r = left.op, rel.op
-		schema = left.schema.Concat(rel.schema)
-		origins = concatOrigins(left.origins, leafOrigins(ri, rel))
+	if relFirst {
+		node.schema = rel.schema.Concat(left.schema)
+		node.origins = concatOrigins(leafNode(ri, rels).origins, left.origins)
 	} else {
-		l, r = rel.op, left.op
-		schema = rel.schema.Concat(left.schema)
-		origins = concatOrigins(leafOrigins(ri, rel), left.origins)
+		node.schema = left.schema.Concat(rel.schema)
+		node.origins = concatOrigins(left.origins, leafNode(ri, rels).origins)
 	}
-	nl := &relation.NestedLoopJoin{Left: l, Right: r}
-	if len(preds) > 0 {
-		pred, err := compileOnOrigins(preds, schema)
-		if err == nil {
+	notes[node.op] = fmt.Sprintf("rows≈%.0f cost≈%.0f", outRows, node.cost)
+	if len(residual) > 0 {
+		// The identifiers were validated up front, so this compiles.
+		if pred, err := compileExpr(joinAndAST(residual), node.schema); err != nil {
+			return node
+		} else if nl != nil {
 			nl.Pred = pred
 		} else {
-			// Leave as cross join plus a filter that will fail at
-			// compile time on the caller — cannot happen after the
-			// resolvability pre-check.
-			nl.Pred = nil
+			node.op = &relation.Select{Input: node.op, Pred: pred}
 		}
 	}
-	notes[nl] = fmt.Sprintf("rows≈%.0f cost≈%.0f", rows, cost)
-	return &joinNode{op: nl, mask: left.mask | 1<<uint(ri), rows: rows, cost: cost, schema: schema, origins: origins}
-}
-
-func exprsOf(cs []conjunct) []ExprNode {
-	out := make([]ExprNode, len(cs))
-	for i, c := range cs {
-		out[i] = c.expr
-	}
-	return out
-}
-
-func leafOrigins(ri int, rel *planRel) []colOrigin {
-	origins := make([]colOrigin, rel.schema.Len())
-	for i := range origins {
-		origins[i] = colOrigin{ri, i}
-	}
-	return origins
+	return node
 }
 
 func concatOrigins(a, b []colOrigin) []colOrigin {
@@ -581,10 +558,6 @@ func originIndex(origins []colOrigin, o colOrigin) int {
 		}
 	}
 	return -1
-}
-
-func compileOnOrigins(preds []ExprNode, schema *relation.Schema) (relation.Expr, error) {
-	return compileExpr(joinAndAST(preds), schema)
 }
 
 // greedyOrder is the fallback join-order heuristic: start from the
@@ -644,20 +617,6 @@ func joinAndAST(es []ExprNode) ExprNode {
 	return out
 }
 
-func usesIndexScan(op relation.Operator) bool {
-	switch o := op.(type) {
-	case *relation.IndexScan:
-		return true
-	case *relation.Select:
-		return usesIndexScan(o.Input)
-	case *relation.Rename:
-		return usesIndexScan(o.Input)
-	case *relation.ColumnMap:
-		return usesIndexScan(o.Input)
-	}
-	return false
-}
-
 // filterSelectivity estimates the fraction of a relation's rows passing
 // a single-relation predicate, using column statistics where the
 // predicate shape allows and textbook constants elsewhere.
@@ -666,7 +625,7 @@ func filterSelectivity(e ExprNode, rel *planRel) float64 {
 	case *BinaryExpr:
 		switch n.Op {
 		case "AND":
-			return clampSel(filterSelectivity(n.Left, rel) * filterSelectivity(n.Right, rel))
+			return conjunctionSelectivity(flattenAnd(n), rel)
 		case "OR":
 			a, b := filterSelectivity(n.Left, rel), filterSelectivity(n.Right, rel)
 			return clampSel(a + b - a*b)
@@ -685,10 +644,11 @@ func filterSelectivity(e ExprNode, rel *planRel) float64 {
 			}
 			return 0.9
 		case "<", "<=", ">", ">=":
-			if id, lit := identConstSides(n); id != nil && lit != nil {
-				if s, ok := rangeSelectivity(n.Op, id, lit, rel, n.Left == id); ok {
-					return s
+			if _, frac, upper, ok := rangeBound(n, rel); ok {
+				if upper {
+					return clampSel(frac)
 				}
+				return clampSel(1 - frac)
 			}
 			return 1.0 / 3
 		}
@@ -737,45 +697,80 @@ func inSelectivity(child ExprNode, setSize int, negate bool, rel *planRel) float
 	return clampSel(s)
 }
 
-// rangeSelectivity interpolates "col < C" style predicates against the
-// column's min/max when all three are numeric.
-func rangeSelectivity(op string, id *Ident, lit *Lit, rel *planRel, identOnLeft bool) (float64, bool) {
+// conjunctionSelectivity estimates an AND of single-relation
+// predicates. Conjuncts are taken as independent events — their
+// selectivities multiply — except range bounds on one column: `Item >=
+// k AND Item < k+w` is one interval, frac(hi) − frac(lo) of the
+// column's range, not the product of two half-lines (which reads a
+// 0.8 % window as 25 %).
+func conjunctionSelectivity(es []ExprNode, rel *planRel) float64 {
+	type interval struct{ lo, hi float64 }
+	var cols []int // first-seen order keeps the product deterministic
+	bounds := map[int]*interval{}
+	sel := 1.0
+	for _, e := range es {
+		be, _ := e.(*BinaryExpr)
+		idx, frac, upper, ok := rangeBound(be, rel)
+		if !ok {
+			sel *= filterSelectivity(e, rel)
+			continue
+		}
+		iv := bounds[idx]
+		if iv == nil {
+			iv = &interval{lo: 0, hi: 1}
+			bounds[idx] = iv
+			cols = append(cols, idx)
+		}
+		if upper && frac < iv.hi {
+			iv.hi = frac
+		} else if !upper && frac > iv.lo {
+			iv.lo = frac
+		}
+	}
+	for _, idx := range cols {
+		sel *= clampSel(bounds[idx].hi - bounds[idx].lo)
+	}
+	return clampSel(sel)
+}
+
+// rangeBound reads "col < C" style predicates (either way round)
+// against the column's min/max when all three are numeric: frac is the
+// fraction of the column's range below C, upper whether the predicate
+// keeps the part below it.
+func rangeBound(n *BinaryExpr, rel *planRel) (idx int, frac float64, upper, ok bool) {
+	if n == nil {
+		return 0, 0, false, false
+	}
+	switch n.Op {
+	case "<", "<=":
+		upper = true
+	case ">", ">=":
+	default:
+		return 0, 0, false, false
+	}
+	id, lit := identConstSides(n)
+	if id == nil {
+		return 0, 0, false, false
+	}
+	if n.Left != id {
+		upper = !upper // "C op col" mirrors the comparison
+	}
 	idx, err := rel.schema.Resolve(id.Qualifier, id.Name)
 	if err != nil {
-		return 0, false
+		return 0, 0, false, false
 	}
 	base := rel.baseCol(idx)
 	if base < 0 || base >= len(rel.stats.Cols) {
-		return 0, false
+		return 0, 0, false, false
 	}
 	cs := rel.stats.Cols[base]
 	lo, lok := cs.Min.AsFloat()
 	hi, hok := cs.Max.AsFloat()
 	c, cok := litValue(lit).AsFloat()
 	if !lok || !hok || !cok || hi <= lo {
-		return 0, false
+		return 0, 0, false, false
 	}
-	frac := (c - lo) / (hi - lo) // fraction of the range below C
-	if !identOnLeft {
-		// "C op col" mirrors the comparison.
-		switch op {
-		case "<":
-			op = ">"
-		case "<=":
-			op = ">="
-		case ">":
-			op = "<"
-		case ">=":
-			op = "<="
-		}
-	}
-	switch op {
-	case "<", "<=":
-		return clampSel(frac), true
-	case ">", ">=":
-		return clampSel(1 - frac), true
-	}
-	return 0, false
+	return idx, (c - lo) / (hi - lo), upper, true
 }
 
 func identConstSides(n *BinaryExpr) (*Ident, *Lit) {

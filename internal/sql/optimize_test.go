@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -42,6 +44,133 @@ func starTestCatalog(t *testing.T) *relation.Catalog {
 		}
 	}
 	return c
+}
+
+// servingCatalog builds the serving benchmark's schema at 1/10 of its
+// size with the same exact per-key counts — 10 orders per supplier,
+// 1 000 items, 20 regions — and its two indexes, so every selectivity
+// (and with it every plan choice) is the full-size one.
+func servingCatalog(t *testing.T) *relation.Catalog {
+	t.Helper()
+	const suppliers, orders, items, regions = 2000, 20000, 1000, 20
+	c := relation.NewCatalog()
+	sup, err := c.CreateTable("Suppliers", relation.NewSchema(
+		relation.Column{Name: "Name", Type: relation.TypeString},
+		relation.Column{Name: "Region", Type: relation.TypeString},
+		relation.Column{Name: "Rating", Type: relation.TypeFloat},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord, err := c.CreateTable("Orders", relation.NewSchema(
+		relation.Column{Name: "Supplier", Type: relation.TypeString},
+		relation.Column{Name: "Item", Type: relation.TypeInt},
+		relation.Column{Name: "Amount", Type: relation.TypeFloat},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	name := func(i int) relation.Value { return relation.String_(fmt.Sprintf("S%05d", i)) }
+	x := c.Begin()
+	for i, reg := range r.Perm(suppliers) {
+		x.MustInsert(sup, 0.05+0.9*r.Float64(), nil, name(i), relation.String_(fmt.Sprintf("R%02d", reg%regions)), relation.Float(1+4*r.Float64()))
+	}
+	by, it := r.Perm(orders), r.Perm(orders)
+	for i := range by {
+		x.MustInsert(ord, 0.05+0.9*r.Float64(), nil, name(by[i]%suppliers), relation.Int(int64(it[i]%items)), relation.Float(100*r.Float64()))
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for tab, col := range map[*relation.Table]string{sup: "Name", ord: "Supplier"} {
+		if _, err := tab.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// servingShapes are the five analytic_cold query shapes of the serving
+// benchmark, plus improve_mix's DISTINCT-on-item.
+const servingJoin = " FROM Suppliers JOIN Orders ON Suppliers.Name = Orders.Supplier WHERE "
+
+var servingShapes = map[string]string{
+	"distinct_join":   "SELECT DISTINCT Suppliers.Name" + servingJoin + "Amount > 93.00 AND Rating > 3.70",
+	"item_join":       "SELECT Suppliers.Name, Orders.Amount" + servingJoin + "Item = 417",
+	"distinct_item":   "SELECT DISTINCT Suppliers.Name" + servingJoin + "Item = 417",
+	"supplier_join":   "SELECT Suppliers.Name, Orders.Item, Orders.Amount" + servingJoin + "Suppliers.Name = 'S00977'",
+	"region_distinct": "SELECT DISTINCT Region FROM Suppliers WHERE Rating > 3.125",
+	"region_shared":   "SELECT DISTINCT Region" + servingJoin + "Item >= 300 AND Item < 308",
+}
+
+// TestServingShapePlans pins what the cost-based planner does with the
+// benchmark's shapes: which join operator it prices cheapest, that the
+// leaf carries filter and pruning itself (no Select or ColumnMap stacked
+// on a scan), and that an interval on one column is estimated as an
+// interval.
+func TestServingShapePlans(t *testing.T) {
+	cat := servingCatalog(t)
+	plans := map[string]string{}
+	for shape, q := range servingShapes {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, info, err := PlanDetailedAt(cat, stmt, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		plan := relation.ExplainAnnotated(op, info.Notes)
+		plans[shape] = plan
+		lines := strings.Split(plan, "\n")
+		for i, line := range lines {
+			stacked := strings.Contains(line, "ColumnMap") && i+1 < len(lines) && strings.Contains(lines[i+1], "Scan ")
+			if strings.Contains(line, "Select") || stacked {
+				t.Errorf("%s: filter or pruning left outside the leaf:\n%s", shape, plan)
+			}
+		}
+	}
+	for shape, want := range map[string][]string{
+		"supplier_join": {"IndexJoin (Suppliers.Name = Orders.Supplier) probe Orders", "IndexScan Suppliers (Name = S00977) cols [Name]"},
+		"item_join":     {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417)"},
+		"distinct_item": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417) cols [Supplier, Item]"},
+		"distinct_join": {"HashJoin (Orders.Supplier = Suppliers.Name)", "Scan Orders filter (Orders.Amount > 93) cols [Supplier, Amount]", "Scan Suppliers filter (Suppliers.Rating > 3.7) cols [Name, Rating]"},
+		"region_shared": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name, Region]"},
+	} {
+		for _, w := range want {
+			if !strings.Contains(plans[shape], w) {
+				t.Errorf("%s: plan lacks %q:\n%s", shape, w, plans[shape])
+			}
+		}
+	}
+
+	// Opposing bounds on one column are one interval, not two independent
+	// half-lines: the Orders leaf estimate stays within 2× of the count.
+	for _, w := range []int{4, 8} {
+		where := fmt.Sprintf("Item >= 300 AND Item < %d", 300+w)
+		rows, _, err := queryLatest(cat, "SELECT Item FROM Orders WHERE "+where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := Parse("SELECT DISTINCT Region" + servingJoin + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, info, err := PlanDetailedAt(cat, stmt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := -1.0
+		for _, line := range strings.Split(relation.ExplainAnnotated(op, info.Notes), "\n") {
+			if i := strings.Index(line, "rows≈"); i >= 0 && strings.Contains(line, "Scan Orders") {
+				fmt.Sscanf(line[i+len("rows≈"):], "%f", &est)
+			}
+		}
+		if actual := float64(len(rows)); est < actual/2 || est > 2*actual {
+			t.Errorf("window of %d items: Orders leaf estimated at %.0f rows, actual %.0f", w, est, actual)
+		}
+	}
 }
 
 // TestCostBasedMatchesRuleBased is the planner's differential guard:
@@ -139,6 +268,13 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 			}
 		}
 		run(t, cat, starQueries)
+	})
+	t.Run("serving", func(t *testing.T) {
+		var queries []string
+		for _, q := range servingShapes {
+			queries = append(queries, q)
+		}
+		run(t, servingCatalog(t), queries)
 	})
 }
 

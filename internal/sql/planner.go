@@ -46,8 +46,8 @@ func PlanDetailedAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relati
 
 // PlanRuleBased compiles the statement with the pre-cost-model planner:
 // joins in statement order, hash join whenever the ON clause is a pure
-// equi-join, no reordering or pushdown beyond the single-table index
-// rewrite. Kept as the differential baseline for the cost-based path.
+// equi-join, no reordering or pushdown beyond the single-table filter
+// push into the leaf. Kept as the differential baseline for the cost-based path.
 func PlanRuleBased(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, error) {
 	return planStmt(cat, stmt, &PlanInfo{Notes: map[relation.Operator]string{}}, false, 0)
 }
@@ -220,8 +220,9 @@ func planFromWhere(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relatio
 		if err != nil {
 			return nil, err
 		}
-		// Use a hash index for an equality conjunct when one exists.
-		op = relation.OptimizeIndexedSelect(&relation.Select{Input: op, Pred: pred})
+		// Over a single table the filter moves into the leaf, which
+		// answers an equality conjunct from a hash index when one exists.
+		op = relation.Filter(op, pred)
 	}
 	return op, nil
 }
