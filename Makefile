@@ -42,13 +42,14 @@ mvcc-stress:
 
 # The differential suites, each pinning a fast path to its reference:
 # compiled lineage kernels vs the tree walk (internal/lineage,
-# internal/strategy); in internal/relation the compiled row predicate vs
+# internal/strategy), and the solver's reset / re-targeted evaluator vs a
+# fresh build; in internal/relation the compiled row predicate vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch; in
 # internal/sql the cost-based vs the rule-based planner (the serving
 # benchmark's shapes included) and filter pushdown over the fuzz seeds.
 differential:
-	$(GO) test -run Differential -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'Differential|EvaluatorReset|EvaluatorRetarget|DnCCompiles' -count=1 ./internal/lineage/ ./internal/strategy/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
 		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown'
 
@@ -73,10 +74,11 @@ obs-smoke:
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 
-# Greedy phase-1 gain evaluation (compiled kernels vs legacy tree walk)
-# plus the parallel D&C worker-pool scaling benchmark.
+# Greedy phase-1 gain evaluation (compiled kernels vs legacy tree walk),
+# the parallel D&C worker-pool scaling benchmark, and the per-group
+# overhead benchmark (2 000 one-result groups; watch allocs/op).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkCompiledVsTreewalk|BenchmarkDnCParallel' -benchtime 3x .
+	$(GO) test -run xxx -bench 'BenchmarkCompiledVsTreewalk|BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must

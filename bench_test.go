@@ -7,8 +7,10 @@ package pcqe
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"pcqe/internal/cost"
 	"pcqe/internal/lineage"
 	"pcqe/internal/strategy"
 	"pcqe/internal/workload"
@@ -297,6 +299,30 @@ func BenchmarkDnCParallel(b *testing.B) {
 			solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: w}, mk)
 		})
 	}
+}
+
+// BenchmarkDnCSingletonGroups solves 2 000 results that share no base
+// tuple — the shape of a DISTINCT join's withheld rows (two thirds
+// (a ∧ b), one third ((a ∧ s) ∨ (b ∧ s))), which γ=1 partitions into
+// 2 000 one-result groups below τ. Per-group overhead is the whole
+// cost here: run with -benchmem to see what a group sub-solve allocates.
+func BenchmarkDnCSingletonGroups(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	in := &strategy.Instance{Beta: 0.5, Delta: 0.1, Need: 1600}
+	v := func() *lineage.Expr {
+		id := lineage.Var(len(in.Base) + 1)
+		in.Base = append(in.Base, strategy.BaseTuple{Var: id, P: 0.3 + 0.35*r.Float64(), Cost: cost.Linear{Rate: 1 + 99*r.Float64()}})
+		return lineage.NewVar(id)
+	}
+	for ri := 0; ri < 2000; ri++ {
+		f := lineage.And(v(), v())
+		if ri%3 == 2 {
+			s := v()
+			f = lineage.Or(lineage.And(v(), s), lineage.And(v(), s))
+		}
+		in.Results = append(in.Results, strategy.Result{ID: ri, Formula: f})
+	}
+	solveB(b, strategy.NewDivideAndConquer(), func() *strategy.Instance { return in })
 }
 
 // --- Compiled lineage kernels vs the legacy tree walk. ---

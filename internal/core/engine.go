@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -241,7 +242,12 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 		return nil, err
 	}
 
+	// Each phase runs under a layer=… profiler label (restored on return),
+	// so a CPU profile of a serving run splits by layer without reading
+	// stacks; the solver adds phase=… below layer=strategy.
+	defer pprof.SetGoroutineLabels(ctx)
 	evalSpan := root.StartChild("eval")
+	enterLayer(ctx, "eval")
 	res, err := e.plans.QuerySnap(snap, req.Query)
 	evalSpan.SetAttr("rows", int64(len(res.Rows)))
 	// Per-call attribution, not a Stats() delta: the cache counters are
@@ -266,6 +272,7 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	// bounded-pivot / hard) through the confidence cache; the span
 	// carries the per-class row and Shannon-pivot totals.
 	linSpan := root.StartChild("lineage")
+	enterLayer(ctx, "lineage")
 	var cc relation.ConfCacheStats
 	all := make([]Row, len(res.Rows))
 	for i, t := range res.Rows {
@@ -304,6 +311,7 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	e.metrics.Counter("engine.lineage.pivots").Add(cc.Pivots[relation.LineageBounded] + cc.Pivots[relation.LineageHard])
 
 	polSpan := root.StartChild("policy-filter")
+	enterLayer(ctx, "policy")
 	beta, applied := e.policies.Threshold(req.User, req.Purpose)
 	resp.Threshold = beta
 	resp.PolicyApplied = applied
@@ -325,7 +333,7 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	if need := resp.Need(req); need > 0 {
 		stratSpan := root.StartChild("strategy")
 		stratSpan.SetAttr("need", int64(need))
-		prop, err := e.propose(obs.ContextWithSpan(ctx, stratSpan), resp, need, req.budget(), snap)
+		prop, err := e.propose(obs.ContextWithSpan(enterLayer(ctx, "strategy"), stratSpan), resp, need, req.budget(), snap)
 		switch {
 		case err == nil || errors.Is(err, strategy.ErrInfeasible):
 			// prop is nil on infeasibility: nothing to offer.
@@ -362,6 +370,15 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 		e.metrics.Counter("engine.degraded").Inc()
 	}
 	return resp, nil
+}
+
+// enterLayer labels the calling goroutine's profiler samples with the
+// request phase it is entering and returns the labelled context (for
+// callees that add labels of their own).
+func enterLayer(ctx context.Context, layer string) context.Context {
+	ctx = pprof.WithLabels(ctx, pprof.Labels("layer", layer))
+	pprof.SetGoroutineLabels(ctx)
+	return ctx
 }
 
 // boolAttr renders a flag as a 0/1 span attribute.

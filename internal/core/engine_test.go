@@ -176,6 +176,20 @@ func TestNoPolicyReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestIncrementsComputedOnce pins the memoisation: the audit event, the
+// wire and Apply read one sorted slice, not three rebuilt ones.
+func TestIncrementsComputedOnce(t *testing.T) {
+	e := newVentureEngine(t, nil)
+	resp, err := e.Evaluate(Request{User: "mark", Query: ventureQuery, Purpose: "investment", MinFraction: 1.0})
+	if err != nil || resp.Proposal == nil {
+		t.Fatalf("proposal %v, err %v", resp.Proposal, err)
+	}
+	a, b := resp.Proposal.Increments(), resp.Proposal.Increments()
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Fatalf("Increments() rebuilt its slice: %p vs %p (len %d)", a, b, len(a))
+	}
+}
+
 func TestMinFractionZeroSkipsProposal(t *testing.T) {
 	e := newVentureEngine(t, nil)
 	resp, err := e.Evaluate(Request{User: "mark", Query: ventureQuery, Purpose: "investment"})

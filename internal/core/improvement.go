@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/cost"
@@ -31,6 +32,10 @@ type Proposal struct {
 	// instance was built from; Apply records it alongside the version
 	// its transaction commits, bracketing the plan in the audit journal.
 	readVersion int64
+	// increments memoises Increments(): the audit event, the wire and
+	// Apply all read the same sorted slice.
+	incOnce    sync.Once
+	increments []Increment
 }
 
 // Cost is the total improvement cost of the plan.
@@ -69,27 +74,32 @@ type Increment struct {
 	Cost float64
 }
 
-// Increments lists the per-tuple raises in descending cost order.
+// Increments lists the per-tuple raises in descending cost order. The
+// slice is computed once per proposal and shared by every caller: it
+// must not be modified.
 func (p *Proposal) Increments() []Increment {
-	var out []Increment
-	for i, b := range p.instance.Base {
-		np := p.plan.NewP[i]
-		if conf.GT(np, b.P) {
-			out = append(out, Increment{
-				Var:  b.Var,
-				From: b.P,
-				To:   np,
-				Cost: b.Cost.Increment(b.P, np),
-			})
+	p.incOnce.Do(func() {
+		var out []Increment
+		for i, b := range p.instance.Base {
+			np := p.plan.NewP[i]
+			if conf.GT(np, b.P) {
+				out = append(out, Increment{
+					Var:  b.Var,
+					From: b.P,
+					To:   np,
+					Cost: b.Cost.Increment(b.P, np),
+				})
+			}
 		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Cost != out[b].Cost {
-			return out[a].Cost > out[b].Cost
-		}
-		return out[a].Var < out[b].Var
+		sort.Slice(out, func(a, b int) bool {
+			if out[a].Cost != out[b].Cost {
+				return out[a].Cost > out[b].Cost
+			}
+			return out[a].Var < out[b].Var
+		})
+		p.increments = out
 	})
-	return out
+	return p.increments
 }
 
 // instanceBuilder accumulates withheld rows into one optimization

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +274,34 @@ func TestResponseStringDegraded(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q, want it to mention %q", got, want)
 		}
+	}
+}
+
+// labelProbe is a solver that records the profiler labels on the
+// context the engine hands it, then delegates.
+type labelProbe struct {
+	strategy.Solver
+	layer string
+}
+
+func (p *labelProbe) SolveContext(ctx context.Context, in *strategy.Instance, b strategy.Budget) (*strategy.Plan, error) {
+	p.layer, _ = pprof.Label(ctx, "layer")
+	return strategy.SolveContext(ctx, p.Solver, in, b)
+}
+
+// TestProfilerLayerLabels pins the pprof labelling of request phases:
+// the solver runs under layer=strategy (its own phase=… labels stack on
+// that context), and the caller's labels are back when the request ends.
+func TestProfilerLayerLabels(t *testing.T) {
+	probe := &labelProbe{Solver: strategy.NewDivideAndConquer()}
+	e := newVentureEngine(t, probe)
+	pprof.Do(context.Background(), pprof.Labels("caller", "test"), func(ctx context.Context) {
+		resp, err := e.EvaluateContext(ctx, blockedReq)
+		if err != nil || resp.Proposal == nil {
+			t.Fatalf("proposal %v, err %v", resp.Proposal, err)
+		}
+	})
+	if probe.layer != "strategy" {
+		t.Fatalf("solver saw layer=%q, want strategy", probe.layer)
 	}
 }

@@ -24,9 +24,13 @@ type Batch struct {
 	machines []*Machine
 	// gather[k][s] is the index into the shared array holding the
 	// probability for slot s of machine k.
-	gather  [][]int32
-	maxIdx  int       // largest gather index, for one up-front bound check
-	scratch []float64 // slot-probability staging, len = max NumSlots
+	gather [][]int32
+	// gatherBuf backs the gather rows, so a Reset batch refills without
+	// allocating; rows never move once handed out (append only grows a
+	// fresh backing array and leaves earlier rows on the old one).
+	gatherBuf []int32
+	maxIdx    int       // largest gather index, for one up-front bound check
+	scratch   []float64 // slot-probability staging, len = max NumSlots
 }
 
 // NewBatch returns an empty batch with capacity for capHint machines.
@@ -40,6 +44,11 @@ func NewBatch(capHint int) *Batch {
 	}
 }
 
+// Reset empties the batch, keeping its buffers for the next fill.
+func (b *Batch) Reset() {
+	b.machines, b.gather, b.gatherBuf, b.maxIdx = b.machines[:0], b.gather[:0], b.gatherBuf[:0], 0
+}
+
 // Add appends m with its gather map: idx[s] is the shared-array index
 // feeding slot s, so len(idx) must equal m's program's NumSlots and
 // every entry must be non-negative. The indices are copied.
@@ -47,18 +56,19 @@ func (b *Batch) Add(m *Machine, idx []int) error {
 	if want := m.prog.NumSlots(); len(idx) != want {
 		return fmt.Errorf("lineage: Batch.Add: %d gather indices for %d slots", len(idx), want)
 	}
-	g := make([]int32, len(idx))
+	start := len(b.gatherBuf)
 	for s, i := range idx {
 		if i < 0 {
+			b.gatherBuf = b.gatherBuf[:start]
 			return fmt.Errorf("lineage: Batch.Add: negative gather index %d at slot %d", i, s)
 		}
 		if i > b.maxIdx {
 			b.maxIdx = i
 		}
-		g[s] = int32(i)
+		b.gatherBuf = append(b.gatherBuf, int32(i))
 	}
 	b.machines = append(b.machines, m)
-	b.gather = append(b.gather, g)
+	b.gather = append(b.gather, b.gatherBuf[start:len(b.gatherBuf):len(b.gatherBuf)])
 	if len(idx) > len(b.scratch) {
 		b.scratch = make([]float64, len(idx))
 	}

@@ -161,7 +161,7 @@ func (e *Expr) IsConst() (value, isConst bool) {
 // Vars returns the sorted set of distinct variables occurring in e.
 func (e *Expr) Vars() []Var {
 	seen := map[Var]struct{}{}
-	e.walkVars(func(v Var) { seen[v] = struct{}{} })
+	e.WalkVars(func(v Var) { seen[v] = struct{}{} })
 	out := make([]Var, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
@@ -173,17 +173,20 @@ func (e *Expr) Vars() []Var {
 // VarCounts returns the number of occurrences of each variable in e.
 func (e *Expr) VarCounts() map[Var]int {
 	counts := map[Var]int{}
-	e.walkVars(func(v Var) { counts[v]++ })
+	e.WalkVars(func(v Var) { counts[v]++ })
 	return counts
 }
 
-func (e *Expr) walkVars(f func(Var)) {
+// WalkVars calls f for every variable occurrence in e, in formula
+// order, without allocating: the check-every-variable loops (instance
+// validation) need neither the set nor its order.
+func (e *Expr) WalkVars(f func(Var)) {
 	switch e.kind {
 	case KindVar:
 		f(e.v)
 	case KindNot, KindAnd, KindOr:
 		for _, c := range e.children {
-			c.walkVars(f)
+			c.WalkVars(f)
 		}
 	}
 }

@@ -193,21 +193,42 @@ type Machine struct {
 
 // NewMachine returns a Machine for p.
 func NewMachine(p *Program) *Machine {
-	m := &Machine{
-		prog:   p,
-		vals:   make([]float64, len(p.code)),
-		out:    make([]float64, len(p.code)),
-		pref:   make([]float64, p.maxArity+1),
-		pinned: make([]int8, len(p.vars)),
+	m := &Machine{}
+	m.Reset(p)
+	return m
+}
+
+// Reset re-targets the machine at p, reusing its scratch buffers by
+// capacity, so one machine can serve a sequence of programs without
+// allocating once it has seen the largest. Every pin flag is cleared:
+// a machine whose last evaluation was aborted by a panicking pivot hook
+// is re-armed by Reset. The hook and the lifetime counters are kept.
+func (m *Machine) Reset(p *Program) {
+	m.prog = p
+	m.vals = sized(m.vals, len(p.code))
+	m.out = sized(m.out, len(p.code))
+	m.pref = sized(m.pref, p.maxArity+1)
+	if n := len(p.shared); n > 0 {
+		m.fact = sized(m.fact, n)
+		m.facPre = sized(m.facPre, n+1)
 	}
+	if cap(m.pinned) < len(p.vars) {
+		m.pinned = make([]int8, len(p.vars))
+	}
+	m.pinned = m.pinned[:len(p.vars)]
 	for i := range m.pinned {
 		m.pinned[i] = -1
 	}
-	if n := len(p.shared); n > 0 {
-		m.fact = make([]float64, n)
-		m.facPre = make([]float64, n+1)
+}
+
+// sized returns s with length n, reallocating only when its capacity is
+// too small. The contents are unspecified: every evaluation pass writes
+// a scratch cell before reading it.
+func sized(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	return m
+	return s[:n]
 }
 
 // SetPivotHook installs f as the machine's cooperative checkpoint for

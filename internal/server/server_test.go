@@ -324,6 +324,42 @@ func TestSnapshotConsistencyDuringApply(t *testing.T) {
 	}
 }
 
+// TestProposalStashIsBounded pins the per-session stash cap: a session
+// that keeps proposing without applying holds only its newest
+// maxStashed handles; an evicted handle is refused exactly like an
+// unknown one, the newest still applies.
+func TestProposalStashIsBounded(t *testing.T) {
+	s := newVentureServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	token := handshake(t, ts, "mark", "investment")
+	var ids []string
+	for i := 0; i < maxStashed+3; i++ {
+		var wr WireResponse
+		if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery, MinFraction: 1}, &wr); code != http.StatusOK || wr.Proposal == nil {
+			t.Fatalf("query %d: status %d, proposal %v", i, code, wr.Proposal)
+		}
+		ids = append(ids, wr.Proposal.ID)
+	}
+	sess := s.lookup(token)
+	sess.mu.Lock()
+	held := len(sess.proposals)
+	sess.mu.Unlock()
+	if held != maxStashed {
+		t.Fatalf("session holds %d proposals, want %d", held, maxStashed)
+	}
+	for _, id := range ids[:3] {
+		var we wireError
+		if code := do(t, ts, http.MethodPost, "/v1/apply", token, ApplyRequest{ProposalID: id}, &we); code != http.StatusNotFound {
+			t.Fatalf("apply evicted %s: status %d, want 404", id, code)
+		}
+	}
+	var ar ApplyResponse
+	if code := do(t, ts, http.MethodPost, "/v1/apply", token, ApplyRequest{ProposalID: ids[len(ids)-1]}, &ar); code != http.StatusOK || !ar.Applied {
+		t.Fatalf("apply newest: status %d, %+v", code, ar)
+	}
+}
+
 func TestBudgetClamping(t *testing.T) {
 	// The server ceiling is one δ-grid step; even a session asking for
 	// "unlimited" (no budget) or an explicit 1000 gets clamped, so the

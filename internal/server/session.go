@@ -70,21 +70,31 @@ func (s *Session) releaseSlot() {
 	s.mu.Unlock()
 }
 
+// maxStashed bounds the proposals a session holds: each one pins its
+// whole optimization instance and plan, so a session that proposes and
+// never applies must not grow without limit.
+const maxStashed = 16
+
+func proposalHandle(n int64) string { return "p" + strconv.FormatInt(n, 10) }
+
 // stash records a proposal offered to this session and returns its
 // handle. Apply accepts only stashed handles: a session can spend
 // exactly the plans its own queries were offered, not a proposal
-// another identity negotiated.
+// another identity negotiated. Only the newest maxStashed handles stay
+// valid: handles are issued in sequence, so dropping the one maxStashed
+// back evicts oldest-first (a no-op when it was already spent).
 func (s *Session) stash(p *core.Proposal) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextProp++
-	id := "p" + strconv.FormatInt(s.nextProp, 10)
+	id := proposalHandle(s.nextProp)
 	s.proposals[id] = p
+	delete(s.proposals, proposalHandle(s.nextProp-maxStashed))
 	return id
 }
 
-// take removes and returns a stashed proposal (nil when unknown). The
-// handle is single-use: a plan is bought once.
+// take removes and returns a stashed proposal (nil when unknown, spent
+// or evicted). The handle is single-use: a plan is bought once.
 func (s *Session) take(id string) *core.Proposal {
 	s.mu.Lock()
 	defer s.mu.Unlock()

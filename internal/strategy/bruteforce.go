@@ -46,7 +46,8 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 			plan, err = solveRecover(r, b.Name(), in, best)
 		}
 	}()
-	if newEvaluator(in, evalOpts{bs: bs}).satAtMax() < in.Need {
+	e := newEvaluator(in, bs, false)
+	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
 	limit := b.MaxAssignments
@@ -76,7 +77,6 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 		}
 	}
 
-	e := newEvaluator(in, evalOpts{bs: bs})
 	bestCost := math.Inf(1)
 	nodes := 0
 	idx := make([]int, len(in.Base))

@@ -152,6 +152,7 @@ const (
 	SiteDnCRefine    = "strategy.dnc.refine"
 	SiteBruteForce   = "strategy.bruteforce.assign"
 	SitePivot        = "strategy.lineage.pivot"
+	SiteCompile      = "strategy.lineage.compile"
 )
 
 // ProbeSites lists every fault-injection probe site the solvers pass
@@ -160,7 +161,7 @@ func ProbeSites() []string {
 	return []string{
 		SiteHeuristicDFS, SiteGreedyPhase1, SiteGreedyPhase2,
 		SiteDnCPartition, SiteDnCGroup, SiteDnCCombine, SiteDnCFinish,
-		SiteDnCRefine, SiteBruteForce, SitePivot,
+		SiteDnCRefine, SiteBruteForce, SitePivot, SiteCompile,
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"sync"
+	"time"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/fault"
@@ -92,7 +94,7 @@ func (d *DivideAndConquer) SolveContext(ctx context.Context, in *Instance, b Bud
 	defer cancel()
 	span := startSolveSpan(ctx, d.Name())
 	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	return d.solveBudget(in, bs, span, d.effectiveWorkers(b))
+	return d.solveBudget(ctx, in, bs, span, d.effectiveWorkers(b))
 }
 
 // effectiveWorkers resolves the worker-pool size for one solve:
@@ -124,14 +126,25 @@ func EffectiveWorkers(s Solver, b Budget) int {
 	return 1
 }
 
+// phase runs f with the profiler label phase=name on top of the labels
+// ctx carries (the engine's layer=strategy), so a CPU profile of a
+// serving run splits the solver by phase without reading stacks.
+// Goroutines started inside f inherit the label.
+func phase(ctx context.Context, name string, f func()) {
+	if ctx == nil {
+		ctx = context.Background() // SolveContext tolerates a nil context
+	}
+	pprof.Do(ctx, pprof.Labels("phase", name), func(context.Context) { f() })
+}
+
 // solveBudget runs the divide-and-conquer driver under an existing
-// budget state, owning the recovery boundary. span (nil-safe) receives
-// partition and per-group child spans; workers (≥ 1) sizes the group
-// worker pool. The solve is deterministic for every worker count:
-// group sub-solves are pure functions of their sub-instance, and the
-// combination below merges their plans in task order, so the plan is
-// bit-identical to the serial one.
-func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.Span, workers int) (plan *Plan, err error) {
+// budget state, owning the recovery boundary. ctx carries only profiler
+// labels; span (nil-safe) receives partition and per-group child spans;
+// workers (≥ 1) sizes the group worker pool. The solve is deterministic
+// for every worker count: group sub-solves are pure functions of their
+// group, and the combination below merges their plans in task order,
+// so the plan is bit-identical to the serial one.
+func (d *DivideAndConquer) solveBudget(ctx context.Context, in *Instance, bs *budgetState, span *obs.Span, workers int) (plan *Plan, err error) {
 	var incumbent *Plan
 	defer func() {
 		if r := recover(); r != nil {
@@ -152,17 +165,16 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 		dbs := bs
 		defer func() { finishWorkerSpan(ds, dbs, -1) }()
 	}
-	e := newEvaluator(in, evalOpts{bs: bs, treeWalk: d.TreeWalk})
+	// The solve's one compiling evaluator: group workers borrow its
+	// programs and adjacency by result index, read-only.
+	e := newEvaluator(in, bs, d.TreeWalk)
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
-	gamma := d.Gamma
-	if gamma < 1 {
-		gamma = 1
-	}
 
 	partSpan := span.StartChild("partition")
-	groups := partitionBudget(in, gamma, d.MaxGroupResults, bs)
+	var groups []Group
+	phase(ctx, "partition", func() { groups = partition(e, max(d.Gamma, 1), d.MaxGroupResults) })
 	partSpan.SetAttr("groups", int64(len(groups)))
 	partSpan.End()
 	nodes := 0
@@ -189,74 +201,65 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 	// over-satisfies, and the refinement step removes the most
 	// expensive surplus increments. This deliberately trades extra
 	// per-group work for a cheaper combined plan.
-	tasks := make([]*dncTask, 0, len(groups))
+	tasks := make([]dncTask, 0, len(groups))
 	for _, g := range groups {
 		bs.poll()
-		sub, mapping := g.subInstance(in)
 		// Already-satisfied group results come for free and still count
 		// toward the sub-instance's satisfied set, so the sub-need is
 		// free + however many new ones this group should contribute. The
 		// per-group feasibility probe (which may lower the target, or
 		// drop the group entirely) runs worker-side in solveGroup, so it
 		// parallelizes with the solves.
-		unsat, free := 0, 0
+		free := 0
 		for _, ri := range g.Results {
 			if e.satisfied[ri] {
 				free++
-			} else {
-				unsat++
 			}
 		}
-		if unsat == 0 {
-			continue
+		if need := min(len(g.Results)-free, totalNeed); need > 0 {
+			tasks = append(tasks, dncTask{g: g, need: free + need, free: free})
 		}
-		need := unsat
-		if need > totalNeed {
-			need = totalNeed
-		}
-		sub.Need = free + need
-		tasks = append(tasks, &dncTask{sub: sub, mapping: mapping, free: free})
 	}
 
-	// Solve every group on the worker pool: sub-instances are
-	// independent, so workers never share mutable state — each owns a
-	// scratch arena recycled across its groups and a budget-state child
-	// feeding the shared global budget — and only the combination below
-	// is ordered. Task results are slotted by pointer, so the combine
-	// loop reads them in deterministic task order regardless of which
-	// worker finished which group when.
-	if pool := min(workers, len(tasks)); parallel && pool > 1 {
-		var wg sync.WaitGroup
-		queue := make(chan *dncTask)
-		for w := 0; w < pool; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := span.StartChild("worker")
-				wbs := bs.worker()
-				ar := newArena()
-				done := 0
-				defer func() { finishWorkerSpan(ws, wbs, done) }()
-				for t := range queue {
-					// solveGroup never panics: both budget unwinds and real
-					// panics are recovered at the group boundary, so one bad
-					// group cannot kill a worker (or leak its siblings).
-					t.plan, t.nodes, t.err = d.solveGroup(t.sub, t.free, wbs, ws, ar)
-					done++
-				}
-			}()
+	// Solve every group on the worker pool: groups are independent, so
+	// workers never share mutable state — each owns one evaluator pair
+	// re-targeted from group to group and a budget-state child feeding
+	// the shared global budget — and only the combination below is
+	// ordered. Task results are slotted by pointer, so the combine loop
+	// reads them in deterministic task order regardless of which worker
+	// finished which group when.
+	phase(ctx, "group", func() {
+		if pool := min(workers, len(tasks)); parallel && pool > 1 {
+			var wg sync.WaitGroup
+			queue := make(chan *dncTask)
+			for i := 0; i < pool; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ws := span.StartChild("worker")
+					w := newGroupWorker(d, e, bs.worker(), ws)
+					defer func() {
+						w.finish()
+						finishWorkerSpan(ws, w.bs, w.done)
+					}()
+					for t := range queue {
+						w.solve(t)
+					}
+				}()
+			}
+			for i := range tasks {
+				queue <- &tasks[i]
+			}
+			close(queue)
+			wg.Wait()
+			return
 		}
-		for _, t := range tasks {
-			queue <- t
+		w := newGroupWorker(d, e, bs, span)
+		for i := range tasks {
+			w.solve(&tasks[i])
 		}
-		close(queue)
-		wg.Wait()
-	} else {
-		ar := newArena()
-		for _, t := range tasks {
-			t.plan, t.nodes, t.err = d.solveGroup(t.sub, t.free, bs, span, ar)
-		}
-	}
+		w.finish()
+	})
 
 	// If the budget ran out during the group solves, switch to
 	// best-effort mode: checkpoints stop unwinding so the (cheap,
@@ -268,39 +271,41 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 	}
 
 	// Combine in deterministic order: maximum confidence per tuple.
-	degraded := 0
-	for _, t := range tasks {
-		fault.Probe(SiteDnCCombine)
-		bs.poll()
-		nodes += t.nodes
-		if t.err != nil {
-			degraded++
-		}
-		if t.plan == nil {
-			continue
-		}
-		for si, bi := range t.mapping {
-			if t.plan.NewP[si] > combined[bi] {
-				combined[bi] = t.plan.NewP[si]
+	degraded, feasible := 0, true
+	phase(ctx, "combine", func() {
+		for i := range tasks {
+			t := &tasks[i]
+			fault.Probe(SiteDnCCombine)
+			bs.poll()
+			nodes += t.nodes
+			if t.err != nil {
+				degraded++
+			}
+			if t.plan == nil {
+				continue
+			}
+			for si, bi := range t.g.Base {
+				if t.plan.NewP[si] > combined[bi] {
+					combined[bi] = t.plan.NewP[si]
+				}
+			}
+			for _, bi := range t.g.Base {
+				e.setP(bi, combined[bi])
 			}
 		}
-		for _, bi := range t.mapping {
-			e.setP(bi, combined[bi])
+		// Groups can under-deliver (a result's tuples were split by the γ
+		// threshold, or degraded groups were skipped): fall back to
+		// global greedy from the combined state — unless the budget is
+		// already gone, in which case there is no incumbent to return.
+		if e.nSat < in.Need && cause == nil {
+			feasible = finishGreedy(in, e, bs)
 		}
+	})
+	if e.nSat < in.Need && cause != nil {
+		return nil, cause
 	}
-
-	if e.nSat < in.Need {
-		if cause != nil {
-			// Out of budget with an infeasible combined state: there is
-			// no incumbent to return.
-			return nil, cause
-		}
-		// Groups under-delivered (can happen when a result's tuples were
-		// split by the γ threshold, or because degraded groups were
-		// skipped). Fall back to global greedy from the combined state.
-		if !finishGreedy(in, e, bs) {
-			return nil, ErrInfeasible
-		}
+	if !feasible {
+		return nil, ErrInfeasible
 	}
 
 	// The combined state is feasible: snapshot it before refinement so a
@@ -316,7 +321,7 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 
 	// Refinement: like greedy phase 2, undo increments the combination
 	// made unnecessary, cheapest-contribution first.
-	refine(in, e, bs)
+	phase(ctx, "refine", func() { refine(in, e, bs) })
 
 	p := e.plan(nodes)
 	p.Degraded = degraded
@@ -327,68 +332,158 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 }
 
 // dncTask is one group sub-solve on the worker pool: the inputs the
-// driver prepared (sub-instance, parent-index mapping, count of group
-// results that are already satisfied) and the result slots the assigned
-// worker fills. The driver reads the slots only after the pool drains,
-// in deterministic task order.
+// driver prepared (the group, its target and the count of group results
+// that are already satisfied) and the result slots the assigned worker
+// fills. The driver reads the slots only after the pool drains, in
+// deterministic task order.
 type dncTask struct {
-	sub     *Instance
-	mapping []int
-	free    int
-	plan    *Plan
-	nodes   int
-	err     error // budget/panic degradation of this group's solve
+	g     Group
+	need  int // sub-instance Need: free + the new results wanted
+	free  int
+	plan  *Plan
+	nodes int
+	err   error // budget/panic degradation of this group's solve
 }
 
-// solveGroup solves one sub-instance: feasibility probe first (dropping
-// the group or lowering its target to what it can deliver), then greedy
-// always, plus an exact greedy-seeded heuristic search when the group
-// is small (< τ tuples). It is the isolation boundary of the
-// divide-and-conquer driver: budget unwinds and panics inside the group
-// are recovered here and reported as a typed error, so sibling groups
-// keep solving. It returns (nil, 0, nil) when the group is plainly
-// infeasible or cannot contribute beyond its free results, and a
-// non-nil plan with a non-nil error when the group degraded but the
-// cheaper fallback (greedy without refinement, or greedy instead of the
-// exact search) still produced a usable plan. ar supplies the worker's
-// scratch arena (nil = heap); it is reset between the phases here and
-// must not be shared with a live evaluator.
-func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, parent *obs.Span, ar *arena) (plan *Plan, nodes int, gerr error) {
-	// Group spans attach to the shared solve span; Span.StartChild is
-	// concurrency-safe, so parallel workers need no extra coordination.
-	gs := parent.StartChild("group")
-	gs.SetAttr("results", int64(len(sub.Results)))
-	gs.SetAttr("tuples", int64(len(sub.Base)))
-	// Runs after the recovery boundary below (defers are LIFO), so it
-	// records the degradation the recovery produced.
-	defer func() {
-		gs.SetAttr("nodes", int64(nodes))
-		if gerr != nil {
-			gs.SetStatus(gerr.Error())
+// maxGroupSpans bounds the per-group child spans one parent span (the
+// solve span, or each worker span of a parallel solve) receives; the
+// remaining groups fold into one "groups" rollup child, so a solve over
+// thousands of singleton groups does not ship a span per group.
+const maxGroupSpans = 32
+
+// groupWorker is one worker's world, re-targeted from group to group
+// instead of rebuilt: the scratch sub-instance, the evaluator every
+// phase of a group solve runs on, and the H3 mirror of the exact
+// search. The serial path is a single worker on the driver's goroutine.
+type groupWorker struct {
+	d    *DivideAndConquer
+	src  *evaluator // the driver's evaluator: programs and adjacency, read-only
+	bs   *budgetState
+	span *obs.Span // parent of this worker's group spans
+	sub  Instance
+	e    *evaluator
+	h3   *evaluator
+	done int
+	// rest accumulates the groups beyond maxGroupSpans for the rollup.
+	rest struct{ count, results, tuples, nodes, micros, degraded int64 }
+}
+
+func newGroupWorker(d *DivideAndConquer, src *evaluator, bs *budgetState, span *obs.Span) *groupWorker {
+	return &groupWorker{d: d, src: src, bs: bs, span: span, e: blankEvaluator(bs), h3: blankEvaluator(bs)}
+}
+
+// solve runs one task and records it: a "group" child span for the
+// worker's first maxGroupSpans groups, the rollup counters afterwards.
+// Span.StartChild is concurrency-safe, so parallel workers sharing a
+// parent need no extra coordination.
+func (w *groupWorker) solve(t *dncTask) {
+	w.done++
+	rolled := w.span != nil && w.done > maxGroupSpans
+	var gs *obs.Span // nil (and every call on it a no-op) when rolled up or untraced
+	var start time.Time
+	if rolled {
+		start = time.Now()
+	} else {
+		gs = w.span.StartChild("group")
+	}
+	t.plan, t.nodes, t.err = w.solveGroup(t)
+	results, tuples := int64(len(t.g.Results)), int64(len(t.g.Base))
+	if rolled {
+		w.rest.count++
+		w.rest.results += results
+		w.rest.tuples += tuples
+		w.rest.nodes += int64(t.nodes)
+		w.rest.micros += time.Since(start).Microseconds()
+		if t.err != nil {
+			w.rest.degraded++
 		}
-		gs.End()
-	}()
+		return
+	}
+	gs.SetAttr("results", results)
+	gs.SetAttr("tuples", tuples)
+	gs.SetAttr("nodes", int64(t.nodes))
+	if t.err != nil {
+		gs.SetStatus(t.err.Error())
+	}
+	gs.End()
+}
+
+// finish emits the rollup span of the groups solve left unrecorded.
+func (w *groupWorker) finish() {
+	if w.rest.count == 0 {
+		return
+	}
+	rs := w.span.StartChild("groups")
+	rs.SetAttr("count", w.rest.count)
+	rs.SetAttr("results", w.rest.results)
+	rs.SetAttr("tuples", w.rest.tuples)
+	rs.SetAttr("nodes", w.rest.nodes)
+	rs.SetAttr("micros", w.rest.micros)
+	rs.SetAttr("degraded", w.rest.degraded)
+	rs.End()
+}
+
+// target points the worker at one group: the scratch sub-instance is
+// refilled and the evaluator re-targeted onto it.
+func (w *groupWorker) target(t *dncTask) {
+	in := w.src.in
+	base, results := w.sub.Base[:0], w.sub.Results[:0]
+	for _, bi := range t.g.Base {
+		base = append(base, in.Base[bi])
+	}
+	for _, ri := range t.g.Results {
+		results = append(results, in.Results[ri])
+	}
+	w.sub.Base, w.sub.Results = base, results
+	w.sub.Beta, w.sub.Delta, w.sub.Need = in.Beta, in.Delta, t.need
+	w.e.retarget(&w.sub, w.src, t.g)
+}
+
+// solveGroup solves one group: feasibility probe first (dropping the
+// group or lowering its target to what it can deliver), then greedy
+// always, plus an exact greedy-seeded heuristic search when the group
+// is small (< τ tuples) — all on the worker's one evaluator, reset to
+// the initial confidences between phases. It is the isolation boundary
+// of the divide-and-conquer driver: budget unwinds and panics inside
+// the group are recovered here and reported as a typed error, so
+// sibling groups keep solving. It returns (nil, 0, nil) when the group
+// is plainly infeasible or cannot contribute beyond its free results,
+// and a non-nil plan with a non-nil error when the group degraded but a
+// cheaper fallback (greedy short of full refinement, or greedy instead
+// of the exact search) still produced a usable plan. Whatever state the
+// recovery leaves in the evaluator pair, the next group's retarget
+// rebuilds it.
+func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error) {
+	// greedy's feasible snapshots: what a budget unwind falls back to.
+	var incumbent *Plan
 	defer func() {
-		if r := recover(); r != nil {
-			if stop, ok := r.(budgetStop); ok {
-				plan, nodes, gerr = nil, 0, stop.cause
-				return
+		r := recover()
+		if r == nil {
+			return
+		}
+		if stop, ok := r.(budgetStop); ok {
+			plan, nodes, gerr = nil, 0, stop.cause
+			if incumbent != nil {
+				// Anytime greedy result: feasible for the group, just not
+				// refined. Use it and report the degradation.
+				incumbent.Partial = true
+				plan, nodes = incumbent, incumbent.Nodes
 			}
-			plan, nodes, gerr = nil, 0, &SolverPanicError{
-				Solver:      d.Name() + "/group",
-				Fingerprint: sub.Fingerprint(),
-				Value:       r,
-				Stack:       debug.Stack(),
-			}
+			return
+		}
+		plan, nodes, gerr = nil, 0, &SolverPanicError{
+			Solver:      w.d.Name() + "/group",
+			Fingerprint: w.sub.Fingerprint(),
+			Value:       r,
+			Stack:       debug.Stack(),
 		}
 	}()
 	fault.Probe(SiteDnCGroup)
-	bs.poll()
-	// Feasibility: one evaluator serves both the check and (when the
-	// target must be lowered) the satisfiable maximum.
-	ar.reset()
-	if max := newEvaluator(sub, evalOpts{bs: bs, ar: ar, treeWalk: d.TreeWalk}).satAtMax(); max < sub.Need {
-		if max <= free {
+	w.bs.poll()
+	w.target(t)
+	sub := &w.sub
+	if max := w.e.satAtMax(); max < sub.Need {
+		if max <= t.free {
 			// The group cannot deliver anything beyond its already
 			// satisfied results; skip it entirely.
 			return nil, 0, nil
@@ -399,24 +494,16 @@ func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, 
 	// Incremental gain maintenance is the default for group solves: the
 	// plan is identical to the full rescan's (asserted by tests) and the
 	// dirty-propagation loop is strictly faster.
-	ar.reset()
-	plan, err := (&Greedy{Incremental: true, TreeWalk: d.TreeWalk}).solveArena(sub, bs, ar)
+	plan, err := (&Greedy{Incremental: true}).solveCore(w.e, &incumbent)
 	if err != nil {
-		var bx *BudgetExceededError
-		if errors.As(err, &bx) && plan != nil {
-			// Anytime greedy result: feasible for the group, just not
-			// refined. Use it and report the degradation.
-			return plan, plan.Nodes, err
-		}
 		if errors.Is(err, ErrInfeasible) {
 			return nil, 0, nil
 		}
 		return nil, 0, err
 	}
-	nodes = plan.Nodes
-	if d.Tau > 0 && len(sub.Base) < d.Tau {
-		ar.reset()
-		hp, hnodes, herr := d.groupHeuristic(sub, plan, bs, ar)
+	incumbent, nodes = plan, plan.Nodes
+	if w.d.Tau > 0 && len(sub.Base) < w.d.Tau {
+		hp, hnodes, herr := w.groupHeuristic(t.g, plan)
 		nodes += hnodes
 		if herr != nil {
 			// Graceful fallback: the exact search failed or ran out of
@@ -430,10 +517,11 @@ func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, 
 	return plan, nodes, nil
 }
 
-// groupHeuristic runs the greedy-seeded exact search on a small group,
-// recovering budget unwinds and panics so the caller can fall back to
-// the greedy plan.
-func (d *DivideAndConquer) groupHeuristic(sub *Instance, seed *Plan, bs *budgetState, ar *arena) (plan *Plan, nodes int, err error) {
+// groupHeuristic runs the greedy-seeded exact search on a small group —
+// on the worker's evaluator, reset from the greedy solve, and its H3
+// mirror — recovering budget unwinds and panics so the caller can fall
+// back to the greedy plan.
+func (w *groupWorker) groupHeuristic(g Group, seed *Plan) (plan *Plan, nodes int, err error) {
 	var hs *heuristicSearch
 	defer func() {
 		if r := recover(); r != nil {
@@ -446,15 +534,16 @@ func (d *DivideAndConquer) groupHeuristic(sub *Instance, seed *Plan, bs *budgetS
 			}
 			plan, err = nil, &SolverPanicError{
 				Solver:      "heuristic/group",
-				Fingerprint: sub.Fingerprint(),
+				Fingerprint: w.sub.Fingerprint(),
 				Value:       r,
 				Stack:       debug.Stack(),
 			}
 		}
 	}()
-	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true, TreeWalk: d.TreeWalk}
-	eo := evalOpts{bs: bs, ar: ar, treeWalk: d.TreeWalk}
-	hs = &heuristicSearch{Heuristic: h, in: sub, eo: eo, e: newEvaluator(sub, eo), bestCost: seed.Cost, best: seed}
+	w.e.reset()
+	w.h3.retarget(&w.sub, w.src, g)
+	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}
+	hs = &heuristicSearch{Heuristic: h, in: &w.sub, e: w.e, maxEval: w.h3, bestCost: seed.Cost, best: seed}
 	hs.prepare()
 	hs.dfs(0, 0)
 	return hs.best, hs.nodes, nil
@@ -542,52 +631,30 @@ type Group struct {
 // Partition builds the result-sharing graph and merges greedily: the two
 // groups connected with the maximum total weight merge until the maximum
 // falls below gamma. maxResults, when positive, blocks merges that would
-// produce a group with more results than the cap.
+// produce a group with more results than the cap. The sharing graph is
+// read off the instance's evaluator, which Partition builds.
 func Partition(in *Instance, gamma, maxResults int) []Group {
-	return partitionBudget(in, gamma, maxResults, nil)
+	return partition(newEvaluator(in, nil, false), gamma, maxResults)
 }
 
-// partitionBudget is Partition with cooperative cancellation: the merge
-// loop polls bs once per heap pop, so even degenerate sharing graphs
-// observe deadlines promptly.
-func partitionBudget(in *Instance, gamma, maxResults int, bs *budgetState) []Group {
-	n := len(in.Results)
-	varIdx := map[int]int{}
-	for i, b := range in.Base {
-		varIdx[int(b.Var)] = i
-	}
-	baseSets := make([]map[int]bool, n)
-	for ri, r := range in.Results {
-		bs.poll()
-		set := map[int]bool{}
-		for _, v := range r.Formula.Vars() {
-			set[varIdx[int(v)]] = true
-		}
-		baseSets[ri] = set
-	}
-
-	// Pairwise result weights (shared base tuples).
+// partition is Partition over a built evaluator's adjacency (resultsOf
+// for the tuple → results index, basesOf for each result's tuples), with
+// cooperative cancellation through e.bs: the merge loop polls once per
+// heap pop, so even degenerate sharing graphs observe deadlines promptly.
+func partition(e *evaluator, gamma, maxResults int) []Group {
+	bs, n := e.bs, len(e.basesOf)
+	// Pairwise result weights (shared base tuples), counted over the
+	// tuple → results index so sparse sharing stays far from O(n²). An
+	// occurrence list is ascending in result index, so a < b.
 	type edge struct{ a, b int }
 	weight := map[edge]int{}
-	// Build via inverted index to avoid O(n²) when sharing is sparse.
-	byBase := map[int][]int{}
-	for ri, set := range baseSets {
-		bs.poll()
-		for bi := range set {
-			byBase[bi] = append(byBase[bi], ri)
-		}
-	}
 	// Pair counting is quadratic in per-tuple co-occurrence; keep the
 	// deadline responsive while the weight map is built.
-	for _, rs := range byBase {
+	for _, occs := range e.resultsOf {
 		bs.poll()
-		for i := 0; i < len(rs); i++ {
-			for j := i + 1; j < len(rs); j++ {
-				a, b := rs[i], rs[j]
-				if a > b {
-					a, b = b, a
-				}
-				weight[edge{a, b}]++
+		for i, oa := range occs {
+			for _, ob := range occs[i+1:] {
+				weight[edge{int(oa.ri), int(ob.ri)}]++
 			}
 		}
 	}
@@ -677,50 +744,41 @@ func partitionBudget(in *Instance, gamma, maxResults int, bs *budgetState) []Gro
 		adj[b] = nil
 	}
 
-	byRoot := map[int][]int{}
-	for ri := 0; ri < n; ri++ {
+	// A root is the smallest result of its group (unions attach the
+	// higher root under the lower), so an ascending scan meets every root
+	// before its members: groups come out in ascending root order, their
+	// results ascending, carved from one flat array by the union sizes.
+	groupOf := make([]int, n)
+	flat := make([]int, n)
+	groups := make([]Group, 0)
+	for ri, off := 0, 0; ri < n; ri++ {
 		bs.poll()
 		r := find(ri)
-		byRoot[r] = append(byRoot[r], ri)
+		if r == ri {
+			groupOf[ri] = len(groups)
+			groups = append(groups, Group{Results: flat[off : off : off+size[ri]]})
+			off += size[ri]
+		}
+		g := &groups[groupOf[r]]
+		g.Results = append(g.Results, ri)
 	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	groups := make([]Group, 0, len(roots))
-	for _, r := range roots {
+	// Each group's tuples: the sorted union of its results' lists,
+	// deduplicated by stamping the group number per tuple.
+	stamp := make([]int, len(e.resultsOf))
+	flatBase := make([]int, 0, len(e.baseBuf))
+	for gi := range groups {
 		bs.poll()
-		g := Group{Results: byRoot[r]}
-		baseSet := map[int]bool{}
+		g, start := &groups[gi], len(flatBase)
 		for _, ri := range g.Results {
-			for bi := range baseSets[ri] {
-				baseSet[bi] = true
+			for _, bi := range e.basesOf[ri] {
+				if stamp[bi] != gi+1 {
+					stamp[bi] = gi + 1
+					flatBase = append(flatBase, bi)
+				}
 			}
 		}
-		for bi := range baseSet {
-			g.Base = append(g.Base, bi)
-		}
+		g.Base = flatBase[start:len(flatBase):len(flatBase)]
 		sort.Ints(g.Base)
-		groups = append(groups, g)
 	}
 	return groups
-}
-
-// subInstance extracts the group as a standalone instance; mapping[i]
-// gives the parent base index of the sub-instance's i-th tuple.
-func (g Group) subInstance(in *Instance) (*Instance, []int) {
-	sub := &Instance{
-		Beta:  in.Beta,
-		Delta: in.Delta,
-	}
-	mapping := append([]int{}, g.Base...)
-	for _, bi := range mapping {
-		sub.Base = append(sub.Base, in.Base[bi])
-	}
-	for _, ri := range g.Results {
-		sub.Results = append(sub.Results, in.Results[ri])
-	}
-	sub.Need = len(sub.Results)
-	return sub, mapping
 }

@@ -124,36 +124,44 @@ func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (plan
 	defer cancel()
 	span := startSolveSpan(ctx, g.Name())
 	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	return g.solveArena(in, bs, nil)
-}
-
-// solveArena runs the algorithm under an existing budget state, owning
-// the recovery boundary. The evaluator's scratch is drawn from a
-// per-worker arena (nil = heap); the parallel D&C group solves pass
-// their worker's arena so consecutive groups reuse one slab.
-func (g *Greedy) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *Plan, err error) {
+	// The recovery boundary: budget exhaustion unwinds here as a
+	// budgetStop panic and is answered with the latest feasible snapshot.
 	var incumbent *Plan
 	defer func() {
 		if r := recover(); r != nil {
 			plan, err = solveRecover(r, g.Name(), in, incumbent)
 		}
 	}()
-	return g.solveCore(in, bs, &incumbent, ar)
-}
-
-// solveCore is the two-phase algorithm itself. Budget exhaustion
-// unwinds as a budgetStop panic toward whichever boundary installed bs;
-// incumbent receives feasible plan snapshots as they form so that
-// boundary can honor the anytime contract. With bs == nil the behavior
-// and cost are identical to the original unbudgeted solve.
-func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *arena) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEvaluator(in, evalOpts{bs: bs, ar: ar, treeWalk: g.TreeWalk})
+	e := newEvaluator(in, bs, g.TreeWalk)
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
+	return g.solveCore(e, &incumbent)
+}
+
+// greedyScratch is solveCore's working memory. It lives on the evaluator
+// so that group after group of a divide-and-conquer worker reuses it.
+type greedyScratch struct {
+	gains, lastGain []float64
+	heap            gainHeap
+	dirtyMark       []bool
+	dirtyList       []int
+	raisedMark      []bool
+	raised          []int
+}
+
+// solveCore is the two-phase algorithm itself, on an evaluator that
+// stands at its instance's initial confidences and has passed the
+// feasibility probe. Budget exhaustion unwinds as a budgetStop panic
+// toward whichever boundary installed e.bs; incumbent receives feasible
+// plan snapshots as they form so that boundary can honor the anytime
+// contract. With e.bs == nil the behavior and cost are identical to the
+// original unbudgeted solve.
+func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
+	in, bs := e.in, e.bs
 	nodes := 0
 	snapshot := func() {
 		if bs != nil && incumbent != nil {
@@ -181,7 +189,9 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 		return df / c
 	}
 
-	gains := make([]float64, len(in.Base))
+	sc := &e.greedy
+	sc.gains, sc.lastGain = resize(sc.gains, len(in.Base)), resize(sc.lastGain, len(in.Base))
+	gains, lastGain := sc.gains, sc.lastGain // lastGain: final gain* per raised tuple
 	// Warm every unsatisfied result's derivative row in one batched
 	// fused sweep before the initial gain sweep faults them in one by
 	// one; the rows are bit-identical to the lazy refresh.
@@ -192,22 +202,19 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 		bs.poll()
 		gains[i] = gainOf(i)
 	}
-	var h gainHeap
-	var dirtyMark []bool
-	var dirtyList []int
+	h := &sc.heap
+	h.es = h.es[:0]
+	sc.dirtyMark, sc.raisedMark = resize(sc.dirtyMark, len(in.Base)), resize(sc.raisedMark, len(in.Base))
+	sc.raised = sc.raised[:0]
+	dirtyMark := sc.dirtyMark
 	if g.Incremental {
-		h.es = make([]gainEntry, 0, len(in.Base))
 		for i, gn := range gains {
 			bs.poll()
 			if gn > 0 {
 				h.push(gainEntry{gain: gn, bi: i})
 			}
 		}
-		dirtyMark = make([]bool, len(in.Base))
-		dirtyList = make([]int, 0, 64)
 	}
-	lastGain := make([]float64, len(in.Base)) // final gain* per raised tuple
-	raised := map[int]bool{}
 
 	// --- Phase 1: aggressive increase. ---
 	for e.nSat < in.Need {
@@ -253,24 +260,26 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 		}
 		bs.step()
 		e.setP(pick, next)
-		raised[pick] = true
+		if !sc.raisedMark[pick] {
+			sc.raisedMark[pick] = true
+			sc.raised = append(sc.raised, pick)
+		}
 		lastGain[pick] = best
 		if g.Incremental {
 			// Only tuples sharing a result with the pick can change. The
 			// dirty set reuses a mark array and scratch list across picks
 			// instead of allocating a map each iteration.
-			dirtyList = dirtyList[:0]
 			dirtyMark[pick] = true
-			dirtyList = append(dirtyList, pick)
+			sc.dirtyList = append(sc.dirtyList[:0], pick)
 			for _, oc := range e.resultsOf[pick] {
 				for _, bi := range e.basesOf[oc.ri] {
 					if !dirtyMark[bi] {
 						dirtyMark[bi] = true
-						dirtyList = append(dirtyList, bi)
+						sc.dirtyList = append(sc.dirtyList, bi)
 					}
 				}
 			}
-			for _, bi := range dirtyList {
+			for _, bi := range sc.dirtyList {
 				dirtyMark[bi] = false
 				gains[bi] = gainOf(bi)
 				if gains[bi] > 0 {
@@ -286,10 +295,7 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 
 	// --- Phase 2: refinement. ---
 	if !g.SkipRefinement {
-		order := make([]int, 0, len(raised))
-		for bi := range raised {
-			order = append(order, bi)
-		}
+		order := sc.raised
 		sort.Slice(order, func(a, b int) bool {
 			if lastGain[order[a]] != lastGain[order[b]] {
 				return lastGain[order[a]] < lastGain[order[b]]

@@ -55,16 +55,15 @@ func (h *Heuristic) Name() string { return "heuristic" }
 type heuristicSearch struct {
 	*Heuristic
 	in *Instance
-	e  *evaluator
-	// eo builds the search's evaluators. eo.bs carries the solve's
+	// e holds the search state; e.bs carries the solve's
 	// budget/cancellation state (nil when unbudgeted), which dfs polls
-	// at every node expansion; eo.ar supplies evaluator scratch (nil =
-	// heap) — D&C group solves pass their worker's arena.
-	eo    evalOpts
+	// at every node expansion.
+	e     *evaluator
 	order []int // variable order (base indices)
 	// maxEval mirrors the search state but keeps every *unassigned*
 	// variable at its maximum; its satisfied count is exactly H3's
-	// reachability bound and is maintained incrementally.
+	// reachability bound and is maintained incrementally. A D&C worker
+	// supplies its re-targeted mirror; prepare builds one otherwise.
 	maxEval  *evaluator
 	best     *Plan
 	bestCost float64
@@ -100,7 +99,6 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 	s := &heuristicSearch{
 		Heuristic: h,
 		in:        in,
-		eo:        evalOpts{bs: bs, treeWalk: h.TreeWalk},
 		bestCost:  math.Inf(1),
 	}
 	// The recovery boundary converts budget unwinds and panics into the
@@ -113,7 +111,7 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 			}
 		}
 	}()
-	s.e = newEvaluator(in, s.eo)
+	s.e = newEvaluator(in, bs, h.TreeWalk)
 	if s.e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -121,15 +119,16 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 	s.prepare()
 
 	if h.GreedyBound {
-		// The greedy seed shares this solve's budget; its feasible
-		// snapshots land in s.best as they form, so a budget unwind
-		// mid-seed still leaves the boundary an incumbent to return.
-		if gp, gerr := (&Greedy{Incremental: true, TreeWalk: h.TreeWalk}).solveCore(in, bs, &s.best, nil); gerr == nil {
+		// The greedy seed runs on the search's own evaluator and budget;
+		// its feasible snapshots land in s.best as they form, so a budget
+		// unwind mid-seed still leaves the boundary an incumbent to return.
+		if gp, gerr := (&Greedy{Incremental: true}).solveCore(s.e, &s.best); gerr == nil {
 			s.best = gp
 			s.bestCost = gp.Cost
 		} else if s.best != nil {
 			s.bestCost = s.best.Cost
 		}
+		s.e.reset()
 	}
 
 	// The initial state may already satisfy the requirement at zero
@@ -160,14 +159,14 @@ func (s *heuristicSearch) prepare() {
 		s.order[i] = i
 	}
 	if s.UseH1 {
-		cb := costBetas(in, s.eo)
+		cb := costBetas(s.e)
 		sort.SliceStable(s.order, func(a, b int) bool {
 			return cb[s.order[a]] > cb[s.order[b]] // descending: costly near the root
 		})
 	}
 	s.cheapestInc = make([]float64, len(in.Base))
 	for i, b := range in.Base {
-		s.eo.bs.poll()
+		s.e.bs.poll()
 		next := b.P + in.Delta
 		if next > b.maxP() {
 			next = b.maxP()
@@ -182,7 +181,9 @@ func (s *heuristicSearch) prepare() {
 		s.minIncSuffix[d] = math.Min(s.minIncSuffix[d+1], s.cheapestInc[s.order[d]])
 	}
 	if s.UseH3 {
-		s.maxEval = newEvaluator(in, s.eo)
+		if s.maxEval == nil {
+			s.maxEval = newEvaluator(in, s.e.bs, s.TreeWalk)
+		}
 		for i, b := range in.Base {
 			s.maxEval.setP(i, b.maxP())
 		}
@@ -222,7 +223,7 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 		// Cooperative checkpoint: fault probe plus budget/cancellation
 		// poll (unwinds to the solver boundary on exhaustion).
 		fault.Probe(SiteHeuristicDFS)
-		s.eo.bs.node()
+		s.e.bs.node()
 		s.e.setP(bi, v)
 		if s.UseH3 {
 			s.maxEval.setP(bi, v)
@@ -300,12 +301,13 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 // cannot get there, the paper adjusts the key to cost_max / (F_max/β)
 // where F_max is the best result confidence the tuple can reach. The
 // grid walk performs full formula evaluations, so it shares the solve's
-// budget state: a deadline can interrupt it via the pivot hook.
-func costBetas(in *Instance, eo evalOpts) []float64 {
-	e := newEvaluator(in, eo)
-	out := make([]float64, len(in.Base))
-	for bi, b := range in.Base {
-		out[bi] = costBetaOf(in, e, bi, b)
+// budget state: a deadline can interrupt it via the pivot hook. The
+// walk runs on e, which must stand at the initial confidences and is
+// returned to them tuple by tuple.
+func costBetas(e *evaluator) []float64 {
+	out := make([]float64, len(e.in.Base))
+	for bi, b := range e.in.Base {
+		out[bi] = costBetaOf(e.in, e, bi, b)
 	}
 	return out
 }

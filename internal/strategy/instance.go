@@ -120,10 +120,14 @@ func (in *Instance) Validate() error {
 		if !r.Formula.Monotone() {
 			return fmt.Errorf("strategy: result %d formula is not monotone; confidence increments cannot plan over negation", i)
 		}
-		for _, v := range r.Formula.Vars() {
-			if !seen[v] {
-				return fmt.Errorf("strategy: result %d references unknown variable %d", i, int(v))
+		known, unknown := true, lineage.Var(0)
+		r.Formula.WalkVars(func(v lineage.Var) {
+			if !seen[v] && (known || v < unknown) {
+				known, unknown = false, v
 			}
+		})
+		if !known {
+			return fmt.Errorf("strategy: result %d references unknown variable %d", i, int(unknown))
 		}
 	}
 	return nil
@@ -215,8 +219,9 @@ const compiledSharedLimit = 16
 // and the tuple's dense slot in that result's compiled program (-1 when
 // the result is evaluated by tree walk). dp caches the address of the
 // occurrence's cell in the result's reusable derivative row — the row
-// is allocated once and refilled in place, so the pointer stays valid
-// and saves two dependent loads per gain evaluation on the hot path.
+// is carved once per targeting and refilled in place, so the pointer
+// stays valid and saves two dependent loads per gain evaluation on the
+// hot path.
 type occ struct {
 	ri   int32
 	slot int32
@@ -224,33 +229,63 @@ type occ struct {
 }
 
 // evaluator tracks current confidences and per-result probabilities with
-// incremental recomputation when one tuple changes. By default every
-// result formula is compiled once (lineage.Compile) and re-evaluated
-// through its flat program; the faithful tree-walk path remains
-// available for differential testing and the ablation benchmarks.
+// incremental recomputation when one tuple changes. Every result formula
+// is compiled once per solve (newEvaluator) and re-evaluated through its
+// flat program; the faithful tree-walk path remains available for
+// differential testing and the ablation benchmarks.
+//
+// Lifecycle: newEvaluator builds the solve's one compiling evaluator;
+// retarget points a worker-owned evaluator at a group of it, borrowing
+// the immutable programs and adjacency by result index and reusing every
+// slice, row buffer and machine by capacity; reset returns an evaluator
+// to the initial confidences between solver phases. Whatever state a
+// recovered panic or budget unwind left behind, the next retarget
+// rebuilds all of it (machines are Reset, which clears their pin flags).
 type evaluator struct {
 	in *Instance
 	// bs is the owning solve's budget state (nil when unbudgeted):
 	// recompute polls it, so even tree-walk evaluations — which have no
 	// pivot hook — stay cooperatively interruptible at per-formula
-	// granularity.
+	// granularity. hook is its pivot checkpoint, installed on every
+	// machine: it counts Shannon pivot enumerations against the budget
+	// and polls for cancellation, making formula evaluation — the
+	// solvers' deepest and potentially exponential loop — interruptible.
 	bs         *budgetState
+	hook       func(int)
 	p          []float64 // current confidence per base tuple
 	resultProb []float64
+	initProb   []float64 // resultProb at the initial confidences, for reset
 	satisfied  []bool
 	nSat       int
-	resultsOf  [][]occ // base index -> result occurrences
-	basesOf    [][]int // result index -> base indices mentioned
-	varIdx     map[lineage.Var]int
 
-	// Compiled path: per-result program, machine, dense slot-indexed
-	// probabilities, and a reusable derivative row invalidated lazily
-	// (recompute only flips derivOK; the row is refilled on demand by
-	// one fused ProbDeriv sweep and its storage is never re-allocated).
-	compiled  []bool
+	// Adjacency, as slice headers over flat buffers: resultsOf[bi] lists
+	// tuple bi's occurrences (ascending result index), basesOf[ri] the
+	// tuples result ri mentions (slot order for compiled results).
+	// baseEnd[ri] is where basesOf[ri] ends in baseBuf; the per-result
+	// slot and derivative rows sit at the same offsets of their buffers.
+	resultsOf [][]occ
+	basesOf   [][]int
+	occBuf    []occ
+	occN      []int32
+	baseBuf   []int
+	baseEnd   []int
+	// varIdx maps a variable to its tuple index in the compiling
+	// evaluator's instance; a group evaluator shares that map read-only
+	// and translates through remap (source tuple index → local).
+	varIdx map[lineage.Var]int
+	remap  []int32
+
+	// Compiled path: per-result program (nil = tree walk; shared,
+	// immutable), machine, dense slot-indexed probabilities, and a
+	// reusable derivative row invalidated lazily (recompute only flips
+	// derivOK; the row is refilled on demand by one fused ProbDeriv
+	// sweep).
+	progs     []*lineage.Program
 	machines  []*lineage.Machine
 	slotProbs [][]float64
 	derivRow  [][]float64
+	slotBuf   []float64
+	derivBuf  []float64
 	derivOK   []bool
 
 	// Batched kernel path: one lineage.Batch drives every compiled
@@ -262,7 +297,7 @@ type evaluator struct {
 	// index; batchOut and batchRows are the sweeps' reusable output and
 	// row-selection buffers; maxShared holds every tuple's maximum
 	// confidence for the batched feasibility probe.
-	batch     *lineage.Batch
+	batch     lineage.Batch
 	batchIdx  []int
 	batchOut  []float64
 	batchRows [][]float64
@@ -281,120 +316,168 @@ type evaluator struct {
 	stepNext []float64
 	stepCost []float64
 	stepOK   []bool
+
+	// greedy is the greedy solver's per-solve scratch, kept here so a
+	// re-targeted evaluator carries it from group to group.
+	greedy greedyScratch
 }
 
-// evalOpts configures newEvaluator; the zero value is a plain
-// unbudgeted, heap-backed, compiled evaluator.
-type evalOpts struct {
-	// bs is the owning solve's budget state: every compiled machine
-	// gets a pivot hook that counts Shannon pivot enumerations against
-	// it and polls for cancellation, making formula evaluation — the
-	// solvers' deepest and potentially exponential loop — cooperatively
-	// interruptible. nil builds an unbudgeted evaluator.
-	bs *budgetState
-	// ar supplies the float/bool state from a per-worker arena: the
-	// parallel D&C path builds one evaluator per group on the worker's
-	// arena and resets it between groups, so the probability vectors,
-	// derivative rows and step caches reuse one slab instead of being
-	// reallocated per group. The arena zeroes every segment, so an
-	// arena-backed evaluator starts in exactly the state a make()-backed
-	// one would — serial/parallel bit-identity depends on it. nil falls
-	// back to plain heap allocation.
-	ar *arena
-	// treeWalk selects the interface-typed tree evaluation for every
-	// result instead of compiled programs (the differential suite's
-	// reference and the compiled-vs-treewalk ablation). Results over
-	// compiledSharedLimit take that path regardless.
-	treeWalk bool
+// resize returns s with length n and every element zeroed, reallocating
+// only when its capacity is too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// newEvaluator builds the instance's evaluator at its initial confidences.
-func newEvaluator(in *Instance, o evalOpts) *evaluator {
-	bs, ar, treeWalk := o.bs, o.ar, o.treeWalk
-	var hook func(int)
+// blankEvaluator returns an untargeted evaluator bound to bs.
+func blankEvaluator(bs *budgetState) *evaluator {
+	e := &evaluator{bs: bs}
 	if bs != nil {
-		hook = func(n int) {
+		e.hook = func(n int) {
 			fault.Probe(SitePivot)
 			bs.pivot(n)
 		}
 	}
-	e := &evaluator{
-		in:         in,
-		bs:         bs,
-		p:          ar.floats(len(in.Base)),
-		resultProb: ar.floats(len(in.Results)),
-		satisfied:  ar.bools(len(in.Results)),
-		resultsOf:  make([][]occ, len(in.Base)),
-		basesOf:    make([][]int, len(in.Results)),
-		varIdx:     make(map[lineage.Var]int, len(in.Base)),
-		compiled:   ar.bools(len(in.Results)),
-		machines:   make([]*lineage.Machine, len(in.Results)),
-		slotProbs:  make([][]float64, len(in.Results)),
-		derivRow:   make([][]float64, len(in.Results)),
-		derivOK:    ar.bools(len(in.Results)),
-		derivs:     make([]map[lineage.Var]float64, len(in.Results)),
-		readOnce:   ar.bools(len(in.Results)),
-		stepNext:   ar.floats(len(in.Base)),
-		stepCost:   ar.floats(len(in.Base)),
-		stepOK:     ar.bools(len(in.Base)),
-	}
+	return e
+}
+
+// newEvaluator builds the instance's evaluator at its initial
+// confidences. It is the one place a solve compiles result formulas:
+// treeWalk selects the interface-typed tree evaluation for every result
+// instead (the differential suite's reference and the
+// compiled-vs-treewalk ablation); results over compiledSharedLimit take
+// that path regardless.
+func newEvaluator(in *Instance, bs *budgetState, treeWalk bool) *evaluator {
+	e := blankEvaluator(bs)
+	e.in = in
+	e.varIdx = make(map[lineage.Var]int, len(in.Base))
 	for i, b := range in.Base {
-		e.p[i] = b.P
 		e.varIdx[b.Var] = i
 	}
+	e.progs = make([]*lineage.Program, len(in.Results))
+	e.readOnce = make([]bool, len(in.Results))
+	e.baseEnd = make([]int, len(in.Results))
 	for ri, r := range in.Results {
 		// Compilation is O(|formula|) per result but the instance may carry
 		// tens of thousands of results; keep setup interruptible too.
+		fault.Probe(SiteCompile)
 		bs.poll()
+		var vars []lineage.Var
 		if !treeWalk {
 			if prog, err := lineage.CompileExact(r.Formula, compiledSharedLimit); err == nil {
-				e.compiled[ri] = true
-				e.machines[ri] = lineage.NewMachine(prog)
-				e.machines[ri].SetPivotHook(hook)
-				e.slotProbs[ri] = ar.floats(prog.NumSlots())
-				e.derivRow[ri] = ar.floats(prog.NumSlots())
-				for s, v := range prog.Vars() {
-					bi := e.varIdx[v]
-					e.slotProbs[ri][s] = e.p[bi]
-					e.resultsOf[bi] = append(e.resultsOf[bi], occ{
-						ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s],
-					})
-					e.basesOf[ri] = append(e.basesOf[ri], bi)
-				}
-				continue
+				e.progs[ri], vars = prog, prog.Vars()
 			}
 		}
-		e.readOnce[ri] = r.Formula.ReadOnce()
-		for _, v := range r.Formula.Vars() {
-			bi := e.varIdx[v]
-			e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: -1})
-			e.basesOf[ri] = append(e.basesOf[ri], bi)
+		if e.progs[ri] == nil {
+			e.readOnce[ri], vars = r.Formula.ReadOnce(), r.Formula.Vars()
 		}
+		for _, v := range vars {
+			e.baseBuf = append(e.baseBuf, e.varIdx[v])
+		}
+		e.baseEnd[ri] = len(e.baseBuf)
 	}
-	if !treeWalk {
-		e.batch = lineage.NewBatch(len(in.Results))
-		for ri := range in.Results {
-			if !e.compiled[ri] {
-				continue
-			}
-			bs.poll()
-			// basesOf is slot-ordered for compiled results, so gathering
-			// e.p through it reproduces slotProbs[ri] exactly.
-			if err := e.batch.Add(e.machines[ri], e.basesOf[ri]); err != nil {
-				panic(err) // unreachable: basesOf is built slot-aligned above
-			}
-			e.batchIdx = append(e.batchIdx, ri)
-		}
+	e.arm()
+	return e
+}
+
+// retarget points e at the sub-instance in, whose result i is src's
+// result g.Results[i] and whose tuple j is src's tuple g.Base[j]. The
+// programs, read-once flags and per-result tuple lists come from src by
+// index — read-only, so workers share one src without a lock — and the
+// evaluator's own state is rebuilt in place, equal to a fresh build.
+func (e *evaluator) retarget(in *Instance, src *evaluator, g Group) {
+	e.in, e.varIdx = in, src.varIdx
+	if cap(e.remap) < len(src.p) {
+		e.remap = make([]int32, len(src.p))
 	}
-	if e.batch != nil && e.batch.Len() > 0 {
-		e.batchOut = ar.floats(e.batch.Len())
-		e.batchRows = make([][]float64, e.batch.Len())
-		e.maxShared = ar.floats(len(in.Base))
-		//lint:allow ctxpoll bounded O(|Base|) per-tuple maximum lookup with no
-		// lineage work; the surrounding constructor polls per result.
-		for i, b := range in.Base {
-			e.maxShared[i] = b.maxP()
+	// Stale entries are harmless: a group's results mention only the
+	// group's tuples, all rewritten here.
+	e.remap = e.remap[:len(src.p)]
+	for j, bi := range g.Base {
+		e.remap[bi] = int32(j)
+	}
+	e.progs, e.readOnce, e.baseBuf, e.baseEnd = e.progs[:0], e.readOnce[:0], e.baseBuf[:0], e.baseEnd[:0]
+	for _, ri := range g.Results {
+		e.bs.poll()
+		e.progs = append(e.progs, src.progs[ri])
+		e.readOnce = append(e.readOnce, src.readOnce[ri])
+		for _, bi := range src.basesOf[ri] {
+			e.baseBuf = append(e.baseBuf, int(e.remap[bi]))
 		}
+		e.baseEnd = append(e.baseEnd, len(e.baseBuf))
+	}
+	e.arm()
+}
+
+// arm sizes every state slice for e.in (reusing capacity), wires the
+// adjacency, machines and batch from progs/baseBuf/baseEnd, and
+// evaluates the initial probabilities.
+func (e *evaluator) arm() {
+	in, bs := e.in, e.bs
+	nb, nr, nocc := len(in.Base), len(in.Results), len(e.baseBuf)
+	e.p, e.maxShared = resize(e.p, nb), resize(e.maxShared, nb)
+	e.stepNext, e.stepCost, e.stepOK = resize(e.stepNext, nb), resize(e.stepCost, nb), resize(e.stepOK, nb)
+	//lint:allow ctxpoll bounded O(|Base|) copy of the tuples' confidences and
+	// maxima with no lineage work; the result loop below polls.
+	for i, b := range in.Base {
+		e.p[i], e.maxShared[i] = b.P, b.maxP()
+	}
+	e.occN, e.occBuf, e.resultsOf = resize(e.occN, nb), resize(e.occBuf, nocc), resize(e.resultsOf, nb)
+	for _, bi := range e.baseBuf {
+		e.occN[bi]++
+	}
+	off := 0
+	for bi, n := range e.occN {
+		e.resultsOf[bi] = e.occBuf[off : off : off+int(n)]
+		off += int(n)
+	}
+	e.resultProb, e.satisfied, e.nSat = resize(e.resultProb, nr), resize(e.satisfied, nr), 0
+	e.basesOf, e.slotProbs, e.derivRow = resize(e.basesOf, nr), resize(e.slotProbs, nr), resize(e.derivRow, nr)
+	e.slotBuf, e.derivBuf = resize(e.slotBuf, nocc), resize(e.derivBuf, nocc)
+	e.derivOK, e.derivs = resize(e.derivOK, nr), resize(e.derivs, nr)
+	for len(e.machines) < nr {
+		e.machines = append(e.machines, nil)
+	}
+	e.batch.Reset()
+	e.batchIdx = e.batchIdx[:0]
+	lo := 0
+	for ri, hi := range e.baseEnd {
+		bs.poll()
+		bases := e.baseBuf[lo:hi:hi]
+		e.basesOf[ri] = bases
+		prog := e.progs[ri]
+		if prog == nil {
+			for _, bi := range bases {
+				e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: -1})
+			}
+			lo = hi
+			continue
+		}
+		if e.machines[ri] == nil {
+			e.machines[ri] = lineage.NewMachine(prog)
+			e.machines[ri].SetPivotHook(e.hook)
+		} else {
+			e.machines[ri].Reset(prog)
+		}
+		e.slotProbs[ri], e.derivRow[ri] = e.slotBuf[lo:hi:hi], e.derivBuf[lo:hi:hi]
+		for s, bi := range bases {
+			e.slotProbs[ri][s] = e.p[bi]
+			e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s]})
+		}
+		// basesOf is slot-ordered for compiled results, so gathering e.p
+		// through it reproduces slotProbs[ri] exactly.
+		if err := e.batch.Add(e.machines[ri], bases); err != nil {
+			panic(err) // unreachable: bases is the program's own variable list
+		}
+		e.batchIdx = append(e.batchIdx, ri)
+		lo = hi
+	}
+	if n := e.batch.Len(); n > 0 {
+		e.batchOut, e.batchRows = resize(e.batchOut, n), resize(e.batchRows, n)
 		// Initial probabilities of all compiled results in one batched
 		// sweep (shared-variable machines poll through their pivot hooks).
 		e.batch.EvalBatch(e.p, e.batchOut)
@@ -403,18 +486,53 @@ func newEvaluator(in *Instance, o evalOpts) *evaluator {
 			e.applyProb(ri, e.batchOut[k])
 		}
 	}
-	for ri := range in.Results {
-		if !e.compiled[ri] {
+	for ri, prog := range e.progs {
+		if prog == nil {
 			e.recompute(ri)
 		}
 	}
-	return e
+	e.initProb = append(e.initProb[:0], e.resultProb...)
+}
+
+// reset returns the evaluator to the instance's initial confidences —
+// the state arm left — by restoring only the tuples that moved and the
+// results they feed, without re-evaluating a formula. Solver phases
+// sharing one evaluator call it between them.
+func (e *evaluator) reset() {
+	//lint:allow ctxpoll bounded O(occurrences) restore from initProb with no
+	// lineage evaluation; unwinding mid-restore would only tear it.
+	for bi, b := range e.in.Base {
+		//lint:allow confrange exact no-op guard (see setP): a tuple that
+		// never moved holds exactly its initial confidence.
+		if e.p[bi] == b.P {
+			continue
+		}
+		e.p[bi] = b.P
+		e.stepOK[bi] = false
+		for _, oc := range e.resultsOf[bi] {
+			ri := int(oc.ri)
+			if oc.slot >= 0 {
+				e.slotProbs[ri][oc.slot] = b.P
+			}
+			e.derivOK[ri], e.derivs[ri] = false, nil
+			e.applyProb(ri, e.initProb[ri])
+		}
+	}
+}
+
+// baseOf returns the index in e.in.Base of the tuple carrying variable v.
+func (e *evaluator) baseOf(v lineage.Var) int {
+	bi := e.varIdx[v]
+	if e.remap != nil {
+		bi = int(e.remap[bi])
+	}
+	return bi
 }
 
 // assignment adapts current confidences to lineage.Assignment.
 func (e *evaluator) assignment() lineage.Assignment {
 	return lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.p[e.varIdx[v]]
+		return e.p[e.baseOf(v)]
 	})
 }
 
@@ -422,7 +540,7 @@ func (e *evaluator) recompute(ri int) {
 	e.bs.poll()
 	var prob float64
 	switch {
-	case e.compiled[ri]:
+	case e.progs[ri] != nil:
 		prob = e.machines[ri].Prob(e.slotProbs[ri])
 		// Invalidate lazily: the dense row is refilled (and reused) only
 		// when a gain computation actually needs derivatives.
@@ -461,7 +579,7 @@ func (e *evaluator) applyProb(ri int, prob float64) {
 // deltaF still serves the incremental picks afterwards; either path
 // produces bit-identical rows (same machines, same gathered inputs).
 func (e *evaluator) primeDerivs() {
-	if e.batch == nil || e.batch.Len() == 0 {
+	if e.batch.Len() == 0 {
 		return
 	}
 	stale := false
@@ -580,7 +698,7 @@ func (e *evaluator) stepPriceSlow(bi int) (next, incCost float64) {
 // a second one.
 func (e *evaluator) satAtMax() int {
 	sat := 0
-	if e.batch != nil && e.batch.Len() > 0 {
+	if e.batch.Len() > 0 {
 		// All compiled results in one batched sweep over the precomputed
 		// per-tuple maxima (gathered through basesOf, which is in slot
 		// order, so the inputs match the old per-result gather exactly);
@@ -596,11 +714,14 @@ func (e *evaluator) satAtMax() int {
 			}
 		}
 	}
+	if e.batch.Len() == len(e.progs) {
+		return sat // every result is compiled: no tree walk to do
+	}
 	maxAssign := lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.in.Base[e.varIdx[v]].maxP()
+		return e.in.Base[e.baseOf(v)].maxP()
 	})
 	for ri := range e.in.Results {
-		if e.compiled[ri] {
+		if e.progs[ri] != nil {
 			continue // counted by the batched sweep above
 		}
 		// Feasibility probing evaluates every formula at the maxima; on

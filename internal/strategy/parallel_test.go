@@ -329,7 +329,7 @@ func TestParallelSpanCountersDecompose(t *testing.T) {
 	const workers = 4
 	root := obs.NewSpan("strategy")
 	ctx := obs.ContextWithSpan(context.Background(), root)
-	in := clusteredInstance(10, 5)
+	in := clusteredInstance(200, 5) // ≥ 50 groups for some worker: past maxGroupSpans
 	d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: workers}
 	// Any non-zero limit forces a budget state, which the span counters
 	// are read from; the limit is far beyond what the solve needs.
@@ -366,19 +366,24 @@ func TestParallelSpanCountersDecompose(t *testing.T) {
 		}
 	}
 	// Groups are solved on workers (never the driver) and each worker
-	// reports how many it handled.
-	var groupSpans, groupsAttr int64
+	// reports how many it handled: its "group" spans plus the count of
+	// its "groups" rollup (the groups beyond maxGroupSpans).
+	var groupSpans, rolled, groupsAttr int64
 	for _, ws := range workerSpans {
 		groupsAttr += ws.Attr("groups")
 		for _, c := range ws.Children() {
-			if c.Name() == "group" {
+			switch c.Name() {
+			case "group":
 				groupSpans++
+			case "groups":
+				rolled += c.Attr("count")
 			}
 		}
 	}
-	if groupSpans == 0 {
-		t.Fatalf("no group spans under workers:\n%s", root.Tree())
+	if groupSpans == 0 || rolled == 0 || groupSpans > workers*maxGroupSpans {
+		t.Fatalf("group spans %d, rolled up %d under %d workers:\n%s", groupSpans, rolled, workers, root.Tree())
 	}
+	groupSpans += rolled
 	if groupSpans != groupsAttr {
 		t.Errorf("group spans %d != summed groups attrs %d", groupSpans, groupsAttr)
 	}
@@ -413,6 +418,8 @@ func TestParallelSerialSpanShapeUnchanged(t *testing.T) {
 			t.Errorf("serial solve created a %s span:\n%s", c.Name(), root.Tree())
 		case "group":
 			groups++
+		case "groups":
+			t.Errorf("%d groups must not need a rollup span:\n%s", groups, root.Tree())
 		}
 	}
 	if groups == 0 {
