@@ -4,7 +4,7 @@
 # the tree-walk reference.
 GO ?= go
 
-.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving obs-smoke serve-smoke
+.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving obs-smoke serve-smoke loc
 
 check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 
@@ -46,12 +46,14 @@ mvcc-stress:
 # fresh build; in internal/relation the compiled row predicate vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch; in
-# internal/sql the cost-based vs the rule-based planner (the serving
-# benchmark's shapes included) and filter pushdown over the fuzz seeds.
+# internal/sql the planner vs the statement-order reference (the serving
+# benchmark's shapes, the fuzz corpora and an error-parity table
+# included), filter pushdown over the fuzz seeds, and the one AST
+# renderer vs the parser round trip and the fingerprint's invariances.
 differential:
 	$(GO) test -run 'Differential|EvaluatorReset|EvaluatorRetarget|DnCCompiles' -count=1 ./internal/lineage/ ./internal/strategy/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins'
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree
@@ -76,9 +78,11 @@ serve-smoke:
 
 # Greedy phase-1 gain evaluation (compiled kernels vs legacy tree walk),
 # the parallel D&C worker-pool scaling benchmark, and the per-group
-# overhead benchmark (2 000 one-result groups; watch allocs/op).
+# overhead benchmark (2 000 one-result groups; watch allocs/op); then the
+# plan-cache key of point_hot's statement, which every request pays.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkCompiledVsTreewalk|BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench BenchmarkFingerprint -benchmem ./internal/sql/
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must
@@ -86,8 +90,9 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench BenchmarkDnCParallel -benchtime 3x -cpu 1,2,4 .
 
-# Cost-based planner vs rule-based statement order, plus the plan-cache
-# hit-rate sweep; writes BENCH_planner.json to the working directory.
+# The planner vs the statement-order reference (PlanRuleBased), plus the
+# plan-cache hit-rate sweep; writes BENCH_planner.json to the working
+# directory.
 bench-planner:
 	$(GO) run ./cmd/benchrunner -fig planner
 
@@ -105,3 +110,7 @@ bench-serving:
 # of `make check` — the numbers are not a gate here.
 bench-smoke:
 	$(GO) run ./benchmark -workload point_hot -seconds 3 -trace 0
+
+# Non-test Go lines per package under internal/ and cmd/, and the total.
+loc:
+	@sh scripts/loc.sh

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pcqe/internal/obs"
+	"pcqe/internal/relation"
+	"pcqe/internal/sql"
 )
 
 // TestEngineCacheObservability checks the optimizer caches surface
@@ -36,11 +38,21 @@ func TestEngineCacheObservability(t *testing.T) {
 		t.Errorf("second eval: hits=%d misses=%d, want 1/0",
 			eval2.Attr("plan_cache_hits"), eval2.Attr("plan_cache_misses"))
 	}
-	// The running example joins and filters but never references
-	// _confidence, so the cost-based planner owns it; DISTINCT means
-	// the lineage hint is may-share.
-	if eval2.Attr("cost_based") != 1 {
-		t.Errorf("running example should be cost-based planned")
+	// The plan behind those spans is the join planner's: the Funding
+	// filter and the column pruning run inside the Proposal leaf, below
+	// the hash join. DISTINCT means the lineage hint is may-share.
+	stmt, err := sql.Parse(ventureQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, info, err := sql.PlanDetailedAt(e.Catalog(), stmt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := relation.ExplainAnnotated(op, info.Notes)
+	if !strings.Contains(plan, "HashJoin (CompanyInfo.Company = Proposal.Company)") ||
+		!strings.Contains(plan, "└─ Scan Proposal filter (Proposal.Funding < 1000000) cols [Company, Funding]") {
+		t.Errorf("running example not planned by cost:\n%s", plan)
 	}
 	if eval2.Attr("lineage_hint_read_once") != 0 {
 		t.Errorf("DISTINCT query must carry the may-share hint")

@@ -256,7 +256,6 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	evalSpan.SetAttr("plan_cache_hits", boolAttr(res.Hit))
 	evalSpan.SetAttr("plan_cache_misses", boolAttr(!res.Hit))
 	if res.Info != nil {
-		evalSpan.SetAttr("cost_based", boolAttr(res.Info.CostBased))
 		evalSpan.SetAttr("lineage_hint_read_once", boolAttr(res.Info.LineageHint == "read-once"))
 	}
 	if err != nil {

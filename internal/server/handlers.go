@@ -234,7 +234,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, ExplainResponse{
 		Plan:        relation.ExplainAnnotated(op, info.Notes),
-		CostBased:   info.CostBased,
 		LineageHint: info.LineageHint,
 		Version:     snap.Version(),
 	})

@@ -119,7 +119,6 @@ type ExplainRequest struct {
 // ExplainResponse carries the annotated plan.
 type ExplainResponse struct {
 	Plan        string `json:"plan"`
-	CostBased   bool   `json:"cost_based"`
 	LineageHint string `json:"lineage_hint,omitempty"`
 	Version     int64  `json:"version"`
 }

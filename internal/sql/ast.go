@@ -1,10 +1,5 @@
 package sql
 
-import (
-	"strconv"
-	"strings"
-)
-
 // Node is any AST node.
 type Node interface {
 	// SQL renders the node back to SQL text (canonical form).
@@ -29,35 +24,7 @@ type Ident struct {
 func (i *Ident) exprNode() {}
 
 // SQL implements Node.
-func (i *Ident) SQL() string {
-	if i.Qualifier != "" {
-		return quoteIdent(i.Qualifier) + "." + quoteIdent(i.Name)
-	}
-	return quoteIdent(i.Name)
-}
-
-// quoteIdent renders an identifier, double-quoting it when it would
-// otherwise lex as a keyword or contains non-identifier characters.
-func quoteIdent(name string) string {
-	needQuote := name == ""
-	if isKeyword(strings.ToUpper(name)) {
-		needQuote = true
-	}
-	for i, r := range name {
-		if i == 0 && !isIdentStart(r) {
-			needQuote = true
-			break
-		}
-		if !isIdentPart(r) {
-			needQuote = true
-			break
-		}
-	}
-	if needQuote {
-		return "\"" + name + "\""
-	}
-	return name
-}
+func (i *Ident) SQL() string { return renderExpr(i, false) }
 
 // LitKind enumerates literal kinds.
 type LitKind uint8
@@ -84,24 +51,7 @@ type Lit struct {
 func (l *Lit) exprNode() {}
 
 // SQL implements Node.
-func (l *Lit) SQL() string {
-	switch l.Kind {
-	case LitNull:
-		return "NULL"
-	case LitBool:
-		if l.Bool {
-			return "TRUE"
-		}
-		return "FALSE"
-	case LitInt:
-		return itoa(l.Int)
-	case LitFloat:
-		return ftoa(l.Flt)
-	case LitString:
-		return "'" + strings.ReplaceAll(l.Str, "'", "''") + "'"
-	}
-	return "?"
-}
+func (l *Lit) SQL() string { return renderExpr(l, false) }
 
 // BinaryExpr applies a binary operator ("=", "<", "AND", "+", ...).
 type BinaryExpr struct {
@@ -113,9 +63,7 @@ type BinaryExpr struct {
 func (b *BinaryExpr) exprNode() {}
 
 // SQL implements Node.
-func (b *BinaryExpr) SQL() string {
-	return "(" + b.Left.SQL() + " " + b.Op + " " + b.Right.SQL() + ")"
-}
+func (b *BinaryExpr) SQL() string { return renderExpr(b, false) }
 
 // UnaryExpr applies NOT or unary minus.
 type UnaryExpr struct {
@@ -127,12 +75,7 @@ type UnaryExpr struct {
 func (u *UnaryExpr) exprNode() {}
 
 // SQL implements Node.
-func (u *UnaryExpr) SQL() string {
-	if u.Op == "-" {
-		return "-" + u.Child.SQL()
-	}
-	return u.Op + " " + u.Child.SQL()
-}
+func (u *UnaryExpr) SQL() string { return renderExpr(u, false) }
 
 // IsNullExpr is "expr IS [NOT] NULL".
 type IsNullExpr struct {
@@ -144,12 +87,7 @@ type IsNullExpr struct {
 func (e *IsNullExpr) exprNode() {}
 
 // SQL implements Node.
-func (e *IsNullExpr) SQL() string {
-	if e.Negate {
-		return e.Child.SQL() + " IS NOT NULL"
-	}
-	return e.Child.SQL() + " IS NULL"
-}
+func (e *IsNullExpr) SQL() string { return renderExpr(e, false) }
 
 // LikeExpr is "expr [NOT] LIKE 'pattern'".
 type LikeExpr struct {
@@ -162,13 +100,7 @@ type LikeExpr struct {
 func (e *LikeExpr) exprNode() {}
 
 // SQL implements Node.
-func (e *LikeExpr) SQL() string {
-	op := " LIKE "
-	if e.Negate {
-		op = " NOT LIKE "
-	}
-	return e.Child.SQL() + op + "'" + e.Pattern + "'"
-}
+func (e *LikeExpr) SQL() string { return renderExpr(e, false) }
 
 // InExpr is "expr [NOT] IN (lit, lit, ...)" or, with Sub set,
 // "expr [NOT] IN (SELECT ...)".
@@ -178,25 +110,16 @@ type InExpr struct {
 	Sub    *SelectStmt
 	Negate bool
 	Tok    Token
+
+	// set holds the keys Sub produced, on the copy of the node the
+	// planner compiles (resolveSubqueries).
+	set map[string]bool
 }
 
 func (e *InExpr) exprNode() {}
 
 // SQL implements Node.
-func (e *InExpr) SQL() string {
-	op := " IN ("
-	if e.Negate {
-		op = " NOT IN ("
-	}
-	if e.Sub != nil {
-		return e.Child.SQL() + op + e.Sub.SQL() + ")"
-	}
-	parts := make([]string, len(e.List))
-	for i, x := range e.List {
-		parts[i] = x.SQL()
-	}
-	return e.Child.SQL() + op + strings.Join(parts, ", ") + ")"
-}
+func (e *InExpr) SQL() string { return renderExpr(e, false) }
 
 // BetweenExpr is "expr [NOT] BETWEEN lo AND hi".
 type BetweenExpr struct {
@@ -208,13 +131,7 @@ type BetweenExpr struct {
 func (e *BetweenExpr) exprNode() {}
 
 // SQL implements Node.
-func (e *BetweenExpr) SQL() string {
-	op := " BETWEEN "
-	if e.Negate {
-		op = " NOT BETWEEN "
-	}
-	return e.Child.SQL() + op + e.Lo.SQL() + " AND " + e.Hi.SQL()
-}
+func (e *BetweenExpr) SQL() string { return renderExpr(e, false) }
 
 // FuncCall is an aggregate call: COUNT(*), COUNT(x), SUM(x), AVG, MIN, MAX.
 type FuncCall struct {
@@ -227,12 +144,7 @@ type FuncCall struct {
 func (f *FuncCall) exprNode() {}
 
 // SQL implements Node.
-func (f *FuncCall) SQL() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	return f.Name + "(" + f.Arg.SQL() + ")"
-}
+func (f *FuncCall) SQL() string { return renderExpr(f, false) }
 
 // --- Statements ---
 
@@ -251,18 +163,6 @@ type TableRef struct {
 	Alias string
 	Sub   *SelectStmt
 	Tok   Token
-}
-
-// SQL implements Node.
-func (t *TableRef) SQL() string {
-	base := quoteIdent(t.Name)
-	if t.Sub != nil {
-		base = "(" + t.Sub.SQL() + ")"
-	}
-	if t.Alias != "" {
-		return base + " AS " + quoteIdent(t.Alias)
-	}
-	return base
 }
 
 // JoinClause is "JOIN table [AS alias] ON cond" or a cross join (nil On).
@@ -308,79 +208,4 @@ type SelectStmt struct {
 }
 
 // SQL implements Node.
-func (s *SelectStmt) SQL() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if it.Star {
-			b.WriteString("*")
-			continue
-		}
-		b.WriteString(it.Expr.SQL())
-		if it.Alias != "" {
-			b.WriteString(" AS " + quoteIdent(it.Alias))
-		}
-	}
-	b.WriteString(" FROM " + s.From.SQL())
-	for _, j := range s.Joins {
-		if j.On == nil {
-			b.WriteString(" CROSS JOIN " + j.Table.SQL())
-		} else {
-			b.WriteString(" JOIN " + j.Table.SQL() + " ON " + j.On.SQL())
-		}
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.SQL())
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.SQL())
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.SQL())
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.Expr.SQL())
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT " + itoa(int64(s.Limit)))
-	}
-	if s.Offset > 0 {
-		b.WriteString(" OFFSET " + itoa(int64(s.Offset)))
-	}
-	switch s.SetOp {
-	case SetUnion:
-		b.WriteString(" UNION " + s.Next.SQL())
-	case SetUnionAll:
-		b.WriteString(" UNION ALL " + s.Next.SQL())
-	case SetIntersect:
-		b.WriteString(" INTERSECT " + s.Next.SQL())
-	case SetExcept:
-		b.WriteString(" EXCEPT " + s.Next.SQL())
-	}
-	return b.String()
-}
-
-func itoa(i int64) string { return strconv.FormatInt(i, 10) }
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+func (s *SelectStmt) SQL() string { return renderStmt(s, false, nil) }

@@ -68,13 +68,9 @@ func ExecStatement(cat *relation.Catalog, stmt Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		kind := "rule-based"
-		if info.CostBased {
-			kind = "cost-based"
-		}
 		return &Result{
 			Plan:    relation.ExplainAnnotated(op, info.Notes),
-			Message: "plan (" + kind + ", lineage " + info.LineageHint + ")",
+			Message: "plan (lineage " + info.LineageHint + ")",
 		}, nil
 	case *CreateTableStmt:
 		cols := make([]relation.Column, len(s.Columns))
@@ -216,7 +212,7 @@ func execDelete(cat *relation.Catalog, s *DeleteStmt) (*Result, error) {
 	}
 	var pred relation.Expr
 	if s.Where != nil {
-		where, err := resolveSubqueries(cat, s.Where, 0)
+		where, err := newPlanner(cat, 0).resolveSubqueries(s.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +256,7 @@ func execUpdate(cat *relation.Catalog, s *UpdateStmt) (*Result, error) {
 	}
 	var pred relation.Expr
 	if s.Where != nil {
-		where, err := resolveSubqueries(cat, s.Where, 0)
+		where, err := newPlanner(cat, 0).resolveSubqueries(s.Where)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"strconv"
 	"strings"
 
 	"pcqe/internal/relation"
@@ -17,10 +16,9 @@ import (
 // fingerprintStmt renders the statement's normalized shape and collects
 // its literals in encounter order.
 func fingerprintStmt(stmt *SelectStmt) (string, []relation.Value) {
-	var b strings.Builder
 	var lits []relation.Value
-	writeStmtFP(&b, stmt, &lits)
-	return b.String(), lits
+	shape := renderStmt(stmt, true, &lits)
+	return shape, lits
 }
 
 // cacheKey is the full plan-cache key: shape plus bound literal keys.
@@ -35,176 +33,6 @@ func cacheKey(shape string, lits []relation.Value) string {
 	return b.String()
 }
 
-func writeStmtFP(b *strings.Builder, s *SelectStmt, lits *[]relation.Value) {
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if it.Star {
-			b.WriteString("*")
-			continue
-		}
-		writeExprFP(b, it.Expr, lits)
-		if it.Alias != "" {
-			b.WriteString(" AS " + strings.ToLower(it.Alias))
-		}
-	}
-	b.WriteString(" FROM ")
-	writeTableFP(b, s.From, lits)
-	for _, j := range s.Joins {
-		if j.On == nil {
-			b.WriteString(" CROSS JOIN ")
-			writeTableFP(b, j.Table, lits)
-			continue
-		}
-		b.WriteString(" JOIN ")
-		writeTableFP(b, j.Table, lits)
-		b.WriteString(" ON ")
-		writeExprFP(b, j.On, lits)
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		writeExprFP(b, s.Where, lits)
-	}
-	for i, g := range s.GroupBy {
-		if i == 0 {
-			b.WriteString(" GROUP BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		writeExprFP(b, g, lits)
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		writeExprFP(b, s.Having, lits)
-	}
-	for i, o := range s.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		writeExprFP(b, o.Expr, lits)
-		if o.Desc {
-			b.WriteString(" DESC")
-		}
-	}
-	// LIMIT/OFFSET are part of the shape: they change the operator tree,
-	// not a bindable constant.
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT " + strconv.Itoa(s.Limit))
-	}
-	if s.Offset > 0 {
-		b.WriteString(" OFFSET " + strconv.Itoa(s.Offset))
-	}
-	switch s.SetOp {
-	case SetUnion:
-		b.WriteString(" UNION ")
-	case SetUnionAll:
-		b.WriteString(" UNION ALL ")
-	case SetIntersect:
-		b.WriteString(" INTERSECT ")
-	case SetExcept:
-		b.WriteString(" EXCEPT ")
-	}
-	if s.Next != nil {
-		writeStmtFP(b, s.Next, lits)
-	}
-}
-
-func writeTableFP(b *strings.Builder, tr TableRef, lits *[]relation.Value) {
-	if tr.Sub != nil {
-		b.WriteString("(")
-		writeStmtFP(b, tr.Sub, lits)
-		b.WriteString(")")
-	} else {
-		b.WriteString(strings.ToLower(tr.Name))
-	}
-	if tr.Alias != "" {
-		b.WriteString(" AS " + strings.ToLower(tr.Alias))
-	}
-}
-
-func writeExprFP(b *strings.Builder, e ExprNode, lits *[]relation.Value) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *Ident:
-		b.WriteString(strings.ToLower(n.SQL()))
-	case *Lit:
-		b.WriteString("?")
-		*lits = append(*lits, litValue(n))
-	case *BinaryExpr:
-		b.WriteString("(")
-		writeExprFP(b, n.Left, lits)
-		b.WriteString(" " + n.Op + " ")
-		writeExprFP(b, n.Right, lits)
-		b.WriteString(")")
-	case *UnaryExpr:
-		b.WriteString(n.Op)
-		if n.Op == "NOT" {
-			b.WriteString(" ")
-		}
-		writeExprFP(b, n.Child, lits)
-	case *IsNullExpr:
-		writeExprFP(b, n.Child, lits)
-		if n.Negate {
-			b.WriteString(" IS NOT NULL")
-		} else {
-			b.WriteString(" IS NULL")
-		}
-	case *LikeExpr:
-		writeExprFP(b, n.Child, lits)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" LIKE ?")
-		*lits = append(*lits, relation.String_(n.Pattern))
-	case *InExpr:
-		writeExprFP(b, n.Child, lits)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" IN (")
-		if n.Sub != nil {
-			writeStmtFP(b, n.Sub, lits)
-		} else {
-			for i, item := range n.List {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				writeExprFP(b, item, lits)
-			}
-		}
-		b.WriteString(")")
-	case *BetweenExpr:
-		writeExprFP(b, n.Child, lits)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" BETWEEN ")
-		writeExprFP(b, n.Lo, lits)
-		b.WriteString(" AND ")
-		writeExprFP(b, n.Hi, lits)
-	case *FuncCall:
-		b.WriteString(n.Name + "(")
-		if n.Star {
-			b.WriteString("*")
-		} else {
-			writeExprFP(b, n.Arg, lits)
-		}
-		b.WriteString(")")
-	default:
-		// Unknown node kinds render verbatim; they simply never share a
-		// fingerprint with anything differently rendered.
-		b.WriteString(e.SQL())
-	}
-}
-
 // stmtTreeReferencesConfidence reports whether the statement — or any
 // nested subquery — mentions the _confidence pseudo-column. Plans for
 // such statements can bake confidence-dependent values in (materialized
@@ -215,27 +43,21 @@ func stmtTreeReferencesConfidence(s *SelectStmt) bool {
 		if stmtReferencesConfidence(s) {
 			return true
 		}
-		if s.From.Sub != nil && stmtTreeReferencesConfidence(s.From.Sub) {
-			return true
-		}
-		for _, j := range s.Joins {
-			if j.Table.Sub != nil && stmtTreeReferencesConfidence(j.Table.Sub) {
+		for _, tr := range fromTables(s) {
+			if tr.Sub != nil && stmtTreeReferencesConfidence(tr.Sub) {
 				return true
 			}
 		}
-		if anySubqueryReferencesConfidence(s.Where) || anySubqueryReferencesConfidence(s.Having) {
-			return true
+		for _, e := range blockExprs(s) {
+			found := false
+			walkExpr(e, func(n ExprNode) {
+				in, ok := n.(*InExpr)
+				found = found || ok && in.Sub != nil && stmtTreeReferencesConfidence(in.Sub)
+			})
+			if found {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-func anySubqueryReferencesConfidence(e ExprNode) bool {
-	found := false
-	walkExpr(e, func(n ExprNode) {
-		if in, ok := n.(*InExpr); ok && in.Sub != nil && stmtTreeReferencesConfidence(in.Sub) {
-			found = true
-		}
-	})
-	return found
 }

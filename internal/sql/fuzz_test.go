@@ -8,26 +8,38 @@ import (
 	"pcqe/internal/relation"
 )
 
+// The seed corpora of FuzzParse and FuzzExec, shared with the renderer
+// pins and the planner differential (corpusSelects).
+var fuzzParseSeeds = []string{
+	"SELECT a FROM t",
+	"SELECT DISTINCT a, b AS x FROM t JOIN u ON t.a = u.a WHERE a < 10 ORDER BY a DESC LIMIT 3 OFFSET 1",
+	"SELECT COUNT(*), SUM(x) FROM t GROUP BY a HAVING COUNT(*) > 1",
+	"SELECT a FROM t UNION SELECT a FROM u INTERSECT SELECT a FROM v",
+	"SELECT a FROM (SELECT a FROM t) s WHERE a IN (SELECT a FROM u)",
+	"SELECT a FROM t WHERE x BETWEEN 1 AND 2 OR name LIKE 'a%' AND y IS NOT NULL",
+	"SELECT 'it''s', 1.5e-3, -2, TRUE, NULL FROM t",
+	"SELECT \"count\" FROM \"t\"",
+	"SELECT a FROM t -- comment\nWHERE a = 1;",
+	"SELECT",
+	"SELEC a FROM t",
+	"((((",
+	"'unterminated",
+	"SELECT a FROM t WHERE a = = 1",
+}
+
+var fuzzExecSeeds = []string{
+	"SELECT Company FROM Proposal WHERE Funding < 1000000",
+	"INSERT INTO Proposal VALUES ('x', 'y', 1.0)",
+	"UPDATE Proposal SET Funding = Funding * 2",
+	"DELETE FROM Proposal WHERE Company = 'ZStart'",
+	"CREATE TABLE t2 (a INT)",
+	"SELECT * FROM Proposal CROSS JOIN CompanyInfo",
+}
+
 // FuzzParse asserts the parser never panics and that anything it accepts
 // renders back to SQL that parses again (closure under canonicalization).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT a FROM t",
-		"SELECT DISTINCT a, b AS x FROM t JOIN u ON t.a = u.a WHERE a < 10 ORDER BY a DESC LIMIT 3 OFFSET 1",
-		"SELECT COUNT(*), SUM(x) FROM t GROUP BY a HAVING COUNT(*) > 1",
-		"SELECT a FROM t UNION SELECT a FROM u INTERSECT SELECT a FROM v",
-		"SELECT a FROM (SELECT a FROM t) s WHERE a IN (SELECT a FROM u)",
-		"SELECT a FROM t WHERE x BETWEEN 1 AND 2 OR name LIKE 'a%' AND y IS NOT NULL",
-		"SELECT 'it''s', 1.5e-3, -2, TRUE, NULL FROM t",
-		"SELECT \"count\" FROM \"t\"",
-		"SELECT a FROM t -- comment\nWHERE a = 1;",
-		"SELECT",
-		"SELEC a FROM t",
-		"((((",
-		"'unterminated",
-		"SELECT a FROM t WHERE a = = 1",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzParseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -77,15 +89,7 @@ func FuzzParseStatement(f *testing.F) {
 // FuzzExec runs arbitrary statements against a small catalog: no panics,
 // and the catalog stays structurally sound.
 func FuzzExec(f *testing.F) {
-	seeds := []string{
-		"SELECT Company FROM Proposal WHERE Funding < 1000000",
-		"INSERT INTO Proposal VALUES ('x', 'y', 1.0)",
-		"UPDATE Proposal SET Funding = Funding * 2",
-		"DELETE FROM Proposal WHERE Company = 'ZStart'",
-		"CREATE TABLE t2 (a INT)",
-		"SELECT * FROM Proposal CROSS JOIN CompanyInfo",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzExecSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -2,17 +2,16 @@ package sql
 
 import (
 	"fmt"
-	"sort"
 
 	"pcqe/internal/relation"
 )
 
-// This file is the cost-based FROM+WHERE planner: statistics-driven
-// join reordering with predicate and projection pushdown. It covers the
-// fragment "inner equi/theta joins over base tables"; anything outside
-// (derived tables, _confidence, unresolvable or ambiguous references)
-// falls back to the rule-based statement-order plan so semantics and
-// error messages stay exactly as before.
+// This file is the FROM+WHERE planner: statistics-driven join ordering
+// with predicate and projection pushdown, total over the supported
+// grammar. A base table is a relation with statistics and indexes, a
+// derived table one with neither; a single relation is the n = 1 case of
+// the same code, planned without collecting statistics because there is
+// no order or algorithm to choose.
 
 // maxDPRels bounds the dynamic-programming join-order search; beyond
 // it the planner switches to the greedy heuristic directly (the DP
@@ -42,17 +41,20 @@ func (bs *budgetState) poll() bool {
 	return !bs.exhausted
 }
 
-// planRel is one base relation of the join, carrying its access-path
-// leaf (scan or index probe, with the pushed-down filter and the pruned
-// column set inside it) and cardinality estimates.
+// planRel is one relation of the join, carrying its operator (for a
+// base table the access-path leaf, with the pushed-down filter and the
+// pruned column set inside it) and cardinality estimates.
 type planRel struct {
 	op     relation.Operator
-	tab    *relation.Table
 	schema *relation.Schema // schema of op (post-rename, post-prune)
-	stats  *relation.TableStats
-	rows   float64 // estimated output rows after pushed filters
-	cost   float64 // estimated rows read (base rows, or fewer via index)
-	keep   []int   // schema index -> base column index (identity sans pruning)
+	// tab and stats are nil for a derived table, stats also for a base
+	// table planned alone: estimates then rest on the row count and the
+	// textbook selectivities, and no index join can probe the relation.
+	tab   *relation.Table
+	stats *relation.TableStats
+	rows  float64 // estimated output rows after pushed filters
+	cost  float64 // estimated rows read (base rows, or fewer via index)
+	keep  []int   // schema index -> base column index (identity sans pruning)
 }
 
 func (r *planRel) baseCol(schemaIdx int) int {
@@ -62,10 +64,24 @@ func (r *planRel) baseCol(schemaIdx int) int {
 	return r.keep[schemaIdx]
 }
 
+// colStats returns the collected statistics of a column (by schema
+// index), nil when the relation has none.
+func (r *planRel) colStats(schemaIdx int) *relation.ColumnStats {
+	base := r.baseCol(schemaIdx)
+	if r.stats == nil || base < 0 || base >= len(r.stats.Cols) {
+		return nil
+	}
+	return &r.stats.Cols[base]
+}
+
 // distinctOf estimates the distinct count of a column (by schema
-// index), capped by the relation's current row estimate.
+// index), capped by the relation's current row estimate; without
+// statistics every row counts as its own value.
 func (r *planRel) distinctOf(schemaIdx int) float64 {
-	d := r.stats.DistinctOf(r.baseCol(schemaIdx))
+	d := r.rows
+	if r.stats != nil {
+		d = r.stats.DistinctOf(r.baseCol(schemaIdx))
+	}
 	if d > r.rows && r.rows >= 1 {
 		d = r.rows
 	}
@@ -104,142 +120,164 @@ type joinNode struct {
 	origins []colOrigin
 }
 
-// planCostBased attempts a cost-based plan for the statement's
-// FROM+WHERE block. It returns (nil, nil) when the statement is outside
-// the supported fragment — the caller then uses the rule-based path.
-func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf int64) (relation.Operator, error) {
-	if len(stmt.Joins) == 0 {
-		return nil, nil // nothing to reorder
-	}
-
-	// Base relations. Derived tables have no statistics: bail.
-	refs := []TableRef{stmt.From}
-	for _, j := range stmt.Joins {
-		refs = append(refs, j.Table)
-	}
-	rels := make([]*planRel, len(refs))
-	for i, tr := range refs {
-		if tr.Sub != nil {
-			return nil, nil
-		}
-		tab, err := cat.Table(tr.Name)
-		if err != nil {
-			return nil, nil // rule-based path reports the error with position
-		}
-		var op relation.Operator = tab.Scan()
-		if tr.Alias != "" {
-			op = &relation.Rename{Input: op, Alias: tr.Alias}
-		}
-		st := tab.Stats()
-		schema := op.Schema()
-		keep := make([]int, schema.Len())
-		for c := range keep {
-			keep[c] = c
-		}
-		rels[i] = &planRel{
-			op: op, tab: tab, schema: schema, stats: st,
-			rows: float64(st.Rows), cost: float64(st.Rows), keep: keep,
-		}
-	}
-
-	// Combined condition: WHERE plus every ON clause, flattened into
-	// conjuncts. IN-subqueries are materialized here, exactly as the
-	// rule-based path would.
-	var conjAST []ExprNode
-	where, err := resolveSubqueries(cat, stmt.Where, asOf)
-	if err != nil {
-		return nil, err
-	}
-	if where != nil {
-		conjAST = flattenAnd(where)
-	}
-	for _, j := range stmt.Joins {
-		on, err := resolveSubqueries(cat, j.On, asOf)
+// planRelation turns one FROM entry into a relation of the join block.
+func (p *planner) planRelation(tr TableRef, withStats bool) (*planRel, error) {
+	rel := &planRel{}
+	if tr.Sub != nil {
+		// Derived table: the sub-plan's columns, re-qualified with the
+		// mandatory alias, and its row estimate.
+		sub, rows, err := p.stmt(tr.Sub)
 		if err != nil {
 			return nil, err
 		}
-		if on != nil {
-			conjAST = append(conjAST, flattenAnd(on)...)
+		rel.op, rel.rows = &relation.Rename{Input: sub, Alias: tr.Alias}, rows
+	} else {
+		tab, err := p.cat.Table(tr.Name)
+		if err != nil {
+			return nil, errAt(tr.Tok, "%v", err)
+		}
+		rel.op, rel.tab, rel.rows = tab.Scan(), tab, float64(tab.Len())
+		if tr.Alias != "" {
+			rel.op = &relation.Rename{Input: rel.op, Alias: tr.Alias}
+		}
+		if withStats {
+			rel.stats = tab.Stats()
+			rel.rows = float64(rel.stats.Rows)
+		}
+	}
+	rel.schema, rel.cost = rel.op.Schema(), rel.rows
+	rel.keep = make([]int, rel.schema.Len())
+	for c := range rel.keep {
+		rel.keep[c] = c
+	}
+	return rel, nil
+}
+
+// planJoinBlock plans a select block's FROM and WHERE clauses: every
+// conjunct of WHERE and the ON clauses is applied at the lowest point
+// that covers the relations it reads, unreferenced columns are dropped
+// at the leaves, the join order and algorithms are searched by cost, and
+// the output has the relations' columns in FROM order, followed by
+// _confidence when the block references it.
+func planJoinBlock(p *planner, stmt *SelectStmt) (relation.Operator, float64, error) {
+	refs := fromTables(stmt)
+	rels := make([]*planRel, len(refs))
+	var from *relation.Schema // the relations' schemas concatenated in FROM order
+	var owners []colOrigin    // from's columns as (relation, schema index)
+	for ri, tr := range refs {
+		rel, err := p.planRelation(tr, len(refs) > 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		if rels[ri] = rel; ri == 0 {
+			from = rel.schema
+		} else {
+			from = from.Concat(rel.schema)
+		}
+		for idx := range rel.schema.Columns {
+			owners = append(owners, colOrigin{ri, idx})
 		}
 	}
 
-	// Every identifier in the statement must resolve in exactly one
-	// relation; otherwise (unknown or ambiguous) the rule-based path
-	// owns the error message.
-	owner := func(id *Ident) (int, bool) {
-		o, ok := resolveIn(id, rels)
-		return o.rel, ok
+	// note records the columns e reads as referenced in their relations
+	// and returns the set of relations it reads; conf reports a reference
+	// to _confidence, which no relation owns, and ok is false when some
+	// other identifier is not exactly one column of from.
+	refsConf := stmtReferencesConfidence(stmt)
+	referenced := make([][]bool, len(rels)) // per relation, per column
+	for ri, rel := range rels {
+		referenced[ri] = make([]bool, rel.schema.Len())
 	}
-	resolvable := true
-	maskOf := func(e ExprNode) uint {
-		var m uint
+	note := func(e ExprNode) (mask uint, conf, ok bool) {
+		ok = true
 		walkExpr(e, func(n ExprNode) {
-			if id, ok := n.(*Ident); ok {
-				ri, ok := owner(id)
-				if !ok {
-					resolvable = false
-					return
-				}
-				m |= 1 << uint(ri)
-			}
-		})
-		return m
-	}
-
-	conjs := make([]conjunct, len(conjAST))
-	for i, e := range conjAST {
-		conjs[i] = conjunct{expr: e, mask: maskOf(e)}
-	}
-
-	// Referenced columns across the whole statement, for pruning and to
-	// validate resolvability up front.
-	hasStar := false
-	referenced := make([]map[int]bool, len(rels))
-	for i := range referenced {
-		referenced[i] = map[int]bool{}
-	}
-	noteRef := func(e ExprNode) {
-		walkExpr(e, func(n ExprNode) {
-			id, ok := n.(*Ident)
-			if !ok {
+			id, isIdent := n.(*Ident)
+			if !isIdent {
 				return
 			}
-			ri, ok := owner(id)
-			if !ok {
-				resolvable = false
+			if refsConf && isConfidenceRef(id) {
+				conf = true
 				return
 			}
-			idx, err := rels[ri].schema.Resolve(id.Qualifier, id.Name)
+			at, err := from.Resolve(id.Qualifier, id.Name)
 			if err != nil {
-				resolvable = false
+				ok = false
 				return
 			}
-			referenced[ri][idx] = true
+			referenced[owners[at].rel][owners[at].idx] = true
+			mask |= 1 << uint(owners[at].rel)
 		})
+		return mask, conf, ok
+	}
+
+	// Combined condition: WHERE plus every ON clause, IN-subqueries
+	// materialized, flattened into conjuncts. Each must compile against
+	// the FROM schema: an unknown or ambiguous column, or an aggregate,
+	// fails the statement here, with the error of that compilation. The
+	// conjuncts on _confidence wait for the attached column.
+	var conjs []conjunct
+	var onConf []ExprNode
+	full := from
+	if refsConf {
+		full = withConfidenceColumn(from)
+	}
+	conds := []ExprNode{stmt.Where}
+	for _, j := range stmt.Joins {
+		conds = append(conds, j.On)
+	}
+	for _, cond := range conds {
+		cond, err := p.resolveSubqueries(cond)
+		if err != nil {
+			return nil, 0, err
+		}
+		if cond == nil {
+			continue
+		}
+		for _, e := range flattenAnd(cond) {
+			if _, err := compileExpr(e, full); err != nil {
+				return nil, 0, err
+			}
+			mask, conf, _ := note(e)
+			if len(rels) == 1 {
+				mask = 1 // constants filter at the one leaf too
+			}
+			if conf {
+				onConf = append(onConf, e)
+			} else {
+				conjs = append(conjs, conjunct{expr: e, mask: mask})
+			}
+		}
+	}
+
+	// Referenced columns across the rest of the statement, for pruning.
+	// An identifier that resolves nowhere is an error the compilation of
+	// its clause reports (so nothing is pruned from under it) — except in
+	// ORDER BY, where it may name an output alias: compileSortKeys
+	// accepts or rejects it.
+	prune := true
+	mustResolve := func(e ExprNode) {
+		if _, _, ok := note(e); !ok {
+			prune = false
+		}
 	}
 	for _, it := range stmt.Items {
 		if it.Star {
-			hasStar = true
-			continue
+			prune = false // SELECT * reads every column
 		}
-		noteRef(it.Expr)
-	}
-	for _, e := range conjAST {
-		noteRef(e)
+		mustResolve(it.Expr)
 	}
 	for _, g := range stmt.GroupBy {
-		noteRef(g)
+		mustResolve(g)
 	}
-	noteRef(stmt.Having)
+	mustResolve(stmt.Having)
 	for _, o := range stmt.OrderBy {
-		noteRef(o.Expr)
-	}
-	if !resolvable {
-		return nil, nil
+		note(o.Expr)
 	}
 
 	// Predicate pushdown: single-relation conjuncts filter at the leaf,
-	// through the index rewrite when one applies.
+	// through the index rewrite when one applies. Projection pushdown:
+	// the leaf keeps only referenced columns; join keys and filters are
+	// referenced by construction.
 	for ri, rel := range rels {
 		var push []ExprNode
 		for _, c := range conjs {
@@ -247,39 +285,29 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 				push = append(push, c.expr)
 			}
 		}
-		if len(push) == 0 {
-			continue
-		}
-		pred, err := compileExpr(joinAndAST(push), rel.schema)
-		if err != nil {
-			return nil, nil
-		}
-		rel.op = relation.Filter(rel.op, pred)
-		rel.rows *= conjunctionSelectivity(push, rel)
-		if relation.ProbesIndex(rel.op) {
-			rel.cost = rel.rows
-		}
-	}
-
-	// Projection pushdown: keep only referenced columns (never under
-	// SELECT *). Join keys and filters are referenced by construction.
-	if !hasStar {
-		for ri, rel := range rels {
-			if len(referenced[ri]) == rel.schema.Len() {
-				continue
+		if len(push) > 0 {
+			pred, err := compileExpr(joinAndAST(push), rel.schema)
+			if err != nil {
+				return nil, 0, err
 			}
-			keep := make([]int, 0, len(referenced[ri]))
-			for idx := range referenced[ri] {
+			rel.op = relation.Filter(rel.op, pred)
+			rel.rows *= conjunctionSelectivity(push, rel)
+			if relation.ProbesIndex(rel.op) {
+				rel.cost = rel.rows
+			}
+		}
+		keep := make([]int, 0, rel.schema.Len())
+		for idx, used := range referenced[ri] {
+			if used {
 				keep = append(keep, idx)
 			}
-			sort.Ints(keep)
+		}
+		if prune && len(keep) < rel.schema.Len() {
 			rel.op = relation.Prune(rel.op, keep)
 			rel.schema = rel.op.Schema()
 			rel.keep = keep
 		}
-	}
-	for _, rel := range rels {
-		info.Notes[rel.op] = fmt.Sprintf("rows≈%.0f", rel.rows)
+		p.info.Notes[rel.op] = fmt.Sprintf("rows≈%.0f", rel.rows)
 	}
 
 	// Classify equi-join conjuncts against the (possibly pruned)
@@ -287,13 +315,67 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 	for i := range conjs {
 		classifyEquiConjunct(&conjs[i], rels)
 	}
+	root := searchJoinOrder(rels, conjs, p.info.Notes)
 
-	// Join-order search: dynamic programming over relation subsets when
-	// small enough, greedy otherwise or when the budget runs out. The
-	// subset loop is a 1<<n enumeration, hence the budget checkpoints.
+	// Residual conjuncts that reference no relation (constant folds):
+	// apply on top.
+	op := root.op
+	var consts []ExprNode
+	for _, c := range conjs {
+		if c.mask == 0 {
+			consts = append(consts, c.expr)
+		}
+	}
+	if len(consts) > 0 {
+		pred, err := compileExpr(joinAndAST(consts), root.schema)
+		if err != nil {
+			return nil, 0, err
+		}
+		op = &relation.Select{Input: op, Pred: pred}
+	}
+
+	// Restore statement column order: downstream compilation (and
+	// SELECT *) expects the relations' columns concatenated in FROM
+	// order, which the join search may have permuted.
+	offset := make([]int, len(rels)+1) // of each relation's columns in FROM order
+	for ri, rel := range rels {
+		offset[ri+1] = offset[ri] + rel.schema.Len()
+	}
+	indices := make([]int, len(root.origins))
+	identity := true
+	for i, o := range root.origins {
+		indices[offset[o.rel]+o.idx] = i
+		identity = identity && offset[o.rel]+o.idx == i
+	}
+	if !identity {
+		op = &relation.ColumnMap{Input: op, Indices: indices}
+	}
+
+	// The _confidence pseudo-column: each row's lineage probability
+	// (under the catalog's confidences) as an extra REAL column after the
+	// whole FROM block — the value the policy layer computes for the
+	// final results of a select-project query — and above it the
+	// conjuncts that read it.
+	if refsConf {
+		op = &relation.AttachConfidence{Input: op, Assign: p.cat}
+		if len(onConf) > 0 {
+			pred, err := compileExpr(joinAndAST(onConf), op.Schema())
+			if err != nil {
+				return nil, 0, err
+			}
+			op = &relation.Select{Input: op, Pred: pred}
+		}
+	}
+	return op, root.rows, nil
+}
+
+// searchJoinOrder picks the join order and algorithms: dynamic
+// programming over relation subsets when small enough, greedy otherwise
+// or when the budget runs out. The subset loop is a 1<<n enumeration,
+// hence the budget checkpoints. One relation is its own best plan.
+func searchJoinOrder(rels []*planRel, conjs []conjunct, notes map[relation.Operator]string) *joinNode {
 	n := len(rels)
 	bs := &budgetState{maxNodes: dpNodeBudget}
-	var root *joinNode
 	if n <= maxDPRels {
 		best := make([]*joinNode, 1<<uint(n))
 		for ri := range rels {
@@ -317,62 +399,17 @@ func planCostBased(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, asOf
 				if left == nil {
 					continue
 				}
-				cand := joinStep(left, int(bit), rels, conjs, info.Notes)
+				cand := joinStep(left, int(bit), rels, conjs, notes)
 				if best[mask] == nil || cand.cost < best[mask].cost {
 					best[mask] = cand
 				}
 			}
 		}
 		if complete {
-			root = best[(uint(1)<<uint(n))-1]
+			return best[(uint(1)<<uint(n))-1]
 		}
 	}
-	if root == nil {
-		root = greedyOrder(bs, rels, conjs, info.Notes)
-	}
-
-	// Residual conjuncts that reference no relation (constant folds):
-	// apply on top.
-	op := root.op
-	var consts []ExprNode
-	for _, c := range conjs {
-		if c.mask == 0 {
-			consts = append(consts, c.expr)
-		}
-	}
-	if len(consts) > 0 {
-		pred, err := compileExpr(joinAndAST(consts), root.schema)
-		if err != nil {
-			return nil, nil
-		}
-		op = &relation.Select{Input: op, Pred: pred}
-	}
-
-	// Restore statement column order: downstream compilation (and
-	// SELECT *) expects the relations' columns concatenated in FROM
-	// order, which the join search may have permuted.
-	var want []colOrigin
-	for ri, rel := range rels {
-		for idx := range rel.schema.Columns {
-			want = append(want, colOrigin{ri, idx})
-		}
-	}
-	pos := make(map[colOrigin]int, len(root.origins))
-	for i, o := range root.origins {
-		pos[o] = i
-	}
-	indices := make([]int, len(want))
-	identity := true
-	for i, o := range want {
-		indices[i] = pos[o]
-		if indices[i] != i {
-			identity = false
-		}
-	}
-	if !identity {
-		op = &relation.ColumnMap{Input: op, Indices: indices}
-	}
-	return op, nil
+	return greedyOrder(bs, rels, conjs, notes)
 }
 
 // classifyEquiConjunct marks a conjunct as a hash-joinable equi-join
@@ -485,6 +522,9 @@ func joinStep(left *joinNode, ri int, rels []*planRel, conjs []conjunct, notes m
 	const inlProbeCost, inlFetchCost = 8.0, 12.0
 	inlKey, costINL := -1, 0.0
 	for k, col := range keysR {
+		if rel.tab == nil {
+			continue // a derived table has no index to probe
+		}
 		base := rel.baseCol(col)
 		if _, ok := rel.tab.IndexOn(base); !ok {
 			continue
@@ -533,10 +573,9 @@ func joinStep(left *joinNode, ri int, rels []*planRel, conjs []conjunct, notes m
 	}
 	notes[node.op] = fmt.Sprintf("rows≈%.0f cost≈%.0f", outRows, node.cost)
 	if len(residual) > 0 {
-		// The identifiers were validated up front, so this compiles.
-		if pred, err := compileExpr(joinAndAST(residual), node.schema); err != nil {
-			return node
-		} else if nl != nil {
+		// Every conjunct compiled against the FROM schema up front, and
+		// node.schema holds the columns it reads: this cannot fail.
+		if pred, _ := compileExpr(joinAndAST(residual), node.schema); nl != nil {
 			nl.Pred = pred
 		} else {
 			node.op = &relation.Select{Input: node.op, Pred: pred}
@@ -661,9 +700,8 @@ func filterSelectivity(e ExprNode, rel *planRel) float64 {
 	case *IsNullExpr:
 		if id, ok := n.Child.(*Ident); ok {
 			if idx, err := rel.schema.Resolve(id.Qualifier, id.Name); err == nil {
-				base := rel.baseCol(idx)
-				if base >= 0 && base < len(rel.stats.Cols) && rel.stats.Rows > 0 {
-					s := float64(rel.stats.Cols[base].Nulls) / float64(rel.stats.Rows)
+				if cs := rel.colStats(idx); cs != nil && rel.stats.Rows > 0 {
+					s := float64(cs.Nulls) / float64(rel.stats.Rows)
 					if n.Negate {
 						s = 1 - s
 					}
@@ -675,9 +713,8 @@ func filterSelectivity(e ExprNode, rel *planRel) float64 {
 	case *LikeExpr:
 		return 0.25
 	case *InExpr:
-		return inSelectivity(n.Child, len(n.List), n.Negate, rel)
-	case *resolvedIn:
-		return inSelectivity(n.Child, len(n.Set), n.Negate, rel)
+		// A literal list or a materialized subquery: one of the two is empty.
+		return inSelectivity(n.Child, len(n.List)+len(n.set), n.Negate, rel)
 	case *BetweenExpr:
 		return 0.25
 	}
@@ -759,11 +796,10 @@ func rangeBound(n *BinaryExpr, rel *planRel) (idx int, frac float64, upper, ok b
 	if err != nil {
 		return 0, 0, false, false
 	}
-	base := rel.baseCol(idx)
-	if base < 0 || base >= len(rel.stats.Cols) {
+	cs := rel.colStats(idx)
+	if cs == nil {
 		return 0, 0, false, false
 	}
-	cs := rel.stats.Cols[base]
 	lo, lok := cs.Min.AsFloat()
 	hi, hok := cs.Max.AsFloat()
 	c, cok := litValue(lit).AsFloat()

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,15 +107,38 @@ var servingShapes = map[string]string{
 	"region_shared":   "SELECT DISTINCT Region" + servingJoin + "Item >= 300 AND Item < 308",
 }
 
-// TestServingShapePlans pins what the cost-based planner does with the
-// benchmark's shapes: which join operator it prices cheapest, that the
-// leaf carries filter and pruning itself (no Select or ColumnMap stacked
-// on a scan), and that an interval on one column is estimated as an
-// interval.
+// servingVariants are point_hot's lookup and three rewordings of
+// item_join — an output alias in ORDER BY, a _confidence conjunct, a
+// derived table — that must plan as item_join does: the Item filter
+// inside the Orders leaf.
+var servingVariants = map[string]string{
+	"point":              "SELECT Name, Region, Rating FROM Suppliers WHERE Name = 'S00977'",
+	"item_join_alias":    "SELECT Suppliers.Name AS n, Orders.Amount" + servingJoin + "Item = 417 ORDER BY n",
+	"item_join_conf":     "SELECT Suppliers.Name, Orders.Amount" + servingJoin + "Item = 417 AND _confidence > 0.2",
+	"item_join_subquery": "SELECT s.Name, Orders.Amount FROM (SELECT Name FROM Suppliers WHERE Rating > 4.5) AS s JOIN Orders ON s.Name = Orders.Supplier WHERE Item = 417",
+}
+
+// allServingShapes is servingShapes and servingVariants together.
+func allServingShapes() map[string]string {
+	all := map[string]string{}
+	for _, m := range []map[string]string{servingShapes, servingVariants} {
+		for shape, q := range m {
+			all[shape] = q
+		}
+	}
+	return all
+}
+
+// TestServingShapePlans pins what the planner does with the benchmark's
+// shapes: which join operator it prices cheapest, that the leaf carries
+// filter and pruning itself (no Select or ColumnMap stacked on a scan;
+// the one Select allowed is the _confidence conjunct above
+// AttachConfidence), and that an interval on one column is estimated as
+// an interval.
 func TestServingShapePlans(t *testing.T) {
 	cat := servingCatalog(t)
 	plans := map[string]string{}
-	for shape, q := range servingShapes {
+	for shape, q := range allServingShapes() {
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +151,12 @@ func TestServingShapePlans(t *testing.T) {
 		plans[shape] = plan
 		lines := strings.Split(plan, "\n")
 		for i, line := range lines {
-			stacked := strings.Contains(line, "ColumnMap") && i+1 < len(lines) && strings.Contains(lines[i+1], "Scan ")
-			if strings.Contains(line, "Select") || stacked {
+			next := ""
+			if i+1 < len(lines) {
+				next = lines[i+1]
+			}
+			stacked := strings.Contains(line, "ColumnMap") && strings.Contains(next, "Scan ")
+			if strings.Contains(line, "Select") && !strings.Contains(next, "AttachConfidence") || stacked {
 				t.Errorf("%s: filter or pruning left outside the leaf:\n%s", shape, plan)
 			}
 		}
@@ -137,6 +167,12 @@ func TestServingShapePlans(t *testing.T) {
 		"distinct_item": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417) cols [Supplier, Item]"},
 		"distinct_join": {"HashJoin (Orders.Supplier = Suppliers.Name)", "Scan Orders filter (Orders.Amount > 93) cols [Supplier, Amount]", "Scan Suppliers filter (Suppliers.Rating > 3.7) cols [Name, Rating]"},
 		"region_shared": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name, Region]"},
+
+		"point":              {"IndexScan Suppliers (Name = S00977) -- "},
+		"region_distinct":    {"Scan Suppliers filter (Suppliers.Rating > 3.125) cols [Region, Rating]"},
+		"item_join_alias":    {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417)"},
+		"item_join_conf":     {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417)", "Select ((_confidence > 0.2))\n   └─ AttachConfidence"},
+		"item_join_subquery": {"Scan Orders filter (Orders.Item = 417)", "Scan Suppliers filter (Suppliers.Rating > 4.5) cols [Name, Rating]"},
 	} {
 		for _, w := range want {
 			if !strings.Contains(plans[shape], w) {
@@ -174,9 +210,9 @@ func TestServingShapePlans(t *testing.T) {
 }
 
 // TestCostBasedMatchesRuleBased is the planner's differential guard:
-// for every corpus query the cost-based plan must return the same
+// for every corpus query the engine's plan must return the same
 // multiset of rows, the same schema column names, and confidences
-// within 1e-12 of the rule-based statement-order plan.
+// within 1e-12 of the reference's statement-order plan (PlanRuleBased).
 func TestCostBasedMatchesRuleBased(t *testing.T) {
 	ventureQueries := []string{
 		`SELECT DISTINCT CompanyInfo.Company, Income
@@ -195,6 +231,19 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 		`SELECT Income FROM CompanyInfo WHERE Company IN (SELECT Company FROM Proposal)`,
 		`SELECT Company FROM Proposal WHERE _confidence > 0.35`,
 		`SELECT Company, Income FROM CompanyInfo ORDER BY Income LIMIT 1`,
+		// The corners the join planner is total over: HAVING past
+		// comparisons, ORDER BY on a column the projection drops, a
+		// constant conjunct over a cross join, _confidence over a
+		// self-join, a derived table in a join.
+		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company LIKE 'Z%'`,
+		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING COUNT(*) BETWEEN 2 AND 5`,
+		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company IN ('AcmeSoft', 'nope')`,
+		`SELECT Company FROM Proposal ORDER BY Funding DESC`,
+		`SELECT Proposal.Company, Income FROM Proposal, CompanyInfo WHERE 1 = 1 AND Income > 100000`,
+		`SELECT a.Proposal, b.Proposal, _confidence FROM Proposal a JOIN Proposal b ON a.Company = b.Company
+		  WHERE a.Proposal < b.Proposal AND _confidence > 0.1`,
+		`SELECT t.Company, Income FROM (SELECT Company, SUM(Funding) AS total FROM Proposal GROUP BY Company) t
+		   JOIN CompanyInfo ON t.Company = CompanyInfo.Company WHERE t.total > 1000000`,
 	}
 	starQueries := []string{
 		`SELECT fact.amount, dim1.attr, dim2.attr
@@ -216,41 +265,8 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			ruleOp, err := PlanRuleBased(cat, stmt)
-			if err != nil {
-				t.Fatalf("%s: rule-based: %v", q, err)
-			}
-			ruleRows, err := relation.Run(ruleOp)
-			if err != nil {
-				t.Fatalf("%s: rule-based run: %v", q, err)
-			}
-			costOp, info, err := PlanDetailedAt(cat, stmt, 0)
-			if err != nil {
-				t.Fatalf("%s: cost-based: %v", q, err)
-			}
-			costRows, err := relation.Run(costOp)
-			if err != nil {
-				t.Fatalf("%s: cost-based run: %v", q, err)
-			}
-			if got, want := schemaNames(costOp.Schema()), schemaNames(ruleOp.Schema()); got != want {
-				t.Fatalf("%s: schema %q, want %q", q, got, want)
-			}
-			if len(costRows) != len(ruleRows) {
-				t.Fatalf("%s: %d rows (cost-based, info=%+v), want %d", q, len(costRows), info, len(ruleRows))
-			}
-			rk := sortedKeys(ruleRows)
-			ck := sortedKeys(costRows)
-			for i := range rk {
-				if rk[i] != ck[i] {
-					t.Fatalf("%s: row multiset differs at %d: %q vs %q", q, i, ck[i], rk[i])
-				}
-			}
-			rc := sortedConfs(cat, ruleRows)
-			cc := sortedConfs(cat, costRows)
-			for i := range rc {
-				if math.Abs(rc[i]-cc[i]) > 1e-12 {
-					t.Fatalf("%s: confidence %d: %v vs %v", q, i, cc[i], rc[i])
-				}
+			if ruleErr, costErr := planBothWays(t, cat, stmt); ruleErr != nil || costErr != nil {
+				t.Fatalf("%s: rule-based: %v, cost-based: %v", q, ruleErr, costErr)
 			}
 		}
 	}
@@ -271,11 +287,145 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 	})
 	t.Run("serving", func(t *testing.T) {
 		var queries []string
-		for _, q := range servingShapes {
+		for _, q := range allServingShapes() {
 			queries = append(queries, q)
 		}
 		run(t, servingCatalog(t), queries)
 	})
+	// Every SELECT of the fuzz corpora that both planners accept, over
+	// tables shaped for them.
+	t.Run("corpus", func(t *testing.T) {
+		cat := corpusCatalog(t)
+		compared := 0
+		for _, q := range corpusSelects(t) {
+			stmt, err := Parse(q)
+			if err != nil {
+				continue
+			}
+			if ruleErr, costErr := planBothWays(t, cat, stmt); fmt.Sprint(ruleErr) != fmt.Sprint(costErr) {
+				t.Errorf("%s: rule-based: %v, cost-based: %v", q, ruleErr, costErr)
+			} else if ruleErr == nil {
+				compared++
+			}
+		}
+		if compared < 8 {
+			t.Errorf("only %d corpus statements ran through both planners", compared)
+		}
+	})
+	// A statement both planners refuse, they refuse alike — whether at
+	// plan time or, for a comparison of mixed types, when it runs.
+	t.Run("errors", func(t *testing.T) {
+		cat := ventureCatalog(t)
+		for _, q := range []string{
+			`SELECT x FROM Proposal`,
+			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company WHERE nope = 1`,
+			`SELECT Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company`,
+			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company WHERE Company = 'x'`,
+			`SELECT Proposal.Company FROM Proposal JOIN Nope ON Proposal.Company = Nope.Company`,
+			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Income`,
+			`SELECT Company FROM Proposal WHERE COUNT(*) > 1`,
+			`SELECT a.Company FROM Proposal a JOIN CompanyInfo b ON a.Company = b.Company WHERE COUNT(a.Funding) > b.Income`,
+			`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company IN (SELECT Company FROM CompanyInfo)`,
+		} {
+			stmt, err := Parse(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			ruleErr, costErr := planBothWays(t, cat, stmt)
+			if ruleErr == nil || costErr == nil || ruleErr.Error() != costErr.Error() {
+				t.Errorf("%s:\n  rule-based: %v\n  cost-based: %v", q, ruleErr, costErr)
+			}
+		}
+	})
+}
+
+// planBothWays plans and runs stmt with the reference planner and with
+// the engine's. When both succeed it fails the test unless they agree on
+// the schema's column names, the multiset of rows and every confidence
+// to 1e-12; otherwise it returns the two errors, plan-time or run-time.
+func planBothWays(t *testing.T, cat *relation.Catalog, stmt *SelectStmt) (ruleErr, costErr error) {
+	t.Helper()
+	q := stmt.SQL()
+	ruleOp, ruleErr := PlanRuleBased(cat, stmt)
+	var ruleRows, costRows []*relation.Tuple
+	if ruleErr == nil {
+		ruleRows, ruleErr = relation.Run(ruleOp)
+	}
+	costOp, info, costErr := PlanDetailedAt(cat, stmt, 0)
+	if costErr == nil {
+		costRows, costErr = relation.Run(costOp)
+	}
+	if ruleErr != nil || costErr != nil {
+		return ruleErr, costErr
+	}
+	if got, want := schemaNames(costOp.Schema()), schemaNames(ruleOp.Schema()); got != want {
+		t.Fatalf("%s: schema %q, want %q", q, got, want)
+	}
+	if len(costRows) != len(ruleRows) {
+		t.Fatalf("%s: %d rows (cost-based, info=%+v), want %d", q, len(costRows), info, len(ruleRows))
+	}
+	rk := sortedKeys(ruleRows)
+	ck := sortedKeys(costRows)
+	for i := range rk {
+		if rk[i] != ck[i] {
+			t.Fatalf("%s: row multiset differs at %d: %q vs %q", q, i, ck[i], rk[i])
+		}
+	}
+	rc := sortedConfs(cat, ruleRows)
+	cc := sortedConfs(cat, costRows)
+	for i := range rc {
+		if math.Abs(rc[i]-cc[i]) > 1e-12 {
+			t.Fatalf("%s: confidence %d: %v vs %v", q, i, cc[i], rc[i])
+		}
+	}
+	return nil, nil
+}
+
+// corpusCatalog holds the tables the fuzz corpora name: t, u and v with
+// the columns their seeds read, beside the venture tables of FuzzExec.
+func corpusCatalog(t *testing.T) *relation.Catalog {
+	t.Helper()
+	cat := ventureCatalog(t)
+	_, err := ExecScript(cat, `
+		CREATE TABLE t (a INT, b INT, x INT, y REAL, name TEXT, "count" INT);
+		CREATE TABLE u (a INT);
+		CREATE TABLE v (a INT);
+		INSERT INTO t VALUES (1, 10, 1, 0.5, 'ab', 7), (2, 20, 2, NULL, 'b', 8), (2, 30, 3, 1.5, 'ac', 9) WITH CONFIDENCE 0.6;
+		INSERT INTO t VALUES (11, 40, 1, 2.5, 'a', 7) WITH CONFIDENCE 0.3;
+		INSERT INTO u VALUES (1), (2), (3) WITH CONFIDENCE 0.8;
+		INSERT INTO v VALUES (2), (3) WITH CONFIDENCE 0.7;
+		CREATE INDEX ON u (a)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// corpusSelects returns the seeds of FuzzParse and FuzzExec and the
+// inputs committed under testdata/fuzz/FuzzParse.
+func corpusSelects(t *testing.T) []string {
+	t.Helper()
+	out := append(append([]string{}, fuzzParseSeeds...), fuzzExecSeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzParse", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if lit, ok := strings.CutPrefix(line, "string("); ok {
+				s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					t.Fatalf("%s: %v", f, err)
+				}
+				out = append(out, s)
+			}
+		}
+	}
+	return out
 }
 
 func schemaNames(s *relation.Schema) string {
@@ -315,8 +465,13 @@ func TestCostBasedReordersStarJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Message, "cost-based") {
-		t.Fatalf("message %q lacks cost-based marker", res.Message)
+	if res.Message != "plan (lineage read-once)" {
+		t.Fatalf("message = %q", res.Message)
+	}
+	// Statement order joins fact with dim1 first; the filtered dim2 (two
+	// of its five rows) must be in the first join instead.
+	if d1, d2 := strings.Index(res.Plan, "Scan dim1"), strings.Index(res.Plan, "Scan dim2"); d2 < 0 || d1 < d2 {
+		t.Errorf("join order not changed: dim2 should be joined before dim1:\n%s", res.Plan)
 	}
 	if !strings.Contains(res.Plan, "HashJoin") {
 		t.Errorf("plan should use hash joins:\n%s", res.Plan)

@@ -210,6 +210,31 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	}
 }
 
+// TestPlanCacheConfidenceInOnClause: a _confidence reference inside an
+// ON clause's IN-subquery bakes a confidence-dependent key set into the
+// plan just as one in WHERE does, so the entry must follow the
+// confidence epoch.
+func TestPlanCacheConfidenceInOnClause(t *testing.T) {
+	cat, tab := cacheCatalog(t)
+	pc := NewPlanCache(8)
+	const q = `SELECT a.v FROM T a JOIN T b ON a.v = b.v AND b.v IN (SELECT v FROM T WHERE _confidence > 0.5)`
+	rows, _, err := cachedLatest(pc, cat, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(rows)
+	if err := cat.SetConfidence(tab.Rows()[0].Var, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err = cachedLatest(pc, cat, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != before+1 {
+		t.Fatalf("after SetConfidence the cache served %d rows, want %d", len(rows), before+1)
+	}
+}
+
 func TestPlanCacheEvictionRespectsCapacity(t *testing.T) {
 	cat, _ := cacheCatalog(t)
 	pc := NewPlanCache(3)

@@ -12,10 +12,6 @@ type PlanInfo struct {
 	// Notes annotates operators with cardinality/cost estimates for
 	// EXPLAIN (see relation.ExplainAnnotated).
 	Notes map[relation.Operator]string
-	// CostBased reports whether the cost-based join planner produced at
-	// least one select block of the plan (false when every block fell
-	// back to the rule-based statement-order path).
-	CostBased bool
 	// LineageHint is a static prediction of result-formula complexity:
 	// "read-once" when the statement's shape guarantees every result
 	// lineage is read-once (no DISTINCT, aggregation, deduplicating set
@@ -24,57 +20,66 @@ type PlanInfo struct {
 	LineageHint string
 }
 
+// planner carries what planning one statement shares across its select
+// blocks, derived tables and IN-subqueries.
+type planner struct {
+	cat *relation.Catalog
+	// asOf is the committed version plan-time evaluation (IN-subquery
+	// materialization) reads; <= 0 is the latest committed state.
+	asOf int64
+	info *PlanInfo
+	// fromWhere plans the FROM and WHERE clauses of one select block and
+	// estimates the rows they produce: planJoinBlock for every statement
+	// the engine runs, planFromWhere under PlanRuleBased only.
+	fromWhere func(*planner, *SelectStmt) (relation.Operator, float64, error)
+}
+
+func newPlanner(cat *relation.Catalog, asOf int64) *planner {
+	return &planner{cat: cat, asOf: asOf, info: &PlanInfo{Notes: map[relation.Operator]string{}}, fromWhere: planJoinBlock}
+}
+
 // PlanDetailedAt compiles a parsed statement into a relational operator
 // tree over the catalog's tables, with the planner's metadata (cost
 // annotations, lineage hint). The resulting operator propagates
 // lineage, so running it yields tuples whose confidence the catalog can
-// compute. Join order and access paths are chosen by estimated cost
-// where the statement shape allows it, falling back to the rule-based
-// statement-order plan otherwise. Plan-time evaluation (IN-subquery
+// compute. Join order, join algorithms and access paths are chosen by
+// estimated cost (optimize.go). Plan-time evaluation (IN-subquery
 // materialization) is pinned to committed version asOf (asOf <= 0 reads
 // the latest committed state). Scans in the returned tree are not
 // pinned — run it with relation.RunAt at the same version to pin the
 // whole execution.
 func PlanDetailedAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, *PlanInfo, error) {
-	info := &PlanInfo{Notes: map[relation.Operator]string{}, LineageHint: lineageHint(stmt)}
-	op, err := planStmt(cat, stmt, info, true, asOf)
+	p := newPlanner(cat, asOf)
+	p.info.LineageHint = lineageHint(stmt)
+	op, _, err := p.stmt(stmt)
 	if err != nil {
 		return nil, nil, err
 	}
-	return op, info, nil
+	return op, p.info, nil
 }
 
-// PlanRuleBased compiles the statement with the pre-cost-model planner:
-// joins in statement order, hash join whenever the ON clause is a pure
-// equi-join, no reordering or pushdown beyond the single-table filter
-// push into the leaf. Kept as the differential baseline for the cost-based path.
-func PlanRuleBased(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, error) {
-	return planStmt(cat, stmt, &PlanInfo{Notes: map[relation.Operator]string{}}, false, 0)
-}
-
-func planStmt(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBased bool, asOf int64) (relation.Operator, error) {
-	op, err := planSingle(cat, stmt, info, costBased, asOf)
+// stmt plans a (possibly compound) statement and estimates its rows.
+func (p *planner) stmt(stmt *SelectStmt) (relation.Operator, float64, error) {
+	op, rows, err := p.single(stmt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for stmt.SetOp != SetNone {
-		right, err := planSingle(cat, stmt.Next, info, costBased, asOf)
+	for ; stmt.SetOp != SetNone; stmt = stmt.Next {
+		right, more, err := p.single(stmt.Next)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		switch stmt.SetOp {
-		case SetUnion:
-			op = &relation.Union{Left: op, Right: right}
-		case SetUnionAll:
-			op = &relation.Union{Left: op, Right: right, All: true}
+		case SetUnion, SetUnionAll:
+			op = &relation.Union{Left: op, Right: right, All: stmt.SetOp == SetUnionAll}
+			rows += more
 		case SetIntersect:
 			op = &relation.Intersect{Left: op, Right: right}
 		case SetExcept:
 			op = &relation.Except{Left: op, Right: right}
 		}
-		stmt = stmt.Next
 	}
-	return op, nil
+	return op, rows, nil
 }
 
 // QuerySnap parses, plans and runs a SQL string against the snapshot's
@@ -102,50 +107,26 @@ func planAndRun(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.O
 	return op, info, rows, nil
 }
 
-func planSingle(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBased bool, asOf int64) (relation.Operator, error) {
-	var op relation.Operator
-	var err error
-
-	// Cost-based FROM+WHERE block: join reordering with predicate and
-	// projection pushdown, cost-chosen join algorithms. planCostBased
-	// returns nil (no error) when the statement shape is outside its
-	// fragment; the rule-based path below then keeps the pre-existing
-	// semantics (including its error messages).
-	if costBased && !stmtReferencesConfidence(stmt) {
-		op, err = planCostBased(cat, stmt, info, asOf)
-		if err != nil {
-			return nil, err
-		}
-		if op != nil {
-			info.CostBased = true
-		}
-	}
-	if op == nil {
-		op, err = planFromWhere(cat, stmt, asOf)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	hasAgg := stmt.Having != nil && containsAgg(stmt.Having)
-	for _, it := range stmt.Items {
-		if !it.Star && containsAgg(it.Expr) {
-			hasAgg = true
-		}
+// single plans one select block: FROM and WHERE, then aggregation or
+// projection, ORDER BY and LIMIT on top.
+func (p *planner) single(stmt *SelectStmt) (relation.Operator, float64, error) {
+	op, rows, err := p.fromWhere(p, stmt)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	pre := op
-	aggregated := len(stmt.GroupBy) > 0 || hasAgg
+	aggregated := aggregates(stmt)
 	if aggregated {
 		op, err = planAggregate(op, stmt)
-		if err != nil {
-			return nil, err
+		if len(stmt.GroupBy) == 0 {
+			rows = 1
 		}
 	} else {
 		op, err = planProjection(op, stmt)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 
 	if len(stmt.OrderBy) > 0 {
@@ -158,73 +139,26 @@ func planSingle(cat *relation.Catalog, stmt *SelectStmt, info *PlanInfo, costBas
 		case errOut == nil:
 			op = &relation.Sort{Input: op, Keys: keys}
 		case aggregated:
-			return nil, errOut
+			return nil, 0, errOut
 		default:
 			keysIn, errIn := compileSortKeys(stmt.OrderBy, pre.Schema())
 			if errIn != nil {
-				return nil, errOut
+				return nil, 0, errOut
 			}
 			sorted := &relation.Sort{Input: pre, Keys: keysIn}
 			op, err = planProjection(sorted, stmt)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 	}
 	if stmt.Limit >= 0 || stmt.Offset > 0 {
 		op = &relation.Limit{Input: op, N: stmt.Limit, Offset: stmt.Offset}
-	}
-	return op, nil
-}
-
-// planFromWhere is the rule-based FROM+WHERE block: joins in statement
-// order, then AttachConfidence when referenced, then the WHERE filter.
-func planFromWhere(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, error) {
-	// FROM clause: base table, then joins.
-	op, err := planTable(cat, stmt.From, asOf)
-	if err != nil {
-		return nil, err
-	}
-	for _, j := range stmt.Joins {
-		right, err := planTable(cat, j.Table, asOf)
-		if err != nil {
-			return nil, err
-		}
-		on, err := resolveSubqueries(cat, j.On, asOf)
-		if err != nil {
-			return nil, err
-		}
-		op, err = planJoin(op, right, on)
-		if err != nil {
-			return nil, err
+		if stmt.Limit >= 0 && float64(stmt.Limit) < rows {
+			rows = float64(stmt.Limit)
 		}
 	}
-
-	// The _confidence pseudo-column: when the statement references it,
-	// attach each row's lineage probability (under the catalog's current
-	// confidences) as an extra REAL column right after the FROM block —
-	// the same value the policy layer computes for the final results of
-	// a select-project query.
-	if stmtReferencesConfidence(stmt) {
-		op = &relation.AttachConfidence{Input: op, Assign: cat}
-	}
-
-	// WHERE (IN-subqueries are materialized first; they must be
-	// uncorrelated — no references to the outer query's columns).
-	where, err := resolveSubqueries(cat, stmt.Where, asOf)
-	if err != nil {
-		return nil, err
-	}
-	if where != nil {
-		pred, err := compileExpr(where, op.Schema())
-		if err != nil {
-			return nil, err
-		}
-		// Over a single table the filter moves into the leaf, which
-		// answers an equality conjunct from a hash index when one exists.
-		op = relation.Filter(op, pred)
-	}
-	return op, nil
+	return op, rows, nil
 }
 
 // lineageHint statically predicts whether every result formula of the
@@ -240,22 +174,13 @@ func lineageHint(stmt *SelectStmt) string {
 
 func stmtMayShare(stmt *SelectStmt, tables map[string]bool) bool {
 	for s := stmt; s != nil; s = s.Next {
-		if s.Distinct || len(s.GroupBy) > 0 || s.Having != nil {
+		if s.Distinct || s.Having != nil || aggregates(s) {
 			return true
 		}
 		if s.SetOp == SetUnion || s.SetOp == SetIntersect || s.SetOp == SetExcept {
 			return true
 		}
-		for _, it := range s.Items {
-			if !it.Star && containsAgg(it.Expr) {
-				return true
-			}
-		}
-		refs := []TableRef{s.From}
-		for _, j := range s.Joins {
-			refs = append(refs, j.Table)
-		}
-		for _, tr := range refs {
+		for _, tr := range fromTables(s) {
 			if tr.Sub != nil {
 				if stmtMayShare(tr.Sub, tables) {
 					return true
@@ -272,29 +197,53 @@ func stmtMayShare(stmt *SelectStmt, tables map[string]bool) bool {
 	return false
 }
 
+// fromTables lists a select block's table references in FROM order.
+func fromTables(s *SelectStmt) []TableRef {
+	refs := []TableRef{s.From}
+	for _, j := range s.Joins {
+		refs = append(refs, j.Table)
+	}
+	return refs
+}
+
+func isConfidenceRef(n ExprNode) bool {
+	id, ok := n.(*Ident)
+	return ok && strings.EqualFold(id.Name, relation.ConfidenceColumn)
+}
+
+// blockExprs lists every expression of one select block (nil entries
+// for SELECT * and absent clauses included).
+func blockExprs(s *SelectStmt) []ExprNode {
+	out := []ExprNode{s.Where, s.Having}
+	for _, it := range s.Items {
+		out = append(out, it.Expr)
+	}
+	for _, j := range s.Joins {
+		out = append(out, j.On)
+	}
+	out = append(out, s.GroupBy...)
+	for _, o := range s.OrderBy {
+		out = append(out, o.Expr)
+	}
+	return out
+}
+
+// aggregates reports whether the block groups its rows or calls an
+// aggregate.
+func aggregates(s *SelectStmt) bool {
+	agg := len(s.GroupBy) > 0 || containsAgg(s.Having)
+	for _, it := range s.Items {
+		agg = agg || containsAgg(it.Expr)
+	}
+	return agg
+}
+
 // stmtReferencesConfidence reports whether any expression of the single
 // select block mentions the _confidence pseudo-column.
-func stmtReferencesConfidence(stmt *SelectStmt) bool {
+func stmtReferencesConfidence(s *SelectStmt) bool {
 	found := false
-	check := func(e ExprNode) {
-		walkExpr(e, func(n ExprNode) {
-			if id, ok := n.(*Ident); ok && strings.EqualFold(id.Name, relation.ConfidenceColumn) {
-				found = true
-			}
-		})
-	}
-	for _, it := range stmt.Items {
-		if !it.Star {
-			check(it.Expr)
-		}
-	}
-	check(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		check(g)
-	}
-	check(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		check(o.Expr)
+	for _, e := range blockExprs(s) {
+		walkExpr(e, func(n ExprNode) { found = found || isConfidenceRef(n) })
 	}
 	return found
 }
@@ -311,67 +260,30 @@ func compileSortKeys(items []OrderItem, schema *relation.Schema) ([]relation.Sor
 	return keys, nil
 }
 
-func planTable(cat *relation.Catalog, tr TableRef, asOf int64) (relation.Operator, error) {
-	if tr.Sub != nil {
-		// Derived table: plan the subquery and re-qualify its output
-		// columns with the mandatory alias.
-		sub, _, err := PlanDetailedAt(cat, tr.Sub, asOf)
-		if err != nil {
-			return nil, err
-		}
-		return &relation.Rename{Input: sub, Alias: tr.Alias}, nil
-	}
-	tab, err := cat.Table(tr.Name)
-	if err != nil {
-		return nil, errAt(tr.Tok, "%v", err)
-	}
-	var op relation.Operator = tab.Scan()
-	if tr.Alias != "" {
-		op = &relation.Rename{Input: op, Alias: tr.Alias}
-	}
-	return op, nil
-}
-
-// resolvedIn is the planner-internal replacement for an IN-subquery: the
-// subquery has been evaluated and its single output column materialized
-// into a key set.
-type resolvedIn struct {
-	Child  ExprNode
-	Set    map[string]bool
-	Negate bool
-	Label  string
-}
-
-func (*resolvedIn) exprNode() {}
-
-// SQL implements Node.
-func (e *resolvedIn) SQL() string {
-	op := " IN "
-	if e.Negate {
-		op = " NOT IN "
-	}
-	return e.Child.SQL() + op + e.Label
-}
-
-// resolveSubqueries rewrites every IN (SELECT ...) under e into a
-// resolvedIn node by running the subquery at committed version asOf
-// (asOf <= 0: the latest committed state). Subqueries must be
+// resolveSubqueries returns e with every IN (SELECT ...) under it
+// materialized: the subquery is planned as this planner would plan the
+// statement, run at committed version asOf, and its one output column
+// kept as a key set on a copy of the node. Subqueries must be
 // uncorrelated and produce exactly one column. A nil input stays nil.
-func resolveSubqueries(cat *relation.Catalog, e ExprNode, asOf int64) (ExprNode, error) {
-	if e == nil {
-		return nil, nil
-	}
+func (p *planner) resolveSubqueries(e ExprNode) (ExprNode, error) {
 	switch n := e.(type) {
 	case *InExpr:
 		if n.Sub == nil {
 			return n, nil
 		}
-		sub, _, rows, err := planAndRun(cat, n.Sub, asOf)
+		// The key set outlives planning; the subquery's notes need not.
+		sub := *p
+		sub.info = &PlanInfo{Notes: map[relation.Operator]string{}}
+		op, _, err := sub.stmt(n.Sub)
 		if err != nil {
 			return nil, err
 		}
-		if sub.Schema().Len() != 1 {
-			return nil, errAt(n.Tok, "IN subquery must produce exactly one column, got %d", sub.Schema().Len())
+		if op.Schema().Len() != 1 {
+			return nil, errAt(n.Tok, "IN subquery must produce exactly one column, got %d", op.Schema().Len())
+		}
+		rows, err := relation.RunAt(op, p.asOf)
+		if err != nil {
+			return nil, err
 		}
 		set := make(map[string]bool, len(rows))
 		for _, r := range rows {
@@ -380,102 +292,39 @@ func resolveSubqueries(cat *relation.Catalog, e ExprNode, asOf int64) (ExprNode,
 			}
 			set[r.Values[0].Key()] = true
 		}
-		return &resolvedIn{Child: n.Child, Set: set, Negate: n.Negate, Label: "(" + n.Sub.SQL() + ")"}, nil
+		cp := *n
+		cp.set = set
+		return &cp, nil
 	case *BinaryExpr:
-		l, err := resolveSubqueries(cat, n.Left, asOf)
+		l, err := p.resolveSubqueries(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := resolveSubqueries(cat, n.Right, asOf)
+		r, err := p.resolveSubqueries(n.Right)
 		if err != nil {
 			return nil, err
 		}
-		if l == n.Left && r == n.Right {
-			return n, nil
+		if l != n.Left || r != n.Right {
+			return &BinaryExpr{Op: n.Op, Left: l, Right: r, Tok: n.Tok}, nil
 		}
-		cp := *n
-		cp.Left, cp.Right = l, r
-		return &cp, nil
 	case *UnaryExpr:
-		c, err := resolveSubqueries(cat, n.Child, asOf)
+		c, err := p.resolveSubqueries(n.Child)
 		if err != nil {
 			return nil, err
 		}
-		if c == n.Child {
-			return n, nil
+		if c != n.Child {
+			return &UnaryExpr{Op: n.Op, Child: c, Tok: n.Tok}, nil
 		}
-		cp := *n
-		cp.Child = c
-		return &cp, nil
 	case *IsNullExpr:
-		c, err := resolveSubqueries(cat, n.Child, asOf)
+		c, err := p.resolveSubqueries(n.Child)
 		if err != nil {
 			return nil, err
 		}
-		if c == n.Child {
-			return n, nil
+		if c != n.Child {
+			return &IsNullExpr{Child: c, Negate: n.Negate, Tok: n.Tok}, nil
 		}
-		cp := *n
-		cp.Child = c
-		return &cp, nil
-	default:
-		return e, nil
 	}
-}
-
-// planJoin prefers a hash join when the ON condition is a conjunction of
-// equality comparisons between one column of each side; otherwise it
-// falls back to a nested-loop join over the concatenated schema.
-func planJoin(left, right relation.Operator, on ExprNode) (relation.Operator, error) {
-	if on == nil {
-		return &relation.NestedLoopJoin{Left: left, Right: right}, nil
-	}
-	if lk, rk, ok := equiJoinKeys(on, left.Schema(), right.Schema()); ok {
-		return &relation.HashJoin{Left: left, Right: right, LeftKeys: lk, RightKeys: rk}, nil
-	}
-	combined := left.Schema().Concat(right.Schema())
-	pred, err := compileExpr(on, combined)
-	if err != nil {
-		return nil, err
-	}
-	return &relation.NestedLoopJoin{Left: left, Right: right, Pred: pred}, nil
-}
-
-// equiJoinKeys detects "a.x = b.y [AND ...]" patterns and resolves the
-// column indices against the two input schemas.
-func equiJoinKeys(on ExprNode, ls, rs *relation.Schema) (lk, rk []int, ok bool) {
-	conjuncts := flattenAnd(on)
-	for _, c := range conjuncts {
-		be, isBin := c.(*BinaryExpr)
-		if !isBin || be.Op != "=" {
-			return nil, nil, false
-		}
-		li, lok := be.Left.(*Ident)
-		ri, rok := be.Right.(*Ident)
-		if !lok || !rok {
-			return nil, nil, false
-		}
-		lidx, lerr := ls.Resolve(li.Qualifier, li.Name)
-		ridx, rerr := rs.Resolve(ri.Qualifier, ri.Name)
-		if lerr != nil || rerr != nil {
-			// Maybe the identifiers are swapped across sides.
-			lidx, lerr = ls.Resolve(ri.Qualifier, ri.Name)
-			ridx, rerr = rs.Resolve(li.Qualifier, li.Name)
-		}
-		if lerr != nil || rerr != nil {
-			return nil, nil, false
-		}
-		// Hash joins match on value keys; only types whose keys agree
-		// exactly with Compare-equality qualify. A mismatched pair (e.g.
-		// TEXT = INT) must take the nested-loop path so it raises the
-		// same comparison error a WHERE clause would.
-		if !relation.HashJoinableTypes(ls.Columns[lidx].Type, rs.Columns[ridx].Type) {
-			return nil, nil, false
-		}
-		lk = append(lk, lidx)
-		rk = append(rk, ridx)
-	}
-	return lk, rk, len(lk) > 0
+	return e, nil
 }
 
 func flattenAnd(e ExprNode) []ExprNode {
@@ -546,24 +395,15 @@ func planAggregate(op relation.Operator, stmt *SelectStmt) (relation.Operator, e
 		}
 		collect(it.Expr)
 	}
-	if stmt.Having != nil {
-		collect(stmt.Having)
-	}
+	collect(stmt.Having)
 
 	specs := make([]relation.AggSpec, len(aggCalls))
 	for i, fc := range aggCalls {
 		spec := relation.AggSpec{}
-		switch fc.Name {
-		case "COUNT":
-			spec.Kind = relation.AggCount
-		case "SUM":
-			spec.Kind = relation.AggSum
-		case "AVG":
-			spec.Kind = relation.AggAvg
-		case "MIN":
-			spec.Kind = relation.AggMin
-		case "MAX":
-			spec.Kind = relation.AggMax
+		for kind := relation.AggCount; kind <= relation.AggMax; kind++ {
+			if kind.String() == fc.Name {
+				spec.Kind = kind
+			}
 		}
 		if !fc.Star {
 			arg, err := compileExpr(fc.Arg, in)
@@ -577,66 +417,34 @@ func planAggregate(op relation.Operator, stmt *SelectStmt) (relation.Operator, e
 	agg := &relation.Aggregate{Input: op, GroupBy: groupExprs, Aggs: specs}
 	aggSchema := agg.Schema()
 
-	// Rewriter: map an AST expression to a relation.Expr over the
-	// aggregate's output schema.
-	var rewrite func(e ExprNode) (relation.Expr, error)
-	rewrite = func(e ExprNode) (relation.Expr, error) {
+	// Over the aggregate's output an aggregate call is its aggregate
+	// column, an expression textually equal to a GROUP BY key is that
+	// group column, and any other bare column is an error; everything
+	// else lowers as it does anywhere.
+	over := lowering{schema: aggSchema, leaf: func(e ExprNode) (relation.Expr, error) {
+		idx := -1
 		if fc, ok := e.(*FuncCall); ok {
-			idx := len(groupExprs) + aggIndex[canonical(fc)]
-			return &relation.ColRef{Index: idx, Col: aggSchema.Columns[idx]}, nil
-		}
-		key := canonical(e)
-		for i, gk := range groupKeys {
-			if key == gk {
-				return &relation.ColRef{Index: i, Col: aggSchema.Columns[i]}, nil
+			idx = len(groupExprs) + aggIndex[canonical(fc)]
+		} else {
+			key := canonical(e)
+			for i, gk := range groupKeys {
+				if key == gk {
+					idx = i
+				}
 			}
 		}
-		switch n := e.(type) {
-		case *Ident:
-			return nil, errAt(n.Tok, "column %s must appear in GROUP BY or inside an aggregate", n.SQL())
-		case *Lit:
-			return compileExpr(n, aggSchema)
-		case *BinaryExpr:
-			l, err := rewrite(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rewrite(n.Right)
-			if err != nil {
-				return nil, err
-			}
-			op, err := binaryOp(n)
-			if err != nil {
-				return nil, err
-			}
-			return &relation.Binary{Op: op, Left: l, Right: r}, nil
-		case *UnaryExpr:
-			c, err := rewrite(n.Child)
-			if err != nil {
-				return nil, err
-			}
-			if n.Op == "-" {
-				return &relation.Unary{Op: relation.OpNeg, Child: c}, nil
-			}
-			return &relation.Unary{Op: relation.OpNot, Child: c}, nil
-		case *IsNullExpr:
-			c, err := rewrite(n.Child)
-			if err != nil {
-				return nil, err
-			}
-			op := relation.OpIsNull
-			if n.Negate {
-				op = relation.OpIsNotNull
-			}
-			return &relation.Unary{Op: op, Child: c}, nil
-		default:
-			return nil, errAt(Token{}, "unsupported expression %s over aggregate output", e.SQL())
+		if id, ok := e.(*Ident); ok && idx < 0 {
+			return nil, errAt(id.Tok, "column %s must appear in GROUP BY or inside an aggregate", id.SQL())
 		}
-	}
+		if idx < 0 {
+			return nil, nil
+		}
+		return &relation.ColRef{Index: idx, Col: aggSchema.Columns[idx]}, nil
+	}}
 
 	var out relation.Operator = agg
 	if stmt.Having != nil {
-		pred, err := rewrite(stmt.Having)
+		pred, err := over.expr(stmt.Having)
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +454,7 @@ func planAggregate(op relation.Operator, stmt *SelectStmt) (relation.Operator, e
 	exprs := make([]relation.Expr, len(stmt.Items))
 	names := make([]string, len(stmt.Items))
 	for i, it := range stmt.Items {
-		e, err := rewrite(it.Expr)
+		e, err := over.expr(it.Expr)
 		if err != nil {
 			return nil, err
 		}
@@ -675,78 +483,7 @@ func defaultName(e ExprNode) string {
 // Lowercasing the whole rendered SQL would collapse case-differing
 // string literals ('ABC' vs 'abc'), silently matching GROUP BY
 // expressions that compute different values.
-func canonical(e ExprNode) string {
-	var b strings.Builder
-	writeCanonical(&b, e)
-	return b.String()
-}
-
-func writeCanonical(b *strings.Builder, e ExprNode) {
-	switch n := e.(type) {
-	case *Ident:
-		b.WriteString(strings.ToLower(n.SQL()))
-	case *BinaryExpr:
-		b.WriteString("(")
-		writeCanonical(b, n.Left)
-		b.WriteString(" " + n.Op + " ")
-		writeCanonical(b, n.Right)
-		b.WriteString(")")
-	case *UnaryExpr:
-		b.WriteString(n.Op)
-		if n.Op == "NOT" {
-			b.WriteString(" ")
-		}
-		writeCanonical(b, n.Child)
-	case *IsNullExpr:
-		writeCanonical(b, n.Child)
-		if n.Negate {
-			b.WriteString(" IS NOT NULL")
-		} else {
-			b.WriteString(" IS NULL")
-		}
-	case *LikeExpr:
-		writeCanonical(b, n.Child)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		// The pattern is a literal: case preserved.
-		b.WriteString(" LIKE '" + n.Pattern + "'")
-	case *InExpr:
-		writeCanonical(b, n.Child)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" IN (")
-		for i, item := range n.List {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			writeCanonical(b, item)
-		}
-		b.WriteString(")")
-	case *BetweenExpr:
-		writeCanonical(b, n.Child)
-		if n.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" BETWEEN ")
-		writeCanonical(b, n.Lo)
-		b.WriteString(" AND ")
-		writeCanonical(b, n.Hi)
-	case *FuncCall:
-		b.WriteString(n.Name + "(")
-		if n.Star {
-			b.WriteString("*")
-		} else {
-			writeCanonical(b, n.Arg)
-		}
-		b.WriteString(")")
-	default:
-		// Literals and anything unrecognized render verbatim: never
-		// case-fold a value.
-		b.WriteString(e.SQL())
-	}
-}
+func canonical(e ExprNode) string { return renderExpr(e, true) }
 
 func walkExpr(e ExprNode, f func(ExprNode)) {
 	if e == nil {
@@ -768,8 +505,6 @@ func walkExpr(e ExprNode, f func(ExprNode)) {
 		for _, x := range n.List {
 			walkExpr(x, f)
 		}
-	case *resolvedIn:
-		walkExpr(n.Child, f)
 	case *BetweenExpr:
 		walkExpr(n.Child, f)
 		walkExpr(n.Lo, f)
@@ -789,41 +524,41 @@ func containsAgg(e ExprNode) bool {
 	return found
 }
 
+// binaryOp finds the operator the AST spells as relation.BinaryOp's
+// String does (OpEq and OpDiv are the first and the last of them).
 func binaryOp(n *BinaryExpr) (relation.BinaryOp, error) {
-	switch n.Op {
-	case "=":
-		return relation.OpEq, nil
-	case "<>":
-		return relation.OpNe, nil
-	case "<":
-		return relation.OpLt, nil
-	case "<=":
-		return relation.OpLe, nil
-	case ">":
-		return relation.OpGt, nil
-	case ">=":
-		return relation.OpGe, nil
-	case "AND":
-		return relation.OpAnd, nil
-	case "OR":
-		return relation.OpOr, nil
-	case "+":
-		return relation.OpAdd, nil
-	case "-":
-		return relation.OpSub, nil
-	case "*":
-		return relation.OpMul, nil
-	case "/":
-		return relation.OpDiv, nil
+	for op := relation.OpEq; op <= relation.OpDiv; op++ {
+		if op.String() == n.Op {
+			return op, nil
+		}
 	}
 	return 0, errAt(n.Tok, "unsupported operator %q", n.Op)
 }
 
+// lowering is the package's one translation of AST expressions into
+// relation.Expr over a schema.
+type lowering struct {
+	schema *relation.Schema
+	// leaf, when set, sees every node before the node's own rule and may
+	// resolve it to a column of schema itself (planAggregate's output
+	// columns); it returns nil, nil to decline.
+	leaf func(ExprNode) (relation.Expr, error)
+}
+
 // compileExpr lowers an AST expression (no aggregates) onto a schema.
 func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
+	return lowering{schema: schema}.expr(e)
+}
+
+func (lw lowering) expr(e ExprNode) (relation.Expr, error) {
+	if lw.leaf != nil {
+		if out, err := lw.leaf(e); out != nil || err != nil {
+			return out, err
+		}
+	}
 	switch n := e.(type) {
 	case *Ident:
-		cr, err := relation.NewColRef(schema, n.Qualifier, n.Name)
+		cr, err := relation.NewColRef(lw.schema, n.Qualifier, n.Name)
 		if err != nil {
 			return nil, errAt(n.Tok, "%v", err)
 		}
@@ -831,11 +566,11 @@ func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
 	case *Lit:
 		return relation.Const{Value: litValue(n)}, nil
 	case *BinaryExpr:
-		l, err := compileExpr(n.Left, schema)
+		l, err := lw.expr(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileExpr(n.Right, schema)
+		r, err := lw.expr(n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -845,7 +580,7 @@ func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
 		}
 		return &relation.Binary{Op: op, Left: l, Right: r}, nil
 	case *UnaryExpr:
-		c, err := compileExpr(n.Child, schema)
+		c, err := lw.expr(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -854,7 +589,7 @@ func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
 		}
 		return &relation.Unary{Op: relation.OpNot, Child: c}, nil
 	case *IsNullExpr:
-		c, err := compileExpr(n.Child, schema)
+		c, err := lw.expr(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -864,23 +599,26 @@ func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
 		}
 		return &relation.Unary{Op: op, Child: c}, nil
 	case *LikeExpr:
-		c, err := compileExpr(n.Child, schema)
+		c, err := lw.expr(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &relation.Like{Child: c, Pattern: n.Pattern, Negate: n.Negate}, nil
 	case *InExpr:
-		if n.Sub != nil {
+		if n.Sub != nil && n.set == nil {
 			return nil, errAt(n.Tok, "IN subqueries are only supported in WHERE and JOIN..ON conditions")
 		}
-		c, err := compileExpr(n.Child, schema)
+		c, err := lw.expr(n.Child)
 		if err != nil {
 			return nil, err
+		}
+		if n.set != nil {
+			return &relation.InSet{Child: c, Set: n.set, Negate: n.Negate, Label: "(" + n.Sub.SQL() + ")"}, nil
 		}
 		// x IN (a,b) compiles to x=a OR x=b; NOT IN negates the whole.
 		var pred relation.Expr
 		for _, item := range n.List {
-			ie, err := compileExpr(item, schema)
+			ie, err := lw.expr(item)
 			if err != nil {
 				return nil, err
 			}
@@ -899,35 +637,27 @@ func compileExpr(e ExprNode, schema *relation.Schema) (relation.Expr, error) {
 		}
 		return pred, nil
 	case *BetweenExpr:
-		c, err := compileExpr(n.Child, schema)
+		c, err := lw.expr(n.Child)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := compileExpr(n.Lo, schema)
+		lo, err := lw.expr(n.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := compileExpr(n.Hi, schema)
+		hi, err := lw.expr(n.Hi)
 		if err != nil {
 			return nil, err
 		}
 		var pred relation.Expr = &relation.Binary{
-			Op:   relation.OpAnd,
-			Left: &relation.Binary{Op: relation.OpGe, Left: c, Right: lo},
-			Right: &relation.Binary{
-				Op: relation.OpLe, Left: c, Right: hi,
-			},
+			Op:    relation.OpAnd,
+			Left:  &relation.Binary{Op: relation.OpGe, Left: c, Right: lo},
+			Right: &relation.Binary{Op: relation.OpLe, Left: c, Right: hi},
 		}
 		if n.Negate {
 			pred = &relation.Unary{Op: relation.OpNot, Child: pred}
 		}
 		return pred, nil
-	case *resolvedIn:
-		c, err := compileExpr(n.Child, schema)
-		if err != nil {
-			return nil, err
-		}
-		return &relation.InSet{Child: c, Set: n.Set, Negate: n.Negate, Label: n.Label}, nil
 	case *FuncCall:
 		return nil, errAt(n.Tok, "aggregate %s is only allowed in SELECT with GROUP BY context", n.Name)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,46 @@ func TestQueryHaving(t *testing.T) {
 	}
 	if name, _ := rows[0].Values[0].AsString(); name != "ZStart" {
 		t.Errorf("company = %v", rows[0].Values[0])
+	}
+}
+
+// TestQueryHavingPredicates: HAVING lowers through the same code as
+// WHERE, so LIKE, IN (list) and BETWEEN work over group keys and
+// aggregates; an IN subquery keeps its WHERE/ON-only error.
+func TestQueryHavingPredicates(t *testing.T) {
+	c := ventureCatalog(t)
+	for having, want := range map[string]string{
+		"Company LIKE 'Z%'":                 "ZStart:2",
+		"Company NOT LIKE 'Z%'":             "AcmeSoft:1",
+		"COUNT(*) BETWEEN 2 AND 5":          "ZStart:2",
+		"Company IN ('AcmeSoft', 'nope')":   "AcmeSoft:1",
+		"SUM(Funding) NOT IN (1, 2000000)":  "ZStart:2",
+		"COUNT(*) + 1 BETWEEN 1 AND 2":      "AcmeSoft:1",
+		"Company IN ('ZStart') OR 1 > 2":    "ZStart:2",
+		"NOT (Company BETWEEN 'A' AND 'B')": "ZStart:2",
+	} {
+		rows, _, err := queryLatest(c, "SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING "+having)
+		if err != nil {
+			t.Errorf("HAVING %s: %v", having, err)
+			continue
+		}
+		got := ""
+		for _, r := range rows {
+			name, _ := r.Values[0].AsString()
+			n, _ := r.Values[1].AsInt()
+			got += fmt.Sprintf("%s:%d", name, n)
+		}
+		if got != want {
+			t.Errorf("HAVING %s: rows %q, want %q", having, got, want)
+		}
+	}
+	_, _, err := queryLatest(c, "SELECT Company FROM Proposal GROUP BY Company HAVING Company IN (SELECT Company FROM CompanyInfo)")
+	if err == nil || !strings.Contains(err.Error(), "IN subqueries are only supported in WHERE and JOIN..ON") {
+		t.Errorf("HAVING with an IN subquery: %v", err)
+	}
+	_, _, err = queryLatest(c, "SELECT Company FROM Proposal GROUP BY Company HAVING Funding BETWEEN 1 AND 2")
+	if err == nil || !strings.Contains(err.Error(), "must appear in GROUP BY") {
+		t.Errorf("HAVING over an ungrouped column: %v", err)
 	}
 }
 
