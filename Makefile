@@ -1,7 +1,7 @@
 # Development targets. `make check` is the pre-commit gate: vet, lint,
 # build, the full test suite under the race detector, and a quick pass
-# over the differential tests that pin the compiled lineage kernels to
-# the tree-walk reference.
+# over the differential tests that hold each fast path — the compiled
+# lineage kernel first among them — to its reference.
 GO ?= go
 
 .PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving obs-smoke serve-smoke loc
@@ -41,9 +41,15 @@ mvcc-stress:
 	$(GO) test -race -count=1 -run 'MVCC' ./internal/relation/ ./internal/core/
 
 # The differential suites, each pinning a fast path to its reference:
-# compiled lineage kernels vs the tree walk (internal/lineage,
-# internal/strategy), and the solver's reset / re-targeted evaluator vs a
-# fresh build; in internal/relation the compiled row predicate vs
+# the compiled lineage kernel vs the tree walk in internal/lineage (the
+# reference evaluator; no production path can select it) — kernel by
+# kernel there, and in internal/strategy the solvers' evaluator after
+# every step of a random walk, with every solver's plan pinned to
+# goldens recorded while the solvers could still run on the tree walk —
+# the solver's reset / re-targeted evaluator vs a fresh build, and the
+# typed refusal of a formula past the shared-variable limit; in
+# internal/core the _confidence column vs the confidence the policy
+# filter compares with β; in internal/relation the compiled row predicate vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch; in
 # internal/sql the planner vs the statement-order reference (the serving
@@ -51,7 +57,8 @@ mvcc-stress:
 # included), filter pushdown over the fuzz seeds, and the one AST
 # renderer vs the parser round trip and the fingerprint's invariances.
 differential:
-	$(GO) test -run 'Differential|EvaluatorReset|EvaluatorRetarget|DnCCompiles' -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'Differential|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult' -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'ConfidenceColumn|StructuralSolverError' -count=1 ./internal/core/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
 		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins'
 
@@ -76,12 +83,14 @@ obs-smoke:
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 
-# Greedy phase-1 gain evaluation (compiled kernels vs legacy tree walk),
-# the parallel D&C worker-pool scaling benchmark, and the per-group
-# overhead benchmark (2 000 one-result groups; watch allocs/op); then the
-# plan-cache key of point_hot's statement, which every request pays.
+# One fused probability+derivative sweep of the compiled kernel against
+# the reference tree walk's Prob + Derivatives, the parallel D&C
+# worker-pool scaling benchmark, and the per-group overhead benchmark
+# (2 000 one-result groups; watch allocs/op); then the plan-cache key of
+# point_hot's statement, which every request pays.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkCompiledVsTreewalk|BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench BenchmarkCompiledProbDeriv -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkFingerprint -benchmem ./internal/sql/
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
@@ -111,6 +120,8 @@ bench-serving:
 bench-smoke:
 	$(GO) run ./benchmark -workload point_hot -seconds 3 -trace 0
 
-# Non-test Go lines per package under internal/ and cmd/, and the total.
+# Non-test Go lines per package under internal/ and cmd/, and the total;
+# `make loc BASE=<ref>` adds that commit's counts and the per-package
+# and total deltas (what a CHANGES.md entry quotes).
 loc:
-	@sh scripts/loc.sh
+	@sh scripts/loc.sh $(BASE)

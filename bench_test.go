@@ -212,10 +212,20 @@ func BenchmarkAblationShannon(b *testing.B) {
 		clauses = append(clauses, lineage.And(x, lineage.NewVar(v)))
 	}
 	e := lineage.Or(clauses...)
+	// What the engine pays on a confidence-cache miss: compile, then one
+	// kernel evaluation.
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			lineage.Prob(e, assign)
+			p, err := lineage.CompileExact(e, lineage.DefaultSharedLimit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			probs := make([]float64, p.NumSlots())
+			for s, v := range p.Vars() {
+				probs[s] = assign[v]
+			}
+			lineage.NewMachine(p).Prob(probs)
 		}
 	})
 	b.Run("independent", func(b *testing.B) {
@@ -325,38 +335,7 @@ func BenchmarkDnCSingletonGroups(b *testing.B) {
 	solveB(b, strategy.NewDivideAndConquer(), func() *strategy.Instance { return in })
 }
 
-// --- Compiled lineage kernels vs the legacy tree walk. ---
-
-// BenchmarkCompiledVsTreewalk times greedy phase 1 (the gain-evaluation
-// hot loop, refinement skipped) at Table 4 defaults on both evaluation
-// paths, for the faithful full-rescan selection and the lazy-heap
-// incremental mode. The instance is generated once outside the timed
-// region; both paths solve the identical instance and produce
-// bit-identical plans. The compiled path must be ≥2× faster at 10K;
-// measured numbers are recorded in EXPERIMENTS.md.
-func BenchmarkCompiledVsTreewalk(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		in := genInstance(b, n, 5, 1)
-		for _, tc := range []struct {
-			name   string
-			solver strategy.Solver
-		}{
-			{"rescan-treewalk", &strategy.Greedy{SkipRefinement: true, TreeWalk: true}},
-			{"rescan-compiled", &strategy.Greedy{SkipRefinement: true}},
-			{"incremental-treewalk", &strategy.Greedy{SkipRefinement: true, Incremental: true, TreeWalk: true}},
-			{"incremental-compiled", &strategy.Greedy{SkipRefinement: true, Incremental: true}},
-		} {
-			b.Run(fmt.Sprintf("%s-%d", tc.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := tc.solver.Solve(in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
+// --- Compiled lineage kernel vs the reference tree walk. ---
 
 // BenchmarkCompiledProbDeriv isolates the evaluation layer: one fused
 // compiled probability+derivative sweep against the tree walk's
@@ -376,7 +355,10 @@ func BenchmarkCompiledProbDeriv(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		p := lineage.Compile(e)
+		p, err := lineage.CompileExact(e, lineage.DefaultSharedLimit)
+		if err != nil {
+			b.Fatal(err)
+		}
 		m := lineage.NewMachine(p)
 		probs := make([]float64, p.NumSlots())
 		deriv := make([]float64, p.NumSlots())

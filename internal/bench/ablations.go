@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pcqe/internal/lineage"
@@ -16,7 +17,6 @@ import (
 func Ablations(opt Options) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(Options) (*Table, error){
-		AblationCompiled,
 		AblationGainIncremental,
 		AblationGamma,
 		AblationShannon,
@@ -31,47 +31,6 @@ func Ablations(opt Options) ([]*Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// AblationCompiled compares the compiled lineage kernels against the
-// legacy interface-typed tree walk on greedy phase 1 (the
-// gain-evaluation hot loop; refinement skipped so the comparison
-// isolates gain evaluation). Both paths solve the identical instance
-// and produce bit-identical plans — cost_delta must be exactly zero.
-func AblationCompiled(opt Options) (*Table, error) {
-	sizes := []int{1000, 5000}
-	if opt.Full {
-		sizes = []int{1000, 5000, 10000, 20000}
-	}
-	t := &Table{
-		Title:   "Ablation: compiled lineage kernels vs legacy tree walk (greedy phase 1)",
-		XLabel:  "data size",
-		Columns: []string{"treewalk_s", "compiled_s", "speedup", "cost_delta"},
-		Notes:   "bit-identical plans; compiled flat programs replace per-node interface dispatch and map-keyed derivatives",
-	}
-	for _, n := range sizes {
-		in, err := workload.Generate(workload.Params{
-			DataSize: n, TuplesPerResult: 5, Delta: 0.1, Theta: 0.5, Beta: 0.6, Seed: opt.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d1, p1, err := timeSolve(&strategy.Greedy{SkipRefinement: true, TreeWalk: true}, in)
-		if err != nil {
-			return nil, err
-		}
-		d2, p2, err := timeSolve(&strategy.Greedy{SkipRefinement: true}, in)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, RowData{X: sizeLabel(n), Values: map[string]float64{
-			"treewalk_s": d1.Seconds(),
-			"compiled_s": d2.Seconds(),
-			"speedup":    d1.Seconds() / d2.Seconds(),
-			"cost_delta": p1.Cost - p2.Cost,
-		}})
-	}
-	return t, nil
 }
 
 // AblationGainIncremental compares the paper-faithful full-rescan gain
@@ -153,52 +112,56 @@ func AblationGamma(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationShannon compares exact Shannon-expansion probability against
-// the independence approximation on formulas with shared variables.
+// AblationShannon compares exact probability — priced as the engine
+// pays for it on a confidence-cache miss: CompileExact, then one
+// Machine.Prob over the 2^S pivot assignments — against the
+// independence approximation.
 func AblationShannon(opt Options) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: exact Shannon expansion vs independence approximation",
 		XLabel:  "shared vars",
 		Columns: []string{"exact_us", "approx_us", "max_abs_error"},
-		Notes:   "the approximation is faster but biased as sharing grows; the engine uses exact evaluation",
+		Notes:   "the approximation is faster but biased under sharing; the engine uses exact evaluation (compile + 2^S kernel passes); rows 12 and 16 are the join DNF of S suppliers × 2 orders that DISTINCT over a join emits",
 	}
-	for _, shared := range []int{0, 2, 4, 8} {
-		e, assign := sharedFormula(shared, 12)
-		// Timing: many evaluations to get stable microsecond numbers.
-		const reps = 2000
+	for _, shared := range []int{0, 2, 4, 8, 12, 16} {
+		e, assign := sharedFormula(shared, max(12, 2*shared))
+		// Many evaluations for stable microsecond numbers, fewer as 2^S grows.
+		reps := max(2, 2000>>shared)
+		var exact, approx float64
 		start := time.Now()
-		var exact float64
 		for i := 0; i < reps; i++ {
-			exact = lineage.Prob(e, assign)
+			prog, err := lineage.CompileExact(e, lineage.DefaultSharedLimit)
+			if err != nil {
+				return nil, err
+			}
+			probs := make([]float64, prog.NumSlots())
+			for s, v := range prog.Vars() {
+				probs[s] = assign.ProbOf(v)
+			}
+			exact = lineage.NewMachine(prog).Prob(probs)
 		}
 		exactDur := time.Since(start)
 		start = time.Now()
-		var approx float64
 		for i := 0; i < reps; i++ {
 			approx = lineage.ProbIndependent(e, assign)
 		}
 		approxDur := time.Since(start)
-		errAbs := exact - approx
-		if errAbs < 0 {
-			errAbs = -errAbs
-		}
 		t.Rows = append(t.Rows, RowData{X: fmt.Sprintf("%d", shared), Values: map[string]float64{
-			"exact_us":      float64(exactDur.Microseconds()) / reps,
-			"approx_us":     float64(approxDur.Microseconds()) / reps,
-			"max_abs_error": errAbs,
+			"exact_us":      float64(exactDur.Microseconds()) / float64(reps),
+			"approx_us":     float64(approxDur.Microseconds()) / float64(reps),
+			"max_abs_error": math.Abs(exact - approx),
 		}})
 	}
 	return t, nil
 }
 
 // sharedFormula builds an OR of AND-pairs in which `shared` variables
-// appear in two clauses each.
+// appear in two clauses each; with clauses = 2·shared that is the join
+// DNF ∨ₙᵢ(Sₙ ∧ Oₙᵢ) of `shared` suppliers with two orders each.
 func sharedFormula(shared, clauses int) (*lineage.Expr, lineage.Assignment) {
 	assign := lineage.MapAssignment{}
-	next := lineage.Var(1)
 	fresh := func() *lineage.Expr {
-		v := next
-		next++
+		v := lineage.Var(len(assign) + 1)
 		assign[v] = 0.5
 		return lineage.NewVar(v)
 	}

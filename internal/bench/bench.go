@@ -385,8 +385,7 @@ func sizeLabel(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// Run dispatches an experiment by name. Known names: table4, 11a, 11b,
-// 11c, 11d, 11e, 11f, ablations, all.
+// Run dispatches an experiment by name; Names lists the ones it knows.
 func Run(name string, opt Options) ([]*Table, error) {
 	switch strings.ToLower(strings.TrimPrefix(name, "fig")) {
 	case "table4":
@@ -411,9 +410,6 @@ func Run(name string, opt Options) ([]*Table, error) {
 		return []*Table{t}, err
 	case "ablations":
 		return Ablations(opt)
-	case "compiled":
-		t, err := AblationCompiled(opt)
-		return []*Table{t}, err
 	case "pipeline":
 		t, err := FrameworkOverhead(opt)
 		return []*Table{t}, err
@@ -467,7 +463,7 @@ func Run(name string, opt Options) ([]*Table, error) {
 
 // Names lists all experiment names Run accepts, sorted.
 func Names() []string {
-	names := []string{"table4", "11a", "11b", "11c", "11d", "11e", "11f", "ablations", "compiled", "pipeline", "parallel", "planner", "all"}
+	names := []string{"table4", "11a", "11b", "11c", "11d", "11e", "11f", "ablations", "pipeline", "parallel", "planner", "all"}
 	sort.Strings(names)
 	return names
 }

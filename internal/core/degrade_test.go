@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"pcqe/internal/cost"
+	"pcqe/internal/lineage"
 	"pcqe/internal/strategy"
 )
 
@@ -125,14 +127,36 @@ func TestDegradeOnSolverPanic(t *testing.T) {
 	}
 }
 
+// TestStructuralSolverErrorStillFails: an error that is neither a budget
+// stop nor a recovered panic fails the request. The solver's refusal of
+// a formula beyond lineage.DefaultSharedLimit is one — it comes back
+// from the compile, not out of solveRecover.
 func TestStructuralSolverErrorStillFails(t *testing.T) {
-	e := newVentureEngine(t, &stubSolver{
-		solve: func(context.Context, *strategy.Instance) (*strategy.Plan, error) {
-			return nil, errors.New("solver misconfigured")
-		},
-	})
-	if _, err := e.Evaluate(blockedReq); err == nil {
-		t.Fatal("structural errors must surface, not degrade")
+	tooShared := &strategy.Instance{Beta: 0.6, Delta: 0.1, Need: 1}
+	var terms []*lineage.Expr
+	for n := 0; n < 25; n++ {
+		var vs [3]*lineage.Expr
+		for i := range vs {
+			id := lineage.Var(len(tooShared.Base) + 1)
+			tooShared.Base = append(tooShared.Base, strategy.BaseTuple{Var: id, P: 0.2, Cost: cost.Linear{Rate: 10}})
+			vs[i] = lineage.NewVar(id)
+		}
+		terms = append(terms, lineage.And(vs[0], vs[1]), lineage.And(vs[0], vs[2]))
+	}
+	tooShared.Results = []strategy.Result{{Formula: lineage.Or(terms...)}}
+	_, refusal := strategy.NewDivideAndConquer().Solve(tooShared)
+	if !errors.Is(refusal, lineage.ErrTooManyShared) {
+		t.Fatalf("solve of a 25-shared formula: err = %v", refusal)
+	}
+	for _, solverErr := range []error{errors.New("solver misconfigured"), refusal} {
+		e := newVentureEngine(t, &stubSolver{
+			solve: func(context.Context, *strategy.Instance) (*strategy.Plan, error) {
+				return nil, solverErr
+			},
+		})
+		if _, err := e.Evaluate(blockedReq); !errors.Is(err, solverErr) {
+			t.Fatalf("structural errors must surface, not degrade: solver %v, request %v", solverErr, err)
+		}
 	}
 }
 

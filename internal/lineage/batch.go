@@ -6,12 +6,12 @@ import "fmt"
 // evaluates many machines against a single shared slot array in one
 // pass. The strategy evaluator holds one probability per base tuple and
 // re-derives every result's probability (and dense derivative rows)
-// from it; doing that machine-by-machine pays per-call slice setup,
-// bounds checks and — with the map-based tree walk — allocation for
-// every formula. A Batch precomputes each machine's gather indices into
-// the shared array once (validated int32 indices, so the inner gather
-// loop is branch-light) and reuses one scratch buffer across all
-// machines, so a full dense refresh is a single allocation-free sweep.
+// from it; doing that machine-by-machine pays per-call slice setup and
+// bounds checks for every formula. A Batch precomputes each machine's
+// gather indices into the shared array once (validated int32 indices,
+// so the inner gather loop is branch-light) and reuses one scratch
+// buffer across all machines, so a full dense refresh is a single
+// allocation-free sweep.
 //
 // A Batch is single-goroutine like the Machines it drives; build one
 // per evaluator. The per-machine results are bit-identical to calling
@@ -19,7 +19,7 @@ import "fmt"
 // strategy solvers rely on for serial/parallel plan identity.
 
 // Batch evaluates a set of compiled-program machines over one shared
-// slot array.
+// slot array. The zero value is an empty batch ready for Add.
 type Batch struct {
 	machines []*Machine
 	// gather[k][s] is the index into the shared array holding the
@@ -31,17 +31,6 @@ type Batch struct {
 	gatherBuf []int32
 	maxIdx    int       // largest gather index, for one up-front bound check
 	scratch   []float64 // slot-probability staging, len = max NumSlots
-}
-
-// NewBatch returns an empty batch with capacity for capHint machines.
-func NewBatch(capHint int) *Batch {
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &Batch{
-		machines: make([]*Machine, 0, capHint),
-		gather:   make([][]int32, 0, capHint),
-	}
 }
 
 // Reset empties the batch, keeping its buffers for the next fill.

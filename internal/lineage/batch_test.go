@@ -23,11 +23,11 @@ func batchFixture(t testing.TB) (*Batch, []*Machine, [][]int, []float64) {
 	for i := range shared {
 		shared[i] = 0.1 * float64(i+1)
 	}
-	b := NewBatch(len(formulas))
+	b := &Batch{}
 	machines := make([]*Machine, len(formulas))
 	gathers := make([][]int, len(formulas))
 	for k, f := range formulas {
-		p := Compile(f)
+		p := mustCompile(t, f)
 		machines[k] = NewMachine(p)
 		idx := make([]int, p.NumSlots())
 		for s, vr := range p.Vars() {
@@ -116,8 +116,8 @@ func TestBatchProbDerivNilRowSkips(t *testing.T) {
 }
 
 func TestBatchAddValidation(t *testing.T) {
-	m := NewMachine(Compile(And(NewVar(1), NewVar(2))))
-	b := NewBatch(0)
+	m := NewMachine(mustCompile(t, And(NewVar(1), NewVar(2))))
+	b := &Batch{}
 	if err := b.Add(m, []int{0}); err == nil || !strings.Contains(err.Error(), "gather indices") {
 		t.Errorf("short gather map: err = %v", err)
 	}

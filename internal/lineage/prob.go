@@ -43,6 +43,11 @@ const DefaultSharedLimit = 24
 // than once are eliminated by Shannon expansion (most frequent first).
 // Prob panics if the formula needs more than DefaultSharedLimit expansion
 // steps; use ProbExact to control the limit and receive an error instead.
+//
+// This tree walk — with ProbExact, ProbIndependent, Derivatives and
+// ProbBruteForce — is the reference evaluator: plan verification, the
+// catalog's Confidence methods and the differential tests call it. What
+// answers a request prices formulas through CompileExact and a Machine.
 func Prob(e *Expr, assign Assignment) float64 {
 	p, err := ProbExact(e, assign, DefaultSharedLimit)
 	if err != nil {
@@ -155,9 +160,8 @@ func probReadOnce(e *Expr, assign Assignment) float64 {
 // ProbPinned returns the probability of e with variable v pinned to false
 // (p0) and to true (p1). Because P(e) is multilinear in each variable,
 // P(e) = (1−p(v))·p0 + p(v)·p1 for any probability of v, so the exact
-// effect of changing v's confidence from p to p* is (p*−p)·(p1−p0).
-// This is what the greedy solver uses to compute gains with two
-// evaluations instead of numeric differencing.
+// effect of changing v's confidence from p to p* is (p*−p)·(p1−p0) —
+// the identity the solvers' gain computation rests on.
 func ProbPinned(e *Expr, assign Assignment, v Var) (p0, p1 float64) {
 	e0 := e.Substitute(v, false)
 	e1 := e.Substitute(v, true)

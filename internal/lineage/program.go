@@ -37,32 +37,19 @@ type instr struct {
 }
 
 // Program is a lineage formula compiled to a flat postfix instruction
-// array over dense variable slots. A Program is immutable after Compile
-// and may be shared freely across goroutines; evaluation state lives in
-// a Machine (one per goroutine).
+// array over dense variable slots. A Program is immutable after
+// CompileExact and may be shared freely across goroutines; evaluation
+// state lives in a Machine (one per goroutine).
 type Program struct {
 	code []instr
 	kids []int32 // flattened child positions for opAnd/opOr
 	vars []Var   // slot index -> variable, sorted ascending
-	slot map[Var]int
 	// shared lists the slots of variables occurring more than once, in
 	// the Shannon pivot order precomputed at compile time (descending
 	// occurrence count, then ascending variable — the same order the
 	// tree-walk Prob uses). Empty for read-once formulas.
 	shared   []int32
 	maxArity int
-	expr     *Expr
-}
-
-// Compile compiles e with the DefaultSharedLimit bound on Shannon
-// pivots, panicking when the formula exceeds it (mirroring Prob); use
-// CompileExact to control the limit and receive an error instead.
-func Compile(e *Expr) *Program {
-	p, err := CompileExact(e, DefaultSharedLimit)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // CompileExact compiles e into a Program. It fails with
@@ -76,13 +63,10 @@ func CompileExact(e *Expr, sharedLimit int) (*Program, error) {
 		vars = append(vars, v)
 	}
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	p := &Program{
-		vars: vars,
-		slot: make(map[Var]int, len(vars)),
-		expr: e,
-	}
+	p := &Program{vars: vars}
+	slot := make(map[Var]int32, len(vars))
 	for i, v := range vars {
-		p.slot[v] = i
+		slot[v] = int32(i)
 	}
 	shared := make([]Var, 0)
 	for v, n := range counts {
@@ -100,30 +84,30 @@ func CompileExact(e *Expr, sharedLimit int) (*Program, error) {
 		return shared[i] < shared[j]
 	})
 	for _, v := range shared {
-		p.shared = append(p.shared, int32(p.slot[v]))
+		p.shared = append(p.shared, slot[v])
 	}
-	p.emit(e)
+	p.emit(e, slot)
 	return p, nil
 }
 
-// emit appends the postfix code of e and returns the position of its
-// root instruction.
-func (p *Program) emit(e *Expr) int32 {
+// emit appends the postfix code of e, loading variables from the slots
+// given, and returns the position of its root instruction.
+func (p *Program) emit(e *Expr, slot map[Var]int32) int32 {
 	switch e.Kind() {
 	case KindFalse:
 		p.code = append(p.code, instr{op: opFalse})
 	case KindTrue:
 		p.code = append(p.code, instr{op: opTrue})
 	case KindVar:
-		p.code = append(p.code, instr{op: opLoad, arg: int32(p.slot[e.Variable()])})
+		p.code = append(p.code, instr{op: opLoad, arg: slot[e.Variable()]})
 	case KindNot:
-		p.emit(e.Children()[0])
+		p.emit(e.Children()[0], slot)
 		p.code = append(p.code, instr{op: opNot})
 	case KindAnd, KindOr:
 		children := e.Children()
 		pos := make([]int32, len(children))
 		for i, c := range children {
-			pos[i] = p.emit(c)
+			pos[i] = p.emit(c, slot)
 		}
 		o := opAnd
 		if e.Kind() == KindOr {
@@ -149,14 +133,6 @@ func (p *Program) NumSlots() int { return len(p.vars) }
 // returned slice must not be modified.
 func (p *Program) Vars() []Var { return p.vars }
 
-// SlotOf returns the dense slot of v, or -1 when v does not occur.
-func (p *Program) SlotOf(v Var) int {
-	if s, ok := p.slot[v]; ok {
-		return s
-	}
-	return -1
-}
-
 // ReadOnce reports whether the compiled formula is read-once (no
 // Shannon pivots).
 func (p *Program) ReadOnce() bool { return len(p.shared) == 0 }
@@ -164,9 +140,6 @@ func (p *Program) ReadOnce() bool { return len(p.shared) == 0 }
 // SharedSlots returns the precomputed Shannon pivot slots (descending
 // occurrence count). The returned slice must not be modified.
 func (p *Program) SharedSlots() []int32 { return p.shared }
-
-// Expr returns the source expression the program was compiled from.
-func (p *Program) Expr() *Expr { return p.expr }
 
 // Machine evaluates one Program. It owns the scratch buffers of the
 // inside and outside passes, so a Machine is NOT safe for concurrent
@@ -423,17 +396,4 @@ func (m *Machine) probShared(probs []float64, deriv []float64) float64 {
 		m.pinned[s] = -1
 	}
 	return total
-}
-
-// ProbPinned returns the probability with slot pinned to false (p0) and
-// true (p1), the compiled counterpart of the package-level ProbPinned.
-// probs is temporarily mutated and restored before returning.
-func (m *Machine) ProbPinned(probs []float64, slot int) (p0, p1 float64) {
-	old := probs[slot]
-	probs[slot] = 0
-	p0 = m.Prob(probs)
-	probs[slot] = 1
-	p1 = m.Prob(probs)
-	probs[slot] = old
-	return p0, p1
 }

@@ -16,6 +16,16 @@ func probsFor(p *Program, assign MapAssignment) []float64 {
 	return probs
 }
 
+// mustCompile compiles e under the limit the engine uses.
+func mustCompile(t testing.TB, e *Expr) *Program {
+	t.Helper()
+	p, err := CompileExact(e, DefaultSharedLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func randomAssign(r *rand.Rand, e *Expr) MapAssignment {
 	assign := MapAssignment{}
 	for _, v := range e.Vars() {
@@ -32,7 +42,7 @@ func TestDifferentialCompiledProbReadOnce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomReadOnceExpr(r, 1+r.Intn(12))
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		if !p.ReadOnce() {
 			t.Fatalf("trial %d: read-once formula compiled with pivots (e=%v)", trial, e)
 		}
@@ -53,7 +63,7 @@ func TestDifferentialCompiledDerivReadOnce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomReadOnceExpr(r, 1+r.Intn(12))
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		deriv := make([]float64, p.NumSlots())
@@ -79,7 +89,7 @@ func TestDifferentialCompiledProbShared(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomExpr(r, 2+r.Intn(6), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		m := NewMachine(p)
 		got := m.Prob(probsFor(p, assign))
 		want := Prob(e, assign)
@@ -96,7 +106,7 @@ func TestDifferentialCompiledDerivShared(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		e := randomExpr(r, 2+r.Intn(6), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		deriv := make([]float64, p.NumSlots())
@@ -113,22 +123,25 @@ func TestDifferentialCompiledDerivShared(t *testing.T) {
 	}
 }
 
-// TestDifferentialCompiledProbPinned compares the compiled pinned
-// evaluation against the package-level ProbPinned.
+// TestDifferentialCompiledProbPinned compares the kernel at a variable
+// pinned false and true (probability 0 and 1, where the pivot
+// enumeration skips zero-weight assignments) against the package-level
+// ProbPinned, which substitutes the constant into the formula.
 func TestDifferentialCompiledProbPinned(t *testing.T) {
 	r := rand.New(rand.NewSource(105))
 	for trial := 0; trial < 200; trial++ {
 		e := randomExpr(r, 2+r.Intn(5), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		for i, v := range p.Vars() {
 			before := probs[i]
-			g0, g1 := m.ProbPinned(probs, i)
-			if probs[i] != before {
-				t.Fatalf("trial %d: ProbPinned did not restore probs[%d]", trial, i)
-			}
+			probs[i] = 0
+			g0 := m.Prob(probs)
+			probs[i] = 1
+			g1 := m.Prob(probs)
+			probs[i] = before
 			w0, w1 := ProbPinned(e, assign, v)
 			if math.Abs(g0-w0) > 1e-12 || math.Abs(g1-w1) > 1e-12 {
 				t.Fatalf("trial %d: pinned (%v,%v), want (%v,%v) for %d (e=%v)",
@@ -145,7 +158,7 @@ func TestDifferentialCompiledBruteForce(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		e := randomExpr(r, 2+r.Intn(5), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := mustCompile(t, e)
 		m := NewMachine(p)
 		got := m.Prob(probsFor(p, assign))
 		want, err := ProbBruteForce(e, assign)
@@ -164,7 +177,7 @@ func TestDifferentialCompiledBruteForce(t *testing.T) {
 func TestDifferentialCompiledMachineReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(107))
 	e := randomExpr(r, 6, 3)
-	p := Compile(e)
+	p := mustCompile(t, e)
 	m := NewMachine(p)
 	probs := make([]float64, p.NumSlots())
 	deriv := make([]float64, p.NumSlots())
@@ -194,7 +207,7 @@ func TestCompileConstantsAndSingleVar(t *testing.T) {
 		{NewVar(7), 0.3},
 		{Not(NewVar(7)), 0.7},
 	} {
-		p := Compile(tc.e)
+		p := mustCompile(t, tc.e)
 		m := NewMachine(p)
 		probs := make([]float64, p.NumSlots())
 		for i := range probs {
@@ -219,15 +232,15 @@ func TestCompileExactSharedLimit(t *testing.T) {
 	if p.ReadOnce() || len(p.SharedSlots()) != 1 {
 		t.Fatalf("shared slots = %v, want exactly the pivot for var 1", p.SharedSlots())
 	}
-	if p.SlotOf(1) != int(p.SharedSlots()[0]) {
-		t.Fatalf("pivot slot %d is not var 1's slot %d", p.SharedSlots()[0], p.SlotOf(1))
+	if v := p.Vars()[p.SharedSlots()[0]]; v != 1 {
+		t.Fatalf("pivot slot %d holds var %d, want var 1", p.SharedSlots()[0], v)
 	}
 }
 
 func TestCompiledDerivClampedOutOfRange(t *testing.T) {
 	// Out-of-range and NaN inputs clamp exactly like the tree walk.
 	e := And(NewVar(1), NewVar(2))
-	p := Compile(e)
+	p := mustCompile(t, e)
 	m := NewMachine(p)
 	probs := []float64{1.7, math.NaN()}
 	assign := MapAssignment{1: 1.7, 2: math.NaN()}
@@ -242,7 +255,7 @@ func TestCompiledDerivClampedOutOfRange(t *testing.T) {
 func TestMachineCounters(t *testing.T) {
 	x1, x2, x3 := NewVar(1), NewVar(2), NewVar(3)
 	shared := Or(And(x1, x2), And(x1, x3)) // x1 is shared: one pivot
-	p := Compile(shared)
+	p := mustCompile(t, shared)
 	if p.ReadOnce() {
 		t.Fatalf("formula %v must compile with pivots", shared)
 	}
@@ -263,7 +276,7 @@ func TestMachineCounters(t *testing.T) {
 		t.Errorf("pivots = %d, want 6", pivots)
 	}
 
-	ro := Compile(And(x1, x2))
+	ro := mustCompile(t, And(x1, x2))
 	mr := NewMachine(ro)
 	mr.Prob(make([]float64, ro.NumSlots()))
 	if evals, pivots := mr.Counters(); evals != 1 || pivots != 0 {

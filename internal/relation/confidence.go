@@ -19,7 +19,8 @@ import (
 // operators above (joins, DISTINCT) keep combining lineage, so a value
 // attached below a join is the input's confidence, not the join
 // result's. The SQL planner therefore attaches it after the FROM/JOIN
-// block, where it matches the confidence the policy layer will compute.
+// block, where it is the confidence the policy layer will compute: both
+// come from evalClassified, bit-equal but for the column's clamp to 1.
 type AttachConfidence struct {
 	Input  Operator
 	Assign lineage.Assignment
@@ -69,12 +70,11 @@ func (a *AttachConfidence) Next() (*Tuple, error) {
 	}
 	vals := make([]Value, 0, len(t.Values)+1)
 	vals = append(vals, t.Values...)
-	p, err := lineage.ProbExact(t.Lineage, a.assign, lineage.DefaultSharedLimit)
+	_, p, _, err := evalClassified(t.Lineage, a.assign)
 	if err != nil {
 		return nil, err
 	}
-	// Shannon expansion sums two products of [0,1] factors, which can
-	// overshoot 1 by an ulp; the column is user-visible, so repair it.
+	// A Shannon sum can overshoot 1 by an ulp; the column is user-visible.
 	vals = append(vals, Float(conf.Clamp(p)))
 	return &Tuple{Values: vals, Lineage: t.Lineage}, nil
 }

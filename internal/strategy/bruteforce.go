@@ -46,7 +46,10 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 			plan, err = solveRecover(r, b.Name(), in, best)
 		}
 	}()
-	e := newEvaluator(in, bs, false)
+	e, err := newEvaluator(in, bs)
+	if err != nil {
+		return nil, err
+	}
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,11 +34,11 @@ func contextSolverMakers() []func() ContextSolver {
 
 // adversarialInstance builds a ring of AND pairs under one OR: every
 // base tuple is shared between two conjuncts, so each probability
-// evaluation enumerates 2^n Shannon pivot assignments (n=14 keeps the
-// formula on the compiled path, whose pivot hook polls the budget). A
-// fine δ grid and a high β force hundreds of such evaluations, so an
-// uninterrupted solve takes orders of magnitude longer than the test
-// deadline — which is exactly what the anytime runtime must handle.
+// evaluation enumerates 2^n Shannon pivot assignments, each polling
+// the budget through the pivot hook. A fine δ grid and a high β force
+// hundreds of such evaluations, so an uninterrupted solve takes orders
+// of magnitude longer than the test deadline — which is exactly what
+// the anytime runtime must handle.
 func adversarialInstance(n int) *Instance {
 	in := &Instance{Beta: 0.95, Delta: 0.02, Need: 1}
 	for i := 0; i < n; i++ {
@@ -217,6 +218,54 @@ func TestBudgetMaxPivots(t *testing.T) {
 	}
 	if plan != nil {
 		t.Fatalf("no incumbent can exist yet, got %+v", plan)
+	}
+}
+
+// TestBudgetMaxPivotsSharedResult: a result sharing 17 variables — more
+// than the solvers used to compile, fewer than the limit — evaluates
+// under the pivot hook like any other, so a pivot budget below its 2^17
+// assignments interrupts the solve. It is chainInstance's only
+// shared-variable result.
+func TestBudgetMaxPivotsSharedResult(t *testing.T) {
+	for _, mk := range contextSolverMakers() {
+		s := mk()
+		_, err := s.SolveContext(context.Background(), chainInstance(), Budget{MaxPivots: 1 << 12})
+		var bx *BudgetExceededError
+		if !errors.As(err, &bx) || bx.Resource != ResourcePivots || bx.Pivots <= 1<<12 {
+			t.Errorf("%s: err = %v, want the pivot budget exceeded", s.Name(), err)
+		}
+	}
+}
+
+// TestSolveTooManySharedIsPlainError: a formula beyond
+// lineage.DefaultSharedLimit (the join DNF ∨ₙᵢ(Sₙ ∧ Oₙᵢ) over 25
+// suppliers × 2 orders) is refused when the solve compiles it, with the
+// compile error naming the result — not a panic out of an evaluation
+// that solveRecover dresses as a *SolverPanicError.
+func TestSolveTooManySharedIsPlainError(t *testing.T) {
+	in := &Instance{Beta: 0.6, Delta: 0.1, Need: 1}
+	v := func(p float64) *lineage.Expr {
+		id := lineage.Var(len(in.Base) + 1)
+		in.Base = append(in.Base, BaseTuple{Var: id, P: p, Cost: cost.Linear{Rate: 10}})
+		return lineage.NewVar(id)
+	}
+	in.Results = append(in.Results, Result{ID: 0, Formula: lineage.And(v(0.5), v(0.5))})
+	var terms []*lineage.Expr
+	for n := 0; n < 25; n++ {
+		s := v(0.1)
+		terms = append(terms, lineage.And(s, v(0.2)), lineage.And(s, v(0.2)))
+	}
+	in.Results = append(in.Results, Result{ID: 1, Formula: lineage.Or(terms...)})
+	for _, mk := range contextSolverMakers() {
+		s := mk()
+		_, err := s.Solve(in)
+		_, errCtx := s.SolveContext(context.Background(), in, Budget{MaxNodes: 1 << 20})
+		for _, err := range []error{err, errCtx} {
+			var px *SolverPanicError
+			if !errors.Is(err, lineage.ErrTooManyShared) || errors.As(err, &px) || !strings.Contains(err.Error(), "result 1") {
+				t.Errorf("%s: err = %v, want a plain error wrapping ErrTooManyShared for result 1", s.Name(), err)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package strategy
 
 import (
-	"errors"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pcqe/internal/cost"
@@ -54,129 +57,158 @@ func mediumInstance(seed int64, n, per int, withSharing bool) *Instance {
 	return in
 }
 
-// requireSamePlan asserts bit-identical plans: same confidences, cost,
-// satisfied set, and node count.
-func requireSamePlan(t *testing.T, label string, a, b *Plan) {
-	t.Helper()
-	if len(a.NewP) != len(b.NewP) {
-		t.Fatalf("%s: plan lengths %d vs %d", label, len(a.NewP), len(b.NewP))
-	}
-	for i := range a.NewP {
-		if a.NewP[i] != b.NewP[i] {
-			t.Fatalf("%s: tuple %d confidence %v vs %v (plans must be bit-identical)",
-				label, i, a.NewP[i], b.NewP[i])
-		}
-	}
-	if a.Cost != b.Cost {
-		t.Fatalf("%s: cost %v vs %v", label, a.Cost, b.Cost)
-	}
-	if len(a.Satisfied) != len(b.Satisfied) {
-		t.Fatalf("%s: satisfied %v vs %v", label, a.Satisfied, b.Satisfied)
-	}
-	for i := range a.Satisfied {
-		if a.Satisfied[i] != b.Satisfied[i] {
-			t.Fatalf("%s: satisfied %v vs %v", label, a.Satisfied, b.Satisfied)
-		}
-	}
-	if a.Nodes != b.Nodes {
-		t.Fatalf("%s: nodes %d vs %d (evaluation paths diverged)", label, a.Nodes, b.Nodes)
-	}
-}
-
-// TestDifferentialCompiledPlansAllSolvers is the acceptance check for
-// the compiled evaluation path: every solver must produce a
-// bit-identical plan whether result formulas run through compiled
-// programs (default) or the legacy tree walk, on seeded workloads with
-// and without shared variables.
-func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
-	type pair struct {
-		name     string
-		compiled Solver
-		treeWalk Solver
-	}
-	small := func(seed int64) []*Instance {
-		r := rand.New(rand.NewSource(seed))
-		var out []*Instance
-		for i := 0; i < 10; i++ {
-			out = append(out, randomInstance(r))
-		}
-		return out
-	}
-	for _, tc := range []pair{
-		{"greedy", &Greedy{}, &Greedy{TreeWalk: true}},
-		{"greedy-incremental", &Greedy{Incremental: true}, &Greedy{Incremental: true, TreeWalk: true}},
-		{"heuristic", NewHeuristic(), &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true, GreedyBound: true, TreeWalk: true}},
-		{"dnc", NewDivideAndConquer(), &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, TreeWalk: true}},
-	} {
-		for _, in := range small(7) {
-			pc, errC := tc.compiled.Solve(in)
-			pt, errT := tc.treeWalk.Solve(in)
-			if (errC == nil) != (errT == nil) {
-				t.Fatalf("%s: error mismatch: compiled %v, tree-walk %v", tc.name, errC, errT)
-			}
-			if errC != nil {
-				continue
-			}
-			requireSamePlan(t, tc.name+"/small", pc, pt)
-		}
-	}
-	// Medium Table-4-shaped workloads (too slow for the exhaustive
-	// heuristic): greedy variants and D&C, without sharing, with
-	// sharing, and with one result over compiledSharedLimit that even
-	// the compiled evaluator runs through its tree-walk fallback.
-	for _, m := range []struct {
-		name string
-		in   *Instance
-	}{
-		{"no-sharing", mediumInstance(11, 300, 5, false)},
-		{"sharing", mediumInstance(11, 300, 5, true)},
-		{"over-compiled-limit", overLimitInstance(t)},
-	} {
-		for _, tc := range []pair{
-			{"greedy", &Greedy{}, &Greedy{TreeWalk: true}},
-			{"greedy-incremental", &Greedy{Incremental: true}, &Greedy{Incremental: true, TreeWalk: true}},
-			{"dnc", NewDivideAndConquer(), &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, TreeWalk: true}},
-		} {
-			pc, errC := tc.compiled.Solve(m.in)
-			pt, errT := tc.treeWalk.Solve(m.in)
-			if errC != nil || errT != nil {
-				t.Fatalf("%s %s: compiled err %v, tree-walk err %v", tc.name, m.name, errC, errT)
-			}
-			requireSamePlan(t, tc.name+"/"+m.name, pc, pt)
-			if err := m.in.Verify(pc); err != nil {
-				t.Fatalf("%s %s: plan fails Verify: %v", tc.name, m.name, err)
-			}
-		}
-	}
-}
-
-// overLimitInstance is a sharing mediumInstance plus one result whose
-// formula shares compiledSharedLimit+1 variables, so the evaluator's
-// uncompiled fallback runs beside compiled results in one solve; Need
-// covers every result, so the plan has to raise the fallback one too.
-// The formula is (chain ∧ c) ∨ (chain ∧ d): pinning any chain variable
-// false collapses it, which keeps the tree walk's Shannon expansion
-// linear in the chain length instead of exponential.
-func overLimitInstance(t *testing.T) *Instance {
-	t.Helper()
-	in := mediumInstance(11, 60, 5, true)
-	fresh := func(p float64) *lineage.Expr {
+// chainInstance is a read-once mediumInstance plus one result sharing
+// 17 variables: (chain ∧ c) ∨ (chain ∧ d) over a 17-variable chain.
+// This is the shape the tree-walk fallback used to win — pinning any
+// chain variable false collapses the formula, so Shannon substitution
+// was linear in the chain where the kernel enumerates 2^17 pivot
+// assignments (≈50 ms per evaluation, against ≈1 ms for a whole
+// tree-walk solve). The chain is priced out of the plan and c, d sit one
+// δ step below β, so a solve evaluates the result a handful of times;
+// Need covers every result, so that step is in every plan.
+func chainInstance() *Instance {
+	in := mediumInstance(11, 60, 5, false)
+	fresh := func(p, rate float64) *lineage.Expr {
 		v := lineage.Var(len(in.Base) + 1)
-		in.Base = append(in.Base, BaseTuple{Var: v, P: p, Cost: cost.Linear{Rate: 10}})
+		in.Base = append(in.Base, BaseTuple{Var: v, P: p, Cost: cost.Linear{Rate: rate}})
 		return lineage.NewVar(v)
 	}
 	var left, right []*lineage.Expr
-	for i := 0; i <= compiledSharedLimit; i++ {
-		v := fresh(0.9)
+	for i := 0; i < 17; i++ {
+		v := fresh(0.99, 1e6)
 		left, right = append(left, v), append(right, v)
 	}
-	f := lineage.Or(lineage.And(append(left, fresh(0.3))...), lineage.And(append(right, fresh(0.3))...))
-	if _, err := lineage.CompileExact(f, compiledSharedLimit); !errors.Is(err, lineage.ErrTooManyShared) {
-		t.Fatalf("fixture formula compiles under compiledSharedLimit (err %v); it would not reach the fallback", err)
-	}
+	f := lineage.Or(lineage.And(append(left, fresh(0.45, 10))...), lineage.And(append(right, fresh(0.45, 12))...))
 	in.Results = append(in.Results, Result{ID: len(in.Results), Formula: f})
 	in.Need = len(in.Results)
 	return in
+}
+
+type namedInstance struct {
+	name string
+	in   *Instance
+}
+
+// differentialFixtures are the instances both differential suites run
+// on — the plan pins below and the evaluator-vs-tree-walk walk in
+// evaluator_test.go: ten small random instances of seed 7 and the
+// medium Table-4-shaped workloads without sharing, with sharing, and
+// with a 17-shared result.
+func differentialFixtures() []namedInstance {
+	out := []namedInstance{
+		{"no-sharing", mediumInstance(11, 300, 5, false)},
+		{"sharing", mediumInstance(11, 300, 5, true)},
+		{"chain-17", chainInstance()},
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 10; i++ {
+		out = append(out, namedInstance{fmt.Sprintf("small-%d", i), randomInstance(r)})
+	}
+	return out
+}
+
+// planHash is an FNV-1a of the plan's confidences, bit for bit.
+func planHash(p *Plan) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range p.NewP {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// goldenPlans pins every solver's plan on the differential fixtures:
+// cost, node count and planHash. Recorded at commit ab8d63e, the last
+// one where each solver also ran on the tree walk, with both evaluators
+// producing these same plans; the evaluator itself is held to the tree
+// walk by TestEvaluatorMatchesReferenceDifferential.
+var goldenPlans = []struct {
+	name  string
+	cost  float64
+	nodes int
+	newP  uint64
+}{
+	{"greedy/small-0", 8.255770647422878, 10, 0xb6faa19b9a8f6ffc},
+	{"greedy/small-1", 51.082296663392164, 23, 0xfb1fd0025859f5b3},
+	{"greedy/small-2", 3.1170739189270216, 6, 0x812665d84c0489d5},
+	{"greedy/small-3", 0, 3, 0x6f5bcfa4543fc643},
+	{"greedy/small-4", 0, 4, 0x43580a2462ee9472},
+	{"greedy/small-5", 3.2740407196573393, 6, 0x68c8f3f5f663e44e},
+	{"greedy/small-6", 8.241479226095628, 8, 0xb5aa1a816efef4d9},
+	{"greedy/small-7", 12.854353464475473, 17, 0xd914ffcebd813fe7},
+	{"greedy/small-8", 33.433867028352864, 28, 0x30c8ddc3b0435ce5},
+	{"greedy/small-9", 26.485177627547383, 16, 0xacde88f44b98af89},
+	{"greedy-incremental/small-0", 8.255770647422878, 7, 0xb6faa19b9a8f6ffc},
+	{"greedy-incremental/small-1", 51.082296663392164, 15, 0xfb1fd0025859f5b3},
+	{"greedy-incremental/small-2", 3.1170739189270216, 6, 0x812665d84c0489d5},
+	{"greedy-incremental/small-3", 0, 3, 0x6f5bcfa4543fc643},
+	{"greedy-incremental/small-4", 0, 4, 0x43580a2462ee9472},
+	{"greedy-incremental/small-5", 3.2740407196573393, 5, 0x68c8f3f5f663e44e},
+	{"greedy-incremental/small-6", 8.241479226095628, 6, 0xb5aa1a816efef4d9},
+	{"greedy-incremental/small-7", 12.854353464475473, 16, 0xd914ffcebd813fe7},
+	{"greedy-incremental/small-8", 33.433867028352864, 12, 0x30c8ddc3b0435ce5},
+	{"greedy-incremental/small-9", 26.485177627547383, 10, 0xacde88f44b98af89},
+	{"heuristic/small-0", 8.255770647422878, 2, 0xb6faa19b9a8f6ffc},
+	{"heuristic/small-1", 51.08229666339216, 9, 0x6931ec2c3544464e},
+	{"heuristic/small-2", 3.1170739189270216, 2, 0x812665d84c0489d5},
+	{"heuristic/small-3", 0, 0, 0x6f5bcfa4543fc643},
+	{"heuristic/small-4", 0, 0, 0x43580a2462ee9472},
+	{"heuristic/small-5", 3.2740407196573393, 2, 0x68c8f3f5f663e44e},
+	{"heuristic/small-6", 8.241479226095628, 4, 0xb5aa1a816efef4d9},
+	{"heuristic/small-7", 12.854353464475473, 9, 0xd914ffcebd813fe7},
+	{"heuristic/small-8", 33.433867028352864, 10, 0x30c8ddc3b0435ce5},
+	{"heuristic/small-9", 26.485177627547383, 9, 0xacde88f44b98af89},
+	{"dnc/small-0", 8.255770647422878, 6, 0xb6faa19b9a8f6ffc},
+	{"dnc/small-1", 51.08229666339216, 22, 0x6931ec2c3544464e},
+	{"dnc/small-2", 3.1170739189270216, 8, 0x812665d84c0489d5},
+	{"dnc/small-3", 0, 0, 0x6f5bcfa4543fc643},
+	{"dnc/small-4", 0, 0, 0x43580a2462ee9472},
+	{"dnc/small-5", 3.2740407196573393, 6, 0x68c8f3f5f663e44e},
+	{"dnc/small-6", 8.241479226095628, 6, 0xb5aa1a816efef4d9},
+	{"dnc/small-7", 12.854353464475473, 25, 0xd914ffcebd813fe7},
+	{"dnc/small-8", 33.433867028352864, 16, 0x30c8ddc3b0435ce5},
+	{"dnc/small-9", 26.485177627547383, 18, 0xacde88f44b98af89},
+	{"greedy/no-sharing", 1198.8289173278583, 98443, 0xf08555fad67d4fdc},
+	{"greedy/sharing", 1109.2159311256587, 88775, 0x9120c326bca5f848},
+	{"greedy/chain-17", 544.5508291382855, 12424, 0x4dc4fdf24cda873c},
+	{"greedy-incremental/no-sharing", 1198.8289173278583, 2927, 0xf08555fad67d4fdc},
+	{"greedy-incremental/sharing", 1109.2159311256587, 2800, 0x9120c326bca5f848},
+	{"greedy-incremental/chain-17", 544.5508291382855, 1223, 0x4dc4fdf24cda873c},
+	{"dnc/no-sharing", 1198.8289173278583, 2812, 0xf08555fad67d4fdc},
+	{"dnc/sharing", 1109.2159311256587, 2685, 0x9120c326bca5f848},
+	{"dnc/chain-17", 544.5508291382855, 1202, 0x4dc4fdf24cda873c},
+}
+
+// TestDifferentialCompiledPlansAllSolvers holds every solver to the
+// plans in goldenPlans: the small instances for all four solvers, the
+// medium ones for greedy, incremental greedy and D&C (the exhaustive
+// heuristic is too slow there).
+func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
+	fixtures := map[string]*Instance{}
+	for _, f := range differentialFixtures() {
+		fixtures[f.name] = f.in
+	}
+	solvers := map[string]Solver{
+		"greedy":             &Greedy{},
+		"greedy-incremental": &Greedy{Incremental: true},
+		"heuristic":          NewHeuristic(),
+		"dnc":                NewDivideAndConquer(),
+	}
+	for _, g := range goldenPlans {
+		solver, fixture, _ := strings.Cut(g.name, "/")
+		in := fixtures[fixture]
+		plan, err := solvers[solver].Solve(in)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if plan.Cost != g.cost || plan.Nodes != g.nodes || planHash(plan) != g.newP {
+			t.Errorf("%s: cost %v nodes %d hash %#x, pinned %v / %d / %#x", g.name, plan.Cost, plan.Nodes, planHash(plan), g.cost, g.nodes, g.newP)
+		}
+		if err := in.Verify(plan); err != nil {
+			t.Errorf("%s: plan fails Verify: %v", g.name, err)
+		}
+	}
 }
 
 // TestGreedyHeapMatchesRescanMedium: the lazy-heap incremental gain

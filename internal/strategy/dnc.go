@@ -56,10 +56,6 @@ type DivideAndConquer struct {
 	// serial, n > 1 uses n workers regardless of Parallel.
 	// Budget.Workers overrides this per solve.
 	Workers int
-	// TreeWalk evaluates result formulas with the legacy tree walk
-	// instead of compiled lineage programs (differential testing and
-	// ablation only; plans are identical).
-	TreeWalk bool
 }
 
 // NewDivideAndConquer returns the configuration used in the benchmarks:
@@ -167,7 +163,10 @@ func (d *DivideAndConquer) solveBudget(ctx context.Context, in *Instance, bs *bu
 	}
 	// The solve's one compiling evaluator: group workers borrow its
 	// programs and adjacency by result index, read-only.
-	e := newEvaluator(in, bs, d.TreeWalk)
+	e, err := newEvaluator(in, bs)
+	if err != nil {
+		return nil, err
+	}
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -632,9 +631,14 @@ type Group struct {
 // groups connected with the maximum total weight merge until the maximum
 // falls below gamma. maxResults, when positive, blocks merges that would
 // produce a group with more results than the cap. The sharing graph is
-// read off the instance's evaluator, which Partition builds.
+// read off the instance's evaluator, which Partition builds; it panics
+// on a formula newEvaluator refuses (lineage.ErrTooManyShared).
 func Partition(in *Instance, gamma, maxResults int) []Group {
-	return partition(newEvaluator(in, nil, false), gamma, maxResults)
+	e, err := newEvaluator(in, nil)
+	if err != nil {
+		panic(err)
+	}
+	return partition(e, gamma, maxResults)
 }
 
 // partition is Partition over a built evaluator's adjacency (resultsOf

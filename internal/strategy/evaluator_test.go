@@ -2,10 +2,13 @@ package strategy
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"pcqe/internal/conf"
 	"pcqe/internal/cost"
 	"pcqe/internal/fault"
 	"pcqe/internal/lineage"
@@ -44,7 +47,7 @@ func singletonGroupsInstance(n int, seed int64) *Instance {
 // requireSameEvaluator fails unless got and want hold bit-identical
 // state: confidences, result probabilities, satisfaction bookkeeping,
 // adjacency, the feasibility count, step prices and — after priming both
-// — the derivative rows of every compiled, unsatisfied result.
+// — the derivative rows of every unsatisfied result.
 func requireSameEvaluator(t *testing.T, label string, got, want *evaluator) {
 	t.Helper()
 	bits := math.Float64bits
@@ -95,6 +98,17 @@ func requireSameEvaluator(t *testing.T, label string, got, want *evaluator) {
 	}
 }
 
+// mustEvaluator is newEvaluator for fixtures every formula of which
+// compiles.
+func mustEvaluator(t *testing.T, in *Instance, bs *budgetState) *evaluator {
+	t.Helper()
+	e, err := newEvaluator(in, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // randomWalk moves random tuples along their δ grids, pricing steps and
 // probing gains on the way so every cache the evaluator owns gets dirty.
 func randomWalk(e *evaluator, r *rand.Rand, steps int) {
@@ -112,23 +126,100 @@ func randomWalk(e *evaluator, r *rand.Rand, steps int) {
 	}
 }
 
+// currentAssignment snapshots the evaluator's confidences by variable.
+func currentAssignment(e *evaluator) lineage.MapAssignment {
+	cur := lineage.MapAssignment{}
+	for bi, b := range e.in.Base {
+		cur[b.Var] = e.p[bi]
+	}
+	return cur
+}
+
+// requireMatchesReference holds the evaluator's state to the tree walk
+// at its current confidences: every result probability equals
+// lineage.Prob — bit for bit on read-once formulas, to 1e-12 on shared
+// ones, where the kernel sums the same terms in another order — and the
+// feasibility count equals the tree walk's at the maxima.
+func requireMatchesReference(t *testing.T, label string, e *evaluator) {
+	t.Helper()
+	cur, atMax := currentAssignment(e), lineage.MapAssignment{}
+	for _, b := range e.in.Base {
+		atMax[b.Var] = b.maxP()
+	}
+	sat := 0
+	for ri, r := range e.in.Results {
+		got, want := e.resultProb[ri], lineage.Prob(r.Formula, cur)
+		if r.Formula.ReadOnce() && got != want || math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%s: result %d probability %v, tree walk %v", label, ri, got, want)
+		}
+		if conf.GE(lineage.Prob(r.Formula, atMax), e.in.Beta) {
+			sat++
+		}
+	}
+	if got := e.satAtMax(); got != sat {
+		t.Fatalf("%s: satAtMax %d, tree walk %d", label, got, sat)
+	}
+}
+
+// TestEvaluatorMatchesReferenceDifferential is where the solvers'
+// evaluator is checked against the tree walk now that no solver can run
+// on it: on the plan differential's fixtures, after the build and after
+// every step of a random walk, probabilities and the feasibility count
+// match (requireMatchesReference) and the gain deltaF prices for the
+// step equals (next − p)·Σ ∂F/∂p from lineage.Derivatives over the
+// unsatisfied results the tuple feeds. chainInstance walks only the 19
+// tuples of its 17-shared result, and only four steps: each costs three
+// 2^17-assignment kernel sweeps.
+func TestEvaluatorMatchesReferenceDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, f := range differentialFixtures() {
+		from, steps := 0, 150 // the walk moves tuples from..len(Base)-1
+		switch {
+		case f.name == "chain-17":
+			from, steps = len(f.in.Base)-19, 4
+		case strings.HasPrefix(f.name, "small"):
+			steps = 40
+		}
+		e := mustEvaluator(t, f.in, nil)
+		requireMatchesReference(t, f.name+", fresh", e)
+		for i := 0; i < steps; i++ {
+			label := fmt.Sprintf("%s, step %d", f.name, i)
+			bi := from + r.Intn(len(e.p)-from)
+			next, _ := e.stepPrice(bi)
+			if r.Intn(4) == 0 {
+				next = stepDown(f.in.Base[bi], f.in.Delta, e.p[bi])
+			}
+			cur := currentAssignment(e)
+			want := 0.0
+			for _, oc := range e.resultsOf[bi] {
+				if !e.satisfied[oc.ri] {
+					want += (next - e.p[bi]) * lineage.Derivatives(f.in.Results[oc.ri].Formula, cur)[f.in.Base[bi].Var]
+				}
+			}
+			if got := e.deltaF(bi, next); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("%s: deltaF(%d, %v) = %v, tree walk %v", label, bi, next, got, want)
+			}
+			e.setP(bi, next)
+			requireMatchesReference(t, label, e)
+		}
+	}
+}
+
 // TestEvaluatorResetMatchesFresh pins reset(): after an arbitrary walk,
 // the evaluator is bit-equal to a fresh build — which is what lets the
 // phases of a group solve share one.
 func TestEvaluatorResetMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		for _, treeWalk := range []bool{false, true} {
-			in := mediumInstance(seed, 60, 6, true)
-			e := newEvaluator(in, nil, treeWalk)
-			randomWalk(e, rand.New(rand.NewSource(seed)), 200)
-			e.reset()
-			requireSameEvaluator(t, "reset", e, newEvaluator(in, nil, treeWalk))
-			// And it still evaluates like one afterwards.
-			fresh := newEvaluator(in, nil, treeWalk)
-			randomWalk(e, rand.New(rand.NewSource(seed+100)), 50)
-			randomWalk(fresh, rand.New(rand.NewSource(seed+100)), 50)
-			requireSameEvaluator(t, "walk after reset", e, fresh)
-		}
+		in := mediumInstance(seed, 60, 6, true)
+		e := mustEvaluator(t, in, nil)
+		randomWalk(e, rand.New(rand.NewSource(seed)), 200)
+		e.reset()
+		requireSameEvaluator(t, "reset", e, mustEvaluator(t, in, nil))
+		// And it still evaluates like one afterwards.
+		fresh := mustEvaluator(t, in, nil)
+		randomWalk(e, rand.New(rand.NewSource(seed+100)), 50)
+		randomWalk(fresh, rand.New(rand.NewSource(seed+100)), 50)
+		requireSameEvaluator(t, "walk after reset", e, fresh)
 	}
 }
 
@@ -176,40 +267,35 @@ func pinTrapInstance(n int) *Instance {
 func TestEvaluatorRetargetMatchesFresh(t *testing.T) {
 	defer fault.Reset()
 	for _, in := range []*Instance{clusteredInstance(6, 11), pinTrapInstance(6)} {
-		for _, treeWalk := range []bool{false, true} {
-			bs, cancel := newBudgetState("test", context.Background(), Budget{MaxPivots: 1 << 40})
-			defer cancel()
-			root := newEvaluator(in, bs, treeWalk)
-			groups := partition(root, 1, 64)
-			if len(groups) != 6 {
-				t.Fatalf("groups = %d, want 6", len(groups))
-			}
-			w := newGroupWorker(NewDivideAndConquer(), root, bs, nil)
-			r := rand.New(rand.NewSource(5))
-			for _, g := range groups {
-				w.target(&dncTask{g: g, need: len(g.Results)})
-				requireSameEvaluator(t, "retarget", w.e, newEvaluator(standalone(in, g), bs, treeWalk))
-				randomWalk(w.e, r, 40)
-				if treeWalk {
-					continue
+		bs, cancel := newBudgetState("test", context.Background(), Budget{MaxPivots: 1 << 40})
+		defer cancel()
+		root := mustEvaluator(t, in, bs)
+		groups := partition(root, 1, 64)
+		if len(groups) != 6 {
+			t.Fatalf("groups = %d, want 6", len(groups))
+		}
+		w := newGroupWorker(NewDivideAndConquer(), root, bs, nil)
+		r := rand.New(rand.NewSource(5))
+		for _, g := range groups {
+			w.target(&dncTask{g: g, need: len(g.Results)})
+			requireSameEvaluator(t, "retarget", w.e, mustEvaluator(t, standalone(in, g), bs))
+			randomWalk(w.e, r, 40)
+			// Abort a shared-variable evaluation on its second pivot
+			// assignment: the first one's pins are set by then.
+			fault.Enable()
+			hits := 0
+			fault.Register(SitePivot, func() {
+				if hits++; hits == 2 {
+					panic("injected mid-enumeration")
 				}
-				// Abort a shared-variable evaluation on its second pivot
-				// assignment: the first one's pins are set by then.
-				fault.Enable()
-				hits := 0
-				fault.Register(SitePivot, func() {
-					if hits++; hits == 2 {
-						panic("injected mid-enumeration")
-					}
-				})
-				func() {
-					defer func() { recover() }()
-					for bi := range w.e.p {
-						w.e.setP(bi, w.e.in.Base[bi].maxP())
-					}
-				}()
-				fault.Reset()
-			}
+			})
+			func() {
+				defer func() { recover() }()
+				for bi := range w.e.p {
+					w.e.setP(bi, w.e.in.Base[bi].maxP())
+				}
+			}()
+			fault.Reset()
 		}
 	}
 }

@@ -29,11 +29,6 @@ type Greedy struct {
 	// faithful full-rescan mode, while the engine and the D&C group
 	// solves default to incremental.
 	Incremental bool
-	// TreeWalk evaluates result formulas with the legacy interface-typed
-	// tree walk instead of compiled lineage programs. Plans are
-	// identical; the flag exists for differential tests and the
-	// AblationCompiled benchmark.
-	TreeWalk bool
 }
 
 // Name implements Solver.
@@ -135,7 +130,10 @@ func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (plan
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEvaluator(in, bs, g.TreeWalk)
+	e, err := newEvaluator(in, bs)
+	if err != nil {
+		return nil, err
+	}
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}

@@ -37,10 +37,6 @@ type Heuristic struct {
 	// best plan found so far (0 = unlimited). The search is exact when
 	// it completes within the budget.
 	MaxNodes int
-	// TreeWalk evaluates result formulas with the legacy tree walk
-	// instead of compiled lineage programs (differential testing and
-	// ablation only; plans are identical).
-	TreeWalk bool
 }
 
 // NewHeuristic returns the full configuration: all four heuristics on,
@@ -111,7 +107,9 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 			}
 		}
 	}()
-	s.e = newEvaluator(in, bs, h.TreeWalk)
+	if s.e, err = newEvaluator(in, bs); err != nil {
+		return nil, err
+	}
 	if s.e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -182,7 +180,10 @@ func (s *heuristicSearch) prepare() {
 	}
 	if s.UseH3 {
 		if s.maxEval == nil {
-			s.maxEval = newEvaluator(in, s.e.bs, s.TreeWalk)
+			var err error
+			if s.maxEval, err = newEvaluator(in, s.e.bs); err != nil {
+				panic(err) // unreachable: s.e compiled the same formulas
+			}
 		}
 		for i, b := range in.Base {
 			s.maxEval.setP(i, b.maxP())

@@ -209,19 +209,12 @@ type Solver interface {
 // tuples' maxima satisfies the required number of results.
 var ErrInfeasible = fmt.Errorf("strategy: instance is infeasible")
 
-// compiledSharedLimit bounds the Shannon pivot count of compiled result
-// programs: a formula sharing more variables than this keeps the
-// tree-walk substitution path (which can simplify below 2^shared work),
-// while everything else rides the flat compiled kernels.
-const compiledSharedLimit = 16
-
 // occ is one occurrence of a base tuple in a result: the result index
-// and the tuple's dense slot in that result's compiled program (-1 when
-// the result is evaluated by tree walk). dp caches the address of the
-// occurrence's cell in the result's reusable derivative row — the row
-// is carved once per targeting and refilled in place, so the pointer
-// stays valid and saves two dependent loads per gain evaluation on the
-// hot path.
+// and the tuple's dense slot in that result's compiled program. dp
+// caches the address of the occurrence's cell in the result's reusable
+// derivative row — the row is carved once per targeting and refilled in
+// place, so the pointer stays valid and saves two dependent loads per
+// gain evaluation on the hot path.
 type occ struct {
 	ri   int32
 	slot int32
@@ -231,8 +224,9 @@ type occ struct {
 // evaluator tracks current confidences and per-result probabilities with
 // incremental recomputation when one tuple changes. Every result formula
 // is compiled once per solve (newEvaluator) and re-evaluated through its
-// flat program; the faithful tree-walk path remains available for
-// differential testing and the ablation benchmarks.
+// flat program — the one evaluator the solvers have. The tree walk in
+// internal/lineage is the reference that Verify and the differential
+// tests hold it to.
 //
 // Lifecycle: newEvaluator builds the solve's one compiling evaluator;
 // retarget points a worker-owned evaluator at a group of it, borrowing
@@ -243,13 +237,11 @@ type occ struct {
 // rebuilds all of it (machines are Reset, which clears their pin flags).
 type evaluator struct {
 	in *Instance
-	// bs is the owning solve's budget state (nil when unbudgeted):
-	// recompute polls it, so even tree-walk evaluations — which have no
-	// pivot hook — stay cooperatively interruptible at per-formula
-	// granularity. hook is its pivot checkpoint, installed on every
-	// machine: it counts Shannon pivot enumerations against the budget
-	// and polls for cancellation, making formula evaluation — the
-	// solvers' deepest and potentially exponential loop — interruptible.
+	// bs is the owning solve's budget state (nil when unbudgeted). hook
+	// is its pivot checkpoint, installed on every machine: it counts
+	// Shannon pivot enumerations against the budget and polls for
+	// cancellation, making formula evaluation — the solvers' deepest and
+	// potentially exponential loop — interruptible.
 	bs         *budgetState
 	hook       func(int)
 	p          []float64 // current confidence per base tuple
@@ -260,7 +252,7 @@ type evaluator struct {
 
 	// Adjacency, as slice headers over flat buffers: resultsOf[bi] lists
 	// tuple bi's occurrences (ascending result index), basesOf[ri] the
-	// tuples result ri mentions (slot order for compiled results).
+	// tuples result ri mentions, in its program's slot order.
 	// baseEnd[ri] is where basesOf[ri] ends in baseBuf; the per-result
 	// slot and derivative rows sit at the same offsets of their buffers.
 	resultsOf [][]occ
@@ -269,17 +261,13 @@ type evaluator struct {
 	occN      []int32
 	baseBuf   []int
 	baseEnd   []int
-	// varIdx maps a variable to its tuple index in the compiling
-	// evaluator's instance; a group evaluator shares that map read-only
-	// and translates through remap (source tuple index → local).
-	varIdx map[lineage.Var]int
-	remap  []int32
+	// remap is retarget's scratch: source tuple index → local.
+	remap []int32
 
-	// Compiled path: per-result program (nil = tree walk; shared,
-	// immutable), machine, dense slot-indexed probabilities, and a
-	// reusable derivative row invalidated lazily (recompute only flips
-	// derivOK; the row is refilled on demand by one fused ProbDeriv
-	// sweep).
+	// Per-result program (shared, immutable), machine, dense
+	// slot-indexed probabilities, and a reusable derivative row
+	// invalidated lazily (recompute only flips derivOK; the row is
+	// refilled on demand by one fused ProbDeriv sweep).
 	progs     []*lineage.Program
 	machines  []*lineage.Machine
 	slotProbs [][]float64
@@ -288,25 +276,18 @@ type evaluator struct {
 	derivBuf  []float64
 	derivOK   []bool
 
-	// Batched kernel path: one lineage.Batch drives every compiled
-	// machine against the dense per-tuple confidence array e.p in a
-	// single sweep. The gather indices are basesOf — slot-ordered for
-	// compiled results — so a gathered input row is element-for-element
-	// the same as slotProbs[ri] and batched evaluation is bit-identical
-	// to the per-machine calls. batchIdx maps batch position to result
-	// index; batchOut and batchRows are the sweeps' reusable output and
-	// row-selection buffers; maxShared holds every tuple's maximum
-	// confidence for the batched feasibility probe.
+	// Batched kernel path: one lineage.Batch drives every machine, in
+	// result order, against the dense per-tuple confidence array e.p in
+	// a single sweep. The gather indices are basesOf — slot-ordered — so
+	// a gathered input row is element-for-element the same as
+	// slotProbs[ri] and batched evaluation is bit-identical to the
+	// per-machine calls. batchOut and batchRows are the sweeps' reusable
+	// output and row-selection buffers; maxShared holds every tuple's
+	// maximum confidence for the batched feasibility probe.
 	batch     lineage.Batch
-	batchIdx  []int
 	batchOut  []float64
 	batchRows [][]float64
 	maxShared []float64
-
-	// Tree-walk path (reference semantics): per-result derivative maps
-	// invalidated on recompute, read-once flags for the linear path.
-	derivs   []map[lineage.Var]float64
-	readOnce []bool
 
 	// Step-price cache: the next δ-grid confidence and its incremental
 	// cost per tuple depend only on the tuple's current confidence, so
@@ -346,51 +327,45 @@ func blankEvaluator(bs *budgetState) *evaluator {
 }
 
 // newEvaluator builds the instance's evaluator at its initial
-// confidences. It is the one place a solve compiles result formulas:
-// treeWalk selects the interface-typed tree evaluation for every result
-// instead (the differential suite's reference and the
-// compiled-vs-treewalk ablation); results over compiledSharedLimit take
-// that path regardless.
-func newEvaluator(in *Instance, bs *budgetState, treeWalk bool) *evaluator {
+// confidences. It is the one place a solve compiles result formulas,
+// under the limit the confidence path applies: a formula sharing more
+// than lineage.DefaultSharedLimit variables fails the build with an
+// error wrapping lineage.ErrTooManyShared.
+func newEvaluator(in *Instance, bs *budgetState) (*evaluator, error) {
 	e := blankEvaluator(bs)
 	e.in = in
-	e.varIdx = make(map[lineage.Var]int, len(in.Base))
+	varIdx := make(map[lineage.Var]int, len(in.Base))
 	for i, b := range in.Base {
-		e.varIdx[b.Var] = i
+		varIdx[b.Var] = i
 	}
 	e.progs = make([]*lineage.Program, len(in.Results))
-	e.readOnce = make([]bool, len(in.Results))
 	e.baseEnd = make([]int, len(in.Results))
 	for ri, r := range in.Results {
 		// Compilation is O(|formula|) per result but the instance may carry
 		// tens of thousands of results; keep setup interruptible too.
 		fault.Probe(SiteCompile)
 		bs.poll()
-		var vars []lineage.Var
-		if !treeWalk {
-			if prog, err := lineage.CompileExact(r.Formula, compiledSharedLimit); err == nil {
-				e.progs[ri], vars = prog, prog.Vars()
-			}
+		prog, err := lineage.CompileExact(r.Formula, lineage.DefaultSharedLimit)
+		if err != nil {
+			return nil, fmt.Errorf("strategy: result %d: %w", ri, err)
 		}
-		if e.progs[ri] == nil {
-			e.readOnce[ri], vars = r.Formula.ReadOnce(), r.Formula.Vars()
-		}
-		for _, v := range vars {
-			e.baseBuf = append(e.baseBuf, e.varIdx[v])
+		e.progs[ri] = prog
+		for _, v := range prog.Vars() {
+			e.baseBuf = append(e.baseBuf, varIdx[v])
 		}
 		e.baseEnd[ri] = len(e.baseBuf)
 	}
 	e.arm()
-	return e
+	return e, nil
 }
 
 // retarget points e at the sub-instance in, whose result i is src's
 // result g.Results[i] and whose tuple j is src's tuple g.Base[j]. The
-// programs, read-once flags and per-result tuple lists come from src by
-// index — read-only, so workers share one src without a lock — and the
+// programs and per-result tuple lists come from src by index —
+// read-only, so workers share one src without a lock — and the
 // evaluator's own state is rebuilt in place, equal to a fresh build.
 func (e *evaluator) retarget(in *Instance, src *evaluator, g Group) {
-	e.in, e.varIdx = in, src.varIdx
+	e.in = in
 	if cap(e.remap) < len(src.p) {
 		e.remap = make([]int32, len(src.p))
 	}
@@ -400,11 +375,10 @@ func (e *evaluator) retarget(in *Instance, src *evaluator, g Group) {
 	for j, bi := range g.Base {
 		e.remap[bi] = int32(j)
 	}
-	e.progs, e.readOnce, e.baseBuf, e.baseEnd = e.progs[:0], e.readOnce[:0], e.baseBuf[:0], e.baseEnd[:0]
+	e.progs, e.baseBuf, e.baseEnd = e.progs[:0], e.baseBuf[:0], e.baseEnd[:0]
 	for _, ri := range g.Results {
 		e.bs.poll()
 		e.progs = append(e.progs, src.progs[ri])
-		e.readOnce = append(e.readOnce, src.readOnce[ri])
 		for _, bi := range src.basesOf[ri] {
 			e.baseBuf = append(e.baseBuf, int(e.remap[bi]))
 		}
@@ -438,25 +412,18 @@ func (e *evaluator) arm() {
 	e.resultProb, e.satisfied, e.nSat = resize(e.resultProb, nr), resize(e.satisfied, nr), 0
 	e.basesOf, e.slotProbs, e.derivRow = resize(e.basesOf, nr), resize(e.slotProbs, nr), resize(e.derivRow, nr)
 	e.slotBuf, e.derivBuf = resize(e.slotBuf, nocc), resize(e.derivBuf, nocc)
-	e.derivOK, e.derivs = resize(e.derivOK, nr), resize(e.derivs, nr)
+	e.derivOK = resize(e.derivOK, nr)
+	e.batchOut, e.batchRows = resize(e.batchOut, nr), resize(e.batchRows, nr)
 	for len(e.machines) < nr {
 		e.machines = append(e.machines, nil)
 	}
 	e.batch.Reset()
-	e.batchIdx = e.batchIdx[:0]
 	lo := 0
 	for ri, hi := range e.baseEnd {
 		bs.poll()
 		bases := e.baseBuf[lo:hi:hi]
 		e.basesOf[ri] = bases
 		prog := e.progs[ri]
-		if prog == nil {
-			for _, bi := range bases {
-				e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: -1})
-			}
-			lo = hi
-			continue
-		}
 		if e.machines[ri] == nil {
 			e.machines[ri] = lineage.NewMachine(prog)
 			e.machines[ri].SetPivotHook(e.hook)
@@ -468,28 +435,19 @@ func (e *evaluator) arm() {
 			e.slotProbs[ri][s] = e.p[bi]
 			e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s]})
 		}
-		// basesOf is slot-ordered for compiled results, so gathering e.p
-		// through it reproduces slotProbs[ri] exactly.
+		// basesOf is slot-ordered, so gathering e.p through it reproduces
+		// slotProbs[ri] exactly.
 		if err := e.batch.Add(e.machines[ri], bases); err != nil {
 			panic(err) // unreachable: bases is the program's own variable list
 		}
-		e.batchIdx = append(e.batchIdx, ri)
 		lo = hi
 	}
-	if n := e.batch.Len(); n > 0 {
-		e.batchOut, e.batchRows = resize(e.batchOut, n), resize(e.batchRows, n)
-		// Initial probabilities of all compiled results in one batched
-		// sweep (shared-variable machines poll through their pivot hooks).
-		e.batch.EvalBatch(e.p, e.batchOut)
-		for k, ri := range e.batchIdx {
-			bs.poll()
-			e.applyProb(ri, e.batchOut[k])
-		}
-	}
-	for ri, prog := range e.progs {
-		if prog == nil {
-			e.recompute(ri)
-		}
+	// Initial probabilities of all results in one batched sweep
+	// (shared-variable machines poll through their pivot hooks).
+	e.batch.EvalBatch(e.p, e.batchOut)
+	for ri, prob := range e.batchOut {
+		bs.poll()
+		e.applyProb(ri, prob)
 	}
 	e.initProb = append(e.initProb[:0], e.resultProb...)
 }
@@ -511,49 +469,19 @@ func (e *evaluator) reset() {
 		e.stepOK[bi] = false
 		for _, oc := range e.resultsOf[bi] {
 			ri := int(oc.ri)
-			if oc.slot >= 0 {
-				e.slotProbs[ri][oc.slot] = b.P
-			}
-			e.derivOK[ri], e.derivs[ri] = false, nil
+			e.slotProbs[ri][oc.slot] = b.P
+			e.derivOK[ri] = false
 			e.applyProb(ri, e.initProb[ri])
 		}
 	}
 }
 
-// baseOf returns the index in e.in.Base of the tuple carrying variable v.
-func (e *evaluator) baseOf(v lineage.Var) int {
-	bi := e.varIdx[v]
-	if e.remap != nil {
-		bi = int(e.remap[bi])
-	}
-	return bi
-}
-
-// assignment adapts current confidences to lineage.Assignment.
-func (e *evaluator) assignment() lineage.Assignment {
-	return lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.p[e.baseOf(v)]
-	})
-}
-
 func (e *evaluator) recompute(ri int) {
 	e.bs.poll()
-	var prob float64
-	switch {
-	case e.progs[ri] != nil:
-		prob = e.machines[ri].Prob(e.slotProbs[ri])
-		// Invalidate lazily: the dense row is refilled (and reused) only
-		// when a gain computation actually needs derivatives.
-		e.derivOK[ri] = false
-	case e.readOnce[ri]:
-		// Exact for read-once formulas and allocation-free.
-		prob = lineage.ProbIndependent(e.in.Results[ri].Formula, e.assignment())
-		e.derivs[ri] = nil
-	default:
-		prob = lineage.Prob(e.in.Results[ri].Formula, e.assignment())
-		e.derivs[ri] = nil
-	}
-	e.applyProb(ri, prob)
+	// Invalidate lazily: the dense row is refilled (and reused) only
+	// when a gain computation actually needs derivatives.
+	e.derivOK[ri] = false
+	e.applyProb(ri, e.machines[ri].Prob(e.slotProbs[ri]))
 }
 
 // applyProb records a freshly computed probability for result ri and
@@ -572,31 +500,28 @@ func (e *evaluator) applyProb(ri int, prob float64) {
 	}
 }
 
-// primeDerivs refreshes the derivative row of every compiled, still
+// primeDerivs refreshes the derivative row of every still
 // unsatisfied result whose row is stale in one batched fused sweep, so
 // a greedy solve's initial gain sweep reads warm rows instead of
 // faulting them in machine by machine. The lazy per-result refresh in
 // deltaF still serves the incremental picks afterwards; either path
 // produces bit-identical rows (same machines, same gathered inputs).
 func (e *evaluator) primeDerivs() {
-	if e.batch.Len() == 0 {
-		return
-	}
 	stale := false
-	for k, ri := range e.batchIdx {
+	for ri := range e.batchRows {
 		if !e.satisfied[ri] && !e.derivOK[ri] {
-			e.batchRows[k] = e.derivRow[ri]
+			e.batchRows[ri] = e.derivRow[ri]
 			stale = true
 		} else {
-			e.batchRows[k] = nil
+			e.batchRows[ri] = nil
 		}
 	}
 	if !stale {
 		return
 	}
 	e.batch.ProbDerivBatch(e.p, nil, e.batchRows)
-	for k, ri := range e.batchIdx {
-		if e.batchRows[k] != nil {
+	for ri, row := range e.batchRows {
+		if row != nil {
 			e.derivOK[ri] = true
 		}
 	}
@@ -612,9 +537,7 @@ func (e *evaluator) setP(bi int, p float64) {
 	e.p[bi] = p
 	e.stepOK[bi] = false
 	for _, oc := range e.resultsOf[bi] {
-		if oc.slot >= 0 {
-			e.slotProbs[oc.ri][oc.slot] = p
-		}
+		e.slotProbs[oc.ri][oc.slot] = p
 		e.recompute(int(oc.ri))
 	}
 }
@@ -653,18 +576,11 @@ func (e *evaluator) deltaF(bi int, newP float64) float64 {
 		if e.satisfied[ri] {
 			continue
 		}
-		if oc.dp != nil {
-			if !e.derivOK[ri] {
-				e.machines[ri].ProbDeriv(e.slotProbs[ri], e.derivRow[ri])
-				e.derivOK[ri] = true
-			}
-			total += d * *oc.dp
-			continue
+		if !e.derivOK[ri] {
+			e.machines[ri].ProbDeriv(e.slotProbs[ri], e.derivRow[ri])
+			e.derivOK[ri] = true
 		}
-		if e.derivs[ri] == nil {
-			e.derivs[ri] = lineage.Derivatives(e.in.Results[ri].Formula, e.assignment())
-		}
-		total += d * e.derivs[ri][e.in.Base[bi].Var]
+		total += d * *oc.dp
 	}
 	return total
 }
@@ -697,42 +613,15 @@ func (e *evaluator) stepPriceSlow(bi int) (next, incCost float64) {
 // evaluator it already built instead of constructing (and compiling)
 // a second one.
 func (e *evaluator) satAtMax() int {
+	// All results in one batched sweep over the precomputed per-tuple
+	// maxima, gathered through basesOf; shared-variable machines stay
+	// interruptible via their pivot hooks. batchOut is scratch — current
+	// evaluator state is untouched.
+	e.batch.EvalBatch(e.maxShared, e.batchOut)
 	sat := 0
-	if e.batch.Len() > 0 {
-		// All compiled results in one batched sweep over the precomputed
-		// per-tuple maxima (gathered through basesOf, which is in slot
-		// order, so the inputs match the old per-result gather exactly);
-		// shared-variable machines stay interruptible via their pivot
-		// hooks. batchOut is scratch — current evaluator state is
-		// untouched.
-		e.batch.EvalBatch(e.maxShared, e.batchOut)
-		//lint:allow ctxpoll bounded O(|Results|) threshold counting over the
-		// batch outputs; the lineage work polled inside EvalBatch.
-		for k := range e.batchIdx {
-			if conf.GE(e.batchOut[k], e.in.Beta) {
-				sat++
-			}
-		}
-	}
-	if e.batch.Len() == len(e.progs) {
-		return sat // every result is compiled: no tree walk to do
-	}
-	maxAssign := lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.in.Base[e.baseOf(v)].maxP()
-	})
-	for ri := range e.in.Results {
-		if e.progs[ri] != nil {
-			continue // counted by the batched sweep above
-		}
-		// Feasibility probing evaluates every formula at the maxima; on
-		// large instances this rivals a solve phase, so stay interruptible.
-		e.bs.poll()
-		var prob float64
-		if e.readOnce[ri] {
-			prob = lineage.ProbIndependent(e.in.Results[ri].Formula, maxAssign)
-		} else {
-			prob = lineage.Prob(e.in.Results[ri].Formula, maxAssign)
-		}
+	//lint:allow ctxpoll bounded O(|Results|) threshold counting over the
+	// batch outputs; the lineage work polled inside EvalBatch.
+	for _, prob := range e.batchOut {
 		if conf.GE(prob, e.in.Beta) {
 			sat++
 		}
