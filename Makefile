@@ -51,16 +51,18 @@ mvcc-stress:
 # internal/core the _confidence column vs the confidence the policy
 # filter compares with β; in internal/relation the compiled row predicate vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
-# folds vs the pairwise fold, incremental cache advance vs scratch; in
+# folds vs the pairwise fold, incremental cache advance vs scratch, every
+# operator at the version it is opened at vs that version's rows; in
 # internal/sql the planner vs the statement-order reference (the serving
 # benchmark's shapes, the fuzz corpora and an error-parity table
-# included), filter pushdown over the fuzz seeds, and the one AST
-# renderer vs the parser round trip and the fingerprint's invariances.
+# included), filter pushdown over the fuzz seeds, the one AST renderer
+# vs the parser round trip and the fingerprint's invariances, and SQL
+# DML's subqueries vs the version its transaction reads.
 differential:
 	$(GO) test -run 'Differential|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult' -count=1 ./internal/lineage/ ./internal/strategy/
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError' -count=1 ./internal/core/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction'
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree

@@ -8,6 +8,7 @@ package pcqe
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pcqe/internal/cost"
@@ -285,7 +286,7 @@ func BenchmarkAblationParallelDnc(b *testing.B) {
 			func() *strategy.Instance { return genInstance(b, 5000, 5, 1) })
 	})
 	b.Run("parallel", func(b *testing.B) {
-		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Parallel: true},
+		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)},
 			func() *strategy.Instance { return genInstance(b, 5000, 5, 1) })
 	})
 }
@@ -302,7 +303,7 @@ func BenchmarkDnCParallel(b *testing.B) {
 		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: 1}, mk)
 	})
 	b.Run("workersAuto", func(b *testing.B) {
-		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Parallel: true}, mk)
+		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)}, mk)
 	})
 	for _, w := range []int{2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {

@@ -32,12 +32,6 @@ type Analyzer struct {
 	// with one of these suffixes (a "/"-boundary match). Empty = every
 	// package.
 	Scope []string
-	// Exclude skips packages whose import path ends with one of these
-	// suffixes, with the same "/"-boundary matching as Scope. Exclusion
-	// wins over Scope: it carves the one package allowed to violate the
-	// invariant (e.g. internal/relation may read raw versions because it
-	// implements the version store) out of an otherwise-global check.
-	Exclude []string
 	// RequireJustification makes a //lint:allow comment for this analyzer
 	// suppress only when it carries a non-empty justification after the
 	// analyzer-name list. A bare allow is reported along with the
@@ -186,15 +180,9 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 }
 
 // inScope reports whether a package import path matches the analyzer's
-// Scope and is not carved out by Exclude. Suffixes match at "/"
-// boundaries: "internal/strategy" matches "pcqe/internal/strategy" but
-// not "pcqe/internal/strategy2".
+// Scope. Suffixes match at "/" boundaries: "internal/strategy" matches
+// "pcqe/internal/strategy" but not "pcqe/internal/strategy2".
 func (a *Analyzer) inScope(path string) bool {
-	for _, suf := range a.Exclude {
-		if suffixMatch(path, suf) {
-			return false
-		}
-	}
 	if len(a.Scope) == 0 {
 		return true
 	}

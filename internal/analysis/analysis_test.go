@@ -112,10 +112,6 @@ func TestPlanaliasFixture(t *testing.T) {
 	runFixture(t, "./src/planalias", Planalias())
 }
 
-func TestSnapdisciplineFixture(t *testing.T) {
-	runFixture(t, "./src/snapdiscipline", Snapdiscipline())
-}
-
 func TestTxnmutateFixture(t *testing.T) {
 	runFixture(t, "./src/txnmutate", Txnmutate())
 }
@@ -239,25 +235,22 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestSuiteShape pins the suite composition, scopes and exclusions
-// documented in DESIGN.md §7 and §12.
+// TestSuiteShape pins the suite composition and scopes documented in DESIGN.md §7 and §12.
 func TestSuiteShape(t *testing.T) {
 	suite := Suite()
 	type shape struct {
 		scope   []string
-		exclude []string
 		justify bool
 	}
 	want := map[string]shape{
-		"confrange":      {},
-		"ctxpoll":        {scope: []string{"internal/strategy", "internal/lineage"}},
-		"errdiscipline":  {},
-		"auditemit":      {scope: []string{"internal/core"}},
-		"planalias":      {scope: []string{"internal/strategy", "internal/core"}},
-		"snapdiscipline": {exclude: []string{"internal/relation"}},
-		"txnmutate":      {},
-		"sharedstate":    {scope: []string{"internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"}},
-		"policyflow":     {scope: []string{"internal/core"}, justify: true},
+		"confrange":     {},
+		"ctxpoll":       {scope: []string{"internal/strategy", "internal/lineage"}},
+		"errdiscipline": {},
+		"auditemit":     {scope: []string{"internal/core"}},
+		"planalias":     {scope: []string{"internal/strategy", "internal/core"}},
+		"txnmutate":     {},
+		"sharedstate":   {scope: []string{"internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"}},
+		"policyflow":    {scope: []string{"internal/core"}, justify: true},
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
@@ -270,9 +263,6 @@ func TestSuiteShape(t *testing.T) {
 		}
 		if fmt.Sprint(a.Scope) != fmt.Sprint(w.scope) {
 			t.Errorf("%s scope = %v, want %v", a.Name, a.Scope, w.scope)
-		}
-		if fmt.Sprint(a.Exclude) != fmt.Sprint(w.exclude) {
-			t.Errorf("%s exclude = %v, want %v", a.Name, a.Exclude, w.exclude)
 		}
 		if a.RequireJustification != w.justify {
 			t.Errorf("%s RequireJustification = %v, want %v", a.Name, a.RequireJustification, w.justify)

@@ -11,8 +11,6 @@ package analysis
 //     degradation decisions;
 //   - planalias runs where Plan/Instance snapshots are produced and
 //     consumed;
-//   - snapdiscipline runs everywhere except internal/relation (which
-//     implements the version store): all relation reads pin a snapshot;
 //   - txnmutate runs everywhere: versioned-state mutation stays inside
 //     the Txn protocol, and batches never auto-commit per row;
 //   - sharedstate runs on the engine packages the wire-protocol server
@@ -28,7 +26,6 @@ func Suite() []*Analyzer {
 		Errdiscipline(),
 		Auditemit("internal/core"),
 		Planalias("internal/strategy", "internal/core"),
-		Snapdiscipline("internal/relation"),
 		Txnmutate(),
 		Sharedstate("internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"),
 		Policyflow("internal/core"),

@@ -32,11 +32,8 @@ func (t *Table) Insert(values []int, confidence float64) (*BaseTuple, error) {
 	return nil, nil
 }
 func (t *Table) MustInsert(confidence float64, values ...int) *BaseTuple { return nil }
-func (t *Table) Delete(pred func(*BaseTuple) bool) (int, error)          { return 0, nil }
-func (t *Table) Update(pred func(*BaseTuple) bool) (int, error)          { return 0, nil }
 
-func (c *Catalog) SetConfidence(v int64, p float64) error { return nil }
-func (c *Catalog) Begin() *Txn                            { return &Txn{cat: c} }
+func (c *Catalog) Begin() *Txn { return &Txn{cat: c} }
 
 type Txn struct {
 	cat      *Catalog
@@ -117,11 +114,6 @@ func autoCommitLoops(t *Table, c *Catalog, rows [][]int) error {
 	for i := range rows {
 		t.MustInsert(0.5, rows[i]...) // want `Table.MustInsert auto-commits one version per loop iteration`
 	}
-	for v := int64(0); v < 3; v++ {
-		if err := c.SetConfidence(v, 0.7); err != nil { // want `Catalog.SetConfidence auto-commits one version per loop iteration`
-			return err
-		}
-	}
 	return nil
 }
 
@@ -137,12 +129,11 @@ func batchedLoop(t *Table, c *Catalog, rows [][]int) {
 	x.Commit()
 }
 
-// straightLine auto-commits outside a loop: clean (the convenience
-// mutators exist exactly for this).
+// straightLine auto-commits outside a loop: clean (the single-row
+// loaders exist exactly for this).
 func straightLine(t *Table, c *Catalog) {
 	t.MustInsert(0.5, 1, 2)
 	_, _ = t.Insert([]int{3}, 0.6)
-	_ = c.SetConfidence(1, 0.8)
 }
 
 // allowed documents a deliberate per-row commit.

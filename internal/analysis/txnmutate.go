@@ -17,10 +17,9 @@ import (
 //  3. published BaseTuple versions are immutable: assigning to an
 //     exported BaseTuple field mutates a version concurrent snapshot
 //     readers may hold;
-//  4. auto-committing convenience mutators (Table.Insert/MustInsert/
-//     Delete/Update, Catalog.SetConfidence) inside a loop commit one
-//     version per iteration — a torn batch with one commitSeq per row;
-//     open one Txn around the loop instead.
+//  4. the auto-committing single-row loaders (Table.Insert/MustInsert)
+//     inside a loop commit one version per iteration — a torn batch
+//     with one commitSeq per row; open one Txn around the loop instead.
 func Txnmutate(scope ...string) *Analyzer {
 	return &Analyzer{
 		Name:  "txnmutate",
@@ -35,7 +34,7 @@ func Txnmutate(scope ...string) *Analyzer {
 var (
 	versionCounterField = map[string]bool{"commitSeq": true, "planEpoch": true, "confEpoch": true}
 	baseTupleField      = map[string]bool{"Var": true, "Values": true, "Confidence": true, "MaxConf": true, "Cost": true}
-	autoCommitTable     = map[string]bool{"Insert": true, "MustInsert": true, "Delete": true, "Update": true}
+	autoCommitTable     = map[string]bool{"Insert": true, "MustInsert": true}
 )
 
 func runTxnmutate(pass *Pass) error {
@@ -178,8 +177,8 @@ func checkVersionFieldWrite(pass *Pass, assign *ast.AssignStmt) {
 	}
 }
 
-// checkAutoCommitLoop flags rule 4: an auto-committing convenience
-// mutator called inside a loop body.
+// checkAutoCommitLoop flags rule 4: an auto-committing single-row
+// loader called inside a loop body.
 func checkAutoCommitLoop(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -193,14 +192,9 @@ func checkAutoCommitLoop(pass *Pass, body *ast.BlockStmt, reported map[token.Pos
 		if !ok {
 			return true
 		}
-		recv := pass.TypesInfo.TypeOf(sel.X)
-		switch {
-		case autoCommitTable[sel.Sel.Name] && namedTypeIs(recv, "Table"):
+		if autoCommitTable[sel.Sel.Name] && namedTypeIs(pass.TypesInfo.TypeOf(sel.X), "Table") {
 			reported[call.Pos()] = true
 			pass.Reportf(call.Pos(), "Table.%s auto-commits one version per loop iteration, tearing the batch across commits; open one Txn around the loop (Begin/…/Commit)", sel.Sel.Name)
-		case sel.Sel.Name == "SetConfidence" && namedTypeIs(recv, "Catalog"):
-			reported[call.Pos()] = true
-			pass.Reportf(call.Pos(), "Catalog.SetConfidence auto-commits one version per loop iteration, tearing the batch across commits; open one Txn around the loop (Begin/…/Commit)")
 		}
 		return true
 	})

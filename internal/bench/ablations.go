@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"pcqe/internal/lineage"
@@ -291,7 +292,7 @@ func AblationParallel(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		par := &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Parallel: true}
+		par := &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)}
 		d2, p2, err := timeSolve(par, in2)
 		if err != nil {
 			return nil, err

@@ -79,8 +79,8 @@ func FigPlanner(opt Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ruleDur, ruleRows, err := timePlanAndRun(cat, func(int64) (relation.Operator, error) {
-			return sql.PlanRuleBased(cat, stmt)
+		ruleDur, ruleRows, err := timePlanAndRun(cat, func(asOf int64) (relation.Operator, error) {
+			return sql.PlanRuleBased(cat, stmt, asOf)
 		})
 		if err != nil {
 			return nil, err

@@ -231,11 +231,11 @@ func TestUnimprovableTuplesAreFrozen(t *testing.T) {
 	// too.
 	cat := e.Catalog()
 	tab, _ := cat.Table("Proposal")
-	for _, row := range tab.Rows() {
+	for _, row := range tab.RowsAt(cat.Snapshot()) {
 		row.Cost = nil
 	}
 	info, _ := cat.Table("CompanyInfo")
-	for _, row := range info.Rows() {
+	for _, row := range info.RowsAt(cat.Snapshot()) {
 		row.Cost = nil
 	}
 	resp, err := e.Evaluate(Request{User: "mark", Query: ventureQuery, Purpose: "investment", MinFraction: 1.0})

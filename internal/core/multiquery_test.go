@@ -80,7 +80,7 @@ func TestEvaluateMultiInfeasibleSharedPlan(t *testing.T) {
 	e := overlapEngine(t)
 	// Freeze everything: no shared plan can exist.
 	items, _ := e.Catalog().Table("Items")
-	for _, row := range items.Rows() {
+	for _, row := range items.RowsAt(e.Catalog().Snapshot()) {
 		row.Cost = nil
 	}
 	reqs := []Request{

@@ -15,12 +15,14 @@ import (
 func confidenceImage(t *testing.T, cat *relation.Catalog) map[lineage.Var]float64 {
 	t.Helper()
 	img := map[lineage.Var]float64{}
+	snap := cat.Snapshot()
+	defer snap.Release()
 	for _, name := range cat.TableNames() {
 		tab, err := cat.Table(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range tab.Rows() {
+		for _, b := range tab.RowsAt(snap) {
 			img[b.Var] = b.Confidence
 		}
 	}
@@ -252,7 +254,7 @@ func TestMVCCReplayReconstructsConfidences(t *testing.T) {
 		t.Fatal("full replay is empty")
 	}
 	for v, p := range full {
-		if got := cat.ProbOf(v); got != p {
+		if got := cat.AssignmentAt(cat.Version()).ProbOf(v); got != p {
 			t.Fatalf("full replay tuple %d = %v, live catalog = %v", int(v), p, got)
 		}
 	}
@@ -303,13 +305,17 @@ func TestMVCCEvaluateMultiPinsOneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := items.Rows()[0].Var
+	victim := items.RowsAt(cat.Snapshot())[0].Var
 
 	defer fault.Reset()
 	queries := 0
 	fault.Register("core.lineage.row", func() {
 		if queries++; queries == 2 {
-			if err := cat.SetConfidence(victim, 0.3); err != nil {
+			x := cat.Begin()
+			if err := x.SetConfidence(victim, 0.3); err != nil {
+				t.Error(err)
+			}
+			if _, err := x.Commit(); err != nil {
 				t.Error(err)
 			}
 		}

@@ -26,31 +26,24 @@ type access struct {
 	keep []int
 	out  *Schema
 
-	// pin is the committed version to read; <= 0 captures the latest at
-	// Open, into at.
-	pin, at int64
-	pred    *rowPred
-	slots   []*versionSlot
-	pos     int
+	// at is the committed version Open was given to read.
+	at    int64
+	pred  *rowPred
+	slots []*versionSlot
+	pos   int
 }
 
 // Scan returns a Volcano operator producing the table's rows as derived
-// tuples whose lineage is their own variable. Unpinned, it reads the
-// latest committed version at Open; PinVersion (or relation.RunAt) pins
-// it to a fixed committed version.
+// tuples whose lineage is their own variable, as of the committed
+// version it is opened at.
 func (t *Table) Scan() Operator { return &access{table: t, out: t.schema} }
 
 // Schema implements Operator.
 func (a *access) Schema() *Schema { return a.out }
 
-// PinVersion implements VersionPinner.
-func (a *access) PinVersion(v int64) { a.pin = v }
-
 // Open implements Operator.
-func (a *access) Open() error {
-	if a.at = a.pin; a.at <= 0 {
-		a.at = a.table.catalog.commitSeq.Load()
-	}
+func (a *access) Open(at int64) error {
+	a.at = at
 	a.pred = compilePred(a.residual)
 	a.seek(a.key)
 	return nil

@@ -140,7 +140,7 @@ func TestFilteredLeafMatchesSelect(t *testing.T) {
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	all, err := Run(tab.Scan())
+	all, err := RunAt(tab.Scan(), c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFilteredLeafMatchesSelect(t *testing.T) {
 				want = append(want, tu)
 			}
 		}
-		got, gerr := Run(Filter(tab.Scan(), e))
+		got, gerr := RunAt(Filter(tab.Scan(), e), c.Version())
 		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) || render(got) != render(want) {
 			t.Fatalf("%s: filtered leaf %d rows (%v), tree walk %d rows (%v)", e, len(got), gerr, len(want), werr)
 		}
@@ -172,7 +172,7 @@ func TestFilteredLeafMatchesSelect(t *testing.T) {
 
 	none := Filter(tab.Scan(), &Binary{Op: OpGt, Left: &ColRef{Index: 0, Col: tab.Schema().Columns[0]}, Right: Const{Value: Int(1 << 60)}})
 	if allocs := testing.AllocsPerRun(5, func() {
-		if got, err := Run(none); err != nil || len(got) != 0 {
+		if got, err := RunAt(none, c.Version()); err != nil || len(got) != 0 {
 			t.Fatalf("rows = %d, %v", len(got), err)
 		}
 	}); allocs > 8 { // compiling the predicate at Open, nothing after
@@ -223,7 +223,7 @@ func TestLineageFoldsLinearAndIdentical(t *testing.T) {
 	}
 	pairwise["UNION"] = pairwise["DISTINCT"]
 	for name, op := range plans(tab) {
-		rows, err := Run(op)
+		rows, err := RunAt(op, tab.catalog.Version())
 		if err != nil || len(rows) != 1 {
 			t.Fatalf("%s: %d rows, %v", name, len(rows), err)
 		}
@@ -233,9 +233,9 @@ func TestLineageFoldsLinearAndIdentical(t *testing.T) {
 	}
 
 	big, _ := foldFixture(t, 2*n)
-	measure := func(op Operator) (allocs float64, bytes uint64) {
+	measure := func(op Operator, at int64) (allocs float64, bytes uint64) {
 		run := func() {
-			if _, err := Run(op); err != nil {
+			if _, err := RunAt(op, at); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,8 +248,8 @@ func TestLineageFoldsLinearAndIdentical(t *testing.T) {
 	}
 	bigPlans := plans(big)
 	for name, op := range plans(tab) {
-		a1, b1 := measure(op)
-		a2, b2 := measure(bigPlans[name])
+		a1, b1 := measure(op, tab.catalog.Version())
+		a2, b2 := measure(bigPlans[name], big.catalog.Version())
 		if a2 > 2.5*a1 || float64(b2) > 3*float64(b1) {
 			t.Errorf("%s over %d then %d rows: %.0f → %.0f allocations, %d → %d bytes; want both to double", name, n, 2*n, a1, a2, b1, b2)
 		}
@@ -336,7 +336,7 @@ func churnInner(c *Catalog, inner *Table, round int) error {
 }
 
 func TestIndexJoinValidatesItsInnerSide(t *testing.T) {
-	_, inner, inl, _ := indexJoinFixture(t)
+	c, inner, inl, _ := indexJoinFixture(t)
 	if got := Explain(inl()); got != "IndexJoin (O.k = i.k) probe I AS i filter (I.w >= 1) cols [k, w]\n└─ Scan O" {
 		t.Errorf("Explain =\n%s", got)
 	}
@@ -345,7 +345,7 @@ func TestIndexJoinValidatesItsInnerSide(t *testing.T) {
 		"unindexed column":    &IndexJoin{Outer: inner.Scan(), Inner: inner.Scan(), InnerKey: 1},
 		"column out of range": &IndexJoin{Outer: inner.Scan(), Inner: inner.Scan(), InnerKey: 7},
 	} {
-		if _, err := Run(op); err == nil {
+		if _, err := RunAt(op, c.Version()); err == nil {
 			t.Errorf("%s: Open should fail", name)
 		}
 	}

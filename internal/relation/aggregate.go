@@ -120,9 +120,9 @@ func aggType(spec AggSpec) Type {
 }
 
 // Open implements Operator.
-func (a *Aggregate) Open() error {
+func (a *Aggregate) Open(at int64) error {
 	a.buffer, a.pos = nil, 0
-	if err := a.Input.Open(); err != nil {
+	if err := a.Input.Open(at); err != nil {
 		return err
 	}
 	defer a.Input.Close()
@@ -262,6 +262,3 @@ func (a *Aggregate) Close() error {
 	a.buffer = nil
 	return nil
 }
-
-// PinVersion implements VersionPinner.
-func (a *Aggregate) PinVersion(v int64) { PinOperator(a.Input, v) }

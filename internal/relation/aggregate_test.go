@@ -34,7 +34,7 @@ func TestAggregateGroupBy(t *testing.T) {
 			{Kind: AggMax, Arg: amount},
 		},
 	}
-	rows, err := Run(agg)
+	rows, err := RunAt(agg, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAggregateGroupBy(t *testing.T) {
 				t.Errorf("east avg = %v", r.Values[3])
 			}
 			// Group lineage = AND of both rows: 0.9 · 0.8 = 0.72.
-			if p := c.Confidence(r); math.Abs(p-0.72) > 1e-9 {
+			if p := c.Snapshot().Confidence(r); math.Abs(p-0.72) > 1e-9 {
 				t.Errorf("east confidence = %v, want 0.72", p)
 			}
 		case "west":
@@ -80,12 +80,12 @@ func TestAggregateGroupBy(t *testing.T) {
 }
 
 func TestAggregateCountColumnSkipsNulls(t *testing.T) {
-	_, s := salesTable(t)
+	c, s := salesTable(t)
 	amount, _ := NewColRef(s.Schema(), "", "Amount")
-	rows, err := Run(&Aggregate{
+	rows, err := RunAt(&Aggregate{
 		Input: s.Scan(),
 		Aggs:  []AggSpec{{Kind: AggCount, Arg: amount}},
-	})
+	}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestAggregateGlobalOverEmptyInput(t *testing.T) {
 	c := NewCatalog()
 	s, _ := c.CreateTable("E", NewSchema(Column{Name: "x", Type: TypeInt}))
 	x, _ := NewColRef(s.Schema(), "", "x")
-	rows, err := Run(&Aggregate{
+	rows, err := RunAt(&Aggregate{
 		Input: s.Scan(),
 		Aggs:  []AggSpec{{Kind: AggCount}, {Kind: AggSum, Arg: x}, {Kind: AggMin, Arg: x}},
-	})
+	}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestAggregateGroupByEmptyInputNoGroups(t *testing.T) {
 	c := NewCatalog()
 	s, _ := c.CreateTable("E", NewSchema(Column{Name: "x", Type: TypeInt}))
 	x, _ := NewColRef(s.Schema(), "", "x")
-	rows, err := Run(&Aggregate{
+	rows, err := RunAt(&Aggregate{
 		Input:   s.Scan(),
 		GroupBy: []Expr{x},
 		Aggs:    []AggSpec{{Kind: AggCount}},
-	})
+	}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +161,22 @@ func TestAggregateSchemaNames(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	_, s := salesTable(t)
+	c, s := salesTable(t)
 	region, _ := NewColRef(s.Schema(), "", "Region")
 	// SUM over text errors.
-	if _, err := Run(&Aggregate{Input: s.Scan(), Aggs: []AggSpec{{Kind: AggSum, Arg: region}}}); err == nil {
+	if _, err := RunAt(&Aggregate{Input: s.Scan(), Aggs: []AggSpec{{Kind: AggSum, Arg: region}}}, c.Version()); err == nil {
 		t.Error("SUM(text) should fail")
 	}
 	// SUM without an argument errors.
-	if _, err := Run(&Aggregate{Input: s.Scan(), Aggs: []AggSpec{{Kind: AggSum}}}); err == nil {
+	if _, err := RunAt(&Aggregate{Input: s.Scan(), Aggs: []AggSpec{{Kind: AggSum}}}, c.Version()); err == nil {
 		t.Error("SUM without argument should fail")
 	}
 }
 
 func TestSortOperator(t *testing.T) {
-	_, s := salesTable(t)
+	c, s := salesTable(t)
 	amount, _ := NewColRef(s.Schema(), "", "Amount")
-	rows, err := Run(&Sort{Input: s.Scan(), Keys: []SortKey{{Expr: amount, Desc: true}}})
+	rows, err := RunAt(&Sort{Input: s.Scan(), Keys: []SortKey{{Expr: amount, Desc: true}}}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSortOperator(t *testing.T) {
 		t.Errorf("last row should be NULL amount, got %v", rows[3].Values[1])
 	}
 	// Ascending puts NULL first.
-	rows, err = Run(&Sort{Input: s.Scan(), Keys: []SortKey{{Expr: amount}}})
+	rows, err = RunAt(&Sort{Input: s.Scan(), Keys: []SortKey{{Expr: amount}}}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestSortOperator(t *testing.T) {
 }
 
 func TestSortMultiKeyStable(t *testing.T) {
-	_, s := salesTable(t)
+	c, s := salesTable(t)
 	region, _ := NewColRef(s.Schema(), "", "Region")
 	amount, _ := NewColRef(s.Schema(), "", "Amount")
-	rows, err := Run(&Sort{Input: s.Scan(), Keys: []SortKey{
+	rows, err := RunAt(&Sort{Input: s.Scan(), Keys: []SortKey{
 		{Expr: region},
 		{Expr: amount, Desc: true},
-	}})
+	}}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSortMultiKeyStable(t *testing.T) {
 }
 
 func TestRenameQualifiesSchema(t *testing.T) {
-	_, s := salesTable(t)
+	c, s := salesTable(t)
 	r := &Rename{Input: s.Scan(), Alias: "sl"}
 	if _, err := r.Schema().Resolve("sl", "Region"); err != nil {
 		t.Errorf("alias resolve failed: %v", err)
@@ -228,7 +228,7 @@ func TestRenameQualifiesSchema(t *testing.T) {
 	if _, err := r.Schema().Resolve("Sales", "Region"); err == nil {
 		t.Error("old qualifier should no longer resolve")
 	}
-	rows, err := Run(r)
+	rows, err := RunAt(r, c.Version())
 	if err != nil || len(rows) != 4 {
 		t.Fatalf("rename passthrough: %d rows, %v", len(rows), err)
 	}

@@ -11,16 +11,17 @@ import (
 	"pcqe/internal/obs"
 )
 
-// Catalog owns the tables of a database, assigns catalog-wide lineage
-// variables to base tuples, and answers confidence lookups for lineage
-// probability evaluation.
+// Catalog owns the tables of a database and assigns catalog-wide
+// lineage variables to base tuples; confidence lookups for lineage
+// probability evaluation go through a Snapshot or AssignmentAt, which
+// name the committed version they read.
 //
 // Storage is multi-versioned (see DESIGN.md §11): every mutation goes
-// through a single-writer Txn (Begin/Commit/Rollback; the Insert/
-// Delete/Update/SetConfidence convenience methods auto-commit one) and
-// publishes a new committed version atomically. Readers take Snapshot()
-// views pinned to a committed version and are never blocked by, nor
-// observe, in-flight writes.
+// through a single-writer Txn (Begin/Commit/Rollback; Table.Insert
+// auto-commits one for a single row) and publishes a new committed
+// version atomically. Readers take Snapshot() views pinned to a
+// committed version and are never blocked by, nor observe, in-flight
+// writes.
 type Catalog struct {
 	// mu guards the table registry, the variable registry, and the
 	// registered confidence caches. Writers additionally hold wmu; plain
@@ -173,60 +174,6 @@ func (c *Catalog) nextVar() lineage.Var {
 	return v
 }
 
-// BaseTupleByVar resolves a lineage variable to its row version at the
-// current committed version (possibly a zero-confidence tombstone for
-// deleted rows).
-func (c *Catalog) BaseTupleByVar(v lineage.Var) (*BaseTuple, bool) {
-	c.mu.RLock()
-	slot := c.byVar[v]
-	c.mu.RUnlock()
-	if slot == nil {
-		return nil, false
-	}
-	b := slot.at(c.commitSeq.Load())
-	if b == nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// ProbOf implements lineage.Assignment: the probability of a lineage
-// variable is the current confidence of its base tuple. Unknown
-// variables have probability 0.
-func (c *Catalog) ProbOf(v lineage.Var) float64 {
-	c.mu.RLock()
-	slot := c.byVar[v]
-	c.mu.RUnlock()
-	if slot == nil {
-		return 0
-	}
-	b := slot.at(c.commitSeq.Load())
-	if b == nil {
-		return 0
-	}
-	return b.Confidence
-}
-
-// Confidence computes the exact confidence of a derived tuple from its
-// lineage and the current base-tuple confidences.
-func (c *Catalog) Confidence(t *Tuple) float64 {
-	return lineage.Prob(t.Lineage, c)
-}
-
-// SetConfidence updates a base tuple's confidence in its own committed
-// transaction, clamped to [0, MaxConf]: growth is the normal PCQE
-// path; lowering is allowed for administrative correction but never
-// below 0.
-func (c *Catalog) SetConfidence(v lineage.Var, p float64) error {
-	x := c.Begin()
-	if err := x.SetConfidence(v, p); err != nil {
-		x.Rollback()
-		return err
-	}
-	_, err := x.Commit()
-	return err
-}
-
 // registerCache subscribes a confidence cache to incremental
 // advancement at commit.
 func (c *Catalog) registerCache(cc *ConfidenceCache) {
@@ -246,5 +193,3 @@ func (c *Catalog) advanceCaches(prevEpoch, newEpoch int64, changed []lineage.Var
 		cc.advance(prevEpoch, newEpoch, changed)
 	}
 }
-
-var _ lineage.Assignment = (*Catalog)(nil)

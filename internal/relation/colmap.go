@@ -23,7 +23,7 @@ func (m *ColumnMap) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (m *ColumnMap) Open() error { return m.Input.Open() }
+func (m *ColumnMap) Open(at int64) error { return m.Input.Open(at) }
 
 // Next implements Operator.
 func (m *ColumnMap) Next() (*Tuple, error) {
@@ -40,6 +40,3 @@ func (m *ColumnMap) Next() (*Tuple, error) {
 
 // Close implements Operator.
 func (m *ColumnMap) Close() error { return m.Input.Close() }
-
-// PinVersion implements VersionPinner.
-func (c *ColumnMap) PinVersion(v int64) { PinOperator(c.Input, v) }

@@ -96,7 +96,7 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 		}
 		for i, tu := range tuples {
 			got := confLatest(t, cc, tu)
-			_, want, _, _ := evalClassified(tu.Lineage, c)
+			_, want, _, _ := evalClassified(tu.Lineage, c.AssignmentAt(c.Version()))
 			if got != want {
 				t.Fatalf("round %d formula %d: cached %v, fresh %v (not bit-identical)", r, i, got, want)
 			}
@@ -192,7 +192,7 @@ func BenchmarkMVCCFullReevaluation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tu := range tuples {
-			evalClassified(tu.Lineage, c)
+			evalClassified(tu.Lineage, c.AssignmentAt(c.Version()))
 		}
 	}
 }

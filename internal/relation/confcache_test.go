@@ -89,10 +89,10 @@ func TestConfidenceCacheValuesAndHits(t *testing.T) {
 
 	// Read-once routing must be bit-identical to the tree walk, not
 	// merely close: both sides compute the same independent product.
-	if got, want := confLatest(t, cc, readOnce), lineage.Prob(readOnce.Lineage, c); got != want {
+	if got, want := confLatest(t, cc, readOnce), lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version())); got != want {
 		t.Fatalf("read-once confidence = %v, want exactly %v", got, want)
 	}
-	if got, want := confLatest(t, cc, shared), lineage.Prob(shared.Lineage, c); math.Abs(got-want) > 1e-12 {
+	if got, want := confLatest(t, cc, shared), lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version())); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shared confidence = %v, want %v", got, want)
 	}
 
@@ -127,11 +127,11 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 	before := confLatest(t, cc, shared)
 	confLatest(t, cc, readOnce)
 
-	if err := c.SetConfidence(rows[0].Var, 0.95); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var, 0.95) }); err != nil {
 		t.Fatal(err)
 	}
 	after := confLatest(t, cc, shared)
-	want := lineage.Prob(shared.Lineage, c)
+	want := lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version()))
 	if math.Abs(after-want) > 1e-12 {
 		t.Fatalf("post-SetConfidence cache served %v, fresh evaluation gives %v", after, want)
 	}
@@ -154,7 +154,7 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := c.ConfEpoch()
-	if _, err := tab.Delete(nil); err != nil {
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if c.ConfEpoch() == epoch {
@@ -184,8 +184,8 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	c, readOnce, shared, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 	want := map[*Tuple]float64{
-		readOnce: lineage.Prob(readOnce.Lineage, c),
-		shared:   lineage.Prob(shared.Lineage, c),
+		readOnce: lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version())),
+		shared:   lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version())),
 	}
 	readAll := func() {
 		var wg sync.WaitGroup
@@ -208,11 +208,11 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	readAll()
 	// Mutate between read phases (the catalog itself is not a
 	// concurrent structure) and verify the fleet sees the new epoch.
-	if err := c.SetConfidence(rows[3].Var, 0.2); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[3].Var, 0.2) }); err != nil {
 		t.Fatal(err)
 	}
-	want[readOnce] = lineage.Prob(readOnce.Lineage, c)
-	want[shared] = lineage.Prob(shared.Lineage, c)
+	want[readOnce] = lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version()))
+	want[shared] = lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version()))
 	readAll()
 }
 
@@ -237,10 +237,10 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	}
 	wantOld := map[*Tuple]float64{shared: at(old, shared), untouched: at(old, untouched)}
 
-	if err := c.SetConfidence(rows[0].Var, 0.95); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var, 0.95) }); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
 		t.Fatal(err)
 	}
-	wantNew := lineage.Prob(shared.Lineage, c)
+	wantNew := lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version()))
 	if wantNew == wantOld[shared] {
 		t.Fatal("fixture: the commit does not change the shared formula's confidence")
 	}
@@ -262,7 +262,7 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	}
 	// Current readers see N+1's values: nothing computed at N landed.
 	for _, tu := range []*Tuple{shared, readOnce, untouched} {
-		if got, want := confLatest(t, cc, tu), lineage.Prob(tu.Lineage, c); got != want {
+		if got, want := confLatest(t, cc, tu), lineage.Prob(tu.Lineage, c.AssignmentAt(c.Version())); got != want {
 			t.Fatalf("after the stale reads the cache serves %v for %s, want %v", got, tu.Lineage, want)
 		}
 	}
@@ -292,7 +292,7 @@ func TestConfidenceCachePostingsStayExact(t *testing.T) {
 		a, b, d := vars[i%nVars], vars[(i/nVars+i+1)%nVars], vars[(7*i+3)%nVars]
 		confLatest(t, cc, NewTuple(nil, lineage.Or(lineage.And(lineage.NewVar(a), lineage.NewVar(b)), lineage.NewVar(d), lineage.NewVar(lineage.Var(1000+i)))))
 		if i%16 == 0 {
-			if err := c.SetConfidence(a, 0.25+float64(i%3)/4); err != nil {
+			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a, 0.25+float64(i%3)/4) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -337,7 +337,7 @@ func TestConfidenceCacheReadersRaceCommits(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < 300; i++ {
-			if err := c.SetConfidence(rows[i%len(rows)].Var, dyadic(1+i%15)); err != nil {
+			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[i%len(rows)].Var, dyadic(1+i%15)) }); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}

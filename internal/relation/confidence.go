@@ -6,8 +6,10 @@ import (
 )
 
 // AttachConfidence appends a REAL "_confidence" column to its input,
-// computed from each tuple's lineage under the given assignment (usually
-// the catalog). It makes result confidence first-class inside queries:
+// computed from each tuple's lineage under the catalog's base-tuple
+// confidences as of the version it is opened at — the version the rows
+// below it are read at, so the column and the rows cannot come from
+// different commits. It makes result confidence first-class inside queries:
 // the SQL layer plans it automatically whenever a statement references
 // the _confidence pseudo-column, enabling
 //
@@ -22,12 +24,9 @@ import (
 // block, where it is the confidence the policy layer will compute: both
 // come from evalClassified, bit-equal but for the column's clamp to 1.
 type AttachConfidence struct {
-	Input  Operator
-	Assign lineage.Assignment
+	Input   Operator
+	Catalog *Catalog
 
-	// pin is the committed version to resolve confidences at when Assign
-	// is a live *Catalog; set through PinVersion (relation.RunAt).
-	pin    int64
 	assign lineage.Assignment
 	out    *Schema
 }
@@ -43,23 +42,9 @@ func (a *AttachConfidence) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (a *AttachConfidence) Open() error {
-	a.assign = a.Assign
-	if a.pin > 0 {
-		// When pinned and reading live catalog confidences, resolve them
-		// at the pinned version instead, so the attached column agrees
-		// with the rows the pinned scans below produced.
-		if cat, ok := a.Assign.(*Catalog); ok {
-			a.assign = cat.AssignmentAt(a.pin)
-		}
-	}
-	return a.Input.Open()
-}
-
-// PinVersion implements VersionPinner.
-func (a *AttachConfidence) PinVersion(v int64) {
-	a.pin = v
-	PinOperator(a.Input, v)
+func (a *AttachConfidence) Open(at int64) error {
+	a.assign = a.Catalog.AssignmentAt(at)
+	return a.Input.Open(at)
 }
 
 // Next implements Operator.

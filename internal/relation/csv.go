@@ -185,8 +185,9 @@ func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFo
 	}
 }
 
-// WriteCSV writes the table's rows (with confidence) as CSV.
-func WriteCSV(t *Table, w io.Writer) error {
+// WriteCSV writes the table's rows (with confidence) as CSV, as of the
+// snapshot's version.
+func WriteCSV(t *Table, snap *Snapshot, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	schema := t.Schema()
 	header := make([]string, 0, schema.Len()+1)
@@ -197,7 +198,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, row := range t.Rows() {
+	for _, row := range t.RowsAt(snap) {
 		rec := make([]string, 0, len(row.Values)+1)
 		for _, v := range row.Values {
 			if v.IsNull() {

@@ -22,7 +22,7 @@ func TestLoadCSVRoundTrip(t *testing.T) {
 	if n != 2 || tab.Len() != 2 {
 		t.Fatalf("loaded %d rows", n)
 	}
-	rows := tab.Rows()
+	rows := tab.RowsAt(c.Snapshot())
 	if rows[0].Confidence != 0.9 || rows[1].Confidence != 0.5 {
 		t.Errorf("confidences = %v, %v", rows[0].Confidence, rows[1].Confidence)
 	}
@@ -33,7 +33,7 @@ func TestLoadCSVRoundTrip(t *testing.T) {
 		t.Error("row 1 should not have a cost function")
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(tab, &buf); err != nil {
+	if err := WriteCSV(tab, c.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,7 +55,7 @@ func TestLoadCSVReorderedHeader(t *testing.T) {
 	if _, err := LoadCSV(tab, strings.NewReader(in)); err != nil {
 		t.Fatal(err)
 	}
-	row := tab.Rows()[0]
+	row := tab.RowsAt(c.Snapshot())[0]
 	if s, _ := row.Values[0].AsString(); s != "alice" {
 		t.Errorf("name column = %v", row.Values[0])
 	}
@@ -101,11 +101,11 @@ func TestLoadCSVNullFields(t *testing.T) {
 	if _, err := LoadCSV(tab, strings.NewReader(in)); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Rows()[0].Values[1].IsNull() {
+	if !tab.RowsAt(c.Snapshot())[0].Values[1].IsNull() {
 		t.Error("empty field should load as NULL")
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(tab, &buf); err != nil {
+	if err := WriteCSV(tab, c.Snapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "alice,,1") {
@@ -146,7 +146,7 @@ func TestLoadCSVFileInfersFromQuotedFirstRow(t *testing.T) {
 			t.Errorf("column %d = %s %s, want %s %s", i, got[i].Name, got[i].Type, want[i].Name, want[i].Type)
 		}
 	}
-	first := tab.Rows()[0]
+	first := tab.RowsAt(c.Snapshot())[0]
 	if first.Values[0].String() != "Smith, J" || first.Confidence != 0.9 {
 		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values, first.Confidence)
 	}

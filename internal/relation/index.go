@@ -29,19 +29,6 @@ func (ix *Index) Len() int {
 	return len(ix.buckets)
 }
 
-// Lookup returns the rows whose indexed column equals v at the latest
-// committed version. The returned slice is freshly built.
-func (ix *Index) Lookup(v Value) []*BaseTuple {
-	seq := ix.table.catalog.commitSeq.Load()
-	var out []*BaseTuple
-	for _, slot := range ix.candidates(v) {
-		if b := ix.at(slot, v, seq); b != nil {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // candidates returns the bucket of v's key: every slot some version of
 // which holds that key. The slice is shared with the index and only
 // ever appended to, so callers iterate it in place, resolving each slot

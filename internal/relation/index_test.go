@@ -5,16 +5,28 @@ import (
 	"testing"
 )
 
+// lookup counts the rows the index resolves under k at the catalog's
+// current version, the way the access leaf probes a bucket.
+func lookup(ix *Index, k Value) int {
+	n, at := 0, ix.table.catalog.Version()
+	for _, slot := range ix.candidates(k) {
+		if ix.at(slot, k, at) != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestIndexLookupAndMaintenance(t *testing.T) {
-	_, tab := intTable(t, 1, 2, 2, 3)
+	c, tab := intTable(t, 1, 2, 2, 3)
 	ix, err := tab.CreateIndex("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ix.Lookup(Int(2))); got != 2 {
+	if got := lookup(ix, Int(2)); got != 2 {
 		t.Fatalf("Lookup(2) = %d rows", got)
 	}
-	if got := len(ix.Lookup(Int(9))); got != 0 {
+	if got := lookup(ix, Int(9)); got != 0 {
 		t.Fatalf("Lookup(9) = %d rows", got)
 	}
 	if ix.Len() != 3 {
@@ -22,22 +34,28 @@ func TestIndexLookupAndMaintenance(t *testing.T) {
 	}
 	// Inserts are indexed.
 	tab.MustInsert(0.5, nil, Int(2))
-	if got := len(ix.Lookup(Int(2))); got != 3 {
+	if got := lookup(ix, Int(2)); got != 3 {
 		t.Fatalf("after insert Lookup(2) = %d", got)
 	}
 	// Deletes rebuild.
 	a, _ := NewColRef(tab.Schema(), "", "a")
-	if _, err := tab.Delete(&Binary{Op: OpEq, Left: a, Right: Const{Value: Int(2)}}); err != nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Delete(tab, &Binary{Op: OpEq, Left: a, Right: Const{Value: Int(2)}})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ix.Lookup(Int(2))); got != 0 {
+	if got := lookup(ix, Int(2)); got != 0 {
 		t.Fatalf("after delete Lookup(2) = %d", got)
 	}
 	// Updates rebuild.
-	if _, err := tab.Update(nil, []UpdateSpec{{Column: 0, Value: Const{Value: Int(7)}}}); err != nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{{Column: 0, Value: Const{Value: Int(7)}}})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ix.Lookup(Int(7))); got != 2 {
+	if got := lookup(ix, Int(7)); got != 2 {
 		t.Fatalf("after update Lookup(7) = %d", got)
 	}
 }
@@ -61,7 +79,7 @@ func eqConst(tab *Table, k Value) Expr {
 }
 
 func TestIndexScanOperator(t *testing.T) {
-	_, tab := intTable(t, 1, 2, 2)
+	c, tab := intTable(t, 1, 2, 2)
 	if _, err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +87,7 @@ func TestIndexScanOperator(t *testing.T) {
 	if !ProbesIndex(op) {
 		t.Fatalf("equality on an indexed column must probe the index:\n%s", Explain(op))
 	}
-	rows, err := Run(op)
+	rows, err := RunAt(op, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +124,7 @@ func TestIndexLookupFoldsIntAndReal(t *testing.T) {
 		key  Value
 		want int
 	}{{Int(1), 2}, {Float(1), 2}, {Float(1.5), 1}, {Int(2), 1}, {Float(2.5), 0}, {Null(), 0}, {String_("1"), 0}} {
-		if got := len(ix.Lookup(tc.key)); got != tc.want {
+		if got := lookup(ix, tc.key); got != tc.want {
 			t.Errorf("Lookup(%v %s) = %d rows, want %d", tc.key, tc.key.Type(), got, tc.want)
 		}
 	}
@@ -125,7 +143,7 @@ func TestIndexLookupFoldsIntAndReal(t *testing.T) {
 // TestOptimizeIndexedSelect pins the push-filter rewrite both
 // planners reach the leaf through.
 func TestOptimizeIndexedSelect(t *testing.T) {
-	_, tab := intTable(t, 1, 2, 3)
+	c, tab := intTable(t, 1, 2, 3)
 	if _, err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +154,7 @@ func TestOptimizeIndexedSelect(t *testing.T) {
 	if _, ok := op.(*access); !ok || !ProbesIndex(op) {
 		t.Fatalf("filtered scan = %T (index %v), want the leaf probing its index", op, ProbesIndex(op))
 	}
-	rows, err := Run(op)
+	rows, err := RunAt(op, c.Version())
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows = %d, %v", len(rows), err)
 	}
@@ -158,8 +176,7 @@ func TestOptimizeIndexedSelect(t *testing.T) {
 		t.Fatalf("aliased filter = %T, index %v", op, ProbesIndex(op))
 	}
 	// Unindexed column, and inequality only: a filtered scan.
-	c := NewCatalog()
-	plain, _ := c.CreateTable("P", NewSchema(Column{Name: "a", Type: TypeInt}))
+	plain, _ := NewCatalog().CreateTable("P", NewSchema(Column{Name: "a", Type: TypeInt}))
 	plain.MustInsert(1, nil, Int(1))
 	if op := Filter(plain.Scan(), eqConst(plain, Int(2))); ProbesIndex(op) || Explain(op) != "Scan P filter (P.a = 2)" {
 		t.Fatalf("unindexed filter: %s", Explain(op))
@@ -195,18 +212,18 @@ func TestOptimizedSelectEquivalence(t *testing.T) {
 		tab.MustInsert(0.5, nil, Int(int64(i%7)), String_("x"))
 	}
 	pred := eqConst(tab, Int(3))
-	plain, err := Run(&Select{Input: &Limit{Input: tab.Scan(), N: -1}, Pred: pred})
+	plain, err := RunAt(&Select{Input: &Limit{Input: tab.Scan(), N: -1}, Pred: pred}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := Run(Filter(tab.Scan(), pred))
+	scanned, err := RunAt(Filter(tab.Scan(), pred), c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(Filter(tab.Scan(), pred))
+	fast, err := RunAt(Filter(tab.Scan(), pred), c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,12 @@ func (j *NestedLoopJoin) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (j *NestedLoopJoin) Open() error {
+func (j *NestedLoopJoin) Open(at int64) error {
 	j.current, j.rpos = nil, 0
-	if err := j.Left.Open(); err != nil {
+	if err := j.Left.Open(at); err != nil {
 		return err
 	}
-	rows, err := Run(j.Right)
+	rows, err := RunAt(j.Right, at)
 	if err != nil {
 		return err
 	}
@@ -102,15 +102,15 @@ func (j *HashJoin) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (j *HashJoin) Open() error {
+func (j *HashJoin) Open(at int64) error {
 	if len(j.LeftKeys) == 0 || len(j.LeftKeys) != len(j.RightKeys) {
 		return fmt.Errorf("relation: hash join requires matching non-empty key lists")
 	}
 	j.current, j.bucket, j.bpos = nil, nil, 0
-	if err := j.Left.Open(); err != nil {
+	if err := j.Left.Open(at); err != nil {
 		return err
 	}
-	rows, err := Run(j.Right)
+	rows, err := RunAt(j.Right, at)
 	if err != nil {
 		return err
 	}
@@ -151,7 +151,7 @@ func (j *HashJoin) Close() error {
 
 // IndexJoin is an equi-join on one column pair that never reads the
 // inner side as a whole: each outer tuple probes the inner base table's
-// hash index at the pinned version, the inner leaf's filter and column
+// hash index at the version the join was opened at, the inner leaf's filter and column
 // pruning apply per match, and outer ++ inner is emitted with the
 // conjunction of their lineages — the multiset and lineage of a
 // HashJoin probing with Outer (NULL keys meet NULL keys there too).
@@ -164,7 +164,6 @@ type IndexJoin struct {
 	OuterKey, InnerKey int
 
 	out     *Schema
-	pin     int64
 	probe   access // Inner's leaf, re-aimed at the join column's index
 	current *Tuple
 }
@@ -177,14 +176,8 @@ func (j *IndexJoin) Schema() *Schema {
 	return j.out
 }
 
-// PinVersion implements VersionPinner.
-func (j *IndexJoin) PinVersion(v int64) {
-	j.pin = v
-	PinOperator(j.Outer, v)
-}
-
 // Open implements Operator.
-func (j *IndexJoin) Open() error {
+func (j *IndexJoin) Open(at int64) error {
 	leaf, _ := leafOf(j.Inner)
 	var ix *Index
 	if leaf != nil && j.InnerKey >= 0 && j.InnerKey < j.Inner.Schema().Len() {
@@ -200,12 +193,12 @@ func (j *IndexJoin) Open() error {
 	// Whatever index the leaf's own filter chose, the join reads through
 	// the join column's and checks the whole filter per match.
 	j.probe = *leaf
-	j.probe.index, j.probe.residual, j.probe.pin = ix, leaf.filter, j.pin
+	j.probe.index, j.probe.residual = ix, leaf.filter
 	j.current = nil
-	if err := j.probe.Open(); err != nil {
+	if err := j.probe.Open(at); err != nil {
 		return err
 	}
-	return j.Outer.Open()
+	return j.Outer.Open(at)
 }
 
 // Next implements Operator.
@@ -239,16 +232,4 @@ func combine(l, r *Tuple) *Tuple {
 	vals = append(vals, l.Values...)
 	vals = append(vals, r.Values...)
 	return &Tuple{Values: vals, Lineage: lineage.And(l.Lineage, r.Lineage)}
-}
-
-// PinVersion implements VersionPinner.
-func (j *NestedLoopJoin) PinVersion(v int64) {
-	PinOperator(j.Left, v)
-	PinOperator(j.Right, v)
-}
-
-// PinVersion implements VersionPinner.
-func (j *HashJoin) PinVersion(v int64) {
-	PinOperator(j.Left, v)
-	PinOperator(j.Right, v)
 }

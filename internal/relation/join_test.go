@@ -8,7 +8,7 @@ import (
 )
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	_, proposal, info := newVentureDB(t)
+	c, proposal, info := newVentureDB(t)
 	// Equi-join on company with both algorithms.
 	hj := &HashJoin{Left: info.Scan(), Right: proposal.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}
 	joined := hj.Schema()
@@ -25,11 +25,11 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		Right: proposal.Scan(),
 		Pred:  &Binary{Op: OpEq, Left: li, Right: ri},
 	}
-	hrows, err := Run(hj)
+	hrows, err := RunAt(hj, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nrows, err := Run(nl)
+	nrows, err := RunAt(nl, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 func TestJoinLineageIsConjunction(t *testing.T) {
 	c, proposal, info := newVentureDB(t)
 	hj := &HashJoin{Left: info.Scan(), Right: proposal.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}
-	rows, err := Run(hj)
+	rows, err := RunAt(hj, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +66,16 @@ func TestJoinLineageIsConjunction(t *testing.T) {
 		}
 		// Confidence is the product of the two base confidences.
 		vars := r.Lineage.Vars()
-		want := c.ProbOf(vars[0]) * c.ProbOf(vars[1])
-		if got := c.Confidence(r); math.Abs(got-want) > 1e-9 {
+		want := c.Snapshot().ProbOf(vars[0]) * c.Snapshot().ProbOf(vars[1])
+		if got := c.Snapshot().Confidence(r); math.Abs(got-want) > 1e-9 {
 			t.Errorf("confidence = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestNestedLoopCrossProduct(t *testing.T) {
-	_, proposal, info := newVentureDB(t)
-	rows, err := Run(&NestedLoopJoin{Left: info.Scan(), Right: proposal.Scan()})
+	c, proposal, info := newVentureDB(t)
+	rows, err := RunAt(&NestedLoopJoin{Left: info.Scan(), Right: proposal.Scan()}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestNestedLoopCrossProduct(t *testing.T) {
 }
 
 func TestHashJoinKeyValidation(t *testing.T) {
-	_, proposal, info := newVentureDB(t)
+	c, proposal, info := newVentureDB(t)
 	hj := &HashJoin{Left: info.Scan(), Right: proposal.Scan()}
-	if err := hj.Open(); err == nil {
+	if err := hj.Open(c.Version()); err == nil {
 		t.Error("empty key lists should fail")
 	}
 	hj = &HashJoin{Left: info.Scan(), Right: proposal.Scan(), LeftKeys: []int{0}, RightKeys: []int{0, 1}}
-	if err := hj.Open(); err == nil {
+	if err := hj.Open(c.Version()); err == nil {
 		t.Error("mismatched key lists should fail")
 	}
 }
@@ -101,11 +101,11 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 	empty, _ := c.CreateTable("E", NewSchema(Column{Name: "a", Type: TypeInt}))
 	other, _ := c.CreateTable("O", NewSchema(Column{Name: "a", Type: TypeInt}))
 	other.MustInsert(1, nil, Int(1))
-	rows, err := Run(&HashJoin{Left: empty.Scan(), Right: other.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}})
+	rows, err := RunAt(&HashJoin{Left: empty.Scan(), Right: other.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}, c.Version())
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty left: %d rows, %v", len(rows), err)
 	}
-	rows, err = Run(&HashJoin{Left: other.Scan(), Right: empty.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}})
+	rows, err = RunAt(&HashJoin{Left: other.Scan(), Right: empty.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}, c.Version())
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty right: %d rows, %v", len(rows), err)
 	}

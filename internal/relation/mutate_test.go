@@ -20,43 +20,52 @@ func intTable(t *testing.T, vals ...int64) (*Catalog, *Table) {
 func TestDeleteMatchingRows(t *testing.T) {
 	c, tab := intTable(t, 1, 2, 3)
 	a, _ := NewColRef(tab.Schema(), "", "a")
-	victims := tab.Rows()[:2]
-	n, err := tab.Delete(&Binary{Op: OpLt, Left: a, Right: Const{Value: Int(3)}})
+	victims := tab.RowsAt(c.Snapshot())[:2]
+	x := c.Begin()
+	n, err := x.Delete(tab, &Binary{Op: OpLt, Left: a, Right: Const{Value: Int(3)}})
 	if err != nil || n != 2 {
 		t.Fatalf("deleted %d, %v", n, err)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	if tab.Len() != 1 {
 		t.Fatalf("remaining = %d", tab.Len())
 	}
 	// Withdrawn rows keep their variable but have zero confidence.
 	for _, v := range victims {
-		if c.ProbOf(v.Var) != 0 {
-			t.Errorf("withdrawn row t%d confidence = %v", v.Var, c.ProbOf(v.Var))
+		if c.Snapshot().ProbOf(v.Var) != 0 {
+			t.Errorf("withdrawn row t%d confidence = %v", v.Var, c.Snapshot().ProbOf(v.Var))
 		}
 	}
 }
 
 func TestDeleteAllWithNilPred(t *testing.T) {
-	_, tab := intTable(t, 1, 2)
-	n, err := tab.Delete(nil)
+	c, tab := intTable(t, 1, 2)
+	x := c.Begin()
+	n, err := x.Delete(tab, nil)
+	if _, cerr := x.Commit(); cerr != nil {
+		t.Fatal(cerr)
+	}
 	if err != nil || n != 2 || tab.Len() != 0 {
 		t.Fatalf("n=%d len=%d err=%v", n, tab.Len(), err)
 	}
 }
 
 func TestDeletePredicateError(t *testing.T) {
-	_, tab := intTable(t, 1)
+	c, tab := intTable(t, 1)
 	a, _ := NewColRef(tab.Schema(), "", "a")
 	// Predicate evaluating to a non-boolean errors.
-	if _, err := tab.Delete(a); err == nil {
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, a); return err }); err == nil {
 		t.Fatal("non-boolean predicate should fail")
 	}
 }
 
 func TestUpdateValuesAndConfidence(t *testing.T) {
-	_, tab := intTable(t, 1, 2)
+	c, tab := intTable(t, 1, 2)
 	a, _ := NewColRef(tab.Schema(), "", "a")
-	n, err := tab.Update(
+	x := c.Begin()
+	n, err := x.Update(tab,
 		&Binary{Op: OpEq, Left: a, Right: Const{Value: Int(1)}},
 		[]UpdateSpec{
 			{Column: 0, Value: &Binary{Op: OpAdd, Left: a, Right: Const{Value: Int(10)}}},
@@ -65,7 +74,10 @@ func TestUpdateValuesAndConfidence(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("updated %d, %v", n, err)
 	}
-	rows := tab.Rows()
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rows := tab.RowsAt(c.Snapshot())
 	if v, _ := rows[0].Values[0].AsInt(); v != 11 {
 		t.Errorf("a = %v", rows[0].Values[0])
 	}
@@ -78,27 +90,42 @@ func TestUpdateValuesAndConfidence(t *testing.T) {
 }
 
 func TestUpdateValidation(t *testing.T) {
-	_, tab := intTable(t, 1)
-	if _, err := tab.Update(nil, []UpdateSpec{{Column: 0, Value: Const{Value: String_("x")}}}); err == nil {
+	c, tab := intTable(t, 1)
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{{Column: 0, Value: Const{Value: String_("x")}}})
+		return err
+	}); err == nil {
 		t.Error("type mismatch should fail")
 	}
-	if _, err := tab.Update(nil, []UpdateSpec{{Column: -1, Value: Const{Value: String_("x")}}}); err == nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{{Column: -1, Value: Const{Value: String_("x")}}})
+		return err
+	}); err == nil {
 		t.Error("non-numeric confidence should fail")
 	}
-	if _, err := tab.Update(nil, []UpdateSpec{{Column: -1, Value: Const{Value: Float(1.5)}}}); err == nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{{Column: -1, Value: Const{Value: Float(1.5)}}})
+		return err
+	}); err == nil {
 		t.Error("out-of-range confidence should fail")
 	}
-	if _, err := tab.Update(nil, []UpdateSpec{{Column: 7, Value: Const{Value: Int(1)}}}); err == nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{{Column: 7, Value: Const{Value: Int(1)}}})
+		return err
+	}); err == nil {
 		t.Error("column out of range should fail")
 	}
 	// Int coerces into REAL columns.
-	c := NewCatalog()
+	c = NewCatalog()
 	rt, _ := c.CreateTable("R", NewSchema(Column{Name: "x", Type: TypeFloat}))
 	rt.MustInsert(1, nil, Float(1))
-	if _, err := rt.Update(nil, []UpdateSpec{{Column: 0, Value: Const{Value: Int(2)}}}); err != nil {
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(rt, nil, []UpdateSpec{{Column: 0, Value: Const{Value: Int(2)}}})
+		return err
+	}); err != nil {
 		t.Errorf("int into REAL should coerce: %v", err)
 	}
-	if rt.Rows()[0].Values[0].Type() != TypeFloat {
+	if rt.RowsAt(c.Snapshot())[0].Values[0].Type() != TypeFloat {
 		t.Error("coerced value should be REAL")
 	}
 }
@@ -182,7 +209,7 @@ func mustEval(t *testing.T, e Expr, tup *Tuple) Value {
 
 func TestAttachConfidenceOperator(t *testing.T) {
 	c, tab := intTable(t, 1, 2)
-	op := &AttachConfidence{Input: tab.Scan(), Assign: c}
+	op := &AttachConfidence{Input: tab.Scan(), Catalog: c}
 	if op.Schema().Len() != tab.Schema().Len()+1 {
 		t.Fatalf("schema len = %d", op.Schema().Len())
 	}
@@ -190,7 +217,7 @@ func TestAttachConfidenceOperator(t *testing.T) {
 	if last.Name != ConfidenceColumn || last.Type != TypeFloat {
 		t.Fatalf("attached column = %+v", last)
 	}
-	rows, err := Run(op)
+	rows, err := RunAt(op, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +232,10 @@ func TestAttachConfidenceOperator(t *testing.T) {
 	}
 	// Composes under a join: attach reflects the lineage at that point.
 	joined := &AttachConfidence{
-		Input:  &NestedLoopJoin{Left: tab.Scan(), Right: tab.Scan()},
-		Assign: c,
+		Input:   &NestedLoopJoin{Left: tab.Scan(), Right: tab.Scan()},
+		Catalog: c,
 	}
-	jrows, err := Run(joined)
+	jrows, err := RunAt(joined, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // This file holds the storage-side MVCC machinery: version chains,
-// immutable snapshots, and version pinning for operators. See DESIGN.md
-// §11 for the model.
+// immutable snapshots, and the one lineage-variable → row-version
+// lookup. See DESIGN.md §11 for the model.
 //
 // Every logical row is a versionSlot holding an atomically published
 // chain of immutable BaseTuple versions, newest first. A version is
@@ -134,40 +134,40 @@ func (s *Snapshot) Historical() bool { return s.historical }
 // Catalog returns the catalog the snapshot reads.
 func (s *Snapshot) Catalog() *Catalog { return s.cat }
 
+// rowAt resolves a lineage variable to its slot and the row version
+// visible at commit sequence seq (possibly a tombstone); both are nil
+// for a variable that did not exist at seq. Every by-variable read —
+// snapshots, assignments, transactions at their write sequence — goes
+// through it.
+func (c *Catalog) rowAt(v lineage.Var, seq int64) (*versionSlot, *BaseTuple) {
+	c.mu.RLock()
+	slot := c.byVar[v]
+	c.mu.RUnlock()
+	if slot == nil {
+		return nil, nil
+	}
+	b := slot.at(seq)
+	if b == nil {
+		return nil, nil
+	}
+	return slot, b
+}
+
 // ProbOf implements lineage.Assignment against the pinned version: the
 // probability of a variable is the confidence its base tuple had at the
 // snapshot's version. Unknown (or not-yet-inserted) variables have
 // probability 0; deleted rows resolve to their tombstone's 0.
 func (s *Snapshot) ProbOf(v lineage.Var) float64 {
-	s.cat.mu.RLock()
-	slot := s.cat.byVar[v]
-	s.cat.mu.RUnlock()
-	if slot == nil {
-		return 0
-	}
-	b := slot.at(s.seq)
-	if b == nil {
-		return 0
-	}
-	return b.Confidence
+	return pinnedAssign{cat: s.cat, seq: s.seq}.ProbOf(v)
 }
 
 // BaseTupleByVar resolves a lineage variable to the row version visible
-// at the snapshot (possibly a zero-confidence tombstone, mirroring
-// Catalog.BaseTupleByVar's treatment of deleted rows). It reports false
+// at the snapshot — possibly a zero-confidence tombstone, so lineage of
+// results computed before a delete stays meaningful. It reports false
 // for variables that did not exist at the pinned version.
 func (s *Snapshot) BaseTupleByVar(v lineage.Var) (*BaseTuple, bool) {
-	s.cat.mu.RLock()
-	slot := s.cat.byVar[v]
-	s.cat.mu.RUnlock()
-	if slot == nil {
-		return nil, false
-	}
-	b := slot.at(s.seq)
-	if b == nil {
-		return nil, false
-	}
-	return b, true
+	_, b := s.cat.rowAt(v, s.seq)
+	return b, b != nil
 }
 
 // Confidence computes the exact confidence of a derived tuple from its
@@ -179,55 +179,22 @@ func (s *Snapshot) Confidence(t *Tuple) float64 {
 var _ lineage.Assignment = (*Snapshot)(nil)
 
 // pinnedAssign is a lineage.Assignment resolving confidences at a fixed
-// commit sequence, without snapshot bookkeeping. AttachConfidence uses
-// it when its plan is run pinned.
+// commit sequence, without snapshot bookkeeping: what AttachConfidence
+// reads through.
 type pinnedAssign struct {
 	cat *Catalog
 	seq int64
 }
 
 func (p pinnedAssign) ProbOf(v lineage.Var) float64 {
-	p.cat.mu.RLock()
-	slot := p.cat.byVar[v]
-	p.cat.mu.RUnlock()
-	if slot == nil {
-		return 0
+	if _, b := p.cat.rowAt(v, p.seq); b != nil {
+		return b.Confidence
 	}
-	b := slot.at(p.seq)
-	if b == nil {
-		return 0
-	}
-	return b.Confidence
+	return 0
 }
 
 // AssignmentAt returns a lineage.Assignment that resolves base-tuple
 // confidences as of committed version v.
 func (c *Catalog) AssignmentAt(v int64) lineage.Assignment {
 	return pinnedAssign{cat: c, seq: v}
-}
-
-// VersionPinner is implemented by operators that can pin their reads to
-// a committed catalog version. Composite operators forward the pin to
-// their children; leaf scans capture it. Pinning v <= 0 restores the
-// legacy behavior of reading the latest committed version at Open.
-type VersionPinner interface {
-	PinVersion(v int64)
-}
-
-// PinOperator pins op (and, transitively, its children) to version v.
-// Operators that do not read versioned state are left untouched.
-func PinOperator(op Operator, v int64) {
-	if p, ok := op.(VersionPinner); ok {
-		p.PinVersion(v)
-	}
-}
-
-// RunAt drains an operator pinned to committed version v: every base
-// table scan, index scan and attached confidence resolves at exactly
-// that version, so the result is consistent with one committed state
-// even while writers commit concurrently. RunAt(op, 0) unpins: scans
-// capture the latest committed version when opened.
-func RunAt(op Operator, v int64) ([]*Tuple, error) {
-	PinOperator(op, v)
-	return Run(op)
 }

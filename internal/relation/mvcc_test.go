@@ -23,6 +23,18 @@ func newMVCCTable(t *testing.T) (*Catalog, *Table) {
 	return c, tab
 }
 
+// inTxn runs fn in one write transaction: committed when fn succeeds,
+// rolled back (and fn's error returned) when it does not.
+func inTxn(c *Catalog, fn func(x *Txn) error) error {
+	x := c.Begin()
+	if err := fn(x); err != nil {
+		x.Rollback()
+		return err
+	}
+	_, err := x.Commit()
+	return err
+}
+
 // rowImage is the comparable image of one visible row version.
 type rowImage struct {
 	v       lineage.Var
@@ -40,6 +52,8 @@ type dbImage struct {
 }
 
 func captureImage(c *Catalog, tables ...*Table) dbImage {
+	snap := c.Snapshot()
+	defer snap.Release()
 	img := dbImage{
 		version:   c.Version(),
 		planEpoch: c.PlanEpoch(),
@@ -48,7 +62,7 @@ func captureImage(c *Catalog, tables ...*Table) dbImage {
 		lens:      map[string]int{},
 	}
 	for _, t := range tables {
-		for _, b := range t.Rows() {
+		for _, b := range t.RowsAt(snap) {
 			var sb strings.Builder
 			for _, v := range b.Values {
 				sb.WriteString(v.String())
@@ -105,12 +119,12 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 
 	// Three commits after the snapshot: a confidence change, an insert,
 	// and a delete.
-	if err := c.SetConfidence(a.Var, 0.9); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.9) }); err != nil {
 		t.Fatal(err)
 	}
 	tab.MustInsert(0.5, nil, Int(3), Int(30))
-	if n, err := tab.Delete(keyEq(t, tab, 2)); err != nil || n != 1 {
-		t.Fatalf("delete: n=%d err=%v", n, err)
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, keyEq(t, tab, 2)); return err }); err != nil {
+		t.Fatal(err)
 	}
 
 	if got := c.Version(); got != v0+3 {
@@ -129,15 +143,17 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 	if rows := tab.RowsAt(snap); len(rows) != 2 {
 		t.Errorf("RowsAt(snapshot) = %d rows, want 2", len(rows))
 	}
-	// The latest view reflects them all.
-	if p := c.ProbOf(a.Var); p != 0.9 {
+	// A fresh snapshot reflects them all.
+	latest := c.Snapshot()
+	defer latest.Release()
+	if p := latest.ProbOf(a.Var); p != 0.9 {
 		t.Errorf("latest ProbOf(a) = %v, want 0.9", p)
 	}
-	if p := c.ProbOf(b.Var); p != 0 {
+	if p := latest.ProbOf(b.Var); p != 0 {
 		t.Errorf("latest ProbOf(deleted b) = %v, want 0", p)
 	}
-	if rows := tab.Rows(); len(rows) != 2 { // a and the new row; b deleted
-		t.Errorf("latest Rows = %d, want 2", len(rows))
+	if rows := tab.RowsAt(latest); len(rows) != 2 { // a and the new row; b deleted
+		t.Errorf("latest RowsAt = %d, want 2", len(rows))
 	}
 }
 
@@ -149,17 +165,19 @@ func TestMVCCDeletedRowKeepsResolvingAsTombstone(t *testing.T) {
 	before := c.Snapshot()
 	defer before.Release()
 
-	if n, err := tab.Delete(nil); err != nil || n != 1 {
-		t.Fatalf("delete: n=%d err=%v", n, err)
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, nil); return err }); err != nil {
+		t.Fatal(err)
 	}
-	got, ok := c.BaseTupleByVar(a.Var)
+	after := c.Snapshot()
+	defer after.Release()
+	got, ok := after.BaseTupleByVar(a.Var)
 	if !ok {
 		t.Fatal("deleted row must stay resolvable by variable")
 	}
 	if !got.Tombstone() || got.Confidence != 0 {
 		t.Fatalf("tombstone=%v conf=%v, want tombstone with confidence 0", got.Tombstone(), got.Confidence)
 	}
-	if p := c.Confidence(result); p != 0 {
+	if p := after.Confidence(result); p != 0 {
 		t.Errorf("derived confidence after delete = %v, want 0", p)
 	}
 	// A snapshot taken before the delete still sees the live row.
@@ -178,7 +196,9 @@ func TestMVCCTxnRollbackRestoresStateBitIdentical(t *testing.T) {
 	}
 
 	want := captureImage(c, tab)
-	heldRows := tab.Rows()
+	snap := c.Snapshot()
+	defer snap.Release()
+	heldRows := tab.RowsAt(snap)
 
 	x := c.Begin()
 	if _, err := x.Insert(tab, []Value{Int(4), Int(40)}, 0.9, nil); err != nil {
@@ -198,7 +218,9 @@ func TestMVCCTxnRollbackRestoresStateBitIdentical(t *testing.T) {
 
 	assertImagesEqual(t, want, captureImage(c, tab))
 	// The rows captured before the transaction point at the same versions.
-	after := tab.Rows()
+	fresh := c.Snapshot()
+	defer fresh.Release()
+	after := tab.RowsAt(fresh)
 	if len(after) != len(heldRows) {
 		t.Fatalf("rows after rollback = %d, want %d", len(after), len(heldRows))
 	}
@@ -208,7 +230,7 @@ func TestMVCCTxnRollbackRestoresStateBitIdentical(t *testing.T) {
 		}
 	}
 	// A new transaction can run after the rollback released the writer.
-	if err := c.SetConfidence(rowB.Var, 0.6); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowB.Var, 0.6) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -240,13 +262,13 @@ func TestMVCCCommitFaultIsAllOrNothing(t *testing.T) {
 
 	// With the fault cleared the same mutation commits cleanly.
 	fault.Reset()
-	if err := c.SetConfidence(rowA.Var, 0.7); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowA.Var, 0.7) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Version(); got != want.version+1 {
 		t.Fatalf("version = %d, want %d", got, want.version+1)
 	}
-	if p := c.ProbOf(rowA.Var); p != 0.7 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(rowA.Var); p != 0.7 {
 		t.Fatalf("confidence = %v, want 0.7", p)
 	}
 }
@@ -256,11 +278,11 @@ func TestMVCCSnapshotAtTimeTravel(t *testing.T) {
 	v0 := c.Version() // table exists, no rows
 	a := tab.MustInsert(0.2, nil, Int(1), Int(10))
 	v1 := c.Version()
-	if err := c.SetConfidence(a.Var, 0.5); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.5) }); err != nil {
 		t.Fatal(err)
 	}
 	v2 := c.Version()
-	if err := c.SetConfidence(a.Var, 0.8); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.8) }); err != nil {
 		t.Fatal(err)
 	}
 	v3 := c.Version()
@@ -296,7 +318,7 @@ func TestMVCCSnapshotAtTimeTravel(t *testing.T) {
 }
 
 // TestMVCCRowsAliasingRegression guards the historical bug where
-// Table.Rows returned an aliased view that later mutations edited in
+// reading a table's rows returned an aliased view that later mutations edited in
 // place: a caller holding the slice across an update/delete/insert saw
 // its rows change under it.
 func TestMVCCRowsAliasingRegression(t *testing.T) {
@@ -304,9 +326,9 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 	tab.MustInsert(0.1, nil, Int(1), Int(10))
 	tab.MustInsert(0.2, nil, Int(2), Int(20))
 	tab.MustInsert(0.3, nil, Int(3), Int(30))
-	_ = c
-
-	held := tab.Rows()
+	before := c.Snapshot()
+	defer before.Release()
+	held := tab.RowsAt(before)
 	type image struct {
 		conf float64
 		val  int64
@@ -319,13 +341,16 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 
 	// Mutate through every path: value update, confidence update, delete,
 	// insert.
-	if _, err := tab.Update(nil, []UpdateSpec{
-		{Column: 1, Value: Const{Value: Int(99)}},
-		{Column: -1, Value: Const{Value: Float(0.9)}},
+	if err := inTxn(c, func(x *Txn) error {
+		_, err := x.Update(tab, nil, []UpdateSpec{
+			{Column: 1, Value: Const{Value: Int(99)}},
+			{Column: -1, Value: Const{Value: Float(0.9)}},
+		})
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(keyEq(t, tab, 2)); err != nil {
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, keyEq(t, tab, 2)); return err }); err != nil {
 		t.Fatal(err)
 	}
 	tab.MustInsert(0.4, nil, Int(4), Int(40))
@@ -341,9 +366,11 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 		}
 	}
 	// The fresh view reflects the mutations.
-	fresh := tab.Rows()
+	after := c.Snapshot()
+	defer after.Release()
+	fresh := tab.RowsAt(after)
 	if len(fresh) != 3 { // 3 original − 1 deleted + 1 inserted
-		t.Fatalf("fresh Rows = %d, want 3", len(fresh))
+		t.Fatalf("fresh RowsAt = %d, want 3", len(fresh))
 	}
 	for _, b := range fresh {
 		k, _ := b.Values[0].AsInt()
@@ -369,13 +396,13 @@ func TestMVCCTxnReadsItsOwnWrites(t *testing.T) {
 		t.Fatalf("txn ConfidenceOf = %v/%v, want 0.7 (read your writes)", p, ok)
 	}
 	// Committed readers still see the old value while the txn is open.
-	if p := c.ProbOf(a.Var); p != 0.4 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var); p != 0.4 {
 		t.Fatalf("committed ProbOf = %v, want 0.4 while txn open", p)
 	}
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.ProbOf(a.Var); p != 0.7 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var); p != 0.7 {
 		t.Fatalf("committed ProbOf = %v after commit, want 0.7", p)
 	}
 }
@@ -439,12 +466,13 @@ func TestMVCCRunAtPinsWholePlan(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("pinned run = %d rows, want 2", len(rows))
 	}
-	rows, err = RunAt(op, 0) // unpinned: latest
+	// Version 0 is the empty database, not a spelling of "latest".
+	rows, err = RunAt(op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("latest run = %d rows, want 3", len(rows))
+	if len(rows) != 0 {
+		t.Fatalf("run at version 0 = %d rows, want none", len(rows))
 	}
 }
 
@@ -455,11 +483,11 @@ func TestMVCCAttachConfidencePinned(t *testing.T) {
 	c, tab := newMVCCTable(t)
 	a := tab.MustInsert(0.25, nil, Int(1), Int(10))
 	v1 := c.Version()
-	if err := c.SetConfidence(a.Var, 0.75); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.75) }); err != nil {
 		t.Fatal(err)
 	}
 
-	op := &AttachConfidence{Input: tab.Scan(), Assign: c}
+	op := &AttachConfidence{Input: tab.Scan(), Catalog: c}
 	rows, err := RunAt(op, v1)
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +520,7 @@ func TestMVCCVersionCountersConcurrentReads(t *testing.T) {
 		defer close(done)
 		for i := 0; i < commits; i++ {
 			p := float64(i%11) / 10
-			if err := c.SetConfidence(a.Var, p); err != nil {
+			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, p) }); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
@@ -557,5 +585,184 @@ func TestMVCCIndexJoinMatchesHashJoinAtPinnedVersion(t *testing.T) {
 	}
 	if len(images) < len(versions)/2 {
 		t.Fatalf("only %d distinct join results over %d versions: the churn does not exercise the join", len(images), len(versions))
+	}
+}
+
+// TestEveryOperatorOpensAtTheGivenVersion: one tree object per operator
+// kind, run at v1, at v2 and at v1 again (what a plan-cache hit does),
+// must each time produce the rows, lineage and _confidence of a
+// reference built from scratch over that version's rows held in Values
+// leaves — which ignore the version they are opened at, so a composite
+// that forwards the wrong one to a child cannot also fool the
+// reference. Between v1 and v2 both tables gain a row and lose their
+// first, and a surviving row's confidence is raised.
+func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
+	c := NewCatalog()
+	mk := func(name, second string) *Table {
+		tab, err := c.CreateTable(name, NewSchema(Column{Name: "k", Type: TypeInt}, Column{Name: second, Type: TypeInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.CreateIndex("k"); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	a, b := mk("A", "v"), mk("B", "w")
+	x := c.Begin()
+	for _, r := range [][2]int64{{1, 10}, {2, 20}, {3, 30}, {2, 21}} {
+		x.MustInsert(a, 0.5, nil, Int(r[0]), Int(r[1]))
+	}
+	for _, r := range [][2]int64{{1, 100}, {2, 200}, {4, 400}} {
+		x.MustInsert(b, 0.5, nil, Int(r[0]), Int(r[1]))
+	}
+	v1, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(tab *Table, i int) *ColRef { return &ColRef{Index: i, Col: tab.Schema().Columns[i]} }
+	cmp := func(op BinaryOp, l Expr, k int64) Expr { return &Binary{Op: op, Left: l, Right: Const{Value: Int(k)}} }
+	x = c.Begin()
+	x.MustInsert(a, 0.5, nil, Int(2), Int(22))
+	x.MustInsert(b, 0.5, nil, Int(3), Int(300))
+	for _, tab := range []*Table{a, b} {
+		if n, err := x.Delete(tab, cmp(OpEq, col(tab, 0), 1)); err != nil || n != 1 {
+			t.Fatalf("delete from %s: %d, %v", tab.Name, n, err)
+		}
+	}
+	snap1, err := c.SnapshotAt(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap1.Release()
+	if err := x.SetConfidence(a.RowsAt(snap1)[1].Var, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scan := func(tab *Table) Operator { return tab.Scan() }
+	// heldAt is the leaf of a reference tree: tab's rows at v, fixed.
+	heldAt := func(v int64) func(*Table) Operator {
+		return func(tab *Table) Operator {
+			snap, err := c.SnapshotAt(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Release()
+			held := &Values{RowSchema: tab.Schema()}
+			for _, row := range tab.RowsAt(snap) {
+				held.Rows = append(held.Rows, &Tuple{Values: row.Values, Lineage: lineage.NewVar(row.Var)})
+			}
+			return held
+		}
+	}
+	join := func(leaf func(*Table) Operator) Operator {
+		return &HashJoin{Left: leaf(a), Right: leaf(b), LeftKeys: []int{0}, RightKeys: []int{0}}
+	}
+	probed := cmp(OpEq, col(a, 0), 2)
+	cases := []struct {
+		name string
+		// shape builds the tree over the given leaves; live, when set,
+		// is the tree under test where it is not shape over scans.
+		shape func(leaf func(*Table) Operator) Operator
+		live  func() Operator
+	}{
+		{name: "Select", shape: func(leaf func(*Table) Operator) Operator {
+			return &Select{Input: leaf(a), Pred: cmp(OpGe, col(a, 0), 2)}
+		}},
+		{name: "Project", shape: func(leaf func(*Table) Operator) Operator {
+			return &Project{Input: leaf(a), Exprs: []Expr{col(a, 0)}}
+		}},
+		{name: "Project DISTINCT", shape: func(leaf func(*Table) Operator) Operator {
+			return &Project{Input: leaf(a), Exprs: []Expr{col(a, 0)}, Distinct: true}
+		}},
+		{name: "Limit", shape: func(leaf func(*Table) Operator) Operator { return &Limit{Input: leaf(a), N: 2} }},
+		{name: "Rename", shape: func(leaf func(*Table) Operator) Operator { return &Rename{Input: leaf(a), Alias: "x"} }},
+		{name: "ColumnMap", shape: func(leaf func(*Table) Operator) Operator {
+			return &ColumnMap{Input: leaf(a), Indices: []int{1, 0}}
+		}},
+		{name: "Sort", shape: func(leaf func(*Table) Operator) Operator {
+			return &Sort{Input: leaf(a), Keys: []SortKey{{Expr: col(a, 1), Desc: true}}}
+		}},
+		{name: "Aggregate", shape: func(leaf func(*Table) Operator) Operator {
+			return &Aggregate{Input: leaf(a), GroupBy: []Expr{col(a, 0)}, Aggs: []AggSpec{{Kind: AggCount}}}
+		}},
+		{name: "HashJoin", shape: join},
+		{name: "NestedLoopJoin", shape: func(leaf func(*Table) Operator) Operator {
+			return &NestedLoopJoin{Left: leaf(a), Right: leaf(b), Pred: &Binary{Op: OpEq, Left: col(a, 0), Right: &ColRef{Index: 2, Col: b.Schema().Columns[0]}}}
+		}},
+		{name: "IndexJoin", shape: join, live: func() Operator {
+			return &IndexJoin{Outer: a.Scan(), Inner: b.Scan(), OuterKey: 0, InnerKey: 0}
+		}},
+		{name: "Union", shape: func(leaf func(*Table) Operator) Operator { return &Union{Left: leaf(a), Right: leaf(b)} }},
+		{name: "Intersect", shape: func(leaf func(*Table) Operator) Operator {
+			return &Intersect{Left: &ColumnMap{Input: leaf(a), Indices: []int{0}}, Right: &ColumnMap{Input: leaf(b), Indices: []int{0}}}
+		}},
+		{name: "Except", shape: func(leaf func(*Table) Operator) Operator {
+			return &Except{Left: &ColumnMap{Input: leaf(a), Indices: []int{0}}, Right: &ColumnMap{Input: leaf(b), Indices: []int{0}}}
+		}},
+		{name: "filtered and pruned leaf", shape: func(leaf func(*Table) Operator) Operator {
+			return &ColumnMap{Input: &Select{Input: leaf(a), Pred: cmp(OpGe, col(a, 1), 20)}, Indices: []int{1}}
+		}, live: func() Operator { return Prune(Filter(a.Scan(), cmp(OpGe, col(a, 1), 20)), []int{1}) }},
+		{name: "indexed leaf", shape: func(leaf func(*Table) Operator) Operator {
+			return &Select{Input: leaf(a), Pred: probed}
+		}, live: func() Operator { return Filter(a.Scan(), probed) }},
+	}
+	if !ProbesIndex(cases[len(cases)-1].live()) {
+		t.Fatal("fixture: the indexed-leaf case does not probe an index")
+	}
+	for _, tc := range cases {
+		live := tc.live
+		if live == nil {
+			live = func() Operator { return tc.shape(scan) }
+		}
+		op := live()
+		images := map[int64]string{}
+		for _, v := range []int64{v1, v2, v1} {
+			got := strings.Join(joinImage(t, op, v), "\n")
+			// The reference runs at a version at which both tables are
+			// empty: only its held rows can reach its output.
+			if want := strings.Join(joinImage(t, tc.shape(heldAt(v)), 0), "\n"); got != want {
+				t.Errorf("%s at version %d:\n%s\nwant\n%s", tc.name, v, got, want)
+			}
+			images[v] = got
+		}
+		if images[v1] == images[v2] {
+			t.Errorf("%s: same result at both versions; the case cannot tell them apart", tc.name)
+		}
+	}
+
+	// AttachConfidence has no Values-leaf reference (the catalog is where
+	// its column comes from): check it against each version's snapshot.
+	attach := &AttachConfidence{Input: a.Scan(), Catalog: c}
+	raised := 0
+	for _, v := range []int64{v1, v2, v1} {
+		snap, err := c.SnapshotAt(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := RunAt(attach, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := a.RowsAt(snap)
+		if len(rows) != len(held) {
+			t.Fatalf("AttachConfidence at version %d: %d rows, want %d", v, len(rows), len(held))
+		}
+		for i, r := range rows {
+			if got, _ := r.Values[2].AsFloat(); got != held[i].Confidence || r.Lineage.String() != lineage.NewVar(held[i].Var).String() {
+				t.Errorf("AttachConfidence at version %d row %d: %v %s, want confidence %v of t%d", v, i, r, r.Lineage, held[i].Confidence, held[i].Var)
+			}
+			if held[i].Confidence == 0.9 {
+				raised++
+			}
+		}
+		snap.Release()
+	}
+	if raised != 1 {
+		t.Errorf("the raised confidence showed in %d of the three runs, want only the one at v2", raised)
 	}
 }

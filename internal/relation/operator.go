@@ -6,17 +6,21 @@ package relation
 type Operator interface {
 	// Schema describes the output tuples.
 	Schema() *Schema
-	// Open prepares the operator (and its children) for iteration.
-	Open() error
+	// Open prepares the operator (and its children) to iterate over the
+	// rows of committed version at: every base-table read, index probe
+	// and attached confidence below it resolves at exactly that version.
+	Open(at int64) error
 	// Next produces the next tuple, or (nil, nil) at end of stream.
 	Next() (*Tuple, error)
 	// Close releases resources. Operators may be reopened after Close.
 	Close() error
 }
 
-// Run drains an operator into a slice, handling Open/Close.
-func Run(op Operator) ([]*Tuple, error) {
-	if err := op.Open(); err != nil {
+// RunAt drains an operator at committed version v, handling Open/Close:
+// the result is consistent with that one committed state even while
+// writers commit concurrently.
+func RunAt(op Operator, v int64) ([]*Tuple, error) {
+	if err := op.Open(v); err != nil {
 		return nil, err
 	}
 	defer op.Close()
@@ -45,7 +49,7 @@ type Values struct {
 func (v *Values) Schema() *Schema { return v.RowSchema }
 
 // Open implements Operator.
-func (v *Values) Open() error { v.pos = 0; return nil }
+func (v *Values) Open(int64) error { v.pos = 0; return nil }
 
 // Next implements Operator.
 func (v *Values) Next() (*Tuple, error) {
@@ -92,9 +96,9 @@ type Select struct {
 func (s *Select) Schema() *Schema { return s.Input.Schema() }
 
 // Open implements Operator.
-func (s *Select) Open() error {
+func (s *Select) Open(at int64) error {
 	s.pred = compilePred(s.Pred)
-	return s.Input.Open()
+	return s.Input.Open(at)
 }
 
 // Next implements Operator.
@@ -116,9 +120,6 @@ func (s *Select) Next() (*Tuple, error) {
 
 // Close implements Operator.
 func (s *Select) Close() error { return s.Input.Close() }
-
-// PinVersion implements VersionPinner.
-func (s *Select) PinVersion(v int64) { PinOperator(s.Input, v) }
 
 // Project computes output columns from expressions. With Distinct set,
 // duplicate output rows are merged and their lineages are OR-ed — this is
@@ -158,9 +159,9 @@ func (p *Project) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (p *Project) Open() error {
+func (p *Project) Open(at int64) error {
 	p.buffer, p.pos = nil, 0
-	if err := p.Input.Open(); err != nil {
+	if err := p.Input.Open(at); err != nil {
 		return err
 	}
 	if !p.Distinct {
@@ -216,9 +217,6 @@ func (p *Project) Close() error {
 	return p.Input.Close()
 }
 
-// PinVersion implements VersionPinner.
-func (p *Project) PinVersion(v int64) { PinOperator(p.Input, v) }
-
 // Limit passes through at most N tuples (with an optional offset).
 type Limit struct {
 	Input   Operator
@@ -232,9 +230,9 @@ type Limit struct {
 func (l *Limit) Schema() *Schema { return l.Input.Schema() }
 
 // Open implements Operator.
-func (l *Limit) Open() error {
+func (l *Limit) Open(at int64) error {
 	l.emitted, l.skipped = 0, 0
-	return l.Input.Open()
+	return l.Input.Open(at)
 }
 
 // Next implements Operator.
@@ -259,6 +257,3 @@ func (l *Limit) Next() (*Tuple, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Input.Close() }
-
-// PinVersion implements VersionPinner.
-func (l *Limit) PinVersion(v int64) { PinOperator(l.Input, v) }

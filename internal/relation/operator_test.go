@@ -71,7 +71,7 @@ func ventureQuery(t *testing.T, proposal, info *Table) Operator {
 
 func TestRunningExampleLineageAndConfidence(t *testing.T) {
 	c, proposal, info := newVentureDB(t)
-	rows, err := Run(ventureQuery(t, proposal, info))
+	rows, err := RunAt(ventureQuery(t, proposal, info), c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunningExampleLineageAndConfidence(t *testing.T) {
 		t.Fatalf("company = %v", row.Values[0])
 	}
 	// p38 = (p02 ∨ p03) ∧ p13 = (0.3+0.4−0.12)·0.1 = 0.058.
-	if p := c.Confidence(row); math.Abs(p-0.058) > 1e-9 {
+	if p := c.Snapshot().Confidence(row); math.Abs(p-0.058) > 1e-9 {
 		t.Fatalf("confidence = %v, want 0.058", p)
 	}
 	// Lineage must mention exactly the three base tuples.
@@ -91,22 +91,22 @@ func TestRunningExampleLineageAndConfidence(t *testing.T) {
 		t.Fatalf("lineage vars = %v", vars)
 	}
 	// Raising tuple 03 from 0.4 to 0.5 must give 0.065 (paper's choice).
-	t03 := proposal.Rows()[2]
-	if err := c.SetConfidence(t03.Var, 0.5); err != nil {
+	t03 := proposal.RowsAt(c.Snapshot())[2]
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(t03.Var, 0.5) }); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.Confidence(row); math.Abs(p-0.065) > 1e-9 {
+	if p := c.Snapshot().Confidence(row); math.Abs(p-0.065) > 1e-9 {
 		t.Fatalf("confidence after increment = %v, want 0.065", p)
 	}
 }
 
 func TestSelectFilters(t *testing.T) {
-	_, proposal, _ := newVentureDB(t)
+	c, proposal, _ := newVentureDB(t)
 	funding, _ := NewColRef(proposal.Schema(), "", "Funding")
-	rows, err := Run(&Select{
+	rows, err := RunAt(&Select{
 		Input: proposal.Scan(),
 		Pred:  &Binary{Op: OpGe, Left: funding, Right: Const{Value: Float(1_000_000)}},
-	})
+	}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestSelectFilters(t *testing.T) {
 }
 
 func TestProjectWithoutDistinctKeepsDuplicates(t *testing.T) {
-	_, proposal, _ := newVentureDB(t)
+	c, proposal, _ := newVentureDB(t)
 	company, _ := NewColRef(proposal.Schema(), "", "Company")
-	rows, err := Run(&Project{Input: proposal.Scan(), Exprs: []Expr{company}})
+	rows, err := RunAt(&Project{Input: proposal.Scan(), Exprs: []Expr{company}}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestProjectWithoutDistinctKeepsDuplicates(t *testing.T) {
 func TestProjectDistinctMergesLineageWithOr(t *testing.T) {
 	c, proposal, _ := newVentureDB(t)
 	company, _ := NewColRef(proposal.Schema(), "", "Company")
-	rows, err := Run(&Project{Input: proposal.Scan(), Exprs: []Expr{company}, Distinct: true})
+	rows, err := RunAt(&Project{Input: proposal.Scan(), Exprs: []Expr{company}, Distinct: true}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestProjectDistinctMergesLineageWithOr(t *testing.T) {
 	}
 	for _, r := range rows {
 		name, _ := r.Values[0].AsString()
-		p := c.Confidence(r)
+		p := c.Snapshot().Confidence(r)
 		switch name {
 		case "AcmeSoft":
 			if math.Abs(p-0.5) > 1e-9 {
@@ -159,14 +159,14 @@ func TestProjectDistinctMergesLineageWithOr(t *testing.T) {
 }
 
 func TestProjectComputedColumnsAndNames(t *testing.T) {
-	_, proposal, _ := newVentureDB(t)
+	c, proposal, _ := newVentureDB(t)
 	funding, _ := NewColRef(proposal.Schema(), "", "Funding")
 	p := &Project{
 		Input: proposal.Scan(),
 		Exprs: []Expr{&Binary{Op: OpDiv, Left: funding, Right: Const{Value: Float(1000)}}},
 		Names: []string{"funding_k"},
 	}
-	rows, err := Run(p)
+	rows, err := RunAt(p, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +179,16 @@ func TestProjectComputedColumnsAndNames(t *testing.T) {
 }
 
 func TestLimitAndOffset(t *testing.T) {
-	_, proposal, _ := newVentureDB(t)
-	rows, err := Run(&Limit{Input: proposal.Scan(), N: 2})
+	c, proposal, _ := newVentureDB(t)
+	rows, err := RunAt(&Limit{Input: proposal.Scan(), N: 2}, c.Version())
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("limit 2: %d rows, %v", len(rows), err)
 	}
-	rows, err = Run(&Limit{Input: proposal.Scan(), N: 5, Offset: 2})
+	rows, err = RunAt(&Limit{Input: proposal.Scan(), N: 5, Offset: 2}, c.Version())
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("offset 2: %d rows, %v", len(rows), err)
 	}
-	rows, err = Run(&Limit{Input: proposal.Scan(), N: -1, Offset: 1})
+	rows, err = RunAt(&Limit{Input: proposal.Scan(), N: -1, Offset: 1}, c.Version())
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("negative N means no limit: %d rows, %v", len(rows), err)
 	}
@@ -199,12 +199,12 @@ func TestValuesOperator(t *testing.T) {
 		RowSchema: NewSchema(Column{Name: "x", Type: TypeInt}),
 		Rows:      []*Tuple{NewTuple([]Value{Int(1)}, nil), NewTuple([]Value{Int(2)}, nil)},
 	}
-	rows, err := Run(v)
+	rows, err := RunAt(v, 1) // Values reads no version
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("%d rows, %v", len(rows), err)
 	}
 	// Reopenable.
-	rows, err = Run(v)
+	rows, err = RunAt(v, 1)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("reopen: %d rows, %v", len(rows), err)
 	}
@@ -290,30 +290,30 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 	// Fixture tweak while row is still the only (head) version; later
 	// updates must carry the cap through their copy-on-write versions.
 	row.MaxConf = 0.9
-	if p := c.ProbOf(row.Var); p != 0.3 {
+	if p := c.Snapshot().ProbOf(row.Var); p != 0.3 {
 		t.Errorf("ProbOf = %v", p)
 	}
-	if err := c.SetConfidence(row.Var, 0.8); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 0.8) }); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.ProbOf(row.Var); p != 0.8 {
+	if p := c.Snapshot().ProbOf(row.Var); p != 0.8 {
 		t.Errorf("after update ProbOf = %v", p)
 	}
-	if err := c.SetConfidence(row.Var, 1.5); err == nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 1.5) }); err == nil {
 		t.Error("confidence > 1 should fail")
 	}
-	if err := c.SetConfidence(lineage.Var(9999), 0.5); err == nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(lineage.Var(9999), 0.5) }); err == nil {
 		t.Error("unknown var should fail")
 	}
-	if err := c.SetConfidence(row.Var, 0.95); err == nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 0.95) }); err == nil {
 		t.Error("confidence above MaxConf should fail")
 	}
-	if c.ProbOf(lineage.Var(424242)) != 0 {
+	if c.Snapshot().ProbOf(lineage.Var(424242)) != 0 {
 		t.Error("unknown var probability should be 0")
 	}
 	// BaseTupleByVar resolves the current version: the 0.8 update's
 	// copy-on-write version, not the inserted one, with MaxConf intact.
-	got, ok := c.BaseTupleByVar(row.Var)
+	got, ok := c.Snapshot().BaseTupleByVar(row.Var)
 	if !ok || got.Var != row.Var {
 		t.Fatal("BaseTupleByVar")
 	}

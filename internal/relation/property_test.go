@@ -33,8 +33,10 @@ func randomPair(r *rand.Rand) (*Catalog, *Table, *Table) {
 // multiset renders rows (values + lineage probability) order-insensitively.
 func multiset(c *Catalog, rows []*Tuple) string {
 	keys := make([]string, len(rows))
+	snap := c.Snapshot()
+	defer snap.Release()
 	for i, t := range rows {
-		keys[i] = t.Key() + fmt.Sprintf("|%.12f", c.Confidence(t))
+		keys[i] = t.Key() + fmt.Sprintf("|%.12f", snap.Confidence(t))
 	}
 	sort.Strings(keys)
 	return fmt.Sprint(keys)
@@ -45,7 +47,7 @@ func TestPropertyHashJoinEqualsNestedLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		c, a, b := randomPair(rr)
-		hj, err := Run(&HashJoin{Left: a.Scan(), Right: b.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}})
+		hj, err := RunAt(&HashJoin{Left: a.Scan(), Right: b.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}, c.Version())
 		if err != nil {
 			return false
 		}
@@ -58,10 +60,10 @@ func TestPropertyHashJoinEqualsNestedLoop(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		nl, err := Run(&NestedLoopJoin{
+		nl, err := RunAt(&NestedLoopJoin{
 			Left: a.Scan(), Right: b.Scan(),
 			Pred: &Binary{Op: OpEq, Left: lk, Right: rk},
-		})
+		}, c.Version())
 		if err != nil {
 			return false
 		}
@@ -88,11 +90,11 @@ func TestPropertySelectionCommutesWithItself(t *testing.T) {
 		}
 		p := &Binary{Op: OpGe, Left: k, Right: Const{Value: Int(int64(rr.Intn(5)))}}
 		q := &Binary{Op: OpLt, Left: va, Right: Const{Value: Int(int64(rr.Intn(12)))}}
-		pq, err := Run(&Select{Input: &Select{Input: a.Scan(), Pred: q}, Pred: p})
+		pq, err := RunAt(&Select{Input: &Select{Input: a.Scan(), Pred: q}, Pred: p}, c.Version())
 		if err != nil {
 			return false
 		}
-		qp, err := Run(&Select{Input: &Select{Input: a.Scan(), Pred: p}, Pred: q})
+		qp, err := RunAt(&Select{Input: &Select{Input: a.Scan(), Pred: p}, Pred: q}, c.Version())
 		if err != nil {
 			return false
 		}
@@ -120,11 +122,11 @@ func TestPropertyUnionCommutesUpToOrder(t *testing.T) {
 		}
 		pa := func() Operator { return &Project{Input: a.Scan(), Exprs: []Expr{ka}} }
 		pb := func() Operator { return &Project{Input: b.Scan(), Exprs: []Expr{kb}} }
-		ab, err := Run(&Union{Left: pa(), Right: pb()})
+		ab, err := RunAt(&Union{Left: pa(), Right: pb()}, c.Version())
 		if err != nil {
 			return false
 		}
-		ba, err := Run(&Union{Left: pb(), Right: pa()})
+		ba, err := RunAt(&Union{Left: pb(), Right: pa()}, c.Version())
 		if err != nil {
 			return false
 		}
@@ -146,23 +148,23 @@ func TestPropertyDistinctConfidenceDominatesAnyInput(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plain, err := Run(&Project{Input: a.Scan(), Exprs: []Expr{k}})
+		plain, err := RunAt(&Project{Input: a.Scan(), Exprs: []Expr{k}}, c.Version())
 		if err != nil {
 			return false
 		}
-		distinct, err := Run(&Project{Input: a.Scan(), Exprs: []Expr{k}, Distinct: true})
+		distinct, err := RunAt(&Project{Input: a.Scan(), Exprs: []Expr{k}, Distinct: true}, c.Version())
 		if err != nil {
 			return false
 		}
 		maxByKey := map[string]float64{}
 		for _, t := range plain {
-			p := c.Confidence(t)
+			p := c.Snapshot().Confidence(t)
 			if p > maxByKey[t.Key()] {
 				maxByKey[t.Key()] = p
 			}
 		}
 		for _, t := range distinct {
-			if c.Confidence(t) < maxByKey[t.Key()]-1e-9 {
+			if c.Snapshot().Confidence(t) < maxByKey[t.Key()]-1e-9 {
 				return false
 			}
 		}
@@ -179,7 +181,7 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		c, a, _ := randomPair(rr)
 		var buf bytes.Buffer
-		if err := WriteCSV(a, &buf); err != nil {
+		if err := WriteCSV(a, c.Snapshot(), &buf); err != nil {
 			return false
 		}
 		c2 := NewCatalog()
@@ -193,8 +195,9 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 		if a.Len() != b.Len() {
 			return false
 		}
-		for i, row := range a.Rows() {
-			got := b.Rows()[i]
+		loaded := b.RowsAt(c2.Snapshot())
+		for i, row := range a.RowsAt(c.Snapshot()) {
+			got := loaded[i]
 			for j := range row.Values {
 				if !Equal(row.Values[j], got.Values[j]) {
 					return false
@@ -204,7 +207,6 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		_ = c
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: r}); err != nil {

@@ -85,16 +85,16 @@ type Union struct {
 func (u *Union) Schema() *Schema { return u.Left.Schema() }
 
 // Open implements Operator.
-func (u *Union) Open() error {
+func (u *Union) Open(at int64) error {
 	if !u.Left.Schema().Compatible(u.Right.Schema()) {
 		return fmt.Errorf("relation: UNION inputs are not union-compatible: %s vs %s",
 			u.Left.Schema(), u.Right.Schema())
 	}
-	left, err := Run(u.Left)
+	left, err := RunAt(u.Left, at)
 	if err != nil {
 		return err
 	}
-	right, err := Run(u.Right)
+	right, err := RunAt(u.Right, at)
 	if err != nil {
 		return err
 	}
@@ -126,15 +126,15 @@ type Intersect struct {
 func (op *Intersect) Schema() *Schema { return op.Left.Schema() }
 
 // Open implements Operator.
-func (op *Intersect) Open() error {
+func (op *Intersect) Open(at int64) error {
 	if !op.Left.Schema().Compatible(op.Right.Schema()) {
 		return fmt.Errorf("relation: INTERSECT inputs are not union-compatible")
 	}
-	left, err := Run(op.Left)
+	left, err := RunAt(op.Left, at)
 	if err != nil {
 		return err
 	}
-	right, err := Run(op.Right)
+	right, err := RunAt(op.Right, at)
 	if err != nil {
 		return err
 	}
@@ -169,15 +169,15 @@ type Except struct {
 func (op *Except) Schema() *Schema { return op.Left.Schema() }
 
 // Open implements Operator.
-func (op *Except) Open() error {
+func (op *Except) Open(at int64) error {
 	if !op.Left.Schema().Compatible(op.Right.Schema()) {
 		return fmt.Errorf("relation: EXCEPT inputs are not union-compatible")
 	}
-	left, err := Run(op.Left)
+	left, err := RunAt(op.Left, at)
 	if err != nil {
 		return err
 	}
-	right, err := Run(op.Right)
+	right, err := RunAt(op.Right, at)
 	if err != nil {
 		return err
 	}
@@ -197,22 +197,4 @@ func (op *Except) Open() error {
 func (op *Except) Close() error {
 	op.buffer = nil
 	return nil
-}
-
-// PinVersion implements VersionPinner.
-func (u *Union) PinVersion(v int64) {
-	PinOperator(u.Left, v)
-	PinOperator(u.Right, v)
-}
-
-// PinVersion implements VersionPinner.
-func (i *Intersect) PinVersion(v int64) {
-	PinOperator(i.Left, v)
-	PinOperator(i.Right, v)
-}
-
-// PinVersion implements VersionPinner.
-func (e *Except) PinVersion(v int64) {
-	PinOperator(e.Left, v)
-	PinOperator(e.Right, v)
 }

@@ -21,7 +21,7 @@ func twoLists(t *testing.T) (*Catalog, *Table, *Table) {
 
 func TestUnionDistinctMergesLineage(t *testing.T) {
 	c, a, b := twoLists(t)
-	rows, err := Run(&Union{Left: a.Scan(), Right: b.Scan()})
+	rows, err := RunAt(&Union{Left: a.Scan(), Right: b.Scan()}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestUnionDistinctMergesLineage(t *testing.T) {
 	}
 	for _, r := range rows {
 		x, _ := r.Values[0].AsInt()
-		p := c.Confidence(r)
+		p := c.Snapshot().Confidence(r)
 		switch x {
 		case 1:
 			if math.Abs(p-0.5) > 1e-9 {
@@ -50,8 +50,8 @@ func TestUnionDistinctMergesLineage(t *testing.T) {
 }
 
 func TestUnionAllKeepsDuplicates(t *testing.T) {
-	_, a, b := twoLists(t)
-	rows, err := Run(&Union{Left: a.Scan(), Right: b.Scan(), All: true})
+	c, a, b := twoLists(t)
+	rows, err := RunAt(&Union{Left: a.Scan(), Right: b.Scan(), All: true}, c.Version())
 	if err != nil || len(rows) != 4 {
 		t.Fatalf("got %d rows (%v), want 4", len(rows), err)
 	}
@@ -62,14 +62,14 @@ func TestUnionIncompatibleSchemas(t *testing.T) {
 	a, _ := c.CreateTable("A", NewSchema(Column{Name: "x", Type: TypeInt}))
 	b, _ := c.CreateTable("B", NewSchema(Column{Name: "x", Type: TypeString}))
 	u := &Union{Left: a.Scan(), Right: b.Scan()}
-	if err := u.Open(); err == nil {
+	if err := u.Open(c.Version()); err == nil {
 		t.Fatal("expected union-compatibility error")
 	}
 }
 
 func TestIntersectLineage(t *testing.T) {
 	c, a, b := twoLists(t)
-	rows, err := Run(&Intersect{Left: a.Scan(), Right: b.Scan()})
+	rows, err := RunAt(&Intersect{Left: a.Scan(), Right: b.Scan()}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestIntersectLineage(t *testing.T) {
 		t.Fatalf("intersect value = %v", rows[0].Values[0])
 	}
 	// P = 0.6 · 0.7 = 0.42: both occurrences must be real.
-	if p := c.Confidence(rows[0]); math.Abs(p-0.42) > 1e-9 {
+	if p := c.Snapshot().Confidence(rows[0]); math.Abs(p-0.42) > 1e-9 {
 		t.Fatalf("P = %v, want 0.42", p)
 	}
 }
 
 func TestExceptLineage(t *testing.T) {
 	c, a, b := twoLists(t)
-	rows, err := Run(&Except{Left: a.Scan(), Right: b.Scan()})
+	rows, err := RunAt(&Except{Left: a.Scan(), Right: b.Scan()}, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestExceptLineage(t *testing.T) {
 	}
 	for _, r := range rows {
 		x, _ := r.Values[0].AsInt()
-		p := c.Confidence(r)
+		p := c.Snapshot().Confidence(r)
 		switch x {
 		case 1:
 			if math.Abs(p-0.5) > 1e-9 {
@@ -120,12 +120,12 @@ func TestExceptMergesLeftDuplicates(t *testing.T) {
 	a.MustInsert(0.5, nil, Int(1))
 	a.MustInsert(0.5, nil, Int(1))
 	b.MustInsert(0.4, nil, Int(1))
-	rows, err := Run(&Except{Left: a.Scan(), Right: b.Scan()})
+	rows, err := RunAt(&Except{Left: a.Scan(), Right: b.Scan()}, c.Version())
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("got %d rows (%v)", len(rows), err)
 	}
 	// (0.5 ∨ 0.5) ∧ ¬0.4 = 0.75 · 0.6 = 0.45
-	if p := c.Confidence(rows[0]); math.Abs(p-0.45) > 1e-9 {
+	if p := c.Snapshot().Confidence(rows[0]); math.Abs(p-0.45) > 1e-9 {
 		t.Fatalf("P = %v, want 0.45", p)
 	}
 }
@@ -134,10 +134,10 @@ func TestIntersectExceptIncompatible(t *testing.T) {
 	c := NewCatalog()
 	a, _ := c.CreateTable("A", NewSchema(Column{Name: "x", Type: TypeInt}))
 	b, _ := c.CreateTable("B", NewSchema(Column{Name: "x", Type: TypeString}))
-	if err := (&Intersect{Left: a.Scan(), Right: b.Scan()}).Open(); err == nil {
+	if err := (&Intersect{Left: a.Scan(), Right: b.Scan()}).Open(c.Version()); err == nil {
 		t.Error("intersect should reject incompatible schemas")
 	}
-	if err := (&Except{Left: a.Scan(), Right: b.Scan()}).Open(); err == nil {
+	if err := (&Except{Left: a.Scan(), Right: b.Scan()}).Open(c.Version()); err == nil {
 		t.Error("except should reject incompatible schemas")
 	}
 }

@@ -23,8 +23,8 @@ type Sort struct {
 func (s *Sort) Schema() *Schema { return s.Input.Schema() }
 
 // Open implements Operator.
-func (s *Sort) Open() error {
-	rows, err := Run(s.Input)
+func (s *Sort) Open(at int64) error {
+	rows, err := RunAt(s.Input, at)
 	if err != nil {
 		return err
 	}
@@ -77,9 +77,6 @@ func (s *Sort) Close() error {
 	return nil
 }
 
-// PinVersion implements VersionPinner.
-func (s *Sort) PinVersion(v int64) { PinOperator(s.Input, v) }
-
 // Rename re-qualifies the input schema with an alias; tuples pass through
 // untouched.
 type Rename struct {
@@ -98,13 +95,10 @@ func (r *Rename) Schema() *Schema {
 }
 
 // Open implements Operator.
-func (r *Rename) Open() error { return r.Input.Open() }
+func (r *Rename) Open(at int64) error { return r.Input.Open(at) }
 
 // Next implements Operator.
 func (r *Rename) Next() (*Tuple, error) { return r.Input.Next() }
 
 // Close implements Operator.
 func (r *Rename) Close() error { return r.Input.Close() }
-
-// PinVersion implements VersionPinner.
-func (r *Rename) PinVersion(v int64) { PinOperator(r.Input, v) }

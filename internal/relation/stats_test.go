@@ -45,7 +45,7 @@ func TestTableStatsCollection(t *testing.T) {
 }
 
 func TestTableStatsCachedUntilMutation(t *testing.T) {
-	_, tab := statsTable(t)
+	c, tab := statsTable(t)
 	st := tab.Stats()
 	if again := tab.Stats(); again != st {
 		t.Fatal("repeated Stats without mutation must return the cached object")
@@ -58,7 +58,7 @@ func TestTableStatsCachedUntilMutation(t *testing.T) {
 	if st2.Rows != 5 || st2.Cols[0].Distinct != 4 {
 		t.Fatalf("post-insert stats = %+v", st2)
 	}
-	if _, err := tab.Delete(nil); err != nil {
+	if err := inTxn(c, func(x *Txn) error { _, err := x.Delete(tab, nil); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if st3 := tab.Stats(); st3.Rows != 0 {

@@ -96,15 +96,9 @@ func (t *Table) snapshotSlots() []*versionSlot {
 	return s
 }
 
-// Rows returns the rows visible at the latest committed version. The
+// RowsAt returns the rows visible at the snapshot's pinned version. The
 // returned slice is freshly built — callers may hold it across
-// subsequent mutations and will keep seeing the versions that were
-// current when Rows was called.
-func (t *Table) Rows() []*BaseTuple {
-	return t.rowsAt(t.catalog.commitSeq.Load())
-}
-
-// RowsAt returns the rows visible at the snapshot's pinned version.
+// subsequent mutations.
 func (t *Table) RowsAt(s *Snapshot) []*BaseTuple {
 	return t.rowsAt(s.Version())
 }

@@ -217,8 +217,8 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 
 // Update applies the assignments to every row of t matching pred via
 // copy-on-write versions and returns how many rows matched. Value
-// semantics (type coercion, confidence bounds) match Table.Insert and
-// Catalog.SetConfidence; any error aborts with no partial effect once
+// semantics (type coercion, confidence bounds) match Insert and
+// SetConfidence; any error aborts with no partial effect once
 // the caller rolls back.
 func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 	if x.done {
@@ -330,13 +330,7 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 	if x.done {
 		return errTxnFinished
 	}
-	x.cat.mu.RLock()
-	slot := x.cat.byVar[v]
-	x.cat.mu.RUnlock()
-	var b *BaseTuple
-	if slot != nil {
-		b = slot.at(x.writeSeq)
-	}
+	slot, b := x.cat.rowAt(v, x.writeSeq)
 	if b == nil {
 		return fmt.Errorf("relation: unknown lineage variable %d", int(v))
 	}
@@ -363,17 +357,10 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 // ConfidenceOf resolves a variable's confidence at the transaction's
 // write sequence (reading the transaction's own writes).
 func (x *Txn) ConfidenceOf(v lineage.Var) (float64, bool) {
-	x.cat.mu.RLock()
-	slot := x.cat.byVar[v]
-	x.cat.mu.RUnlock()
-	if slot == nil {
-		return 0, false
+	if _, b := x.cat.rowAt(v, x.writeSeq); b != nil {
+		return b.Confidence, true
 	}
-	b := slot.at(x.writeSeq)
-	if b == nil {
-		return 0, false
-	}
-	return b.Confidence, true
+	return 0, false
 }
 
 var errTxnFinished = fmt.Errorf("relation: transaction already finished")

@@ -205,23 +205,39 @@ func evalConst(e ExprNode, empty *relation.Tuple) (relation.Value, error) {
 	return compiled.Eval(empty)
 }
 
+// mutateWhere runs a DELETE or UPDATE inside the one transaction it
+// commits: the writer lock is taken first, so the WHERE clause's
+// IN-subqueries read exactly the version the mutation then applies
+// over — no commit can slip between the two. Any error rolls back.
+func mutateWhere(cat *relation.Catalog, where ExprNode, schema *relation.Schema, apply func(*relation.Txn, relation.Expr) (int, error)) (int, error) {
+	x := cat.Begin()
+	var pred relation.Expr
+	where, err := newPlanner(cat, x.ReadVersion()).resolveSubqueries(where)
+	if err == nil && where != nil {
+		pred, err = compileExpr(where, schema)
+	}
+	n := 0
+	if err == nil {
+		n, err = apply(x, pred)
+	}
+	if err != nil {
+		x.Rollback()
+		return 0, err
+	}
+	if _, err := x.Commit(); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
 func execDelete(cat *relation.Catalog, s *DeleteStmt) (*Result, error) {
 	tab, err := cat.Table(s.Table)
 	if err != nil {
 		return nil, errAt(s.Tok, "%v", err)
 	}
-	var pred relation.Expr
-	if s.Where != nil {
-		where, err := newPlanner(cat, 0).resolveSubqueries(s.Where)
-		if err != nil {
-			return nil, err
-		}
-		pred, err = compileExpr(where, withConfidenceColumn(tab.Schema()))
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := tab.Delete(pred)
+	n, err := mutateWhere(cat, s.Where, withConfidenceColumn(tab.Schema()), func(x *relation.Txn, pred relation.Expr) (int, error) {
+		return x.Delete(tab, pred)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -254,18 +270,9 @@ func execUpdate(cat *relation.Catalog, s *UpdateStmt) (*Result, error) {
 		}
 		specs[i] = relation.UpdateSpec{Column: idx, Value: val}
 	}
-	var pred relation.Expr
-	if s.Where != nil {
-		where, err := newPlanner(cat, 0).resolveSubqueries(s.Where)
-		if err != nil {
-			return nil, err
-		}
-		pred, err = compileExpr(where, extended)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := tab.Update(pred, specs)
+	n, err := mutateWhere(cat, s.Where, extended, func(x *relation.Txn, pred relation.Expr) (int, error) {
+		return x.Update(tab, pred, specs)
+	})
 	if err != nil {
 		return nil, err
 	}

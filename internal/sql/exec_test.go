@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"pcqe/internal/relation"
 )
@@ -37,7 +38,7 @@ func TestCreateInsertSelect(t *testing.T) {
 	}
 	// Confidence and cost landed on the rows.
 	tab, _ := cat.Table("Emp")
-	rows := tab.Rows()
+	rows := tab.RowsAt(cat.Snapshot())
 	if rows[0].Confidence != 0.8 || rows[0].Cost == nil {
 		t.Errorf("row 0 confidence/cost = %v/%v", rows[0].Confidence, rows[0].Cost)
 	}
@@ -100,10 +101,10 @@ func TestDeleteZeroesWithdrawnConfidence(t *testing.T) {
 	execAll(t, cat, `CREATE TABLE T (a INT)`,
 		`INSERT INTO T VALUES (1) WITH CONFIDENCE 0.9`)
 	tab, _ := cat.Table("T")
-	row := tab.Rows()[0]
+	row := tab.RowsAt(cat.Snapshot())[0]
 	execAll(t, cat, `DELETE FROM T`)
 	// Old lineage referencing the deleted row now evaluates to 0.
-	if got := cat.ProbOf(row.Var); got != 0 {
+	if got := cat.Snapshot().ProbOf(row.Var); got != 0 {
 		t.Fatalf("withdrawn row confidence = %v", got)
 	}
 }
@@ -138,7 +139,7 @@ func TestUpdateConfidencePseudoColumn(t *testing.T) {
 		`UPDATE T SET _confidence = 0.7 WHERE a = 1`,
 	)
 	tab, _ := cat.Table("T")
-	if got := tab.Rows()[0].Confidence; got != 0.7 {
+	if got := tab.RowsAt(cat.Snapshot())[0].Confidence; got != 0.7 {
 		t.Fatalf("confidence = %v", got)
 	}
 	// Out-of-range confidence errors.
@@ -197,7 +198,7 @@ func TestFromSubqueryLineagePropagates(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Candidate lineage (p02 ∨ p03) survives the derived table.
-	if p := cat.Confidence(rows[0]); math.Abs(p-0.58) > 1e-9 {
+	if p := cat.Snapshot().Confidence(rows[0]); math.Abs(p-0.58) > 1e-9 {
 		t.Fatalf("confidence = %v, want 0.58", p)
 	}
 }
@@ -489,7 +490,7 @@ func TestConfidencePseudoColumnMutations(t *testing.T) {
 		t.Fatalf("updated = %d", res.Affected)
 	}
 	tab, _ := cat.Table("T")
-	if got := tab.Rows()[0].Confidence; math.Abs(got-0.9) > 1e-9 {
+	if got := tab.RowsAt(cat.Snapshot())[0].Confidence; math.Abs(got-0.9) > 1e-9 {
 		t.Fatalf("confidence = %v, want 0.9", got)
 	}
 }
@@ -499,5 +500,65 @@ func TestConfidencePseudoColumnExplain(t *testing.T) {
 	res := execAll(t, cat, `EXPLAIN SELECT Company FROM Proposal WHERE _confidence > 0.4`)
 	if !strings.Contains(res.Plan, "AttachConfidence") {
 		t.Fatalf("plan missing AttachConfidence:\n%s", res.Plan)
+	}
+}
+
+// TestDMLSubqueryReadsAtItsTransaction: a DELETE or UPDATE resolves its
+// WHERE clause's IN-subquery at the version its own transaction reads
+// over. A writer holding the lock raises S.a's confidence past the
+// subquery's filter and commits while the statement is in flight; the
+// statement's transaction begins after that commit, so it must see
+// S.a at 0.9 and touch nothing. (Resolving the subquery before Begin
+// read 0.1 and hit both O rows.) The statement blocks in Begin before
+// it reads anything, so the sleep can only make a broken build pass
+// less often, never a correct one fail.
+func TestDMLSubqueryReadsAtItsTransaction(t *testing.T) {
+	for _, stmt := range []string{
+		`DELETE FROM O WHERE Name IN (SELECT Name FROM S WHERE _confidence < 0.5)`,
+		`UPDATE O SET Item = 0 WHERE Name IN (SELECT Name FROM S WHERE _confidence < 0.5)`,
+	} {
+		cat := relation.NewCatalog()
+		execAll(t, cat,
+			`CREATE TABLE S (Name TEXT)`,
+			`CREATE TABLE O (Name TEXT, Item INT)`,
+			`INSERT INTO S VALUES ('a') WITH CONFIDENCE 0.1`,
+			`INSERT INTO O VALUES ('a', 1), ('a', 2)`,
+		)
+		s, _ := cat.Table("S")
+		before := cat.Snapshot()
+		a := s.RowsAt(before)[0].Var
+		before.Release()
+
+		w := cat.Begin()
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := Exec(cat, stmt)
+			done <- outcome{res, err}
+		}()
+		time.Sleep(100 * time.Millisecond)
+		if err := w.SetConfidence(a, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		out := <-done
+		if out.err != nil {
+			t.Fatalf("%s: %v", stmt, out.err)
+		}
+		if out.res.Affected != 0 {
+			t.Errorf("%s: affected %d rows its transaction's read version excludes", stmt, out.res.Affected)
+		}
+		rows, _, err := queryLatest(cat, `SELECT Item FROM O ORDER BY Item`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 || rows[0].Values[0].String() != "1" || rows[1].Values[0].String() != "2" {
+			t.Errorf("%s: O = %v, want items 1 and 2 untouched", stmt, rows)
+		}
 	}
 }

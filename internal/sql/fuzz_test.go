@@ -116,7 +116,7 @@ func FuzzExec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("table %q vanished: %v", name, err)
 			}
-			for _, row := range tab.Rows() {
+			for _, row := range tab.RowsAt(cat.Snapshot()) {
 				if len(row.Values) != tab.Schema().Len() {
 					t.Fatalf("table %q row arity %d != schema %d", name, len(row.Values), tab.Schema().Len())
 				}
@@ -179,7 +179,7 @@ func FuzzFilterPushdown(f *testing.F) {
 	if _, err := tab.CreateIndex("a"); err != nil {
 		f.Fatal(err)
 	}
-	all, err := relation.Run(tab.Scan())
+	all, err := relation.RunAt(tab.Scan(), cat.Version())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func FuzzFilterPushdown(f *testing.F) {
 				want = append(want, tu.Key()+tu.Lineage.String())
 			}
 		}
-		rows, gerr := relation.Run(relation.Filter(tab.Scan(), pred))
+		rows, gerr := relation.RunAt(relation.Filter(tab.Scan(), pred), cat.Version())
 		got := make([]string, len(rows))
 		for i, tu := range rows {
 			got[i] = tu.Key() + tu.Lineage.String()

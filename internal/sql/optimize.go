@@ -357,7 +357,7 @@ func planJoinBlock(p *planner, stmt *SelectStmt) (relation.Operator, float64, er
 	// final results of a select-project query — and above it the
 	// conjuncts that read it.
 	if refsConf {
-		op = &relation.AttachConfidence{Input: op, Assign: p.cat}
+		op = &relation.AttachConfidence{Input: op, Catalog: p.cat}
 		if len(onConf) > 0 {
 			pred, err := compileExpr(joinAndAST(onConf), op.Schema())
 			if err != nil {

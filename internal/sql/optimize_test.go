@@ -143,7 +143,7 @@ func TestServingShapePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, info, err := PlanDetailedAt(cat, stmt, 0)
+		op, info, err := PlanDetailedAt(cat, stmt, cat.Version())
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}
@@ -193,7 +193,7 @@ func TestServingShapePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, info, err := PlanDetailedAt(cat, stmt, 0)
+		op, info, err := PlanDetailedAt(cat, stmt, cat.Version())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,14 +346,14 @@ func TestCostBasedMatchesRuleBased(t *testing.T) {
 func planBothWays(t *testing.T, cat *relation.Catalog, stmt *SelectStmt) (ruleErr, costErr error) {
 	t.Helper()
 	q := stmt.SQL()
-	ruleOp, ruleErr := PlanRuleBased(cat, stmt)
+	ruleOp, ruleErr := PlanRuleBased(cat, stmt, cat.Version())
 	var ruleRows, costRows []*relation.Tuple
 	if ruleErr == nil {
-		ruleRows, ruleErr = relation.Run(ruleOp)
+		ruleRows, ruleErr = relation.RunAt(ruleOp, cat.Version())
 	}
-	costOp, info, costErr := PlanDetailedAt(cat, stmt, 0)
+	costOp, info, costErr := PlanDetailedAt(cat, stmt, cat.Version())
 	if costErr == nil {
-		costRows, costErr = relation.Run(costOp)
+		costRows, costErr = relation.RunAt(costOp, cat.Version())
 	}
 	if ruleErr != nil || costErr != nil {
 		return ruleErr, costErr
@@ -447,8 +447,10 @@ func sortedKeys(rows []*relation.Tuple) []string {
 
 func sortedConfs(cat *relation.Catalog, rows []*relation.Tuple) []float64 {
 	confs := make([]float64, len(rows))
+	snap := cat.Snapshot()
+	defer snap.Release()
 	for i, r := range rows {
-		confs[i] = cat.Confidence(r)
+		confs[i] = snap.Confidence(r)
 	}
 	sort.Float64s(confs)
 	return confs

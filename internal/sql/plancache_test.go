@@ -179,11 +179,15 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	before := len(rows)
 	// Raise a low-confidence row above the threshold: no catalog
 	// version change, only the confidence epoch moves.
-	target := tab.Rows()[0]
+	target := tab.RowsAt(cat.Snapshot())[0]
 	if target.Confidence > 0.5 {
 		t.Fatalf("fixture: row 0 confidence %v already above threshold", target.Confidence)
 	}
-	if err := cat.SetConfidence(target.Var, 0.95); err != nil {
+	x := cat.Begin()
+	if err := x.SetConfidence(target.Var, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	rows, _, err = cachedLatest(pc, cat, q)
@@ -199,7 +203,11 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	if _, _, err := cachedLatest(pc, cat, plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.SetConfidence(target.Var, 0.85); err != nil {
+	x = cat.Begin()
+	if err := x.SetConfidence(target.Var, 0.85); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := cachedLatest(pc, cat, plain); err != nil {
@@ -223,7 +231,11 @@ func TestPlanCacheConfidenceInOnClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := len(rows)
-	if err := cat.SetConfidence(tab.Rows()[0].Var, 0.95); err != nil {
+	x := cat.Begin()
+	if err := x.SetConfidence(tab.RowsAt(cat.Snapshot())[0].Var, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	rows, _, err = cachedLatest(pc, cat, q)

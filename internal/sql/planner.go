@@ -25,7 +25,7 @@ type PlanInfo struct {
 type planner struct {
 	cat *relation.Catalog
 	// asOf is the committed version plan-time evaluation (IN-subquery
-	// materialization) reads; <= 0 is the latest committed state.
+	// materialization) reads.
 	asOf int64
 	info *PlanInfo
 	// fromWhere plans the FROM and WHERE clauses of one select block and
@@ -44,10 +44,9 @@ func newPlanner(cat *relation.Catalog, asOf int64) *planner {
 // lineage, so running it yields tuples whose confidence the catalog can
 // compute. Join order, join algorithms and access paths are chosen by
 // estimated cost (optimize.go). Plan-time evaluation (IN-subquery
-// materialization) is pinned to committed version asOf (asOf <= 0 reads
-// the latest committed state). Scans in the returned tree are not
-// pinned — run it with relation.RunAt at the same version to pin the
-// whole execution.
+// materialization) reads committed version asOf; run the returned tree
+// with relation.RunAt at the same version, so planning and execution
+// see one committed state.
 func PlanDetailedAt(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, *PlanInfo, error) {
 	p := newPlanner(cat, asOf)
 	p.info.LineageHint = lineageHint(stmt)
@@ -91,8 +90,8 @@ func QuerySnap(snap *relation.Snapshot, query string) ([]*relation.Tuple, *relat
 }
 
 // planAndRun is the package's one plan → run body: it plans the
-// statement at committed version asOf and drains the plan pinned to
-// that same version, so planning (subquery materialization) and
+// statement at committed version asOf and drains the plan at that
+// same version, so planning (subquery materialization) and
 // execution read one committed state and concurrent commits cannot
 // tear the result.
 func planAndRun(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, *PlanInfo, []*relation.Tuple, error) {

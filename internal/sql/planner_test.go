@@ -71,7 +71,7 @@ func TestQueryRunningExample(t *testing.T) {
 		t.Errorf("schema = %v", schema)
 	}
 	// p38 = (0.3 ∨ 0.4) ∧ 0.1 = 0.058.
-	if p := c.Confidence(rows[0]); math.Abs(p-0.058) > 1e-9 {
+	if p := c.Snapshot().Confidence(rows[0]); math.Abs(p-0.058) > 1e-9 {
 		t.Fatalf("confidence = %v, want 0.058", p)
 	}
 }
@@ -121,8 +121,8 @@ func TestQueryCommaJoinEqualsExplicitJoin(t *testing.T) {
 		t.Fatalf("comma join %d rows, explicit join %d rows", len(a), len(b))
 	}
 	// Same lineage probability either way.
-	pa := c.Confidence(a[0])
-	pb := c.Confidence(b[0])
+	pa := c.Snapshot().Confidence(a[0])
+	pb := c.Snapshot().Confidence(b[0])
 	if math.Abs(pa-pb) > 1e-9 {
 		t.Fatalf("confidences differ: %v vs %v", pa, pb)
 	}
@@ -315,11 +315,11 @@ func TestQueryCrossJoin(t *testing.T) {
 func TestQueryNonEquiJoinFallsBackToNestedLoop(t *testing.T) {
 	c := ventureCatalog(t)
 	stmt := mustParse(t, "SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Funding > Income")
-	op, _, err := PlanDetailedAt(c, stmt, 0)
+	op, _, err := PlanDetailedAt(c, stmt, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := relation.Run(op)
+	rows, err := relation.RunAt(op, c.Version())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestQueryDistinctProjectionLineage(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Candidate lineage p02 ∨ p03 = 0.58.
-	if p := c.Confidence(rows[0]); math.Abs(p-0.58) > 1e-9 {
+	if p := c.Snapshot().Confidence(rows[0]); math.Abs(p-0.58) > 1e-9 {
 		t.Fatalf("candidate confidence = %v, want 0.58", p)
 	}
 }
@@ -416,7 +416,7 @@ func TestPropertyIndexedQueriesMatchUnindexed(t *testing.T) {
 				if a[i].Key() != b[i].Key() {
 					return false
 				}
-				if plainCat.Confidence(a[i]) != indexedCat.Confidence(b[i]) {
+				if plainCat.Snapshot().Confidence(a[i]) != indexedCat.Snapshot().Confidence(b[i]) {
 					return false
 				}
 			}

@@ -13,9 +13,10 @@ import "pcqe/internal/relation"
 
 // PlanRuleBased compiles the statement with the reference planner:
 // joins in statement order, no reordering, no pushdown beyond the
-// single-table filter push into the leaf.
-func PlanRuleBased(cat *relation.Catalog, stmt *SelectStmt) (relation.Operator, error) {
-	p := newPlanner(cat, 0)
+// single-table filter push into the leaf. Like PlanDetailedAt, it reads
+// committed version asOf at plan time.
+func PlanRuleBased(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.Operator, error) {
+	p := newPlanner(cat, asOf)
 	p.fromWhere = planFromWhere
 	op, _, err := p.stmt(stmt)
 	return op, err
@@ -45,7 +46,7 @@ func planFromWhere(p *planner, stmt *SelectStmt) (relation.Operator, float64, er
 		}
 	}
 	if stmtReferencesConfidence(stmt) {
-		op = &relation.AttachConfidence{Input: op, Assign: p.cat}
+		op = &relation.AttachConfidence{Input: op, Catalog: p.cat}
 	}
 	// IN-subqueries are materialized first; they must be uncorrelated.
 	where, err := p.resolveSubqueries(stmt.Where)

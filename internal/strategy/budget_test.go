@@ -25,7 +25,7 @@ func contextSolverMakers() []func() ContextSolver {
 		func() ContextSolver { return NewDivideAndConquer() },
 		func() ContextSolver {
 			d := NewDivideAndConquer()
-			d.Parallel = true
+			d.Workers = runtime.GOMAXPROCS(0)
 			return d
 		},
 		func() ContextSolver { return &BruteForce{} },
@@ -184,6 +184,27 @@ func TestBudgetMaxNodesAnytimeIncumbent(t *testing.T) {
 	}
 	if math.Abs(plan.Cost-10) > 1e-9 {
 		t.Fatalf("incumbent cost = %v, want the greedy solution's 10", plan.Cost)
+	}
+}
+
+// TestHeuristicNodeBudget: a greedy-seeded search cut off after one node
+// still hands back a plan that verifies on multiInstance; without the
+// seed there is nothing to hand back.
+func TestHeuristicNodeBudget(t *testing.T) {
+	in := multiInstance()
+	plan, err := (&Heuristic{GreedyBound: true}).SolveContext(context.Background(), in, Budget{MaxNodes: 1})
+	var bx *BudgetExceededError
+	if !errors.As(err, &bx) || bx.Resource != ResourceNodes {
+		t.Fatalf("err = %v, want nodes budget error", err)
+	}
+	if plan == nil || !plan.Partial {
+		t.Fatalf("plan = %+v, want the Partial greedy-seed incumbent", plan)
+	}
+	if err := in.Verify(plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := (&Heuristic{}).SolveContext(context.Background(), multiInstance(), Budget{MaxNodes: 1}); plan != nil || !errors.As(err, &bx) {
+		t.Fatalf("unseeded search after one node: plan %+v, err %v; want no plan and a budget error", plan, err)
 	}
 }
 
@@ -382,7 +403,7 @@ func TestFaultSweepPanic(t *testing.T) {
 
 func TestDnCParallelPanicDegradesGracefully(t *testing.T) {
 	d := NewDivideAndConquer()
-	d.Parallel = true
+	d.Workers = runtime.GOMAXPROCS(0)
 	in := sweepInstance()
 	fault.Reset()
 	fault.Enable()

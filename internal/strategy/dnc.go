@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"errors"
-	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"sort"
@@ -46,15 +45,12 @@ type DivideAndConquer struct {
 	// with the result tuples in the same group should not exceed a
 	// threshold"); merges that would exceed it are skipped. 0 = no cap.
 	MaxGroupResults int
-	// Parallel solves group sub-instances on GOMAXPROCS worker
-	// goroutines. Groups are independent and their plans merge in
-	// deterministic group order, so the combined plan is bit-identical
-	// to the serial one (pinned by the differential tests).
-	Parallel bool
-	// Workers pins the group-solve worker-pool size: 0 defers to
-	// Parallel (GOMAXPROCS when set, serial otherwise), 1 forces
-	// serial, n > 1 uses n workers regardless of Parallel.
-	// Budget.Workers overrides this per solve.
+	// Workers is the group-solve worker-pool size: 0 or 1 solves the
+	// groups serially, n > 1 on n worker goroutines. Groups are
+	// independent and their plans merge in deterministic group order,
+	// so the combined plan is bit-identical to the serial one (pinned
+	// by the differential tests). Budget.Workers overrides this per
+	// solve.
 	Workers int
 }
 
@@ -94,16 +90,12 @@ func (d *DivideAndConquer) SolveContext(ctx context.Context, in *Instance, b Bud
 }
 
 // effectiveWorkers resolves the worker-pool size for one solve:
-// Budget.Workers overrides the solver's Workers field, which in turn
-// overrides the Parallel default (GOMAXPROCS when set, serial
-// otherwise). The result is always at least 1.
+// Budget.Workers overrides the solver's Workers field. The result is
+// always at least 1.
 func (d *DivideAndConquer) effectiveWorkers(b Budget) int {
 	w := b.Workers
 	if w == 0 {
 		w = d.Workers
-	}
-	if w == 0 && d.Parallel {
-		w = runtime.GOMAXPROCS(0)
 	}
 	if w < 1 {
 		w = 1

@@ -33,10 +33,6 @@ type Heuristic struct {
 	// GreedyBound seeds the upper bound with the two-phase greedy
 	// solution before searching (Figure 11(d)).
 	GreedyBound bool
-	// MaxNodes aborts the search after this many nodes and returns the
-	// best plan found so far (0 = unlimited). The search is exact when
-	// it completes within the budget.
-	MaxNodes int
 }
 
 // NewHeuristic returns the full configuration: all four heuristics on,
@@ -64,7 +60,6 @@ type heuristicSearch struct {
 	best     *Plan
 	bestCost float64
 	nodes    int
-	aborted  bool
 	// cheapestInc[i] is the cost of one δ step from the initial
 	// confidence for order[i] — a lower bound on any increment of that
 	// variable used by H4.
@@ -195,9 +190,6 @@ func (s *heuristicSearch) prepare() {
 // order[:depth] (and initial confidences beyond), and costSoFar prices
 // that partial assignment.
 func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
-	if s.aborted {
-		return
-	}
 	if depth == len(s.order) {
 		return
 	}
@@ -217,10 +209,6 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 			}
 		}
 		s.nodes++
-		if s.MaxNodes > 0 && s.nodes > s.MaxNodes {
-			s.aborted = true
-			break
-		}
 		// Cooperative checkpoint: fault probe plus budget/cancellation
 		// poll (unwinds to the solver boundary on exhaustion).
 		fault.Probe(SiteHeuristicDFS)
@@ -268,9 +256,6 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 		}
 
 		s.dfs(depth+1, cost)
-		if s.aborted {
-			break
-		}
 
 		// H2: every result this tuple feeds is satisfied — more of this
 		// tuple is waste.

@@ -106,8 +106,8 @@ func TestParallelDifferentialBitIdentical(t *testing.T) {
 		if serr != nil && !errors.Is(serr, ErrInfeasible) {
 			t.Fatalf("instance %d: serial solve failed: %v", ci, serr)
 		}
-		// The legacy default (Workers 0, Parallel false) must match the
-		// explicit serial configuration exactly.
+		// The default (Workers 0) must match the explicit serial
+		// configuration exactly.
 		legacy, lerr := NewDivideAndConquer().Solve(corpus[ci])
 		if (serr == nil) != (lerr == nil) {
 			t.Fatalf("instance %d: serial err %v vs legacy err %v", ci, serr, lerr)

@@ -214,7 +214,7 @@ func TestGenerateDB(t *testing.T) {
 	if len(queries) < 4 {
 		t.Fatalf("queries = %d", len(queries))
 	}
-	for _, row := range sup.Rows() {
+	for _, row := range sup.RowsAt(cat.Snapshot()) {
 		if row.Confidence < 0.05 || row.Confidence > 0.15 {
 			t.Fatalf("confidence %v out of default range", row.Confidence)
 		}
@@ -238,7 +238,7 @@ func TestGenerateDBQueriesRun(t *testing.T) {
 		}
 		// Every result carries usable lineage with a valid confidence.
 		for _, r := range rows {
-			p := cat.Confidence(r)
+			p := snap.Confidence(r)
 			if p < 0 || p > 1 {
 				t.Fatalf("query %d: confidence %v", i, p)
 			}

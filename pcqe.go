@@ -139,13 +139,18 @@ type Value = relation.Value
 type Tuple = relation.Tuple
 
 // Snapshot is an immutable read view of a catalog pinned to one
-// committed version (MVCC; see DESIGN.md §11). Take one with
+// committed version (MVCC; see DESIGN.md §11), and the only way to read
+// rows or confidences: Table.RowsAt, Snapshot.Confidence and QuerySnap
+// all take one, so every read names the version it sees. Take one with
 // Catalog.Snapshot or Catalog.SnapshotAt and Release it when done.
 type Snapshot = relation.Snapshot
 
 // Txn is a single-writer transaction over a catalog: all mutations
 // commit atomically or roll back without a trace. Open one with
-// Catalog.Begin.
+// Catalog.Begin. Deletes, updates and confidence changes exist only as
+// Txn methods (SQL DML opens one per statement and reads its WHERE
+// subqueries at Txn.ReadVersion); Table.Insert remains as a one-row
+// shorthand for loading fixtures.
 type Txn = relation.Txn
 
 // NewCatalog creates an empty database catalog.
