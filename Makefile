@@ -1,10 +1,14 @@
 # Development targets. `make check` is the pre-commit gate: vet, lint,
 # build, the full test suite under the race detector, and a quick pass
 # over the differential tests that hold each fast path — the compiled
-# lineage kernel first among them — to its reference.
+# lineage kernel first among them — to its reference. Measuring:
+# `make bench-smoke` (does the serving benchmark still build and answer),
+# `make bench-pairs BASE=<ref>` (alternating parent/change pairs, what a
+# CHANGES.md entry pastes), `make bench-serving` (regenerate the
+# committed BENCH_serving.json), `make loc BASE=<ref>` (line counts).
 GO ?= go
 
-.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving obs-smoke serve-smoke loc
+.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving bench-pairs obs-smoke serve-smoke loc
 
 check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 
@@ -43,8 +47,10 @@ mvcc-stress:
 # The differential suites, each pinning a fast path to its reference:
 # the compiled lineage kernel vs the tree walk in internal/lineage (the
 # reference evaluator; no production path can select it) — kernel by
-# kernel there, and in internal/strategy the solvers' evaluator after
-# every step of a random walk, with every solver's plan pinned to
+# kernel there, and in internal/strategy the solvers' evaluator (it feeds
+# each kernel its one slot row: there is no batched sweep left to hold to
+# the per-machine calls) after every step of a random walk, with every
+# solver's plan pinned to
 # goldens recorded while the solvers could still run on the tree walk —
 # the solver's reset / re-targeted evaluator vs a fresh build, and the
 # typed refusal of a formula past the shared-variable limit; in
@@ -121,6 +127,12 @@ bench-serving:
 # of `make check` — the numbers are not a gate here.
 bench-smoke:
 	$(GO) run ./benchmark -workload point_hot -seconds 3 -trace 0
+
+# Alternating parent/change pairs of the serving benchmark against
+# BASE (PAIRS of them, default 5), then `-compare` over the merged
+# documents and per-metric win counts; see scripts/bench_pairs.sh.
+bench-pairs:
+	@sh scripts/bench_pairs.sh $(BASE) $(PAIRS)
 
 # Non-test Go lines per package under internal/ and cmd/, and the total;
 # `make loc BASE=<ref>` adds that commit's counts and the per-package

@@ -6,6 +6,7 @@
 package pcqe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -54,9 +55,15 @@ func tiny(b *testing.B, seed int64) *strategy.Instance {
 
 func solveB(b *testing.B, s strategy.Solver, mk func() *strategy.Instance) {
 	b.Helper()
+	solveWide(b, s, 0, mk)
+}
+
+// solveWide is solveB on a worker pool of the given width.
+func solveWide(b *testing.B, s strategy.Solver, workers int, mk func() *strategy.Instance) {
+	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(mk()); err != nil {
+		if _, err := s.SolveContext(context.Background(), mk(), strategy.Budget{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,11 +122,11 @@ func BenchmarkFig11bTwoPhase1K(b *testing.B) {
 func BenchmarkFig11eRefinementGain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		one, err := (&strategy.Greedy{SkipRefinement: true}).Solve(genInstance(b, 1000, 5, 1))
+		one, err := (&strategy.Greedy{SkipRefinement: true}).SolveContext(context.Background(), genInstance(b, 1000, 5, 1), strategy.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		two, err := (&strategy.Greedy{}).Solve(genInstance(b, 1000, 5, 1))
+		two, err := (&strategy.Greedy{}).SolveContext(context.Background(), genInstance(b, 1000, 5, 1), strategy.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +293,7 @@ func BenchmarkAblationParallelDnc(b *testing.B) {
 			func() *strategy.Instance { return genInstance(b, 5000, 5, 1) })
 	})
 	b.Run("parallel", func(b *testing.B) {
-		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)},
+		solveWide(b, strategy.NewDivideAndConquer(), runtime.GOMAXPROCS(0),
 			func() *strategy.Instance { return genInstance(b, 5000, 5, 1) })
 	})
 }
@@ -300,14 +307,14 @@ func BenchmarkAblationParallelDnc(b *testing.B) {
 func BenchmarkDnCParallel(b *testing.B) {
 	mk := func() *strategy.Instance { return genInstance(b, 10000, 5, 1) }
 	b.Run("serial", func(b *testing.B) {
-		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: 1}, mk)
+		solveWide(b, strategy.NewDivideAndConquer(), 1, mk)
 	})
 	b.Run("workersAuto", func(b *testing.B) {
-		solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)}, mk)
+		solveWide(b, strategy.NewDivideAndConquer(), runtime.GOMAXPROCS(0), mk)
 	})
 	for _, w := range []int{2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			solveB(b, &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: w}, mk)
+			solveWide(b, strategy.NewDivideAndConquer(), w, mk)
 		})
 	}
 }

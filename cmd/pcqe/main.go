@@ -34,6 +34,7 @@ import (
 	"pcqe/internal/policy"
 	"pcqe/internal/relation"
 	"pcqe/internal/sql"
+	"pcqe/internal/strategy"
 )
 
 func main() {
@@ -175,7 +176,10 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "%s:\n%s\n", res.Message, res.Plan)
 	}
 
-	req := core.Request{User: *user, Query: query, Purpose: *purpose, MinFraction: *minFrac, Timeout: *timeout, Workers: nworkers}
+	req := core.Request{
+		User: *user, Query: query, Purpose: *purpose, MinFraction: *minFrac,
+		Budget: strategy.Budget{Timeout: *timeout, Workers: nworkers},
+	}
 	resp, err := engine.Evaluate(req)
 	if err != nil {
 		return err

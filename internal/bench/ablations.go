@@ -58,7 +58,7 @@ func AblationGainIncremental(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d1, p1, err := timeSolve(&strategy.Greedy{}, in1)
+		d1, p1, err := timeSolve(&strategy.Greedy{}, in1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func AblationGainIncremental(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d2, p2, err := timeSolve(&strategy.Greedy{Incremental: true}, in2)
+		d2, p2, err := timeSolve(&strategy.Greedy{Incremental: true}, in2, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func AblationGamma(opt Options) (*Table, error) {
 			return nil, err
 		}
 		groups := strategy.Partition(in, gamma, 0)
-		d, plan, err := timeSolve(&strategy.DivideAndConquer{Gamma: gamma, Tau: 8}, in)
+		d, plan, err := timeSolve(&strategy.DivideAndConquer{Gamma: gamma, Tau: 8}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func AblationOrdering(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, plan, err := timeSolve(v.h, in)
+			d, plan, err := timeSolve(v.h, in, 0)
 			if err != nil {
 				continue
 			}
@@ -249,7 +249,7 @@ func AblationTau(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, plan, err := timeSolve(&strategy.DivideAndConquer{Gamma: 1, Tau: tau}, in)
+		d, plan, err := timeSolve(&strategy.DivideAndConquer{Gamma: 1, Tau: tau}, in, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -283,8 +283,7 @@ func AblationParallel(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq := &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}
-		d1, p1, err := timeSolve(seq, in1)
+		d1, p1, err := timeSolve(strategy.NewDivideAndConquer(), in1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -292,8 +291,7 @@ func AblationParallel(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		par := &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)}
-		d2, p2, err := timeSolve(par, in2)
+		d2, p2, err := timeSolve(strategy.NewDivideAndConquer(), in2, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}

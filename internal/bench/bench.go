@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,10 +103,11 @@ type Options struct {
 // DefaultOptions returns the quick configuration with seed 1.
 func DefaultOptions() Options { return Options{Seed: 1} }
 
-// timeSolve runs the solver once and reports duration and plan.
-func timeSolve(s strategy.Solver, in *strategy.Instance) (time.Duration, *strategy.Plan, error) {
+// timeSolve runs the solver once, uninterrupted, on the given worker-pool
+// width (0 = serial) and reports duration and plan.
+func timeSolve(s strategy.Solver, in *strategy.Instance, workers int) (time.Duration, *strategy.Plan, error) {
 	start := time.Now()
-	plan, err := s.Solve(in)
+	plan, err := s.SolveContext(context.Background(), in, strategy.Budget{Workers: workers})
 	return time.Since(start), plan, err
 }
 
@@ -197,7 +199,7 @@ func figHeuristicVariants(opt Options, bound bool, title, notes string) (*Table,
 			if err != nil {
 				return nil, err
 			}
-			d, plan, err := timeSolve(v.h, in)
+			d, plan, err := timeSolve(v.h, in, 0)
 			if err == strategy.ErrInfeasible {
 				continue
 			}
@@ -254,11 +256,11 @@ func Fig11be(opt Options) (*Table, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		d1, p1, err := timeSolve(&strategy.Greedy{SkipRefinement: true}, in1)
+		d1, p1, err := timeSolve(&strategy.Greedy{SkipRefinement: true}, in1, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		d2, p2, err := timeSolve(&strategy.Greedy{}, in2)
+		d2, p2, err := timeSolve(&strategy.Greedy{}, in2, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -322,7 +324,7 @@ func Fig11cf(opt Options) (*Table, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			d, plan, err := timeSolve(strategy.NewHeuristic(), in)
+			d, plan, err := timeSolve(strategy.NewHeuristic(), in, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -334,7 +336,7 @@ func Fig11cf(opt Options) (*Table, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			d, plan, err := timeSolve(&strategy.Greedy{}, in)
+			d, plan, err := timeSolve(&strategy.Greedy{}, in, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -346,7 +348,7 @@ func Fig11cf(opt Options) (*Table, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			d, plan, err := timeSolve(strategy.NewDivideAndConquer(), in)
+			d, plan, err := timeSolve(strategy.NewDivideAndConquer(), in, 0)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -14,7 +14,10 @@ import (
 // worker pool dispatches whole γ-groups, so the achievable speedup is
 // bounded by the group-size distribution (and, of course, by the number
 // of physical cores — on a single-core host every width must produce
-// the same cost and must not regress wall-clock).
+// the same cost and must not regress wall-clock). The solver is the
+// benchmark configuration (strategy.NewDivideAndConquer): γ=1 merges
+// aggressively but MaxGroupResults caps group size so the task queue
+// holds many comparable groups — the shape the worker pool targets.
 func FigParallel(opt Options) ([]*Table, error) {
 	speedT, err := figParallelWorkers(opt)
 	if err != nil {
@@ -25,13 +28,6 @@ func FigParallel(opt Options) ([]*Table, error) {
 		return nil, err
 	}
 	return []*Table{speedT, sizeT}, nil
-}
-
-// dncWorkers is the scaling study's solver configuration: γ=1 merges
-// aggressively but MaxGroupResults caps group size so the task queue
-// holds many comparable groups — the shape the worker pool targets.
-func dncWorkers(w int) *strategy.DivideAndConquer {
-	return &strategy.DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: w}
 }
 
 func parallelParams(n int, seed int64) workload.Params {
@@ -61,7 +57,7 @@ func figParallelWorkers(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, plan, err := timeSolve(dncWorkers(w), in)
+		d, plan, err := timeSolve(strategy.NewDivideAndConquer(), in, w)
 		if err != nil {
 			return nil, err
 		}
@@ -92,14 +88,14 @@ func figParallelSizes(opt Options) (*Table, error) {
 		Title:   fmt.Sprintf("Parallel scaling: D&C response time vs data size (%d workers)", workers),
 		XLabel:  "data size",
 		Columns: []string{"time_s", "cost", "tuples_per_s"},
-		Notes:   "near-linear time in N at constant tuples/result; the batched lineage kernels keep per-group constants flat toward N=1M",
+		Notes:   "near-linear time in N at constant tuples/result; the compiled lineage kernels keep per-group constants flat toward N=1M",
 	}
 	for _, n := range sizes {
 		in, err := workload.Generate(parallelParams(n, opt.Seed))
 		if err != nil {
 			return nil, err
 		}
-		d, plan, err := timeSolve(dncWorkers(workers), in)
+		d, plan, err := timeSolve(strategy.NewDivideAndConquer(), in, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -20,11 +20,21 @@ type stubSolver struct {
 }
 
 func (s *stubSolver) Name() string { return "stub" }
-func (s *stubSolver) Solve(in *strategy.Instance) (*strategy.Plan, error) {
-	return s.solve(context.Background(), in)
-}
+
+// SolveContext puts the budget's wall clock on the context, as the real
+// solvers' boundary does; the scripts honor nothing else of the budget.
 func (s *stubSolver) SolveContext(ctx context.Context, in *strategy.Instance, b strategy.Budget) (*strategy.Plan, error) {
+	if b.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
+		defer cancel()
+	}
 	return s.solve(ctx, in)
+}
+
+// solveGreedy is the uninterrupted greedy plan the scripts hand back.
+func solveGreedy(in *strategy.Instance) (*strategy.Plan, error) {
+	return (&strategy.Greedy{}).SolveContext(context.Background(), in, strategy.Budget{})
 }
 
 var blockedReq = Request{User: "mark", Query: ventureQuery, Purpose: "investment", MinFraction: 1.0}
@@ -67,7 +77,7 @@ func TestDegradeWithPartialIncumbent(t *testing.T) {
 	budgetErr := &strategy.BudgetExceededError{Solver: "stub", Resource: strategy.ResourceSteps}
 	e := newVentureEngine(t, &stubSolver{
 		solve: func(_ context.Context, in *strategy.Instance) (*strategy.Plan, error) {
-			plan, err := (&strategy.Greedy{}).Solve(in)
+			plan, err := solveGreedy(in)
 			if err != nil {
 				return nil, err
 			}
@@ -144,7 +154,7 @@ func TestStructuralSolverErrorStillFails(t *testing.T) {
 		terms = append(terms, lineage.And(vs[0], vs[1]), lineage.And(vs[0], vs[2]))
 	}
 	tooShared.Results = []strategy.Result{{Formula: lineage.Or(terms...)}}
-	_, refusal := strategy.NewDivideAndConquer().Solve(tooShared)
+	_, refusal := strategy.NewDivideAndConquer().SolveContext(context.Background(), tooShared, strategy.Budget{})
 	if !errors.Is(refusal, lineage.ErrTooManyShared) {
 		t.Fatalf("solve of a 25-shared formula: err = %v", refusal)
 	}
@@ -170,12 +180,12 @@ func TestRequestTimeoutReachesSolver(t *testing.T) {
 					Solver: "stub", Resource: strategy.ResourceDeadline, Err: ctx.Err(),
 				}
 			case <-time.After(5 * time.Second):
-				return (&strategy.Greedy{}).Solve(in)
+				return solveGreedy(in)
 			}
 		},
 	})
 	req := blockedReq
-	req.Timeout = 20 * time.Millisecond
+	req.Budget.Timeout = 20 * time.Millisecond
 	start := time.Now()
 	resp, err := e.Evaluate(req)
 	if err != nil {
@@ -186,6 +196,51 @@ func TestRequestTimeoutReachesSolver(t *testing.T) {
 	}
 	if resp.Degraded == nil || !errors.Is(resp.Degraded, context.DeadlineExceeded) {
 		t.Fatalf("Degraded = %v, want deadline exhaustion", resp.Degraded)
+	}
+}
+
+// TestEvaluateMultiTimeoutReachesSharedSolve: the requests' Timeout
+// bounds the shared solve too, not only each query's own evaluation. A
+// solver that blocks until its context is done holds the batch for the
+// merged 20 ms, not for its full 5 s; every response that wanted
+// improvement degrades with the deadline and the event is journaled.
+func TestEvaluateMultiTimeoutReachesSharedSolve(t *testing.T) {
+	e := overlapEngine(t)
+	e.solver = &stubSolver{
+		solve: func(ctx context.Context, in *strategy.Instance) (*strategy.Plan, error) {
+			select {
+			case <-ctx.Done():
+				return nil, &strategy.BudgetExceededError{
+					Solver: "stub", Resource: strategy.ResourceDeadline, Err: ctx.Err(),
+				}
+			case <-time.After(5 * time.Second):
+				return solveGreedy(in)
+			}
+		},
+	}
+	log := &AuditLog{}
+	e.SetAudit(log)
+	reqs := multiReqs()
+	reqs[0].Budget.Timeout = 10 * time.Millisecond
+	reqs[1].Budget.Timeout = 20 * time.Millisecond
+	start := time.Now()
+	resps, prop, err := e.EvaluateMulti(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Fatalf("shared solve did not respect the requests' timeout (%v elapsed)", time.Since(start))
+	}
+	if prop != nil {
+		t.Fatalf("proposal %+v from a solve that timed out without an incumbent", prop)
+	}
+	for i, resp := range resps {
+		if !errors.Is(resp.Degraded, context.DeadlineExceeded) {
+			t.Errorf("response %d Degraded = %v, want deadline exhaustion", i, resp.Degraded)
+		}
+	}
+	if deg := log.ByKind(AuditDegrade); len(deg) != 1 {
+		t.Fatalf("degrade audit events = %+v, want exactly one", deg)
 	}
 }
 

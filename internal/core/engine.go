@@ -22,7 +22,6 @@ import (
 	"math"
 	"runtime/pprof"
 	"sort"
-	"time"
 
 	"pcqe/internal/fault"
 	"pcqe/internal/obs"
@@ -87,42 +86,19 @@ type Request struct {
 	// MinFraction is θ: the fraction of intermediate results the user
 	// needs released. 0 disables improvement proposals.
 	MinFraction float64
-	// Timeout bounds the request's evaluation wall-clock, most
-	// importantly the NP-hard improvement planning step: when it
-	// expires, planning degrades to the solver's best incumbent (a
-	// partial proposal) or is dropped, and the query results are still
-	// returned. 0 = no limit. It combines with any deadline already on
-	// the context passed to EvaluateContext (the earlier wins).
-	Timeout time.Duration
-	// Workers sizes the worker pool of a parallel-capable improvement
-	// solver (divide-and-conquer group sub-solves) for this request:
-	// 0 keeps the engine solver's own configuration, 1 forces serial,
-	// n > 1 uses n workers. The plan is bit-identical for every value;
-	// only wall-clock changes. Negative values are rejected.
-	Workers int
-	// MaxNodes, MaxPivots and MaxSteps bound the improvement solve's
-	// work counters for this request (strategy.Budget semantics:
-	// branch-and-bound node expansions, Shannon pivot evaluations,
-	// δ-grid steps; 0 = unlimited). They are request-scoped so a server
-	// hosting many sessions over one engine can give each session its
-	// own solver allowance instead of configuring the shared solver
-	// process-wide. Exhaustion degrades the response to the solver's
-	// best incumbent, exactly like Timeout. Negative values are
-	// rejected.
-	MaxNodes  int
-	MaxPivots int
-	MaxSteps  int
-}
-
-// budget assembles the request's solver budget (work-counter bounds and
-// worker-pool width; the wall clock is enforced through the context).
-func (r Request) budget() strategy.Budget {
-	return strategy.Budget{
-		Workers:   r.Workers,
-		MaxNodes:  r.MaxNodes,
-		MaxPivots: r.MaxPivots,
-		MaxSteps:  r.MaxSteps,
-	}
+	// Budget is the request's allowance (strategy.Budget semantics; the
+	// zero value is unlimited). Timeout bounds the whole evaluation's
+	// wall clock, most importantly the NP-hard improvement planning step,
+	// and combines with any deadline already on the context passed to
+	// EvaluateContext (the earlier wins); MaxNodes, MaxPivots and MaxSteps
+	// bound the improvement solve's work counters; Workers is its
+	// worker-pool width (the plan is bit-identical for every value). When
+	// any of them runs out, planning degrades to the solver's best
+	// incumbent (a partial proposal) or is dropped, and the query results
+	// are still returned. The budget is request-scoped so a server hosting
+	// many sessions over one engine can give each session its own
+	// allowance. A negative field is rejected.
+	Budget strategy.Budget
 }
 
 // Row is one query result with its computed confidence.
@@ -193,7 +169,7 @@ func (e *Engine) Evaluate(req Request) (*Response, error) {
 }
 
 // EvaluateContext is Evaluate under a context: cancellation or deadline
-// expiry (from ctx or req.Timeout) bounds the whole flow. Query
+// expiry (from ctx or req.Budget.Timeout) bounds the whole flow. Query
 // evaluation that cannot start returns the context error; improvement
 // planning instead degrades gracefully — the solver's best incumbent
 // becomes a partial Proposal (or none), Response.Degraded records why,
@@ -216,16 +192,14 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	if math.IsNaN(req.MinFraction) || req.MinFraction < 0 || req.MinFraction > 1 {
 		return nil, fmt.Errorf("core: min fraction θ=%g outside [0,1]", req.MinFraction)
 	}
-	if req.Workers < 0 {
-		return nil, fmt.Errorf("core: workers must be non-negative, got %d (0 = solver default, 1 = serial)", req.Workers)
+	// A bad budget fails the request up front, whether or not this
+	// evaluation gets as far as a solve.
+	if err := req.Budget.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if req.MaxNodes < 0 || req.MaxPivots < 0 || req.MaxSteps < 0 {
-		return nil, fmt.Errorf("core: solver budget must be non-negative, got nodes=%d pivots=%d steps=%d (0 = unlimited)",
-			req.MaxNodes, req.MaxPivots, req.MaxSteps)
-	}
-	if req.Timeout > 0 {
+	if req.Budget.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, req.Budget.Timeout)
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
@@ -332,7 +306,7 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	if need := resp.Need(req); need > 0 {
 		stratSpan := root.StartChild("strategy")
 		stratSpan.SetAttr("need", int64(need))
-		prop, err := e.propose(obs.ContextWithSpan(enterLayer(ctx, "strategy"), stratSpan), resp, need, req.budget(), snap)
+		prop, err := e.propose(obs.ContextWithSpan(enterLayer(ctx, "strategy"), stratSpan), resp, need, req.Budget, snap)
 		switch {
 		case err == nil || errors.Is(err, strategy.ErrInfeasible):
 			// prop is nil on infeasibility: nothing to offer.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/cost"
@@ -177,7 +178,8 @@ func (b *instanceBuilder) add(rows []Row) (int, error) {
 // comes back (tagged Partial) alongside the *strategy.BudgetExceededError
 // so the caller can degrade instead of fail.
 func (e *Engine) solve(ctx context.Context, b *instanceBuilder, budget strategy.Budget) (*Proposal, error) {
-	e.metrics.Gauge("engine.solver.workers").Set(int64(strategy.EffectiveWorkers(e.solver, budget)))
+	// The width the solve runs at: 0 and 1 are both serial.
+	e.metrics.Gauge("engine.solver.workers").Set(int64(max(budget.Workers, 1)))
 	plan, err := strategy.SolveContext(ctx, e.solver, b.in, budget)
 	if plan == nil {
 		return nil, err
@@ -189,9 +191,8 @@ func (e *Engine) solve(ctx context.Context, b *instanceBuilder, budget strategy.
 }
 
 // propose builds the optimization instance from the response's withheld
-// rows and solves it under the request context and the request's solver
-// budget (work-counter bounds and worker-pool width from Request via
-// Request.budget; the wall clock rides on ctx).
+// rows and solves it under the request context and the request's
+// budget.
 func (e *Engine) propose(ctx context.Context, resp *Response, need int, budget strategy.Budget, snap *relation.Snapshot) (*Proposal, error) {
 	b := newInstanceBuilder(snap)
 	n, err := b.add(resp.Withheld)
@@ -398,36 +399,32 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 	return resps, prop, nil
 }
 
-// combinedBudget merges the participating requests' solver budgets for
-// a shared multi-query solve: the widest worker pool any request asked
-// for, and for each work counter the most permissive bound — any
-// request with an unlimited counter (0) makes the shared counter
+// combinedBudget merges the participating requests' budgets for a
+// shared multi-query solve: the widest worker pool any request asked
+// for, and for the wall clock and each work counter the most permissive
+// bound — any request with an unlimited one (0) makes the shared one
 // unlimited, otherwise the largest allowance wins. The shared solve
 // serves every query at once, so the tightest session must not starve
 // its peers' planning.
 func combinedBudget(reqs []Request) strategy.Budget {
-	b := reqs[0].budget()
+	b := reqs[0].Budget
 	for _, req := range reqs[1:] {
-		if req.Workers > b.Workers {
-			b.Workers = req.Workers
-		}
-		b.MaxNodes = mergeLimit(b.MaxNodes, req.MaxNodes)
-		b.MaxPivots = mergeLimit(b.MaxPivots, req.MaxPivots)
-		b.MaxSteps = mergeLimit(b.MaxSteps, req.MaxSteps)
+		b.Workers = max(b.Workers, req.Budget.Workers)
+		b.Timeout = mergeLimit(b.Timeout, req.Budget.Timeout)
+		b.MaxNodes = mergeLimit(b.MaxNodes, req.Budget.MaxNodes)
+		b.MaxPivots = mergeLimit(b.MaxPivots, req.Budget.MaxPivots)
+		b.MaxSteps = mergeLimit(b.MaxSteps, req.Budget.MaxSteps)
 	}
 	return b
 }
 
-// mergeLimit folds one request's work-counter bound into the running
-// shared bound: 0 means unlimited and absorbs everything.
-func mergeLimit(acc, next int) int {
+// mergeLimit folds one request's bound into the running shared bound:
+// 0 means unlimited and absorbs everything.
+func mergeLimit[T int | time.Duration](acc, next T) T {
 	if acc == 0 || next == 0 {
 		return 0
 	}
-	if next > acc {
-		return next
-	}
-	return acc
+	return max(acc, next)
 }
 
 // queryBlock identifies one query's slice of the combined instance's

@@ -63,7 +63,7 @@ func TestEvaluateMultiSalvagesPartialIncumbent(t *testing.T) {
 	budgetErr := &strategy.BudgetExceededError{Solver: "stub", Resource: strategy.ResourceSteps}
 	e.solver = &stubSolver{
 		solve: func(_ context.Context, in *strategy.Instance) (*strategy.Plan, error) {
-			plan, err := (&strategy.Greedy{}).Solve(in)
+			plan, err := solveGreedy(in)
 			if err != nil {
 				return nil, err
 			}

@@ -13,15 +13,15 @@ func TestParallelWorkersValidation(t *testing.T) {
 	e := newVentureEngine(t, nil)
 	for _, bad := range []int{-1, -8} {
 		req := blockedReq
-		req.Workers = bad
-		if _, err := e.Evaluate(req); err == nil || !strings.Contains(err.Error(), "workers") {
+		req.Budget.Workers = bad
+		if _, err := e.Evaluate(req); err == nil || !strings.Contains(err.Error(), "Workers") {
 			t.Errorf("Workers = %d accepted: %v", bad, err)
 		}
 	}
-	// 0 (solver default) and explicit widths are valid.
+	// 0 (serial, like 1) and explicit widths are valid.
 	for _, ok := range []int{0, 1, 4} {
 		req := blockedReq
-		req.Workers = ok
+		req.Budget.Workers = ok
 		if _, err := e.Evaluate(req); err != nil {
 			t.Errorf("Workers = %d rejected: %v", ok, err)
 		}
@@ -35,7 +35,7 @@ func TestParallelWorkersValidation(t *testing.T) {
 func TestParallelDegradedGroupsAudited(t *testing.T) {
 	e := newVentureEngine(t, &stubSolver{
 		solve: func(_ context.Context, in *strategy.Instance) (*strategy.Plan, error) {
-			plan, err := (&strategy.Greedy{}).Solve(in)
+			plan, err := solveGreedy(in)
 			if err != nil {
 				return nil, err
 			}
@@ -83,14 +83,14 @@ func TestParallelNoDegradeAuditWhenClean(t *testing.T) {
 }
 
 // TestParallelWorkersGauge pins the engine.solver.workers gauge: it
-// reports the width the solver will actually use for the request.
+// reports the width the request's solve ran at.
 func TestParallelWorkersGauge(t *testing.T) {
 	e := newVentureEngine(t, strategy.NewDivideAndConquer())
 	m := obs.New()
 	e.SetMetrics(m)
 	for _, w := range []int{3, 1} {
 		req := blockedReq
-		req.Workers = w
+		req.Budget.Workers = w
 		if _, err := e.Evaluate(req); err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pcqe/internal/fault"
 	"pcqe/internal/lineage"
@@ -24,18 +25,20 @@ import (
 
 func TestRequestSolverBudgetValidation(t *testing.T) {
 	e := newVentureEngine(t, nil)
-	for _, req := range []Request{
-		{User: "sue", Query: ventureQuery, Purpose: "analysis", MaxNodes: -1},
-		{User: "sue", Query: ventureQuery, Purpose: "analysis", MaxPivots: -2},
-		{User: "sue", Query: ventureQuery, Purpose: "analysis", MaxSteps: -3},
+	// The request asks for no improvement, so no solve would ever see the
+	// budget: the engine rejects it up front, naming the field.
+	for field, b := range map[string]strategy.Budget{
+		"Timeout": {Timeout: -time.Second}, "Workers": {Workers: -1},
+		"MaxNodes": {MaxNodes: -1}, "MaxPivots": {MaxPivots: -2}, "MaxSteps": {MaxSteps: -3},
 	} {
-		if _, err := e.Evaluate(req); err == nil {
-			t.Fatalf("negative solver budget %+v accepted", req)
+		req := Request{User: "sue", Query: ventureQuery, Purpose: "analysis", Budget: b}
+		if _, err := e.EvaluateContext(context.Background(), req); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: err = %v, want a rejection naming the field", field, err)
 		}
 	}
 }
 
-// TestRequestSolverBudgetThreadsToSolver pins that Request.MaxSteps
+// TestRequestSolverBudgetThreadsToSolver pins that Request.Budget
 // reaches the strategy layer: a one-step allowance cannot complete the
 // venture improvement plan, so the response must degrade with a typed
 // *strategy.BudgetExceededError naming the steps resource.
@@ -43,7 +46,7 @@ func TestRequestSolverBudgetThreadsToSolver(t *testing.T) {
 	e := newVentureEngine(t, nil)
 	req := Request{
 		User: "mark", Query: ventureQuery, Purpose: "investment",
-		MinFraction: 1.0, MaxSteps: 1,
+		MinFraction: 1.0, Budget: strategy.Budget{MaxSteps: 1},
 	}
 	resp, err := e.Evaluate(req)
 	if err != nil {

@@ -381,9 +381,16 @@ func TestBudgetClamping(t *testing.T) {
 			t.Fatalf("budget ceiling not enforced: response not degraded (%+v)", wr)
 		}
 	}
-	var we wireError
-	if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery, Budget: &WireBudget{MaxSteps: -1}}, &we); code != http.StatusBadRequest {
-		t.Fatalf("negative budget: status %d, want 400", code)
+	// A negative override field is a 400 naming the field, whichever it is.
+	for field, over := range map[string]WireBudget{
+		"Timeout": {TimeoutMillis: -1}, "Workers": {Workers: -1},
+		"MaxNodes": {MaxNodes: -1}, "MaxPivots": {MaxPivots: -1}, "MaxSteps": {MaxSteps: -1},
+	} {
+		over := over
+		var we wireError
+		if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery, Budget: &over}, &we); code != http.StatusBadRequest || !strings.Contains(we.Error, field) {
+			t.Errorf("negative %s: status %d, error %q; want 400 naming the field", field, code, we.Error)
+		}
 	}
 }
 

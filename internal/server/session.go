@@ -105,59 +105,44 @@ func (s *Session) take(id string) *core.Proposal {
 
 // request assembles the core request for this session's identity. The
 // user and purpose always come from the handshake — the request body
-// cannot impersonate another pair — and the solver budget is the
-// session default overridden by the (already clamped) effective budget.
+// cannot impersonate another pair — and b is the (already clamped)
+// effective budget.
 func (s *Session) request(query string, minFraction float64, b strategy.Budget) core.Request {
-	return core.Request{
-		User: s.user, Purpose: s.purpose,
-		Query: query, MinFraction: minFraction,
-		Timeout:  b.Timeout,
-		Workers:  b.Workers,
-		MaxNodes: b.MaxNodes, MaxPivots: b.MaxPivots, MaxSteps: b.MaxSteps,
-	}
+	return core.Request{User: s.user, Purpose: s.purpose, Query: query, MinFraction: minFraction, Budget: b}
 }
 
 // effectiveBudget folds a request's optional budget override into the
-// session default and clamps the result to the server ceiling. Zero
-// override fields keep the session default; negative fields are
-// rejected; a nonzero ceiling bounds both explicit values and
-// "unlimited" (a client cannot ask for more than the server allows by
-// asking for nothing).
+// session default and clamps the result to the server ceiling, field by
+// field (see resolveLimit); a negative override field is rejected.
 func effectiveBudget(def strategy.Budget, over *WireBudget, max strategy.Budget) (strategy.Budget, error) {
-	b := def
+	var o strategy.Budget
 	if over != nil {
-		if over.Workers < 0 || over.MaxNodes < 0 || over.MaxPivots < 0 || over.MaxSteps < 0 || over.TimeoutMillis < 0 {
-			return strategy.Budget{}, fmt.Errorf("server: budget override fields must be non-negative: %+v", *over)
+		o = strategy.Budget{
+			Timeout: time.Duration(over.TimeoutMillis) * time.Millisecond,
+			Workers: over.Workers, MaxNodes: over.MaxNodes, MaxPivots: over.MaxPivots, MaxSteps: over.MaxSteps,
 		}
-		if over.Workers > 0 {
-			b.Workers = over.Workers
-		}
-		if over.MaxNodes > 0 {
-			b.MaxNodes = over.MaxNodes
-		}
-		if over.MaxPivots > 0 {
-			b.MaxPivots = over.MaxPivots
-		}
-		if over.MaxSteps > 0 {
-			b.MaxSteps = over.MaxSteps
-		}
-		if over.TimeoutMillis > 0 {
-			b.Timeout = time.Duration(over.TimeoutMillis) * time.Millisecond
+		if err := o.Validate(); err != nil {
+			return strategy.Budget{}, fmt.Errorf("server: budget override: %w", err)
 		}
 	}
-	b.Workers = clampCounter(b.Workers, max.Workers)
-	b.MaxNodes = clampCounter(b.MaxNodes, max.MaxNodes)
-	b.MaxPivots = clampCounter(b.MaxPivots, max.MaxPivots)
-	b.MaxSteps = clampCounter(b.MaxSteps, max.MaxSteps)
-	if max.Timeout > 0 && (b.Timeout == 0 || b.Timeout > max.Timeout) {
-		b.Timeout = max.Timeout
-	}
-	return b, nil
+	return strategy.Budget{
+		Timeout:   resolveLimit(def.Timeout, o.Timeout, max.Timeout),
+		Workers:   resolveLimit(def.Workers, o.Workers, max.Workers),
+		MaxNodes:  resolveLimit(def.MaxNodes, o.MaxNodes, max.MaxNodes),
+		MaxPivots: resolveLimit(def.MaxPivots, o.MaxPivots, max.MaxPivots),
+		MaxSteps:  resolveLimit(def.MaxSteps, o.MaxSteps, max.MaxSteps),
+	}, nil
 }
 
-// clampCounter applies one ceiling: 0 means unclamped; a nonzero
-// ceiling bounds both explicit values and unlimited (0) requests.
-func clampCounter(v, max int) int {
+// resolveLimit resolves one budget field: a zero override keeps the
+// session default, and a nonzero ceiling bounds both explicit values and
+// "unlimited" (a client cannot ask for more than the server allows by
+// asking for nothing).
+func resolveLimit[T int | time.Duration](def, over, max T) T {
+	v := def
+	if over > 0 {
+		v = over
+	}
 	if max > 0 && (v == 0 || v > max) {
 		return max
 	}

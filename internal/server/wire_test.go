@@ -9,6 +9,7 @@ import (
 
 	"pcqe/internal/core"
 	"pcqe/internal/relation"
+	"pcqe/internal/strategy"
 )
 
 // zeroMicros normalizes wall-clock durations out of a wire span tree
@@ -83,7 +84,7 @@ func TestWireResponseDegraded(t *testing.T) {
 	s := newVentureServer(t, Config{})
 	resp, err := s.Engine().Evaluate(core.Request{
 		User: "mark", Query: ventureQuery, Purpose: "investment",
-		MinFraction: 1, MaxSteps: 1,
+		MinFraction: 1, Budget: strategy.Budget{MaxSteps: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,38 +21,16 @@ type BruteForce struct {
 // Name implements Solver.
 func (b *BruteForce) Name() string { return "brute-force" }
 
-// Solve implements Solver.
-func (b *BruteForce) Solve(in *Instance) (*Plan, error) {
-	return b.SolveContext(context.Background(), in, Budget{})
-}
-
-// SolveContext implements ContextSolver. The enumeration is anytime:
+// SolveContext implements Solver. The enumeration is anytime:
 // interruption returns the best feasible assignment found so far
 // (tagged Plan.Partial) with a *BudgetExceededError. Each enumerated
 // assignment counts against Budget.MaxNodes.
-func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget) (plan *Plan, err error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	bs, cancel := newBudgetState(b.Name(), ctx, bud)
-	defer cancel()
-	span := startSolveSpan(ctx, b.Name())
-	// Registered before the recovery boundary below so it runs after it
-	// (defers are LIFO) and records the plan/err the recovery produced.
-	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	var best *Plan
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = solveRecover(r, b.Name(), in, best)
-		}
-	}()
-	e, err := newEvaluator(in, bs)
-	if err != nil {
-		return nil, err
-	}
-	if e.satAtMax() < in.Need {
-		return nil, ErrInfeasible
-	}
+func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget) (*Plan, error) {
+	return runSolve(ctx, b.Name(), in, bud, b.search)
+}
+
+func (b *BruteForce) search(r *solveRun) (*Plan, error) {
+	e, in, bs := r.e, r.e.in, r.e.bs
 	limit := b.MaxAssignments
 	if limit <= 0 {
 		limit = 2_000_000
@@ -89,7 +67,7 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 		bs.node()
 		if e.nSat >= in.Need {
 			if c := e.totalCost(); c < bestCost {
-				best = e.plan(nodes)
+				r.incumbent = e.plan(nodes)
 				bestCost = c
 			}
 		}
@@ -109,9 +87,9 @@ func (b *BruteForce) SolveContext(ctx context.Context, in *Instance, bud Budget)
 			break
 		}
 	}
-	if best == nil {
+	if r.incumbent == nil {
 		return nil, ErrInfeasible
 	}
-	best.Nodes = nodes
-	return best, nil
+	r.incumbent.Nodes = nodes
+	return r.incumbent, nil
 }

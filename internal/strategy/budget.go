@@ -6,18 +6,19 @@ package strategy
 // The strategy-finding problem is NP-hard and exact confidence
 // computation over lineage is #P-hard, so every solver here can be made
 // to run arbitrarily long by an adversarial (or merely large) instance.
-// SolveContext bounds a solve with a context and a Budget; the solvers
-// poll cheap checkpoints inside their hot loops (DFS node expansions,
-// greedy gain picks, δ-step applications, Shannon pivot enumerations in
-// compiled lineage programs) and, on exhaustion, unwind to the solver
-// boundary via a budgetStop panic. The boundary converts the unwind
-// into the anytime contract: the best incumbent plan found so far —
-// always a consistent snapshot that passes Instance.Verify — tagged
-// Plan.Partial, together with a typed *BudgetExceededError naming the
-// resource that ran out. Real panics (bugs, injected faults) are
-// likewise recovered at the boundary and converted to a typed
-// *SolverPanicError carrying the solver name and an instance
-// fingerprint, so one poisoned sub-problem cannot kill a process.
+// Every solve therefore runs under a context and a Budget, behind one
+// boundary (runSolve): the solvers poll cheap checkpoints inside their
+// hot loops (DFS node expansions, greedy gain picks, δ-step
+// applications, Shannon pivot enumerations in compiled lineage
+// programs) and, on exhaustion, unwind to the boundary via a budgetStop
+// panic. The boundary converts the unwind into the anytime contract:
+// the best incumbent plan found so far — always a consistent snapshot
+// that passes Instance.Verify — tagged Plan.Partial, together with a
+// typed *BudgetExceededError naming the resource that ran out. Real
+// panics (bugs, injected faults) are likewise recovered there and
+// converted to a typed *SolverPanicError carrying the solver name and
+// an instance fingerprint, so one poisoned sub-problem cannot kill a
+// process.
 
 import (
 	"context"
@@ -48,13 +49,35 @@ type Budget struct {
 	// MaxSteps bounds δ-grid confidence step applications (greedy
 	// increase/refinement, D&C combination repair). 0 = unlimited.
 	MaxSteps int
-	// Workers overrides, for this solve only, the number of worker
-	// goroutines a parallel-capable solver (DivideAndConquer) uses for
-	// independent group sub-solves: 0 keeps the solver's own
-	// configuration, 1 forces serial, n > 1 uses n workers. Group plans
+	// Workers is the number of worker goroutines a solver with a
+	// parallel phase (DivideAndConquer's independent group sub-solves)
+	// may use: 0 or 1 solves serially, n > 1 on n workers. Group plans
 	// merge in deterministic group order, so the resulting plan is
-	// bit-identical for every value.
+	// bit-identical for every value; only wall-clock changes.
 	Workers int
+}
+
+// Validate rejects a negative field, naming it: every limit is either
+// zero (none) or a positive allowance, and a negative one would
+// otherwise read as "unlimited".
+func (b Budget) Validate() error {
+	var field string
+	var got any
+	switch {
+	case b.Timeout < 0:
+		field, got = "Timeout", b.Timeout
+	case b.MaxNodes < 0:
+		field, got = "MaxNodes", b.MaxNodes
+	case b.MaxPivots < 0:
+		field, got = "MaxPivots", b.MaxPivots
+	case b.MaxSteps < 0:
+		field, got = "MaxSteps", b.MaxSteps
+	case b.Workers < 0:
+		field, got = "Workers", b.Workers
+	default:
+		return nil
+	}
+	return fmt.Errorf("strategy: budget %s must be non-negative, got %v", field, got)
 }
 
 // Budget resource names reported by BudgetExceededError.Resource.
@@ -111,31 +134,10 @@ func (e *SolverPanicError) Error() string {
 	return fmt.Sprintf("strategy: %s panicked on instance %s: %v", e.Solver, e.Fingerprint, e.Value)
 }
 
-// ContextSolver is a Solver with deadline/budget-aware execution. All
-// built-in solvers implement it.
-type ContextSolver interface {
-	Solver
-	// SolveContext computes a plan under ctx and b. On budget or
-	// deadline exhaustion it returns the best incumbent plan so far
-	// (tagged Plan.Partial; nil when none is feasible yet) together with
-	// a *BudgetExceededError, so callers check the error before assuming
-	// optimality and check the plan before assuming total failure.
-	SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error)
-}
-
-// SolveContext runs s under ctx and b. Solvers that do not implement
-// ContextSolver run open-loop via plain Solve (the budget is ignored,
-// but a context that is already done short-circuits).
+// SolveContext runs s on in under ctx and b: s.SolveContext, spelled as
+// a function for callers that hold the solver as a value.
 func SolveContext(ctx context.Context, s Solver, in *Instance, b Budget) (*Plan, error) {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs.SolveContext(ctx, in, b)
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return s.Solve(in)
+	return s.SolveContext(ctx, in, b)
 }
 
 // Fault-injection probe sites (see internal/fault). Every cooperative
@@ -167,13 +169,15 @@ func ProbeSites() []string {
 
 // budgetStop is the panic value used to unwind a solve to its boundary
 // when a budget resource runs out. It never escapes the strategy
-// package: every SolveContext boundary recovers it.
+// package: runSolve and the divide-and-conquer group boundaries recover
+// it.
 type budgetStop struct{ cause *BudgetExceededError }
 
 // budgetState is the shared, concurrency-safe bookkeeping of one solve:
 // work counters, the stop flag, and the first exhaustion cause. A nil
 // *budgetState is valid and means "unbudgeted": every method is a no-op,
-// so the plain Solve path pays nothing.
+// so an
+// unbudgeted solve under a background context pays nothing.
 //
 // Parallel solves fan the state out through worker children (see
 // worker): each child counts its own goroutine's work locally while
@@ -217,7 +221,7 @@ func (s *budgetState) root() *budgetState {
 }
 
 // worker derives a per-goroutine child view of the state for one D&C
-// worker (or for the driver's own share of a parallel solve). Counter
+// worker (the driver's own work lands on the root directly). Counter
 // increments land both on the child — per-worker attribution for the
 // observability spans — and on the shared root, which owns the limits,
 // so a global budget bounds the sum of all workers' work and exhaustion
@@ -390,12 +394,55 @@ func (s *budgetState) drain() {
 	}
 }
 
-// startSolveSpan opens the per-solve span as a child of the span the
-// caller put on ctx (the engine's "strategy" phase span), named
-// "solve:<solver>". Returns nil — and every Span method is a no-op —
-// when the context carries no span.
-func startSolveSpan(ctx context.Context, solver string) *obs.Span {
-	return obs.SpanFromContext(ctx).StartChild("solve:" + solver)
+// solveRun is what runSolve hands a solver's search function.
+type solveRun struct {
+	// e is the instance's evaluator at its initial confidences, past the
+	// feasibility probe; e.bs is the solve's budget state (nil when
+	// nothing can interrupt the solve).
+	e *evaluator
+	// span is the "solve:<solver>" span, a child of the span the caller
+	// put on ctx (the engine's "strategy" phase span); nil — and every
+	// method a no-op — when the context carries none.
+	span *obs.Span
+	// incumbent is the search's latest feasible snapshot, set as plans
+	// form: what a budget unwind returns, tagged Partial.
+	incumbent *Plan
+}
+
+// runSolve is the one boundary every built-in solver runs behind. It
+// opens the solve span, validates the budget and the instance, arms the
+// budget state, builds the instance's evaluator (the solve's one
+// compile of the result formulas), refuses an instance that is
+// infeasible even with every tuple at its maximum, and then runs
+// search — recovering whatever unwinds out of any of it into the
+// anytime contract (see solveRecover) and closing the span over the
+// outcome.
+func runSolve(ctx context.Context, solver string, in *Instance, b Budget, search func(*solveRun) (*Plan, error)) (plan *Plan, err error) {
+	run := &solveRun{span: obs.SpanFromContext(ctx).StartChild("solve:" + solver)}
+	var bs *budgetState
+	// Registered before the recovery below so it runs after it (defers
+	// are LIFO) and records the plan/err the recovery produced.
+	defer func() { finishSolveSpan(run.span, bs, plan, err) }()
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	bs, cancel := newBudgetState(solver, ctx, b)
+	defer cancel()
+	defer func() {
+		if r := recover(); r != nil {
+			plan, err = solveRecover(r, solver, in, run.incumbent)
+		}
+	}()
+	if run.e, err = newEvaluator(in, bs); err != nil {
+		return nil, err
+	}
+	if run.e.satAtMax() < in.Need {
+		return nil, ErrInfeasible
+	}
+	return search(run)
 }
 
 // finishSolveSpan closes a solve span with the work counters from the
@@ -406,9 +453,7 @@ func finishSolveSpan(span *obs.Span, bs *budgetState, plan *Plan, err error) {
 		return
 	}
 	if bs != nil {
-		span.SetAttr("nodes", bs.nodes.Load())
-		span.SetAttr("pivots", bs.pivots.Load())
-		span.SetAttr("steps", bs.steps.Load())
+		setWork(span, bs.nodes.Load(), bs.pivots.Load(), bs.steps.Load())
 	} else if plan != nil {
 		span.SetAttr("nodes", int64(plan.Nodes))
 	}
@@ -421,29 +466,20 @@ func finishSolveSpan(span *obs.Span, bs *budgetState, plan *Plan, err error) {
 	span.End()
 }
 
-// finishWorkerSpan closes a per-worker span with the worker's own share
-// of the work counters — the child budgetState's local counters, not the
-// root totals — so the enclosing solve span's counter attributes
-// decompose exactly into the sum of its worker spans'. groups < 0 omits
-// the group-count attribute.
-func finishWorkerSpan(span *obs.Span, bs *budgetState, groups int) {
-	if span == nil {
-		return
-	}
-	if bs != nil {
-		span.SetAttr("nodes", bs.nodes.Load())
-		span.SetAttr("pivots", bs.pivots.Load())
-		span.SetAttr("steps", bs.steps.Load())
-	}
-	if groups >= 0 {
-		span.SetAttr("groups", int64(groups))
-	}
-	span.End()
+// setWork records work counters on a span: the whole solve's on the
+// solve span, and under a parallel solve each worker's and the driver's
+// share on theirs, so the solve span's counters decompose exactly into
+// the sum of its children's.
+func setWork(span *obs.Span, nodes, pivots, steps int64) {
+	span.SetAttr("nodes", nodes)
+	span.SetAttr("pivots", pivots)
+	span.SetAttr("steps", steps)
 }
 
-// solveRecover converts a recovered panic at a solver boundary into the
-// anytime contract: budget unwinds yield (incumbent tagged Partial,
-// *BudgetExceededError); anything else yields (nil, *SolverPanicError).
+// solveRecover converts a recovered panic at a boundary — runSolve's,
+// or a divide-and-conquer group's — into the anytime contract: budget
+// unwinds yield (incumbent tagged Partial, *BudgetExceededError);
+// anything else yields (nil, *SolverPanicError).
 func solveRecover(r any, solver string, in *Instance, incumbent *Plan) (*Plan, error) {
 	if stop, ok := r.(budgetStop); ok {
 		if incumbent != nil {

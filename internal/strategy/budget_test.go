@@ -13,22 +13,19 @@ import (
 	"pcqe/internal/cost"
 	"pcqe/internal/fault"
 	"pcqe/internal/lineage"
+	"pcqe/internal/obs"
 )
 
-// contextSolverMakers builds fresh instances of every budget-aware
-// solver configuration the runtime tests exercise.
-func contextSolverMakers() []func() ContextSolver {
-	return []func() ContextSolver{
-		func() ContextSolver { return &Greedy{} },
-		func() ContextSolver { return &Greedy{Incremental: true} },
-		func() ContextSolver { return NewHeuristic() },
-		func() ContextSolver { return NewDivideAndConquer() },
-		func() ContextSolver {
-			d := NewDivideAndConquer()
-			d.Workers = runtime.GOMAXPROCS(0)
-			return d
-		},
-		func() ContextSolver { return &BruteForce{} },
+// contextSolverMakers builds fresh instances of every solver
+// configuration the runtime tests exercise.
+func contextSolverMakers() []func() Solver {
+	return []func() Solver{
+		func() Solver { return &Greedy{} },
+		func() Solver { return &Greedy{Incremental: true} },
+		func() Solver { return NewHeuristic() },
+		func() Solver { return NewDivideAndConquer() },
+		func() Solver { return widened{NewDivideAndConquer(), runtime.GOMAXPROCS(0)} },
+		func() Solver { return &BruteForce{} },
 	}
 }
 
@@ -138,6 +135,170 @@ func TestPreCanceledContext(t *testing.T) {
 		if plan != nil {
 			if verr := sweepInstance().Verify(plan); verr != nil {
 				t.Errorf("%s: plan fails Verify: %v", s.Name(), verr)
+			}
+		}
+	}
+}
+
+// probeSite is the fault-injection site in s's own search (for
+// divide-and-conquer the driver's, since a group's is isolated at the
+// group boundary).
+func probeSite(s Solver) string {
+	switch s := s.(type) {
+	case widened:
+		return probeSite(s.Solver)
+	case *Greedy:
+		return SiteGreedyPhase1
+	case *Heuristic:
+		return SiteHeuristicDFS
+	case *DivideAndConquer:
+		return SiteDnCCombine
+	default:
+		return SiteBruteForce
+	}
+}
+
+// TestSolveBoundaryContract is the contract of the one boundary every
+// built-in solver runs behind: whichever solver, each way a solve can
+// end early yields the same typed outcome, and the solve span closes
+// over that outcome.
+func TestSolveBoundaryContract(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	invalid := sweepInstance()
+	invalid.Delta = 0
+	infeasible := sweepInstance()
+	for i := range infeasible.Base {
+		infeasible.Base[i].MaxP = infeasible.Base[i].P
+	}
+	cases := []struct {
+		name      string
+		ctx       context.Context
+		in        *Instance
+		b         Budget
+		panicking bool
+		// check judges the outcome; a non-nil plan has already passed Verify.
+		check func(t *testing.T, s Solver, in *Instance, plan *Plan, err error)
+	}{
+		{name: "pre-cancelled context", ctx: canceled, in: sweepInstance(),
+			check: func(t *testing.T, s Solver, _ *Instance, plan *Plan, err error) {
+				var bx *BudgetExceededError
+				if !errors.As(err, &bx) || bx.Resource != ResourceCanceled || bx.Solver != s.Name() || !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want %s's cancellation", err, s.Name())
+				}
+				if plan != nil {
+					t.Errorf("plan %+v from a solve that never started", plan)
+				}
+			}},
+		{name: "MaxNodes 1", ctx: context.Background(), in: sweepInstance(), b: Budget{MaxNodes: 1},
+			check: func(t *testing.T, s Solver, _ *Instance, plan *Plan, err error) {
+				// Solvers that expand no nodes finish; the others stop on the
+				// node counter, with or without an incumbent.
+				var bx *BudgetExceededError
+				if err != nil && (!errors.As(err, &bx) || bx.Resource != ResourceNodes || bx.Solver != s.Name()) {
+					t.Errorf("err = %v, want nil or %s's node exhaustion", err, s.Name())
+				}
+				if plan == nil && err == nil {
+					t.Error("nil plan and nil error")
+				}
+				if plan != nil && plan.Partial != (err != nil || plan.Degraded > 0) {
+					t.Errorf("Partial = %v with err %v and %d degraded groups", plan.Partial, err, plan.Degraded)
+				}
+			}},
+		{name: "injected panic", ctx: context.Background(), in: sweepInstance(), panicking: true,
+			check: func(t *testing.T, s Solver, in *Instance, plan *Plan, err error) {
+				var px *SolverPanicError
+				if !errors.As(err, &px) || px.Solver != s.Name() || px.Fingerprint != in.Fingerprint() || len(px.Stack) == 0 {
+					t.Errorf("err = %v, want %s's *SolverPanicError with fingerprint and stack", err, s.Name())
+				}
+				if plan != nil {
+					t.Errorf("plan %+v survived a panic", plan)
+				}
+			}},
+		{name: "invalid instance", ctx: context.Background(), in: invalid,
+			check: func(t *testing.T, s Solver, in *Instance, plan *Plan, err error) {
+				if want := in.Validate(); want == nil || err == nil || err.Error() != want.Error() || plan != nil {
+					t.Errorf("plan %+v, err %v; want no plan and the validation error %v", plan, err, want)
+				}
+			}},
+		{name: "infeasible instance", ctx: context.Background(), in: infeasible,
+			check: func(t *testing.T, _ Solver, _ *Instance, plan *Plan, err error) {
+				if err != ErrInfeasible || plan != nil {
+					t.Errorf("plan %+v, err %v; want no plan and ErrInfeasible", plan, err)
+				}
+			}},
+	}
+	defer fault.Reset()
+	for _, c := range cases {
+		for _, mk := range contextSolverMakers() {
+			s := mk()
+			t.Run(c.name+"/"+s.Name(), func(t *testing.T) {
+				fault.Reset()
+				if c.panicking {
+					fault.Enable()
+					fault.Register(probeSite(s), func() { panic("injected") })
+				}
+				root := obs.NewSpan("strategy")
+				plan, err := SolveContext(obs.ContextWithSpan(c.ctx, root), s, c.in, c.b)
+				if plan != nil {
+					if verr := c.in.Verify(plan); verr != nil {
+						t.Errorf("plan fails Verify: %v", verr)
+					}
+				}
+				c.check(t, s, c.in, plan, err)
+
+				spans := root.Children()
+				if len(spans) != 1 || spans[0].Name() != "solve:"+s.Name() || !spans[0].Ended() {
+					t.Fatalf("want exactly one closed solve:%s span:\n%s", s.Name(), root.Tree())
+				}
+				span := spans[0]
+				if status := span.Status(); (err == nil) != (status == "") || (err != nil && status != err.Error()) {
+					t.Errorf("span status %q for err %v", status, err)
+				}
+				if want := plan != nil && plan.Partial; (span.Attr("partial") == 1) != want {
+					t.Errorf("span partial = %d for plan %+v", span.Attr("partial"), plan)
+				}
+				var bx *BudgetExceededError
+				if errors.As(err, &bx) && (span.Attr("nodes") < bx.Nodes || span.Attr("pivots") < bx.Pivots || span.Attr("steps") < bx.Steps) {
+					t.Errorf("span counters %v behind the error's snapshot %+v", span.Attrs(), bx)
+				}
+			})
+		}
+	}
+}
+
+// TestBudgetValidate: a negative field is rejected by name — by Validate
+// and by every solver's SolveContext, before any work — and nothing else
+// is.
+func TestBudgetValidate(t *testing.T) {
+	for _, c := range []struct {
+		b     Budget
+		field string // "" = valid
+	}{
+		{Budget{}, ""},
+		{Budget{Timeout: time.Second, MaxNodes: 1, MaxPivots: 2, MaxSteps: 3, Workers: 4}, ""},
+		{Budget{Timeout: -time.Nanosecond}, "Timeout"},
+		{Budget{MaxNodes: -1}, "MaxNodes"},
+		{Budget{MaxPivots: -1}, "MaxPivots"},
+		{Budget{MaxSteps: -1}, "MaxSteps"},
+		{Budget{Workers: -1}, "Workers"},
+		{Budget{MaxNodes: 5, MaxSteps: -2, Workers: 3}, "MaxSteps"},
+	} {
+		err := c.b.Validate()
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("%+v: rejected: %v", c.b, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", c.b, err, c.field)
+		}
+		for _, mk := range contextSolverMakers() {
+			s := mk()
+			plan, serr := SolveContext(context.Background(), s, paperInstance(), c.b)
+			if plan != nil || serr == nil || serr.Error() != err.Error() {
+				t.Errorf("%s under %+v: plan %+v, err %v; want no plan and %v", s.Name(), c.b, plan, serr, err)
 			}
 		}
 	}
@@ -279,7 +440,7 @@ func TestSolveTooManySharedIsPlainError(t *testing.T) {
 	in.Results = append(in.Results, Result{ID: 1, Formula: lineage.Or(terms...)})
 	for _, mk := range contextSolverMakers() {
 		s := mk()
-		_, err := s.Solve(in)
+		_, err := solve(s, in)
 		_, errCtx := s.SolveContext(context.Background(), in, Budget{MaxNodes: 1 << 20})
 		for _, err := range []error{err, errCtx} {
 			var px *SolverPanicError
@@ -402,8 +563,7 @@ func TestFaultSweepPanic(t *testing.T) {
 }
 
 func TestDnCParallelPanicDegradesGracefully(t *testing.T) {
-	d := NewDivideAndConquer()
-	d.Workers = runtime.GOMAXPROCS(0)
+	d := widened{NewDivideAndConquer(), runtime.GOMAXPROCS(0)}
 	in := sweepInstance()
 	fault.Reset()
 	fault.Enable()
@@ -453,7 +613,7 @@ func TestAnytimeCostMonotonic(t *testing.T) {
 	checked := 0
 	for i := 0; i < 60; i++ {
 		in := randomInstance(r)
-		full, err := (&Greedy{}).Solve(in)
+		full, err := solve(&Greedy{}, in)
 		if err != nil {
 			continue
 		}
@@ -537,31 +697,4 @@ func FuzzSolveBudget(f *testing.F) {
 			}
 		}
 	})
-}
-
-// plainSolver implements only the legacy Solver interface, to test the
-// SolveContext dispatch fallback.
-type plainSolver struct{ called bool }
-
-func (p *plainSolver) Name() string { return "plain" }
-func (p *plainSolver) Solve(in *Instance) (*Plan, error) {
-	p.called = true
-	return (&Greedy{}).Solve(in)
-}
-
-func TestSolveContextFallback(t *testing.T) {
-	in := paperInstance()
-	s := &plainSolver{}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SolveContext(ctx, s, in, Budget{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled ctx: err = %v", err)
-	}
-	if s.called {
-		t.Fatal("Solve ran despite a canceled context")
-	}
-	plan, err := SolveContext(context.Background(), s, in, Budget{})
-	if err != nil || plan == nil || !s.called {
-		t.Fatalf("fallback: plan=%v err=%v called=%v", plan, err, s.called)
-	}
 }

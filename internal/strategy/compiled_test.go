@@ -198,7 +198,7 @@ func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
 	for _, g := range goldenPlans {
 		solver, fixture, _ := strings.Cut(g.name, "/")
 		in := fixtures[fixture]
-		plan, err := solvers[solver].Solve(in)
+		plan, err := solve(solvers[solver], in)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
@@ -218,11 +218,11 @@ func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
 func TestGreedyHeapMatchesRescanMedium(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		in := mediumInstance(seed, 200, 5, seed == 3)
-		rescan, err := (&Greedy{}).Solve(in)
+		rescan, err := solve(&Greedy{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr, err := (&Greedy{Incremental: true}).Solve(in)
+		incr, err := solve(&Greedy{Incremental: true}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestGreedyHeapMatchesRescanMedium(t *testing.T) {
 func TestVerifyCompiledPlans(t *testing.T) {
 	in := mediumInstance(5, 120, 4, true)
 	for _, s := range []Solver{&Greedy{}, &Greedy{Incremental: true}, NewDivideAndConquer()} {
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"errors"
-	"runtime/debug"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -45,13 +44,6 @@ type DivideAndConquer struct {
 	// with the result tuples in the same group should not exceed a
 	// threshold"); merges that would exceed it are skipped. 0 = no cap.
 	MaxGroupResults int
-	// Workers is the group-solve worker-pool size: 0 or 1 solves the
-	// groups serially, n > 1 on n worker goroutines. Groups are
-	// independent and their plans merge in deterministic group order,
-	// so the combined plan is bit-identical to the serial one (pinned
-	// by the differential tests). Budget.Workers overrides this per
-	// solve.
-	Workers int
 }
 
 // NewDivideAndConquer returns the configuration used in the benchmarks:
@@ -66,52 +58,17 @@ func NewDivideAndConquer() *DivideAndConquer {
 // Name implements Solver.
 func (d *DivideAndConquer) Name() string { return "divide-and-conquer" }
 
-// Solve implements Solver.
-func (d *DivideAndConquer) Solve(in *Instance) (*Plan, error) {
-	return d.SolveContext(context.Background(), in, Budget{})
-}
-
-// SolveContext implements ContextSolver. The driver degrades
-// gracefully: a group sub-solve that panics or exhausts the budget is
-// isolated (recovered at the group boundary, converted to a typed
-// error, counted in Plan.Degraded) while the remaining groups still
-// solve; if the combined state of the surviving groups satisfies the
-// instance, the plan is returned tagged Plan.Partial alongside any
-// budget error.
-func (d *DivideAndConquer) SolveContext(ctx context.Context, in *Instance, b Budget) (plan *Plan, err error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	bs, cancel := newBudgetState(d.Name(), ctx, b)
-	defer cancel()
-	span := startSolveSpan(ctx, d.Name())
-	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	return d.solveBudget(ctx, in, bs, span, d.effectiveWorkers(b))
-}
-
-// effectiveWorkers resolves the worker-pool size for one solve:
-// Budget.Workers overrides the solver's Workers field. The result is
-// always at least 1.
-func (d *DivideAndConquer) effectiveWorkers(b Budget) int {
-	w := b.Workers
-	if w == 0 {
-		w = d.Workers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// EffectiveWorkers reports how many worker goroutines s will use for a
-// solve under b: parallel-capable solvers (DivideAndConquer) resolve
-// Budget.Workers against their own configuration; every other solver is
-// serial. The engine exports this as the engine.solver.workers gauge.
-func EffectiveWorkers(s Solver, b Budget) int {
-	if d, ok := s.(*DivideAndConquer); ok {
-		return d.effectiveWorkers(b)
-	}
-	return 1
+// SolveContext implements Solver. The driver degrades gracefully: a
+// group sub-solve that panics or exhausts the budget is isolated
+// (recovered at the group boundary, converted to a typed error, counted
+// in Plan.Degraded) while the remaining groups still solve; if the
+// combined state of the surviving groups satisfies the instance, the
+// plan is returned tagged Plan.Partial alongside any budget error.
+// Budget.Workers > 1 solves the groups on that many worker goroutines.
+func (d *DivideAndConquer) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
+	return runSolve(ctx, d.Name(), in, b, func(r *solveRun) (*Plan, error) {
+		return d.search(ctx, r, max(b.Workers, 1))
+	})
 }
 
 // phase runs f with the profiler label phase=name on top of the labels
@@ -125,42 +82,38 @@ func phase(ctx context.Context, name string, f func()) {
 	pprof.Do(ctx, pprof.Labels("phase", name), func(context.Context) { f() })
 }
 
-// solveBudget runs the divide-and-conquer driver under an existing
-// budget state, owning the recovery boundary. ctx carries only profiler
-// labels; span (nil-safe) receives partition and per-group child spans;
-// workers (≥ 1) sizes the group worker pool. The solve is deterministic
-// for every worker count: group sub-solves are pure functions of their
+// search is the divide-and-conquer driver. ctx carries only profiler
+// labels; r.span receives partition and per-group child spans; workers
+// (≥ 1) sizes the group worker pool. The solve is deterministic for
+// every worker count: group sub-solves are pure functions of their
 // group, and the combination below merges their plans in task order,
-// so the plan is bit-identical to the serial one.
-func (d *DivideAndConquer) solveBudget(ctx context.Context, in *Instance, bs *budgetState, span *obs.Span, workers int) (plan *Plan, err error) {
-	var incumbent *Plan
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = solveRecover(r, d.Name(), in, incumbent)
-		}
-	}()
-	parallel := workers > 1
-	if parallel {
+// so the plan is bit-identical to the serial one (pinned by the
+// differential tests). r.e is the solve's one compiling evaluator:
+// group workers borrow its programs and adjacency by result index,
+// read-only.
+func (d *DivideAndConquer) search(ctx context.Context, r *solveRun, workers int) (*Plan, error) {
+	e, in, bs, span := r.e, r.e.in, r.e.bs, r.span
+	// pool holds the workers' budget-state children, each counting its own
+	// goroutine's share of the solve's work.
+	var pool []*budgetState
+	if workers > 1 {
 		span.SetAttr("workers", int64(workers))
-		// Attribute the driver's own lineage work (global evaluator,
-		// partition, combine, refine) to a "driver" child span with its
-		// own budget-state child, so the solve span's counters decompose
-		// exactly into driver + workers. The span closes before the
-		// recovery boundary above runs (defers are LIFO), so it survives
-		// budget unwinds too.
-		bs = bs.worker()
+		// The driver's own lineage work (the evaluator build, partition,
+		// combine, refine) is what the solve counted beyond its workers: a
+		// "driver" child span reports it, so the solve span's counters
+		// decompose exactly into driver + workers. The span closes before
+		// the boundary's recovery runs, so it survives budget unwinds too.
 		ds := span.StartChild("driver")
-		dbs := bs
-		defer func() { finishWorkerSpan(ds, dbs, -1) }()
-	}
-	// The solve's one compiling evaluator: group workers borrow its
-	// programs and adjacency by result index, read-only.
-	e, err := newEvaluator(in, bs)
-	if err != nil {
-		return nil, err
-	}
-	if e.satAtMax() < in.Need {
-		return nil, ErrInfeasible
+		defer func() {
+			if bs != nil {
+				nodes, pivots, steps := bs.nodes.Load(), bs.pivots.Load(), bs.steps.Load()
+				for _, w := range pool {
+					nodes, pivots, steps = nodes-w.nodes.Load(), pivots-w.pivots.Load(), steps-w.steps.Load()
+				}
+				setWork(ds, nodes, pivots, steps)
+			}
+			ds.End()
+		}()
 	}
 
 	partSpan := span.StartChild("partition")
@@ -220,18 +173,27 @@ func (d *DivideAndConquer) solveBudget(ctx context.Context, in *Instance, bs *bu
 	// reads them in deterministic task order regardless of which worker
 	// finished which group when.
 	phase(ctx, "group", func() {
-		if pool := min(workers, len(tasks)); parallel && pool > 1 {
+		if n := min(workers, len(tasks)); n > 1 {
 			var wg sync.WaitGroup
 			queue := make(chan *dncTask)
-			for i := 0; i < pool; i++ {
+			pool = make([]*budgetState, n)
+			for i := range pool {
+				wbs := bs.worker()
+				pool[i] = wbs
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					ws := span.StartChild("worker")
-					w := newGroupWorker(d, e, bs.worker(), ws)
+					w := newGroupWorker(d, e, wbs, ws)
 					defer func() {
 						w.finish()
-						finishWorkerSpan(ws, w.bs, w.done)
+						// The worker's own share of the work counters, not the
+						// root totals.
+						if wbs != nil {
+							setWork(ws, wbs.nodes.Load(), wbs.pivots.Load(), wbs.steps.Load())
+						}
+						ws.SetAttr("groups", int64(w.done))
+						ws.End()
 					}()
 					for t := range queue {
 						w.solve(t)
@@ -301,13 +263,13 @@ func (d *DivideAndConquer) solveBudget(ctx context.Context, in *Instance, bs *bu
 
 	// The combined state is feasible: snapshot it before refinement so a
 	// budget unwind during refinement still returns a valid plan.
-	incumbent = e.plan(nodes)
-	incumbent.Degraded = degraded
+	r.incumbent = e.plan(nodes)
+	r.incumbent.Degraded = degraded
 	if cause != nil {
 		// Already out of budget: return the unrefined combination rather
 		// than spending further over the deadline on refinement.
-		incumbent.Partial = true
-		return incumbent, cause
+		r.incumbent.Partial = true
+		return r.incumbent, cause
 	}
 
 	// Refinement: like greedy phase 2, undo increments the combination
@@ -445,28 +407,15 @@ func (w *groupWorker) target(t *dncTask) {
 // recovery leaves in the evaluator pair, the next group's retarget
 // rebuilds it.
 func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error) {
-	// greedy's feasible snapshots: what a budget unwind falls back to.
+	// greedy's feasible snapshots: what a budget unwind falls back to — an
+	// anytime result, feasible for the group, just not refined.
 	var incumbent *Plan
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if stop, ok := r.(budgetStop); ok {
-			plan, nodes, gerr = nil, 0, stop.cause
-			if incumbent != nil {
-				// Anytime greedy result: feasible for the group, just not
-				// refined. Use it and report the degradation.
-				incumbent.Partial = true
-				plan, nodes = incumbent, incumbent.Nodes
+		if r := recover(); r != nil {
+			nodes = 0
+			if plan, gerr = solveRecover(r, w.d.Name()+"/group", &w.sub, incumbent); plan != nil {
+				nodes = plan.Nodes
 			}
-			return
-		}
-		plan, nodes, gerr = nil, 0, &SolverPanicError{
-			Solver:      w.d.Name() + "/group",
-			Fingerprint: w.sub.Fingerprint(),
-			Value:       r,
-			Stack:       debug.Stack(),
 		}
 	}()
 	fault.Probe(SiteDnCGroup)
@@ -519,16 +468,7 @@ func (w *groupWorker) groupHeuristic(g Group, seed *Plan) (plan *Plan, nodes int
 			if hs != nil {
 				nodes = hs.nodes
 			}
-			if stop, ok := r.(budgetStop); ok {
-				plan, err = nil, stop.cause
-				return
-			}
-			plan, err = nil, &SolverPanicError{
-				Solver:      "heuristic/group",
-				Fingerprint: w.sub.Fingerprint(),
-				Value:       r,
-				Stack:       debug.Stack(),
-			}
+			plan, err = solveRecover(r, "heuristic/group", &w.sub, nil)
 		}
 	}()
 	w.e.reset()

@@ -78,7 +78,7 @@ func TestSolversThresholdEpsilonUnchanged(t *testing.T) {
 	// betaMargin.
 	in := epsInstance(0.6)
 	for _, s := range solvers() {
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

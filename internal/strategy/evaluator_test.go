@@ -309,7 +309,7 @@ func TestDnCCompilesEachFormulaOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		fault.Reset()
 		fault.Enable()
-		d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: workers}
+		d := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, workers}
 		plan, err := d.SolveContext(context.Background(), in, Budget{MaxNodes: 1 << 40})
 		compiles := fault.Hits(SiteCompile)
 		fault.Reset()
@@ -373,7 +373,7 @@ func TestDnCSingletonGroupAllocs(t *testing.T) {
 	in := singletonGroupsInstance(groups, 9)
 	d := NewDivideAndConquer()
 	perSolve := testing.AllocsPerRun(3, func() {
-		if _, err := d.Solve(in); err != nil {
+		if _, err := solve(d, in); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -103,41 +103,16 @@ func (h *gainHeap) popTop() gainEntry {
 	return top
 }
 
-// Solve implements Solver.
-func (g *Greedy) Solve(in *Instance) (*Plan, error) {
-	return g.SolveContext(context.Background(), in, Budget{})
-}
-
-// SolveContext implements ContextSolver. Greedy is anytime from the end
-// of phase 1 onward: once the aggressive increase phase has satisfied
-// the requirement, every further interruption returns the latest
-// feasible snapshot (tagged Plan.Partial, missing only refinement)
-// together with a *BudgetExceededError; interruption during phase 1
-// returns (nil, *BudgetExceededError) since no feasible plan exists yet.
-func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (plan *Plan, err error) {
-	bs, cancel := newBudgetState(g.Name(), ctx, b)
-	defer cancel()
-	span := startSolveSpan(ctx, g.Name())
-	defer func() { finishSolveSpan(span, bs, plan, err) }()
-	// The recovery boundary: budget exhaustion unwinds here as a
-	// budgetStop panic and is answered with the latest feasible snapshot.
-	var incumbent *Plan
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = solveRecover(r, g.Name(), in, incumbent)
-		}
-	}()
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEvaluator(in, bs)
-	if err != nil {
-		return nil, err
-	}
-	if e.satAtMax() < in.Need {
-		return nil, ErrInfeasible
-	}
-	return g.solveCore(e, &incumbent)
+// SolveContext implements Solver. Greedy is anytime from the end of
+// phase 1 onward: once the aggressive increase phase has satisfied the
+// requirement, every further interruption returns the latest feasible
+// snapshot (tagged Plan.Partial, missing only refinement) together with
+// a *BudgetExceededError; interruption during phase 1 returns
+// (nil, *BudgetExceededError) since no feasible plan exists yet.
+func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
+	return runSolve(ctx, g.Name(), in, b, func(r *solveRun) (*Plan, error) {
+		return g.solveCore(r.e, &r.incumbent)
+	})
 }
 
 // greedyScratch is solveCore's working memory. It lives on the evaluator
@@ -156,8 +131,8 @@ type greedyScratch struct {
 // feasibility probe. Budget exhaustion unwinds as a budgetStop panic
 // toward whichever boundary installed e.bs; incumbent receives feasible
 // plan snapshots as they form so that boundary can honor the anytime
-// contract. With e.bs == nil the behavior and cost are identical to the
-// original unbudgeted solve.
+// contract. With e.bs == nil nothing can interrupt the solve and no
+// snapshot is taken.
 func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
 	in, bs := e.in, e.bs
 	nodes := 0
@@ -190,9 +165,8 @@ func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
 	sc := &e.greedy
 	sc.gains, sc.lastGain = resize(sc.gains, len(in.Base)), resize(sc.lastGain, len(in.Base))
 	gains, lastGain := sc.gains, sc.lastGain // lastGain: final gain* per raised tuple
-	// Warm every unsatisfied result's derivative row in one batched
-	// fused sweep before the initial gain sweep faults them in one by
-	// one; the rows are bit-identical to the lazy refresh.
+	// Warm every unsatisfied result's derivative row in one sweep before
+	// the initial gain sweep faults them in one by one.
 	e.primeDerivs()
 	// The initial gain sweep evaluates a lineage delta per tuple — as
 	// much work as a phase-1 pick — so it checkpoints like one.

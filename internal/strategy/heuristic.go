@@ -69,66 +69,41 @@ type heuristicSearch struct {
 	minIncSuffix []float64
 }
 
-// Solve implements Solver.
-func (h *Heuristic) Solve(in *Instance) (*Plan, error) {
-	return h.SolveContext(context.Background(), in, Budget{})
+// SolveContext implements Solver: the search is anytime — on deadline
+// or budget exhaustion it returns the best incumbent found so far (the
+// greedy seed or the best DFS solution, tagged Plan.Partial) together
+// with a *BudgetExceededError.
+func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
+	return runSolve(ctx, h.Name(), in, b, h.search)
 }
 
-// SolveContext implements ContextSolver: the search is anytime — on
-// deadline or budget exhaustion it returns the best incumbent found so
-// far (the greedy seed or the best DFS solution, tagged Plan.Partial)
-// together with a *BudgetExceededError.
-func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (plan *Plan, err error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	bs, cancel := newBudgetState(h.Name(), ctx, b)
-	defer cancel()
-	span := startSolveSpan(ctx, h.Name())
-	defer func() { finishSolveSpan(span, bs, plan, err) }()
-
-	s := &heuristicSearch{
-		Heuristic: h,
-		in:        in,
-		bestCost:  math.Inf(1),
-	}
-	// The recovery boundary converts budget unwinds and panics into the
-	// anytime contract; it runs before the span closes (defers are LIFO).
+func (h *Heuristic) search(r *solveRun) (*Plan, error) {
+	s := &heuristicSearch{Heuristic: h, in: r.e.in, e: r.e, bestCost: math.Inf(1)}
+	// However the search ends — completed, or unwinding toward the
+	// boundary, whose recovery runs after this — the best plan so far is
+	// the incumbent and counts the nodes expanded by then.
 	defer func() {
-		if r := recover(); r != nil {
-			plan, err = solveRecover(r, h.Name(), in, s.best)
-			if plan != nil {
-				plan.Nodes = s.nodes
-			}
+		if s.best != nil {
+			s.best.Nodes = s.nodes
 		}
+		r.incumbent = s.best
 	}()
-	if s.e, err = newEvaluator(in, bs); err != nil {
-		return nil, err
-	}
-	if s.e.satAtMax() < in.Need {
-		return nil, ErrInfeasible
-	}
-
 	s.prepare()
 
 	if h.GreedyBound {
 		// The greedy seed runs on the search's own evaluator and budget;
 		// its feasible snapshots land in s.best as they form, so a budget
 		// unwind mid-seed still leaves the boundary an incumbent to return.
-		if gp, gerr := (&Greedy{Incremental: true}).solveCore(s.e, &s.best); gerr == nil {
-			s.best = gp
-			s.bestCost = gp.Cost
-		} else if s.best != nil {
-			s.bestCost = s.best.Cost
+		if gp, err := (&Greedy{Incremental: true}).solveCore(s.e, &s.best); err == nil {
+			s.best, s.bestCost = gp, gp.Cost
 		}
 		s.e.reset()
 	}
 
 	// The initial state may already satisfy the requirement at zero
 	// cost.
-	if s.e.nSat >= in.Need {
-		p := s.e.plan(0)
-		return p, nil
+	if s.e.nSat >= s.in.Need {
+		return s.e.plan(0), nil
 	}
 
 	s.dfs(0, 0)
@@ -137,7 +112,6 @@ func (h *Heuristic) SolveContext(ctx context.Context, in *Instance, b Budget) (p
 		// search, but guard against a node budget that was too small.
 		return nil, ErrInfeasible
 	}
-	s.best.Nodes = s.nodes
 	return s.best, nil
 }
 

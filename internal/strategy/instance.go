@@ -20,6 +20,7 @@
 package strategy
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -200,9 +201,14 @@ type Plan struct {
 type Solver interface {
 	// Name identifies the algorithm (for benches and reports).
 	Name() string
-	// Solve computes a plan. It returns ErrInfeasible when even raising
-	// every tuple to its maximum cannot satisfy the instance.
-	Solve(in *Instance) (*Plan, error)
+	// SolveContext computes a plan under ctx and b. It returns
+	// ErrInfeasible when even raising every tuple to its maximum cannot
+	// satisfy the instance. On budget or deadline exhaustion it returns
+	// the best incumbent plan so far (tagged Plan.Partial; nil when none
+	// is feasible yet) together with a *BudgetExceededError, so callers
+	// check the error before assuming optimality and check the plan
+	// before assuming total failure.
+	SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error)
 }
 
 // ErrInfeasible reports that no assignment of confidences within the
@@ -276,18 +282,10 @@ type evaluator struct {
 	derivBuf  []float64
 	derivOK   []bool
 
-	// Batched kernel path: one lineage.Batch drives every machine, in
-	// result order, against the dense per-tuple confidence array e.p in
-	// a single sweep. The gather indices are basesOf — slot-ordered — so
-	// a gathered input row is element-for-element the same as
-	// slotProbs[ri] and batched evaluation is bit-identical to the
-	// per-machine calls. batchOut and batchRows are the sweeps' reusable
-	// output and row-selection buffers; maxShared holds every tuple's
-	// maximum confidence for the batched feasibility probe.
-	batch     lineage.Batch
-	batchOut  []float64
-	batchRows [][]float64
+	// maxShared holds every tuple's maximum confidence and maxRow is the
+	// scratch slot row satAtMax gathers it into, one result at a time.
 	maxShared []float64
+	maxRow    []float64
 
 	// Step-price cache: the next δ-grid confidence and its incremental
 	// cost per tuple depend only on the tuple's current confidence, so
@@ -388,8 +386,9 @@ func (e *evaluator) retarget(in *Instance, src *evaluator, g Group) {
 }
 
 // arm sizes every state slice for e.in (reusing capacity), wires the
-// adjacency, machines and batch from progs/baseBuf/baseEnd, and
-// evaluates the initial probabilities.
+// adjacency and machines from progs/baseBuf/baseEnd, and evaluates the
+// initial probabilities (shared-variable machines poll through their
+// pivot hooks).
 func (e *evaluator) arm() {
 	in, bs := e.in, e.bs
 	nb, nr, nocc := len(in.Base), len(in.Results), len(e.baseBuf)
@@ -413,11 +412,9 @@ func (e *evaluator) arm() {
 	e.basesOf, e.slotProbs, e.derivRow = resize(e.basesOf, nr), resize(e.slotProbs, nr), resize(e.derivRow, nr)
 	e.slotBuf, e.derivBuf = resize(e.slotBuf, nocc), resize(e.derivBuf, nocc)
 	e.derivOK = resize(e.derivOK, nr)
-	e.batchOut, e.batchRows = resize(e.batchOut, nr), resize(e.batchRows, nr)
 	for len(e.machines) < nr {
 		e.machines = append(e.machines, nil)
 	}
-	e.batch.Reset()
 	lo := 0
 	for ri, hi := range e.baseEnd {
 		bs.poll()
@@ -435,19 +432,8 @@ func (e *evaluator) arm() {
 			e.slotProbs[ri][s] = e.p[bi]
 			e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s]})
 		}
-		// basesOf is slot-ordered, so gathering e.p through it reproduces
-		// slotProbs[ri] exactly.
-		if err := e.batch.Add(e.machines[ri], bases); err != nil {
-			panic(err) // unreachable: bases is the program's own variable list
-		}
+		e.applyProb(ri, e.machines[ri].Prob(e.slotProbs[ri]))
 		lo = hi
-	}
-	// Initial probabilities of all results in one batched sweep
-	// (shared-variable machines poll through their pivot hooks).
-	e.batch.EvalBatch(e.p, e.batchOut)
-	for ri, prob := range e.batchOut {
-		bs.poll()
-		e.applyProb(ri, prob)
 	}
 	e.initProb = append(e.initProb[:0], e.resultProb...)
 }
@@ -485,8 +471,7 @@ func (e *evaluator) recompute(ri int) {
 }
 
 // applyProb records a freshly computed probability for result ri and
-// maintains the satisfaction bookkeeping, shared by the incremental
-// recompute path and the batched sweeps.
+// maintains the satisfaction bookkeeping.
 func (e *evaluator) applyProb(ri int, prob float64) {
 	e.resultProb[ri] = prob
 	sat := conf.GE(prob, e.in.Beta)
@@ -500,28 +485,16 @@ func (e *evaluator) applyProb(ri int, prob float64) {
 	}
 }
 
-// primeDerivs refreshes the derivative row of every still
-// unsatisfied result whose row is stale in one batched fused sweep, so
-// a greedy solve's initial gain sweep reads warm rows instead of
-// faulting them in machine by machine. The lazy per-result refresh in
-// deltaF still serves the incremental picks afterwards; either path
-// produces bit-identical rows (same machines, same gathered inputs).
+// primeDerivs refreshes the stale derivative row of every still
+// unsatisfied result in one sweep, so a greedy solve's initial gain sweep
+// reads warm rows instead of faulting them in occurrence by occurrence.
+// The lazy per-result refresh in deltaF still serves the incremental
+// picks afterwards; it is the same ProbDeriv call.
 func (e *evaluator) primeDerivs() {
-	stale := false
-	for ri := range e.batchRows {
-		if !e.satisfied[ri] && !e.derivOK[ri] {
-			e.batchRows[ri] = e.derivRow[ri]
-			stale = true
-		} else {
-			e.batchRows[ri] = nil
-		}
-	}
-	if !stale {
-		return
-	}
-	e.batch.ProbDerivBatch(e.p, nil, e.batchRows)
-	for ri, row := range e.batchRows {
-		if row != nil {
+	for ri, ok := range e.derivOK {
+		e.bs.poll()
+		if !ok && !e.satisfied[ri] {
+			e.machines[ri].ProbDeriv(e.slotProbs[ri], e.derivRow[ri])
 			e.derivOK[ri] = true
 		}
 	}
@@ -613,16 +586,16 @@ func (e *evaluator) stepPriceSlow(bi int) (next, incCost float64) {
 // evaluator it already built instead of constructing (and compiling)
 // a second one.
 func (e *evaluator) satAtMax() int {
-	// All results in one batched sweep over the precomputed per-tuple
-	// maxima, gathered through basesOf; shared-variable machines stay
-	// interruptible via their pivot hooks. batchOut is scratch — current
-	// evaluator state is untouched.
-	e.batch.EvalBatch(e.maxShared, e.batchOut)
 	sat := 0
-	//lint:allow ctxpoll bounded O(|Results|) threshold counting over the
-	// batch outputs; the lineage work polled inside EvalBatch.
-	for _, prob := range e.batchOut {
-		if conf.GE(prob, e.in.Beta) {
+	for ri, bases := range e.basesOf {
+		e.bs.poll()
+		// basesOf is slot-ordered, so the gathered row is the result's slot
+		// row with every tuple at its maximum.
+		e.maxRow = e.maxRow[:0]
+		for _, bi := range bases {
+			e.maxRow = append(e.maxRow, e.maxShared[bi])
+		}
+		if conf.GE(e.machines[ri].Prob(e.maxRow), e.in.Beta) {
 			sat++
 		}
 	}

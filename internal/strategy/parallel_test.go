@@ -84,13 +84,10 @@ func requireBitIdentical(t *testing.T, label string, a, b *Plan) {
 
 // TestParallelDifferentialBitIdentical pins the tentpole determinism
 // guarantee: the parallel D&C driver produces a bit-identical plan for
-// every worker count, on the property-test corpus and on multi-group
-// clustered instances, whether the width comes from the solver config or
-// from Budget.Workers.
+// every Budget.Workers, on the property-test corpus and on multi-group
+// clustered instances.
 func TestParallelDifferentialBitIdentical(t *testing.T) {
-	dnc := func(w int) *DivideAndConquer {
-		return &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: w}
-	}
+	dnc := func(w int) Solver { return widened{NewDivideAndConquer(), w} }
 	corpus := make([]*Instance, 0, 48)
 	r := rand.New(rand.NewSource(409))
 	for i := 0; i < 40; i++ {
@@ -102,30 +99,22 @@ func TestParallelDifferentialBitIdentical(t *testing.T) {
 	for ci := range corpus {
 		// Each solver run gets a fresh copy-free instance: solvers do not
 		// mutate Instance fields other than sub-instances they build.
-		serial, serr := dnc(1).Solve(corpus[ci])
+		serial, serr := solve(dnc(1), corpus[ci])
 		if serr != nil && !errors.Is(serr, ErrInfeasible) {
 			t.Fatalf("instance %d: serial solve failed: %v", ci, serr)
 		}
-		// The default (Workers 0) must match the explicit serial
-		// configuration exactly.
-		legacy, lerr := NewDivideAndConquer().Solve(corpus[ci])
-		if (serr == nil) != (lerr == nil) {
-			t.Fatalf("instance %d: serial err %v vs legacy err %v", ci, serr, lerr)
+		// Workers 0 must match the explicit serial width exactly.
+		unset, uerr := solve(NewDivideAndConquer(), corpus[ci])
+		if (serr == nil) != (uerr == nil) {
+			t.Fatalf("instance %d: serial err %v vs Workers 0 err %v", ci, serr, uerr)
 		}
-		requireBitIdentical(t, fmt.Sprintf("instance %d workers=1 vs legacy", ci), serial, legacy)
+		requireBitIdentical(t, fmt.Sprintf("instance %d workers=1 vs 0", ci), serial, unset)
 		for _, w := range []int{2, 3, 8} {
-			par, perr := dnc(w).Solve(corpus[ci])
+			par, perr := solve(dnc(w), corpus[ci])
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("instance %d workers=%d: err %v vs serial err %v", ci, w, perr, serr)
 			}
 			requireBitIdentical(t, fmt.Sprintf("instance %d workers=%d", ci, w), serial, par)
-			// Budget.Workers must override an otherwise-serial solver the
-			// same way.
-			bpar, berr := NewDivideAndConquer().SolveContext(context.Background(), corpus[ci], Budget{Workers: w})
-			if (serr == nil) != (berr == nil) {
-				t.Fatalf("instance %d Budget.Workers=%d: err %v vs serial err %v", ci, w, berr, serr)
-			}
-			requireBitIdentical(t, fmt.Sprintf("instance %d Budget.Workers=%d", ci, w), serial, bpar)
 		}
 	}
 }
@@ -142,7 +131,7 @@ func TestParallelWorkerPanicDegradesPerGroup(t *testing.T) {
 	fault.Enable()
 	defer fault.Reset()
 	fault.Register(SiteGreedyPhase1, func() { panic("injected worker group fault") })
-	d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: 4}
+	d := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, 4}
 	plan, err := d.SolveContext(context.Background(), in, Budget{})
 	if err != nil {
 		t.Fatalf("driver must absorb worker group panics, got %v", err)
@@ -168,7 +157,7 @@ func TestParallelWorkerPanicDegradesPerGroup(t *testing.T) {
 // partial) plan and/or a typed budget error, and the pool always drains.
 func TestParallelWorkerBudgetExhaustionDegrades(t *testing.T) {
 	before := runtime.NumGoroutine()
-	d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: 4}
+	d := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, 4}
 	for _, b := range []Budget{
 		{MaxPivots: 50},
 		{MaxSteps: 5},
@@ -330,7 +319,7 @@ func TestParallelSpanCountersDecompose(t *testing.T) {
 	root := obs.NewSpan("strategy")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 	in := clusteredInstance(200, 5) // ≥ 50 groups for some worker: past maxGroupSpans
-	d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: workers}
+	d := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, workers}
 	// Any non-zero limit forces a budget state, which the span counters
 	// are read from; the limit is far beyond what the solve needs.
 	if _, err := d.SolveContext(ctx, in, Budget{MaxNodes: 1 << 30}); err != nil {
@@ -439,7 +428,7 @@ func TestParallelConcurrentSolvesRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				in := clusteredInstance(6, int64(g*10+i))
-				d := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: 8}
+				d := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, 8}
 				root := obs.NewSpan("strategy")
 				ctx := obs.ContextWithSpan(context.Background(), root)
 				var b Budget

@@ -84,7 +84,7 @@ func TestDnCHandlesDegeneratePartitions(t *testing.T) {
 	// a merge-blocking result cap.
 	zero := sweepInstance()
 	zero.Need = 0
-	plan, err := NewDivideAndConquer().Solve(zero)
+	plan, err := solve(NewDivideAndConquer(), zero)
 	if err != nil || plan == nil || plan.Cost != 0 {
 		t.Fatalf("need-0: plan=%+v err=%v, want free plan", plan, err)
 	}
@@ -95,7 +95,7 @@ func TestDnCHandlesDegeneratePartitions(t *testing.T) {
 		{Gamma: 1, Tau: 0},
 	} {
 		in := sweepInstance()
-		plan, err := d.Solve(in)
+		plan, err := solve(d, in)
 		if err != nil {
 			t.Fatalf("gamma=%d cap=%d: %v", d.Gamma, d.MaxGroupResults, err)
 		}

@@ -56,8 +56,8 @@ func TestPropertyHeuristicMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		in := randomInstance(rr)
-		oracle, err := (&BruteForce{}).Solve(in)
-		h, err2 := NewHeuristic().Solve(in)
+		oracle, err := solve(&BruteForce{}, in)
+		h, err2 := solve(NewHeuristic(), in)
 		if err == ErrInfeasible || err2 == ErrInfeasible {
 			return (err == nil) == (err2 == nil)
 		}
@@ -79,11 +79,11 @@ func TestPropertyApproximationsValidAndNotBelowOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		in := randomInstance(rr)
-		oracle, err := (&BruteForce{}).Solve(in)
+		oracle, err := solve(&BruteForce{}, in)
 		if err == ErrInfeasible {
 			// Approximations must agree it is infeasible.
 			for _, s := range []Solver{&Greedy{}, NewDivideAndConquer()} {
-				if _, err := s.Solve(in); err != ErrInfeasible {
+				if _, err := solve(s, in); err != ErrInfeasible {
 					return false
 				}
 			}
@@ -93,7 +93,7 @@ func TestPropertyApproximationsValidAndNotBelowOptimal(t *testing.T) {
 			return false
 		}
 		for _, s := range []Solver{&Greedy{}, &Greedy{SkipRefinement: true}, &Greedy{Incremental: true}, NewDivideAndConquer()} {
-			plan, err := s.Solve(in)
+			plan, err := solve(s, in)
 			if err != nil {
 				return false
 			}
@@ -119,7 +119,7 @@ func TestPropertyPlansOnDeltaGridOrBounds(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		in := randomInstance(rr)
 		for _, s := range []Solver{&Greedy{}, NewDivideAndConquer(), NewHeuristic()} {
-			plan, err := s.Solve(in)
+			plan, err := solve(s, in)
 			if err == ErrInfeasible {
 				continue
 			}
@@ -191,7 +191,7 @@ func TestPropertyGreedySatisfiesExactlyEnough(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		in := randomInstance(rr)
-		plan, err := (&Greedy{}).Solve(in)
+		plan, err := solve(&Greedy{}, in)
 		if err != nil {
 			return err == ErrInfeasible
 		}

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -28,6 +29,27 @@ func paperInstance() *Instance {
 	}
 }
 
+// solve runs s on in with nothing to interrupt it: a background
+// context and the zero budget.
+func solve(s Solver, in *Instance) (*Plan, error) {
+	return s.SolveContext(context.Background(), in, Budget{})
+}
+
+// widened runs its solver on a fixed worker-pool width wherever the
+// budget names none: the parallel configuration of sweeps that treat
+// every solver alike.
+type widened struct {
+	Solver
+	workers int
+}
+
+func (w widened) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
+	if b.Workers == 0 {
+		b.Workers = w.workers
+	}
+	return w.Solver.SolveContext(ctx, in, b)
+}
+
 func solvers() []Solver {
 	return []Solver{
 		&Greedy{},
@@ -42,7 +64,7 @@ func solvers() []Solver {
 func TestPaperExampleAllSolvers(t *testing.T) {
 	for _, s := range solvers() {
 		in := paperInstance()
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -99,12 +121,12 @@ func TestInfeasibleDetected(t *testing.T) {
 	in.Base[2].MaxP = 0.1 // t13 stuck at 0.1: max F = 1·0.1 = 0.1 ≥ 0.06 is fine...
 	in.Beta = 0.5         // ...so raise the bar beyond reach.
 	for _, s := range solvers() {
-		if _, err := s.Solve(in); err != ErrInfeasible {
+		if _, err := solve(s, in); err != ErrInfeasible {
 			t.Errorf("%s: err = %v, want ErrInfeasible", s.Name(), err)
 		}
 	}
 	bf := &BruteForce{}
-	if _, err := bf.Solve(in); err != ErrInfeasible {
+	if _, err := solve(bf, in); err != ErrInfeasible {
 		t.Errorf("brute force: err = %v, want ErrInfeasible", err)
 	}
 }
@@ -113,7 +135,7 @@ func TestAlreadySatisfiedIsFree(t *testing.T) {
 	in := paperInstance()
 	in.Beta = 0.05 // p38 = 0.058 ≥ 0.05 already
 	for _, s := range solvers() {
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -151,13 +173,13 @@ func multiInstance() *Instance {
 }
 
 func TestMultiResultAllSolversMatchOracle(t *testing.T) {
-	oracle, err := (&BruteForce{}).Solve(multiInstance())
+	oracle, err := solve(&BruteForce{}, multiInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []Solver{NewHeuristic(), &Heuristic{}} {
 		in := multiInstance()
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -171,7 +193,7 @@ func TestMultiResultAllSolversMatchOracle(t *testing.T) {
 	}
 	for _, s := range []Solver{&Greedy{}, NewDivideAndConquer()} {
 		in := multiInstance()
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -187,11 +209,11 @@ func TestMultiResultAllSolversMatchOracle(t *testing.T) {
 
 func TestGreedyTwoPhaseNeverWorseThanOnePhase(t *testing.T) {
 	for _, in := range []*Instance{paperInstance(), multiInstance()} {
-		one, err := (&Greedy{SkipRefinement: true}).Solve(in)
+		one, err := solve(&Greedy{SkipRefinement: true}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := (&Greedy{}).Solve(in)
+		two, err := solve(&Greedy{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +225,11 @@ func TestGreedyTwoPhaseNeverWorseThanOnePhase(t *testing.T) {
 
 func TestGreedyIncrementalMatchesRescan(t *testing.T) {
 	for _, mk := range []func() *Instance{paperInstance, multiInstance} {
-		a, err := (&Greedy{}).Solve(mk())
+		a, err := solve(&Greedy{}, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := (&Greedy{Incremental: true}).Solve(mk())
+		b, err := solve(&Greedy{Incremental: true}, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +245,7 @@ func TestGreedyIncrementalMatchesRescan(t *testing.T) {
 }
 
 func TestHeuristicVariantsAllOptimal(t *testing.T) {
-	oracle, err := (&BruteForce{}).Solve(multiInstance())
+	oracle, err := solve(&BruteForce{}, multiInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +260,7 @@ func TestHeuristicVariantsAllOptimal(t *testing.T) {
 	}
 	for i, h := range variants {
 		in := multiInstance()
-		plan, err := h.Solve(in)
+		plan, err := solve(h, in)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -250,11 +272,11 @@ func TestHeuristicVariantsAllOptimal(t *testing.T) {
 
 func TestHeuristicPruningReducesNodes(t *testing.T) {
 	in := multiInstance()
-	naive, err := (&Heuristic{}).Solve(in)
+	naive, err := solve(&Heuristic{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := (&Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}).Solve(multiInstance())
+	all, err := solve(&Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}, multiInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +380,7 @@ func TestPartitionDisjointCover(t *testing.T) {
 
 func TestVerifyCatchesBadPlans(t *testing.T) {
 	in := paperInstance()
-	good, err := (&Greedy{}).Solve(in)
+	good, err := solve(&Greedy{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +417,7 @@ func TestDncNeedSpansGroups(t *testing.T) {
 	// Need=3 forces D&C to pull results from both islands.
 	in := multiInstance()
 	in.Need = 3
-	plan, err := NewDivideAndConquer().Solve(in)
+	plan, err := solve(NewDivideAndConquer(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +433,7 @@ func TestDncGammaVariants(t *testing.T) {
 	for _, gamma := range []int{1, 2, 5} {
 		in := multiInstance()
 		d := &DivideAndConquer{Gamma: gamma, Tau: 8}
-		plan, err := d.Solve(in)
+		plan, err := solve(d, in)
 		if err != nil {
 			t.Fatalf("γ=%d: %v", gamma, err)
 		}
@@ -421,7 +443,7 @@ func TestDncGammaVariants(t *testing.T) {
 	}
 	// γ<1 collapses to 1.
 	in := multiInstance()
-	plan, err := (&DivideAndConquer{Gamma: 0}).Solve(in)
+	plan, err := solve(&DivideAndConquer{Gamma: 0}, in)
 	if err != nil || in.Verify(plan) != nil {
 		t.Fatalf("γ=0: %v", err)
 	}
@@ -431,7 +453,7 @@ func TestMaxPRespected(t *testing.T) {
 	in := paperInstance()
 	in.Base[1].MaxP = 0.45 // t3 cannot reach 0.5; solvers must find another way
 	for _, s := range solvers() {
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -448,7 +470,7 @@ func TestNeedZeroIsTrivial(t *testing.T) {
 	in := paperInstance()
 	in.Need = 0
 	for _, s := range solvers() {
-		plan, err := s.Solve(in)
+		plan, err := solve(s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -461,13 +483,13 @@ func TestNeedZeroIsTrivial(t *testing.T) {
 func TestDncParallelMatchesSequentialValidity(t *testing.T) {
 	for _, mk := range []func() *Instance{paperInstance, multiInstance, islandInstance} {
 		seq := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}
-		par := &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, Workers: runtime.GOMAXPROCS(0)}
-		sp, err := seq.Solve(mk())
+		par := widened{&DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64}, runtime.GOMAXPROCS(0)}
+		sp, err := solve(seq, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
 		in := mk()
-		pp, err := par.Solve(in)
+		pp, err := solve(par, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +540,7 @@ func TestDncSplitGroupFallback(t *testing.T) {
 		Delta: 0.1,
 	}
 	d := &DivideAndConquer{Gamma: 1, Tau: 0, MaxGroupResults: 1}
-	plan, err := d.Solve(in)
+	plan, err := solve(d, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +565,7 @@ func TestGreedyZeroGainFallsBackToCheapestStep(t *testing.T) {
 		Need:  1,
 		Delta: 0.1,
 	}
-	plan, err := (&Greedy{}).Solve(in)
+	plan, err := solve(&Greedy{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"pcqe/internal/lineage"
@@ -133,7 +134,7 @@ func TestGeneratedInstancesSolvable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []strategy.Solver{&strategy.Greedy{}, strategy.NewDivideAndConquer()} {
-		plan, err := s.Solve(in)
+		plan, err := s.SolveContext(context.Background(), in, strategy.Budget{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -156,14 +157,14 @@ func TestGenerateTinyForHeuristic(t *testing.T) {
 	}
 	in.Need = 3
 	h := strategy.NewHeuristic()
-	plan, err := h.Solve(in)
+	plan, err := h.SolveContext(context.Background(), in, strategy.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Verify(plan); err != nil {
 		t.Fatal(err)
 	}
-	g, err := (&strategy.Greedy{}).Solve(in)
+	g, err := (&strategy.Greedy{}).SolveContext(context.Background(), in, strategy.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,12 @@
 //		engine.Apply(resp.Proposal)
 //	}
 //
+// Planning is NP-hard over #P-hard lineage, so a request may carry a
+// Budget — wall clock, solver work counters, worker-pool width — and
+// EvaluateContext a context; when either runs out the rows are still
+// returned, Response.Degraded says why, and a surviving incumbent comes
+// back as a partial proposal.
+//
 // See examples/ for complete runnable programs and DESIGN.md for the
 // architecture and the paper-reproduction map.
 package pcqe
@@ -57,8 +63,14 @@ import (
 // one policy store.
 type Engine = core.Engine
 
-// Request is a user query ⟨Q, purpose, θ⟩.
+// Request is a user query ⟨Q, purpose, θ⟩ and the Budget it may spend.
 type Request = core.Request
+
+// Budget bounds a request (Request.Budget) and the improvement solve
+// inside it: Timeout, the solver's MaxNodes / MaxPivots / MaxSteps work
+// counters, and the Workers pool width. The zero value is unlimited and
+// serial; it is also what Solver.SolveContext takes.
+type Budget = strategy.Budget
 
 // Response carries released/withheld rows and an optional improvement
 // proposal.
@@ -222,7 +234,8 @@ var NewBiba = policy.NewBiba
 
 // --- Strategy finding ---
 
-// Solver is a confidence-increment planning algorithm.
+// Solver is a confidence-increment planning algorithm: Name plus the
+// one solving method, SolveContext(ctx, instance, Budget).
 type Solver = strategy.Solver
 
 // Instance is a standalone optimization instance (for direct use of the

@@ -1,0 +1,76 @@
+#!/bin/sh
+# Alternating parent/change pairs of the serving benchmark, the way
+# benchmark/README.md and the choosing-metrics guide ask a gain or a
+# "no regression" to be shown: bench_pairs.sh <base-ref> [pairs=5]
+# (`make bench-pairs BASE=<ref> [PAIRS=n]`).
+#
+# The base commit is unpacked under a temp dir and the working tree is
+# the change; pair i runs `go run ./benchmark -seed i -runs 1` on both,
+# odd pairs parent first, even pairs change first. Each side's runs are
+# then concatenated into one result document (a document's
+# workloads.<name> is a list of runs), a table counts, per workload and
+# end-to-end metric, the pairs each side won, and `-compare parent
+# change` prints the medians against BENCHMARK.json's bounds. Nothing
+# else may run on the machine meanwhile; one pair takes about 5 minutes.
+set -eu
+cd "$(dirname "$0")/.."
+base=${1:?usage: bench_pairs.sh <base-ref> [pairs=5]}
+pairs=${2:-5}
+command -v python3 >/dev/null || { echo "bench_pairs: python3 is needed to merge the result documents" >&2; exit 1; }
+change=$(pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$base" | tar -x -C "$tmp/parent"
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+	order="parent change"
+	[ $((i % 2)) -eq 0 ] && order="change parent"
+	for side in $order; do
+		dir=$change
+		[ "$side" = parent ] && dir=$tmp/parent
+		echo "== pair $i of $pairs: $side, seed $i"
+		# A run with failed requests exits non-zero after writing its
+		# document; keep going so that every run made is reported.
+		(cd "$dir" && go run ./benchmark -seed "$i" -runs 1 -out "$tmp/$side.$i.json") ||
+			echo "== pair $i: the $side run reported failures"
+	done
+	i=$((i + 1))
+done
+
+python3 - "$tmp" "$pairs" <<'PY'
+import json, sys
+tmp, pairs = sys.argv[1], int(sys.argv[2])
+docs = {}
+for side in ("parent", "change"):
+    doc = None
+    for i in range(1, pairs + 1):
+        run = json.load(open(f"{tmp}/{side}.{i}.json"))
+        if doc is None:
+            doc = run
+        else:
+            for name, runs in run["workloads"].items():
+                doc["workloads"][name] += runs
+    json.dump(doc, open(f"{tmp}/{side}.json", "w"))
+    docs[side] = doc["workloads"]
+
+spec = json.load(open("BENCHMARK.json"))
+parent, change = docs["parent"], docs["change"]
+print("\npairs won (same seed, parent vs change; ties count for neither)")
+print(f"{'workload':<14} {'metric':<16} {'parent':>6} {'change':>6} {'tie':>4}")
+for w in (w["name"] for w in spec["workloads"]):
+    for m in spec["end_to_end"]:
+        wins = {"parent": 0, "change": 0, "tie": 0}
+        for p, c in zip(parent[w], change[w]):
+            pv, cv = p["end_to_end"][m["name"]]["value"], c["end_to_end"][m["name"]]["value"]
+            if m["better"] == "lower":
+                pv, cv = -pv, -cv
+            wins["tie" if pv == cv else "change" if cv > pv else "parent"] += 1
+        print(f"{w:<14} {m['name']:<16} {wins['parent']:>6} {wins['change']:>6} {wins['tie']:>4}")
+    failed = sum(r["failed"] for r in parent[w] + change[w])
+    wrong = sum(not r["correct"] for r in parent[w] + change[w])
+    print(f"{w:<14} failed requests {failed}, runs answering wrongly {wrong}")
+print()
+PY
+go run ./benchmark -compare "$tmp/parent.json" "$tmp/change.json" || true
