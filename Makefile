@@ -4,7 +4,8 @@
 # lineage kernel first among them — to its reference. Measuring:
 # `make bench-smoke` (does the serving benchmark still build and answer),
 # `make bench-pairs BASE=<ref>` (alternating parent/change pairs, what a
-# CHANGES.md entry pastes), `make bench-serving` (regenerate the
+# CHANGES.md entry pastes; each invocation appends a line to
+# BENCH_history.jsonl), `make bench-serving` (regenerate the
 # committed BENCH_serving.json), `make loc BASE=<ref>` (line counts).
 GO ?= go
 
@@ -55,7 +56,7 @@ mvcc-stress:
 # the solver's reset / re-targeted evaluator vs a fresh build, and the
 # typed refusal of a formula past the shared-variable limit; in
 # internal/core the _confidence column vs the confidence the policy
-# filter compares with β; in internal/relation the compiled row predicate vs
+# filter compares with β; in internal/relation the leaf's filter kernels vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch, every
 # operator at the version it is opened at vs that version's rows; in
@@ -95,11 +96,14 @@ serve-smoke:
 # the reference tree walk's Prob + Derivatives, the parallel D&C
 # worker-pool scaling benchmark, and the per-group overhead benchmark
 # (2 000 one-result groups; watch allocs/op); then the plan-cache key of
-# point_hot's statement, which every request pays.
+# point_hot's statement, which every request pays; then the access leaf
+# over a 200K-row Orders table (Item = k, Amount > a, one index bucket),
+# whose rows/op must agree across the commits compared.
 bench:
 	$(GO) test -run xxx -bench BenchmarkCompiledProbDeriv -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkFingerprint -benchmem ./internal/sql/
+	$(GO) test -run xxx -bench BenchmarkLeafScan -benchmem .
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must

@@ -6,14 +6,18 @@
 package pcqe
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"pcqe/internal/cost"
 	"pcqe/internal/lineage"
+	"pcqe/internal/relation"
 	"pcqe/internal/strategy"
 	"pcqe/internal/workload"
 )
@@ -379,4 +383,65 @@ func BenchmarkCompiledProbDeriv(b *testing.B) {
 			m.ProbDeriv(probs, deriv)
 		}
 	})
+}
+
+// --- Storage: the access leaf over a serving-sized table. ---
+
+// BenchmarkLeafScan times the access leaf alone over the serving
+// benchmark's Orders shape — 200K rows loaded through LoadCSVFile, the
+// Supplier column indexed: Item = k keeps ≈200 rows, Amount > a ≈15K,
+// and an equality on Supplier reads one ≈10-row index bucket. Run with
+// -benchmem; rows/op must match across the commits compared.
+func BenchmarkLeafScan(b *testing.B) {
+	const orders, suppliers, items = 200_000, 20_000, 1000
+	r := rand.New(rand.NewSource(1))
+	var csv bytes.Buffer
+	csv.WriteString("Supplier,Item,Amount,_confidence,_cost_rate\n")
+	for i := 0; i < orders; i++ {
+		fmt.Fprintf(&csv, "S%05d,%d,%.2f,%.4f,%.2f\n", r.Intn(suppliers), r.Intn(items), 100*r.Float64(), 0.05+0.9*r.Float64(), 1+99*r.Float64())
+	}
+	file := filepath.Join(b.TempDir(), "orders.csv")
+	if err := os.WriteFile(file, csv.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	cat := relation.NewCatalog()
+	if _, err := relation.LoadCSVFile(cat, "Orders", file); err != nil {
+		b.Fatal(err)
+	}
+	tab, err := cat.Table("Orders")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tab.CreateIndex("Supplier"); err != nil {
+		b.Fatal(err)
+	}
+	cmp := func(op relation.BinaryOp, name string, k relation.Value) relation.Expr {
+		col, err := relation.NewColRef(tab.Schema(), "", name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &relation.Binary{Op: op, Left: col, Right: relation.Const{Value: k}}
+	}
+	for _, tc := range []struct {
+		name string
+		pred relation.Expr
+	}{
+		{"item_eq", cmp(relation.OpEq, "Item", relation.Int(42))},
+		{"amount_gt", cmp(relation.OpGt, "Amount", relation.Float(92.5))},
+		{"supplier_probe", cmp(relation.OpEq, "Supplier", relation.String_("S00042"))},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			op := relation.Filter(tab.Scan(), tc.pred)
+			rows := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := relation.RunAt(op, cat.Version())
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(out)
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
+	}
 }

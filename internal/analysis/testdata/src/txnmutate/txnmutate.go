@@ -11,7 +11,6 @@ import (
 
 type BaseTuple struct {
 	Var        int64
-	Values     []int
 	Confidence float64
 	MaxConf    float64
 	Cost       float64
@@ -50,7 +49,7 @@ func (x *Txn) SetConfidence(v int64, p float64) error { return nil }
 
 // Insert stores a fresh head inside a Txn method: clean.
 func (x *Txn) Insert(t *Table, values []int) *BaseTuple {
-	row := &BaseTuple{Values: values}
+	row := &BaseTuple{Confidence: float64(len(values))}
 	slot := &versionSlot{}
 	slot.head.Store(row)
 	return row
@@ -93,7 +92,6 @@ func lateLock(c *Catalog, seq int64) {
 // mutatePublished writes through a shared *BaseTuple version.
 func mutatePublished(b *BaseTuple) {
 	b.Confidence = 0.9 // want `assignment to BaseTuple.Confidence mutates a published immutable version`
-	b.Values[0] = 7    // want `assignment to BaseTuple.Values mutates a published immutable version`
 }
 
 // valueCopy mutates a private value copy: clean (solvers keep their own

@@ -16,7 +16,8 @@ import (
 //     lock order that keeps Snapshot() reading a consistent triple;
 //  3. published BaseTuple versions are immutable: assigning to an
 //     exported BaseTuple field mutates a version concurrent snapshot
-//     readers may hold;
+//     readers may hold (a row's values are no field: the version names
+//     its record, whose cells nothing writes twice);
 //  4. the auto-committing single-row loaders (Table.Insert/MustInsert)
 //     inside a loop commit one version per iteration — a torn batch
 //     with one commitSeq per row; open one Txn around the loop instead.
@@ -33,7 +34,7 @@ func Txnmutate(scope ...string) *Analyzer {
 // exported BaseTuple fields that are frozen at publication.
 var (
 	versionCounterField = map[string]bool{"commitSeq": true, "planEpoch": true, "confEpoch": true}
-	baseTupleField      = map[string]bool{"Var": true, "Values": true, "Confidence": true, "MaxConf": true, "Cost": true}
+	baseTupleField      = map[string]bool{"Var": true, "Confidence": true, "MaxConf": true, "Cost": true}
 	autoCommitTable     = map[string]bool{"Insert": true, "MustInsert": true}
 )
 
@@ -158,13 +159,7 @@ func checkTxnCall(pass *Pass, call *ast.CallExpr, inTxn bool, lockPositions []in
 // through a copy-on-write Txn version.
 func checkVersionFieldWrite(pass *Pass, assign *ast.AssignStmt) {
 	for _, lhs := range assign.Lhs {
-		expr := ast.Unparen(lhs)
-		// Unwrap element writes: bt.Values[i] = v mutates the shared
-		// backing array of a published version just the same.
-		if ix, ok := expr.(*ast.IndexExpr); ok {
-			expr = ast.Unparen(ix.X)
-		}
-		sel, ok := expr.(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 		if !ok || !baseTupleField[sel.Sel.Name] {
 			continue
 		}

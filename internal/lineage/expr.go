@@ -13,8 +13,8 @@ package lineage
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Var identifies a base tuple. Values are assigned by the caller (for the
@@ -159,15 +159,14 @@ func (e *Expr) IsConst() (value, isConst bool) {
 }
 
 // Vars returns the sorted set of distinct variables occurring in e.
-func (e *Expr) Vars() []Var {
-	seen := map[Var]struct{}{}
-	e.WalkVars(func(v Var) { seen[v] = struct{}{} })
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+func (e *Expr) Vars() []Var { return slices.Compact(e.sortedOccurrences(nil)) }
+
+// sortedOccurrences appends every variable occurrence in e to dst and
+// sorts them: a per-row classification needs no map.
+func (e *Expr) sortedOccurrences(dst []Var) []Var {
+	e.WalkVars(func(v Var) { dst = append(dst, v) })
+	slices.Sort(dst)
+	return dst
 }
 
 // VarCounts returns the number of occurrences of each variable in e.
@@ -215,8 +214,10 @@ func (e *Expr) Depth() int {
 // ReadOnce reports whether every variable occurs at most once in e. Such
 // formulas admit linear-time exact probability evaluation.
 func (e *Expr) ReadOnce() bool {
-	for _, n := range e.VarCounts() {
-		if n > 1 {
+	var buf [16]Var
+	vs := e.sortedOccurrences(buf[:0])
+	for i := 1; i < len(vs); i++ {
+		if vs[i] == vs[i-1] {
 			return false
 		}
 	}
@@ -254,37 +255,38 @@ func (e *Expr) Eval(assign map[Var]bool) bool {
 }
 
 // String renders e in a compact infix form, e.g. "((t2 | t3) & t13)".
+// Rendering into a stack buffer leaves one allocation, the string: the
+// confidence cache keys every result row by it.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.format(&b)
-	return b.String()
+	var buf [64]byte
+	return string(e.format(buf[:0]))
 }
 
-func (e *Expr) format(b *strings.Builder) {
+func (e *Expr) format(b []byte) []byte {
 	switch e.kind {
 	case KindFalse:
-		b.WriteString("⊥")
+		b = append(b, "⊥"...)
 	case KindTrue:
-		b.WriteString("⊤")
+		b = append(b, "⊤"...)
 	case KindVar:
-		fmt.Fprintf(b, "t%d", int(e.v))
+		b = strconv.AppendInt(append(b, 't'), int64(e.v), 10)
 	case KindNot:
-		b.WriteString("!")
-		e.children[0].format(b)
+		b = e.children[0].format(append(b, '!'))
 	case KindAnd, KindOr:
 		sep := " & "
 		if e.kind == KindOr {
 			sep = " | "
 		}
-		b.WriteString("(")
+		b = append(b, '(')
 		for i, c := range e.children {
 			if i > 0 {
-				b.WriteString(sep)
+				b = append(b, sep...)
 			}
-			c.format(b)
+			b = c.format(b)
 		}
-		b.WriteString(")")
+		b = append(b, ')')
 	}
+	return b
 }
 
 // Equal reports structural equality of two expressions.

@@ -59,6 +59,9 @@ func Prob(e *Expr, assign Assignment) float64 {
 // ProbExact is Prob with an explicit bound on the number of shared
 // variables eliminated by Shannon expansion.
 func ProbExact(e *Expr, assign Assignment, sharedLimit int) (float64, error) {
+	if e.ReadOnce() { // the common case, told apart without counting
+		return probReadOnce(e, assign), nil
+	}
 	shared := sharedVarsByFrequency(e)
 	if len(shared) > sharedLimit {
 		return 0, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)

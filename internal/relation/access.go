@@ -7,12 +7,14 @@ import (
 )
 
 // access is the one leaf of every plan: a base table read at one
-// committed version. It resolves MVCC visibility, narrows to one index
-// bucket when an equality conjunct of its filter has a hash index, runs
-// the compiled filter on the stored row in place, and only for a row
-// that passes materialises the kept columns, the Tuple and its lineage
-// variable — a rejected row allocates nothing. Table.Scan returns it
-// bare; Filter and Prune push into it; IndexJoin probes through it.
+// committed version. It reads records in batches — one chunk of the
+// record store, or the part of an index bucket in one chunk when an
+// equality conjunct of its filter has a hash index — and runs the
+// filter's kernels over the batch's selection vector. Only a record
+// that survives resolves its row's version (MVCC visibility) and
+// materialises the kept columns, the Tuple and its lineage variable —
+// a rejected record allocates nothing. Table.Scan returns it bare;
+// Filter and Prune push into it; IndexJoin probes through it.
 type access struct {
 	table *Table
 	// filter is the whole pushed-down predicate (nil: every row). With
@@ -26,16 +28,29 @@ type access struct {
 	keep []int
 	out  *Schema
 
-	// at is the committed version Open was given to read.
-	at    int64
-	pred  *rowPred
-	slots []*versionSlot
-	pos   int
+	// at is the committed version Open was given to read, view the
+	// record store as of Open. next is the next record to batch, or the
+	// position in bucket, the probed key's records, with an index. A
+	// batch lies in one chunk: its filter's sel and unsure hold offsets
+	// from base, the chunk's first record; si and ui are how far Next has
+	// emitted them. ids holds every offset, what a scan's batch starts
+	// as. tuples and vals are slabs the output is carved from, sized by
+	// what is left of the batch, or of the bucket.
+	at     int64
+	view   recView
+	f      leafFilter
+	bucket []int32
+	next   int
+	base   int32
+	si, ui int
+	ids    []int32
+	tuples []Tuple
+	vals   []Value
 }
 
 // Scan returns a Volcano operator producing the table's rows as derived
 // tuples whose lineage is their own variable, as of the committed
-// version it is opened at.
+// version it is opened at, in record order.
 func (t *Table) Scan() Operator { return &access{table: t, out: t.schema} }
 
 // Schema implements Operator.
@@ -43,51 +58,122 @@ func (a *access) Schema() *Schema { return a.out }
 
 // Open implements Operator.
 func (a *access) Open(at int64) error {
-	a.at = at
-	a.pred = compilePred(a.residual)
+	a.at, a.view = at, a.table.view()
+	a.f = compileFilter(a.residual, a.table.schema)
 	a.seek(a.key)
 	return nil
 }
 
 // seek puts the cursor before the rows to read: key's bucket with an
-// index chosen (IndexJoin re-seeks per outer row), every slot without.
+// index chosen (IndexJoin re-seeks per outer row), every record without.
 func (a *access) seek(key Value) {
-	a.key, a.pos = key, 0
+	a.key, a.next = key, 0
+	a.f.sel, a.f.unsure, a.si, a.ui = a.f.sel[:0], a.f.unsure[:0], 0, 0
 	if a.index != nil {
-		a.slots = a.index.candidates(key)
-	} else {
-		a.slots = a.table.snapshotSlots()
+		a.bucket = a.index.candidates(key)
 	}
+}
+
+// fill reads the next batch into sel and narrows it; false when no
+// record is left. Records past the view cannot be visible at a.at: the
+// version was committed before Open took the view.
+func (a *access) fill() bool {
+	f := &a.f
+	f.sel, f.unsure, a.si, a.ui = f.sel[:0], f.unsure[:0], 0, 0
+	if a.index == nil {
+		if a.next >= a.view.n {
+			return false
+		}
+		lo := a.next
+		a.base, a.next = int32(lo&^chunkMask), min((lo|chunkMask)+1, a.view.n)
+		if a.ids == nil {
+			a.ids = make([]int32, chunkLen)
+			for i := range a.ids {
+				a.ids[i] = int32(i)
+			}
+		}
+		f.sel = append(f.sel, a.ids[lo&chunkMask:a.next-int(a.base)]...)
+	} else {
+		if a.next >= len(a.bucket) || int(a.bucket[a.next]) >= a.view.n {
+			return false
+		}
+		a.base = a.bucket[a.next] &^ chunkMask
+		for ; a.next < len(a.bucket); a.next++ {
+			r := a.bucket[a.next]
+			if r&^chunkMask != a.base || int(r) >= a.view.n {
+				break
+			}
+			f.sel = append(f.sel, r&chunkMask)
+		}
+	}
+	f.narrow(a.view.chunks[a.base>>chunkBits])
+	return true
 }
 
 // Next implements Operator.
 func (a *access) Next() (*Tuple, error) {
-	for a.pos < len(a.slots) {
-		slot := a.slots[a.pos]
-		a.pos++
-		var b *BaseTuple
+	ch, off, b, err := a.survivor()
+	if b == nil {
+		return nil, err
+	}
+	w := a.out.Len()
+	if len(a.tuples) == 0 {
+		n := len(a.f.sel) - a.si + len(a.f.unsure) - a.ui + 1
 		if a.index != nil {
-			b = a.index.at(slot, a.key, a.at)
-		} else {
-			b = slot.visibleAt(a.at)
+			n += len(a.bucket) - a.next
 		}
-		if b == nil {
-			continue
-		}
-		if ok, err := a.pred.holds(b.Values); err != nil {
-			return nil, err
-		} else if ok {
-			vals := b.Values // nothing pruned: share the stored slice
-			if a.keep != nil {
-				vals = make([]Value, len(a.keep))
-				for i, c := range a.keep {
-					vals[i] = b.Values[c]
+		a.tuples, a.vals = make([]Tuple, n), make([]Value, n*w)
+	}
+	t := &a.tuples[0]
+	t.Values, t.Lineage = a.cells(a.vals[:0:w], ch, off), lineage.NewVar(b.Var)
+	a.tuples, a.vals = a.tuples[1:], a.vals[w:]
+	return t, nil
+}
+
+// survivor advances to the next record that is live at a.at and passes
+// the filter: its chunk, offset and version (nil at the end). It merges
+// the batch's sure and unsure offsets back into record order, so the
+// first error is the first failing row's.
+func (a *access) survivor() (*chunk, int32, *BaseTuple, error) {
+	f := &a.f
+	for {
+		for a.si < len(f.sel) || a.ui < len(f.unsure) {
+			var off int32
+			sure := a.ui == len(f.unsure) || a.si < len(f.sel) && f.sel[a.si] < f.unsure[a.ui]
+			if sure {
+				off, a.si = f.sel[a.si], a.si+1
+			} else {
+				off, a.ui = f.unsure[a.ui], a.ui+1
+			}
+			_, b := a.view.live(a.base+off, a.at)
+			if b == nil {
+				continue
+			}
+			ch := a.view.chunks[a.base>>chunkBits]
+			if !sure {
+				if ok, err := EvalBool(f.src, f.load(ch, off)); err != nil {
+					return nil, 0, nil, err
+				} else if !ok {
+					continue
 				}
 			}
-			return &Tuple{Values: vals, Lineage: lineage.NewVar(b.Var)}, nil
+			return ch, off, b, nil
+		}
+		if !a.fill() {
+			return nil, 0, nil, nil
 		}
 	}
-	return nil, nil
+}
+
+func (a *access) cells(dst []Value, ch *chunk, off int32) []Value {
+	for i := range a.out.Len() {
+		c := i
+		if a.keep != nil {
+			c = a.keep[i]
+		}
+		dst = append(dst, ch.cols[c].get(int(off)))
+	}
+	return dst
 }
 
 // Close implements Operator.
@@ -120,10 +206,10 @@ func pushInto(op Operator, edit func(a *access)) Operator {
 }
 
 // Filter restricts op to the rows satisfying pred. Over a base-table
-// leaf the predicate moves into the leaf — run compiled on stored rows,
-// and answered from a hash index when its top-level conjunction holds
-// an equality between an indexed column and a constant. Anything else
-// gets a Select on top.
+// leaf the predicate moves into the leaf — run as kernels over the
+// stored columns, and answered from a hash index when its top-level
+// conjunction holds an equality between an indexed column and a
+// constant. Anything else gets a Select on top.
 func Filter(op Operator, pred Expr) Operator {
 	if pushed := pushInto(op, func(a *access) {
 		if a.filter != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,17 +107,48 @@ func sameOutcome(got bool, gerr error, want bool, werr error) bool {
 	return got == want
 }
 
-// TestCompiledPredicateMatchesEvalBool: the compiled predicate and the
-// tree walk agree on every row — result and error text alike.
+// TestCompiledPredicateMatchesEvalBool: the filter's kernels and
+// per-record conjuncts, with EvalBool deciding the records they leave
+// unsure, agree with the tree walk on every row — result and error text
+// alike — over a whole chunk's batch and over a sparse one (an index
+// bucket's shape).
 func TestCompiledPredicateMatchesEvalBool(t *testing.T) {
 	schema, rows := predGrid()
-	for _, e := range predCorpus(schema) {
-		p := compilePred(e)
-		for _, vals := range rows {
-			got, gerr := p.holds(vals)
-			want, werr := EvalBool(e, &Tuple{Values: vals})
-			if !sameOutcome(got, gerr, want, werr) {
-				t.Fatalf("%s on %v: compiled (%v, %v), tree walk (%v, %v)", e, vals, got, gerr, want, werr)
+	c := NewCatalog()
+	tab, err := c.CreateTable("G", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := c.Begin()
+	for _, vals := range rows {
+		x.MustInsert(tab, 0.5, nil, vals...)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	v := tab.view()
+	ch := v.chunks[0]
+	for _, e := range predCorpus(tab.Schema()) {
+		for _, step := range []int{1, 3} {
+			f := compileFilter(e, tab.Schema())
+			for r := 0; r < v.n; r += step {
+				f.sel = append(f.sel, int32(r))
+			}
+			f.narrow(ch)
+			for r := 0; r < v.n; r += step {
+				var got bool
+				var gerr error
+				switch {
+				case slices.Contains(f.sel, int32(r)):
+					got = true
+				case slices.Contains(f.unsure, int32(r)):
+					got, gerr = EvalBool(f.src, f.load(ch, int32(r)))
+				}
+				vals := v.values(nil, int32(r))
+				want, werr := EvalBool(e, &Tuple{Values: vals})
+				if !sameOutcome(got, gerr, want, werr) {
+					t.Fatalf("%s on %v: kernels (%v, %v), tree walk (%v, %v)", e, vals, got, gerr, want, werr)
+				}
 			}
 		}
 	}

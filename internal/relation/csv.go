@@ -129,6 +129,9 @@ func loadCSV(r io.Reader, tableFor func(header, first []string) (*Table, error))
 // into the open transaction and returns how many rows it staged.
 func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFor []int, confIdx, costIdx int) (int, error) {
 	schema := t.Schema()
+	// Insert copies the cells into the record store, so one row buffer
+	// serves the whole file; every column is assigned on every line.
+	values := make([]Value, schema.Len())
 	n := 0
 	for line := 2; ; line++ {
 		rec, err := first, error(nil)
@@ -142,7 +145,6 @@ func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFo
 		if err != nil {
 			return n, fmt.Errorf("relation: CSV line %d: %w", line, err)
 		}
-		values := make([]Value, schema.Len())
 		confidence := 1.0
 		var fn cost.Function
 		for i, field := range rec {
@@ -199,8 +201,8 @@ func WriteCSV(t *Table, snap *Snapshot, w io.Writer) error {
 		return err
 	}
 	for _, row := range t.RowsAt(snap) {
-		rec := make([]string, 0, len(row.Values)+1)
-		for _, v := range row.Values {
+		rec := make([]string, 0, schema.Len()+1)
+		for _, v := range row.Values() {
 			if v.IsNull() {
 				rec = append(rec, "")
 			} else {

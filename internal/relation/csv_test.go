@@ -56,8 +56,8 @@ func TestLoadCSVReorderedHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := tab.RowsAt(c.Snapshot())[0]
-	if s, _ := row.Values[0].AsString(); s != "alice" {
-		t.Errorf("name column = %v", row.Values[0])
+	if s, _ := row.Values()[0].AsString(); s != "alice" {
+		t.Errorf("name column = %v", row.Values()[0])
 	}
 	if row.Confidence != 1 {
 		t.Errorf("default confidence = %v", row.Confidence)
@@ -101,7 +101,7 @@ func TestLoadCSVNullFields(t *testing.T) {
 	if _, err := LoadCSV(tab, strings.NewReader(in)); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.RowsAt(c.Snapshot())[0].Values[1].IsNull() {
+	if !tab.RowsAt(c.Snapshot())[0].Values()[1].IsNull() {
 		t.Error("empty field should load as NULL")
 	}
 	var buf bytes.Buffer
@@ -147,7 +147,7 @@ func TestLoadCSVFileInfersFromQuotedFirstRow(t *testing.T) {
 		}
 	}
 	first := tab.RowsAt(c.Snapshot())[0]
-	if first.Values[0].String() != "Smith, J" || first.Confidence != 0.9 {
-		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values, first.Confidence)
+	if first.Values()[0].String() != "Smith, J" || first.Confidence != 0.9 {
+		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values(), first.Confidence)
 	}
 }

@@ -5,92 +5,46 @@ import (
 )
 
 // Index is a hash index over one column of a table, mapping value keys
-// to the row slots holding them. Buckets are chain-aware: a slot is
-// a member of the bucket of every key any of its versions holds, so
-// readers pinned at older committed versions still find their rows;
-// lookups filter by the resolved version's actual column value, which
-// also screens out tombstoned and superseded-key slots.
+// to the records holding them, ascending. A record's cells never
+// change, so it sits in exactly one bucket for good, and every version
+// of a row is reachable through the bucket of its own record's key:
+// the buckets are chain-aware by construction. Readers keep the records
+// that resolve at their version (recView.live), which screens out
+// superseded, deleted and rolled-back ones.
 type Index struct {
 	table  *Table
 	column int
 
 	mu      sync.RWMutex
-	buckets map[string][]*versionSlot
+	buckets map[string][]int32
 }
 
 // Column returns the indexed column's position in the table schema.
 func (ix *Index) Column() int { return ix.column }
 
 // Len returns the number of distinct keys bucketed (including keys
-// whose rows have since been deleted or re-keyed; rebuilds prune them).
+// whose records no longer resolve).
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return len(ix.buckets)
 }
 
-// candidates returns the bucket of v's key: every slot some version of
-// which holds that key. The slice is shared with the index and only
-// ever appended to, so callers iterate it in place, resolving each slot
-// with at: one probe builds one key string and nothing else.
-func (ix *Index) candidates(v Value) []*versionSlot {
+// candidates returns the bucket of v's key. The slice is shared with
+// the index and only ever appended to, so callers iterate it in place:
+// one probe builds one key string and nothing else.
+func (ix *Index) candidates(v Value) []int32 {
 	k := v.Key()
 	ix.mu.RLock()
-	slots := ix.buckets[k]
+	recs := ix.buckets[k]
 	ix.mu.RUnlock()
-	return slots
+	return recs
 }
 
-// at resolves a candidate slot at commit sequence seq: the live row
-// version, provided it still holds v there — tombstoned rows and rows
-// keyed otherwise at that version resolve to nil. Values are compared
-// directly (no key string per candidate), with the INTEGER/REAL folding
-// their keys have: 1 and 1.0 meet in one bucket.
-func (ix *Index) at(slot *versionSlot, v Value, seq int64) *BaseTuple {
-	b := slot.visibleAt(seq)
-	if b == nil || !sameKey(b.Values[ix.column], v) {
-		return nil
-	}
-	return b
-}
-
-// rebuild reconstructs the buckets chain-aware: every version of every
-// slot contributes its key (deduplicated per slot), so any pinned
-// reader resolves its own version through some bucket.
-func (ix *Index) rebuild() {
-	slots := ix.table.snapshotSlots()
-	buckets := make(map[string][]*versionSlot, len(slots))
-	var seen []string // distinct keys within one chain; chains are short
-	for _, slot := range slots {
-		seen = seen[:0]
-		for b := slot.head.Load(); b != nil; b = b.prev {
-			if b.tombstone {
-				continue
-			}
-			k := b.Values[ix.column].Key()
-			dup := false
-			for _, s := range seen {
-				if s == k {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen = append(seen, k)
-			buckets[k] = append(buckets[k], slot)
-		}
-	}
+// add files record r under key.
+func (ix *Index) add(key string, r int32) {
 	ix.mu.Lock()
-	ix.buckets = buckets
-	ix.mu.Unlock()
-}
-
-// addSlot registers a freshly inserted slot under its key.
-func (ix *Index) addSlot(slot *versionSlot, key string) {
-	ix.mu.Lock()
-	ix.buckets[key] = append(ix.buckets[key], slot)
+	ix.buckets[key] = append(ix.buckets[key], r)
 	ix.mu.Unlock()
 }
 
@@ -111,8 +65,12 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 	if ok {
 		return existing, nil
 	}
-	ix := &Index{table: t, column: idx}
-	ix.rebuild()
+	ix := &Index{table: t, column: idx, buckets: map[string][]int32{}}
+	v := t.view()
+	for r := int32(0); int(r) < v.n; r++ {
+		ch, k := v.at(r)
+		ix.add(ch.cols[idx].get(k).Key(), r)
+	}
 	t.mu.Lock()
 	if t.indexes == nil {
 		t.indexes = map[int]*Index{}

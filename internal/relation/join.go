@@ -212,12 +212,16 @@ func (j *IndexJoin) Next() (*Tuple, error) {
 			j.current = t
 			j.probe.seek(t.Values[j.OuterKey])
 		}
-		r, err := j.probe.Next()
+		// The inner match goes straight into the joined row: no inner
+		// Tuple is built only to be copied.
+		ch, off, b, err := j.probe.survivor()
 		if err != nil {
 			return nil, err
 		}
-		if r != nil {
-			return combine(j.current, r), nil
+		if b != nil {
+			l := j.current
+			vals := append(make([]Value, 0, len(l.Values)+j.probe.out.Len()), l.Values...)
+			return &Tuple{Values: j.probe.cells(vals, ch, off), Lineage: lineage.And(l.Lineage, lineage.NewVar(b.Var))}, nil
 		}
 		j.current = nil
 	}

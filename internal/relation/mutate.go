@@ -1,20 +1,14 @@
 package relation
 
-import (
-	"pcqe/internal/lineage"
-)
-
-// rowTupleWithConfidence builds the predicate-evaluation image of a
-// stored row: its values plus the current confidence appended as one
-// extra REAL value, so predicates compiled against the schema extended
-// with the _confidence pseudo-column (see the sql package) can read it;
-// predicates compiled against the plain schema simply ignore the extra
-// slot.
-func rowTupleWithConfidence(row *BaseTuple) *Tuple {
-	vals := make([]Value, 0, len(row.Values)+1)
-	vals = append(vals, row.Values...)
-	vals = append(vals, Float(row.Confidence))
-	return &Tuple{Values: vals, Lineage: lineage.NewVar(row.Var)}
+// predImage fills img with the predicate-evaluation image of a stored
+// row: its cells plus its confidence as one extra REAL value, so
+// predicates compiled against the schema extended with the _confidence
+// pseudo-column (see the sql package) can read it; predicates compiled
+// against the plain schema simply ignore the extra slot. img is reused
+// from row to row, so a scan over the table allocates once.
+func predImage(img *Tuple, v recView, row *BaseTuple) *Tuple {
+	img.Values = append(v.values(img.Values[:0], row.rec), Float(row.Confidence))
+	return img
 }
 
 // UpdateSpec describes one column (or confidence) assignment in a

@@ -77,15 +77,17 @@ func TestUpdateValuesAndConfidence(t *testing.T) {
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// The updated row's values are a new record, appended: it now reads
+	// after the row the UPDATE left alone.
 	rows := tab.RowsAt(c.Snapshot())
-	if v, _ := rows[0].Values[0].AsInt(); v != 11 {
-		t.Errorf("a = %v", rows[0].Values[0])
+	if v, _ := rows[1].Values()[0].AsInt(); v != 11 {
+		t.Errorf("a = %v", rows[1].Values()[0])
 	}
-	if rows[0].Confidence != 0.9 {
-		t.Errorf("confidence = %v", rows[0].Confidence)
+	if rows[1].Confidence != 0.9 {
+		t.Errorf("confidence = %v", rows[1].Confidence)
 	}
-	if v, _ := rows[1].Values[0].AsInt(); v != 2 {
-		t.Errorf("unmatched row changed: %v", rows[1].Values[0])
+	if v, _ := rows[0].Values()[0].AsInt(); v != 2 {
+		t.Errorf("unmatched row changed: %v", rows[0].Values()[0])
 	}
 }
 
@@ -125,7 +127,7 @@ func TestUpdateValidation(t *testing.T) {
 	}); err != nil {
 		t.Errorf("int into REAL should coerce: %v", err)
 	}
-	if rt.RowsAt(c.Snapshot())[0].Values[0].Type() != TypeFloat {
+	if rt.RowsAt(c.Snapshot())[0].Values()[0].Type() != TypeFloat {
 		t.Error("coerced value should be REAL")
 	}
 }

@@ -16,9 +16,11 @@ import (
 // chain of immutable BaseTuple versions, newest first. A version is
 // stamped with the commit sequence number that created it; resolving a
 // slot at a pinned sequence walks the chain to the newest version whose
-// creation the pin can see. Deletes push a tombstone version, so
-// withdrawn rows vanish from scans while their lineage variables keep
-// resolving (to confidence 0) for previously computed results.
+// creation the pin can see. Each version names the record holding its
+// values (store.go), and scans walk records, keeping those their slot
+// resolves back to. Deletes push a tombstone version, so withdrawn rows
+// vanish from scans while their lineage variables keep resolving (to
+// confidence 0) for previously computed results.
 
 // versionSlot is one logical row: the head of its version chain.
 // The head pointer is the only mutable word; everything it points to is
@@ -37,16 +39,6 @@ func (s *versionSlot) at(seq int64) *BaseTuple {
 		}
 	}
 	return nil
-}
-
-// visibleAt resolves the slot at seq, filtering tombstones: it returns
-// the live row version, or nil when the row is absent or deleted.
-func (s *versionSlot) visibleAt(seq int64) *BaseTuple {
-	b := s.at(seq)
-	if b == nil || b.tombstone {
-		return nil
-	}
-	return b
 }
 
 // Snapshot is an immutable read view of the catalog pinned to one

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pcqe/internal/fault"
+	"pcqe/internal/lineage"
 )
 
 // The MVCC stress suite hammers the catalog with concurrent readers and
@@ -347,4 +348,107 @@ func TestMVCCStressIndexJoinPinned(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMVCCStressLeafReadsRaceTheWriter races scanning and index-probing
+// leaves against one writer that inserts, re-keys, deletes and rolls
+// back, appending records across chunk boundaries while the readers
+// read: at whatever version a reader pins, each leaf returns exactly
+// what EvalBool over that version's RowsAt returns, in record order.
+func TestMVCCStressLeafReadsRaceTheWriter(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("L", NewSchema(Column{Name: "k", Type: TypeInt}, Column{Name: "v", Type: TypeFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	x := c.Begin()
+	for i := 0; i < chunkLen-40; i++ {
+		v := Float(float64(i % 10))
+		if i%7 == 0 {
+			v = Null()
+		}
+		x.MustInsert(tab, 0.5, nil, Int(int64(i%5)), v)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	k := &ColRef{Index: 0, Col: tab.Schema().Columns[0]}
+	v := &ColRef{Index: 1, Col: tab.Schema().Columns[1]}
+	cmp := func(op BinaryOp, l Expr, c Value) Expr { return &Binary{Op: op, Left: l, Right: Const{Value: c}} }
+	preds := []Expr{
+		cmp(OpGe, v, Float(5)),
+		cmp(OpEq, k, Int(3)),
+		&Binary{Op: OpAnd, Left: cmp(OpEq, k, Int(1)), Right: cmp(OpLt, v, Int(4))},
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for round := 0; round < 90; round++ {
+			x := c.Begin()
+			x.MustInsert(tab, 0.5, nil, Int(int64(round%5)), Float(float64(round%10)))
+			x.MustInsert(tab, 0.5, nil, Int(3), Null())
+			_, err := x.Update(tab, cmp(OpEq, k, Int(int64(round%5))), []UpdateSpec{{Column: 0, Value: Const{Value: Int(int64((round + 2) % 5))}}})
+			if err == nil {
+				_, err = x.Delete(tab, cmp(OpEq, v, Float(float64(round%10))))
+			}
+			if err != nil {
+				t.Errorf("writer: %v", err)
+				x.Rollback()
+				return
+			}
+			if round%3 == 2 {
+				x.Rollback()
+				continue
+			}
+			if _, err := x.Commit(); err != nil {
+				t.Errorf("writer commit: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s := c.Snapshot()
+				held := tab.RowsAt(s)
+				for _, e := range preds {
+					var want []string
+					for _, b := range held {
+						tu := &Tuple{Values: b.Values()}
+						if ok, err := EvalBool(e, tu); err != nil || !ok {
+							continue
+						}
+						want = append(want, tu.String()+lineage.NewVar(b.Var).String())
+					}
+					rows, err := RunAt(Filter(tab.Scan(), e), s.Version())
+					got := make([]string, len(rows))
+					for i, tu := range rows {
+						got[i] = tu.String() + tu.Lineage.String()
+					}
+					if err != nil || strings.Join(got, ";") != strings.Join(want, ";") {
+						t.Errorf("%s at version %d: leaf %d rows (%v), reference %d", e, s.Version(), len(got), err, len(want))
+					}
+				}
+				s.Release()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tab.view().n <= chunkLen {
+		t.Fatal("the writer never crossed a chunk boundary")
+	}
 }

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +66,7 @@ func captureImage(c *Catalog, tables ...*Table) dbImage {
 	for _, t := range tables {
 		for _, b := range t.RowsAt(snap) {
 			var sb strings.Builder
-			for _, v := range b.Values {
+			for _, v := range b.Values() {
 				sb.WriteString(v.String())
 				sb.WriteByte('|')
 			}
@@ -335,7 +337,7 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 	}
 	want := make([]image, len(held))
 	for i, b := range held {
-		v, _ := b.Values[1].AsInt()
+		v, _ := b.Values()[1].AsInt()
 		want[i] = image{conf: b.Confidence, val: v}
 	}
 
@@ -359,7 +361,7 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 		t.Fatalf("held slice length changed to %d", len(held))
 	}
 	for i, b := range held {
-		v, _ := b.Values[1].AsInt()
+		v, _ := b.Values()[1].AsInt()
 		if b.Confidence != want[i].conf || v != want[i].val {
 			t.Fatalf("held row %d mutated: conf=%v val=%d, want conf=%v val=%d",
 				i, b.Confidence, v, want[i].conf, want[i].val)
@@ -373,11 +375,11 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 		t.Fatalf("fresh RowsAt = %d, want 3", len(fresh))
 	}
 	for _, b := range fresh {
-		k, _ := b.Values[0].AsInt()
+		k, _ := b.Values()[0].AsInt()
 		if k == 4 {
 			continue
 		}
-		v, _ := b.Values[1].AsInt()
+		v, _ := b.Values()[1].AsInt()
 		if v != 99 || b.Confidence != 0.9 {
 			t.Fatalf("fresh row k=%d: val=%d conf=%v, want 99/0.9", k, v, b.Confidence)
 		}
@@ -654,7 +656,7 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 			defer snap.Release()
 			held := &Values{RowSchema: tab.Schema()}
 			for _, row := range tab.RowsAt(snap) {
-				held.Rows = append(held.Rows, &Tuple{Values: row.Values, Lineage: lineage.NewVar(row.Var)})
+				held.Rows = append(held.Rows, &Tuple{Values: row.Values(), Lineage: lineage.NewVar(row.Var)})
 			}
 			return held
 		}
@@ -764,5 +766,135 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 	}
 	if raised != 1 {
 		t.Errorf("the raised confidence showed in %d of the three runs, want only the one at v2", raised)
+	}
+	leafKernelsAtEveryVersion(t)
+}
+
+// leafKernelsAtEveryVersion: over a table whose rows span chunks and
+// whose history holds value-changing UPDATEs, DELETEs, a confidence
+// change and a rolled-back transaction, the leaf — scanning, and
+// probing an index — returns at each version what EvalBool over that
+// version's RowsAt returns, rows, order, lineage and first error alike,
+// for every kernel shape: each comparison on INTEGER, REAL and TEXT
+// with the constant on either side, INTEGER cells against REAL
+// constants, NULL cells, ANDs of kernels, and (NULL AND false) in front
+// of an erroring conjunct.
+func leafKernelsAtEveryVersion(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("K", NewSchema(
+		Column{Name: "i", Type: TypeInt}, Column{Name: "f", Type: TypeFloat}, Column{Name: "s", Type: TypeString}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateIndex("i"); err != nil {
+		t.Fatal(err)
+	}
+	col := func(i int) Expr { return &ColRef{Index: i, Col: tab.Schema().Columns[i]} }
+	bin := func(op BinaryOp, l, r Expr) Expr { return &Binary{Op: op, Left: l, Right: r} }
+	k := func(v Value) Expr { return Const{Value: v} }
+	cells := [][]Value{
+		{Null(), Int(-1), Int(0), Int(2), Int(3), Int(1<<53 + 1)},
+		{Null(), Float(-0.5), Float(2), Float(2.5), Float(math.NaN())},
+		{Null(), String_(""), String_("a"), String_("b")},
+	}
+	rng := rand.New(rand.NewSource(5))
+	row := func() []Value {
+		return []Value{cells[0][rng.Intn(6)], cells[1][rng.Intn(5)], cells[2][rng.Intn(4)]}
+	}
+	must := func(_ int, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := c.Begin()
+	var vars []lineage.Var
+	for n := 0; n < chunkLen+300; n++ {
+		vars = append(vars, x.MustInsert(tab, 0.5, nil, row()...).Var)
+	}
+	v1, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x = c.Begin()
+	must(x.Update(tab, bin(OpGt, col(1), k(Float(2))), []UpdateSpec{{Column: 0, Value: bin(OpAdd, col(0), k(Int(1)))}}))
+	must(x.Update(tab, bin(OpEq, col(0), k(Int(0))), []UpdateSpec{{Column: 2, Value: k(String_("b"))}, {Column: -1, Value: k(Float(0.25))}}))
+	must(x.Delete(tab, bin(OpEq, col(2), k(String_("a")))))
+	must(0, x.SetConfidence(vars[3], 0.75))
+	v2, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x = c.Begin()
+	x.MustInsert(tab, 0.5, nil, Int(2), Float(2), String_("b"))
+	must(x.Update(tab, nil, []UpdateSpec{{Column: 1, Value: k(Float(2))}}))
+	x.Rollback()
+	x = c.Begin()
+	x.MustInsert(tab, 0.5, nil, Int(2), Null(), String_("b"))
+	must(x.Update(tab, bin(OpLt, col(0), k(Int(0))), []UpdateSpec{{Column: 0, Value: k(Int(2))}}))
+	v3, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var preds []Expr
+	for ci, ks := range [][]Value{{Int(2), Float(2), Float(2.5), Int(-1)}, {Int(2), Float(2), Float(-0.5)}, {String_("b"), String_("")}} {
+		for _, kv := range ks {
+			for op := OpEq; op <= OpGe; op++ {
+				preds = append(preds, bin(op, col(ci), k(kv)), bin(op, k(kv), col(ci)))
+			}
+		}
+	}
+	preds = append(preds,
+		bin(OpAnd, bin(OpGe, col(0), k(Int(2))), bin(OpLt, col(1), k(Float(2.5)))),
+		bin(OpAnd, bin(OpEq, col(0), k(Int(2))), bin(OpNe, col(2), k(String_("b")))), // probes the index
+		bin(OpAnd, bin(OpEq, k(Int(3)), col(0)), bin(OpGt, k(Float(2)), col(1))),     // probes the index
+		bin(OpAnd, bin(OpAnd, k(Null()), bin(OpGt, col(0), k(Int(100)))), &Like{Child: col(0), Pattern: "a%"}),
+		bin(OpAnd, bin(OpGt, col(0), k(Int(100))), bin(OpAnd, k(Null()), &Like{Child: col(0), Pattern: "a%"})),
+	)
+	render := func(ts []*Tuple, err error) string {
+		var b strings.Builder
+		for _, tu := range ts {
+			b.WriteString(tu.String() + tu.Lineage.String() + ";")
+		}
+		if err != nil {
+			b.WriteString(err.Error())
+		}
+		return b.String()
+	}
+	probed := 0
+	for _, v := range []int64{v1, v2, v3, v1} {
+		snap, err := c.SnapshotAt(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []*Tuple
+		for _, b := range tab.RowsAt(snap) {
+			held = append(held, &Tuple{Values: b.Values(), Lineage: lineage.NewVar(b.Var)})
+		}
+		snap.Release()
+		for _, e := range preds {
+			var want []*Tuple
+			var werr error
+			for _, tu := range held {
+				ok, err := EvalBool(e, tu)
+				if err != nil {
+					want, werr = nil, err
+					break
+				}
+				if ok {
+					want = append(want, tu)
+				}
+			}
+			op := Filter(tab.Scan(), e)
+			if ProbesIndex(op) {
+				probed++
+			}
+			if got, want := render(RunAt(op, v)), render(want, werr); got != want {
+				t.Fatalf("%s at version %d:\n%.300s\nwant\n%.300s", Explain(op), v, got, want)
+			}
+		}
+	}
+	if probed == 0 {
+		t.Fatal("no predicate probed the index")
 	}
 }

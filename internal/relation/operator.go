@@ -83,23 +83,18 @@ func (m *materialized) Next() (*Tuple, error) {
 
 // Select filters tuples by a boolean predicate. Lineage passes through
 // unchanged: selection does not combine evidence. Filter builds it only
-// over inputs that are not a base-table leaf (the leaf filters stored
-// rows itself); both run the predicate in its compiled form.
+// over inputs that are not a base-table leaf (the leaf runs its filter
+// as kernels over the stored columns itself).
 type Select struct {
 	Input Operator
 	Pred  Expr
-
-	pred *rowPred
 }
 
 // Schema implements Operator.
 func (s *Select) Schema() *Schema { return s.Input.Schema() }
 
 // Open implements Operator.
-func (s *Select) Open(at int64) error {
-	s.pred = compilePred(s.Pred)
-	return s.Input.Open(at)
-}
+func (s *Select) Open(at int64) error { return s.Input.Open(at) }
 
 // Next implements Operator.
 func (s *Select) Next() (*Tuple, error) {
@@ -108,7 +103,7 @@ func (s *Select) Next() (*Tuple, error) {
 		if err != nil || t == nil {
 			return nil, err
 		}
-		ok, err := s.pred.holds(t.Values)
+		ok, err := EvalBool(s.Pred, t)
 		if err != nil {
 			return nil, err
 		}

@@ -246,7 +246,7 @@ func TestInsertValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Values[1].Type() != TypeFloat {
+	if row.Values()[1].Type() != TypeFloat {
 		t.Error("int should coerce to float in REAL column")
 	}
 	// NULL is allowed anywhere.

@@ -198,8 +198,8 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 		loaded := b.RowsAt(c2.Snapshot())
 		for i, row := range a.RowsAt(c.Snapshot()) {
 			got := loaded[i]
-			for j := range row.Values {
-				if !Equal(row.Values[j], got.Values[j]) {
+			for j := range row.Values() {
+				if !Equal(row.Values()[j], got.Values()[j]) {
 					return false
 				}
 			}

@@ -1,5 +1,7 @@
 package relation
 
+import "cmp"
+
 // ColumnStats summarizes one column for cardinality estimation.
 type ColumnStats struct {
 	// Distinct is the exact distinct-value count at collection time
@@ -43,36 +45,59 @@ func (t *Table) Stats() *TableStats {
 
 func collectStats(t *Table, version int64) *TableStats {
 	rows := t.rowsAt(t.catalog.commitSeq.Load())
-	st := &TableStats{
-		Rows:    len(rows),
-		Cols:    make([]ColumnStats, t.schema.Len()),
-		version: version,
-	}
-	for ci := range st.Cols {
-		cs := &st.Cols[ci]
-		cs.Min, cs.Max = Null(), Null()
-		seen := make(map[string]struct{})
-		for _, row := range rows {
-			v := row.Values[ci]
-			if v.IsNull() {
-				cs.Nulls++
-				continue
-			}
-			seen[v.Key()] = struct{}{}
-			if cs.Min.IsNull() {
-				cs.Min, cs.Max = v, v
-				continue
-			}
-			if c, err := Compare(v, cs.Min); err == nil && c < 0 {
-				cs.Min = v
-			}
-			if c, err := Compare(v, cs.Max); err == nil && c > 0 {
-				cs.Max = v
-			}
+	v := t.view() // taken after rows: it holds every record they name
+	st := &TableStats{Rows: len(rows), Cols: make([]ColumnStats, t.schema.Len()), version: version}
+	for c := range st.Cols {
+		switch t.schema.Columns[c].Type {
+		case TypeFloat:
+			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []float64 { return c.f }, less[float64], Float)
+		case TypeString:
+			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []string { return c.s }, less[string], String_)
+		case TypeBool:
+			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []bool { return c.b }, func(a, b bool) bool { return !a && b }, Bool)
+		default: // INTEGER, or a column only NULL can be stored in
+			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []int64 { return c.i }, less[int64], Int)
 		}
-		cs.Distinct = len(seen)
 	}
 	return st
+}
+
+func less[T cmp.Ordered](a, b T) bool { return a < b }
+
+// columnStats summarises column col over the given rows straight from
+// its typed vector: distinct values as Value.Key tells them apart (one
+// NaN), bounds as Compare orders them (a NaN never replaces one, nor is
+// replaced).
+func columnStats[T comparable](v recView, rows []*BaseTuple, col int, vec func(*cells) []T, lt func(a, b T) bool, val func(T) Value) ColumnStats {
+	cs := ColumnStats{Min: Null(), Max: Null()}
+	seen, nan := map[T]struct{}{}, 0
+	var lo, hi T
+	have := false
+	for _, b := range rows {
+		ch, k := v.at(b.rec)
+		if ch.cols[col].null(k) {
+			cs.Nulls++
+			continue
+		}
+		x := vec(&ch.cols[col])[k]
+		if x != x {
+			nan = 1
+		} else {
+			seen[x] = struct{}{}
+		}
+		if !have || lt(x, lo) {
+			lo = x
+		}
+		if !have || lt(hi, x) {
+			hi = x
+		}
+		have = true
+	}
+	cs.Distinct = len(seen) + nan
+	if have {
+		cs.Min, cs.Max = val(lo), val(hi)
+	}
+	return cs
 }
 
 // DistinctOf returns the distinct-value count of a column with a floor

@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func statsTable(t *testing.T) (*Catalog, *Table) {
 	t.Helper()
@@ -96,6 +99,81 @@ func TestHashJoinableTypes(t *testing.T) {
 	for _, c := range cases {
 		if got := HashJoinableTypes(c.a, c.b); got != c.want {
 			t.Errorf("HashJoinableTypes(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestTableStatsMatchNaiveReference: statistics read from the typed
+// column vectors equal a naive pass over RowsAt that keys every cell
+// with Value.Key and orders it with Compare — over every column type,
+// NULLs, a NaN, -0 beside 0, a row an UPDATE re-recorded and a deleted
+// row whose record is still stored.
+func TestTableStatsMatchNaiveReference(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("S", NewSchema(
+		Column{Name: "i", Type: TypeInt}, Column{Name: "f", Type: TypeFloat},
+		Column{Name: "s", Type: TypeString}, Column{Name: "b", Type: TypeBool},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := c.Begin()
+	for _, r := range [][]Value{
+		{Int(3), Float(2.5), String_("m"), Bool(true)},
+		{Null(), Float(math.NaN()), Null(), Bool(false)},
+		{Int(-4), Float(math.Copysign(0, -1)), String_("a"), Null()},
+		{Int(3), Float(0), String_("z"), Bool(true)},
+		{Int(9), Null(), String_("m"), Bool(false)},
+		{Int(100), Float(1e9), String_("zz"), Bool(true)},
+	} {
+		x.MustInsert(tab, 0.5, nil, r...)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	i := &ColRef{Index: 0, Col: tab.Schema().Columns[0]}
+	eq := func(k int64) Expr { return &Binary{Op: OpEq, Left: i, Right: Const{Value: Int(k)}} }
+	if err := inTxn(c, func(x *Txn) error {
+		if _, err := x.Update(tab, eq(9), []UpdateSpec{{Column: 0, Value: Const{Value: Int(-7)}}, {Column: 2, Value: Const{Value: Null()}}}); err != nil {
+			return err
+		}
+		_, err := x.Delete(tab, eq(100))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := c.Snapshot()
+	defer snap.Release()
+	rows := tab.RowsAt(snap)
+	st := tab.Stats()
+	if st.Rows != len(rows) || len(rows) != 5 {
+		t.Fatalf("Rows = %d, RowsAt has %d, want 5", st.Rows, len(rows))
+	}
+	for ci, got := range st.Cols {
+		want := ColumnStats{Min: Null(), Max: Null()}
+		seen := map[string]bool{}
+		for _, row := range rows {
+			v := row.Values()[ci]
+			if v.IsNull() {
+				want.Nulls++
+				continue
+			}
+			seen[v.Key()] = true
+			if want.Min.IsNull() {
+				want.Min, want.Max = v, v
+			}
+			if c, _ := Compare(v, want.Min); c < 0 {
+				want.Min = v
+			}
+			if c, _ := Compare(v, want.Max); c > 0 {
+				want.Max = v
+			}
+		}
+		want.Distinct = len(seen)
+		same := func(a, b Value) bool { return a.Type() == b.Type() && a.String() == b.String() }
+		if got.Distinct != want.Distinct || got.Nulls != want.Nulls || !same(got.Min, want.Min) || !same(got.Max, want.Max) {
+			t.Errorf("column %s: stats %+v, reference %+v", tab.Schema().Columns[ci].Name, got, want)
 		}
 	}
 }

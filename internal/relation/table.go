@@ -9,18 +9,22 @@ import (
 	"pcqe/internal/lineage"
 )
 
-// BaseTuple is one immutable version of a stored row: values plus the
-// confidence metadata the PCQE framework attaches to every data item.
-// Mutations never edit a published version — they push a fresh version
-// onto the row's chain (copy-on-write), stamped with the committing
-// transaction's version. Fields must not be modified after the version
-// is published.
+// BaseTuple is one immutable version of a stored row: the record
+// holding its values plus the confidence metadata the PCQE framework
+// attaches to every data item. Mutations never edit a published
+// version — they push a fresh version onto the row's chain
+// (copy-on-write), stamped with the committing transaction's version.
+// Fields must not be modified after the version is published; the
+// values, stored once in the table's record store, cannot be.
 type BaseTuple struct {
 	Var        lineage.Var   // catalog-wide lineage variable
-	Values     []Value       //
 	Confidence float64       // current confidence in [0,1]
 	MaxConf    float64       // maximum attainable confidence (usually 1)
 	Cost       cost.Function // price of confidence increments; nil = not improvable
+
+	// table and rec name the record holding the version's values.
+	table *Table
+	rec   int32
 
 	// created is the commit sequence that published this version;
 	// versions of an uncommitted transaction carry its (still invisible)
@@ -36,6 +40,9 @@ type BaseTuple struct {
 	// prev is the next-older version of the same row.
 	prev *BaseTuple
 }
+
+// Values returns a fresh copy of the version's cells, in schema order.
+func (b *BaseTuple) Values() []Value { return b.table.view().values(nil, b.rec) }
 
 // Improvable reports whether the tuple's confidence can be raised.
 func (b *BaseTuple) Improvable() bool {
@@ -55,18 +62,21 @@ func (b *BaseTuple) Tombstone() bool { return b.tombstone }
 
 // Table is an in-memory multi-versioned relation whose rows carry
 // confidence and are registered with a Catalog for lineage-variable
-// assignment. Row storage is a slice of version slots; all mutation
-// goes through catalog transactions.
+// assignment. Values live in a column-major record store (store.go),
+// rows in version slots the records point back to; all mutation goes
+// through catalog transactions.
 type Table struct {
 	Name    string
 	schema  *Schema
 	catalog *Catalog
 
-	// mu guards the slots slice header and the index registry; the
-	// chains the slots point to are lock-free (atomic heads, immutable
-	// versions).
+	// mu guards the record count, the chunk directory's header and the
+	// index registry; the cells below the count and the chains the slots
+	// point to are read lock-free (append-only chunks, atomic heads,
+	// immutable versions).
 	mu      sync.RWMutex
-	slots   []*versionSlot
+	chunks  []*chunk
+	recs    int
 	indexes map[int]*Index // column position -> hash index
 
 	// live counts visible rows at the latest committed version;
@@ -86,28 +96,18 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Len returns the number of live rows at the latest committed version.
 func (t *Table) Len() int { return int(t.live.Load()) }
 
-// snapshotSlots captures the current slot slice; the slice is
-// append-only (replaced wholesale on rollback), so iterating the
-// capture is safe without further locking.
-func (t *Table) snapshotSlots() []*versionSlot {
-	t.mu.RLock()
-	s := t.slots
-	t.mu.RUnlock()
-	return s
-}
-
-// RowsAt returns the rows visible at the snapshot's pinned version. The
-// returned slice is freshly built — callers may hold it across
-// subsequent mutations.
+// RowsAt returns the rows visible at the snapshot's pinned version, in
+// record order. The returned slice is freshly built — callers may hold
+// it across subsequent mutations.
 func (t *Table) RowsAt(s *Snapshot) []*BaseTuple {
 	return t.rowsAt(s.Version())
 }
 
 func (t *Table) rowsAt(seq int64) []*BaseTuple {
-	slots := t.snapshotSlots()
-	out := make([]*BaseTuple, 0, len(slots))
-	for _, slot := range slots {
-		if b := slot.visibleAt(seq); b != nil {
+	v := t.view()
+	out := make([]*BaseTuple, 0, t.Len())
+	for r := 0; r < v.n; r++ {
+		if _, b := v.live(int32(r), seq); b != nil {
 			out = append(out, b)
 		}
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/cost"
@@ -44,13 +45,12 @@ type Txn struct {
 }
 
 // undoRec reverses one slot mutation. old == nil marks an insert (the
-// slot's provisional head is dropped and the slot removed from its
-// table); otherwise the slot's head is restored to old and old's
-// deletion stamp cleared.
+// slot's provisional head is dropped and its variable unregistered; the
+// record stays, resolving nowhere); otherwise the slot's head is
+// restored to old and old's deletion stamp cleared.
 type undoRec struct {
 	slot *versionSlot
 	old  *BaseTuple
-	t    *Table
 	v    lineage.Var
 }
 
@@ -136,27 +136,21 @@ func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Funct
 	if !conf.Valid(confidence) {
 		return nil, fmt.Errorf("relation: confidence %g outside [0,1]", confidence)
 	}
+	slot := &versionSlot{}
 	row := &BaseTuple{
 		Var:        x.cat.nextVar(),
-		Values:     values,
 		Confidence: confidence,
 		MaxConf:    1,
 		Cost:       fn,
+		table:      t,
+		rec:        t.addRecord(slot, values),
 		created:    x.writeSeq,
 	}
-	slot := &versionSlot{}
 	slot.head.Store(row)
-	t.mu.Lock()
-	t.slots = append(t.slots, slot)
-	indexes := t.indexes
-	t.mu.Unlock()
 	x.cat.mu.Lock()
 	x.cat.byVar[row.Var] = slot
 	x.cat.mu.Unlock()
-	for _, ix := range indexes {
-		ix.addSlot(slot, row.Values[ix.column].Key())
-	}
-	x.undo = append(x.undo, undoRec{slot: slot, t: t, v: row.Var})
+	x.undo = append(x.undo, undoRec{slot: slot, v: row.Var})
 	td := x.delta(t)
 	td.live++
 	td.mutated = true
@@ -185,13 +179,15 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 		return 0, errTxnFinished
 	}
 	removed := 0
-	for _, slot := range t.snapshotSlots() {
-		b := slot.visibleAt(x.writeSeq)
+	view := t.view()
+	var img Tuple
+	for r := int32(0); int(r) < view.n; r++ {
+		slot, b := view.live(r, x.writeSeq)
 		if b == nil {
 			continue
 		}
 		if pred != nil {
-			ok, err := EvalBool(pred, rowTupleWithConfidence(b))
+			ok, err := EvalBool(pred, predImage(&img, view, b))
 			if err != nil {
 				return 0, fmt.Errorf("relation: DELETE predicate: %w", err)
 			}
@@ -201,8 +197,9 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 		}
 		tomb := &BaseTuple{
 			Var:       b.Var,
-			Values:    b.Values,
 			MaxConf:   0,
+			table:     t,
+			rec:       b.rec,
 			created:   x.writeSeq,
 			tombstone: true,
 		}
@@ -216,22 +213,26 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 }
 
 // Update applies the assignments to every row of t matching pred via
-// copy-on-write versions and returns how many rows matched. Value
-// semantics (type coercion, confidence bounds) match Insert and
-// SetConfidence; any error aborts with no partial effect once
-// the caller rolls back.
+// copy-on-write versions and returns how many rows matched. A row whose
+// columns are assigned gets a new record, filed in the table's indexes
+// under its new keys; a confidence-only assignment keeps the record.
+// Value semantics (type coercion, confidence bounds) match Insert and
+// SetConfidence; any error aborts with no partial effect once the
+// caller rolls back.
 func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 	if x.done {
 		return 0, errTxnFinished
 	}
+	assignsValues := slices.ContainsFunc(specs, func(s UpdateSpec) bool { return s.Column >= 0 })
 	changed := 0
-	valuesTouched := false
-	for _, slot := range t.snapshotSlots() {
-		b := slot.visibleAt(x.writeSeq)
+	view := t.view()
+	var img Tuple
+	for r := int32(0); int(r) < view.n; r++ {
+		slot, b := view.live(r, x.writeSeq)
 		if b == nil {
 			continue
 		}
-		tuple := rowTupleWithConfidence(b)
+		tuple := predImage(&img, view, b)
 		if pred != nil {
 			ok, err := EvalBool(pred, tuple)
 			if err != nil {
@@ -250,7 +251,7 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 			}
 			newValues[i] = v
 		}
-		vals := append([]Value{}, b.Values...)
+		vals := append([]Value{}, tuple.Values[:t.schema.Len()]...)
 		newConf := b.Confidence
 		confTouched := false
 		for i, spec := range specs {
@@ -281,15 +282,18 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 				}
 			}
 			vals[spec.Column] = v
-			valuesTouched = true
 		}
 		nv := &BaseTuple{
 			Var:        b.Var,
-			Values:     vals,
 			Confidence: newConf,
 			MaxConf:    b.MaxConf,
 			Cost:       b.Cost,
+			table:      t,
+			rec:        b.rec,
 			created:    x.writeSeq,
+		}
+		if assignsValues {
+			nv.rec = t.addRecord(slot, vals)
 		}
 		x.cow(slot, b, nv)
 		if confTouched {
@@ -297,27 +301,8 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 		}
 		changed++
 	}
-	if changed > 0 {
-		hasValueSpec := false
-		for _, spec := range specs {
-			if spec.Column >= 0 {
-				hasValueSpec = true
-				break
-			}
-		}
-		if hasValueSpec {
-			x.markRows(t)
-		}
-		if valuesTouched {
-			// Chain-aware rebuild: buckets index every version's key, so
-			// readers pinned before this commit still find their rows.
-			t.mu.RLock()
-			indexes := t.indexes
-			t.mu.RUnlock()
-			for _, ix := range indexes {
-				ix.rebuild()
-			}
-		}
+	if changed > 0 && assignsValues {
+		x.markRows(t)
 	}
 	return changed, nil
 }
@@ -342,7 +327,8 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 	}
 	nv := &BaseTuple{
 		Var:        b.Var,
-		Values:     b.Values,
+		table:      b.table,
+		rec:        b.rec,
 		Confidence: p,
 		MaxConf:    b.MaxConf,
 		Cost:       b.Cost,
@@ -441,8 +427,11 @@ func (x *Txn) Rollback() {
 	x.cat.metrics.Load().Counter("relation.txn.rollbacks").Inc()
 }
 
+// undoAll restores every chain the transaction pushed onto. The
+// records it appended stay where they are, never resolving again:
+// nothing is truncated, so no reader's capture can see a cell
+// rewritten.
 func (x *Txn) undoAll() {
-	inserted := map[*Table]int{}
 	var insertedVars []lineage.Var
 	for i := len(x.undo) - 1; i >= 0; i-- {
 		u := x.undo[i]
@@ -452,7 +441,6 @@ func (x *Txn) undoAll() {
 			continue
 		}
 		u.slot.head.Store(nil)
-		inserted[u.t]++
 		insertedVars = append(insertedVars, u.v)
 	}
 	if len(insertedVars) > 0 {
@@ -461,17 +449,5 @@ func (x *Txn) undoAll() {
 			delete(x.cat.byVar, v)
 		}
 		x.cat.mu.Unlock()
-	}
-	for t, k := range inserted {
-		// Provisional inserts are the slice's suffix (this transaction was
-		// the only appender). Truncate through a fresh backing array:
-		// re-slicing in place would let the next transaction's appends
-		// write into cells concurrent readers captured.
-		t.mu.Lock()
-		n := len(t.slots) - k
-		ns := make([]*versionSlot, n)
-		copy(ns, t.slots[:n])
-		t.slots = ns
-		t.mu.Unlock()
 	}
 }

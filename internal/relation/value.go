@@ -221,22 +221,6 @@ func (v Value) Key() string {
 	return "?"
 }
 
-// sameKey reports a.Key() == b.Key() without building either string.
-func sameKey(a, b Value) bool {
-	if a.typ == TypeInt && b.typ == TypeFloat {
-		a, b = b, a
-	}
-	switch {
-	case a.typ == TypeFloat && b.typ == TypeInt: // an integral REAL hashes as its INTEGER
-		return a.f == float64(int64(a.f)) && int64(a.f) == b.i
-	case a.typ != b.typ:
-		return false
-	case a.typ == TypeFloat: // every NaN renders as one key
-		return a.f == b.f || (a.f != a.f && b.f != b.f)
-	}
-	return a.i == b.i && a.b == b.b && a.s == b.s
-}
-
 // Compare orders two values. NULL sorts first; numeric types compare by
 // value across INT/REAL; comparing incompatible types returns an error.
 func Compare(a, b Value) (int, error) {

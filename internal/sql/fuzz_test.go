@@ -117,8 +117,8 @@ func FuzzExec(f *testing.F) {
 				t.Fatalf("table %q vanished: %v", name, err)
 			}
 			for _, row := range tab.RowsAt(cat.Snapshot()) {
-				if len(row.Values) != tab.Schema().Len() {
-					t.Fatalf("table %q row arity %d != schema %d", name, len(row.Values), tab.Schema().Len())
+				if len(row.Values()) != tab.Schema().Len() {
+					t.Fatalf("table %q row arity %d != schema %d", name, len(row.Values()), tab.Schema().Len())
 				}
 				if row.Confidence < 0 || row.Confidence > 1 {
 					t.Fatalf("table %q row confidence %v out of range", name, row.Confidence)

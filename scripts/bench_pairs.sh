@@ -10,8 +10,12 @@
 # then concatenated into one result document (a document's
 # workloads.<name> is a list of runs), a table counts, per workload and
 # end-to-end metric, the pairs each side won, and `-compare parent
-# change` prints the medians against BENCHMARK.json's bounds. Nothing
-# else may run on the machine meanwhile; one pair takes about 5 minutes.
+# change` prints the medians against BENCHMARK.json's bounds. Every
+# invocation appends one JSON line to BENCH_history.jsonl: both commits,
+# the date, the host's cores and GOMAXPROCS, and each side's per-workload
+# medians of every end-to-end metric, with the pair wins and failures.
+# Nothing else may run on the machine meanwhile; one pair takes about 5
+# minutes.
 set -eu
 cd "$(dirname "$0")/.."
 base=${1:?usage: bench_pairs.sh <base-ref> [pairs=5]}
@@ -39,8 +43,12 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-python3 - "$tmp" "$pairs" <<'PY'
-import json, sys
+base_commit=$(git rev-parse --short=12 "$base")
+change_commit=$(git rev-parse --short=12 HEAD)
+[ -n "$(git status --porcelain --untracked-files=no)" ] && change_commit="$change_commit+dirty"
+
+python3 - "$tmp" "$pairs" "$base_commit" "$change_commit" <<'PY'
+import datetime, json, os, statistics, sys
 tmp, pairs = sys.argv[1], int(sys.argv[2])
 docs = {}
 for side in ("parent", "change"):
@@ -57,6 +65,13 @@ for side in ("parent", "change"):
 
 spec = json.load(open("BENCHMARK.json"))
 parent, change = docs["parent"], docs["change"]
+history = {
+    "base": sys.argv[3], "change": sys.argv[4], "pairs": pairs,
+    "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    # Both sides run on this host; the change's envelope says with what.
+    "nproc": os.cpu_count(), "gomaxprocs": doc["provenance"]["gomaxprocs"],
+    "workloads": {},
+}
 print("\npairs won (same seed, parent vs change; ties count for neither)")
 print(f"{'workload':<14} {'metric':<16} {'parent':>6} {'change':>6} {'tie':>4}")
 for w in (w["name"] for w in spec["workloads"]):
@@ -68,9 +83,16 @@ for w in (w["name"] for w in spec["workloads"]):
                 pv, cv = -pv, -cv
             wins["tie" if pv == cv else "change" if cv > pv else "parent"] += 1
         print(f"{w:<14} {m['name']:<16} {wins['parent']:>6} {wins['change']:>6} {wins['tie']:>4}")
+        for side, runs in (("parent", parent[w]), ("change", change[w])):
+            med = statistics.median(r["end_to_end"][m["name"]]["value"] for r in runs)
+            history["workloads"].setdefault(w, {}).setdefault(side, {})[m["name"]] = med
+        history["workloads"][w].setdefault("change_wins", {})[m["name"]] = wins["change"]
     failed = sum(r["failed"] for r in parent[w] + change[w])
     wrong = sum(not r["correct"] for r in parent[w] + change[w])
+    history["workloads"][w].update(failed=failed, wrong=wrong)
     print(f"{w:<14} failed requests {failed}, runs answering wrongly {wrong}")
 print()
+with open("BENCH_history.jsonl", "a") as f:
+    f.write(json.dumps(history, sort_keys=True) + "\n")
 PY
 go run ./benchmark -compare "$tmp/parent.json" "$tmp/change.json" || true
