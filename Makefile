@@ -7,9 +7,10 @@
 # CHANGES.md entry pastes; each invocation appends a line to
 # BENCH_history.jsonl), `make bench-serving` (regenerate the
 # committed BENCH_serving.json), `make loc BASE=<ref>` (line counts).
+# `make fuzz-smoke` runs every fuzz target for ten seconds.
 GO ?= go
 
-.PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner bench-smoke bench-serving bench-pairs obs-smoke serve-smoke loc
+.PHONY: check vet lint build test race differential mvcc-stress fuzz-smoke bench bench-parallel bench-planner bench-smoke bench-serving bench-pairs obs-smoke serve-smoke loc
 
 check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 
@@ -70,6 +71,20 @@ differential:
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError' -count=1 ./internal/core/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
 		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction'
+
+# Every fuzz target, ten seconds each past its seed corpus: the SQL
+# query and statement parsers, the executor, filter pushdown into the
+# access leaf, the solvers under random budgets, and the server's
+# request decoding with budget resolution. Not part of `check` (a minute
+# of CPU); CI runs it as its own step. go test fuzzes one target per
+# invocation, hence one line each.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzFilterPushdown$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveBudget$$' -fuzztime 10s ./internal/strategy/
+	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/server/
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree

@@ -1,6 +1,6 @@
 // Command pcqelint runs the PCQE static-invariant suite — confrange,
-// ctxpoll, errdiscipline, auditemit, planalias, txnmutate, sharedstate
-// and policyflow — over Go packages.
+// ctxpoll, errdiscipline, txnmutate, sharedstate and policyflow — over
+// Go packages.
 //
 // Usage:
 //

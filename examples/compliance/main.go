@@ -109,7 +109,7 @@ func main() {
 	readable := 0
 	for i, row := range claims.RowsAt(snap) {
 		obj := fmt.Sprintf("claim-%d", i)
-		must(biba.SetObject(obj, biba.LevelForConfidence(row.Confidence)))
+		must(biba.SetObject(obj, biba.LevelForConfidence(row.Confidence())))
 		if biba.CanRead("ada", obj) {
 			readable++
 		}

@@ -104,14 +104,6 @@ func TestErrdisciplineFixture(t *testing.T) {
 	runFixture(t, "./src/errdiscipline", Errdiscipline())
 }
 
-func TestAuditemitFixture(t *testing.T) {
-	runFixture(t, "./src/auditemit", Auditemit())
-}
-
-func TestPlanaliasFixture(t *testing.T) {
-	runFixture(t, "./src/planalias", Planalias())
-}
-
 func TestTxnmutateFixture(t *testing.T) {
 	runFixture(t, "./src/txnmutate", Txnmutate())
 }
@@ -246,8 +238,6 @@ func TestSuiteShape(t *testing.T) {
 		"confrange":     {},
 		"ctxpoll":       {scope: []string{"internal/strategy", "internal/lineage"}},
 		"errdiscipline": {},
-		"auditemit":     {scope: []string{"internal/core"}},
-		"planalias":     {scope: []string{"internal/strategy", "internal/core"}},
 		"txnmutate":     {},
 		"sharedstate":   {scope: []string{"internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"}},
 		"policyflow":    {scope: []string{"internal/core"}, justify: true},

@@ -291,9 +291,8 @@ func (g *callGraph) markTransitive(direct func(body *ast.BlockStmt) bool) map[ty
 // coveredByCallers computes the greatest fixpoint of "marked(F), or F
 // has callers and every caller is covered": a function whose obligation
 // is discharged on every inbound call path within the package. Used by
-// auditemit and policyflow, where a helper that sets Response.Degraded
-// (or consumes withheld rows) is fine as long as each of its callers
-// discharged the obligation.
+// policyflow, where a helper that consumes withheld rows is fine as
+// long as each of its callers consulted the β filter.
 func (g *callGraph) coveredByCallers(marked map[types.Object]bool) map[types.Object]bool {
 	covered := map[types.Object]bool{}
 	for obj := range g.bodies {

@@ -159,3 +159,13 @@ func isNilLiteral(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
 }
+
+// namedTypeIs reports whether t (after pointer deref) is a named type
+// with the given name.
+func namedTypeIs(t types.Type, name string) bool {
+	if t == nil {
+		return false
+	}
+	named, ok := deref(t).(*types.Named)
+	return ok && named.Obj().Name() == name
+}

@@ -7,10 +7,6 @@ package analysis
 //     typed-error discipline cross every layer);
 //   - ctxpoll runs where the anytime runtime lives — the solvers and the
 //     compiled lineage evaluator;
-//   - auditemit runs on the engine, the only layer allowed to make
-//     degradation decisions;
-//   - planalias runs where Plan/Instance snapshots are produced and
-//     consumed;
 //   - txnmutate runs everywhere: versioned-state mutation stays inside
 //     the Txn protocol, and batches never auto-commit per row;
 //   - sharedstate runs on the engine packages the wire-protocol server
@@ -24,8 +20,6 @@ func Suite() []*Analyzer {
 		Confrange(),
 		Ctxpoll("internal/strategy", "internal/lineage"),
 		Errdiscipline(),
-		Auditemit("internal/core"),
-		Planalias("internal/strategy", "internal/core"),
 		Txnmutate(),
 		Sharedstate("internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"),
 		Policyflow("internal/core"),

@@ -2,28 +2,15 @@
 // Txn protocol.
 package txnmutate
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Miniature shapes of the MVCC layer the analyzer keys on.
 
-type BaseTuple struct {
-	Var        int64
-	Confidence float64
-	MaxConf    float64
-	Cost       float64
-}
+type BaseTuple struct{ confidence float64 }
 
 type versionSlot struct{ head atomic.Pointer[BaseTuple] }
 
-type Catalog struct {
-	verMu     sync.Mutex
-	commitSeq atomic.Int64
-	planEpoch atomic.Int64
-	confEpoch atomic.Int64
-}
+type Catalog struct{}
 
 type Table struct{ cat *Catalog }
 
@@ -34,10 +21,7 @@ func (t *Table) MustInsert(confidence float64, values ...int) *BaseTuple { retur
 
 func (c *Catalog) Begin() *Txn { return &Txn{cat: c} }
 
-type Txn struct {
-	cat      *Catalog
-	writeSeq int64
-}
+type Txn struct{ cat *Catalog }
 
 // cow inside a Txn method is the protocol: clean.
 func (x *Txn) cow(slot *versionSlot, old, nv *BaseTuple) {
@@ -47,24 +31,14 @@ func (x *Txn) cow(slot *versionSlot, old, nv *BaseTuple) {
 // SetConfidence on the Txn is the protocol: clean, including in loops.
 func (x *Txn) SetConfidence(v int64, p float64) error { return nil }
 
-// Insert stores a fresh head inside a Txn method: clean.
+// Insert pushes a fresh head through cow inside a Txn method: clean.
 func (x *Txn) Insert(t *Table, values []int) *BaseTuple {
-	row := &BaseTuple{Confidence: float64(len(values))}
-	slot := &versionSlot{}
-	slot.head.Store(row)
+	row := &BaseTuple{confidence: float64(len(values))}
+	x.cow(&versionSlot{}, nil, row)
 	return row
 }
 
-// Commit publishes the version-counter triple under verMu: clean.
-func (x *Txn) Commit() int64 {
-	c := x.cat
-	c.verMu.Lock()
-	c.planEpoch.Add(1)
-	c.confEpoch.Store(1)
-	c.commitSeq.Store(x.writeSeq)
-	c.verMu.Unlock()
-	return x.writeSeq
-}
+func (x *Txn) Commit() {}
 
 // rogueStore publishes a chain version outside any Txn method.
 func rogueStore(slot *versionSlot, nv *BaseTuple) {
@@ -74,32 +48,6 @@ func rogueStore(slot *versionSlot, nv *BaseTuple) {
 // rogueCow reaches the cow helper from outside the transaction.
 func rogueCow(x *Txn, slot *versionSlot, old, nv *BaseTuple) {
 	x.cow(slot, old, nv) // want `cow publishes a provisional version outside a Txn method`
-}
-
-// rogueCounters writes the version counters without holding verMu.
-func rogueCounters(c *Catalog, seq int64) {
-	c.commitSeq.Store(seq) // want `commitSeq.Store without holding verMu`
-	c.planEpoch.Add(1)     // want `planEpoch.Add without holding verMu`
-}
-
-// lateLock acquires verMu only after publishing: still a violation.
-func lateLock(c *Catalog, seq int64) {
-	c.confEpoch.Store(seq) // want `confEpoch.Store without holding verMu`
-	c.verMu.Lock()
-	c.verMu.Unlock()
-}
-
-// mutatePublished writes through a shared *BaseTuple version.
-func mutatePublished(b *BaseTuple) {
-	b.Confidence = 0.9 // want `assignment to BaseTuple.Confidence mutates a published immutable version`
-}
-
-// valueCopy mutates a private value copy: clean (solvers keep their own
-// BaseTuple structs).
-func valueCopy(b BaseTuple) BaseTuple {
-	b.Confidence = 0.9
-	b.Cost = 1
-	return b
 }
 
 // autoCommitLoops tears batches into one commit per row.

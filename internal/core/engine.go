@@ -303,10 +303,12 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	polSpan.End()
 
 	// Need is 0 when no policy applied (nothing is withheld) or θ is 0.
+	var prop *Proposal
+	var cause error
 	if need := resp.Need(req); need > 0 {
 		stratSpan := root.StartChild("strategy")
 		stratSpan.SetAttr("need", int64(need))
-		prop, err := e.propose(obs.ContextWithSpan(enterLayer(ctx, "strategy"), stratSpan), resp, need, req.Budget, snap)
+		prop, err = e.propose(obs.ContextWithSpan(enterLayer(ctx, "strategy"), stratSpan), resp, need, req.Budget, snap)
 		switch {
 		case err == nil || errors.Is(err, strategy.ErrInfeasible):
 			// prop is nil on infeasibility: nothing to offer.
@@ -314,16 +316,12 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 			// Deadline/budget exhaustion or a recovered solver fault:
 			// the query results stand, planning degrades. prop (when
 			// non-nil) is the solver's partial incumbent.
-			resp.Degraded = err
+			cause = err
 			stratSpan.SetStatus(err.Error())
 		default:
 			return fail(stratSpan, err)
 		}
 		stratSpan.End()
-		resp.Proposal = prop
-		if prop != nil {
-			prop.user, prop.purpose = req.User, req.Purpose
-		}
 	}
 
 	e.recordAudit(AuditEvent{
@@ -332,16 +330,13 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 		Released: len(resp.Released), Withheld: len(resp.Withheld),
 		ReadVersion: snap.Version(),
 	})
-	e.recordProposal(req, resp.Threshold, resp.Proposal, resp.Degraded)
+	e.settle(req, resp.Threshold, prop, cause, resp)
 	root.End()
 	e.metrics.Counter("engine.queries").Inc()
 	e.metrics.Counter("engine.rows.released").Add(int64(len(resp.Released)))
 	e.metrics.Counter("engine.rows.withheld").Add(int64(len(resp.Withheld)))
 	e.metrics.Histogram("engine.request.seconds", obs.LatencyBuckets).Observe(root.Duration().Seconds())
 	e.metrics.Histogram("engine.result.rows", obs.SizeBuckets).Observe(float64(len(resp.Released) + len(resp.Withheld)))
-	if resp.Degraded != nil {
-		e.metrics.Counter("engine.degraded").Inc()
-	}
 	return resp, nil
 }
 
@@ -362,11 +357,18 @@ func boolAttr(b bool) int64 {
 	return 0
 }
 
-// recordProposal journals and counts the outcome of one improvement
-// solve, single-query or shared, under req's audit identity: a degrade
-// event when planning was cut short (cause non-nil) or group sub-solves
-// failed inside a still-valid plan, a propose event for a plan on offer.
-func (e *Engine) recordProposal(req Request, beta float64, prop *Proposal, cause error) {
+// settle lands one solve's outcome, single-query or shared, and is the
+// only writer of Response.Proposal and Response.Degraded: it attaches
+// prop to every served response, marks and counts each degraded by
+// cause, and journals under req's identity a degrade event (planning
+// cut short, or group sub-solves failed) and a propose event.
+func (e *Engine) settle(req Request, beta float64, prop *Proposal, cause error, resps ...*Response) {
+	for _, r := range resps {
+		r.Proposal, r.Degraded = prop, cause
+		if cause != nil {
+			e.metrics.Counter("engine.degraded").Inc()
+		}
+	}
 	ev := AuditEvent{User: req.User, Purpose: req.Purpose, Query: req.Query, Beta: beta}
 	if cause != nil {
 		ev.Kind, ev.Partial, ev.Detail = AuditDegrade, prop != nil, cause.Error()
@@ -381,6 +383,7 @@ func (e *Engine) recordProposal(req Request, beta float64, prop *Proposal, cause
 	if prop == nil {
 		return
 	}
+	prop.user, prop.purpose = req.User, req.Purpose
 	ev.Kind, ev.Partial, ev.Detail = AuditPropose, prop.Partial(), ""
 	ev.Cost, ev.Increments = prop.Cost(), prop.Increments()
 	e.recordAudit(ev)

@@ -229,21 +229,38 @@ func TestUnimprovableTuplesAreFrozen(t *testing.T) {
 	// Freeze tuples 02 and 03 (no cost functions) so only tuple 13
 	// could improve; the threshold is then unreachable if 13 is frozen
 	// too.
-	cat := e.Catalog()
-	tab, _ := cat.Table("Proposal")
-	for _, row := range tab.RowsAt(cat.Snapshot()) {
-		row.Cost = nil
-	}
-	info, _ := cat.Table("CompanyInfo")
-	for _, row := range info.RowsAt(cat.Snapshot()) {
-		row.Cost = nil
-	}
+	freezeTables(t, e.Catalog(), "Proposal", "CompanyInfo")
 	resp, err := e.Evaluate(Request{User: "mark", Query: ventureQuery, Purpose: "investment", MinFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Proposal != nil {
 		t.Fatal("no proposal should exist when nothing is improvable")
+	}
+}
+
+// freezeTables makes every row of the named tables unimprovable. A
+// published version's cost cannot be edited, so each row is replaced by
+// a copy without a cost function, all in one transaction.
+func freezeTables(t *testing.T, cat *relation.Catalog, names ...string) {
+	t.Helper()
+	snap := cat.Snapshot()
+	defer snap.Release()
+	x := cat.Begin()
+	for _, name := range names {
+		tab, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Delete(tab, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tab.RowsAt(snap) {
+			x.MustInsert(tab, row.Confidence(), nil, row.Values()...)
+		}
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -148,10 +148,10 @@ func (b *instanceBuilder) add(rows []Row) (int, error) {
 			if !ok {
 				return added, fmt.Errorf("core: lineage references unknown base tuple %d", int(v))
 			}
-			bt := strategy.BaseTuple{Var: v, P: base.Confidence, MaxP: base.MaxConf, Cost: base.Cost}
-			if bt.Cost == nil || base.Confidence >= base.MaxConf {
+			bt := strategy.BaseTuple{Var: v, P: base.Confidence(), MaxP: base.MaxConf(), Cost: base.Cost()}
+			if !base.Improvable() {
 				// Not improvable: freeze at the current confidence.
-				bt.MaxP = base.Confidence
+				bt.MaxP = bt.P
 				//lint:allow confrange exact zero-value probe: strategy treats
 				// MaxP==0 as "unset, default to 1", so a genuinely frozen-at-0
 				// tuple must dodge the sentinel with the tiniest nonzero cap.
@@ -320,6 +320,7 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 	b := newInstanceBuilder(snap)
 	var maxBeta float64
 	var blocks []queryBlock
+	var served []*Response // the responses of blocks, in order
 	for i, req := range reqs {
 		unplanned := req
 		unplanned.MinFraction = 0
@@ -342,6 +343,7 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 		}
 		if need > 0 {
 			blocks = append(blocks, queryBlock{req: i, first: first, count: n, need: need})
+			served = append(served, resp)
 			if resp.Threshold > maxBeta {
 				maxBeta = resp.Threshold
 			}
@@ -377,25 +379,16 @@ func (e *Engine) EvaluateMultiContext(ctx context.Context, reqs []Request) ([]*R
 	if err != nil {
 		// The shared solve was cut short by the deadline, a budget, or a
 		// recovered solver fault. That is a reviewable policy decision:
-		// mark every response that wanted improvement as degraded and
-		// journal the event (below) — whether or not an anytime
-		// incumbent survives to become a partial shared proposal.
+		// settle marks every response that wanted improvement degraded
+		// and journals it — whether or not an anytime incumbent survives
+		// to become a partial shared proposal.
 		shared.SetStatus(err.Error())
-		for _, blk := range blocks {
-			resps[blk.req].Degraded = err
-			e.metrics.Counter("engine.degraded").Inc()
-		}
 	}
-	// The first request wanting improvement is the audit identity.
-	owner := reqs[blocks[0].req]
 	if prop != nil {
 		prop.plan = topUpBlocks(sctx, e, b, prop.plan, blocks, budget)
-		prop.user, prop.purpose = owner.User, owner.Purpose
-		for _, blk := range blocks {
-			resps[blk.req].Proposal = prop
-		}
 	}
-	e.recordProposal(owner, b.in.Beta, prop, err)
+	// The first request wanting improvement is the audit identity.
+	e.settle(reqs[blocks[0].req], b.in.Beta, prop, err, served...)
 	return resps, prop, nil
 }
 

@@ -79,10 +79,7 @@ func TestEvaluateMultiTopUpCoversEveryBlock(t *testing.T) {
 func TestEvaluateMultiInfeasibleSharedPlan(t *testing.T) {
 	e := overlapEngine(t)
 	// Freeze everything: no shared plan can exist.
-	items, _ := e.Catalog().Table("Items")
-	for _, row := range items.RowsAt(e.Catalog().Snapshot()) {
-		row.Cost = nil
-	}
+	freezeTables(t, e.Catalog(), "Items")
 	reqs := []Request{
 		{User: "u", Purpose: "p", MinFraction: 1.0, Query: `SELECT V FROM Items WHERE Kind = 'a'`},
 	}

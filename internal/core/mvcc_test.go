@@ -23,7 +23,7 @@ func confidenceImage(t *testing.T, cat *relation.Catalog) map[lineage.Var]float6
 			t.Fatal(err)
 		}
 		for _, b := range tab.RowsAt(snap) {
-			img[b.Var] = b.Confidence
+			img[b.Var()] = b.Confidence()
 		}
 	}
 	return img
@@ -305,7 +305,7 @@ func TestMVCCEvaluateMultiPinsOneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := items.RowsAt(cat.Snapshot())[0].Var
+	victim := items.RowsAt(cat.Snapshot())[0].Var()
 
 	defer fault.Reset()
 	queries := 0

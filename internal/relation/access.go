@@ -125,7 +125,7 @@ func (a *access) Next() (*Tuple, error) {
 		a.tuples, a.vals = make([]Tuple, n), make([]Value, n*w)
 	}
 	t := &a.tuples[0]
-	t.Values, t.Lineage = a.cells(a.vals[:0:w], ch, off), lineage.NewVar(b.Var)
+	t.Values, t.Lineage = a.cells(a.vals[:0:w], ch, off), lineage.NewVar(b.v)
 	a.tuples, a.vals = a.tuples[1:], a.vals[w:]
 	return t, nil
 }

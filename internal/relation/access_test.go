@@ -223,7 +223,7 @@ func foldFixture(t *testing.T, n int) (*Table, []lineage.Var) {
 	x := c.Begin()
 	vars := make([]lineage.Var, n)
 	for i := range vars {
-		vars[i] = x.MustInsert(tab, 0.5, nil, Int(1), Int(int64(i))).Var
+		vars[i] = x.MustInsert(tab, 0.5, nil, Int(1), Int(int64(i))).Var()
 	}
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)

@@ -37,22 +37,10 @@ type Catalog struct {
 
 	// wmu serializes write transactions (single-writer MVCC).
 	wmu sync.Mutex
-	// verMu makes the (commitSeq, planEpoch, confEpoch) triple publish
-	// and snapshot atomically.
-	verMu sync.Mutex
-
-	// commitSeq is the committed version: the total commit order. Every
-	// committing transaction and every DDL step advances it by exactly
-	// one; snapshots pin it; the audit journal records it.
-	commitSeq atomic.Int64
-	// planEpoch advances on commits that can change a cached plan's
-	// shape or a materialized subquery result (DDL, insert, delete,
-	// value update) — confidence-only commits leave it alone, so plan
-	// caches keep their hit rate across improvement-plan application.
-	planEpoch atomic.Int64
-	// confEpoch advances on commits that change any base-tuple
-	// confidence; cached derived confidences are keyed on it.
-	confEpoch atomic.Int64
+	// ver is the latest commit point. Writers (under wmu) replace the
+	// record whole and never modify a published one, so one Load reads a
+	// consistent triple.
+	ver atomic.Pointer[version]
 
 	snapCount atomic.Int64
 	metrics   atomic.Pointer[obs.Metrics]
@@ -60,11 +48,26 @@ type Catalog struct {
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
+	c := &Catalog{
 		tables: map[string]*Table{},
 		byVar:  map[lineage.Var]*versionSlot{},
 		next:   1,
 	}
+	c.ver.Store(&version{})
+	return c
+}
+
+// version is one commit point. seq is the committed version, the total
+// commit order: every committing transaction and every DDL step
+// advances it by exactly one; snapshots pin it and the audit journal
+// records it. planEpoch advances on commits that can change a cached
+// plan's shape or a materialized subquery result (DDL, insert, delete,
+// value update) — confidence-only commits leave it alone, so plan
+// caches keep their hit rate across improvement-plan application.
+// confEpoch advances on commits that change any base-tuple confidence;
+// cached derived confidences are keyed on it.
+type version struct {
+	seq, planEpoch, confEpoch int64
 }
 
 // SetMetrics attaches a metrics registry to the catalog's transaction
@@ -99,31 +102,28 @@ func (c *Catalog) CreateTable(name string, schema *Schema) (*Table, error) {
 
 // commitDDL publishes a schema change as one committed version (called
 // under wmu).
-func (c *Catalog) commitDDL() int64 {
-	c.verMu.Lock()
-	c.planEpoch.Add(1)
-	v := c.commitSeq.Add(1)
-	c.verMu.Unlock()
-	return v
+func (c *Catalog) commitDDL() {
+	prev := c.ver.Load()
+	c.ver.Store(&version{seq: prev.seq + 1, planEpoch: prev.planEpoch + 1, confEpoch: prev.confEpoch})
 }
 
 // Version returns the committed version: a counter that advances by
 // one on every committed transaction (including confidence-only ones)
 // and DDL step. Snapshots pin it; audit events record it; equal
 // versions guarantee identical visible database state.
-func (c *Catalog) Version() int64 { return c.commitSeq.Load() }
+func (c *Catalog) Version() int64 { return c.ver.Load().seq }
 
 // PlanEpoch returns the plan-invalidation epoch: it advances only on
 // commits that can change a plan's shape or a materialized-subquery
 // result (DDL and row mutations, not confidence-only changes). Cached
 // query plans are keyed on it.
-func (c *Catalog) PlanEpoch() int64 { return c.planEpoch.Load() }
+func (c *Catalog) PlanEpoch() int64 { return c.ver.Load().planEpoch }
 
 // ConfEpoch returns the confidence epoch: a counter bumped on every
 // commit that changes base-tuple confidence. Cached derived-tuple
 // confidences are valid only while the epoch they were computed under
 // is current.
-func (c *Catalog) ConfEpoch() int64 { return c.confEpoch.Load() }
+func (c *Catalog) ConfEpoch() int64 { return c.ver.Load().confEpoch }
 
 // Table looks a table up by name (case-insensitive).
 func (c *Catalog) Table(name string) (*Table, error) {

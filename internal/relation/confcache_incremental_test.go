@@ -25,7 +25,7 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 	const nBase = 150
 	vars := make([]lineage.Var, nBase)
 	for i := 0; i < nBase; i++ {
-		vars[i] = tab.MustInsert(dyadic(rng.Intn(17)), nil, Int(int64(i))).Var
+		vars[i] = tab.MustInsert(dyadic(rng.Intn(17)), nil, Int(int64(i))).Var()
 	}
 	v := func(i int) *lineage.Expr { return lineage.NewVar(vars[i%nBase]) }
 
@@ -133,7 +133,7 @@ func benchIncrementalCache(b *testing.B, n int) (*Catalog, []lineage.Var, *Confi
 		if err != nil {
 			b.Fatal(err)
 		}
-		vars[i] = row.Var
+		vars[i] = row.Var()
 	}
 	if _, err := x.Commit(); err != nil {
 		b.Fatal(err)

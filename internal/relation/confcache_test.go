@@ -64,7 +64,7 @@ func confCacheFixture(t *testing.T) (*Catalog, *Tuple, *Tuple, []*BaseTuple) {
 	for i, p := range []float64{0.3, 0.4, 0.1, 0.8} {
 		rows = append(rows, tab.MustInsert(p, nil, Int(int64(i))))
 	}
-	v := func(i int) *lineage.Expr { return lineage.NewVar(rows[i].Var) }
+	v := func(i int) *lineage.Expr { return lineage.NewVar(rows[i].Var()) }
 	readOnce := NewTuple([]Value{Int(1)}, lineage.And(lineage.Or(v(0), v(1)), v(2)))
 	shared := NewTuple([]Value{Int(2)}, lineage.Or(lineage.And(v(0), v(1)), lineage.And(v(0), v(3))))
 	return c, readOnce, shared, rows
@@ -127,7 +127,7 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 	before := confLatest(t, cc, shared)
 	confLatest(t, cc, readOnce)
 
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var, 0.95) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var(), 0.95) }); err != nil {
 		t.Fatal(err)
 	}
 	after := confLatest(t, cc, shared)
@@ -171,7 +171,7 @@ func TestConfidenceCacheEviction(t *testing.T) {
 	cc := NewConfidenceCache(c, 2)
 	for i := 0; i < 5; i++ {
 		row := tab.MustInsert(0.5, nil, Int(int64(i)))
-		confLatest(t, cc, NewTuple(nil, lineage.NewVar(row.Var)))
+		confLatest(t, cc, NewTuple(nil, lineage.NewVar(row.Var())))
 	}
 	if n := cc.Len(); n > 2 {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
@@ -208,7 +208,7 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	readAll()
 	// Mutate between read phases (the catalog itself is not a
 	// concurrent structure) and verify the fleet sees the new epoch.
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[3].Var, 0.2) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[3].Var(), 0.2) }); err != nil {
 		t.Fatal(err)
 	}
 	want[readOnce] = lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version()))
@@ -224,7 +224,7 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	c, readOnce, shared, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
-	untouched := NewTuple(nil, lineage.And(lineage.NewVar(rows[1].Var), lineage.NewVar(rows[2].Var)))
+	untouched := NewTuple(nil, lineage.And(lineage.NewVar(rows[1].Var()), lineage.NewVar(rows[2].Var())))
 	old := c.Snapshot()
 	defer old.Release()
 	at := func(s *Snapshot, tu *Tuple) float64 {
@@ -237,7 +237,7 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	}
 	wantOld := map[*Tuple]float64{shared: at(old, shared), untouched: at(old, untouched)}
 
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var, 0.95) }); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var(), 0.95) }); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
 		t.Fatal(err)
 	}
 	wantNew := lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version()))
@@ -282,7 +282,7 @@ func TestConfidenceCachePostingsStayExact(t *testing.T) {
 	x := c.Begin()
 	vars := make([]lineage.Var, nVars)
 	for i := range vars {
-		vars[i] = x.MustInsert(tab, 0.5, nil, Int(int64(i))).Var
+		vars[i] = x.MustInsert(tab, 0.5, nil, Int(int64(i))).Var()
 	}
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestConfidenceCacheReadersRaceCommits(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < 300; i++ {
-			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[i%len(rows)].Var, dyadic(1+i%15)) }); err != nil {
+			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[i%len(rows)].Var(), dyadic(1+i%15)) }); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}

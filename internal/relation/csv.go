@@ -209,7 +209,7 @@ func WriteCSV(t *Table, snap *Snapshot, w io.Writer) error {
 				rec = append(rec, v.String())
 			}
 		}
-		rec = append(rec, strconv.FormatFloat(row.Confidence, 'g', -1, 64))
+		rec = append(rec, strconv.FormatFloat(row.confidence, 'g', -1, 64))
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -23,13 +23,13 @@ func TestLoadCSVRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d rows", n)
 	}
 	rows := tab.RowsAt(c.Snapshot())
-	if rows[0].Confidence != 0.9 || rows[1].Confidence != 0.5 {
-		t.Errorf("confidences = %v, %v", rows[0].Confidence, rows[1].Confidence)
+	if rows[0].Confidence() != 0.9 || rows[1].Confidence() != 0.5 {
+		t.Errorf("confidences = %v, %v", rows[0].Confidence(), rows[1].Confidence())
 	}
-	if rows[0].Cost == nil {
+	if rows[0].Cost() == nil {
 		t.Error("row 0 should have a cost function")
 	}
-	if rows[1].Cost != nil {
+	if rows[1].Cost() != nil {
 		t.Error("row 1 should not have a cost function")
 	}
 	var buf bytes.Buffer
@@ -59,8 +59,8 @@ func TestLoadCSVReorderedHeader(t *testing.T) {
 	if s, _ := row.Values()[0].AsString(); s != "alice" {
 		t.Errorf("name column = %v", row.Values()[0])
 	}
-	if row.Confidence != 1 {
-		t.Errorf("default confidence = %v", row.Confidence)
+	if row.Confidence() != 1 {
+		t.Errorf("default confidence = %v", row.Confidence())
 	}
 }
 
@@ -147,7 +147,7 @@ func TestLoadCSVFileInfersFromQuotedFirstRow(t *testing.T) {
 		}
 	}
 	first := tab.RowsAt(c.Snapshot())[0]
-	if first.Values()[0].String() != "Smith, J" || first.Confidence != 0.9 {
-		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values(), first.Confidence)
+	if first.Values()[0].String() != "Smith, J" || first.Confidence() != 0.9 {
+		t.Errorf("first row = %v (confidence %v), want the inferred-from record loaded intact", first.Values(), first.Confidence())
 	}
 }

@@ -221,7 +221,7 @@ func (j *IndexJoin) Next() (*Tuple, error) {
 		if b != nil {
 			l := j.current
 			vals := append(make([]Value, 0, len(l.Values)+j.probe.out.Len()), l.Values...)
-			return &Tuple{Values: j.probe.cells(vals, ch, off), Lineage: lineage.And(l.Lineage, lineage.NewVar(b.Var))}, nil
+			return &Tuple{Values: j.probe.cells(vals, ch, off), Lineage: lineage.And(l.Lineage, lineage.NewVar(b.v))}, nil
 		}
 		j.current = nil
 	}

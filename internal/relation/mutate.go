@@ -7,7 +7,7 @@ package relation
 // against the plain schema simply ignore the extra slot. img is reused
 // from row to row, so a scan over the table allocates once.
 func predImage(img *Tuple, v recView, row *BaseTuple) *Tuple {
-	img.Values = append(v.values(img.Values[:0], row.rec), Float(row.Confidence))
+	img.Values = append(v.values(img.Values[:0], row.rec), Float(row.confidence))
 	return img
 }
 

@@ -34,8 +34,8 @@ func TestDeleteMatchingRows(t *testing.T) {
 	}
 	// Withdrawn rows keep their variable but have zero confidence.
 	for _, v := range victims {
-		if c.Snapshot().ProbOf(v.Var) != 0 {
-			t.Errorf("withdrawn row t%d confidence = %v", v.Var, c.Snapshot().ProbOf(v.Var))
+		if c.Snapshot().ProbOf(v.Var()) != 0 {
+			t.Errorf("withdrawn row t%d confidence = %v", v.Var(), c.Snapshot().ProbOf(v.Var()))
 		}
 	}
 }
@@ -83,8 +83,8 @@ func TestUpdateValuesAndConfidence(t *testing.T) {
 	if v, _ := rows[1].Values()[0].AsInt(); v != 11 {
 		t.Errorf("a = %v", rows[1].Values()[0])
 	}
-	if rows[1].Confidence != 0.9 {
-		t.Errorf("confidence = %v", rows[1].Confidence)
+	if rows[1].Confidence() != 0.9 {
+		t.Errorf("confidence = %v", rows[1].Confidence())
 	}
 	if v, _ := rows[0].Values()[0].AsInt(); v != 2 {
 		t.Errorf("unmatched row changed: %v", rows[0].Values()[0])

@@ -49,11 +49,9 @@ func (s *versionSlot) at(seq int64) *BaseTuple {
 // but the open-snapshot gauge relies on balanced Release calls.
 type Snapshot struct {
 	cat *Catalog
-	seq int64
-	// planEpoch/confEpoch are the cache-invalidation counters as of seq,
-	// captured consistently with it under the catalog's publish lock.
-	planEpoch int64
-	confEpoch int64
+	// version is the commit point read, copied from one published record
+	// (a historical snapshot knows only its seq).
+	version
 	// historical marks snapshots pinned to a past version via
 	// SnapshotAt: their epochs are unknowable, so caches bypass them.
 	historical bool
@@ -61,37 +59,27 @@ type Snapshot struct {
 }
 
 // Snapshot pins a read view to the current committed version. The
-// (version, planEpoch, confEpoch) triple is captured atomically with
-// respect to commits.
-func (c *Catalog) Snapshot() *Snapshot {
-	c.verMu.Lock()
-	s := &Snapshot{
-		cat:       c,
-		seq:       c.commitSeq.Load(),
-		planEpoch: c.planEpoch.Load(),
-		confEpoch: c.confEpoch.Load(),
-	}
-	c.verMu.Unlock()
-	c.snapCount.Add(1)
-	m := c.metrics.Load()
-	m.Counter("relation.snapshots.taken").Inc()
-	m.Gauge("relation.snapshots.open").Add(1)
-	return s
-}
+// (version, planEpoch, confEpoch) triple is one published record, read
+// with one lock-free load.
+func (c *Catalog) Snapshot() *Snapshot { return c.pin(*c.ver.Load(), false) }
 
 // SnapshotAt pins a read view to a past committed version v, for
 // journal replay and time-travel verification. Confidence caches bypass
 // historical snapshots (their epoch counters are not reconstructible).
 func (c *Catalog) SnapshotAt(v int64) (*Snapshot, error) {
-	cur := c.commitSeq.Load()
-	if v < 0 || v > cur {
+	if cur := c.Version(); v < 0 || v > cur {
 		return nil, fmt.Errorf("relation: snapshot version %d outside [0,%d]", v, cur)
 	}
+	return c.pin(version{seq: v}, true), nil
+}
+
+// pin opens a snapshot at commit point at and counts it as open.
+func (c *Catalog) pin(at version, historical bool) *Snapshot {
 	c.snapCount.Add(1)
 	m := c.metrics.Load()
 	m.Counter("relation.snapshots.taken").Inc()
 	m.Gauge("relation.snapshots.open").Add(1)
-	return &Snapshot{cat: c, seq: v, historical: true}, nil
+	return &Snapshot{cat: c, version: at, historical: historical}
 }
 
 // OpenSnapshots returns the number of snapshots taken but not yet
@@ -180,7 +168,7 @@ type pinnedAssign struct {
 
 func (p pinnedAssign) ProbOf(v lineage.Var) float64 {
 	if _, b := p.cat.rowAt(v, p.seq); b != nil {
-		return b.Confidence
+		return b.confidence
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -33,11 +34,11 @@ func newStressPair(t *testing.T) (*Catalog, *Table, *BaseTuple, *BaseTuple) {
 // confidences sum to exactly 1 and re-reading through the same snapshot
 // returns identical values.
 func checkPair(t *testing.T, s *Snapshot, a, b *BaseTuple) {
-	pa, pb := s.ProbOf(a.Var), s.ProbOf(b.Var)
+	pa, pb := s.ProbOf(a.Var()), s.ProbOf(b.Var())
 	if pa+pb != 1.0 {
 		t.Errorf("torn read at version %d: %v + %v = %v", s.Version(), pa, pb, pa+pb)
 	}
-	if again := s.ProbOf(a.Var); again != pa {
+	if again := s.ProbOf(a.Var()); again != pa {
 		t.Errorf("snapshot at version %d unstable: %v then %v", s.Version(), pa, again)
 	}
 }
@@ -67,12 +68,12 @@ func TestMVCCStressReadersNeverSeeTornWrites(t *testing.T) {
 			for i := 0; i < commitsPer; i++ {
 				p := dyadic(seed*7 + i)
 				x := c.Begin()
-				if err := x.SetConfidence(a.Var, p); err != nil {
+				if err := x.SetConfidence(a.Var(), p); err != nil {
 					t.Errorf("writer: %v", err)
 					x.Rollback()
 					return
 				}
-				if err := x.SetConfidence(b.Var, 1-p); err != nil {
+				if err := x.SetConfidence(b.Var(), 1-p); err != nil {
 					t.Errorf("writer: %v", err)
 					x.Rollback()
 					return
@@ -155,12 +156,12 @@ func TestMVCCStressCommitFaultsStayAtomic(t *testing.T) {
 			for i := 0; i < commitsPer; i++ {
 				p := dyadic(seed*5 + i)
 				x := c.Begin()
-				if err := x.SetConfidence(a.Var, p); err != nil {
+				if err := x.SetConfidence(a.Var(), p); err != nil {
 					t.Errorf("writer: %v", err)
 					x.Rollback()
 					return
 				}
-				if err := x.SetConfidence(b.Var, 1-p); err != nil {
+				if err := x.SetConfidence(b.Var(), 1-p); err != nil {
 					t.Errorf("writer: %v", err)
 					x.Rollback()
 					return
@@ -427,7 +428,7 @@ func TestMVCCStressLeafReadsRaceTheWriter(t *testing.T) {
 						if ok, err := EvalBool(e, tu); err != nil || !ok {
 							continue
 						}
-						want = append(want, tu.String()+lineage.NewVar(b.Var).String())
+						want = append(want, tu.String()+lineage.NewVar(b.Var()).String())
 					}
 					rows, err := RunAt(Filter(tab.Scan(), e), s.Version())
 					got := make([]string, len(rows))
@@ -451,4 +452,107 @@ func TestMVCCStressLeafReadsRaceTheWriter(t *testing.T) {
 	if tab.view().n <= chunkLen {
 		t.Fatal("the writer never crossed a chunk boundary")
 	}
+}
+
+// TestMVCCSnapshotTripleUnderCommits pins the one-record publication of
+// a commit point: readers snapshot in a loop against one writer that
+// interleaves confidence-only commits, row commits, commits that change
+// both, and CreateTable, and every snapshot's (Version, PlanEpoch,
+// ConfEpoch) must equal the triple the writer derived for that version
+// from what it committed — never a version paired with a neighbour's
+// epochs.
+func TestMVCCSnapshotTripleUnderCommits(t *testing.T) {
+	c, tab, a, _ := newStressPair(t)
+	type triple struct{ v, plan, conf int64 }
+	cur := triple{c.Version(), c.PlanEpoch(), c.ConfEpoch()}
+	want := map[int64]triple{cur.v: cur} // the writer's record, read after Wait
+
+	const readers = 4
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop() // a failing writer must not leave readers spinning
+	seen := make([][]triple, readers)
+	var ready sync.WaitGroup // the writer starts once every reader is reading
+	ready.Add(readers)
+	for r := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s := c.Snapshot()
+				got := triple{s.Version(), s.PlanEpoch(), s.ConfEpoch()}
+				s.Release()
+				if n := len(seen[r]); n == 0 || seen[r][n-1] != got {
+					if n == 0 {
+						ready.Done()
+					}
+					seen[r] = append(seen[r], got)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	ready.Wait()
+	for i := 0; i < 400; i++ {
+		var rows, confs bool
+		if i%4 == 3 {
+			if _, err := c.CreateTable(fmt.Sprintf("D%d", i), NewSchema(Column{Name: "k", Type: TypeInt})); err != nil {
+				t.Fatal(err)
+			}
+			cur.v++
+			cur.plan++
+			want[cur.v] = cur
+			continue
+		}
+		x := c.Begin()
+		switch i % 4 {
+		case 0: // confidence only
+			confs = true
+			if err := x.SetConfidence(a.Var(), dyadic(i)); err != nil {
+				t.Fatal(err)
+			}
+		case 1: // rows only
+			rows = true
+			x.MustInsert(tab, 0.5, nil, Int(int64(100+i)), Int(0))
+		case 2: // both: a delete tombstones the row and zeroes its confidence
+			rows, confs = true, true
+			inserted := &Binary{Op: OpEq, Left: &ColRef{Index: 0, Col: tab.Schema().Columns[0]}, Right: Const{Value: Int(int64(100 + i - 1))}}
+			if n, err := x.Delete(tab, inserted); err != nil || n != 1 {
+				t.Fatalf("delete: %d rows, %v", n, err)
+			}
+		}
+		v, err := x.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != cur.v+1 {
+			t.Fatalf("commit %d published version %d after %d", i, v, cur.v)
+		}
+		cur.v = v
+		if rows {
+			cur.plan++
+		}
+		if confs {
+			cur.conf++
+		}
+		want[cur.v] = cur
+	}
+	stop()
+
+	observed := 0
+	for r, obs := range seen {
+		observed += len(obs)
+		for _, got := range obs {
+			if w, ok := want[got.v]; !ok || got != w {
+				t.Errorf("reader %d: snapshot (version %d, planEpoch %d, confEpoch %d), writer recorded %+v", r, got.v, got.plan, got.conf, w)
+			}
+		}
+	}
+	t.Logf("%d readers observed %d commit points of %d", readers, observed, len(want))
 }

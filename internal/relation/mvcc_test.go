@@ -71,7 +71,7 @@ func captureImage(c *Catalog, tables ...*Table) dbImage {
 				sb.WriteByte('|')
 			}
 			img.rows[t.Name] = append(img.rows[t.Name], rowImage{
-				v: b.Var, values: sb.String(), conf: b.Confidence, maxConf: b.MaxConf,
+				v: b.Var(), values: sb.String(), conf: b.Confidence(), maxConf: b.MaxConf(),
 			})
 		}
 		img.lens[t.Name] = t.Len()
@@ -121,7 +121,7 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 
 	// Three commits after the snapshot: a confidence change, an insert,
 	// and a delete.
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.9) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var(), 0.9) }); err != nil {
 		t.Fatal(err)
 	}
 	tab.MustInsert(0.5, nil, Int(3), Int(30))
@@ -136,10 +136,10 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 		t.Fatalf("snapshot drifted to version %d", snap.Version())
 	}
 	// The pinned view is unaffected by all three commits.
-	if p := snap.ProbOf(a.Var); p != 0.4 {
+	if p := snap.ProbOf(a.Var()); p != 0.4 {
 		t.Errorf("snapshot ProbOf(a) = %v, want 0.4", p)
 	}
-	if p := snap.ProbOf(b.Var); p != 0.6 {
+	if p := snap.ProbOf(b.Var()); p != 0.6 {
 		t.Errorf("snapshot ProbOf(b) = %v, want 0.6", p)
 	}
 	if rows := tab.RowsAt(snap); len(rows) != 2 {
@@ -148,10 +148,10 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 	// A fresh snapshot reflects them all.
 	latest := c.Snapshot()
 	defer latest.Release()
-	if p := latest.ProbOf(a.Var); p != 0.9 {
+	if p := latest.ProbOf(a.Var()); p != 0.9 {
 		t.Errorf("latest ProbOf(a) = %v, want 0.9", p)
 	}
-	if p := latest.ProbOf(b.Var); p != 0 {
+	if p := latest.ProbOf(b.Var()); p != 0 {
 		t.Errorf("latest ProbOf(deleted b) = %v, want 0", p)
 	}
 	if rows := tab.RowsAt(latest); len(rows) != 2 { // a and the new row; b deleted
@@ -162,7 +162,7 @@ func TestMVCCSnapshotSeesOnlyItsVersion(t *testing.T) {
 func TestMVCCDeletedRowKeepsResolvingAsTombstone(t *testing.T) {
 	c, tab := newMVCCTable(t)
 	a := tab.MustInsert(0.7, nil, Int(1), Int(10))
-	result := &Tuple{Lineage: lineage.NewVar(a.Var)}
+	result := &Tuple{Lineage: lineage.NewVar(a.Var())}
 
 	before := c.Snapshot()
 	defer before.Release()
@@ -172,12 +172,12 @@ func TestMVCCDeletedRowKeepsResolvingAsTombstone(t *testing.T) {
 	}
 	after := c.Snapshot()
 	defer after.Release()
-	got, ok := after.BaseTupleByVar(a.Var)
+	got, ok := after.BaseTupleByVar(a.Var())
 	if !ok {
 		t.Fatal("deleted row must stay resolvable by variable")
 	}
-	if !got.Tombstone() || got.Confidence != 0 {
-		t.Fatalf("tombstone=%v conf=%v, want tombstone with confidence 0", got.Tombstone(), got.Confidence)
+	if !got.Tombstone() || got.Confidence() != 0 {
+		t.Fatalf("tombstone=%v conf=%v, want tombstone with confidence 0", got.Tombstone(), got.Confidence())
 	}
 	if p := after.Confidence(result); p != 0 {
 		t.Errorf("derived confidence after delete = %v, want 0", p)
@@ -206,7 +206,7 @@ func TestMVCCTxnRollbackRestoresStateBitIdentical(t *testing.T) {
 	if _, err := x.Insert(tab, []Value{Int(4), Int(40)}, 0.9, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.SetConfidence(rowB.Var, 0.1); err != nil {
+	if err := x.SetConfidence(rowB.Var(), 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Update(tab, keyEq(t, tab, 1), []UpdateSpec{{Column: 1, Value: Const{Value: Int(99)}}}); err != nil {
@@ -232,7 +232,7 @@ func TestMVCCTxnRollbackRestoresStateBitIdentical(t *testing.T) {
 		}
 	}
 	// A new transaction can run after the rollback released the writer.
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowB.Var, 0.6) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowB.Var(), 0.6) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,7 +247,7 @@ func TestMVCCCommitFaultIsAllOrNothing(t *testing.T) {
 	fault.Enable()
 
 	x := c.Begin()
-	if err := x.SetConfidence(rowA.Var, 0.7); err != nil {
+	if err := x.SetConfidence(rowA.Var(), 0.7); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Insert(tab, []Value{Int(2), Int(20)}, 0.5, nil); err != nil {
@@ -264,13 +264,13 @@ func TestMVCCCommitFaultIsAllOrNothing(t *testing.T) {
 
 	// With the fault cleared the same mutation commits cleanly.
 	fault.Reset()
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowA.Var, 0.7) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rowA.Var(), 0.7) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Version(); got != want.version+1 {
 		t.Fatalf("version = %d, want %d", got, want.version+1)
 	}
-	if p := c.AssignmentAt(c.Version()).ProbOf(rowA.Var); p != 0.7 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(rowA.Var()); p != 0.7 {
 		t.Fatalf("confidence = %v, want 0.7", p)
 	}
 }
@@ -280,11 +280,11 @@ func TestMVCCSnapshotAtTimeTravel(t *testing.T) {
 	v0 := c.Version() // table exists, no rows
 	a := tab.MustInsert(0.2, nil, Int(1), Int(10))
 	v1 := c.Version()
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.5) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var(), 0.5) }); err != nil {
 		t.Fatal(err)
 	}
 	v2 := c.Version()
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.8) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var(), 0.8) }); err != nil {
 		t.Fatal(err)
 	}
 	v3 := c.Version()
@@ -306,7 +306,7 @@ func TestMVCCSnapshotAtTimeTravel(t *testing.T) {
 		if rows := tab.RowsAt(snap); len(rows) != tc.rows {
 			t.Errorf("version %d: %d rows, want %d", tc.v, len(rows), tc.rows)
 		}
-		if p := snap.ProbOf(a.Var); p != tc.p {
+		if p := snap.ProbOf(a.Var()); p != tc.p {
 			t.Errorf("version %d: ProbOf = %v, want %v", tc.v, p, tc.p)
 		}
 		snap.Release()
@@ -338,7 +338,7 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 	want := make([]image, len(held))
 	for i, b := range held {
 		v, _ := b.Values()[1].AsInt()
-		want[i] = image{conf: b.Confidence, val: v}
+		want[i] = image{conf: b.Confidence(), val: v}
 	}
 
 	// Mutate through every path: value update, confidence update, delete,
@@ -362,9 +362,9 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 	}
 	for i, b := range held {
 		v, _ := b.Values()[1].AsInt()
-		if b.Confidence != want[i].conf || v != want[i].val {
+		if b.Confidence() != want[i].conf || v != want[i].val {
 			t.Fatalf("held row %d mutated: conf=%v val=%d, want conf=%v val=%d",
-				i, b.Confidence, v, want[i].conf, want[i].val)
+				i, b.Confidence(), v, want[i].conf, want[i].val)
 		}
 	}
 	// The fresh view reflects the mutations.
@@ -380,8 +380,8 @@ func TestMVCCRowsAliasingRegression(t *testing.T) {
 			continue
 		}
 		v, _ := b.Values()[1].AsInt()
-		if v != 99 || b.Confidence != 0.9 {
-			t.Fatalf("fresh row k=%d: val=%d conf=%v, want 99/0.9", k, v, b.Confidence)
+		if v != 99 || b.Confidence() != 0.9 {
+			t.Fatalf("fresh row k=%d: val=%d conf=%v, want 99/0.9", k, v, b.Confidence())
 		}
 	}
 }
@@ -391,20 +391,20 @@ func TestMVCCTxnReadsItsOwnWrites(t *testing.T) {
 	a := tab.MustInsert(0.4, nil, Int(1), Int(10))
 
 	x := c.Begin()
-	if err := x.SetConfidence(a.Var, 0.7); err != nil {
+	if err := x.SetConfidence(a.Var(), 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := x.ConfidenceOf(a.Var); !ok || p != 0.7 {
+	if p, ok := x.ConfidenceOf(a.Var()); !ok || p != 0.7 {
 		t.Fatalf("txn ConfidenceOf = %v/%v, want 0.7 (read your writes)", p, ok)
 	}
 	// Committed readers still see the old value while the txn is open.
-	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var); p != 0.4 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var()); p != 0.4 {
 		t.Fatalf("committed ProbOf = %v, want 0.4 while txn open", p)
 	}
 	if _, err := x.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var); p != 0.7 {
+	if p := c.AssignmentAt(c.Version()).ProbOf(a.Var()); p != 0.7 {
 		t.Fatalf("committed ProbOf = %v after commit, want 0.7", p)
 	}
 }
@@ -485,7 +485,7 @@ func TestMVCCAttachConfidencePinned(t *testing.T) {
 	c, tab := newMVCCTable(t)
 	a := tab.MustInsert(0.25, nil, Int(1), Int(10))
 	v1 := c.Version()
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, 0.75) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var(), 0.75) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -522,7 +522,7 @@ func TestMVCCVersionCountersConcurrentReads(t *testing.T) {
 		defer close(done)
 		for i := 0; i < commits; i++ {
 			p := float64(i%11) / 10
-			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var, p) }); err != nil {
+			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a.Var(), p) }); err != nil {
 				t.Errorf("writer: %v", err)
 				return
 			}
@@ -637,7 +637,7 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap1.Release()
-	if err := x.SetConfidence(a.RowsAt(snap1)[1].Var, 0.9); err != nil {
+	if err := x.SetConfidence(a.RowsAt(snap1)[1].Var(), 0.9); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := x.Commit()
@@ -656,7 +656,7 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 			defer snap.Release()
 			held := &Values{RowSchema: tab.Schema()}
 			for _, row := range tab.RowsAt(snap) {
-				held.Rows = append(held.Rows, &Tuple{Values: row.Values(), Lineage: lineage.NewVar(row.Var)})
+				held.Rows = append(held.Rows, &Tuple{Values: row.Values(), Lineage: lineage.NewVar(row.Var())})
 			}
 			return held
 		}
@@ -755,10 +755,10 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 			t.Fatalf("AttachConfidence at version %d: %d rows, want %d", v, len(rows), len(held))
 		}
 		for i, r := range rows {
-			if got, _ := r.Values[2].AsFloat(); got != held[i].Confidence || r.Lineage.String() != lineage.NewVar(held[i].Var).String() {
-				t.Errorf("AttachConfidence at version %d row %d: %v %s, want confidence %v of t%d", v, i, r, r.Lineage, held[i].Confidence, held[i].Var)
+			if got, _ := r.Values[2].AsFloat(); got != held[i].Confidence() || r.Lineage.String() != lineage.NewVar(held[i].Var()).String() {
+				t.Errorf("AttachConfidence at version %d row %d: %v %s, want confidence %v of t%d", v, i, r, r.Lineage, held[i].Confidence(), held[i].Var())
 			}
-			if held[i].Confidence == 0.9 {
+			if held[i].Confidence() == 0.9 {
 				raised++
 			}
 		}
@@ -809,7 +809,7 @@ func leafKernelsAtEveryVersion(t *testing.T) {
 	x := c.Begin()
 	var vars []lineage.Var
 	for n := 0; n < chunkLen+300; n++ {
-		vars = append(vars, x.MustInsert(tab, 0.5, nil, row()...).Var)
+		vars = append(vars, x.MustInsert(tab, 0.5, nil, row()...).Var())
 	}
 	v1, err := x.Commit()
 	if err != nil {
@@ -869,7 +869,7 @@ func leafKernelsAtEveryVersion(t *testing.T) {
 		}
 		var held []*Tuple
 		for _, b := range tab.RowsAt(snap) {
-			held = append(held, &Tuple{Values: b.Values(), Lineage: lineage.NewVar(b.Var)})
+			held = append(held, &Tuple{Values: b.Values(), Lineage: lineage.NewVar(b.Var())})
 		}
 		snap.Release()
 		for _, e := range preds {

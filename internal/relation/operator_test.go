@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pcqe/internal/cost"
 	"pcqe/internal/lineage"
@@ -92,7 +93,7 @@ func TestRunningExampleLineageAndConfidence(t *testing.T) {
 	}
 	// Raising tuple 03 from 0.4 to 0.5 must give 0.065 (paper's choice).
 	t03 := proposal.RowsAt(c.Snapshot())[2]
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(t03.Var, 0.5) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(t03.Var(), 0.5) }); err != nil {
 		t.Fatal(err)
 	}
 	if p := c.Snapshot().Confidence(row); math.Abs(p-0.065) > 1e-9 {
@@ -289,23 +290,23 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 	row := tab.MustInsert(0.3, cost.Linear{Rate: 1}, Int(1))
 	// Fixture tweak while row is still the only (head) version; later
 	// updates must carry the cap through their copy-on-write versions.
-	row.MaxConf = 0.9
-	if p := c.Snapshot().ProbOf(row.Var); p != 0.3 {
+	row.maxConf = 0.9
+	if p := c.Snapshot().ProbOf(row.Var()); p != 0.3 {
 		t.Errorf("ProbOf = %v", p)
 	}
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 0.8) }); err != nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var(), 0.8) }); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.Snapshot().ProbOf(row.Var); p != 0.8 {
+	if p := c.Snapshot().ProbOf(row.Var()); p != 0.8 {
 		t.Errorf("after update ProbOf = %v", p)
 	}
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 1.5) }); err == nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var(), 1.5) }); err == nil {
 		t.Error("confidence > 1 should fail")
 	}
 	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(lineage.Var(9999), 0.5) }); err == nil {
 		t.Error("unknown var should fail")
 	}
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var, 0.95) }); err == nil {
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var(), 0.95) }); err == nil {
 		t.Error("confidence above MaxConf should fail")
 	}
 	if c.Snapshot().ProbOf(lineage.Var(424242)) != 0 {
@@ -313,27 +314,37 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 	}
 	// BaseTupleByVar resolves the current version: the 0.8 update's
 	// copy-on-write version, not the inserted one, with MaxConf intact.
-	got, ok := c.Snapshot().BaseTupleByVar(row.Var)
-	if !ok || got.Var != row.Var {
+	got, ok := c.Snapshot().BaseTupleByVar(row.Var())
+	if !ok || got.Var() != row.Var() {
 		t.Fatal("BaseTupleByVar")
 	}
-	if got.Confidence != 0.8 || got.MaxConf != 0.9 {
-		t.Errorf("current version = (%v, max %v), want (0.8, max 0.9)", got.Confidence, got.MaxConf)
+	if got.Confidence() != 0.8 || got.MaxConf() != 0.9 {
+		t.Errorf("current version = (%v, max %v), want (0.8, max 0.9)", got.Confidence(), got.MaxConf())
 	}
 }
 
 func TestBaseTupleImprovable(t *testing.T) {
-	b := &BaseTuple{Confidence: 0.5, MaxConf: 1, Cost: cost.Linear{Rate: 1}}
+	b := &BaseTuple{confidence: 0.5, maxConf: 1, cost: cost.Linear{Rate: 1}}
 	if !b.Improvable() {
 		t.Error("should be improvable")
 	}
-	b.Cost = nil
+	b.cost = nil
 	if b.Improvable() {
 		t.Error("nil cost is not improvable")
 	}
-	b.Cost = cost.Linear{Rate: 1}
-	b.Confidence = 1
+	b.cost = cost.Linear{Rate: 1}
+	b.confidence = 1
 	if b.Improvable() {
 		t.Error("at max confidence is not improvable")
+	}
+}
+
+// TestBaseTupleSize pins the version record's footprint: every stored
+// row holds at least one, so a field added or reordered into padding
+// shows up here. tombstone shares a word with rec; 80 B is also the
+// allocator size class each version lands in.
+func TestBaseTupleSize(t *testing.T) {
+	if got := unsafe.Sizeof(BaseTuple{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(BaseTuple{}) = %d, want 80", got)
 	}
 }

@@ -203,7 +203,7 @@ func TestPropertyCSVRoundTrip(t *testing.T) {
 					return false
 				}
 			}
-			if row.Confidence != got.Confidence {
+			if row.Confidence() != got.Confidence() {
 				return false
 			}
 		}

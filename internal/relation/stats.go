@@ -44,7 +44,7 @@ func (t *Table) Stats() *TableStats {
 }
 
 func collectStats(t *Table, version int64) *TableStats {
-	rows := t.rowsAt(t.catalog.commitSeq.Load())
+	rows := t.rowsAt(t.catalog.Version())
 	v := t.view() // taken after rows: it holds every record they name
 	st := &TableStats{Rows: len(rows), Cols: make([]ColumnStats, t.schema.Len()), version: version}
 	for c := range st.Cols {

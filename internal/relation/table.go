@@ -14,17 +14,21 @@ import (
 // attaches to every data item. Mutations never edit a published
 // version — they push a fresh version onto the row's chain
 // (copy-on-write), stamped with the committing transaction's version.
-// Fields must not be modified after the version is published; the
-// values, stored once in the table's record store, cannot be.
+// Its fields are unexported and only Txn methods build versions, so a
+// published version cannot be written outside this package; the values,
+// stored once in the table's record store, cannot be written at all.
 type BaseTuple struct {
-	Var        lineage.Var   // catalog-wide lineage variable
-	Confidence float64       // current confidence in [0,1]
-	MaxConf    float64       // maximum attainable confidence (usually 1)
-	Cost       cost.Function // price of confidence increments; nil = not improvable
+	v          lineage.Var
+	confidence float64
+	maxConf    float64
+	cost       cost.Function
 
 	// table and rec name the record holding the version's values.
 	table *Table
 	rec   int32
+	// tombstone marks a deletion marker version: invisible to scans,
+	// resolving to confidence 0 for lineage of older results.
+	tombstone bool
 
 	// created is the commit sequence that published this version;
 	// versions of an uncommitted transaction carry its (still invisible)
@@ -34,19 +38,29 @@ type BaseTuple struct {
 	// version (0 while it is the newest). Maintained for diagnostics and
 	// chain pruning; visibility resolution relies on chain order alone.
 	deleted atomic.Int64
-	// tombstone marks a deletion marker version: invisible to scans,
-	// resolving to confidence 0 for lineage of older results.
-	tombstone bool
 	// prev is the next-older version of the same row.
 	prev *BaseTuple
 }
+
+// Var returns the row's catalog-wide lineage variable.
+func (b *BaseTuple) Var() lineage.Var { return b.v }
+
+// Confidence returns the version's confidence in [0,1].
+func (b *BaseTuple) Confidence() float64 { return b.confidence }
+
+// MaxConf returns the maximum attainable confidence (usually 1).
+func (b *BaseTuple) MaxConf() float64 { return b.maxConf }
+
+// Cost returns the price of confidence increments; nil means the row is
+// not improvable.
+func (b *BaseTuple) Cost() cost.Function { return b.cost }
 
 // Values returns a fresh copy of the version's cells, in schema order.
 func (b *BaseTuple) Values() []Value { return b.table.view().values(nil, b.rec) }
 
 // Improvable reports whether the tuple's confidence can be raised.
 func (b *BaseTuple) Improvable() bool {
-	return b.Cost != nil && b.Confidence < b.MaxConf
+	return b.cost != nil && b.confidence < b.maxConf
 }
 
 // CreatedVersion returns the committed version that produced this row

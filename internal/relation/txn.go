@@ -66,7 +66,7 @@ type tableDelta struct {
 // finished with exactly one Commit or Rollback.
 func (c *Catalog) Begin() *Txn {
 	c.wmu.Lock()
-	seq := c.commitSeq.Load()
+	seq := c.ver.Load().seq
 	return &Txn{cat: c, readSeq: seq, writeSeq: seq + 1, locked: true}
 }
 
@@ -113,14 +113,15 @@ func (x *Txn) markConf(v lineage.Var) {
 // stamping the superseded version and recording the undo. Inside a
 // transaction the head is always the version visible at the write
 // sequence (the writer is alone), so callers pass the resolved version
-// as old.
+// as old; an insert passes nil, so cow and undoAll are the only writers
+// of a slot's head.
 func (x *Txn) cow(slot *versionSlot, old, nv *BaseTuple) {
 	nv.prev = old
 	if old != nil {
 		old.deleted.Store(x.writeSeq)
 	}
 	slot.head.Store(nv)
-	x.undo = append(x.undo, undoRec{slot: slot, old: old})
+	x.undo = append(x.undo, undoRec{slot: slot, old: old, v: nv.v})
 }
 
 // Insert validates and appends a row to t inside the transaction,
@@ -138,19 +139,18 @@ func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Funct
 	}
 	slot := &versionSlot{}
 	row := &BaseTuple{
-		Var:        x.cat.nextVar(),
-		Confidence: confidence,
-		MaxConf:    1,
-		Cost:       fn,
+		v:          x.cat.nextVar(),
+		confidence: confidence,
+		maxConf:    1,
+		cost:       fn,
 		table:      t,
 		rec:        t.addRecord(slot, values),
 		created:    x.writeSeq,
 	}
-	slot.head.Store(row)
+	x.cow(slot, nil, row)
 	x.cat.mu.Lock()
-	x.cat.byVar[row.Var] = slot
+	x.cat.byVar[row.v] = slot
 	x.cat.mu.Unlock()
-	x.undo = append(x.undo, undoRec{slot: slot, v: row.Var})
 	td := x.delta(t)
 	td.live++
 	td.mutated = true
@@ -196,8 +196,7 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 			}
 		}
 		tomb := &BaseTuple{
-			Var:       b.Var,
-			MaxConf:   0,
+			v:         b.v,
 			table:     t,
 			rec:       b.rec,
 			created:   x.writeSeq,
@@ -206,7 +205,7 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 		x.cow(slot, b, tomb)
 		x.delta(t).live--
 		x.markRows(t)
-		x.markConf(b.Var)
+		x.markConf(b.v)
 		removed++
 	}
 	return removed, nil
@@ -252,7 +251,7 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 			newValues[i] = v
 		}
 		vals := append([]Value{}, tuple.Values[:t.schema.Len()]...)
-		newConf := b.Confidence
+		newConf := b.confidence
 		confTouched := false
 		for i, spec := range specs {
 			v := newValues[i]
@@ -261,8 +260,8 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 				if !ok {
 					return 0, fmt.Errorf("relation: confidence update requires a numeric value, got %s", v.Type())
 				}
-				if f < 0 || f > b.MaxConf {
-					return 0, fmt.Errorf("relation: confidence %g outside [0,%g]", f, b.MaxConf)
+				if f < 0 || f > b.maxConf {
+					return 0, fmt.Errorf("relation: confidence %g outside [0,%g]", f, b.maxConf)
 				}
 				newConf = f
 				confTouched = true
@@ -284,10 +283,10 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 			vals[spec.Column] = v
 		}
 		nv := &BaseTuple{
-			Var:        b.Var,
-			Confidence: newConf,
-			MaxConf:    b.MaxConf,
-			Cost:       b.Cost,
+			v:          b.v,
+			confidence: newConf,
+			maxConf:    b.maxConf,
+			cost:       b.cost,
 			table:      t,
 			rec:        b.rec,
 			created:    x.writeSeq,
@@ -297,7 +296,7 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 		}
 		x.cow(slot, b, nv)
 		if confTouched {
-			x.markConf(b.Var)
+			x.markConf(b.v)
 		}
 		changed++
 	}
@@ -322,18 +321,18 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 	if !conf.Valid(p) {
 		return fmt.Errorf("relation: confidence %g outside [0,1]", p)
 	}
-	if p > b.MaxConf {
-		return fmt.Errorf("relation: confidence %g exceeds tuple maximum %g", p, b.MaxConf)
+	if p > b.maxConf {
+		return fmt.Errorf("relation: confidence %g exceeds tuple maximum %g", p, b.maxConf)
 	}
 	nv := &BaseTuple{
-		Var:        b.Var,
+		v:          b.v,
+		confidence: p,
+		maxConf:    b.maxConf,
+		cost:       b.cost,
 		table:      b.table,
 		rec:        b.rec,
-		Confidence: p,
-		MaxConf:    b.MaxConf,
-		Cost:       b.Cost,
-		created:    x.writeSeq,
 		tombstone:  b.tombstone,
+		created:    x.writeSeq,
 	}
 	x.cow(slot, b, nv)
 	x.markConf(v)
@@ -344,7 +343,7 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 // write sequence (reading the transaction's own writes).
 func (x *Txn) ConfidenceOf(v lineage.Var) (float64, bool) {
 	if _, b := x.cat.rowAt(v, x.writeSeq); b != nil {
-		return b.Confidence, true
+		return b.confidence, true
 	}
 	return 0, false
 }
@@ -359,13 +358,13 @@ var errTxnFinished = fmt.Errorf("relation: transaction already finished")
 // and returns the read version. A fault injected at the
 // "relation.txn.commit" probe rolls the transaction back and surfaces
 // as an error — all-or-nothing either way.
-func (x *Txn) Commit() (version int64, err error) {
+func (x *Txn) Commit() (seq int64, err error) {
 	if x.done {
 		return 0, errTxnFinished
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			version = 0
+			seq = 0
 			err = fmt.Errorf("relation: transaction commit fault: %v", r)
 			if !x.done {
 				x.Rollback()
@@ -389,23 +388,22 @@ func (x *Txn) Commit() (version int64, err error) {
 			td.t.mutations.Add(1)
 		}
 	}
-	var prevConf, newConf int64
-	c.verMu.Lock()
+	// One store publishes the new version and both epochs: a snapshot
+	// loads the record whole, so no reader sees a torn triple.
+	prev := c.ver.Load()
+	next := &version{seq: x.writeSeq, planEpoch: prev.planEpoch, confEpoch: prev.confEpoch}
 	if x.rowsChanged {
-		c.planEpoch.Add(1)
+		next.planEpoch++
 	}
 	if x.confChanged {
-		prevConf = c.confEpoch.Load()
-		newConf = prevConf + 1
-		c.confEpoch.Store(newConf)
+		next.confEpoch++
 	}
-	c.commitSeq.Store(x.writeSeq)
-	c.verMu.Unlock()
+	c.ver.Store(next)
 	x.done = true
 	if x.confChanged {
 		// Still under the writer lock: registered caches see exactly the
 		// committed state and no later one.
-		c.advanceCaches(prevConf, newConf, x.confVars)
+		c.advanceCaches(prev.confEpoch, next.confEpoch, x.confVars)
 	}
 	c.metrics.Load().Counter("relation.txn.commits").Inc()
 	x.release()

@@ -381,15 +381,19 @@ func TestBudgetClamping(t *testing.T) {
 			t.Fatalf("budget ceiling not enforced: response not degraded (%+v)", wr)
 		}
 	}
-	// A negative override field is a 400 naming the field, whichever it is.
+	// A negative override field is a 400 naming the field, whichever it is;
+	// so is a timeout_ms whose nanoseconds overflow a time.Duration (the
+	// first wrapped to a 448 µs budget, the second to a negative one).
 	for field, over := range map[string]WireBudget{
 		"Timeout": {TimeoutMillis: -1}, "Workers": {Workers: -1},
 		"MaxNodes": {MaxNodes: -1}, "MaxPivots": {MaxPivots: -1}, "MaxSteps": {MaxSteps: -1},
+		"timeout_ms 18446744073710": {TimeoutMillis: 18446744073710},
+		"timeout_ms 9223372036855":  {TimeoutMillis: 9223372036855},
 	} {
 		over := over
 		var we wireError
 		if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery, Budget: &over}, &we); code != http.StatusBadRequest || !strings.Contains(we.Error, field) {
-			t.Errorf("negative %s: status %d, error %q; want 400 naming the field", field, code, we.Error)
+			t.Errorf("override %s: status %d, error %q; want 400 naming the field", field, code, we.Error)
 		}
 	}
 }

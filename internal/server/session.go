@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -111,12 +112,19 @@ func (s *Session) request(query string, minFraction float64, b strategy.Budget) 
 	return core.Request{User: s.user, Purpose: s.purpose, Query: query, MinFraction: minFraction, Budget: b}
 }
 
+// maxTimeoutMillis is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
+
 // effectiveBudget folds a request's optional budget override into the
 // session default and clamps the result to the server ceiling, field by
-// field (see resolveLimit); a negative override field is rejected.
+// field (see resolveLimit); a negative override field, or a timeout_ms
+// whose nanoseconds would overflow, is rejected.
 func effectiveBudget(def strategy.Budget, over *WireBudget, max strategy.Budget) (strategy.Budget, error) {
 	var o strategy.Budget
 	if over != nil {
+		if over.TimeoutMillis > maxTimeoutMillis {
+			return strategy.Budget{}, fmt.Errorf("server: budget override: timeout_ms %d exceeds %d, the largest Timeout a duration holds", over.TimeoutMillis, maxTimeoutMillis)
+		}
 		o = strategy.Budget{
 			Timeout: time.Duration(over.TimeoutMillis) * time.Millisecond,
 			Workers: over.Workers, MaxNodes: over.MaxNodes, MaxPivots: over.MaxPivots, MaxSteps: over.MaxSteps,

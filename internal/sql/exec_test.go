@@ -39,11 +39,11 @@ func TestCreateInsertSelect(t *testing.T) {
 	// Confidence and cost landed on the rows.
 	tab, _ := cat.Table("Emp")
 	rows := tab.RowsAt(cat.Snapshot())
-	if rows[0].Confidence != 0.8 || rows[0].Cost == nil {
-		t.Errorf("row 0 confidence/cost = %v/%v", rows[0].Confidence, rows[0].Cost)
+	if rows[0].Confidence() != 0.8 || rows[0].Cost() == nil {
+		t.Errorf("row 0 confidence/cost = %v/%v", rows[0].Confidence(), rows[0].Cost())
 	}
-	if rows[2].Confidence != 1 || rows[2].Cost != nil {
-		t.Errorf("row 2 defaults = %v/%v", rows[2].Confidence, rows[2].Cost)
+	if rows[2].Confidence() != 1 || rows[2].Cost() != nil {
+		t.Errorf("row 2 defaults = %v/%v", rows[2].Confidence(), rows[2].Cost())
 	}
 }
 
@@ -104,7 +104,7 @@ func TestDeleteZeroesWithdrawnConfidence(t *testing.T) {
 	row := tab.RowsAt(cat.Snapshot())[0]
 	execAll(t, cat, `DELETE FROM T`)
 	// Old lineage referencing the deleted row now evaluates to 0.
-	if got := cat.Snapshot().ProbOf(row.Var); got != 0 {
+	if got := cat.Snapshot().ProbOf(row.Var()); got != 0 {
 		t.Fatalf("withdrawn row confidence = %v", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestUpdateConfidencePseudoColumn(t *testing.T) {
 		`UPDATE T SET _confidence = 0.7 WHERE a = 1`,
 	)
 	tab, _ := cat.Table("T")
-	if got := tab.RowsAt(cat.Snapshot())[0].Confidence; got != 0.7 {
+	if got := tab.RowsAt(cat.Snapshot())[0].Confidence(); got != 0.7 {
 		t.Fatalf("confidence = %v", got)
 	}
 	// Out-of-range confidence errors.
@@ -490,7 +490,7 @@ func TestConfidencePseudoColumnMutations(t *testing.T) {
 		t.Fatalf("updated = %d", res.Affected)
 	}
 	tab, _ := cat.Table("T")
-	if got := tab.RowsAt(cat.Snapshot())[0].Confidence; math.Abs(got-0.9) > 1e-9 {
+	if got := tab.RowsAt(cat.Snapshot())[0].Confidence(); math.Abs(got-0.9) > 1e-9 {
 		t.Fatalf("confidence = %v, want 0.9", got)
 	}
 }
@@ -526,7 +526,7 @@ func TestDMLSubqueryReadsAtItsTransaction(t *testing.T) {
 		)
 		s, _ := cat.Table("S")
 		before := cat.Snapshot()
-		a := s.RowsAt(before)[0].Var
+		a := s.RowsAt(before)[0].Var()
 		before.Release()
 
 		w := cat.Begin()

@@ -120,8 +120,8 @@ func FuzzExec(f *testing.F) {
 				if len(row.Values()) != tab.Schema().Len() {
 					t.Fatalf("table %q row arity %d != schema %d", name, len(row.Values()), tab.Schema().Len())
 				}
-				if row.Confidence < 0 || row.Confidence > 1 {
-					t.Fatalf("table %q row confidence %v out of range", name, row.Confidence)
+				if row.Confidence() < 0 || row.Confidence() > 1 {
+					t.Fatalf("table %q row confidence %v out of range", name, row.Confidence())
 				}
 			}
 		}

@@ -180,11 +180,11 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 	// Raise a low-confidence row above the threshold: no catalog
 	// version change, only the confidence epoch moves.
 	target := tab.RowsAt(cat.Snapshot())[0]
-	if target.Confidence > 0.5 {
-		t.Fatalf("fixture: row 0 confidence %v already above threshold", target.Confidence)
+	if target.Confidence() > 0.5 {
+		t.Fatalf("fixture: row 0 confidence %v already above threshold", target.Confidence())
 	}
 	x := cat.Begin()
-	if err := x.SetConfidence(target.Var, 0.95); err != nil {
+	if err := x.SetConfidence(target.Var(), 0.95); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Commit(); err != nil {
@@ -204,7 +204,7 @@ func TestPlanCacheInvalidationOnConfidenceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	x = cat.Begin()
-	if err := x.SetConfidence(target.Var, 0.85); err != nil {
+	if err := x.SetConfidence(target.Var(), 0.85); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Commit(); err != nil {
@@ -232,7 +232,7 @@ func TestPlanCacheConfidenceInOnClause(t *testing.T) {
 	}
 	before := len(rows)
 	x := cat.Begin()
-	if err := x.SetConfidence(tab.RowsAt(cat.Snapshot())[0].Var, 0.95); err != nil {
+	if err := x.SetConfidence(tab.RowsAt(cat.Snapshot())[0].Var(), 0.95); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Commit(); err != nil {

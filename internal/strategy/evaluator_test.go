@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,6 +203,37 @@ func TestEvaluatorMatchesReferenceDifferential(t *testing.T) {
 			e.setP(bi, next)
 			requireMatchesReference(t, label, e)
 		}
+	}
+}
+
+// TestPlanSnapshotOwnsItsMemory pins evaluator.plan, the one constructor
+// of a solver Plan: its NewP and Satisfied are freshly allocated, so the
+// evaluator resetting and walking on — what greedy, the exact search
+// and every D&C group worker do after taking an incumbent — never
+// changes a plan already handed out.
+func TestPlanSnapshotOwnsItsMemory(t *testing.T) {
+	in := mediumInstance(3, 60, 6, true)
+	e := mustEvaluator(t, in, nil)
+	for bi, b := range in.Base {
+		e.setP(bi, b.maxP())
+	}
+	p := e.plan(7)
+	newP, sat, cost := slices.Clone(p.NewP), slices.Clone(p.Satisfied), p.Cost
+	if len(sat) == 0 {
+		t.Fatal("fixture: no result reaches β at the maxima, Satisfied is not exercised")
+	}
+	e.reset()
+	randomWalk(e, rand.New(rand.NewSource(3)), 300)
+	if slices.Equal(e.p, newP) {
+		t.Fatal("fixture: the evaluator did not move")
+	}
+	for i := range newP {
+		if p.NewP[i] != newP[i] {
+			t.Fatalf("plan changed after its evaluator moved on: NewP[%d] %v → %v", i, newP[i], p.NewP[i])
+		}
+	}
+	if !slices.Equal(p.Satisfied, sat) || p.Cost != cost || p.Nodes != 7 {
+		t.Fatalf("plan changed after its evaluator moved on: Satisfied %v → %v, Cost %v → %v", sat, p.Satisfied, cost, p.Cost)
 	}
 }
 

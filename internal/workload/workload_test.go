@@ -216,10 +216,10 @@ func TestGenerateDB(t *testing.T) {
 		t.Fatalf("queries = %d", len(queries))
 	}
 	for _, row := range sup.RowsAt(cat.Snapshot()) {
-		if row.Confidence < 0.05 || row.Confidence > 0.15 {
-			t.Fatalf("confidence %v out of default range", row.Confidence)
+		if row.Confidence() < 0.05 || row.Confidence() > 0.15 {
+			t.Fatalf("confidence %v out of default range", row.Confidence())
 		}
-		if row.Cost == nil {
+		if row.Cost() == nil {
 			t.Fatal("rows must be improvable")
 		}
 	}
