@@ -65,16 +65,21 @@ mvcc-stress:
 # benchmark's shapes, the fuzz corpora and an error-parity table
 # included), filter pushdown over the fuzz seeds, the one AST renderer
 # vs the parser round trip and the fingerprint's invariances, and SQL
-# DML's subqueries vs the version its transaction reads.
+# DML's subqueries vs the version its transaction reads. Beside them:
+# D&C's top-up reached through a degraded group (the degraded-D&C
+# goldens pin its plans), the solver planning over the filter's own
+# lineage, and /v1/explain under admission and drain.
 differential:
-	$(GO) test -run 'Differential|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult' -count=1 ./internal/lineage/ ./internal/strategy/
-	$(GO) test -run 'ConfidenceColumn|StructuralSolverError' -count=1 ./internal/core/
+	$(GO) test -run 'Differential|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult|DncSplitGroupFallback' -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage' -count=1 ./internal/core/
+	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
 		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the
-# access leaf, the solvers under random budgets, and the server's
+# access leaf, the compiled lineage kernel against the reference
+# evaluators, the solvers under random budgets, and the server's
 # request decoding with budget resolution. Not part of `check` (a minute
 # of CPU); CI runs it as its own step. go test fuzzes one target per
 # invocation, hence one line each.
@@ -83,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterPushdown$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzLineageEvaluators$$' -fuzztime 10s ./internal/lineage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveBudget$$' -fuzztime 10s ./internal/strategy/
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/server/
 

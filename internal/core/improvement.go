@@ -136,10 +136,9 @@ func (b *instanceBuilder) add(rows []Row) (int, error) {
 			b.skipped++
 			continue
 		}
-		// Simplification (idempotence/absorption) shrinks lineage that
-		// duplicate-eliminating operators inflated, which keeps the
-		// optimization formulas small and read-once where possible.
-		formula := lineage.Simplify(row.Tuple.Lineage)
+		// The solver plans over the very formula the policy filter priced:
+		// it already passed the shared-variable limit there.
+		formula := row.Tuple.Lineage
 		for _, v := range formula.Vars() {
 			if _, ok := b.baseIdx[v]; ok {
 				continue

@@ -169,13 +169,6 @@ func (e *Expr) sortedOccurrences(dst []Var) []Var {
 	return dst
 }
 
-// VarCounts returns the number of occurrences of each variable in e.
-func (e *Expr) VarCounts() map[Var]int {
-	counts := map[Var]int{}
-	e.WalkVars(func(v Var) { counts[v]++ })
-	return counts
-}
-
 // WalkVars calls f for every variable occurrence in e, in formula
 // order, without allocating: the check-every-variable loops (instance
 // validation) need neither the set nor its order.
@@ -188,27 +181,6 @@ func (e *Expr) WalkVars(f func(Var)) {
 			c.WalkVars(f)
 		}
 	}
-}
-
-// Size returns the number of nodes in e.
-func (e *Expr) Size() int {
-	n := 1
-	for _, c := range e.children {
-		n += c.Size()
-	}
-	return n
-}
-
-// Depth returns the height of the expression tree; constants and single
-// variables have depth 1.
-func (e *Expr) Depth() int {
-	d := 0
-	for _, c := range e.children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
 }
 
 // ReadOnce reports whether every variable occurs at most once in e. Such
@@ -289,28 +261,6 @@ func (e *Expr) format(b []byte) []byte {
 	return b
 }
 
-// Equal reports structural equality of two expressions.
-func Equal(a, b *Expr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || a.kind != b.kind {
-		return false
-	}
-	if a.kind == KindVar {
-		return a.v == b.v
-	}
-	if len(a.children) != len(b.children) {
-		return false
-	}
-	for i := range a.children {
-		if !Equal(a.children[i], b.children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Substitute returns e with every occurrence of v replaced by the constant
 // value, simplifying as it rebuilds.
 func (e *Expr) Substitute(v Var, value bool) *Expr {
@@ -331,29 +281,6 @@ func (e *Expr) Substitute(v Var, value bool) *Expr {
 		children := make([]*Expr, len(e.children))
 		for i, c := range e.children {
 			children[i] = c.Substitute(v, value)
-		}
-		return nary(e.kind, children)
-	}
-	panic("lineage: bad kind")
-}
-
-// Rename returns e with every variable replaced per the mapping. Variables
-// not present in the mapping are kept.
-func (e *Expr) Rename(mapping map[Var]Var) *Expr {
-	switch e.kind {
-	case KindFalse, KindTrue:
-		return e
-	case KindVar:
-		if nv, ok := mapping[e.v]; ok {
-			return NewVar(nv)
-		}
-		return e
-	case KindNot:
-		return Not(e.children[0].Rename(mapping))
-	case KindAnd, KindOr:
-		children := make([]*Expr, len(e.children))
-		for i, c := range e.children {
-			children[i] = c.Rename(mapping)
 		}
 		return nary(e.kind, children)
 	}

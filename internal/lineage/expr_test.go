@@ -30,7 +30,7 @@ func TestConstructorsSimplify(t *testing.T) {
 		{"and-nil-skipped", And(a, nil, b), And(a, b)},
 	}
 	for _, tc := range tests {
-		if !Equal(tc.got, tc.want) {
+		if tc.got.String() != tc.want.String() {
 			t.Errorf("%s: got %v, want %v", tc.name, tc.got, tc.want)
 		}
 	}
@@ -41,9 +41,13 @@ func TestVarsAndCounts(t *testing.T) {
 	if got, want := e.Vars(), []Var{2, 3, 13}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Vars = %v, want %v", got, want)
 	}
-	counts := e.VarCounts()
-	if counts[2] != 2 || counts[3] != 1 || counts[13] != 1 {
-		t.Fatalf("VarCounts = %v", counts)
+	if got := shannonOrder(e.sortedOccurrences(nil)); !reflect.DeepEqual(got, []Var{2}) {
+		t.Fatalf("pivot order = %v, want [2]", got)
+	}
+	// Most occurrences first, ties by ascending variable.
+	f := Or(And(NewVar(9), NewVar(4), NewVar(7)), And(NewVar(7), NewVar(9), NewVar(4)), And(NewVar(4), NewVar(1)))
+	if got, want := shannonOrder(f.sortedOccurrences(nil)), []Var{4, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pivot order = %v, want %v", got, want)
 	}
 	if e.ReadOnce() {
 		t.Fatal("expected non-read-once")
@@ -74,40 +78,15 @@ func TestEval(t *testing.T) {
 
 func TestSubstitute(t *testing.T) {
 	e := And(Or(NewVar(1), NewVar(2)), NewVar(1))
-	if got := e.Substitute(1, true); !Equal(got, NewVar(2).substTrueHelper()) && !Equal(got, True()) {
-		// Substituting t1=true: (true | t2) & true = true.
+	// Substituting t1=true: (true | t2) & true = true.
+	if got := e.Substitute(1, true); got.String() != "⊤" {
 		t.Errorf("Substitute(1,true) = %v, want ⊤", got)
 	}
-	if got := e.Substitute(1, false); !Equal(got, False()) {
+	if got := e.Substitute(1, false); got.String() != "⊥" {
 		t.Errorf("Substitute(1,false) = %v, want ⊥", got)
 	}
-	if got := e.Substitute(99, true); !Equal(got, e) {
+	if got := e.Substitute(99, true); got.String() != e.String() {
 		t.Errorf("Substitute(absent var) changed expr: %v", got)
-	}
-}
-
-// substTrueHelper is a no-op used to keep the test above readable.
-func (e *Expr) substTrueHelper() *Expr { return e }
-
-func TestRename(t *testing.T) {
-	e := And(NewVar(1), Or(NewVar(2), Not(NewVar(1))))
-	got := e.Rename(map[Var]Var{1: 10, 2: 20})
-	want := And(NewVar(10), Or(NewVar(20), Not(NewVar(10))))
-	if !Equal(got, want) {
-		t.Fatalf("Rename = %v, want %v", got, want)
-	}
-}
-
-func TestSizeDepth(t *testing.T) {
-	e := And(Or(NewVar(1), NewVar(2)), NewVar(3))
-	if e.Size() != 5 {
-		t.Errorf("Size = %d, want 5", e.Size())
-	}
-	if e.Depth() != 3 {
-		t.Errorf("Depth = %d, want 3", e.Depth())
-	}
-	if True().Depth() != 1 || NewVar(1).Size() != 1 {
-		t.Error("constant/var size/depth wrong")
 	}
 }
 

@@ -1,9 +1,10 @@
 package lineage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pcqe/internal/conf"
 )
@@ -62,7 +63,7 @@ func ProbExact(e *Expr, assign Assignment, sharedLimit int) (float64, error) {
 	if e.ReadOnce() { // the common case, told apart without counting
 		return probReadOnce(e, assign), nil
 	}
-	shared := sharedVarsByFrequency(e)
+	shared := shannonOrder(e.sortedOccurrences(nil))
 	if len(shared) > sharedLimit {
 		return 0, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)
 	}
@@ -77,23 +78,34 @@ func ProbIndependent(e *Expr, assign Assignment) float64 {
 	return probReadOnce(e, assign)
 }
 
-// sharedVarsByFrequency returns variables occurring more than once,
-// most frequent first (a good Shannon pivot order: conditioning on the
-// most-shared variable removes the most duplication).
-func sharedVarsByFrequency(e *Expr) []Var {
-	counts := e.VarCounts()
-	shared := make([]Var, 0)
-	for v, n := range counts {
-		if n > 1 {
-			shared = append(shared, v)
-		}
+// shannonOrder is the Shannon pivot order of the tree walk and the
+// compiled kernel alike: given a formula's sorted variable occurrences,
+// the variables occurring more than once, most frequent first, ties by
+// ascending variable (conditioning on the most-shared variable removes
+// the most duplication).
+func shannonOrder(occ []Var) []Var {
+	type run struct {
+		v Var
+		n int
 	}
-	sort.Slice(shared, func(i, j int) bool {
-		if counts[shared[i]] != counts[shared[j]] {
-			return counts[shared[i]] > counts[shared[j]]
+	var runs []run
+	for i := 0; i < len(occ); {
+		j := i + 1
+		for j < len(occ) && occ[j] == occ[i] {
+			j++
 		}
-		return shared[i] < shared[j]
-	})
+		if j-i > 1 {
+			runs = append(runs, run{occ[i], j - i})
+		}
+		i = j
+	}
+	// Runs come in ascending variable order, which a stable sort keeps
+	// among equal counts.
+	slices.SortStableFunc(runs, func(a, b run) int { return cmp.Compare(b.n, a.n) })
+	shared := make([]Var, len(runs))
+	for i, r := range runs {
+		shared[i] = r.v
+	}
 	return shared
 }
 

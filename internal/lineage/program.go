@@ -2,7 +2,7 @@ package lineage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements knowledge-compilation-style evaluation of lineage
@@ -45,9 +45,8 @@ type Program struct {
 	kids []int32 // flattened child positions for opAnd/opOr
 	vars []Var   // slot index -> variable, sorted ascending
 	// shared lists the slots of variables occurring more than once, in
-	// the Shannon pivot order precomputed at compile time (descending
-	// occurrence count, then ascending variable — the same order the
-	// tree-walk Prob uses). Empty for read-once formulas.
+	// the Shannon pivot order precomputed at compile time (shannonOrder,
+	// the order the tree-walk Prob uses). Empty for read-once formulas.
 	shared   []int32
 	maxArity int
 }
@@ -57,32 +56,17 @@ type Program struct {
 // times: compiled Shannon evaluation enumerates all 2^shared pivot
 // assignments, so the limit bounds evaluation cost up front.
 func CompileExact(e *Expr, sharedLimit int) (*Program, error) {
-	counts := e.VarCounts()
-	vars := make([]Var, 0, len(counts))
-	for v := range counts {
-		vars = append(vars, v)
+	occ := e.sortedOccurrences(nil)
+	shared := shannonOrder(occ)
+	if len(shared) > sharedLimit {
+		return nil, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	vars := slices.Compact(occ)
 	p := &Program{vars: vars}
 	slot := make(map[Var]int32, len(vars))
 	for i, v := range vars {
 		slot[v] = int32(i)
 	}
-	shared := make([]Var, 0)
-	for v, n := range counts {
-		if n > 1 {
-			shared = append(shared, v)
-		}
-	}
-	if len(shared) > sharedLimit {
-		return nil, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)
-	}
-	sort.Slice(shared, func(i, j int) bool {
-		if counts[shared[i]] != counts[shared[j]] {
-			return counts[shared[i]] > counts[shared[j]]
-		}
-		return shared[i] < shared[j]
-	})
 	for _, v := range shared {
 		p.shared = append(p.shared, slot[v])
 	}

@@ -242,3 +242,81 @@ func TestDrainDeadline(t *testing.T) {
 	close(release)
 	<-inflight
 }
+
+// explain posts ventureQuery to /v1/explain and returns the status and
+// the Retry-After header.
+func explain(t *testing.T, ts *httptest.Server, token string) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(ExplainRequest{Query: ventureQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/explain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Retry-After")
+}
+
+// TestExplainRefusedWhileDraining: planning runs every IN (SELECT …) at
+// plan time, so an explain is work like a query and a draining server
+// turns it away with 503 + Retry-After.
+func TestExplainRefusedWhileDraining(t *testing.T) {
+	s := newVentureServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	token := handshake(t, ts, "sue", "analysis")
+	if code, _ := explain(t, ts, token); code != http.StatusOK {
+		t.Fatalf("explain before drain: status %d", code)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	code, retry := explain(t, ts, token)
+	if code != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("explain while draining: status %d, Retry-After %q; want 503 with Retry-After", code, retry)
+	}
+}
+
+// TestExplainAdmissionControl: an explain takes a worker-pool slot, so
+// with the one slot held by a parked query it is refused with 503 +
+// Retry-After (and counted) rather than planned beside it.
+func TestExplainAdmissionControl(t *testing.T) {
+	s := newVentureServer(t, Config{WorkerPool: 1, MaxInFlight: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	token := handshake(t, ts, "sue", "analysis")
+
+	defer fault.Reset()
+	entered, release := blockNextQuery(t)
+	var unpark sync.Once
+	// A failing check must still free the parked query, or ts.Close waits
+	// on it forever.
+	defer unpark.Do(func() { close(release) })
+	first := queryAsync(t, ts, token)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("query never reached the engine")
+	}
+	code, retry := explain(t, ts, token)
+	if code != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("explain on a saturated pool: status %d, Retry-After %q; want 503 with Retry-After", code, retry)
+	}
+	if got := s.metrics.Counter("server.admission.rejected").Value(); got == 0 {
+		t.Fatal("admission rejection was not counted")
+	}
+	unpark.Do(func() { close(release) })
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("parked query: status %d after release", code)
+	}
+	if code, _ := explain(t, ts, token); code != http.StatusOK {
+		t.Fatalf("explain after release: status %d", code)
+	}
+}

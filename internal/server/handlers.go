@@ -158,10 +158,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.releaseSlot()
-	release, ok := s.admit()
+	release, ok := s.admit(w)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server: worker pool saturated or draining"))
 		return
 	}
 	defer release()
@@ -205,7 +203,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExplain plans the query at a pinned snapshot version without
-// evaluating it.
+// evaluating it. Planning runs every IN (SELECT …) subquery, so an
+// explain takes a worker slot like a query: a saturated or draining
+// server answers 503 + Retry-After, and Drain waits for it.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer s.observe("explain", time.Now())
 	if r.Method != http.MethodPost {
@@ -220,6 +220,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	release, ok := s.admit(w)
+	if !ok {
+		return
+	}
+	defer release()
 	stmt, err := sql.Parse(req.Query)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -258,10 +263,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	release, ok := s.admit()
+	release, ok := s.admit(w)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server: worker pool saturated or draining"))
 		return
 	}
 	defer release()

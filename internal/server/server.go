@@ -226,14 +226,20 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// admit acquires a worker slot without blocking; reject means the pool
-// is saturated and the caller should answer 503 + Retry-After. The
-// returned release function must be called exactly once.
-func (s *Server) admit() (release func(), ok bool) {
+// admit acquires a worker slot without blocking. On reject — the pool is
+// saturated or the server draining — it has answered w with 503 +
+// Retry-After and the handler just returns. The returned release
+// function must be called exactly once.
+func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
+	reject := func() (func(), bool) {
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, errors.New("server: worker pool saturated or draining"))
+		return nil, false
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, false
+		return reject()
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
@@ -249,7 +255,7 @@ func (s *Server) admit() (release func(), ok bool) {
 	default:
 		s.inflight.Done()
 		s.metrics.Counter("server.admission.rejected").Inc()
-		return nil, false
+		return reject()
 	}
 }
 

@@ -178,14 +178,25 @@ var goldenPlans = []struct {
 	{"dnc/no-sharing", 1198.8289173278583, 2812, 0xf08555fad67d4fdc},
 	{"dnc/sharing", 1109.2159311256587, 2685, 0x9120c326bca5f848},
 	{"dnc/chain-17", 544.5508291382855, 1202, 0x4dc4fdf24cda873c},
+	// D&C with its first group degraded (degradedDnC), so every plan
+	// below passes through the driver's top-up and its refinement.
+	// Recorded at commit bb642e1, while both still had their own loops.
+	{"dnc-degraded-cap1/split-group", 17.999999999999993, 26, 0xb3931ea1234b74ab},
+	{"dnc-degraded-cap1/chain-17", 474.7864804438992, 954, 0xe454964aaf8f2fef},
+	{"dnc-degraded-cap4/chain-17", 473.00791403181574, 749, 0x157aea4a9e854550},
+	{"dnc-degraded/no-sharing", 1196.9939442043076, 0, 0x480cc6e4bad691d3},
+	{"dnc-degraded/sharing", 1109.2159311256587, 0, 0x9120c326bca5f848},
+	{"dnc-degraded/chain-17", 545.32907683047, 38, 0xc1c59dee76ff302d},
+	{"dnc-degraded/small-1", 51.082296663392164, 0, 0xfb1fd0025859f5b3},
+	{"dnc-degraded/small-7", 12.854353464475473, 0, 0xd914ffcebd813fe7},
 }
 
 // TestDifferentialCompiledPlansAllSolvers holds every solver to the
 // plans in goldenPlans: the small instances for all four solvers, the
 // medium ones for greedy, incremental greedy and D&C (the exhaustive
-// heuristic is too slow there).
+// heuristic is too slow there), and degraded D&C under three group caps.
 func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
-	fixtures := map[string]*Instance{}
+	fixtures := map[string]*Instance{"split-group": splitGroupInstance()}
 	for _, f := range differentialFixtures() {
 		fixtures[f.name] = f.in
 	}
@@ -194,6 +205,9 @@ func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
 		"greedy-incremental": &Greedy{Incremental: true},
 		"heuristic":          NewHeuristic(),
 		"dnc":                NewDivideAndConquer(),
+		"dnc-degraded":       &degradedDnC{DivideAndConquer: NewDivideAndConquer()},
+		"dnc-degraded-cap1":  &degradedDnC{DivideAndConquer: &DivideAndConquer{Gamma: 1, Tau: 0, MaxGroupResults: 1}},
+		"dnc-degraded-cap4":  &degradedDnC{DivideAndConquer: &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 4}},
 	}
 	for _, g := range goldenPlans {
 		solver, fixture, _ := strings.Cut(g.name, "/")
@@ -207,6 +221,9 @@ func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
 		}
 		if err := in.Verify(plan); err != nil {
 			t.Errorf("%s: plan fails Verify: %v", g.name, err)
+		}
+		if d, ok := solvers[solver].(*degradedDnC); ok && (d.finish == 0 || d.refine == 0) {
+			t.Errorf("%s: top-up steps %d, refinement steps %d; the pin must cover both", g.name, d.finish, d.refine)
 		}
 	}
 }

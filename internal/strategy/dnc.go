@@ -1,9 +1,11 @@
 package strategy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -224,7 +226,8 @@ func (d *DivideAndConquer) search(ctx context.Context, r *solveRun, workers int)
 	}
 
 	// Combine in deterministic order: maximum confidence per tuple.
-	degraded, feasible := 0, true
+	degraded := 0
+	var topUp error
 	phase(ctx, "combine", func() {
 		for i := range tasks {
 			t := &tasks[i]
@@ -246,19 +249,20 @@ func (d *DivideAndConquer) search(ctx context.Context, r *solveRun, workers int)
 				e.setP(bi, combined[bi])
 			}
 		}
-		// Groups can under-deliver (a result's tuples were split by the γ
-		// threshold, or degraded groups were skipped): fall back to
-		// global greedy from the combined state — unless the budget is
-		// already gone, in which case there is no incumbent to return.
+		// A group holds every tuple of its results, so only a degraded or
+		// skipped group under-delivers. The top-up is greedy's phase 1 on
+		// the global evaluator from the combined state; its gain
+		// evaluations stay out of Plan.Nodes. With the budget already gone
+		// there is no incumbent to return.
 		if e.nSat < in.Need && cause == nil {
-			feasible = finishGreedy(in, e, bs)
+			_, topUp = (&Greedy{Incremental: true}).raise(e, SiteDnCFinish)
 		}
 	})
 	if e.nSat < in.Need && cause != nil {
 		return nil, cause
 	}
-	if !feasible {
-		return nil, ErrInfeasible
+	if topUp != nil {
+		return nil, topUp
 	}
 
 	// The combined state is feasible: snapshot it before refinement so a
@@ -272,9 +276,10 @@ func (d *DivideAndConquer) search(ctx context.Context, r *solveRun, workers int)
 		return r.incumbent, cause
 	}
 
-	// Refinement: like greedy phase 2, undo increments the combination
-	// made unnecessary, cheapest-contribution first.
-	phase(ctx, "refine", func() { refine(in, e, bs) })
+	// Refinement: greedy's phase 2 undoes increments the combination made
+	// unnecessary, walking the raised tuples by increment cost, the most
+	// expensive first.
+	phase(ctx, "refine", func() { reduce(e, raisedByCost(e), SiteDnCRefine, func() {}) })
 
 	p := e.plan(nodes)
 	p.Degraded = degraded
@@ -480,76 +485,21 @@ func (w *groupWorker) groupHeuristic(g Group, seed *Plan) (plan *Plan, nodes int
 	return hs.best, hs.nodes, nil
 }
 
-// finishGreedy runs greedy phase-1 steps on the global instance from the
-// evaluator's current state until Need is met. Returns false if stuck.
-func finishGreedy(in *Instance, e *evaluator, bs *budgetState) bool {
-	for e.nSat < in.Need {
-		fault.Probe(SiteDnCFinish)
-		bs.poll()
-		pick, best := -1, 0.0
-		for bi, b := range in.Base {
-			next := stepUp(b, in.Delta, e.p[bi])
-			if next == e.p[bi] {
-				continue
-			}
-			c := b.Cost.Increment(e.p[bi], next)
-			df := e.deltaF(bi, next)
-			if c <= 0 || df <= 0 {
-				continue
-			}
-			if g := df / c; g > best {
-				pick, best = bi, g
-			}
-		}
-		if pick < 0 {
-			pick = cheapestStep(in, e)
-			if pick < 0 {
-				return false
-			}
-		}
-		next := stepUp(in.Base[pick], in.Delta, e.p[pick])
-		if next == e.p[pick] {
-			return false
-		}
-		bs.step()
-		e.setP(pick, next)
-	}
-	return true
-}
-
-// refine lowers raised tuples by δ steps while the requirement stays
-// met, walking tuples in ascending order of (raised amount × unit cost)
-// so the least valuable increments are reclaimed first.
-func refine(in *Instance, e *evaluator, bs *budgetState) {
-	raised := make([]int, 0)
+// raisedByCost is D&C's refinement order: the tuples raised above their
+// initial confidence, the most expensive increment so far first (ties by
+// index).
+func raisedByCost(e *evaluator) []int {
+	in := e.in
+	var raised []int
 	for bi, b := range in.Base {
-		bs.poll()
+		e.bs.poll()
 		if conf.GT(e.p[bi], b.P) {
 			raised = append(raised, bi)
 		}
 	}
-	sort.Slice(raised, func(a, b int) bool {
-		ca := in.Base[raised[a]].Cost.Increment(in.Base[raised[a]].P, e.p[raised[a]])
-		cb := in.Base[raised[b]].Cost.Increment(in.Base[raised[b]].P, e.p[raised[b]])
-		if ca != cb {
-			return ca > cb // most expensive raised tuple first
-		}
-		return raised[a] < raised[b]
-	})
-	for _, bi := range raised {
-		for e.nSat >= in.Need && conf.GT(e.p[bi], in.Base[bi].P) {
-			fault.Probe(SiteDnCRefine)
-			bs.poll()
-			bs.step()
-			prev := e.p[bi]
-			next := stepDown(in.Base[bi], in.Delta, prev)
-			e.setP(bi, next)
-			if e.nSat < in.Need {
-				e.setP(bi, prev)
-				break
-			}
-		}
-	}
+	spent := func(bi int) float64 { return in.Base[bi].Cost.Increment(in.Base[bi].P, e.p[bi]) }
+	slices.SortFunc(raised, func(a, b int) int { return cmp.Or(cmp.Compare(spent(b), spent(a)), cmp.Compare(a, b)) })
+	return raised
 }
 
 // Group is one partition cell: result indices and the union of their

@@ -1,8 +1,9 @@
 package strategy
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/fault"
@@ -26,8 +27,8 @@ type Greedy struct {
 	// produces the same plan (ties break on the lowest index either
 	// way) and is the ablation in BenchmarkAblationGainIncremental. The
 	// paper's algorithm rescans; Figure 11(b)/(c) keep using the
-	// faithful full-rescan mode, while the engine and the D&C group
-	// solves default to incremental.
+	// faithful full-rescan mode, while the engine, the D&C group solves
+	// and D&C's top-up run incremental.
 	Incremental bool
 }
 
@@ -115,8 +116,8 @@ func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (*Pla
 	})
 }
 
-// greedyScratch is solveCore's working memory. It lives on the evaluator
-// so that group after group of a divide-and-conquer worker reuses it.
+// greedyScratch is raise's working memory. It lives on the evaluator so
+// that group after group of a divide-and-conquer worker reuses it.
 type greedyScratch struct {
 	gains, lastGain []float64
 	heap            gainHeap
@@ -134,13 +135,34 @@ type greedyScratch struct {
 // contract. With e.bs == nil nothing can interrupt the solve and no
 // snapshot is taken.
 func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
-	in, bs := e.in, e.bs
-	nodes := 0
+	nodes, err := g.raise(e, SiteGreedyPhase1)
+	if err != nil {
+		return nil, err
+	}
+	// Phase 1 satisfied the requirement: from here on there is always a
+	// feasible plan to return, however the solve is interrupted.
 	snapshot := func() {
-		if bs != nil && incumbent != nil {
+		if e.bs != nil && incumbent != nil {
 			*incumbent = e.plan(nodes)
 		}
 	}
+	snapshot()
+	if !g.SkipRefinement {
+		// Ascending final gain*, ties by index.
+		order, lastGain := e.greedy.raised, e.greedy.lastGain
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(lastGain[a], lastGain[b]), cmp.Compare(a, b)) })
+		reduce(e, order, SiteGreedyPhase2, snapshot)
+	}
+	return e.plan(nodes), nil
+}
+
+// raise is phase 1, aggressive increase: from the evaluator's current
+// confidences it raises by δ the tuple of maximum gain* until Need
+// results reach β, passing the probe site once per step. It returns the
+// gain evaluations spent, and ErrInfeasible when no step is left. It
+// leaves the raised tuples, and each one's final gain*, in e.greedy.
+func (g *Greedy) raise(e *evaluator, site string) (nodes int, err error) {
+	in, bs := e.in, e.bs
 
 	// gainOf prices one δ step of tuple bi (the last step clamps to the
 	// tuple's maximum); a negative value marks the tuple as exhausted
@@ -170,27 +192,20 @@ func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
 	e.primeDerivs()
 	// The initial gain sweep evaluates a lineage delta per tuple — as
 	// much work as a phase-1 pick — so it checkpoints like one.
-	for i := range in.Base {
-		bs.poll()
-		gains[i] = gainOf(i)
-	}
 	h := &sc.heap
 	h.es = h.es[:0]
+	for i := range in.Base {
+		bs.poll()
+		if gains[i] = gainOf(i); g.Incremental && gains[i] > 0 {
+			h.push(gainEntry{gain: gains[i], bi: i})
+		}
+	}
 	sc.dirtyMark, sc.raisedMark = resize(sc.dirtyMark, len(in.Base)), resize(sc.raisedMark, len(in.Base))
 	sc.raised = sc.raised[:0]
 	dirtyMark := sc.dirtyMark
-	if g.Incremental {
-		for i, gn := range gains {
-			bs.poll()
-			if gn > 0 {
-				h.push(gainEntry{gain: gn, bi: i})
-			}
-		}
-	}
 
-	// --- Phase 1: aggressive increase. ---
 	for e.nSat < in.Need {
-		fault.Probe(SiteGreedyPhase1)
+		fault.Probe(site)
 		bs.poll()
 		pick, best := -1, 0.0
 		if g.Incremental {
@@ -222,13 +237,13 @@ func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
 			// push the cheapest available step instead to keep moving.
 			pick = cheapestStep(in, e)
 			if pick < 0 {
-				return nil, ErrInfeasible
+				return nodes, ErrInfeasible
 			}
 		}
 		b := in.Base[pick]
 		next := stepUp(b, in.Delta, e.p[pick])
 		if next == e.p[pick] {
-			return nil, ErrInfeasible // defensive; pick was validated
+			return nodes, ErrInfeasible // defensive; pick was validated
 		}
 		bs.step()
 		e.setP(pick, next)
@@ -260,39 +275,30 @@ func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
 			}
 		}
 	}
+	return nodes, nil
+}
 
-	// Phase 1 satisfied the requirement: from here on there is always a
-	// feasible plan to return, however the solve is interrupted.
-	snapshot()
-
-	// --- Phase 2: refinement. ---
-	if !g.SkipRefinement {
-		order := sc.raised
-		sort.Slice(order, func(a, b int) bool {
-			if lastGain[order[a]] != lastGain[order[b]] {
-				return lastGain[order[a]] < lastGain[order[b]]
+// reduce is phase 2, refinement: it walks order and lowers each tuple by
+// δ steps, down to its initial confidence, for as long as Need results
+// stay at β, undoing the first step that breaks the requirement. It
+// passes the probe site once per attempted step and calls snapshot after
+// each kept one: the refined state is feasible and strictly cheaper.
+func reduce(e *evaluator, order []int, site string, snapshot func()) {
+	in, bs := e.in, e.bs
+	for _, bi := range order {
+		for e.nSat >= in.Need && conf.GT(e.p[bi], in.Base[bi].P) {
+			fault.Probe(site)
+			bs.poll()
+			bs.step()
+			prev := e.p[bi]
+			e.setP(bi, stepDown(in.Base[bi], in.Delta, prev))
+			if e.nSat < in.Need {
+				e.setP(bi, prev) // undo: this step was load-bearing
+				break
 			}
-			return order[a] < order[b]
-		})
-		for _, bi := range order {
-			for e.nSat >= in.Need && conf.GT(e.p[bi], in.Base[bi].P) {
-				fault.Probe(SiteGreedyPhase2)
-				bs.poll()
-				bs.step()
-				prev := e.p[bi]
-				next := stepDown(in.Base[bi], in.Delta, prev)
-				e.setP(bi, next)
-				if e.nSat < in.Need {
-					e.setP(bi, prev) // undo: this step was load-bearing
-					break
-				}
-				// The refined state is feasible and strictly cheaper.
-				snapshot()
-			}
+			snapshot()
 		}
 	}
-
-	return e.plan(nodes), nil
 }
 
 // cheapestStep returns the index of the tuple with the cheapest

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pcqe/internal/cost"
+	"pcqe/internal/fault"
 	"pcqe/internal/lineage"
 )
 
@@ -520,12 +521,11 @@ func TestSolverNames(t *testing.T) {
 	}
 }
 
-func TestDncSplitGroupFallback(t *testing.T) {
-	// A result whose tuples straddle two groups: cap group size at 1 so
-	// Partition cannot merge, leaving a group that under-delivers and
-	// forcing the global finishGreedy fallback.
+// splitGroupInstance is two results sharing t2; under a one-result group
+// cap each is its own group.
+func splitGroupInstance() *Instance {
 	v := func(i int) *lineage.Expr { return lineage.NewVar(lineage.Var(i)) }
-	in := &Instance{
+	return &Instance{
 		Base: []BaseTuple{
 			{Var: 1, P: 0.2, Cost: cost.Linear{Rate: 10}},
 			{Var: 2, P: 0.2, Cost: cost.Linear{Rate: 10}},
@@ -539,13 +539,56 @@ func TestDncSplitGroupFallback(t *testing.T) {
 		Need:  2,
 		Delta: 0.1,
 	}
-	d := &DivideAndConquer{Gamma: 1, Tau: 0, MaxGroupResults: 1}
+}
+
+// degradedDnC is serial divide-and-conquer whose first group's greedy
+// panics at its first phase-1 step. That group degrades and contributes
+// nothing, so the combination under-delivers and the driver's top-up and
+// refinement finish the plan; finish and refine count their steps
+// through the SiteDnCFinish and SiteDnCRefine probes.
+type degradedDnC struct {
+	*DivideAndConquer
+	finish, refine int
+}
+
+func (d *degradedDnC) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
+	fault.Reset()
+	fault.Enable()
+	defer fault.Reset()
+	fired := false
+	fault.Register(SiteGreedyPhase1, func() {
+		if !fired {
+			fired = true
+			panic("injected group fault")
+		}
+	})
+	d.finish, d.refine = 0, 0
+	fault.Register(SiteDnCFinish, func() { d.finish++ })
+	fault.Register(SiteDnCRefine, func() { d.refine++ })
+	return d.DivideAndConquer.SolveContext(ctx, in, b)
+}
+
+func TestDncSplitGroupFallback(t *testing.T) {
+	// A group holds every tuple of its results, so only a degraded or
+	// skipped group under-delivers: with the first group's greedy
+	// panicking, its result is left to the driver's top-up.
+	in := splitGroupInstance()
+	d := &degradedDnC{DivideAndConquer: &DivideAndConquer{Gamma: 1, Tau: 0, MaxGroupResults: 1}}
 	plan, err := solve(d, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Verify(plan); err != nil {
 		t.Fatal(err)
+	}
+	if plan.Degraded != 1 || !plan.Partial {
+		t.Fatalf("Degraded = %d, Partial = %v; want one degraded group and a partial plan", plan.Degraded, plan.Partial)
+	}
+	if d.finish == 0 {
+		t.Fatal("the top-up never ran")
+	}
+	if d.refine == 0 {
+		t.Fatal("the refinement never ran")
 	}
 }
 

@@ -92,7 +92,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	for i := range a.Results {
-		if !lineage.Equal(a.Results[i].Formula, b.Results[i].Formula) {
+		if a.Results[i].Formula.String() != b.Results[i].Formula.String() {
 			t.Fatalf("formulas diverge at %d", i)
 		}
 	}
