@@ -65,7 +65,13 @@ mvcc-stress:
 # benchmark's shapes, the fuzz corpora and an error-parity table
 # included), filter pushdown over the fuzz seeds, the one AST renderer
 # vs the parser round trip and the fingerprint's invariances, and SQL
-# DML's subqueries vs the version its transaction reads. Beside them:
+# DML's subqueries vs the version its transaction reads; the batch
+# operators vs result images recorded while they ran a row at a time
+# (every corpus row, in order, with its lineage), the hash join vs the
+# nested loop (NULL keys included) and every equi-join spelling vs the
+# others, the typed row key vs Value.Key's strings, LIMIT vs the error
+# of a row past it, and the allocation budget of a row no consumer
+# keeps. Beside them:
 # D&C's top-up reached through a degraded group (the degraded-D&C
 # goldens pin its plans), the solver planning over the filter's own
 # lineage, and /v1/explain under admission and drain.
@@ -74,7 +80,7 @@ differential:
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage' -count=1 ./internal/core/
 	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the

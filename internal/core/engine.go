@@ -21,7 +21,8 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"sort"
+	"slices"
+	"strings"
 
 	"pcqe/internal/fault"
 	"pcqe/internal/obs"
@@ -421,14 +422,14 @@ func isDegradation(err error) bool {
 // output nondeterministic across evaluations (hash joins and map-based
 // duplicate elimination do not promise an order).
 func sortRows(rows []Row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Confidence > rows[j].Confidence {
-			return true
+	slices.SortStableFunc(rows, func(a, b Row) int {
+		switch {
+		case a.Confidence > b.Confidence:
+			return -1
+		case a.Confidence < b.Confidence:
+			return 1
 		}
-		if rows[i].Confidence < rows[j].Confidence {
-			return false
-		}
-		return rows[i].Tuple.Key() < rows[j].Tuple.Key()
+		return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
 	})
 }
 

@@ -1,19 +1,15 @@
 package relation
 
-import (
-	"strings"
-
-	"pcqe/internal/lineage"
-)
+import "strings"
 
 // access is the one leaf of every plan: a base table read at one
 // committed version. It reads records in batches — one chunk of the
 // record store, or the part of an index bucket in one chunk when an
 // equality conjunct of its filter has a hash index — and runs the
 // filter's kernels over the batch's selection vector. Only a record
-// that survives resolves its row's version (MVCC visibility) and
-// materialises the kept columns, the Tuple and its lineage variable —
-// a rejected record allocates nothing. Table.Scan returns it bare;
+// that survives resolves its row's version (MVCC visibility) and has
+// its kept cells and lineage variable copied into the leaf's reused
+// output batch: no record allocates. Table.Scan returns it bare;
 // Filter and Prune push into it; IndexJoin probes through it.
 type access struct {
 	table *Table
@@ -29,28 +25,27 @@ type access struct {
 	out  *Schema
 
 	// at is the committed version Open was given to read, view the
-	// record store as of Open. next is the next record to batch, or the
+	// record store as of Open. pos is the next record to batch, or the
 	// position in bucket, the probed key's records, with an index. A
-	// batch lies in one chunk: its filter's sel and unsure hold offsets
-	// from base, the chunk's first record; si and ui are how far Next has
-	// emitted them. ids holds every offset, what a scan's batch starts
-	// as. tuples and vals are slabs the output is carved from, sized by
-	// what is left of the batch, or of the bucket.
+	// batch of records lies in one chunk: its filter's sel and unsure
+	// hold offsets from base, the chunk's first record; si and ui are
+	// how far survivor has walked them. ids holds every offset, what a
+	// scan's batch starts as. buf is the batch of survivors next hands
+	// out: their kept cells and lineage variables.
 	at     int64
 	view   recView
 	f      leafFilter
 	bucket []int32
-	next   int
+	pos    int
 	base   int32
 	si, ui int
 	ids    []int32
-	tuples []Tuple
-	vals   []Value
+	buf    batch
 }
 
-// Scan returns a Volcano operator producing the table's rows as derived
-// tuples whose lineage is their own variable, as of the committed
-// version it is opened at, in record order.
+// Scan returns the leaf operator producing the table's rows, each with
+// its own variable as lineage, as of the committed version it is opened
+// at, in record order.
 func (t *Table) Scan() Operator { return &access{table: t, out: t.schema} }
 
 // Schema implements Operator.
@@ -67,7 +62,7 @@ func (a *access) Open(at int64) error {
 // seek puts the cursor before the rows to read: key's bucket with an
 // index chosen (IndexJoin re-seeks per outer row), every record without.
 func (a *access) seek(key Value) {
-	a.key, a.next = key, 0
+	a.key, a.pos = key, 0
 	a.f.sel, a.f.unsure, a.si, a.ui = a.f.sel[:0], a.f.unsure[:0], 0, 0
 	if a.index != nil {
 		a.bucket = a.index.candidates(key)
@@ -81,25 +76,25 @@ func (a *access) fill() bool {
 	f := &a.f
 	f.sel, f.unsure, a.si, a.ui = f.sel[:0], f.unsure[:0], 0, 0
 	if a.index == nil {
-		if a.next >= a.view.n {
+		if a.pos >= a.view.n {
 			return false
 		}
-		lo := a.next
-		a.base, a.next = int32(lo&^chunkMask), min((lo|chunkMask)+1, a.view.n)
+		lo := a.pos
+		a.base, a.pos = int32(lo&^chunkMask), min((lo|chunkMask)+1, a.view.n)
 		if a.ids == nil {
 			a.ids = make([]int32, chunkLen)
 			for i := range a.ids {
 				a.ids[i] = int32(i)
 			}
 		}
-		f.sel = append(f.sel, a.ids[lo&chunkMask:a.next-int(a.base)]...)
+		f.sel = append(f.sel, a.ids[lo&chunkMask:a.pos-int(a.base)]...)
 	} else {
-		if a.next >= len(a.bucket) || int(a.bucket[a.next]) >= a.view.n {
+		if a.pos >= len(a.bucket) || int(a.bucket[a.pos]) >= a.view.n {
 			return false
 		}
-		a.base = a.bucket[a.next] &^ chunkMask
-		for ; a.next < len(a.bucket); a.next++ {
-			r := a.bucket[a.next]
+		a.base = a.bucket[a.pos] &^ chunkMask
+		for ; a.pos < len(a.bucket); a.pos++ {
+			r := a.bucket[a.pos]
 			if r&^chunkMask != a.base || int(r) >= a.view.n {
 				break
 			}
@@ -110,24 +105,20 @@ func (a *access) fill() bool {
 	return true
 }
 
-// Next implements Operator.
-func (a *access) Next() (*Tuple, error) {
-	ch, off, b, err := a.survivor()
-	if b == nil {
-		return nil, err
-	}
-	w := a.out.Len()
-	if len(a.tuples) == 0 {
-		n := len(a.f.sel) - a.si + len(a.f.unsure) - a.ui + 1
-		if a.index != nil {
-			n += len(a.bucket) - a.next
+func (a *access) next() (*batch, error) {
+	a.buf.reset(a.out.Len(), 0)
+	for a.buf.len() < chunkLen {
+		ch, off, b, err := a.survivor()
+		if b == nil {
+			if a.buf.len() == 0 && err == nil {
+				return nil, nil
+			}
+			return &a.buf, err
 		}
-		a.tuples, a.vals = make([]Tuple, n), make([]Value, n*w)
+		a.buf.vals = a.cells(a.buf.vals, ch, off)
+		a.buf.lins = append(a.buf.lins, lin{v: b.v})
 	}
-	t := &a.tuples[0]
-	t.Values, t.Lineage = a.cells(a.vals[:0:w], ch, off), lineage.NewVar(b.v)
-	a.tuples, a.vals = a.tuples[1:], a.vals[w:]
-	return t, nil
+	return &a.buf, nil
 }
 
 // survivor advances to the next record that is live at a.at and passes
@@ -177,7 +168,7 @@ func (a *access) cells(dst []Value, ch *chunk, off int32) []Value {
 }
 
 // Close implements Operator.
-func (a *access) Close() error { return nil }
+func (a *access) Close() error { a.buf.release(); return nil }
 
 // leafOf unwraps op to its access leaf when op is one, bare or under a
 // Rename (which only re-qualifies the schema); alias is that Rename's.

@@ -58,14 +58,6 @@ type Aggregate struct {
 	materialized
 }
 
-type aggGroup struct {
-	keyVals []Value
-	// lins collects the contributing rows' lineages; the group's one
-	// conjunction is built when the input ends (see distinctRows).
-	lins   []*lineage.Expr
-	states []aggState
-}
-
 type aggState struct {
 	count int64
 	sum   float64
@@ -121,58 +113,48 @@ func aggType(spec AggSpec) Type {
 
 // Open implements Operator.
 func (a *Aggregate) Open(at int64) error {
-	a.buffer, a.pos = nil, 0
-	if err := a.Input.Open(at); err != nil {
+	a.rows, a.pos = rowStore{w: a.Schema().Len()}, 0
+	var keys groups // the group keys, in first-seen order
+	var states [][]aggState
+	key := make([]Value, len(a.GroupBy))
+	var t Tuple
+	err := each(a.Input, at, func(b *batch) error {
+		for i := range b.len() {
+			t.Values = b.row(i)
+			for j, g := range a.GroupBy {
+				v, err := g.Eval(&t)
+				if err != nil {
+					return err
+				}
+				key[j] = v
+			}
+			g := keys.add(key, b.lins[i])
+			if int(g) == len(states) {
+				states = append(states, make([]aggState, len(a.Aggs)))
+			}
+			for j, spec := range a.Aggs {
+				if err := states[g][j].update(spec, &t); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	defer a.Input.Close()
-	groups := map[string]*aggGroup{}
-	var order []string
-	for {
-		t, err := a.Input.Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		keyVals := make([]Value, len(a.GroupBy))
-		var kb strings.Builder
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(t)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-			kb.WriteString(v.Key())
-			kb.WriteByte(0x1f)
-		}
-		key := kb.String()
-		grp, ok := groups[key]
-		if !ok {
-			grp = &aggGroup{keyVals: keyVals, states: make([]aggState, len(a.Aggs))}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		grp.lins = append(grp.lins, t.Lineage)
-		for i, spec := range a.Aggs {
-			if err := grp.states[i].update(spec, t); err != nil {
-				return err
-			}
-		}
-	}
 	// Global aggregate over an empty input still yields one row.
-	if len(a.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggGroup{states: make([]aggState, len(a.Aggs))}
-		order = append(order, "")
+	if len(a.GroupBy) == 0 && len(states) == 0 {
+		keys.add(key, lin{e: lineage.True()})
+		states = append(states, make([]aggState, len(a.Aggs)))
 	}
-	for _, key := range order {
-		grp := groups[key]
-		vals := append([]Value{}, grp.keyVals...)
-		for i, spec := range a.Aggs {
-			vals = append(vals, grp.states[i].result(spec))
+	rows, row := keys.fold(lineage.And), []Value(nil)
+	for g, st := range states {
+		row = append(row[:0], rows.row(g)...)
+		for j, spec := range a.Aggs {
+			row = append(row, st[j].result(spec))
 		}
-		a.buffer = append(a.buffer, &Tuple{Values: vals, Lineage: lineage.And(grp.lins...)})
+		a.rows.add(row, *rows.lin(g))
 	}
 	return nil
 }
@@ -255,10 +237,4 @@ func (s *aggState) result(spec AggSpec) Value {
 		return s.max
 	}
 	return Null()
-}
-
-// Close implements Operator.
-func (a *Aggregate) Close() error {
-	a.buffer = nil
-	return nil
 }

@@ -12,6 +12,7 @@ type ColumnMap struct {
 	Indices []int
 
 	out *Schema
+	buf batch
 }
 
 // Schema implements Operator.
@@ -25,18 +26,21 @@ func (m *ColumnMap) Schema() *Schema {
 // Open implements Operator.
 func (m *ColumnMap) Open(at int64) error { return m.Input.Open(at) }
 
-// Next implements Operator.
-func (m *ColumnMap) Next() (*Tuple, error) {
-	t, err := m.Input.Next()
-	if err != nil || t == nil {
+func (m *ColumnMap) next() (*batch, error) {
+	in, err := m.Input.next()
+	if in == nil {
 		return nil, err
 	}
-	vals := make([]Value, len(m.Indices))
-	for i, idx := range m.Indices {
-		vals[i] = t.Values[idx]
+	m.buf.reset(len(m.Indices), in.len())
+	for i := range in.len() {
+		row := in.row(i)
+		for _, c := range m.Indices {
+			m.buf.vals = append(m.buf.vals, row[c])
+		}
 	}
-	return &Tuple{Values: vals, Lineage: t.Lineage}, nil
+	m.buf.lins = append(m.buf.lins, in.lins...)
+	return &m.buf, err
 }
 
 // Close implements Operator.
-func (m *ColumnMap) Close() error { return m.Input.Close() }
+func (m *ColumnMap) Close() error { m.buf.release(); return m.Input.Close() }

@@ -29,6 +29,7 @@ type AttachConfidence struct {
 
 	assign lineage.Assignment
 	out    *Schema
+	buf    batch
 }
 
 // Schema implements Operator.
@@ -47,22 +48,24 @@ func (a *AttachConfidence) Open(at int64) error {
 	return a.Input.Open(at)
 }
 
-// Next implements Operator.
-func (a *AttachConfidence) Next() (*Tuple, error) {
-	t, err := a.Input.Next()
-	if err != nil || t == nil {
+func (a *AttachConfidence) next() (*batch, error) {
+	in, err := a.Input.next()
+	if in == nil {
 		return nil, err
 	}
-	vals := make([]Value, 0, len(t.Values)+1)
-	vals = append(vals, t.Values...)
-	_, p, _, err := evalClassified(t.Lineage, a.assign)
-	if err != nil {
-		return nil, err
+	a.buf.reset(in.w+1, in.len())
+	for i := range in.len() {
+		l := in.lins[i].expr()
+		_, p, _, err := evalClassified(l, a.assign)
+		if err != nil {
+			return &a.buf, err
+		}
+		// A Shannon sum can overshoot 1 by an ulp; the column is user-visible.
+		a.buf.vals = append(append(a.buf.vals, in.row(i)...), Float(conf.Clamp(p)))
+		a.buf.lins = append(a.buf.lins, lin{e: l})
 	}
-	// A Shannon sum can overshoot 1 by an ulp; the column is user-visible.
-	vals = append(vals, Float(conf.Clamp(p)))
-	return &Tuple{Values: vals, Lineage: t.Lineage}, nil
+	return &a.buf, err
 }
 
 // Close implements Operator.
-func (a *AttachConfidence) Close() error { return a.Input.Close() }
+func (a *AttachConfidence) Close() error { a.buf.release(); return a.Input.Close() }

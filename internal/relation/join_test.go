@@ -9,6 +9,10 @@ import (
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	c, proposal, info := newVentureDB(t)
+	// A NULL company on each side: NULL = NULL is not true, so the
+	// nested loop joins neither, and the hash join must not either.
+	proposal.MustInsert(0.5, nil, Null(), String_("orphan"), Float(1))
+	info.MustInsert(0.5, nil, Null(), Float(1))
 	// Equi-join on company with both algorithms.
 	hj := &HashJoin{Left: info.Scan(), Right: proposal.Scan(), LeftKeys: []int{0}, RightKeys: []int{0}}
 	joined := hj.Schema()

@@ -1,8 +1,10 @@
 package relation
 
-// Operator is a Volcano-style iterator over tuples. Next returns
-// (nil, nil) at end of stream. Operators propagate lineage: every output
-// tuple's Lineage field records how it was derived from base tuples.
+import "pcqe/internal/lineage"
+
+// Operator is an iterator over batches of rows. Operators propagate
+// lineage: every output row's lineage records how it was derived from
+// base tuples.
 type Operator interface {
 	// Schema describes the output tuples.
 	Schema() *Schema
@@ -10,8 +12,11 @@ type Operator interface {
 	// rows of committed version at: every base-table read, index probe
 	// and attached confidence below it resolves at exactly that version.
 	Open(at int64) error
-	// Next produces the next tuple, or (nil, nil) at end of stream.
-	Next() (*Tuple, error)
+	// next returns the next batch of rows, nil at end of stream. With an
+	// error, the batch (if any) holds the rows before the failing one,
+	// so a consumer that stops early (Limit) never meets an error the
+	// row-at-a-time order would not have reached.
+	next() (*batch, error)
 	// Close releases resources. Operators may be reopened after Close.
 	Close() error
 }
@@ -20,21 +25,17 @@ type Operator interface {
 // the result is consistent with that one committed state even while
 // writers commit concurrently.
 func RunAt(op Operator, v int64) ([]*Tuple, error) {
-	if err := op.Open(v); err != nil {
+	var all rowStore
+	if err := drain(op, v, &all); err != nil || all.n == 0 {
 		return nil, err
 	}
-	defer op.Close()
-	var out []*Tuple
-	for {
-		t, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			return out, nil
-		}
-		out = append(out, t)
+	// One Tuple slab; the values stay in all's blocks, each row capped.
+	ts, out := make([]Tuple, all.n), make([]*Tuple, all.n)
+	for i := range ts {
+		ts[i] = Tuple{Values: all.row(i), Lineage: all.lin(i).expr()}
+		out[i] = &ts[i]
 	}
+	return out, nil
 }
 
 // Values wraps a materialized slice of tuples as an operator (useful for
@@ -42,43 +43,19 @@ func RunAt(op Operator, v int64) ([]*Tuple, error) {
 type Values struct {
 	Rows      []*Tuple
 	RowSchema *Schema
-	pos       int
+	materialized
 }
 
 // Schema implements Operator.
 func (v *Values) Schema() *Schema { return v.RowSchema }
 
 // Open implements Operator.
-func (v *Values) Open(int64) error { v.pos = 0; return nil }
-
-// Next implements Operator.
-func (v *Values) Next() (*Tuple, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, nil
+func (v *Values) Open(int64) error {
+	v.rows, v.pos = rowStore{w: v.RowSchema.Len()}, 0
+	for _, t := range v.Rows {
+		v.rows.add(t.Values, lin{e: t.Lineage})
 	}
-	t := v.Rows[v.pos]
-	v.pos++
-	return t, nil
-}
-
-// Close implements Operator.
-func (v *Values) Close() error { return nil }
-
-// materialized is the output side of the operators that build their
-// whole result in Open (DISTINCT, set operations, Aggregate, Sort):
-// Next hands the buffer out row by row.
-type materialized struct {
-	buffer []*Tuple
-	pos    int
-}
-
-// Next implements Operator.
-func (m *materialized) Next() (*Tuple, error) {
-	if m.pos >= len(m.buffer) {
-		return nil, nil
-	}
-	m.pos++
-	return m.buffer[m.pos-1], nil
+	return nil
 }
 
 // Select filters tuples by a boolean predicate. Lineage passes through
@@ -88,6 +65,9 @@ func (m *materialized) Next() (*Tuple, error) {
 type Select struct {
 	Input Operator
 	Pred  Expr
+
+	out batch
+	row Tuple // the row Pred is evaluated over
 }
 
 // Schema implements Operator.
@@ -96,25 +76,25 @@ func (s *Select) Schema() *Schema { return s.Input.Schema() }
 // Open implements Operator.
 func (s *Select) Open(at int64) error { return s.Input.Open(at) }
 
-// Next implements Operator.
-func (s *Select) Next() (*Tuple, error) {
-	for {
-		t, err := s.Input.Next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		ok, err := EvalBool(s.Pred, t)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return t, nil
+func (s *Select) next() (*batch, error) {
+	in, err := s.Input.next()
+	if in == nil {
+		return nil, err
+	}
+	s.out.reset(in.w, in.len())
+	for i := range in.len() {
+		s.row.Values = in.row(i)
+		if ok, err := EvalBool(s.Pred, &s.row); err != nil {
+			return &s.out, err
+		} else if ok {
+			s.out.vals, s.out.lins = append(s.out.vals, s.row.Values...), append(s.out.lins, in.lins[i])
 		}
 	}
+	return &s.out, err
 }
 
 // Close implements Operator.
-func (s *Select) Close() error { return s.Input.Close() }
+func (s *Select) Close() error { s.out.release(); return s.Input.Close() }
 
 // Project computes output columns from expressions. With Distinct set,
 // duplicate output rows are merged and their lineages are OR-ed — this is
@@ -128,6 +108,8 @@ type Project struct {
 
 	out *Schema
 	materialized
+	buf batch
+	row Tuple // the input row the expressions are evaluated over
 }
 
 // Schema implements Operator.
@@ -155,7 +137,7 @@ func (p *Project) Schema() *Schema {
 
 // Open implements Operator.
 func (p *Project) Open(at int64) error {
-	p.buffer, p.pos = nil, 0
+	p.rows, p.pos = rowStore{}, 0
 	if err := p.Input.Open(at); err != nil {
 		return err
 	}
@@ -163,52 +145,47 @@ func (p *Project) Open(at int64) error {
 		return nil
 	}
 	// DISTINCT materializes: merge duplicates, OR their lineage.
-	var d distinctRows
-	for {
-		in, err := p.Input.Next()
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		out, err := p.projectRow(in)
-		if err != nil {
-			return err
-		}
-		d.add(out)
+	var d groups
+	b, err := p.project()
+	for ; b != nil && err == nil; b, err = p.project() {
+		d.addAll(b)
 	}
-	p.buffer = d.rows()
-	return nil
+	p.rows = *d.fold(lineage.Or)
+	return err
 }
 
-func (p *Project) projectRow(in *Tuple) (*Tuple, error) {
-	vals := make([]Value, len(p.Exprs))
-	for i, e := range p.Exprs {
-		v, err := e.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return &Tuple{Values: vals, Lineage: in.Lineage}, nil
-}
-
-// Next implements Operator.
-func (p *Project) Next() (*Tuple, error) {
-	if p.Distinct {
-		return p.materialized.Next()
-	}
-	in, err := p.Input.Next()
-	if err != nil || in == nil {
+// project evaluates the expressions over the input's next batch.
+func (p *Project) project() (*batch, error) {
+	in, err := p.Input.next()
+	if in == nil {
 		return nil, err
 	}
-	return p.projectRow(in)
+	p.buf.reset(len(p.Exprs), in.len())
+	for i := range in.len() {
+		p.row.Values = in.row(i)
+		for _, e := range p.Exprs {
+			v, err := e.Eval(&p.row)
+			if err != nil {
+				return &p.buf, err // the row's values so far lie past its rows
+			}
+			p.buf.vals = append(p.buf.vals, v)
+		}
+		p.buf.lins = append(p.buf.lins, in.lins[i])
+	}
+	return &p.buf, err
+}
+
+func (p *Project) next() (*batch, error) {
+	if p.Distinct {
+		return p.materialized.next()
+	}
+	return p.project()
 }
 
 // Close implements Operator.
 func (p *Project) Close() error {
-	p.buffer = nil
+	p.rows = rowStore{}
+	p.buf.release()
 	return p.Input.Close()
 }
 
@@ -219,6 +196,7 @@ type Limit struct {
 	Offset  int
 	emitted int
 	skipped int
+	view    batch
 }
 
 // Schema implements Operator.
@@ -230,24 +208,30 @@ func (l *Limit) Open(at int64) error {
 	return l.Input.Open(at)
 }
 
-// Next implements Operator.
-func (l *Limit) Next() (*Tuple, error) {
-	for l.skipped < l.Offset {
-		t, err := l.Input.Next()
-		if err != nil || t == nil {
+func (l *Limit) done() bool { return l.skipped >= l.Offset && l.N >= 0 && l.emitted >= l.N }
+
+func (l *Limit) next() (*batch, error) {
+	for !l.done() {
+		in, err := l.Input.next()
+		if in == nil {
 			return nil, err
 		}
-		l.skipped++
+		lo, hi := min(l.Offset-l.skipped, in.len()), in.len()
+		if l.N >= 0 {
+			hi = min(hi, lo+l.N-l.emitted)
+		}
+		l.skipped, l.emitted = l.skipped+lo, l.emitted+hi-lo
+		l.view = batch{w: in.w, vals: in.vals[lo*in.w : hi*in.w], lins: in.lins[lo:hi]}
+		// The rows before an input error are all taken only when the
+		// limit still wants more: then it reaches the failing row.
+		if err != nil && !l.done() {
+			return &l.view, err
+		}
+		if hi > lo {
+			return &l.view, nil
+		}
 	}
-	if l.N >= 0 && l.emitted >= l.N {
-		return nil, nil
-	}
-	t, err := l.Input.Next()
-	if err != nil || t == nil {
-		return nil, err
-	}
-	l.emitted++
-	return t, nil
+	return nil, nil
 }
 
 // Close implements Operator.

@@ -6,66 +6,29 @@ import (
 	"pcqe/internal/lineage"
 )
 
-// distinctRows merges equal rows as they arrive, in first-seen order,
-// and ORs the lineages of each group of duplicates — the row exists if
-// any of its derivations does. A group's operands are collected and its
-// n-ary node built once, in rows: Or(acc, x) per duplicate copies the
-// accumulated operands every time, quadratic in the group. Flattening
-// is associative, so the formula is the pairwise fold's.
-type distinctRows struct {
-	index map[string]int
-	first []*Tuple
-	// dups[i] holds the lineages merged into first[i], its own leading;
-	// nil while the row is unique.
-	dups [][]*lineage.Expr
-}
-
-// distinct merges the rows of the given inputs, in order.
-func distinct(inputs ...[]*Tuple) *distinctRows {
-	d := &distinctRows{}
-	for _, rows := range inputs {
-		for _, t := range rows {
-			d.add(t)
+// matchDistinct merges the duplicates of each input, ORing their
+// lineages (left drained first, both at version at), then adds to dst
+// every merged left row, in order, that keep passes, given the lineage
+// of the equal right row (nil when there is none), with the lineage
+// keep returns.
+func matchDistinct(left, right Operator, at int64, dst *rowStore, keep func(l lin, r *lineage.Expr) (lin, bool)) error {
+	var l, r groups
+	if err := each(left, at, l.addAll); err != nil {
+		return err
+	}
+	if err := each(right, at, r.addAll); err != nil {
+		return err
+	}
+	ls, rs := l.fold(lineage.Or), r.fold(lineage.Or)
+	*dst = rowStore{w: left.Schema().Len()}
+	for g := range ls.n {
+		var rl *lineage.Expr
+		if rg, _ := r.find(ls.row(g)); rg >= 0 {
+			rl = rs.lin(int(rg)).expr()
 		}
-	}
-	d.rows()
-	return d
-}
-
-func (d *distinctRows) add(t *Tuple) {
-	if d.index == nil {
-		d.index = map[string]int{}
-	}
-	key := t.Key()
-	i, dup := d.index[key]
-	if !dup {
-		d.index[key] = len(d.first)
-		d.first = append(d.first, t)
-		d.dups = append(d.dups, nil)
-		return
-	}
-	if d.dups[i] == nil {
-		d.dups[i] = []*lineage.Expr{d.first[i].Lineage}
-	}
-	d.dups[i] = append(d.dups[i], t.Lineage)
-}
-
-// rows returns the merged rows. Input tuples are never modified: a
-// merged group is a fresh tuple sharing its first row's values.
-func (d *distinctRows) rows() []*Tuple {
-	for i, ops := range d.dups {
-		if ops != nil {
-			d.first[i] = &Tuple{Values: d.first[i].Values, Lineage: lineage.Or(ops...)}
-			d.dups[i] = nil
+		if kept, ok := keep(*ls.lin(g), rl); ok {
+			dst.add(ls.row(g), kept)
 		}
-	}
-	return d.first
-}
-
-// find returns the merged row equal to t, or nil (call rows first).
-func (d *distinctRows) find(t *Tuple) *Tuple {
-	if i, ok := d.index[t.Key()]; ok {
-		return d.first[i]
 	}
 	return nil
 }
@@ -78,7 +41,6 @@ type Union struct {
 	All         bool
 
 	materialized
-	opened bool
 }
 
 // Schema implements Operator.
@@ -90,26 +52,22 @@ func (u *Union) Open(at int64) error {
 		return fmt.Errorf("relation: UNION inputs are not union-compatible: %s vs %s",
 			u.Left.Schema(), u.Right.Schema())
 	}
-	left, err := RunAt(u.Left, at)
-	if err != nil {
-		return err
-	}
-	right, err := RunAt(u.Right, at)
-	if err != nil {
-		return err
-	}
 	u.pos = 0
+	u.rows = rowStore{w: u.Schema().Len()}
+	var d groups
+	add := d.addAll
 	if u.All {
-		u.buffer = append(append([]*Tuple{}, left...), right...)
-		return nil
+		add = u.rows.addAll
 	}
-	u.buffer = distinct(left, right).rows()
-	return nil
-}
-
-// Close implements Operator.
-func (u *Union) Close() error {
-	u.buffer = nil
+	if err := each(u.Left, at, add); err != nil {
+		return err
+	}
+	if err := each(u.Right, at, add); err != nil {
+		return err
+	}
+	if !u.All {
+		u.rows = *d.fold(lineage.Or)
+	}
 	return nil
 }
 
@@ -130,30 +88,13 @@ func (op *Intersect) Open(at int64) error {
 	if !op.Left.Schema().Compatible(op.Right.Schema()) {
 		return fmt.Errorf("relation: INTERSECT inputs are not union-compatible")
 	}
-	left, err := RunAt(op.Left, at)
-	if err != nil {
-		return err
-	}
-	right, err := RunAt(op.Right, at)
-	if err != nil {
-		return err
-	}
-	// Deduplicate each side, OR-ing lineages of duplicates; left-input
-	// order is preserved.
-	rm := distinct(right)
-	op.buffer, op.pos = nil, 0
-	for _, t := range distinct(left).rows() {
-		if rt := rm.find(t); rt != nil {
-			op.buffer = append(op.buffer, &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, rt.Lineage)})
+	op.pos = 0
+	return matchDistinct(op.Left, op.Right, at, &op.rows, func(l lin, r *lineage.Expr) (lin, bool) {
+		if r == nil {
+			return l, false
 		}
-	}
-	return nil
-}
-
-// Close implements Operator.
-func (op *Intersect) Close() error {
-	op.buffer = nil
-	return nil
+		return lin{e: lineage.And(l.expr(), r)}, true
+	})
 }
 
 // Except emits rows of the left input absent from the right (set
@@ -173,28 +114,11 @@ func (op *Except) Open(at int64) error {
 	if !op.Left.Schema().Compatible(op.Right.Schema()) {
 		return fmt.Errorf("relation: EXCEPT inputs are not union-compatible")
 	}
-	left, err := RunAt(op.Left, at)
-	if err != nil {
-		return err
-	}
-	right, err := RunAt(op.Right, at)
-	if err != nil {
-		return err
-	}
-	// Merge duplicates on each side first (OR), then attach ∧¬right.
-	rm := distinct(right)
-	op.buffer, op.pos = nil, 0
-	for _, t := range distinct(left).rows() {
-		if rt := rm.find(t); rt != nil {
-			t = &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, lineage.Not(rt.Lineage))}
+	op.pos = 0
+	return matchDistinct(op.Left, op.Right, at, &op.rows, func(l lin, r *lineage.Expr) (lin, bool) {
+		if r == nil {
+			return l, true
 		}
-		op.buffer = append(op.buffer, t)
-	}
-	return nil
-}
-
-// Close implements Operator.
-func (op *Except) Close() error {
-	op.buffer = nil
-	return nil
+		return lin{e: lineage.And(l.expr(), lineage.Not(r))}, true
+	})
 }

@@ -1,8 +1,6 @@
 package relation
 
-import (
-	"sort"
-)
+import "sort"
 
 // SortKey orders by one expression.
 type SortKey struct {
@@ -24,30 +22,29 @@ func (s *Sort) Schema() *Schema { return s.Input.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open(at int64) error {
-	rows, err := RunAt(s.Input, at)
-	if err != nil {
+	s.rows, s.pos = rowStore{w: s.Schema().Len()}, 0
+	var in rowStore
+	if err := drain(s.Input, at, &in); err != nil {
 		return err
 	}
-	type keyed struct {
-		t    *Tuple
-		keys []Value
-	}
-	ks := make([]keyed, len(rows))
-	for i, t := range rows {
-		kv := make([]Value, len(s.Keys))
+	// perm is sorted, row r's keys are keys[r*n : (r+1)*n].
+	n := len(s.Keys)
+	keys, perm := make([]Value, in.n*n), make([]int, in.n)
+	var t Tuple
+	for r := range perm {
+		t.Values, perm[r] = in.row(r), r
 		for j, k := range s.Keys {
-			v, err := k.Expr.Eval(t)
+			v, err := k.Expr.Eval(&t)
 			if err != nil {
 				return err
 			}
-			kv[j] = v
+			keys[r*n+j] = v
 		}
-		ks[i] = keyed{t: t, keys: kv}
 	}
 	var sortErr error
-	sort.SliceStable(ks, func(i, j int) bool {
+	sort.SliceStable(perm, func(i, j int) bool {
 		for idx, k := range s.Keys {
-			c, err := Compare(ks[i].keys[idx], ks[j].keys[idx])
+			c, err := Compare(keys[perm[i]*n+idx], keys[perm[j]*n+idx])
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
@@ -63,17 +60,9 @@ func (s *Sort) Open(at int64) error {
 	if sortErr != nil {
 		return sortErr
 	}
-	s.buffer = make([]*Tuple, len(ks))
-	for i, k := range ks {
-		s.buffer[i] = k.t
+	for _, r := range perm {
+		s.rows.add(in.row(r), *in.lin(r))
 	}
-	s.pos = 0
-	return nil
-}
-
-// Close implements Operator.
-func (s *Sort) Close() error {
-	s.buffer = nil
 	return nil
 }
 
@@ -97,8 +86,7 @@ func (r *Rename) Schema() *Schema {
 // Open implements Operator.
 func (r *Rename) Open(at int64) error { return r.Input.Open(at) }
 
-// Next implements Operator.
-func (r *Rename) Next() (*Tuple, error) { return r.Input.Next() }
+func (r *Rename) next() (*batch, error) { return r.Input.next() }
 
 // Close implements Operator.
 func (r *Rename) Close() error { return r.Input.Close() }

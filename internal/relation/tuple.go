@@ -23,25 +23,13 @@ func NewTuple(values []Value, lin *lineage.Expr) *Tuple {
 	return &Tuple{Values: values, Lineage: lin}
 }
 
-// Key returns a hash key over all values (used for DISTINCT and set
-// operations).
+// Key renders the values as one string, each value's Key followed by
+// a 0x1f separator. It orders rows (core breaks confidence ties with
+// it); operators match rows by their values themselves (groups).
 func (t *Tuple) Key() string {
-	return t.KeyOn(nil)
-}
-
-// KeyOn returns a hash key over the values at the given indices; a nil
-// slice means all columns.
-func (t *Tuple) KeyOn(indices []int) string {
 	var b strings.Builder
-	if indices == nil {
-		for _, v := range t.Values {
-			b.WriteString(v.Key())
-			b.WriteByte(0x1f)
-		}
-		return b.String()
-	}
-	for _, i := range indices {
-		b.WriteString(t.Values[i].Key())
+	for _, v := range t.Values {
+		b.WriteString(v.Key())
 		b.WriteByte(0x1f)
 	}
 	return b.String()

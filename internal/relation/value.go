@@ -1,8 +1,8 @@
 // Package relation implements the in-memory relational substrate of the
 // PCQE framework: typed values, schemas, tuples that carry confidence and
 // lineage, tables, a catalog that assigns lineage variables to base
-// tuples, scalar expressions, hash indexes, and Volcano-style relational
-// operators that propagate lineage (join ⇒ AND, duplicate
+// tuples, scalar expressions, hash indexes, and batch-at-a-time
+// relational operators that propagate lineage (join ⇒ AND, duplicate
 // elimination/union ⇒ OR).
 //
 // Concurrency: a Catalog and its tables follow the single-writer model

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -559,6 +560,56 @@ func TestDMLSubqueryReadsAtItsTransaction(t *testing.T) {
 		}
 		if len(rows) != 2 || rows[0].Values[0].String() != "1" || rows[1].Values[0].String() != "2" {
 			t.Errorf("%s: O = %v, want items 1 and 2 untouched", stmt, rows)
+		}
+	}
+}
+
+// TestEquiJoinNullKeysMatchNothing: NULL = NULL is not true, so a row
+// whose join key is NULL joins nothing, whichever spelling of the
+// equality the statement uses and whichever join operator the planner
+// picks for it: a hash join, an index join (B.y indexed, B large
+// enough for the probe to be cheaper) or a nested loop over the
+// residual predicate.
+func TestEquiJoinNullKeysMatchNothing(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		cat := relation.NewCatalog()
+		script := `CREATE TABLE A (n TEXT, x INT);
+			CREATE TABLE B (m TEXT, y INT);
+			INSERT INTO A VALUES ('a1', 1), ('anull', NULL);
+			INSERT INTO B VALUES ('b1', 1), ('bnull', NULL)`
+		for i := range 60 {
+			script += fmt.Sprintf(", ('pad', %d)", 100+i)
+		}
+		if indexed {
+			script += `; CREATE INDEX ON B (y)`
+		}
+		if _, err := ExecScript(cat, script); err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string]string{
+			"SELECT A.n, B.m FROM A JOIN B ON A.x = B.y":                 "(a1, b1)",
+			"SELECT A.n, B.m FROM A JOIN B ON A.x = B.y + 0":             "(a1, b1)",
+			"SELECT A.n, B.m FROM A JOIN B ON A.x >= B.y AND A.x <= B.y": "(a1, b1)",
+			"SELECT A.n FROM A WHERE A.x IN (SELECT y FROM B)":           "(a1)",
+		} {
+			rows, _, err := queryLatest(cat, q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			got := make([]string, len(rows))
+			for i, r := range rows {
+				got[i] = r.String()
+			}
+			res, err := Exec(cat, "EXPLAIN "+q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(got, " ") != want {
+				t.Errorf("indexed=%v %s: rows %v, want %s\n%s", indexed, q, got, want, res.Plan)
+			}
+			if strings.HasSuffix(q, "A.x = B.y") && strings.Contains(res.Plan, "IndexJoin") != indexed {
+				t.Errorf("indexed=%v %s: want an IndexJoin exactly when B.y is indexed:\n%s", indexed, q, res.Plan)
+			}
 		}
 	}
 }

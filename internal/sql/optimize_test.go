@@ -34,7 +34,11 @@ func starTestCatalog(t *testing.T) *relation.Catalog {
 			relation.Int(int64(i)), relation.Int(int64(i%6)),
 			relation.Int(int64(i%5)), relation.Float(float64(i)*1.5))
 	}
-	for name, n := range map[string]int{"dim1": 6, "dim2": 5} {
+	for _, d := range []struct {
+		name string
+		n    int
+	}{{"dim1", 6}, {"dim2", 5}} { // in order: lineage variables are numbered by insertion
+		name, n := d.name, d.n
 		dim, err := c.CreateTable(name, relation.NewSchema(
 			relation.Column{Name: "k", Type: relation.TypeInt},
 			relation.Column{Name: "attr", Type: relation.TypeInt},
@@ -209,55 +213,58 @@ func TestServingShapePlans(t *testing.T) {
 	}
 }
 
+// ventureQueries and starQueries are TestCostBasedMatchesRuleBased's
+// hand-written corpora, over ventureCatalog and starTestCatalog.
+var ventureQueries = []string{
+	`SELECT DISTINCT CompanyInfo.Company, Income
+	   FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
+	  WHERE Funding < 1000000`,
+	`SELECT Company, Funding FROM Proposal WHERE Funding > 900000 ORDER BY Funding DESC`,
+	`SELECT p.Company, COUNT(*), SUM(Funding)
+	   FROM Proposal p JOIN CompanyInfo c ON p.Company = c.Company
+	  GROUP BY p.Company HAVING COUNT(*) > 0`,
+	`SELECT a.Company FROM Proposal a JOIN Proposal b ON a.Company = b.Company
+	  WHERE a.Proposal <> b.Proposal`,
+	`SELECT Company FROM Proposal WHERE Company LIKE 'Z%' OR Funding BETWEEN 1 AND 900000`,
+	`SELECT CompanyInfo.Company FROM CompanyInfo, Proposal
+	  WHERE CompanyInfo.Company = Proposal.Company AND Income > 100000`,
+	`SELECT Company FROM Proposal UNION SELECT Company FROM CompanyInfo`,
+	`SELECT Income FROM CompanyInfo WHERE Company IN (SELECT Company FROM Proposal)`,
+	`SELECT Company FROM Proposal WHERE _confidence > 0.35`,
+	`SELECT Company, Income FROM CompanyInfo ORDER BY Income LIMIT 1`,
+	// The corners the join planner is total over: HAVING past
+	// comparisons, ORDER BY on a column the projection drops, a
+	// constant conjunct over a cross join, _confidence over a
+	// self-join, a derived table in a join.
+	`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company LIKE 'Z%'`,
+	`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING COUNT(*) BETWEEN 2 AND 5`,
+	`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company IN ('AcmeSoft', 'nope')`,
+	`SELECT Company FROM Proposal ORDER BY Funding DESC`,
+	`SELECT Proposal.Company, Income FROM Proposal, CompanyInfo WHERE 1 = 1 AND Income > 100000`,
+	`SELECT a.Proposal, b.Proposal, _confidence FROM Proposal a JOIN Proposal b ON a.Company = b.Company
+	  WHERE a.Proposal < b.Proposal AND _confidence > 0.1`,
+	`SELECT t.Company, Income FROM (SELECT Company, SUM(Funding) AS total FROM Proposal GROUP BY Company) t
+	   JOIN CompanyInfo ON t.Company = CompanyInfo.Company WHERE t.total > 1000000`,
+}
+
+var starQueries = []string{
+	`SELECT fact.amount, dim1.attr, dim2.attr
+	   FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k
+	  WHERE dim2.attr = 1`,
+	`SELECT dim1.attr, SUM(fact.amount)
+	   FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k
+	  WHERE dim2.attr = 2 AND fact.amount > 10
+	  GROUP BY dim1.attr`,
+	`SELECT fact.id FROM fact JOIN dim1 ON fact.d1 = dim1.k
+	  WHERE dim1.attr = 0 AND fact.id < 30 ORDER BY fact.id`,
+	`SELECT * FROM dim1 JOIN dim2 ON dim1.attr = dim2.attr WHERE dim1.k > dim2.k`,
+}
+
 // TestCostBasedMatchesRuleBased is the planner's differential guard:
 // for every corpus query the engine's plan must return the same
 // multiset of rows, the same schema column names, and confidences
 // within 1e-12 of the reference's statement-order plan (PlanRuleBased).
 func TestCostBasedMatchesRuleBased(t *testing.T) {
-	ventureQueries := []string{
-		`SELECT DISTINCT CompanyInfo.Company, Income
-		   FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
-		  WHERE Funding < 1000000`,
-		`SELECT Company, Funding FROM Proposal WHERE Funding > 900000 ORDER BY Funding DESC`,
-		`SELECT p.Company, COUNT(*), SUM(Funding)
-		   FROM Proposal p JOIN CompanyInfo c ON p.Company = c.Company
-		  GROUP BY p.Company HAVING COUNT(*) > 0`,
-		`SELECT a.Company FROM Proposal a JOIN Proposal b ON a.Company = b.Company
-		  WHERE a.Proposal <> b.Proposal`,
-		`SELECT Company FROM Proposal WHERE Company LIKE 'Z%' OR Funding BETWEEN 1 AND 900000`,
-		`SELECT CompanyInfo.Company FROM CompanyInfo, Proposal
-		  WHERE CompanyInfo.Company = Proposal.Company AND Income > 100000`,
-		`SELECT Company FROM Proposal UNION SELECT Company FROM CompanyInfo`,
-		`SELECT Income FROM CompanyInfo WHERE Company IN (SELECT Company FROM Proposal)`,
-		`SELECT Company FROM Proposal WHERE _confidence > 0.35`,
-		`SELECT Company, Income FROM CompanyInfo ORDER BY Income LIMIT 1`,
-		// The corners the join planner is total over: HAVING past
-		// comparisons, ORDER BY on a column the projection drops, a
-		// constant conjunct over a cross join, _confidence over a
-		// self-join, a derived table in a join.
-		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company LIKE 'Z%'`,
-		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING COUNT(*) BETWEEN 2 AND 5`,
-		`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company IN ('AcmeSoft', 'nope')`,
-		`SELECT Company FROM Proposal ORDER BY Funding DESC`,
-		`SELECT Proposal.Company, Income FROM Proposal, CompanyInfo WHERE 1 = 1 AND Income > 100000`,
-		`SELECT a.Proposal, b.Proposal, _confidence FROM Proposal a JOIN Proposal b ON a.Company = b.Company
-		  WHERE a.Proposal < b.Proposal AND _confidence > 0.1`,
-		`SELECT t.Company, Income FROM (SELECT Company, SUM(Funding) AS total FROM Proposal GROUP BY Company) t
-		   JOIN CompanyInfo ON t.Company = CompanyInfo.Company WHERE t.total > 1000000`,
-	}
-	starQueries := []string{
-		`SELECT fact.amount, dim1.attr, dim2.attr
-		   FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k
-		  WHERE dim2.attr = 1`,
-		`SELECT dim1.attr, SUM(fact.amount)
-		   FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k
-		  WHERE dim2.attr = 2 AND fact.amount > 10
-		  GROUP BY dim1.attr`,
-		`SELECT fact.id FROM fact JOIN dim1 ON fact.d1 = dim1.k
-		  WHERE dim1.attr = 0 AND fact.id < 30 ORDER BY fact.id`,
-		`SELECT * FROM dim1 JOIN dim2 ON dim1.attr = dim2.attr WHERE dim1.k > dim2.k`,
-	}
-
 	run := func(t *testing.T, cat *relation.Catalog, queries []string) {
 		t.Helper()
 		for _, q := range queries {
