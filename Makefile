@@ -17,11 +17,12 @@ check: vet lint build race mvcc-stress differential obs-smoke serve-smoke
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet, the repo's own static-invariant suite (cmd/pcqelint;
-# see DESIGN.md §7 and §12) and, when installed, golangci-lint with
-# .golangci.yml. golangci-lint is optional so hermetic environments
-# still get the full vet + pcqelint gate.
+# lint runs go vet, a gofmt check, the repo's own static-invariant suite
+# (cmd/pcqelint; see DESIGN.md §7 and §12) and, when installed,
+# golangci-lint with .golangci.yml. golangci-lint is optional so
+# hermetic environments still get the full vet + gofmt + pcqelint gate.
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need formatting:"; gofmt -l .; exit 1; }
 	$(GO) run ./cmd/pcqelint ./...
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
@@ -61,9 +62,10 @@ mvcc-stress:
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch, every
 # operator at the version it is opened at vs that version's rows; in
-# internal/sql the planner vs the statement-order reference (the serving
-# benchmark's shapes, the fuzz corpora and an error-parity table
-# included), filter pushdown over the fuzz seeds, the one AST renderer
+# internal/sql the planner vs a reference executor written against the
+# AST in the test package (the serving benchmark's shapes, the fuzz
+# corpora, pinned refusals, generated catalogs and statements, and the
+# engine's β partition of them), filter pushdown over the fuzz seeds, the one AST renderer
 # vs the parser round trip and the fingerprint's invariances, and SQL
 # DML's subqueries vs the version its transaction reads; the batch
 # operators vs result images recorded while they ran a row at a time
@@ -80,11 +82,12 @@ differential:
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage' -count=1 ./internal/core/
 	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|CostBasedMatchesRuleBased|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the
-# access leaf, the compiled lineage kernel against the reference
+# access leaf, the planner against the reference executor over generated
+# catalogs and statements, the compiled lineage kernel against the reference
 # evaluators, the solvers under random budgets, and the server's
 # request decoding with budget resolution. Not part of `check` (a minute
 # of CPU); CI runs it as its own step. go test fuzzes one target per
@@ -94,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterPushdown$$' -fuzztime 10s ./internal/sql/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlannerReference$$' -fuzztime 10s ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzLineageEvaluators$$' -fuzztime 10s ./internal/lineage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveBudget$$' -fuzztime 10s ./internal/strategy/
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/server/
@@ -138,9 +142,9 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench BenchmarkDnCParallel -benchtime 3x -cpu 1,2,4 .
 
-# The planner vs the statement-order reference (PlanRuleBased), plus the
-# plan-cache hit-rate sweep; writes BENCH_planner.json to the working
-# directory.
+# The planner vs a hand-built statement-order plan of the same star
+# query, plus the plan-cache hit-rate sweep; writes BENCH_planner.json
+# to the working directory.
 bench-planner:
 	$(GO) run ./cmd/benchrunner -fig planner
 

@@ -177,10 +177,11 @@ func childrenOf(op Operator) []Operator {
 }
 
 // InSet tests membership of the child's value in a materialized set of
-// value keys (used for IN (SELECT ...) subqueries after the subquery has
-// been evaluated). NULL children yield NULL; otherwise membership is a
-// plain boolean (two-valued — the set's own NULLs are ignored, a
-// documented simplification of SQL's three-valued NOT IN).
+// value keys, a NULL's included (used for IN (SELECT ...) subqueries
+// after the subquery has been evaluated). It answers as the set written
+// out as x = a OR x = b … would: a hit is TRUE; a miss is NULL when the
+// set holds NULL and FALSE otherwise; a NULL child is NULL unless the
+// set is empty, where IN is FALSE.
 type InSet struct {
 	Child  Expr
 	Set    map[string]bool
@@ -195,14 +196,15 @@ func (e *InSet) Eval(t *Tuple) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if v.IsNull() {
+	switch {
+	case len(e.Set) == 0:
+		return Bool(e.Negate), nil
+	case !v.IsNull() && e.Set[v.Key()]:
+		return Bool(!e.Negate), nil
+	case v.IsNull() || e.Set[Null().Key()]:
 		return Null(), nil
 	}
-	m := e.Set[v.Key()]
-	if e.Negate {
-		m = !m
-	}
-	return Bool(m), nil
+	return Bool(e.Negate), nil
 }
 
 // Type implements Expr.

@@ -113,7 +113,8 @@ func (op BinaryOp) String() string {
 
 // Binary applies a binary operator. Comparisons and logic produce
 // BOOLEAN; arithmetic follows SQL numeric promotion (INT op INT = INT
-// except division, otherwise REAL). NULL operands propagate NULL.
+// except division, otherwise REAL). NULL operands propagate NULL, except
+// where the other operand decides AND or OR.
 type Binary struct {
 	Op          BinaryOp
 	Left, Right Expr
@@ -150,19 +151,23 @@ func (b *Binary) Eval(t *Tuple) (Value, error) {
 	}
 }
 
+// evalLogic is SQL's three-valued AND and OR: FALSE decides AND and
+// TRUE decides OR from either side, and the result is NULL only when
+// neither side decides and one of them is NULL.
 func evalLogic(op BinaryOp, l, r Value) (Value, error) {
-	if l.IsNull() || r.IsNull() {
-		return Null(), nil
-	}
 	lb, lok := l.AsBool()
 	rb, rok := r.AsBool()
-	if !lok || !rok {
+	if !lok && !l.IsNull() || !rok && !r.IsNull() {
 		return Value{}, fmt.Errorf("relation: %s requires boolean operands, got %s and %s", op, l.Type(), r.Type())
 	}
-	if op == OpAnd {
-		return Bool(lb && rb), nil
+	decides := op == OpOr
+	switch {
+	case lok && lb == decides || rok && rb == decides:
+		return Bool(decides), nil
+	case !lok || !rok:
+		return Null(), nil
 	}
-	return Bool(lb || rb), nil
+	return Bool(!decides), nil
 }
 
 func evalComparison(op BinaryOp, l, r Value) (Value, error) {

@@ -207,3 +207,63 @@ func TestExprTypesAndStrings(t *testing.T) {
 		t.Errorf("LIKE string = %q", s)
 	}
 }
+
+// TestLogicTruthTables holds AND and OR to SQL's three-valued tables
+// over {TRUE, FALSE, NULL}²: FALSE decides AND and TRUE decides OR from
+// either side, and the result is NULL only when neither side decides.
+func TestLogicTruthTables(t *testing.T) {
+	tup := NewTuple(nil, nil)
+	T, F, N := Bool(true), Bool(false), Null()
+	for _, c := range []struct {
+		l, r, and, or Value
+	}{
+		{T, T, T, T}, {T, F, F, T}, {T, N, N, T},
+		{F, T, F, T}, {F, F, F, F}, {F, N, F, N},
+		{N, T, N, T}, {N, F, F, N}, {N, N, N, N},
+	} {
+		for op, want := range map[BinaryOp]Value{OpAnd: c.and, OpOr: c.or} {
+			got := evalExpr(t, &Binary{Op: op, Left: Const{c.l}, Right: Const{c.r}}, tup)
+			if got.IsNull() != want.IsNull() || !got.IsNull() && !Equal(got, want) {
+				t.Errorf("%v %s %v = %v, want %v", c.l, op, c.r, got, want)
+			}
+		}
+	}
+}
+
+// TestInSetThreeValued holds IN and NOT IN over a materialized set to
+// the answer of the same set written as x = a OR x = b …: a hit is TRUE,
+// a miss is NULL when the set held a NULL, and a NULL child meets
+// nothing in a non-empty set.
+func TestInSetThreeValued(t *testing.T) {
+	tup := NewTuple(nil, nil)
+	for _, c := range []struct {
+		child     Value
+		null      bool
+		in, notIn Value
+	}{
+		{Int(1), false, Bool(true), Bool(false)},
+		{Int(2), false, Bool(false), Bool(true)},
+		{Int(1), true, Bool(true), Bool(false)},
+		{Int(2), true, Null(), Null()},
+		{Null(), false, Null(), Null()},
+		{Null(), true, Null(), Null()},
+	} {
+		for negate, want := range map[bool]Value{false: c.in, true: c.notIn} {
+			set := map[string]bool{Int(1).Key(): true, Int(3).Key(): true, Null().Key(): c.null}
+			e := &InSet{Child: Const{c.child}, Set: set, Negate: negate}
+			got := evalExpr(t, e, tup)
+			if got.IsNull() != want.IsNull() || !got.IsNull() && !Equal(got, want) {
+				t.Errorf("%s (null member %v) = %v, want %v", e, c.null, got, want)
+			}
+		}
+	}
+	// Over the empty set IN is FALSE and NOT IN TRUE, NULL child or not.
+	for _, child := range []Value{Int(1), Null()} {
+		for negate, want := range map[bool]bool{false: false, true: true} {
+			e := &InSet{Child: Const{child}, Set: map[string]bool{}, Negate: negate}
+			if got := evalExpr(t, e, tup); !Equal(got, Bool(want)) {
+				t.Errorf("%s over the empty set = %v, want %v", e, got, want)
+			}
+		}
+	}
+}

@@ -195,18 +195,18 @@ func toWireSpan(s *obs.Span) *WireSpan {
 
 // WireAuditEvent is one journal entry scoped to the session's user.
 type WireAuditEvent struct {
-	Seq           int                `json:"seq"`
+	Seq           int                 `json:"seq"`
 	Kind          core.AuditEventKind `json:"kind"`
-	Purpose       string             `json:"purpose,omitempty"`
-	Query         string             `json:"query,omitempty"`
-	Beta          float64            `json:"beta,omitempty"`
-	Released      int                `json:"released,omitempty"`
-	Withheld      int                `json:"withheld,omitempty"`
-	Cost          float64            `json:"cost,omitempty"`
-	Partial       bool               `json:"partial,omitempty"`
-	Detail        string             `json:"detail,omitempty"`
-	ReadVersion   int64              `json:"read_version,omitempty"`
-	CommitVersion int64              `json:"commit_version,omitempty"`
+	Purpose       string              `json:"purpose,omitempty"`
+	Query         string              `json:"query,omitempty"`
+	Beta          float64             `json:"beta,omitempty"`
+	Released      int                 `json:"released,omitempty"`
+	Withheld      int                 `json:"withheld,omitempty"`
+	Cost          float64             `json:"cost,omitempty"`
+	Partial       bool                `json:"partial,omitempty"`
+	Detail        string              `json:"detail,omitempty"`
+	ReadVersion   int64               `json:"read_version,omitempty"`
+	CommitVersion int64               `json:"commit_version,omitempty"`
 }
 
 // AuditResponse is the session-scoped journal tail.

@@ -111,8 +111,8 @@ type InExpr struct {
 	Negate bool
 	Tok    Token
 
-	// set holds the keys Sub produced, on the copy of the node the
-	// planner compiles (resolveSubqueries).
+	// set holds the keys Sub produced, a NULL's included, on the copy of
+	// the node the planner compiles (resolveSubqueries).
 	set map[string]bool
 }
 

@@ -27,7 +27,10 @@ func cacheKey(shape string, lits []relation.Value) string {
 	b.WriteString(shape)
 	b.WriteString("\x00")
 	for _, v := range lits {
+		// Key folds 1.0 onto 1; the type keeps SELECT 1.0 off SELECT 1's
+		// plan, whose column is an INTEGER.
 		b.WriteString("\x1f")
+		b.WriteByte(byte(v.Type()))
 		b.WriteString(v.Key())
 	}
 	return b.String()

@@ -14,26 +14,11 @@ import (
 // TestResultImageGoldens pins what every corpus query returns, row by
 // row and in order: each cell with its type, then the row's lineage as
 // Lineage.String() renders it (the confidence cache's key), or the
-// error a query fails with. Both planners' plans are recorded, so the
-// statement-order reference's nested-loop and hash joins are pinned
-// beside the engine's. The goldens under testdata/ were recorded before
-// the operators moved from row-at-a-time to batches; any change to an
-// operator that moves a row, a lineage operand or an error text fails
-// here. UPDATE_GOLDEN=1 re-records them.
+// error a query fails with, under the engine's plans. The goldens under
+// testdata/ were recorded before the operators moved from row-at-a-time
+// to batches; any change to an operator that moves a row, a lineage
+// operand or an error text fails here. UPDATE_GOLDEN=1 re-records them.
 func TestResultImageGoldens(t *testing.T) {
-	starIndexed := func(t *testing.T) *relation.Catalog {
-		cat := starTestCatalog(t)
-		for _, spec := range [][2]string{{"dim1", "k"}, {"dim2", "attr"}} {
-			tab, err := cat.Table(spec[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tab.CreateIndex(spec[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return cat
-	}
 	serving := allServingShapes()
 	names := make([]string, 0, len(serving))
 	for name := range serving {
@@ -52,7 +37,7 @@ func TestResultImageGoldens(t *testing.T) {
 		{"serving", servingCatalog, shapes},
 		{"venture", ventureCatalog, ventureQueries},
 		{"star", starTestCatalog, starQueries},
-		{"star-indexed", starIndexed, starQueries},
+		{"star-indexed", starIndexedCatalog, starQueries},
 		{"corpus", corpusCatalog, corpusSelects(t)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -64,32 +49,23 @@ func TestResultImageGoldens(t *testing.T) {
 					continue
 				}
 				fmt.Fprintf(&b, "== %s\n", strings.Join(strings.Fields(q), " "))
-				for _, planner := range []struct {
-					name string
-					plan func() (relation.Operator, error)
-				}{
-					{"engine", func() (relation.Operator, error) {
-						op, _, err := PlanDetailedAt(cat, stmt, cat.Version())
-						return op, err
-					}},
-					{"reference", func() (relation.Operator, error) { return PlanRuleBased(cat, stmt, cat.Version()) }},
-				} {
-					fmt.Fprintf(&b, "-- %s\n", planner.name)
-					op, err := planner.plan()
-					var rows []*relation.Tuple
-					if err == nil {
-						rows, err = relation.RunAt(op, cat.Version())
+				// The "-- engine" header keeps the recorded images as they
+				// were recorded.
+				fmt.Fprintf(&b, "-- engine\n")
+				op, _, err := PlanDetailedAt(cat, stmt, cat.Version())
+				var rows []*relation.Tuple
+				if err == nil {
+					rows, err = relation.RunAt(op, cat.Version())
+				}
+				if err != nil {
+					fmt.Fprintf(&b, "error: %v\n", err)
+					continue
+				}
+				for _, r := range rows {
+					for _, v := range r.Values {
+						fmt.Fprintf(&b, "%s %s | ", v.Type(), v)
 					}
-					if err != nil {
-						fmt.Fprintf(&b, "error: %v\n", err)
-						continue
-					}
-					for _, r := range rows {
-						for _, v := range r.Values {
-							fmt.Fprintf(&b, "%s %s | ", v.Type(), v)
-						}
-						fmt.Fprintf(&b, "%s\n", r.Lineage)
-					}
+					fmt.Fprintf(&b, "%s\n", r.Lineage)
 				}
 			}
 			golden := filepath.Join("testdata", "results-"+c.name+".golden")

@@ -2,11 +2,9 @@ package sql
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,6 +49,23 @@ func starTestCatalog(t *testing.T) *relation.Catalog {
 		}
 	}
 	return c
+}
+
+// starIndexedCatalog is starTestCatalog with hash indexes on dim1.k
+// and dim2.attr.
+func starIndexedCatalog(t *testing.T) *relation.Catalog {
+	t.Helper()
+	cat := starTestCatalog(t)
+	for _, spec := range [][2]string{{"dim1", "k"}, {"dim2", "attr"}} {
+		tab, err := cat.Table(spec[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.CreateIndex(spec[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
 }
 
 // servingCatalog builds the serving benchmark's schema at 1/10 of its
@@ -213,8 +228,9 @@ func TestServingShapePlans(t *testing.T) {
 	}
 }
 
-// ventureQueries and starQueries are TestCostBasedMatchesRuleBased's
-// hand-written corpora, over ventureCatalog and starTestCatalog.
+// ventureQueries and starQueries are the planner differential's
+// hand-written corpora (TestPlannerMatchesReference), over
+// ventureCatalog and starTestCatalog.
 var ventureQueries = []string{
 	`SELECT DISTINCT CompanyInfo.Company, Income
 	   FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
@@ -258,134 +274,6 @@ var starQueries = []string{
 	`SELECT fact.id FROM fact JOIN dim1 ON fact.d1 = dim1.k
 	  WHERE dim1.attr = 0 AND fact.id < 30 ORDER BY fact.id`,
 	`SELECT * FROM dim1 JOIN dim2 ON dim1.attr = dim2.attr WHERE dim1.k > dim2.k`,
-}
-
-// TestCostBasedMatchesRuleBased is the planner's differential guard:
-// for every corpus query the engine's plan must return the same
-// multiset of rows, the same schema column names, and confidences
-// within 1e-12 of the reference's statement-order plan (PlanRuleBased).
-func TestCostBasedMatchesRuleBased(t *testing.T) {
-	run := func(t *testing.T, cat *relation.Catalog, queries []string) {
-		t.Helper()
-		for _, q := range queries {
-			stmt, err := Parse(q)
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			if ruleErr, costErr := planBothWays(t, cat, stmt); ruleErr != nil || costErr != nil {
-				t.Fatalf("%s: rule-based: %v, cost-based: %v", q, ruleErr, costErr)
-			}
-		}
-	}
-	t.Run("venture", func(t *testing.T) { run(t, ventureCatalog(t), ventureQueries) })
-	t.Run("star", func(t *testing.T) { run(t, starTestCatalog(t), starQueries) })
-	t.Run("star-indexed", func(t *testing.T) {
-		cat := starTestCatalog(t)
-		for _, spec := range [][2]string{{"dim1", "k"}, {"dim2", "attr"}} {
-			tab, err := cat.Table(spec[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tab.CreateIndex(spec[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run(t, cat, starQueries)
-	})
-	t.Run("serving", func(t *testing.T) {
-		var queries []string
-		for _, q := range allServingShapes() {
-			queries = append(queries, q)
-		}
-		run(t, servingCatalog(t), queries)
-	})
-	// Every SELECT of the fuzz corpora that both planners accept, over
-	// tables shaped for them.
-	t.Run("corpus", func(t *testing.T) {
-		cat := corpusCatalog(t)
-		compared := 0
-		for _, q := range corpusSelects(t) {
-			stmt, err := Parse(q)
-			if err != nil {
-				continue
-			}
-			if ruleErr, costErr := planBothWays(t, cat, stmt); fmt.Sprint(ruleErr) != fmt.Sprint(costErr) {
-				t.Errorf("%s: rule-based: %v, cost-based: %v", q, ruleErr, costErr)
-			} else if ruleErr == nil {
-				compared++
-			}
-		}
-		if compared < 8 {
-			t.Errorf("only %d corpus statements ran through both planners", compared)
-		}
-	})
-	// A statement both planners refuse, they refuse alike — whether at
-	// plan time or, for a comparison of mixed types, when it runs.
-	t.Run("errors", func(t *testing.T) {
-		cat := ventureCatalog(t)
-		for _, q := range []string{
-			`SELECT x FROM Proposal`,
-			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company WHERE nope = 1`,
-			`SELECT Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company`,
-			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Company WHERE Company = 'x'`,
-			`SELECT Proposal.Company FROM Proposal JOIN Nope ON Proposal.Company = Nope.Company`,
-			`SELECT Proposal.Company FROM Proposal JOIN CompanyInfo ON Proposal.Company = CompanyInfo.Income`,
-			`SELECT Company FROM Proposal WHERE COUNT(*) > 1`,
-			`SELECT a.Company FROM Proposal a JOIN CompanyInfo b ON a.Company = b.Company WHERE COUNT(a.Funding) > b.Income`,
-			`SELECT Company, COUNT(*) FROM Proposal GROUP BY Company HAVING Company IN (SELECT Company FROM CompanyInfo)`,
-		} {
-			stmt, err := Parse(q)
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			ruleErr, costErr := planBothWays(t, cat, stmt)
-			if ruleErr == nil || costErr == nil || ruleErr.Error() != costErr.Error() {
-				t.Errorf("%s:\n  rule-based: %v\n  cost-based: %v", q, ruleErr, costErr)
-			}
-		}
-	})
-}
-
-// planBothWays plans and runs stmt with the reference planner and with
-// the engine's. When both succeed it fails the test unless they agree on
-// the schema's column names, the multiset of rows and every confidence
-// to 1e-12; otherwise it returns the two errors, plan-time or run-time.
-func planBothWays(t *testing.T, cat *relation.Catalog, stmt *SelectStmt) (ruleErr, costErr error) {
-	t.Helper()
-	q := stmt.SQL()
-	ruleOp, ruleErr := PlanRuleBased(cat, stmt, cat.Version())
-	var ruleRows, costRows []*relation.Tuple
-	if ruleErr == nil {
-		ruleRows, ruleErr = relation.RunAt(ruleOp, cat.Version())
-	}
-	costOp, info, costErr := PlanDetailedAt(cat, stmt, cat.Version())
-	if costErr == nil {
-		costRows, costErr = relation.RunAt(costOp, cat.Version())
-	}
-	if ruleErr != nil || costErr != nil {
-		return ruleErr, costErr
-	}
-	if got, want := schemaNames(costOp.Schema()), schemaNames(ruleOp.Schema()); got != want {
-		t.Fatalf("%s: schema %q, want %q", q, got, want)
-	}
-	if len(costRows) != len(ruleRows) {
-		t.Fatalf("%s: %d rows (cost-based, info=%+v), want %d", q, len(costRows), info, len(ruleRows))
-	}
-	rk := sortedKeys(ruleRows)
-	ck := sortedKeys(costRows)
-	for i := range rk {
-		if rk[i] != ck[i] {
-			t.Fatalf("%s: row multiset differs at %d: %q vs %q", q, i, ck[i], rk[i])
-		}
-	}
-	rc := sortedConfs(cat, ruleRows)
-	cc := sortedConfs(cat, costRows)
-	for i := range rc {
-		if math.Abs(rc[i]-cc[i]) > 1e-12 {
-			t.Fatalf("%s: confidence %d: %v vs %v", q, i, cc[i], rc[i])
-		}
-	}
-	return nil, nil
 }
 
 // corpusCatalog holds the tables the fuzz corpora name: t, u and v with
@@ -433,34 +321,6 @@ func corpusSelects(t *testing.T) []string {
 		}
 	}
 	return out
-}
-
-func schemaNames(s *relation.Schema) string {
-	names := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		names[i] = c.Name
-	}
-	return strings.Join(names, ",")
-}
-
-func sortedKeys(rows []*relation.Tuple) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = r.Key()
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedConfs(cat *relation.Catalog, rows []*relation.Tuple) []float64 {
-	confs := make([]float64, len(rows))
-	snap := cat.Snapshot()
-	defer snap.Release()
-	for i, r := range rows {
-		confs[i] = snap.Confidence(r)
-	}
-	sort.Float64s(confs)
-	return confs
 }
 
 // TestCostBasedReordersStarJoin checks the optimizer actually changes
@@ -536,62 +396,81 @@ func TestCanonicalCaseSensitivity(t *testing.T) {
 	}
 }
 
+// TestEquiJoinKeys holds the planner's equi-join classification: a
+// conjunct "x = y" over one column of each of two relations becomes a
+// hash key when their types hash alike; anything else stays a residual
+// predicate of the join.
 func TestEquiJoinKeys(t *testing.T) {
-	ls := relation.NewSchema(
-		relation.Column{Name: "a", Type: relation.TypeInt},
-		relation.Column{Name: "s", Type: relation.TypeString},
-	)
-	rs := relation.NewSchema(
-		relation.Column{Name: "b", Type: relation.TypeInt},
-		relation.Column{Name: "f", Type: relation.TypeFloat},
-	)
+	rels := []*planRel{
+		{schema: relation.NewSchema(
+			relation.Column{Table: "l", Name: "a", Type: relation.TypeInt},
+			relation.Column{Table: "l", Name: "s", Type: relation.TypeString},
+		)},
+		{schema: relation.NewSchema(
+			relation.Column{Table: "r", Name: "b", Type: relation.TypeInt},
+			relation.Column{Table: "r", Name: "f", Type: relation.TypeFloat},
+		)},
+	}
 	ident := func(name string) *Ident { return &Ident{Name: name} }
 	eq := func(l, r ExprNode) ExprNode { return &BinaryExpr{Op: "=", Left: l, Right: r} }
+	classify := func(e ExprNode) conjunct {
+		c := conjunct{expr: e}
+		classifyEquiConjunct(&c, rels)
+		return c
+	}
 
 	t.Run("direct", func(t *testing.T) {
-		lk, rk, ok := equiJoinKeys(eq(ident("a"), ident("b")), ls, rs)
-		if !ok || len(lk) != 1 || lk[0] != 0 || rk[0] != 0 {
-			t.Fatalf("lk=%v rk=%v ok=%v", lk, rk, ok)
+		c := classify(eq(ident("a"), ident("b")))
+		if !c.eq || c.eqL != (colOrigin{0, 0}) || c.eqR != (colOrigin{1, 0}) {
+			t.Fatalf("%+v", c)
 		}
 	})
 	t.Run("reversed-operands", func(t *testing.T) {
-		// b = a resolves by swapping sides.
-		lk, rk, ok := equiJoinKeys(eq(ident("b"), ident("a")), ls, rs)
-		if !ok || len(lk) != 1 || lk[0] != 0 || rk[0] != 0 {
-			t.Fatalf("lk=%v rk=%v ok=%v", lk, rk, ok)
+		// b = a keys the same columns, sides as written.
+		c := classify(eq(ident("b"), ident("a")))
+		if !c.eq || c.eqL != (colOrigin{1, 0}) || c.eqR != (colOrigin{0, 0}) {
+			t.Fatalf("%+v", c)
 		}
 	})
 	t.Run("numeric-cross-type", func(t *testing.T) {
-		// INT = FLOAT hashes consistently (Value.Key folds integral
+		// INT = REAL hashes consistently (Value.Key folds integral
 		// floats onto int keys).
-		if _, _, ok := equiJoinKeys(eq(ident("a"), ident("f")), ls, rs); !ok {
+		if !classify(eq(ident("a"), ident("f"))).eq {
 			t.Fatal("int=float should be hash-joinable")
 		}
 	})
 	t.Run("type-mismatch", func(t *testing.T) {
-		// TEXT = INT must fall back to nested loop so it raises the
-		// same comparison error a WHERE clause would.
-		if _, _, ok := equiJoinKeys(eq(ident("s"), ident("b")), ls, rs); ok {
+		// TEXT = INT must stay a residual so it raises the same
+		// comparison error a WHERE clause would.
+		if classify(eq(ident("s"), ident("b"))).eq {
 			t.Fatal("string=int must not be hash-joinable")
 		}
 	})
 	t.Run("mixed-residual", func(t *testing.T) {
+		// An ON clause "a = b AND a < b" is two conjuncts: the equality
+		// keys the join, the comparison stays its residual.
 		on := &BinaryExpr{Op: "AND",
 			Left:  eq(ident("a"), ident("b")),
 			Right: &BinaryExpr{Op: "<", Left: ident("a"), Right: ident("b")},
 		}
-		if _, _, ok := equiJoinKeys(on, ls, rs); ok {
-			t.Fatal("non-equality residual must reject the pure hash path")
+		conjs := flattenAnd(on)
+		if len(conjs) != 2 || !classify(conjs[0]).eq || classify(conjs[1]).eq {
+			t.Fatalf("conjuncts %v: want one key and one residual", conjs)
 		}
 	})
 	t.Run("constant-operand", func(t *testing.T) {
-		if _, _, ok := equiJoinKeys(eq(ident("a"), &Lit{Kind: LitInt, Int: 1}), ls, rs); ok {
+		if classify(eq(ident("a"), &Lit{Kind: LitInt, Int: 1})).eq {
 			t.Fatal("ident=literal is not a join key")
 		}
 	})
 	t.Run("unresolvable", func(t *testing.T) {
-		if _, _, ok := equiJoinKeys(eq(ident("a"), ident("nope")), ls, rs); ok {
+		if classify(eq(ident("a"), ident("nope"))).eq {
 			t.Fatal("unresolvable column must reject")
+		}
+	})
+	t.Run("same-relation", func(t *testing.T) {
+		if classify(eq(ident("a"), &Ident{Qualifier: "l", Name: "a"})).eq {
+			t.Fatal("a column equal to its own relation's column is a filter, not a join key")
 		}
 	})
 }

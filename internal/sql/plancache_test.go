@@ -120,6 +120,13 @@ func TestPlanCacheParameterizedFingerprint(t *testing.T) {
 	if cacheKey(s4, l4) == cacheKey(s5, l5) {
 		t.Error("string literal case must split cache entries")
 	}
+	// An INTEGER and a REAL literal of one value must split them too:
+	// Value.Key folds 1.0 onto 1, the plan's result type does not.
+	s6, l6 := fingerprintStmt(mustParse(t, `SELECT 1 FROM T`))
+	s7, l7 := fingerprintStmt(mustParse(t, `SELECT 1.0 FROM T`))
+	if cacheKey(s6, l6) == cacheKey(s7, l7) {
+		t.Error("SELECT 1 and SELECT 1.0 share a cache entry")
+	}
 }
 
 // TestPlanCacheInvalidationOnMutation would pass with a cache that

@@ -28,14 +28,10 @@ type planner struct {
 	// materialization) reads.
 	asOf int64
 	info *PlanInfo
-	// fromWhere plans the FROM and WHERE clauses of one select block and
-	// estimates the rows they produce: planJoinBlock for every statement
-	// the engine runs, planFromWhere under PlanRuleBased only.
-	fromWhere func(*planner, *SelectStmt) (relation.Operator, float64, error)
 }
 
 func newPlanner(cat *relation.Catalog, asOf int64) *planner {
-	return &planner{cat: cat, asOf: asOf, info: &PlanInfo{Notes: map[relation.Operator]string{}}, fromWhere: planJoinBlock}
+	return &planner{cat: cat, asOf: asOf, info: &PlanInfo{Notes: map[relation.Operator]string{}}}
 }
 
 // PlanDetailedAt compiles a parsed statement into a relational operator
@@ -109,7 +105,7 @@ func planAndRun(cat *relation.Catalog, stmt *SelectStmt, asOf int64) (relation.O
 // single plans one select block: FROM and WHERE, then aggregation or
 // projection, ORDER BY and LIMIT on top.
 func (p *planner) single(stmt *SelectStmt) (relation.Operator, float64, error) {
-	op, rows, err := p.fromWhere(p, stmt)
+	op, rows, err := planJoinBlock(p, stmt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -262,8 +258,9 @@ func compileSortKeys(items []OrderItem, schema *relation.Schema) ([]relation.Sor
 // resolveSubqueries returns e with every IN (SELECT ...) under it
 // materialized: the subquery is planned as this planner would plan the
 // statement, run at committed version asOf, and its one output column
-// kept as a key set on a copy of the node. Subqueries must be
-// uncorrelated and produce exactly one column. A nil input stays nil.
+// kept as a key set, a NULL's included, on a copy of the node.
+// Subqueries must be uncorrelated and produce exactly one column. A nil
+// input stays nil.
 func (p *planner) resolveSubqueries(e ExprNode) (ExprNode, error) {
 	switch n := e.(type) {
 	case *InExpr:
@@ -284,15 +281,11 @@ func (p *planner) resolveSubqueries(e ExprNode) (ExprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		set := make(map[string]bool, len(rows))
-		for _, r := range rows {
-			if r.Values[0].IsNull() {
-				continue // documented simplification: set NULLs ignored
-			}
-			set[r.Values[0].Key()] = true
-		}
 		cp := *n
-		cp.set = set
+		cp.set = make(map[string]bool, len(rows))
+		for _, r := range rows {
+			cp.set[r.Values[0].Key()] = true
+		}
 		return &cp, nil
 	case *BinaryExpr:
 		l, err := p.resolveSubqueries(n.Left)

@@ -427,3 +427,72 @@ func TestPropertyIndexedQueriesMatchUnindexed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRealLiteralsStayReal: SUM(1) and SUM(1.0) are two aggregates of
+// two types, and a cached SELECT 1 does not answer SELECT 1.0.
+func TestRealLiteralsStayReal(t *testing.T) {
+	cat := relation.NewCatalog()
+	if _, err := ExecScript(cat, `CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2)`); err != nil {
+		t.Fatal(err)
+	}
+	snap := cat.Snapshot()
+	defer snap.Release()
+	pc := NewPlanCache(0)
+	for _, c := range []struct{ q, want string }{
+		{`SELECT SUM(1), SUM(1.0) FROM t`, "(sum(1) INTEGER, sum(1.0) REAL) [2 2]"},
+		{`SELECT 1 FROM t`, "(1 INTEGER) [1]"},
+		{`SELECT 1.0 FROM t`, "(1 REAL) [1]"},
+	} {
+		res, err := pc.QuerySnap(snap, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Schema, " ", res.Rows[0].Values); got != c.want {
+			t.Errorf("%s: %s, want %s", c.q, got, c.want)
+		}
+	}
+}
+
+// TestThreeValuedWhere runs SQL's three-valued logic end to end: an
+// operand that decides AND or OR decides it from either side, and IN or
+// NOT IN over a subquery answers as the same set written as a list,
+// NULL member included.
+func TestThreeValuedWhere(t *testing.T) {
+	cat := relation.NewCatalog()
+	if _, err := ExecScript(cat, `
+		CREATE TABLE t (a INT, b INT);
+		CREATE TABLE u (a INT);
+		INSERT INTO t VALUES (1, 7), (2, NULL);
+		INSERT INTO u VALUES (1), (NULL), (3)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where string
+		want  string // the a values returned, in order
+	}{
+		{"a = 2 OR b > 5", "1,2"},
+		{"b > 5 OR a = 2", "1,2"},
+		{"TRUE OR NULL", "1,2"},
+		{"NULL OR TRUE", "1,2"},
+		{"NOT (b > 5 AND a = 1)", "2"},
+		{"NOT (a = 1 AND b > 5)", "2"},
+		{"a IN (1, 3, NULL)", "1"},
+		{"a IN (SELECT a FROM u)", "1"},
+		{"a NOT IN (1, 3, NULL)", ""},
+		{"a NOT IN (SELECT a FROM u)", ""},
+		{"a NOT IN (SELECT a FROM u WHERE a IS NOT NULL)", "2"},
+		{"b NOT IN (SELECT a FROM u WHERE a > 5)", "1,2"},
+	} {
+		rows, _, err := queryLatest(cat, "SELECT a FROM t WHERE "+c.where+" ORDER BY a")
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		got := make([]string, len(rows))
+		for i, r := range rows {
+			got[i] = r.Values[0].String()
+		}
+		if strings.Join(got, ",") != c.want {
+			t.Errorf("WHERE %s: a = [%s], want [%s]", c.where, strings.Join(got, ","), c.want)
+		}
+	}
+}

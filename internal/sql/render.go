@@ -130,7 +130,13 @@ func (r *renderer) expr(e ExprNode) {
 		case n.Kind == LitInt:
 			r.WriteString(strconv.FormatInt(n.Int, 10))
 		case n.Kind == LitFloat:
-			r.WriteString(strconv.FormatFloat(n.Flt, 'g', -1, 64))
+			// An integral REAL keeps a decimal point, or it would parse
+			// back as an INTEGER.
+			f := strconv.FormatFloat(n.Flt, 'g', -1, 64)
+			if !strings.ContainsAny(f, ".e") {
+				f += ".0"
+			}
+			r.WriteString(f)
 		case n.Kind == LitString:
 			r.WriteString("'" + strings.ReplaceAll(n.Str, "'", "''") + "'")
 		default:

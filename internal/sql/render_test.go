@@ -105,6 +105,16 @@ func TestRendererPins(t *testing.T) {
 	if one == two {
 		t.Errorf("different statements, one fingerprint: %s", one)
 	}
+
+	// A REAL literal renders as a REAL literal: were 1.0 rendered "1",
+	// it would parse back as an INTEGER, and GROUP BY matching and
+	// aggregate deduplication (canonical) would take SUM(1.0) for SUM(1).
+	if got := mustParse(t, `SELECT 1.0, 2.50, 1e3, 1.5e-3, 7 FROM t`).SQL(); got != "SELECT 1.0, 2.5, 1000.0, 0.0015, 7 FROM t" {
+		t.Errorf("REAL literals render as %q", got)
+	}
+	if canonical(&Lit{Kind: LitFloat, Flt: 1}) == canonical(&Lit{Kind: LitInt, Int: 1}) {
+		t.Error("1.0 and 1 render alike")
+	}
 }
 
 func stringLiterals(t *testing.T, query string) []string {
