@@ -104,7 +104,8 @@ fuzz-smoke:
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree
-# shows the strategy phase and the snapshot counted the query.
+# shows the strategy phase, and the Prometheus text counted the query
+# and types the request-latency histogram.
 obs-smoke:
 	@out=$$($(GO) run ./cmd/pcqe \
 		-table Proposal=testdata/proposal.csv \
@@ -113,13 +114,17 @@ obs-smoke:
 		-user mark -purpose investment -min 1 -trace -metrics \
 		'SELECT DISTINCT CompanyInfo.Company, Income FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company WHERE Funding < 1000000' 2>&1); \
 	echo "$$out" | grep -q '^  strategy ' || { echo "obs-smoke: no strategy span in trace"; echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'engine.queries 1' || { echo "obs-smoke: metrics snapshot missing engine.queries"; echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -qx 'pcqe_engine_queries 1' || { echo "obs-smoke: metrics missing pcqe_engine_queries 1"; echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -qx '# TYPE pcqe_engine_request_seconds histogram' || { echo "obs-smoke: metrics missing the request-latency histogram type line"; echo "$$out"; exit 1; }; \
 	echo "obs-smoke: ok"
 
 # serve-smoke boots pcqed on the README fixtures, drives one scripted
 # HTTP session per role (sue released, mark withheld → propose → apply →
-# released, unpolicied pair refused), then SIGTERMs the daemon and
-# asserts a clean drain with the audit journal flushed gap-free.
+# released, unpolicied pair refused), scrapes the operator listener's
+# /metrics (one name per layer and a runtime gauge) and /debug/pprof/,
+# checks that a taken operator address fails startup, then SIGTERMs the
+# daemon and asserts a clean drain with the audit journal flushed
+# gap-free.
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 

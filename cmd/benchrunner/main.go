@@ -7,14 +7,12 @@
 //
 //	benchrunner [-fig all|table4|11a..11f|ablations|parallel] [-full]
 //	            [-seed N] [-workers N]
-//	            [-cpuprofile f] [-memprofile f] [-debug-listen addr]
+//	            [-cpuprofile f] [-memprofile f]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // debug listener endpoints, opt-in via -debug-listen
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -30,20 +28,19 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool width for the parallel scaling experiment's size sweep (0 = GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	debugListen := flag.String("debug-listen", "", "serve expvar and net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "benchrunner: -workers must be non-negative, got %d (0 = GOMAXPROCS, 1 = serial)\n", *workers)
 		os.Exit(1)
 	}
-	if err := run(*fig, *full, *seed, *workers, *cpuProfile, *memProfile, *debugListen); err != nil {
+	if err := run(*fig, *full, *seed, *workers, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, full bool, seed int64, workers int, cpuProfile, memProfile, debugListen string) error {
+func run(fig string, full bool, seed int64, workers int, cpuProfile, memProfile string) error {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -68,15 +65,6 @@ func run(fig string, full bool, seed int64, workers int, cpuProfile, memProfile,
 				fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			}
 		}()
-	}
-	if debugListen != "" {
-		go func() {
-			// DefaultServeMux carries the expvar and pprof handlers.
-			if err := http.ListenAndServe(debugListen, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "benchrunner: debug listener:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/pprof/ and /debug/vars\n", debugListen)
 	}
 
 	opt := bench.Options{Full: full, Seed: seed, Workers: workers}

@@ -22,8 +22,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // debug listener endpoints, opt-in via -debug-listen
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -58,10 +56,9 @@ func run() error {
 	execScript := flag.String("exec", "", "SQL script file to execute before the query (CREATE TABLE / INSERT ... WITH CONFIDENCE / UPDATE / DELETE)")
 	explain := flag.Bool("explain", false, "print the chosen query plan with cost estimates to stderr before evaluating")
 	trace := flag.Bool("trace", false, "dump the request's phase-timing span tree to stderr")
-	metricsDump := flag.Bool("metrics", false, "dump the engine metrics snapshot to stderr")
+	metricsDump := flag.Bool("metrics", false, "dump the engine metrics to stderr as Prometheus text")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	debugListen := flag.String("debug-listen", "", "serve expvar and net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	// A -timeout the user explicitly set to zero or a negative duration
@@ -148,21 +145,6 @@ func run() error {
 	engine := core.NewEngine(cat, store, nil)
 	metrics := obs.New()
 	engine.SetMetrics(metrics)
-	if *trace {
-		engine.SetTracer(obs.NewRingTracer(0))
-	}
-	if *debugListen != "" {
-		if err := metrics.Publish("pcqe"); err != nil {
-			return err
-		}
-		go func() {
-			// DefaultServeMux carries the expvar and pprof handlers.
-			if err := http.ListenAndServe(*debugListen, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pcqe: debug listener:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/pprof/ and /debug/vars\n", *debugListen)
-	}
 
 	if *explain {
 		stmt, err := sql.Parse(query)
@@ -204,7 +186,8 @@ func run() error {
 		}
 	}
 	if *metricsDump {
-		fmt.Fprint(os.Stderr, "metrics:\n"+metrics.Snapshot().String())
+		fmt.Fprintln(os.Stderr, "metrics:")
+		return metrics.Snapshot().WritePrometheus(os.Stderr)
 	}
 	return nil
 }

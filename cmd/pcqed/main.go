@@ -11,13 +11,23 @@
 //	      -role user=role [-role ...] \
 //	      -policy role:purpose:beta [-policy ...] \
 //	      [-listen 127.0.0.1:8633] [-journal audit.jsonl] \
-//	      [-max-sessions 64] [-worker-pool 8] [-drain-timeout 5s]
+//	      [-max-sessions 64] [-worker-pool 8] [-drain-timeout 5s] \
+//	      [-debug-listen 127.0.0.1:6060]
 //
 // The daemon prints "pcqed listening on http://ADDR" once bound (use
 // -listen 127.0.0.1:0 plus -addr-file for scripted clients) and drains
 // gracefully on SIGTERM/SIGINT: it stops accepting sessions and
 // queries, finishes in-flight requests under -drain-timeout, flushes
 // the audit journal, and exits 0.
+//
+// -debug-listen ADDR opens the operator listener: GET /metrics serves
+// the metrics registry as Prometheus text (plus runtime goroutine, heap
+// and GC-cycle gauges) and /debug/pprof/ serves net/http/pprof. It is
+// bound before the main listener is announced — a taken address fails
+// startup — and its bound address is printed as "pcqed operator
+// listener on http://ADDR", so port 0 works for scripts. Its counters
+// are fleet-wide (every session's withheld rows among them): keep it
+// off analyst networks.
 //
 // Protocol sketch (see DESIGN.md §13 for the full contract):
 //
@@ -39,7 +49,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // debug listener endpoints, opt-in via -debug-listen
+	_ "net/http/pprof" // /debug/pprof/ on the operator listener
 	"os"
 	"os/signal"
 	"strings"
@@ -81,8 +91,7 @@ func run() error {
 	maxSteps := flag.Int("max-steps", 0, "ceiling on per-request δ-grid step budgets (0 = no ceiling)")
 	drainTimeout := flag.Duration("drain-timeout", server.DefaultDrainTimeout, "how long a SIGTERM drain waits for in-flight requests")
 	allowUnpolicied := flag.Bool("allow-unpolicied", false, "admit sessions no confidence policy covers (every row released); off by default")
-	traceRing := flag.Int("trace-ring", 0, "retain the last N request span trees (0 = off)")
-	debugListen := flag.String("debug-listen", "", "serve expvar and net/http/pprof on this address (e.g. localhost:6060)")
+	debugListen := flag.String("debug-listen", "", "operator listener address serving /metrics (Prometheus text) and /debug/pprof/ (use port 0 for an ephemeral port; keep it off analyst networks)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %q; pcqed takes queries over HTTP, not argv", flag.Args())
@@ -123,21 +132,6 @@ func run() error {
 	engine.SetAudit(&core.AuditLog{})
 	metrics := obs.New()
 	engine.SetMetrics(metrics)
-	if *traceRing > 0 {
-		engine.SetTracer(obs.NewRingTracer(*traceRing))
-	}
-	if *debugListen != "" {
-		if err := metrics.Publish("pcqed"); err != nil {
-			return err
-		}
-		go func() {
-			// DefaultServeMux carries the expvar and pprof handlers.
-			if err := http.ListenAndServe(*debugListen, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pcqed: debug listener:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/pprof/ and /debug/vars\n", *debugListen)
-	}
 
 	srv := server.New(engine, server.Config{
 		MaxSessions:     *maxSessions,
@@ -155,6 +149,23 @@ func run() error {
 		return err
 	}
 	addr := ln.Addr().String()
+	if *debugListen != "" {
+		opsLn, err := net.Listen("tcp", *debugListen)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("operator listener: %w", err)
+		}
+		// DefaultServeMux already carries net/http/pprof's handlers.
+		http.Handle("/metrics", metrics)
+		opsServer := &http.Server{ReadHeaderTimeout: 10 * time.Second}
+		defer opsServer.Close()
+		go func() {
+			if err := opsServer.Serve(opsLn); err != nil && err != http.ErrServerClosed {
+				fmt.Fprintln(os.Stderr, "pcqed: operator listener:", err)
+			}
+		}()
+		fmt.Printf("pcqed operator listener on http://%s\n", opsLn.Addr())
+	}
 	// Catch signals before the address is published: a scripted client
 	// may open its sessions and send SIGTERM within a millisecond of
 	// reading the file, and an unhandled SIGTERM kills without draining.

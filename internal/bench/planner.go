@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"pcqe/internal/obs"
 	"pcqe/internal/relation"
 	"pcqe/internal/sql"
 )
@@ -127,6 +128,8 @@ func FigPlanner(opt Options) ([]*Table, error) {
 			"SELECT fact.amount, dim1.attr, dim2.attr FROM fact JOIN dim1 ON fact.d1 = dim1.k JOIN dim2 ON fact.d2 = dim2.k WHERE dim2.attr = %d", i)
 	}
 	pc := sql.NewPlanCache(64)
+	counts := obs.New()
+	pc.SetMetrics(counts)
 	// One snapshot pins the whole sweep (nothing mutates the catalog
 	// here), so every repetition reads the version its plan was cached at.
 	snap := cat.Snapshot()
@@ -167,7 +170,8 @@ func FigPlanner(opt Options) ([]*Table, error) {
 	}
 	planDur := time.Since(planStart)
 
-	hits, misses := pc.Stats()
+	c := counts.Snapshot().Counters
+	hits, misses := c["sql.plancache.hits"], c["sql.plancache.misses"]
 	total := templates * reps
 	hitRate := float64(hits) / float64(total)
 	artifact.PlanCache.Queries = total

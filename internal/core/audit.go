@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -165,6 +166,28 @@ func (l *AuditLog) Events() []AuditEvent {
 	return append([]AuditEvent{}, l.events...)
 }
 
+// UserTail returns user's last limit events, oldest first, and the
+// number of events user has in all. It scans under the lock and copies
+// only the events it returns, so an audit read holds up the journal's
+// writers for one pass and no more.
+func (l *AuditLog) UserTail(user string, limit int) ([]AuditEvent, int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var tail []AuditEvent
+	total := 0
+	for i := len(l.events) - 1; i >= 0; i-- {
+		if l.events[i].User != user {
+			continue
+		}
+		total++
+		if len(tail) < limit {
+			tail = append(tail, l.events[i])
+		}
+	}
+	slices.Reverse(tail)
+	return tail, total
+}
+
 // Len returns the number of recorded events.
 func (l *AuditLog) Len() int {
 	l.mu.Lock()
@@ -268,12 +291,9 @@ func (e *Engine) SetMetrics(m *obs.Metrics) {
 func (e *Engine) Metrics() *obs.Metrics { return e.metrics }
 
 // SetTracer attaches a span tracer; nil detaches. Response.Timings is
-// populated either way; a tracer additionally retains the request
-// span trees (e.g. obs.NewRingTracer keeps the most recent ones).
+// populated either way; a tracer is handed every request's root span
+// and decides what to retain.
 func (e *Engine) SetTracer(t obs.Tracer) { e.tracer = t }
-
-// Tracer returns the attached tracer (nil when none).
-func (e *Engine) Tracer() obs.Tracer { return e.tracer }
 
 // recordAudit journals ev (when a journal is attached) and mirrors the
 // event into the per-kind audit counters of the metrics registry, so

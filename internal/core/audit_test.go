@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +77,44 @@ func TestAuditDetachedIsSilent(t *testing.T) {
 	}
 	if err := e.Apply(resp.Proposal); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditUserTailMatchesFilterThenTrim holds UserTail to what
+// /v1/audit computed before it existed: copy the whole journal, keep
+// the user's events, then trim to the last limit. Users interleave
+// irregularly so a tail crosses other users' runs.
+func TestAuditUserTailMatchesFilterThenTrim(t *testing.T) {
+	log := &AuditLog{}
+	users := []string{"sue", "mark", "sue", "ann", "ann", "sue", "mark", "sue", "sue", "ann", "mark", "sue"}
+	for i, u := range users {
+		log.record(AuditEvent{Kind: AuditEventKind(i % 5), User: u, Query: fmt.Sprintf("q%d", i)})
+	}
+	for _, user := range []string{"sue", "mark", "ann", "nobody"} {
+		var mine []AuditEvent
+		for _, ev := range log.Events() {
+			if ev.User == user {
+				mine = append(mine, ev)
+			}
+		}
+		for _, limit := range []int{1, 2, 3, 6, 7, 50} {
+			want := mine
+			if len(want) > limit {
+				want = want[len(want)-limit:]
+			}
+			got, total := log.UserTail(user, limit)
+			if total != len(mine) {
+				t.Errorf("%s limit %d: total %d, want %d", user, limit, total, len(mine))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s limit %d: %d events, want %d", user, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq || got[i].Query != want[i].Query || got[i].Kind != want[i].Kind {
+					t.Errorf("%s limit %d: event %d is %v, want %v", user, limit, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

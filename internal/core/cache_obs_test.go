@@ -89,15 +89,12 @@ func TestEngineCacheObservability(t *testing.T) {
 			lin2.Attr("conf_cache_hits"), lin2.Attr("conf_cache_misses"), rows)
 	}
 
-	snap := m.Snapshot().String()
-	for _, metric := range []string{"sql.plancache.hits 1", "sql.plancache.misses 1", "engine.confcache.hits"} {
-		if !strings.Contains(snap, metric) {
-			t.Errorf("metrics snapshot missing %q:\n%s", metric, snap)
-		}
+	snap := m.Snapshot()
+	if h, ms := snap.Counters["sql.plancache.hits"], snap.Counters["sql.plancache.misses"]; h != 1 || ms != 1 {
+		t.Errorf("sql.plancache hits/misses = %d/%d, want 1/1", h, ms)
 	}
-
-	if h, ms := e.PlanCacheStats(); h != 1 || ms != 1 {
-		t.Errorf("PlanCacheStats = %d/%d, want 1/1", h, ms)
+	if _, ok := snap.Counters["engine.confcache.hits"]; !ok {
+		t.Errorf("metrics snapshot missing engine.confcache.hits: %v", snap.Counters)
 	}
 	cc := e.ConfCacheStats()
 	if cc.Hits != rows || cc.Misses != rows {

@@ -64,9 +64,6 @@ func NewEngine(catalog *relation.Catalog, policies *policy.Store, solver strateg
 	}
 }
 
-// PlanCacheStats exposes the engine's plan-cache hit/miss counters.
-func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.plans.Stats() }
-
 // ConfCacheStats exposes the engine's confidence-cache counters.
 func (e *Engine) ConfCacheStats() relation.ConfCacheStats { return e.confs.Stats() }
 
@@ -225,7 +222,7 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	enterLayer(ctx, "eval")
 	res, err := e.plans.QuerySnap(snap, req.Query)
 	evalSpan.SetAttr("rows", int64(len(res.Rows)))
-	// Per-call attribution, not a Stats() delta: the cache counters are
+	// Per-call attribution, not a counter delta: the cache counters are
 	// shared by every concurrent session, so a before/after difference
 	// here would charge this request with other sessions' lookups.
 	evalSpan.SetAttr("plan_cache_hits", boolAttr(res.Hit))

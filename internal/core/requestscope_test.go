@@ -18,7 +18,6 @@ import (
 
 	"pcqe/internal/fault"
 	"pcqe/internal/lineage"
-	"pcqe/internal/obs"
 	"pcqe/internal/relation"
 	"pcqe/internal/strategy"
 )
@@ -185,7 +184,7 @@ func TestAuditEventKindJSONRoundTrip(t *testing.T) {
 // snapshot leaked.
 func TestLineagePhaseRejectsTooManySharedVariables(t *testing.T) {
 	e := newVentureEngine(t, nil)
-	tracer := obs.NewRingTracer(4)
+	tracer := &spanLog{}
 	e.SetTracer(tracer)
 	cat := e.Catalog()
 	info, err := cat.Table("CompanyInfo")
@@ -227,7 +226,7 @@ func TestLineagePhaseRejectsTooManySharedVariables(t *testing.T) {
 	if open := cat.OpenSnapshots(); open != 0 {
 		t.Fatalf("%d snapshots still open after the refusal", open)
 	}
-	spans := tracer.Spans()
+	spans := tracer.spans
 	if len(spans) != 1 || !spans[0].Ended() {
 		t.Fatalf("request span not closed on the refusal path: %v", spans)
 	}

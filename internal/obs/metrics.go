@@ -19,10 +19,13 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
+	"bufio"
+	"io"
 	"math"
+	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,8 +87,7 @@ func (g *Gauge) Value() int64 {
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is overflow
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	sum    atomic.Uint64  // float64 bits, CAS-updated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -101,7 +103,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -109,22 +110,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the running sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
 }
 
 // Default bucket sets for the engine's histograms.
@@ -227,16 +212,18 @@ type HistogramSnapshot struct {
 	// bucket at the end.
 	Bounds []float64
 	Counts []int64
-	Count  int64
-	Sum    float64
+	// Count is the sum of Counts, so it always equals the cumulative
+	// count of the last (+Inf) bucket.
+	Count int64
+	Sum   float64
 }
 
-// Snapshot is a point-in-time copy of a registry, for tests, the
-// expvar bridge, and the CLI metrics dump.
+// Snapshot is a point-in-time copy of a registry, for tests and the
+// Prometheus rendering.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters   map[string]int64
+	Gauges     map[string]int64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot copies the registry's current values. A nil registry yields
@@ -262,66 +249,97 @@ func (m *Metrics) Snapshot() Snapshot {
 		hs := HistogramSnapshot{
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]int64, len(h.counts)),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
+			Sum:    math.Float64frombits(h.sum.Load()),
 		}
 		for i := range h.counts {
 			hs.Counts[i] = h.counts[i].Load()
+			hs.Count += hs.Counts[i]
 		}
 		s.Histograms[name] = hs
 	}
 	return s
 }
 
-// Empty reports whether the snapshot carries no metrics at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
+// PrometheusName is the exposed name of a registry name: "pcqe_" plus
+// the name with every character outside [A-Za-z0-9_] turned into "_"
+// (engine.request.seconds → pcqe_engine_request_seconds).
+func PrometheusName(name string) string {
+	return "pcqe_" + strings.Map(func(r rune) rune {
+		if r == '_' || r >= '0' && r <= '9' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {
+			return r
+		}
+		return '_'
+	}, name)
 }
 
-// String renders the snapshot as sorted "name value" lines — the
-// format cmd/pcqe -metrics prints and `make obs-smoke` asserts on.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
+// WritePrometheus renders the snapshot in the Prometheus text exposition
+// format: every metric sorted by name, each with a # TYPE line;
+// histograms as cumulative _bucket{le="…"} lines through +Inf, then _sum
+// and _count. `pcqe -metrics` prints it and pcqed's /metrics serves it.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
+	type entry struct{ name, kind string }
+	var entries []entry
 	for name := range s.Counters {
-		names = append(names, name)
+		entries = append(entries, entry{name, "counter"})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, s.Counters[name])
-	}
-	names = names[:0]
 	for name := range s.Gauges {
-		names = append(names, name)
+		entries = append(entries, entry{name, "gauge"})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, s.Gauges[name])
-	}
-	names = names[:0]
 	for name := range s.Histograms {
-		names = append(names, name)
+		entries = append(entries, entry{name, "histogram"})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		fmt.Fprintf(&b, "%s count=%d sum=%.6g\n", name, h.Count, h.Sum)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	b := bufio.NewWriter(w)
+	for _, e := range entries {
+		p := PrometheusName(e.name)
+		b.WriteString("# TYPE " + p + " " + e.kind + "\n")
+		switch e.kind {
+		case "counter":
+			b.WriteString(p + " " + strconv.FormatInt(s.Counters[e.name], 10) + "\n")
+		case "gauge":
+			b.WriteString(p + " " + strconv.FormatInt(s.Gauges[e.name], 10) + "\n")
+		default:
+			h := s.Histograms[e.name]
+			var cum int64
+			for i, n := range h.Counts {
+				cum += n
+				le := "+Inf"
+				if i < len(h.Bounds) {
+					le = strconv.FormatFloat(h.Bounds[i], 'g', -1, 64)
+				}
+				b.WriteString(p + "_bucket{le=\"" + le + "\"} " + strconv.FormatInt(cum, 10) + "\n")
+			}
+			b.WriteString(p + "_sum " + strconv.FormatFloat(h.Sum, 'g', -1, 64) + "\n")
+			b.WriteString(p + "_count " + strconv.FormatInt(h.Count, 10) + "\n")
+		}
 	}
-	return b.String()
+	return b.Flush()
 }
 
-// Publish registers the registry under name in the process-wide expvar
-// namespace (served at /debug/vars by the standard expvar handler).
-// The published variable renders the live snapshot as JSON on every
-// read. Publishing the same name twice returns an error instead of
-// panicking the way expvar.Publish does.
-func (m *Metrics) Publish(name string) error {
-	if m == nil {
-		return fmt.Errorf("obs: cannot publish a nil metrics registry")
+// runtimeGauges maps the gauges ServeHTTP refreshes on every scrape to
+// their runtime/metrics samples.
+var runtimeGauges = [...][2]string{
+	{"runtime.goroutines", "/sched/goroutines:goroutines"},
+	{"runtime.heap.bytes", "/memory/classes/heap/objects:bytes"},
+	{"runtime.gc.cycles", "/gc/cycles/total:gc-cycles"},
+}
+
+// ServeHTTP serves the registry as Prometheus text (pcqed's operator
+// listener mounts it at /metrics). Each scrape first sets the
+// runtime.goroutines, runtime.heap.bytes and runtime.gc.cycles gauges
+// from runtime/metrics.
+func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	samples := make([]rtmetrics.Sample, len(runtimeGauges))
+	for i, g := range runtimeGauges {
+		samples[i].Name = g[1]
 	}
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("obs: expvar name %q already published", name)
+	rtmetrics.Read(samples)
+	for i, g := range runtimeGauges {
+		if samples[i].Value.Kind() == rtmetrics.KindUint64 {
+			m.Gauge(g[0]).Set(int64(samples[i].Value.Uint64()))
+		}
 	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-	return nil
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// A failed write means the scraper hung up; nobody is left to tell.
+	_ = m.Snapshot().WritePrometheus(w)
 }

@@ -2,9 +2,8 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -37,13 +36,13 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 5, 50, 500, math.NaN()} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5 (NaN dropped)", got)
-	}
-	if got := h.Sum(); math.Abs(got-556.5) > 1e-9 {
-		t.Fatalf("sum = %g, want 556.5", got)
-	}
 	s := m.Snapshot().Histograms["h"]
+	if s.Count != 5 {
+		t.Fatalf("count = %d, want 5 (NaN dropped)", s.Count)
+	}
+	if math.Abs(s.Sum-556.5) > 1e-9 {
+		t.Fatalf("sum = %g, want 556.5", s.Sum)
+	}
 	want := []int64{2, 1, 1, 1} // ≤1: {0.5, 1}; ≤10: {5}; ≤100: {50}; overflow: {500}
 	for i, w := range want {
 		if s.Counts[i] != w {
@@ -57,15 +56,13 @@ func TestNilRegistryAndHandlesAreSafe(t *testing.T) {
 	m.Counter("x").Inc()
 	m.Gauge("y").Set(3)
 	m.Histogram("z", SizeBuckets).Observe(1)
-	if !m.Snapshot().Empty() {
-		t.Fatal("nil registry snapshot must be empty")
-	}
-	if err := m.Publish("nil-metrics"); err == nil {
-		t.Fatal("publishing a nil registry must fail")
+	var out strings.Builder
+	if err := m.Snapshot().WritePrometheus(&out); err != nil || out.Len() != 0 {
+		t.Fatalf("nil registry renders %q (err %v), want nothing", out.String(), err)
 	}
 }
 
-func TestSnapshotStringAndConcurrency(t *testing.T) {
+func TestSnapshotConcurrency(t *testing.T) {
 	m := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -87,31 +84,57 @@ func TestSnapshotStringAndConcurrency(t *testing.T) {
 	if h := snap.Histograms["lat"]; h.Count != 4000 || math.Abs(h.Sum-4.0) > 1e-6 {
 		t.Fatalf("lat = %+v", h)
 	}
-	out := snap.String()
-	if !strings.Contains(out, "hits 4000") || !strings.Contains(out, "lat count=4000") {
-		t.Fatalf("snapshot renders as:\n%s", out)
+}
+
+// TestPrometheusTextGolden pins the one rendering of a snapshot: names
+// sorted across kinds, prefixed and with dots turned into underscores,
+// a # TYPE line each, cumulative buckets through +Inf (equal to _count),
+// then _sum and _count.
+func TestPrometheusTextGolden(t *testing.T) {
+	m := New()
+	m.Counter("server.queries").Add(3)
+	m.Gauge("engine.inflight").Set(2)
+	h := m.Histogram("engine.request.seconds", []float64{0.001, 0.01, 1})
+	for _, v := range []float64{0.0005, 0.005, 0.005, 2} {
+		h.Observe(v)
+	}
+	const want = `# TYPE pcqe_engine_inflight gauge
+pcqe_engine_inflight 2
+# TYPE pcqe_engine_request_seconds histogram
+pcqe_engine_request_seconds_bucket{le="0.001"} 1
+pcqe_engine_request_seconds_bucket{le="0.01"} 3
+pcqe_engine_request_seconds_bucket{le="1"} 3
+pcqe_engine_request_seconds_bucket{le="+Inf"} 4
+pcqe_engine_request_seconds_sum 2.0105
+pcqe_engine_request_seconds_count 4
+# TYPE pcqe_server_queries counter
+pcqe_server_queries 3
+`
+	var got strings.Builder
+	if err := m.Snapshot().WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Fatalf("rendering:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
-func TestPublishExpvarBridge(t *testing.T) {
+func TestServeHTTPSetsRuntimeGauges(t *testing.T) {
 	m := New()
-	m.Counter("queries").Add(3)
-	if err := m.Publish("test-obs-bridge"); err != nil {
-		t.Fatal(err)
+	m.Counter("engine.queries").Inc()
+	rec := httptest.NewRecorder()
+	m.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("Content-Type = %q", ct)
 	}
-	if err := m.Publish("test-obs-bridge"); err == nil {
-		t.Fatal("double publish must error, not panic")
+	body := rec.Body.String()
+	for _, want := range []string{"pcqe_engine_queries 1\n", "# TYPE pcqe_runtime_goroutines gauge\n", "# TYPE pcqe_runtime_heap_bytes gauge\n", "# TYPE pcqe_runtime_gc_cycles gauge\n"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("scrape missing %q:\n%s", want, body)
+		}
 	}
-	v := expvar.Get("test-obs-bridge")
-	if v == nil {
-		t.Fatal("variable not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value is not JSON: %v", err)
-	}
-	if snap.Counters["queries"] != 3 {
-		t.Fatalf("bridged snapshot = %+v", snap)
+	if snap := m.Snapshot(); snap.Gauges["runtime.goroutines"] < 1 || snap.Gauges["runtime.heap.bytes"] < 1 {
+		t.Fatalf("runtime gauges not set: %v", snap.Gauges)
 	}
 }
 
@@ -184,25 +207,6 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	root.End()
 	if got := len(root.Children()); got != 800 {
 		t.Fatalf("children = %d, want 800", got)
-	}
-}
-
-func TestRingTracerEviction(t *testing.T) {
-	tr := NewRingTracer(3)
-	for i := 0; i < 5; i++ {
-		tr.StartSpan("s").SetAttr("i", int64(i))
-	}
-	spans := tr.Spans()
-	if len(spans) != 3 || tr.Total() != 5 {
-		t.Fatalf("retained %d (total %d), want 3 of 5", len(spans), tr.Total())
-	}
-	for i, s := range spans {
-		if got := s.Attr("i"); got != int64(i+2) {
-			t.Fatalf("span %d carries i=%d, want %d (oldest-first order)", i, got, i+2)
-		}
-	}
-	if NewRingTracer(0) == nil {
-		t.Fatal("default capacity tracer")
 	}
 }
 

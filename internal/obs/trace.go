@@ -174,20 +174,6 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
-// Adopt attaches an already-running (or ended) span as a child of s.
-// It grafts a span tree produced by another component under an outer
-// request span — e.g. the engine's per-request tree under an HTTP
-// handler's span — so one tree tells the whole request's story. No-op
-// when s or child is nil; adopting s into itself is refused.
-func (s *Span) Adopt(child *Span) {
-	if s == nil || child == nil || s == child {
-		return
-	}
-	s.mu.Lock()
-	s.children = append(s.children, child)
-	s.mu.Unlock()
-}
-
 // Find returns the first span named name in the subtree rooted at s
 // (depth-first, s itself included), or nil.
 func (s *Span) Find(name string) *Span {
@@ -252,63 +238,6 @@ func (s *Span) tree(b *strings.Builder, depth int) {
 // per request; implementations decide retention.
 type Tracer interface {
 	StartSpan(name string) *Span
-}
-
-// RingTracer retains the most recent root spans in a fixed-capacity
-// ring buffer — enough to inspect recent requests without unbounded
-// memory growth.
-type RingTracer struct {
-	mu    sync.Mutex
-	spans []*Span
-	next  int
-	total int
-}
-
-// DefaultRingCapacity is the ring size NewRingTracer uses for
-// capacity <= 0.
-const DefaultRingCapacity = 64
-
-// NewRingTracer returns a tracer retaining the last capacity root
-// spans (DefaultRingCapacity when capacity <= 0).
-func NewRingTracer(capacity int) *RingTracer {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &RingTracer{spans: make([]*Span, 0, capacity)}
-}
-
-// StartSpan implements Tracer: it starts a root span and records it in
-// the ring, evicting the oldest when full.
-func (t *RingTracer) StartSpan(name string) *Span {
-	s := NewSpan(name)
-	t.mu.Lock()
-	if len(t.spans) < cap(t.spans) {
-		t.spans = append(t.spans, s)
-	} else {
-		t.spans[t.next] = s
-		t.next = (t.next + 1) % cap(t.spans)
-	}
-	t.total++
-	t.mu.Unlock()
-	return s
-}
-
-// Spans returns the retained root spans, oldest first.
-func (t *RingTracer) Spans() []*Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, 0, len(t.spans))
-	out = append(out, t.spans[t.next:]...)
-	out = append(out, t.spans[:t.next]...)
-	return out
-}
-
-// Total returns the number of spans ever started (including evicted
-// ones).
-func (t *RingTracer) Total() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // spanKey is the context key carrying the active span.

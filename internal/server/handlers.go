@@ -166,11 +166,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// r.Context() is canceled when the client disconnects; the engine
 	// polls it through every phase and degrades or aborts cleanly.
-	span := s.startSpan("http.query")
 	resp, err := s.engine.EvaluateContext(r.Context(), sess.request(req.Query, req.MinFraction, budget))
 	if err != nil {
-		span.SetStatus(err.Error())
-		span.End()
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			// The client is gone; nobody reads this response. Count the
 			// abandonment and let the connection close.
@@ -185,8 +182,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	span.Adopt(resp.Timings)
-	span.End()
 	if ctxErr := r.Context().Err(); ctxErr != nil {
 		// The client hung up after evaluation but before the write:
 		// nobody reads this response, and stashing its proposal would
@@ -311,24 +306,15 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, AuditResponse{Events: []WireAuditEvent{}})
 		return
 	}
-	var mine []WireAuditEvent
-	for _, ev := range log.Events() {
-		if ev.User != sess.user {
-			continue
-		}
-		mine = append(mine, WireAuditEvent{
+	events, total := log.UserTail(sess.user, limit)
+	mine := make([]WireAuditEvent, len(events))
+	for i, ev := range events {
+		mine[i] = WireAuditEvent{
 			Seq: ev.Seq, Kind: ev.Kind, Purpose: ev.Purpose, Query: ev.Query,
 			Beta: wireConf(ev.Beta), Released: ev.Released, Withheld: ev.Withheld,
 			Cost: ev.Cost, Partial: ev.Partial, Detail: ev.Detail,
 			ReadVersion: ev.ReadVersion, CommitVersion: ev.CommitVersion,
-		})
-	}
-	total := len(mine)
-	if len(mine) > limit {
-		mine = mine[len(mine)-limit:]
-	}
-	if mine == nil {
-		mine = []WireAuditEvent{}
+		}
 	}
 	s.writeJSON(w, http.StatusOK, AuditResponse{Events: mine, Total: total})
 }
@@ -341,13 +327,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// startSpan opens a handler root span through the engine's tracer when
-// one is attached (so /v1/query trees are retained in its ring).
-func (s *Server) startSpan(name string) *obs.Span {
-	if s.tracer != nil {
-		return s.tracer.StartSpan(name)
-	}
-	return obs.NewSpan(name)
 }

@@ -118,7 +118,6 @@ type Server struct {
 	engine  *core.Engine
 	cfg     Config
 	metrics *obs.Metrics
-	tracer  obs.Tracer
 
 	// workers is the admission semaphore: one slot per concurrently
 	// evaluating request, acquired non-blockingly by the query handler.
@@ -132,14 +131,13 @@ type Server struct {
 }
 
 // New builds a server around an engine. The engine's attached metrics
-// registry and tracer (if any) are reused for the server's own
-// instruments so one Snapshot covers both layers.
+// registry (if any) is reused for the server's own instruments so one
+// Snapshot covers both layers.
 func New(engine *core.Engine, cfg Config) *Server {
 	return &Server{
 		engine:   engine,
 		cfg:      cfg,
 		metrics:  engine.Metrics(),
-		tracer:   engine.Tracer(),
 		workers:  make(chan struct{}, cfg.workerPool()),
 		sessions: make(map[string]*Session),
 	}

@@ -24,8 +24,6 @@ type PlanCache struct {
 	capacity int
 	entries  map[string]*planEntry
 	order    *list.List // LRU: front = most recent
-	hits     int64
-	misses   int64
 	metrics  *obs.Metrics
 }
 
@@ -53,18 +51,12 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{capacity: capacity, entries: map[string]*planEntry{}, order: list.New()}
 }
 
-// SetMetrics publishes hit/miss counters to the registry (nil-safe).
+// SetMetrics attaches the registry that counts hits and misses
+// (sql.plancache.hits / sql.plancache.misses); nil detaches.
 func (pc *PlanCache) SetMetrics(m *obs.Metrics) {
 	pc.mu.Lock()
 	pc.metrics = m
 	pc.mu.Unlock()
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (pc *PlanCache) Stats() (hits, misses int64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.hits, pc.misses
 }
 
 // Len returns the number of cached plans.
@@ -82,7 +74,7 @@ type QueryResult struct {
 	Info *PlanInfo
 	// Hit reports whether this call was served from the cache. Callers
 	// that attribute cache behavior to one request (span attributes)
-	// need the per-call flag: the process-wide Stats() counters advance
+	// need the per-call flag: the process-wide registry counters advance
 	// for every concurrent session, so a before/after delta around one
 	// call misattributes other sessions' work.
 	Hit bool
@@ -145,12 +137,10 @@ func (pc *PlanCache) checkout(snap *relation.Snapshot, key string) *planEntry {
 		case !stale && !e.inUse:
 			e.inUse = true
 			pc.order.MoveToFront(e.elem)
-			pc.hits++
 			pc.metrics.Counter("sql.plancache.hits").Inc()
 			return e
 		}
 	}
-	pc.misses++
 	pc.metrics.Counter("sql.plancache.misses").Inc()
 	return nil
 }

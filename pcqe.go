@@ -106,8 +106,8 @@ var NewAdvisor = core.NewAdvisor
 // --- Observability ---
 
 // Metrics is the engine's counter/gauge/histogram registry (attach with
-// Engine.SetMetrics; inspect with Metrics.Snapshot or publish to
-// expvar).
+// Engine.SetMetrics; inspect with Metrics.Snapshot, render with
+// MetricsSnapshot.WritePrometheus, or serve it as an http.Handler).
 type Metrics = obs.Metrics
 
 // MetricsSnapshot is a point-in-time copy of a registry's values.
@@ -120,15 +120,8 @@ type Span = obs.Span
 // Tracer retains request span trees (attach with Engine.SetTracer).
 type Tracer = obs.Tracer
 
-// RingTracer retains the most recent request spans in a ring buffer.
-type RingTracer = obs.RingTracer
-
 // NewMetrics creates an empty metrics registry.
 var NewMetrics = obs.New
-
-// NewRingTracer creates a ring-buffer tracer (capacity <= 0 selects the
-// default).
-var NewRingTracer = obs.NewRingTracer
 
 // --- Relational engine ---
 
