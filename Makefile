@@ -3,7 +3,8 @@
 # over the differential tests that hold each fast path — the compiled
 # lineage kernel first among them — to its reference. Measuring:
 # `make bench-smoke` (does the serving benchmark still build and answer),
-# `make bench-pairs BASE=<ref>` (alternating parent/change pairs, what a
+# `make bench-pairs BASE=<ref> [WORKLOAD=<name>]` (alternating
+# parent/change pairs, of every workload or of the one named, what a
 # CHANGES.md entry pastes; each invocation appends a line to
 # BENCH_history.jsonl), `make bench-serving` (regenerate the
 # committed BENCH_serving.json), `make loc BASE=<ref>` (line counts).
@@ -50,11 +51,13 @@ mvcc-stress:
 # The differential suites, each pinning a fast path to its reference:
 # the compiled lineage kernel vs the tree walk in internal/lineage (the
 # reference evaluator; no production path can select it) — kernel by
-# kernel there, and in internal/strategy the solvers' evaluator (it feeds
+# kernel there, the factoring OR fold vs the plain one (truth table,
+# occurrence counts, the Shannon kernel's bits), and in internal/strategy the solvers' evaluator (it feeds
 # each kernel its one slot row: there is no batched sweep left to hold to
 # the per-machine calls) after every step of a random walk, with every
 # solver's plan pinned to
-# goldens recorded while the solvers could still run on the tree walk —
+# goldens recorded while the solvers could still run on the tree walk,
+# and factored against unfactored DISTINCT-join lineage plan for plan —
 # the solver's reset / re-targeted evaluator vs a fresh build, and the
 # typed refusal of a formula past the shared-variable limit; in
 # internal/core the _confidence column vs the confidence the policy
@@ -65,7 +68,8 @@ mvcc-stress:
 # internal/sql the planner vs a reference executor written against the
 # AST in the test package (the serving benchmark's shapes, the fuzz
 # corpora, pinned refusals, generated catalogs and statements, and the
-# engine's β partition of them), filter pushdown over the fuzz seeds, the one AST renderer
+# engine's β partition of them, and a region window wide enough that
+# only the factored fold evaluates it), filter pushdown over the fuzz seeds, the one AST renderer
 # vs the parser round trip and the fingerprint's invariances, and SQL
 # DML's subqueries vs the version its transaction reads; the batch
 # operators vs result images recorded while they ran a row at a time
@@ -78,11 +82,11 @@ mvcc-stress:
 # goldens pin its plans), the solver planning over the filter's own
 # lineage, and /v1/explain under admission and drain.
 differential:
-	$(GO) test -run 'Differential|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult|DncSplitGroupFallback' -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'Differential|OrFactored|FactoredLineagePlansIdentically|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult|DncSplitGroupFallback' -count=1 ./internal/lineage/ ./internal/strategy/
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage' -count=1 ./internal/core/
 	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the
@@ -171,8 +175,12 @@ bench-smoke:
 # Alternating parent/change pairs of the serving benchmark against
 # BASE (PAIRS of them, default 5), then `-compare` over the merged
 # documents and per-metric win counts; see scripts/bench_pairs.sh.
+# WORKLOAD=<name> runs that one workload per pair (≈2 min a pair instead
+# of ≈5): what a claimed gain on one workload pastes, ten pairs of it.
+# -compare then reports the other workloads as missing; the five pairs
+# over all workloads stay the no-regression check.
 bench-pairs:
-	@sh scripts/bench_pairs.sh $(BASE) $(PAIRS)
+	@sh scripts/bench_pairs.sh $(BASE) $(or $(PAIRS),5) $(WORKLOAD)
 
 # Non-test Go lines per package under internal/ and cmd/, and the total;
 # `make loc BASE=<ref>` adds that commit's counts and the per-package

@@ -325,26 +325,50 @@ func BenchmarkDnCParallel(b *testing.B) {
 
 // BenchmarkDnCSingletonGroups solves 2 000 results that share no base
 // tuple — the shape of a DISTINCT join's withheld rows (two thirds
-// (a ∧ b), one third ((a ∧ s) ∨ (b ∧ s))), which γ=1 partitions into
-// 2 000 one-result groups below τ. Per-group overhead is the whole
+// (a ∧ b), one third a supplier s with two orders), which γ=1 partitions
+// into 2 000 one-result groups below τ. Per-group overhead is the whole
 // cost here: run with -benchmem to see what a group sub-solve allocates.
+// unfactored builds the third as the plain fold (a ∧ s) ∨ (b ∧ s), which
+// the kernel prices by Shannon expansion on s; factored as the DISTINCT
+// fold builds it, s ∧ (a ∨ b), read-once; ctx solves the factored
+// instance under a cancellable context, as a server does, so every
+// checkpoint is live.
 func BenchmarkDnCSingletonGroups(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	in := &strategy.Instance{Beta: 0.5, Delta: 0.1, Need: 1600}
-	v := func() *lineage.Expr {
-		id := lineage.Var(len(in.Base) + 1)
-		in.Base = append(in.Base, strategy.BaseTuple{Var: id, P: 0.3 + 0.35*r.Float64(), Cost: cost.Linear{Rate: 1 + 99*r.Float64()}})
-		return lineage.NewVar(id)
-	}
-	for ri := 0; ri < 2000; ri++ {
-		f := lineage.And(v(), v())
-		if ri%3 == 2 {
-			s := v()
-			f = lineage.Or(lineage.And(v(), s), lineage.And(v(), s))
+	mk := func(fold func(...*lineage.Expr) *lineage.Expr) *strategy.Instance {
+		r := rand.New(rand.NewSource(9))
+		in := &strategy.Instance{Beta: 0.5, Delta: 0.1, Need: 1600}
+		v := func() *lineage.Expr {
+			id := lineage.Var(len(in.Base) + 1)
+			in.Base = append(in.Base, strategy.BaseTuple{Var: id, P: 0.3 + 0.35*r.Float64(), Cost: cost.Linear{Rate: 1 + 99*r.Float64()}})
+			return lineage.NewVar(id)
 		}
-		in.Results = append(in.Results, strategy.Result{ID: ri, Formula: f})
+		for ri := 0; ri < 2000; ri++ {
+			f := lineage.And(v(), v())
+			if ri%3 == 2 {
+				s := v()
+				f = fold(lineage.And(v(), s), lineage.And(v(), s))
+			}
+			in.Results = append(in.Results, strategy.Result{ID: ri, Formula: f})
+		}
+		return in
 	}
-	solveB(b, strategy.NewDivideAndConquer(), func() *strategy.Instance { return in })
+	unfactored, factored := mk(lineage.Or), mk(lineage.OrFactored)
+	b.Run("unfactored", func(b *testing.B) {
+		solveB(b, strategy.NewDivideAndConquer(), func() *strategy.Instance { return unfactored })
+	})
+	b.Run("factored", func(b *testing.B) {
+		solveB(b, strategy.NewDivideAndConquer(), func() *strategy.Instance { return factored })
+	})
+	b.Run("ctx", func(b *testing.B) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := strategy.NewDivideAndConquer().SolveContext(ctx, factored, strategy.Budget{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Compiled lineage kernel vs the reference tree walk. ---

@@ -17,7 +17,7 @@ func TestEngineCacheObservability(t *testing.T) {
 	e := newVentureEngine(t, nil)
 	m := obs.New()
 	e.SetMetrics(m)
-	req := Request{User: "sue", Query: ventureQuery, Purpose: "analysis"}
+	req := Request{User: "sue", Query: pairQuery, Purpose: "analysis"}
 
 	first, err := e.Evaluate(req)
 	if err != nil {
@@ -39,9 +39,9 @@ func TestEngineCacheObservability(t *testing.T) {
 			eval2.Attr("plan_cache_hits"), eval2.Attr("plan_cache_misses"))
 	}
 	// The plan behind those spans is the join planner's: the Funding
-	// filter and the column pruning run inside the Proposal leaf, below
+	// filter and the column pruning run inside a's Proposal leaf, below
 	// the hash join. DISTINCT means the lineage hint is may-share.
-	stmt, err := sql.Parse(ventureQuery)
+	stmt, err := sql.Parse(pairQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,9 @@ func TestEngineCacheObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := relation.ExplainAnnotated(op, info.Notes)
-	if !strings.Contains(plan, "HashJoin (CompanyInfo.Company = Proposal.Company)") ||
-		!strings.Contains(plan, "└─ Scan Proposal filter (Proposal.Funding < 1000000) cols [Company, Funding]") {
-		t.Errorf("running example not planned by cost:\n%s", plan)
+	if !strings.Contains(plan, "HashJoin (b.Company = a.Company)") ||
+		!strings.Contains(plan, "└─ Scan Proposal filter (a.Funding < 1000000) cols [Company, Funding]") {
+		t.Errorf("self-join not planned by cost:\n%s", plan)
 	}
 	if eval2.Attr("lineage_hint_read_once") != 0 {
 		t.Errorf("DISTINCT query must carry the may-share hint")
@@ -71,9 +71,10 @@ func TestEngineCacheObservability(t *testing.T) {
 	if classed != rows {
 		t.Errorf("class totals %d != rows %d", classed, rows)
 	}
-	// DISTINCT merges ZStart's two join rows into one result whose
-	// lineage Or(And(02,13), And(03,13)) shares variable 13: the row
-	// routes through the bounded-pivot Shannon path.
+	// DISTINCT merges ZStart's four pairs of its two cheap proposals into
+	// one result. Factoring groups the pairs by their first proposal,
+	// ((t2 & (t2 | t3)) | (t3 & (t2 | t3))), and both variables stay
+	// shared: the row routes through the bounded-pivot Shannon path.
 	if lin1.Attr("bounded_rows") != rows {
 		t.Errorf("bounded_rows = %d, want %d", lin1.Attr("bounded_rows"), rows)
 	}
@@ -131,3 +132,11 @@ func TestEngineConfidenceCacheFollowsImprovement(t *testing.T) {
 			after.Released[0].Confidence, withheld)
 	}
 }
+
+// pairQuery pairs each company's cheaper proposals with each other: the
+// self-join repeats a proposal in every pair it joins, so the DISTINCT
+// result keeps shared variables after its disjunction is factored.
+const pairQuery = `
+	SELECT DISTINCT a.Company
+	FROM Proposal a JOIN Proposal b ON a.Company = b.Company
+	WHERE a.Funding < 1000000`

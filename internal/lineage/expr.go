@@ -131,6 +131,78 @@ func nary(kind Kind, es []*Expr) *Expr {
 	return &Expr{kind: kind, children: children}
 }
 
+// OrFactored returns a formula equivalent to Or(es...) in which the
+// conjunctions sharing a variable conjunct are grouped under it, and what
+// is left of a group is factored the same way: (a ∧ s) ∨ (b ∧ s) becomes
+// s ∧ (a ∨ b). A group of k operands takes s from k occurrences to one
+// and moves no other variable, so no variable occurs more often than in
+// Or(es...), and a DISTINCT over a hierarchical, self-join-free join
+// comes out read-once. A bare variable joins no group, so nothing is
+// absorbed and the formula keeps every variable of Or(es...). Without a
+// conjunct two conjunctions share, the result is Or(es...). Equal inputs
+// give equal formulas; es holds no nil.
+func OrFactored(es ...*Expr) *Expr {
+	if !slices.ContainsFunc(es, func(e *Expr) bool { return e.kind == KindAnd }) {
+		return Or(es...)
+	}
+	// A conjunction joins the group of its most shared conjunct (the
+	// first of equals) when another conjunction has that conjunct too.
+	count, key, groups := map[Var]int{}, make([]*Expr, len(es)), map[Var][]*Expr{}
+	for _, e := range es {
+		for _, c := range conjuncts(e) {
+			if c.kind == KindVar {
+				count[c.v]++
+			}
+		}
+	}
+	for i, e := range es {
+		for _, c := range conjuncts(e) {
+			if c.kind == KindVar && count[c.v] > 1 && (key[i] == nil || count[c.v] > count[key[i].v]) {
+				key[i] = c
+			}
+		}
+		if k := key[i]; k != nil {
+			if groups[k.v] == nil {
+				groups[k.v] = make([]*Expr, 0, count[k.v])
+			}
+			groups[k.v] = append(groups[k.v], e)
+		}
+	}
+	out := make([]*Expr, 0, len(es))
+	for i, e := range es {
+		if k := key[i]; k == nil || len(groups[k.v]) == 1 {
+			out = append(out, e)
+		} else if g := groups[k.v]; g != nil { // the group's first operand
+			out, groups[k.v] = append(out, factorOut(g, k)), nil
+		}
+	}
+	return Or(out...)
+}
+
+// conjuncts returns the children of a conjunction, nil for any other
+// node. The slice is e's own; it must not be modified.
+func conjuncts(e *Expr) []*Expr {
+	if e.kind != KindAnd {
+		return nil
+	}
+	return e.children
+}
+
+// factorOut returns c ∧ OrFactored(es with c taken out of each
+// operand), es holding at least two conjunctions that all have c. It
+// overwrites es, the group's own slice, with what is left of each.
+func factorOut(es []*Expr, c *Expr) *Expr {
+	for i, e := range es {
+		k := slices.IndexFunc(e.children, func(x *Expr) bool { return x.kind == KindVar && x.v == c.v })
+		if len(e.children) == 2 { // a join's two-way conjunction: the other side
+			es[i] = e.children[1-k]
+		} else {
+			es[i] = And(slices.Concat(e.children[:k], e.children[k+1:])...)
+		}
+	}
+	return And(c, OrFactored(es...))
+}
+
 // Kind reports the node kind of e.
 func (e *Expr) Kind() Kind { return e.kind }
 

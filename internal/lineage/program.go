@@ -61,45 +61,44 @@ func CompileExact(e *Expr, sharedLimit int) (*Program, error) {
 	if len(shared) > sharedLimit {
 		return nil, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)
 	}
-	vars := slices.Compact(occ)
-	p := &Program{vars: vars}
-	slot := make(map[Var]int32, len(vars))
-	for i, v := range vars {
-		slot[v] = int32(i)
-	}
+	// n leaves have fewer than n inner nodes of two or more children.
+	p := &Program{vars: slices.Compact(occ), code: make([]instr, 0, 2*len(occ)+1), kids: make([]int32, 0, 2*len(occ))}
 	for _, v := range shared {
-		p.shared = append(p.shared, slot[v])
+		s, _ := slices.BinarySearch(p.vars, v) // a slot is a place in vars
+		p.shared = append(p.shared, int32(s))
 	}
-	p.emit(e, slot)
+	p.emit(e)
 	return p, nil
 }
 
-// emit appends the postfix code of e, loading variables from the slots
-// given, and returns the position of its root instruction.
-func (p *Program) emit(e *Expr, slot map[Var]int32) int32 {
+// emit appends the postfix code of e and returns the position of its
+// root instruction.
+func (p *Program) emit(e *Expr) int32 {
 	switch e.Kind() {
 	case KindFalse:
 		p.code = append(p.code, instr{op: opFalse})
 	case KindTrue:
 		p.code = append(p.code, instr{op: opTrue})
 	case KindVar:
-		p.code = append(p.code, instr{op: opLoad, arg: slot[e.Variable()]})
+		s, _ := slices.BinarySearch(p.vars, e.Variable())
+		p.code = append(p.code, instr{op: opLoad, arg: int32(s)})
 	case KindNot:
-		p.emit(e.Children()[0], slot)
+		p.emit(e.Children()[0])
 		p.code = append(p.code, instr{op: opNot})
 	case KindAnd, KindOr:
 		children := e.Children()
-		pos := make([]int32, len(children))
+		// The node's child list is reserved before its children emit theirs.
+		off := len(p.kids)
+		p.kids = append(p.kids, make([]int32, len(children))...)
 		for i, c := range children {
-			pos[i] = p.emit(c, slot)
+			pos := p.emit(c)
+			p.kids[off+i] = pos
 		}
 		o := opAnd
 		if e.Kind() == KindOr {
 			o = opOr
 		}
-		off := int32(len(p.kids))
-		p.kids = append(p.kids, pos...)
-		p.code = append(p.code, instr{op: o, arg: int32(len(children)), kids: off})
+		p.code = append(p.code, instr{op: o, arg: int32(len(children)), kids: int32(off)})
 		if len(children) > p.maxArity {
 			p.maxArity = len(children)
 		}
@@ -130,6 +129,7 @@ func (p *Program) SharedSlots() []int32 { return p.shared }
 // use — create one per goroutine (programs themselves are shareable).
 type Machine struct {
 	prog *Program
+	slab []float64 // the float scratch below, carved from one allocation
 	vals []float64 // inside value per instruction position
 	out  []float64 // outside value per instruction position
 	pref []float64 // sibling prefix products (outside pass)
@@ -162,13 +162,17 @@ func NewMachine(p *Program) *Machine {
 // is re-armed by Reset. The hook and the lifetime counters are kept.
 func (m *Machine) Reset(p *Program) {
 	m.prog = p
-	m.vals = sized(m.vals, len(p.code))
-	m.out = sized(m.out, len(p.code))
-	m.pref = sized(m.pref, p.maxArity+1)
-	if n := len(p.shared); n > 0 {
-		m.fact = sized(m.fact, n)
-		m.facPre = sized(m.facPre, n+1)
+	nc, na, ns := len(p.code), p.maxArity+1, len(p.shared)
+	if need := 2*nc + na + 2*ns + 1; cap(m.slab) < need {
+		m.slab = make([]float64, need)
 	}
+	// The contents are unspecified: every evaluation pass writes a
+	// scratch cell before reading it.
+	s := m.slab
+	m.vals, s = s[:nc:nc], s[nc:]
+	m.out, s = s[:nc:nc], s[nc:]
+	m.pref, s = s[:na:na], s[na:]
+	m.fact, m.facPre = s[:ns:ns], s[ns:2*ns+1]
 	if cap(m.pinned) < len(p.vars) {
 		m.pinned = make([]int8, len(p.vars))
 	}
@@ -176,16 +180,6 @@ func (m *Machine) Reset(p *Program) {
 	for i := range m.pinned {
 		m.pinned[i] = -1
 	}
-}
-
-// sized returns s with length n, reallocating only when its capacity is
-// too small. The contents are unspecified: every evaluation pass writes
-// a scratch cell before reading it.
-func sized(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // SetPivotHook installs f as the machine's cooperative checkpoint for

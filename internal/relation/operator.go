@@ -144,13 +144,14 @@ func (p *Project) Open(at int64) error {
 	if !p.Distinct {
 		return nil
 	}
-	// DISTINCT materializes: merge duplicates, OR their lineage.
+	// DISTINCT materializes: merge duplicates, OR their lineage with
+	// shared conjuncts factored out (lineage.OrFactored).
 	var d groups
 	b, err := p.project()
 	for ; b != nil && err == nil; b, err = p.project() {
 		d.addAll(b)
 	}
-	p.rows = *d.fold(lineage.Or)
+	p.rows = *d.fold(lineage.OrFactored)
 	return err
 }
 

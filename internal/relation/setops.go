@@ -19,7 +19,7 @@ func matchDistinct(left, right Operator, at int64, dst *rowStore, keep func(l li
 	if err := each(right, at, r.addAll); err != nil {
 		return err
 	}
-	ls, rs := l.fold(lineage.Or), r.fold(lineage.Or)
+	ls, rs := l.fold(lineage.OrFactored), r.fold(lineage.OrFactored)
 	*dst = rowStore{w: left.Schema().Len()}
 	for g := range ls.n {
 		var rl *lineage.Expr
@@ -66,7 +66,7 @@ func (u *Union) Open(at int64) error {
 		return err
 	}
 	if !u.All {
-		u.rows = *d.fold(lineage.Or)
+		u.rows = *d.fold(lineage.OrFactored)
 	}
 	return nil
 }

@@ -66,7 +66,7 @@ func (b *BruteForce) search(r *solveRun) (*Plan, error) {
 		fault.Probe(SiteBruteForce)
 		bs.node()
 		if e.nSat >= in.Need {
-			if c := e.totalCost(); c < bestCost {
+			if c := costOf(in, e.p); c < bestCost {
 				r.incumbent = e.plan(nodes)
 				bestCost = c
 			}

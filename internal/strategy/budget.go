@@ -21,6 +21,7 @@ package strategy
 // process.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -190,6 +191,10 @@ type budgetState struct {
 	solver string
 	done   <-chan struct{}
 	ctxErr func() error
+	// polls counts this state's (one goroutine's) checkpoints: done is
+	// read at the first and then every pollEvery-th, and at every group
+	// boundary (pollNow).
+	polls uint32
 
 	maxNodes, maxPivots, maxSteps int64
 	nodes, pivots, steps          atomic.Int64
@@ -260,11 +265,25 @@ func newBudgetState(solver string, ctx context.Context, b Budget) (*budgetState,
 	}, cancel
 }
 
+// pollEvery bounds the checkpoints a goroutine passes between two reads
+// of the context's channel.
+const pollEvery = 64
+
 // poll is the basic cooperative checkpoint: it unwinds if the solve was
-// already stopped or the context is done. All control state lives on the
-// root, so a worker child polls its parent's flags — exhaustion anywhere
-// stops every goroutine of the solve at its next checkpoint.
+// already stopped, or if the context is done at the goroutine's first
+// checkpoint and every pollEvery-th after it. All control state lives on
+// the root, so a worker child polls its parent's flags — exhaustion
+// anywhere stops every goroutine of the solve at its next checkpoint.
 func (s *budgetState) poll() {
+	if s != nil {
+		s.polls++
+		s.pollNow(s.polls%pollEvery == 1)
+	}
+}
+
+// pollNow is poll reading the context's channel when readDone, as a
+// group boundary does every time.
+func (s *budgetState) pollNow(readDone bool) {
 	if s == nil {
 		return
 	}
@@ -275,58 +294,33 @@ func (s *budgetState) poll() {
 	if r.stopped.Load() {
 		r.fail("", nil)
 	}
-	if r.done != nil {
-		select {
-		case <-r.done:
-			err := r.ctxErr()
-			res := ResourceCanceled
-			if errors.Is(err, context.DeadlineExceeded) {
-				res = ResourceDeadline
-			}
-			r.fail(res, err)
-		default:
+	if r.done == nil || !readDone {
+		return
+	}
+	select {
+	case <-r.done:
+		err := r.ctxErr()
+		res := ResourceCanceled
+		if errors.Is(err, context.DeadlineExceeded) {
+			res = ResourceDeadline
 		}
+		r.fail(res, err)
+	default:
 	}
 }
 
-// node counts one search-node expansion, then polls. Worker children
-// record the increment locally (per-worker span attribution) and on the
-// root, whose counter enforces the global limit; both adds happen before
-// any unwind, so the root total always equals the sum of its children —
-// including the increment that trips the limit.
+// node counts one search-node expansion, then polls.
 func (s *budgetState) node() {
-	if s == nil {
-		return
+	if s != nil {
+		s.count(&s.nodes, &s.root().nodes, s.root().maxNodes, ResourceNodes, 1)
 	}
-	r := s.root()
-	if r.draining.Load() {
-		return
-	}
-	if s != r {
-		s.nodes.Add(1)
-	}
-	if n := r.nodes.Add(1); r.maxNodes > 0 && n > r.maxNodes {
-		r.fail(ResourceNodes, nil)
-	}
-	s.poll()
 }
 
 // step counts one δ-grid confidence step, then polls.
 func (s *budgetState) step() {
-	if s == nil {
-		return
+	if s != nil {
+		s.count(&s.steps, &s.root().steps, s.root().maxSteps, ResourceSteps, 1)
 	}
-	r := s.root()
-	if r.draining.Load() {
-		return
-	}
-	if s != r {
-		s.steps.Add(1)
-	}
-	if n := r.steps.Add(1); r.maxSteps > 0 && n > r.maxSteps {
-		r.fail(ResourceSteps, nil)
-	}
-	s.poll()
 }
 
 // pivot counts n Shannon pivot-assignment evaluations, then polls. It
@@ -335,18 +329,26 @@ func (s *budgetState) step() {
 // state is then inconsistent and must be discarded (solver boundaries
 // only ever return snapshots, never live evaluator state).
 func (s *budgetState) pivot(n int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.count(&s.pivots, &s.root().pivots, s.root().maxPivots, ResourcePivots, int64(n))
 	}
+}
+
+// count adds n to a work counter — own on a worker child, for per-worker
+// span attribution, and total on the root, whose limit max it enforces —
+// then polls. Both adds happen before any unwind, so the root total
+// always equals the sum of its children, including the increment that
+// trips the limit.
+func (s *budgetState) count(own, total *atomic.Int64, max int64, resource string, n int64) {
 	r := s.root()
 	if r.draining.Load() {
 		return
 	}
 	if s != r {
-		s.pivots.Add(int64(n))
+		own.Add(n)
 	}
-	if c := r.pivots.Add(int64(n)); r.maxPivots > 0 && c > r.maxPivots {
-		r.fail(ResourcePivots, nil)
+	if c := total.Add(n); max > 0 && c > max {
+		r.fail(resource, nil)
 	}
 	s.poll()
 }
@@ -404,14 +406,16 @@ type solveRun struct {
 	// put on ctx (the engine's "strategy" phase span); nil — and every
 	// method a no-op — when the context carries none.
 	span *obs.Span
-	// incumbent is the search's latest feasible snapshot, set as plans
-	// form: what a budget unwind returns, tagged Partial.
+	// incumbent is the search's latest feasible plan, set as plans form:
+	// what a budget unwind returns, tagged Partial; without one, the
+	// unwind returns snap's, the greedy phases' latest snapshot.
 	incumbent *Plan
+	snap      snapshot
 }
 
 // runSolve is the one boundary every built-in solver runs behind. It
-// opens the solve span, validates the budget and the instance, arms the
-// budget state, builds the instance's evaluator (the solve's one
+// opens the solve span, validates the budget, arms the budget state,
+// validates the instance and builds its evaluator (the solve's one
 // compile of the result formulas), refuses an instance that is
 // infeasible even with every tuple at its maximum, and then runs
 // search — recovering whatever unwinds out of any of it into the
@@ -426,14 +430,11 @@ func runSolve(ctx context.Context, solver string, in *Instance, b Budget, search
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
 	bs, cancel := newBudgetState(solver, ctx, b)
 	defer cancel()
 	defer func() {
 		if r := recover(); r != nil {
-			plan, err = solveRecover(r, solver, in, run.incumbent)
+			plan, err = solveRecover(r, solver, in, cmp.Or(run.incumbent, run.snap.plan(in)))
 		}
 	}()
 	if run.e, err = newEvaluator(in, bs); err != nil {

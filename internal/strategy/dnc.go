@@ -311,8 +311,9 @@ const maxGroupSpans = 32
 
 // groupWorker is one worker's world, re-targeted from group to group
 // instead of rebuilt: the scratch sub-instance, the evaluator every
-// phase of a group solve runs on, and the H3 mirror of the exact
-// search. The serial path is a single worker on the driver's goroutine.
+// phase of a group solve runs on, the exact search with its H3 mirror
+// and tables, and greedy's snapshot. The serial path is a single worker
+// on the driver's goroutine.
 type groupWorker struct {
 	d    *DivideAndConquer
 	src  *evaluator // the driver's evaluator: programs and adjacency, read-only
@@ -321,13 +322,17 @@ type groupWorker struct {
 	sub  Instance
 	e    *evaluator
 	h3   *evaluator
+	h    Heuristic
+	hs   heuristicSearch
+	snap snapshot
 	done int
 	// rest accumulates the groups beyond maxGroupSpans for the rollup.
 	rest struct{ count, results, tuples, nodes, micros, degraded int64 }
 }
 
 func newGroupWorker(d *DivideAndConquer, src *evaluator, bs *budgetState, span *obs.Span) *groupWorker {
-	return &groupWorker{d: d, src: src, bs: bs, span: span, e: blankEvaluator(bs), h3: blankEvaluator(bs)}
+	return &groupWorker{d: d, src: src, bs: bs, span: span, e: blankEvaluator(bs), h3: blankEvaluator(bs),
+		h: Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}}
 }
 
 // solve runs one task and records it: a "group" child span for the
@@ -412,19 +417,21 @@ func (w *groupWorker) target(t *dncTask) {
 // recovery leaves in the evaluator pair, the next group's retarget
 // rebuilds it.
 func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error) {
-	// greedy's feasible snapshots: what a budget unwind falls back to — an
-	// anytime result, feasible for the group, just not refined.
+	// The greedy plan, or before it greedy's feasible snapshots: what a
+	// budget unwind falls back to — an anytime result, feasible for the
+	// group, just not refined.
 	var incumbent *Plan
+	w.snap.taken = false
 	defer func() {
 		if r := recover(); r != nil {
 			nodes = 0
-			if plan, gerr = solveRecover(r, w.d.Name()+"/group", &w.sub, incumbent); plan != nil {
+			if plan, gerr = solveRecover(r, w.d.Name()+"/group", &w.sub, cmp.Or(incumbent, w.snap.plan(&w.sub))); plan != nil {
 				nodes = plan.Nodes
 			}
 		}
 	}()
 	fault.Probe(SiteDnCGroup)
-	w.bs.poll()
+	w.bs.pollNow(true)
 	w.target(t)
 	sub := &w.sub
 	if max := w.e.satAtMax(); max < sub.Need {
@@ -439,7 +446,7 @@ func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error)
 	// Incremental gain maintenance is the default for group solves: the
 	// plan is identical to the full rescan's (asserted by tests) and the
 	// dirty-propagation loop is strictly faster.
-	plan, err := (&Greedy{Incremental: true}).solveCore(w.e, &incumbent)
+	plan, err := (&Greedy{Incremental: true}).solveCore(w.e, &w.snap)
 	if err != nil {
 		if errors.Is(err, ErrInfeasible) {
 			return nil, 0, nil
@@ -448,7 +455,7 @@ func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error)
 	}
 	incumbent, nodes = plan, plan.Nodes
 	if w.d.Tau > 0 && len(sub.Base) < w.d.Tau {
-		hp, hnodes, herr := w.groupHeuristic(t.g, plan)
+		hp, hnodes, herr := w.groupHeuristic(plan)
 		nodes += hnodes
 		if herr != nil {
 			// Graceful fallback: the exact search failed or ran out of
@@ -466,20 +473,16 @@ func (w *groupWorker) solveGroup(t *dncTask) (plan *Plan, nodes int, gerr error)
 // on the worker's evaluator, reset from the greedy solve, and its H3
 // mirror — recovering budget unwinds and panics so the caller can fall
 // back to the greedy plan.
-func (w *groupWorker) groupHeuristic(g Group, seed *Plan) (plan *Plan, nodes int, err error) {
-	var hs *heuristicSearch
+func (w *groupWorker) groupHeuristic(seed *Plan) (plan *Plan, nodes int, err error) {
+	hs := &w.hs
 	defer func() {
 		if r := recover(); r != nil {
-			if hs != nil {
-				nodes = hs.nodes
-			}
+			nodes = hs.nodes
 			plan, err = solveRecover(r, "heuristic/group", &w.sub, nil)
 		}
 	}()
+	hs.Heuristic, hs.in, hs.e, hs.maxEval, hs.best, hs.bestCost, hs.nodes = &w.h, &w.sub, w.e, w.h3, seed, seed.Cost, 0
 	w.e.reset()
-	w.h3.retarget(&w.sub, w.src, g)
-	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}
-	hs = &heuristicSearch{Heuristic: h, in: &w.sub, e: w.e, maxEval: w.h3, bestCost: seed.Cost, best: seed}
 	hs.prepare()
 	hs.dfs(0, 0)
 	return hs.best, hs.nodes, nil
@@ -514,7 +517,8 @@ type Group struct {
 // falls below gamma. maxResults, when positive, blocks merges that would
 // produce a group with more results than the cap. The sharing graph is
 // read off the instance's evaluator, which Partition builds; it panics
-// on a formula newEvaluator refuses (lineage.ErrTooManyShared).
+// on an instance newEvaluator refuses (one Validate rejects, or a
+// formula past lineage.ErrTooManyShared's limit).
 func Partition(in *Instance, gamma, maxResults int) []Group {
 	e, err := newEvaluator(in, nil)
 	if err != nil {

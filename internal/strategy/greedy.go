@@ -112,7 +112,7 @@ func (h *gainHeap) popTop() gainEntry {
 // (nil, *BudgetExceededError) since no feasible plan exists yet.
 func (g *Greedy) SolveContext(ctx context.Context, in *Instance, b Budget) (*Plan, error) {
 	return runSolve(ctx, g.Name(), in, b, func(r *solveRun) (*Plan, error) {
-		return g.solveCore(r.e, &r.incumbent)
+		return g.solveCore(r.e, &r.snap)
 	})
 }
 
@@ -130,28 +130,28 @@ type greedyScratch struct {
 // solveCore is the two-phase algorithm itself, on an evaluator that
 // stands at its instance's initial confidences and has passed the
 // feasibility probe. Budget exhaustion unwinds as a budgetStop panic
-// toward whichever boundary installed e.bs; incumbent receives feasible
-// plan snapshots as they form so that boundary can honor the anytime
+// toward whichever boundary installed e.bs; inc receives feasible
+// snapshots as they form so that boundary can honor the anytime
 // contract. With e.bs == nil nothing can interrupt the solve and no
 // snapshot is taken.
-func (g *Greedy) solveCore(e *evaluator, incumbent **Plan) (*Plan, error) {
+func (g *Greedy) solveCore(e *evaluator, inc *snapshot) (*Plan, error) {
 	nodes, err := g.raise(e, SiteGreedyPhase1)
 	if err != nil {
 		return nil, err
 	}
 	// Phase 1 satisfied the requirement: from here on there is always a
 	// feasible plan to return, however the solve is interrupted.
-	snapshot := func() {
-		if e.bs != nil && incumbent != nil {
-			*incumbent = e.plan(nodes)
+	keep := func() {
+		if e.bs != nil && inc != nil {
+			inc.p, inc.sat, inc.nodes, inc.taken = append(inc.p[:0], e.p...), append(inc.sat[:0], e.satisfied...), nodes, true
 		}
 	}
-	snapshot()
+	keep()
 	if !g.SkipRefinement {
 		// Ascending final gain*, ties by index.
 		order, lastGain := e.greedy.raised, e.greedy.lastGain
 		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(lastGain[a], lastGain[b]), cmp.Compare(a, b)) })
-		reduce(e, order, SiteGreedyPhase2, snapshot)
+		reduce(e, order, SiteGreedyPhase2, keep)
 	}
 	return e.plan(nodes), nil
 }

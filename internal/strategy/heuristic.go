@@ -1,9 +1,10 @@
 package strategy
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/fault"
@@ -50,23 +51,23 @@ type heuristicSearch struct {
 	// e holds the search state; e.bs carries the solve's
 	// budget/cancellation state (nil when unbudgeted), which dfs polls
 	// at every node expansion.
-	e     *evaluator
-	order []int // variable order (base indices)
+	e *evaluator
 	// maxEval mirrors the search state but keeps every *unassigned*
 	// variable at its maximum; its satisfied count is exactly H3's
 	// reachability bound and is maintained incrementally. A D&C worker
-	// supplies its re-targeted mirror; prepare builds one otherwise.
+	// supplies its own; prepare makes one otherwise.
 	maxEval  *evaluator
 	best     *Plan
 	bestCost float64
 	nodes    int
-	// cheapestInc[i] is the cost of one δ step from the initial
+	// prepare's tables, in buffers a D&C worker reuses group to group:
+	// the variable order (base indices), H1's ordering key per base
+	// index, and cheapestInc[i], the cost of one δ step from the initial
 	// confidence for order[i] — a lower bound on any increment of that
-	// variable used by H4.
-	cheapestInc []float64
-	// minIncSuffix[d] = min over order[d:] of cheapestInc (H4's bound
-	// for the remaining variables), precomputed once.
-	minIncSuffix []float64
+	// variable used by H4 — with minIncSuffix[d] = min over order[d:] of
+	// cheapestInc (H4's bound for the remaining variables).
+	order                               []int
+	costBeta, cheapestInc, minIncSuffix []float64
 }
 
 // SolveContext implements Solver: the search is anytime — on deadline
@@ -83,6 +84,9 @@ func (h *Heuristic) search(r *solveRun) (*Plan, error) {
 	// boundary, whose recovery runs after this — the best plan so far is
 	// the incumbent and counts the nodes expanded by then.
 	defer func() {
+		if s.best == nil {
+			s.best = r.snap.plan(s.in)
+		}
 		if s.best != nil {
 			s.best.Nodes = s.nodes
 		}
@@ -92,9 +96,9 @@ func (h *Heuristic) search(r *solveRun) (*Plan, error) {
 
 	if h.GreedyBound {
 		// The greedy seed runs on the search's own evaluator and budget;
-		// its feasible snapshots land in s.best as they form, so a budget
+		// its feasible snapshots land in r.snap as they form, so a budget
 		// unwind mid-seed still leaves the boundary an incumbent to return.
-		if gp, err := (&Greedy{Incremental: true}).solveCore(s.e, &s.best); err == nil {
+		if gp, err := (&Greedy{Incremental: true}).solveCore(s.e, &r.snap); err == nil {
 			s.best, s.bestCost = gp, gp.Cost
 		}
 		s.e.reset()
@@ -121,17 +125,17 @@ func (h *Heuristic) search(r *solveRun) (*Plan, error) {
 // variables at their maxima.
 func (s *heuristicSearch) prepare() {
 	in := s.in
-	s.order = make([]int, len(in.Base))
+	s.order = resize(s.order, len(in.Base))
 	for i := range s.order {
 		s.order[i] = i
 	}
 	if s.UseH1 {
-		cb := costBetas(s.e)
-		sort.SliceStable(s.order, func(a, b int) bool {
-			return cb[s.order[a]] > cb[s.order[b]] // descending: costly near the root
-		})
+		s.costBeta = costBetas(s.e, s.costBeta)
+		cb := s.costBeta
+		// Descending: costly near the root.
+		slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(cb[b], cb[a]) })
 	}
-	s.cheapestInc = make([]float64, len(in.Base))
+	s.cheapestInc = resize(s.cheapestInc, len(in.Base))
 	for i, b := range in.Base {
 		s.e.bs.poll()
 		next := b.P + in.Delta
@@ -140,7 +144,7 @@ func (s *heuristicSearch) prepare() {
 		}
 		s.cheapestInc[i] = b.Cost.Increment(b.P, next)
 	}
-	s.minIncSuffix = make([]float64, len(s.order)+1)
+	s.minIncSuffix = resize(s.minIncSuffix, len(s.order)+1)
 	s.minIncSuffix[len(s.order)] = math.Inf(1)
 	//lint:allow ctxpoll O(n) suffix-min arithmetic over the already-built
 	// increment table; no lineage evaluation happens here.
@@ -149,11 +153,9 @@ func (s *heuristicSearch) prepare() {
 	}
 	if s.UseH3 {
 		if s.maxEval == nil {
-			var err error
-			if s.maxEval, err = newEvaluator(in, s.e.bs); err != nil {
-				panic(err) // unreachable: s.e compiled the same formulas
-			}
+			s.maxEval = blankEvaluator(s.e.bs)
 		}
+		s.maxEval.mirror(s.e)
 		for i, b := range in.Base {
 			s.maxEval.setP(i, b.maxP())
 		}
@@ -263,9 +265,9 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 // grid walk performs full formula evaluations, so it shares the solve's
 // budget state: a deadline can interrupt it via the pivot hook. The
 // walk runs on e, which must stand at the initial confidences and is
-// returned to them tuple by tuple.
-func costBetas(e *evaluator) []float64 {
-	out := make([]float64, len(e.in.Base))
+// returned to them tuple by tuple. The keys fill dst, resized.
+func costBetas(e *evaluator, dst []float64) []float64 {
+	out := resize(dst, len(e.in.Base))
 	for bi, b := range e.in.Base {
 		out[bi] = costBetaOf(e.in, e, bi, b)
 	}

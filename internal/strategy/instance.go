@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"pcqe/internal/conf"
 	"pcqe/internal/cost"
@@ -76,62 +77,68 @@ type Instance struct {
 // every downstream plan), formulas monotone and referring only to known
 // variables, no duplicate base-tuple variables, Need within range.
 func (in *Instance) Validate() error {
+	_, err := in.index()
+	return err
+}
+
+// index is Validate returning each variable's base index (newEvaluator's).
+func (in *Instance) index() (map[lineage.Var]int, error) {
 	if math.IsNaN(in.Delta) || in.Delta <= 0 || in.Delta > 1 {
-		return fmt.Errorf("strategy: delta %g outside (0,1]", in.Delta)
+		return nil, fmt.Errorf("strategy: delta %g outside (0,1]", in.Delta)
 	}
 	if math.IsNaN(in.Beta) || in.Beta <= 0 || in.Beta > 1 {
-		return fmt.Errorf("strategy: beta %g outside (0,1]", in.Beta)
+		return nil, fmt.Errorf("strategy: beta %g outside (0,1]", in.Beta)
 	}
 	if in.Need < 0 || in.Need > len(in.Results) {
-		return fmt.Errorf("strategy: need %d outside [0,%d]", in.Need, len(in.Results))
+		return nil, fmt.Errorf("strategy: need %d outside [0,%d]", in.Need, len(in.Results))
 	}
-	seen := map[lineage.Var]bool{}
+	idx := make(map[lineage.Var]int, len(in.Base))
 	for i, b := range in.Base {
 		if math.IsNaN(b.P) || b.P < 0 || b.P > 1 {
-			return fmt.Errorf("strategy: base %d confidence %g outside [0,1]", i, b.P)
+			return nil, fmt.Errorf("strategy: base %d confidence %g outside [0,1]", i, b.P)
 		}
 		if math.IsNaN(b.MaxP) {
-			return fmt.Errorf("strategy: base %d max confidence %g invalid", i, b.MaxP)
+			return nil, fmt.Errorf("strategy: base %d max confidence %g invalid", i, b.MaxP)
 		}
 		maxP := b.MaxP
 		if maxP == 0 {
 			maxP = 1
 		}
 		if maxP < b.P || maxP > 1 {
-			return fmt.Errorf("strategy: base %d max confidence %g invalid", i, b.MaxP)
+			return nil, fmt.Errorf("strategy: base %d max confidence %g invalid", i, b.MaxP)
 		}
 		if b.Cost == nil {
-			return fmt.Errorf("strategy: base %d has no cost function", i)
+			return nil, fmt.Errorf("strategy: base %d has no cost function", i)
 		}
 		// Spot-check the cost function over the tuple's full range: a
 		// NaN, infinite or negative full-range increment would corrupt
 		// plan costs and break every pruning bound.
 		if c := b.Cost.Increment(b.P, maxP); math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-			return fmt.Errorf("strategy: base %d cost function yields invalid increment %g over [%g,%g]", i, c, b.P, maxP)
+			return nil, fmt.Errorf("strategy: base %d cost function yields invalid increment %g over [%g,%g]", i, c, b.P, maxP)
 		}
-		if seen[b.Var] {
-			return fmt.Errorf("strategy: duplicate base variable %d", int(b.Var))
+		if _, dup := idx[b.Var]; dup {
+			return nil, fmt.Errorf("strategy: duplicate base variable %d", int(b.Var))
 		}
-		seen[b.Var] = true
+		idx[b.Var] = i
 	}
 	for i, r := range in.Results {
 		if r.Formula == nil {
-			return fmt.Errorf("strategy: result %d has no formula", i)
+			return nil, fmt.Errorf("strategy: result %d has no formula", i)
 		}
 		if !r.Formula.Monotone() {
-			return fmt.Errorf("strategy: result %d formula is not monotone; confidence increments cannot plan over negation", i)
+			return nil, fmt.Errorf("strategy: result %d formula is not monotone; confidence increments cannot plan over negation", i)
 		}
 		known, unknown := true, lineage.Var(0)
 		r.Formula.WalkVars(func(v lineage.Var) {
-			if !seen[v] && (known || v < unknown) {
+			if _, ok := idx[v]; !ok && (known || v < unknown) {
 				known, unknown = false, v
 			}
 		})
 		if !known {
-			return fmt.Errorf("strategy: result %d references unknown variable %d", i, int(unknown))
+			return nil, fmt.Errorf("strategy: result %d references unknown variable %d", i, int(unknown))
 		}
 	}
-	return nil
+	return idx, nil
 }
 
 // Fingerprint returns a short stable identifier of the instance shape
@@ -324,18 +331,19 @@ func blankEvaluator(bs *budgetState) *evaluator {
 	return e
 }
 
-// newEvaluator builds the instance's evaluator at its initial
-// confidences. It is the one place a solve compiles result formulas,
-// under the limit the confidence path applies: a formula sharing more
-// than lineage.DefaultSharedLimit variables fails the build with an
-// error wrapping lineage.ErrTooManyShared.
+// newEvaluator validates the instance and builds its evaluator at its
+// initial confidences, over the variable index validation built. It is
+// the one place a solve compiles result formulas, under the limit the
+// confidence path applies: a formula sharing more than
+// lineage.DefaultSharedLimit variables fails the build with an error
+// wrapping lineage.ErrTooManyShared.
 func newEvaluator(in *Instance, bs *budgetState) (*evaluator, error) {
+	varIdx, err := in.index()
+	if err != nil {
+		return nil, err
+	}
 	e := blankEvaluator(bs)
 	e.in = in
-	varIdx := make(map[lineage.Var]int, len(in.Base))
-	for i, b := range in.Base {
-		varIdx[b.Var] = i
-	}
 	e.progs = make([]*lineage.Program, len(in.Results))
 	e.baseEnd = make([]int, len(in.Results))
 	for ri, r := range in.Results {
@@ -385,6 +393,39 @@ func (e *evaluator) retarget(in *Instance, src *evaluator, g Group) {
 	e.arm()
 }
 
+// mirror makes e a copy of src's state that shares src's programs and
+// adjacency, read-only, and evaluates no formula: H3's evaluator, which
+// only moves confidences and counts satisfied results, and which is
+// never re-targeted (that would write into src's adjacency).
+func (e *evaluator) mirror(src *evaluator) {
+	e.in, e.progs, e.resultsOf, e.basesOf = src.in, src.progs, src.resultsOf, src.basesOf
+	e.p, e.slotBuf = append(e.p[:0], src.p...), append(e.slotBuf[:0], src.slotBuf...)
+	e.resultProb, e.satisfied, e.nSat = append(e.resultProb[:0], src.resultProb...), append(e.satisfied[:0], src.satisfied...), src.nSat
+	nr := len(src.progs)
+	e.stepOK, e.derivOK, e.slotProbs = resize(e.stepOK, len(e.p)), resize(e.derivOK, nr), resize(e.slotProbs, nr)
+	lo := 0
+	for ri, hi := range src.baseEnd {
+		e.bs.poll()
+		e.slotProbs[ri] = e.slotBuf[lo:hi:hi]
+		e.machine(ri)
+		lo = hi
+	}
+}
+
+// machine points e's machine for result ri at its program, making it
+// on first use.
+func (e *evaluator) machine(ri int) {
+	for len(e.machines) <= ri {
+		e.machines = append(e.machines, nil)
+	}
+	if e.machines[ri] == nil {
+		e.machines[ri] = lineage.NewMachine(e.progs[ri])
+		e.machines[ri].SetPivotHook(e.hook)
+	} else {
+		e.machines[ri].Reset(e.progs[ri])
+	}
+}
+
 // arm sizes every state slice for e.in (reusing capacity), wires the
 // adjacency and machines from progs/baseBuf/baseEnd, and evaluates the
 // initial probabilities (shared-variable machines poll through their
@@ -412,21 +453,12 @@ func (e *evaluator) arm() {
 	e.basesOf, e.slotProbs, e.derivRow = resize(e.basesOf, nr), resize(e.slotProbs, nr), resize(e.derivRow, nr)
 	e.slotBuf, e.derivBuf = resize(e.slotBuf, nocc), resize(e.derivBuf, nocc)
 	e.derivOK = resize(e.derivOK, nr)
-	for len(e.machines) < nr {
-		e.machines = append(e.machines, nil)
-	}
 	lo := 0
 	for ri, hi := range e.baseEnd {
 		bs.poll()
 		bases := e.baseBuf[lo:hi:hi]
 		e.basesOf[ri] = bases
-		prog := e.progs[ri]
-		if e.machines[ri] == nil {
-			e.machines[ri] = lineage.NewMachine(prog)
-			e.machines[ri].SetPivotHook(e.hook)
-		} else {
-			e.machines[ri].Reset(prog)
-		}
+		e.machine(ri)
 		e.slotProbs[ri], e.derivRow[ri] = e.slotBuf[lo:hi:hi], e.derivBuf[lo:hi:hi]
 		for s, bi := range bases {
 			e.slotProbs[ri][s] = e.p[bi]
@@ -515,13 +547,12 @@ func (e *evaluator) setP(bi int, p float64) {
 	}
 }
 
-// totalCost prices the current confidences against the initial ones.
-func (e *evaluator) totalCost() float64 {
-	total := 0.0
+// costOf prices confidences p against in's initial ones.
+func costOf(in *Instance, p []float64) (total float64) {
 	//lint:allow ctxpoll bounded O(|Base|) cost summation that runs inside
 	// incumbent-snapshot assembly; unwinding mid-snapshot would tear it.
-	for i, b := range e.in.Base {
-		total += b.Cost.Increment(b.P, e.p[i])
+	for i, b := range in.Base {
+		total += b.Cost.Increment(b.P, p[i])
 	}
 	return total
 }
@@ -604,12 +635,25 @@ func (e *evaluator) satAtMax() int {
 
 // plan snapshots the evaluator's state into a Plan.
 func (e *evaluator) plan(nodes int) *Plan {
-	p := &Plan{
-		NewP:  append([]float64{}, e.p...),
-		Cost:  e.totalCost(),
-		Nodes: nodes,
+	return (&snapshot{p: e.p, sat: e.satisfied, nodes: nodes, taken: true}).plan(e.in)
+}
+
+// snapshot is a feasible state kept for a budget unwind, in buffers
+// reused from one snapshot to the next: only an unwind builds its Plan.
+type snapshot struct {
+	p     []float64
+	sat   []bool
+	nodes int
+	taken bool
+}
+
+// plan is the snapshot as a Plan over in, nil when none was taken.
+func (s *snapshot) plan(in *Instance) *Plan {
+	if !s.taken {
+		return nil
 	}
-	for ri, sat := range e.satisfied {
+	p := &Plan{NewP: slices.Clone(s.p), Cost: costOf(in, s.p), Nodes: s.nodes}
+	for ri, sat := range s.sat {
 		if sat {
 			p.Satisfied = append(p.Satisfied, ri)
 		}

@@ -16,10 +16,20 @@
 # medians of every end-to-end metric, with the pair wins and failures.
 # Nothing else may run on the machine meanwhile; one pair takes about 5
 # minutes.
+#
+# bench_pairs.sh <base-ref> <pairs> <workload> (`make bench-pairs
+# BASE=<ref> WORKLOAD=<name>`) runs that one workload instead: pair i is
+# `go run ./benchmark -workload <name> -seed i -trace 0` on both sides,
+# whose one-line result is wrapped into a one-run result document, so
+# the table, the history line and -compare read it as they read a full
+# run (-compare lists the other workloads as missing). A pair then takes
+# about two minutes — the way to buy the ten pairs a claim needs on the
+# workload it names; the all-workload pairs stay the no-regression check.
 set -eu
 cd "$(dirname "$0")/.."
-base=${1:?usage: bench_pairs.sh <base-ref> [pairs=5]}
+base=${1:?usage: bench_pairs.sh <base-ref> [pairs=5] [workload]}
 pairs=${2:-5}
+workload=${3:-}
 command -v python3 >/dev/null || { echo "bench_pairs: python3 is needed to merge the result documents" >&2; exit 1; }
 change=$(pwd)
 tmp=$(mktemp -d)
@@ -37,8 +47,13 @@ while [ "$i" -le "$pairs" ]; do
 		echo "== pair $i of $pairs: $side, seed $i"
 		# A run with failed requests exits non-zero after writing its
 		# document; keep going so that every run made is reported.
-		(cd "$dir" && go run ./benchmark -seed "$i" -runs 1 -out "$tmp/$side.$i.json") ||
-			echo "== pair $i: the $side run reported failures"
+		if [ -n "$workload" ]; then
+			(cd "$dir" && go run ./benchmark -workload "$workload" -seed "$i" -trace 0 >"$tmp/$side.$i.line") ||
+				echo "== pair $i: the $side run reported failures"
+		else
+			(cd "$dir" && go run ./benchmark -seed "$i" -runs 1 -out "$tmp/$side.$i.json") ||
+				echo "== pair $i: the $side run reported failures"
+		fi
 	done
 	i=$((i + 1))
 done
@@ -47,14 +62,26 @@ base_commit=$(git rev-parse --short=12 "$base")
 change_commit=$(git rev-parse --short=12 HEAD)
 [ -n "$(git status --porcelain --untracked-files=no)" ] && change_commit="$change_commit+dirty"
 
-python3 - "$tmp" "$pairs" "$base_commit" "$change_commit" <<'PY'
+python3 - "$tmp" "$pairs" "$base_commit" "$change_commit" "$workload" <<'PY'
 import datetime, json, os, statistics, sys
-tmp, pairs = sys.argv[1], int(sys.argv[2])
+tmp, pairs, only = sys.argv[1], int(sys.argv[2]), sys.argv[5]
+
+def one_workload_doc(side, i):
+    # The one-line result of `-workload W -trace 0`, as a result document
+    # holding one run of W.
+    line = json.loads(open(f"{tmp}/{side}.{i}.line").read().strip().splitlines()[-1])
+    run = {"workload": only, "seed": i, "correct": line["correct"], "attempted": line["attempted"],
+           "failed": line["failed"], "end_to_end": line["metrics"]}
+    commit = sys.argv[3] if side == "parent" else sys.argv[4]
+    prov = {"commit": commit, "nproc": os.cpu_count(), "seed": i,
+            "gomaxprocs": int(os.environ.get("GOMAXPROCS") or os.cpu_count())}
+    return {"provenance": prov, "workloads": {only: [run]}}
+
 docs = {}
 for side in ("parent", "change"):
     doc = None
     for i in range(1, pairs + 1):
-        run = json.load(open(f"{tmp}/{side}.{i}.json"))
+        run = one_workload_doc(side, i) if only else json.load(open(f"{tmp}/{side}.{i}.json"))
         if doc is None:
             doc = run
         else:
@@ -72,9 +99,11 @@ history = {
     "nproc": os.cpu_count(), "gomaxprocs": doc["provenance"]["gomaxprocs"],
     "workloads": {},
 }
+if only:
+    history["workload"] = only
 print("\npairs won (same seed, parent vs change; ties count for neither)")
 print(f"{'workload':<14} {'metric':<16} {'parent':>6} {'change':>6} {'tie':>4}")
-for w in (w["name"] for w in spec["workloads"]):
+for w in (w["name"] for w in spec["workloads"] if not only or w["name"] == only):
     for m in spec["end_to_end"]:
         wins = {"parent": 0, "change": 0, "tie": 0}
         for p, c in zip(parent[w], change[w]):
