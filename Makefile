@@ -19,7 +19,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet, a gofmt check, the repo's own static-invariant suite
-# (cmd/pcqelint; see DESIGN.md §7 and §12) and, when installed,
+# (cmd/pcqelint; see DESIGN.md §7) and, when installed,
 # golangci-lint with .golangci.yml. golangci-lint is optional so
 # hermetic environments still get the full vet + gofmt + pcqelint gate.
 lint: vet
@@ -61,7 +61,8 @@ mvcc-stress:
 # the solver's reset / re-targeted evaluator vs a fresh build, and the
 # typed refusal of a formula past the shared-variable limit; in
 # internal/core the _confidence column vs the confidence the policy
-# filter compares with β; in internal/relation the leaf's filter kernels vs
+# filter compares with β, and the filter itself (core.Release) vs
+# Definition 1 over generated rows on and around β; in internal/relation the leaf's filter kernels vs
 # EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch, every
 # operator at the version it is opened at vs that version's rows; in
@@ -80,11 +81,13 @@ mvcc-stress:
 # keeps. Beside them:
 # D&C's top-up reached through a degraded group (the degraded-D&C
 # goldens pin its plans), the solver planning over the filter's own
-# lineage, and /v1/explain under admission and drain.
+# lineage, /v1/explain under admission and drain, and the withheld-row
+# contract on the wire (no withheld cell on any surface; the count and
+# a bisection on it as documented allowances).
 differential:
 	$(GO) test -run 'Differential|OrFactored|FactoredLineagePlansIdentically|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult|DncSplitGroupFallback' -count=1 ./internal/lineage/ ./internal/strategy/
-	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage' -count=1 ./internal/core/
-	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl' -count=1 ./internal/server/
+	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage|ReleaseFilter' -count=1 ./internal/core/
+	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl|WithheldRowContract' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
 		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
 

@@ -29,7 +29,7 @@
 // are fleet-wide (every session's withheld rows among them): keep it
 // off analyst networks.
 //
-// Protocol sketch (see DESIGN.md §13 for the full contract):
+// Protocol sketch (see DESIGN.md §12 for the full contract):
 //
 //	POST   /v1/session  {"user":"sue","purpose":"analysis"}  → {"token":...}
 //	POST   /v1/query    {"query":"SELECT ...","min_fraction":0.5}

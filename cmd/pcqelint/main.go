@@ -1,6 +1,6 @@
-// Command pcqelint runs the PCQE static-invariant suite — confrange,
-// ctxpoll, errdiscipline, txnmutate, sharedstate and policyflow — over
-// Go packages.
+// Command pcqelint runs the PCQE static-invariant suite — five
+// analyzers: confrange, ctxpoll, errdiscipline, txnmutate and
+// sharedstate — over Go packages.
 //
 // Usage:
 //
@@ -12,11 +12,12 @@
 // array of {file, line, column, analyzer, message} objects (on stdout,
 // even when empty) for CI problem matchers and editor integrations.
 // Individual findings are suppressed with a trailing (or immediately
-// preceding) comment:
+// preceding) comment, and every allow needs a justification after the
+// analyzer name (a bare allow suppresses nothing):
 //
 //	//lint:allow confrange MaxP==0 is the "unset" sentinel, not a comparison
 //
-// See DESIGN.md §7 and §12 for what each analyzer guards and why.
+// See DESIGN.md §7 for what each analyzer guards and why.
 package main
 
 import (

@@ -60,7 +60,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("released %d, withheld %d\n", len(resp.Released), len(resp.Withheld))
+	fmt.Printf("released %d, withheld %d\n", resp.Released.Len(), len(resp.Withheld))
 	fmt.Printf("improvement cost: %.0f\n", resp.Proposal.Cost())
 
 	if err := engine.Apply(resp.Proposal); err != nil {
@@ -71,7 +71,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after improvement: released %d at confidence %.3f\n",
-		len(resp.Released), resp.Released[0].Confidence)
+		resp.Released.Len(), resp.Released.At(0).Confidence)
 
 	// Output:
 	// released 0, withheld 1

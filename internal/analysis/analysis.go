@@ -1,12 +1,11 @@
 // Package analysis is a small, dependency-free reimplementation of the
 // go/analysis driver model (golang.org/x/tools is not vendored here) plus
-// the pcqelint suite: nine analyzers that enforce PCQE's cross-cutting
+// the pcqelint suite: five analyzers that enforce PCQE's cross-cutting
 // invariants — confidence-range discipline, solver checkpoint polling,
-// typed-error handling, audit-trail completeness, plan buffer ownership,
-// snapshot-pinned reads, transactional mutation, shared-state freedom,
-// and policy-filter taint flow. The framework mirrors the upstream shape
-// (Analyzer, Pass, Diagnostic) closely enough that the analyzers could be
-// ported to real go/analysis by swapping this file and load.go.
+// typed-error handling, transactional mutation and shared-state freedom.
+// The framework mirrors the upstream shape (Analyzer, Pass, Diagnostic)
+// closely enough that the analyzers could be ported to real go/analysis
+// by swapping this file and load.go.
 package analysis
 
 import (
@@ -32,11 +31,6 @@ type Analyzer struct {
 	// with one of these suffixes (a "/"-boundary match). Empty = every
 	// package.
 	Scope []string
-	// RequireJustification makes a //lint:allow comment for this analyzer
-	// suppress only when it carries a non-empty justification after the
-	// analyzer-name list. A bare allow is reported along with the
-	// original diagnostic.
-	RequireJustification bool
 	// Run reports diagnostics for one package through pass.Report.
 	Run func(pass *Pass) error
 }
@@ -51,16 +45,9 @@ type Pass struct {
 
 	// report receives diagnostics that survived suppression.
 	report func(Diagnostic)
-	// allow maps "file:line" to the per-analyzer suppressions in force
-	// on that line.
-	allow map[string]map[string]allowEntry
-}
-
-// allowEntry is one analyzer's suppression state on one line.
-type allowEntry struct {
-	// justified records whether the //lint:allow comment carried a
-	// free-form justification after the analyzer-name list.
-	justified bool
+	// allow maps "file:line" to the analyzers a //lint:allow names on
+	// that line, each with whether the comment carried a justification.
+	allow map[string]map[string]bool
 }
 
 // Diagnostic is one finding.
@@ -77,15 +64,15 @@ func (d Diagnostic) String() string {
 // suppression states for one diagnostic position.
 const (
 	allowNone        = iota // no matching allow: report
-	allowUnjustified        // matching allow lacks a required justification: report, with a hint
-	allowSuppressed         // matching (and sufficiently justified) allow: drop
+	allowUnjustified        // matching allow lacks a justification: report, with a hint
+	allowSuppressed         // matching, justified allow: drop
 )
 
 // Reportf records a diagnostic at pos unless a //lint:allow comment
 // covering the same line or the line immediately above suppresses it.
-// For analyzers with RequireJustification, an allow without a
-// justification does not suppress; the diagnostic is reported with a
-// note naming the missing justification.
+// An allow suppresses only when it carries a justification, for every
+// analyzer alike; a bare one leaves the diagnostic reported with a note
+// naming the missing justification.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	msg := fmt.Sprintf(format, args...)
@@ -107,11 +94,11 @@ func (p *Pass) suppression(pos token.Position) int {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		set := p.allow[fmt.Sprintf("%s:%d", pos.Filename, line)]
 		for _, name := range []string{p.Analyzer.Name, "all"} {
-			entry, ok := set[name]
+			justified, ok := set[name]
 			if !ok {
 				continue
 			}
-			if !p.Analyzer.RequireJustification || entry.justified {
+			if justified {
 				return allowSuppressed
 			}
 			state = allowUnjustified
@@ -135,8 +122,8 @@ var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+([A-Za-z0-9_,\-]+)(?:\s+(.*
 // holding allows for several analyzers cannot cross-silence earlier
 // lines. Names not in known are reported instead of indexed — a typo'd
 // analyzer name suppresses nothing and must not pass silently.
-func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) (map[string]map[string]allowEntry, []Diagnostic) {
-	allow := map[string]map[string]allowEntry{}
+func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) (map[string]map[string]bool, []Diagnostic) {
+	allow := map[string]map[string]bool{}
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -165,12 +152,10 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 						key := fmt.Sprintf("%s:%d", pos.Filename, line)
 						set := allow[key]
 						if set == nil {
-							set = map[string]allowEntry{}
+							set = map[string]bool{}
 							allow[key] = set
 						}
-						if prev, ok := set[n]; !ok || (justified && !prev.justified) {
-							set[n] = allowEntry{justified: justified}
-						}
+						set[n] = set[n] || justified
 					}
 				}
 			}

@@ -112,10 +112,6 @@ func TestSharedstateFixture(t *testing.T) {
 	runFixture(t, "./src/sharedstate", Sharedstate())
 }
 
-func TestPolicyflowFixture(t *testing.T) {
-	runFixture(t, "./src/policyflow", Policyflow())
-}
-
 // TestScopeRestriction pins the Scope contract: a scoped analyzer skips
 // packages outside its suffix list, at "/" boundaries.
 func TestScopeRestriction(t *testing.T) {
@@ -164,7 +160,8 @@ func TestSuppressionIsPerAnalyzer(t *testing.T) {
 // one comment group, each allow covers only from its own line down —
 // the second comment must not reach back up and silence the first line
 // for its analyzer. It also pins that a typo'd analyzer name is
-// reported instead of silently suppressing nothing.
+// reported instead of silently suppressing nothing, and that an allow
+// without a justification suppresses nothing.
 func TestAllowAttributionIsPerComment(t *testing.T) {
 	pkgs, err := Load("testdata", "./src/allowscope")
 	if err != nil {
@@ -192,13 +189,19 @@ func TestAllowAttributionIsPerComment(t *testing.T) {
 	var got []string
 	for _, d := range diags {
 		got = append(got, fmt.Sprintf("%s@%d", d.Analyzer, d.Pos.Line))
+		if d.Analyzer == "probe1" && d.Pos.Line == 25 && !strings.HasSuffix(d.Message, "[//lint:allow probe1 requires a justification after the analyzer name]") {
+			t.Errorf("bare allow: diagnostic %q lacks the justification hint", d.Message)
+		}
 	}
 	// mark1() in shapes() sits on line 11 with a trailing allow for
 	// probe1 only; the probe2 allow on line 12 covers mark2() on line 13
 	// (and, via the merged group, so does probe1's). unknown()'s body
 	// call on line 18 is uncovered for both probes, and the typo'd
-	// nosuchcheck allow on line 17 is itself reported.
-	want := []string{"lint-allow@17", "probe2@11", "probe1@18", "probe2@18"}
+	// nosuchcheck allow on line 17 is itself reported. bareAllow()'s
+	// probe1 allow on line 24 has no justification, so mark1() on line
+	// 25 is reported for both probes; justifiedAllow()'s on line 30
+	// silences probe1 on line 31.
+	want := []string{"lint-allow@17", "probe2@11", "probe1@18", "probe2@18", "probe1@25", "probe2@25", "probe2@31"}
 	sort.Strings(got)
 	sort.Strings(want)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -227,20 +230,15 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestSuiteShape pins the suite composition and scopes documented in DESIGN.md §7 and §12.
+// TestSuiteShape pins the suite composition and scopes documented in DESIGN.md §7.
 func TestSuiteShape(t *testing.T) {
 	suite := Suite()
-	type shape struct {
-		scope   []string
-		justify bool
-	}
-	want := map[string]shape{
-		"confrange":     {},
-		"ctxpoll":       {scope: []string{"internal/strategy", "internal/lineage"}},
-		"errdiscipline": {},
-		"txnmutate":     {},
-		"sharedstate":   {scope: []string{"internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"}},
-		"policyflow":    {scope: []string{"internal/core"}, justify: true},
+	want := map[string][]string{ // analyzer name → scope
+		"confrange":     nil,
+		"ctxpoll":       {"internal/strategy", "internal/lineage"},
+		"errdiscipline": nil,
+		"txnmutate":     nil,
+		"sharedstate":   {"internal/core", "internal/sql", "internal/strategy", "internal/relation", "internal/server"},
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
@@ -251,11 +249,8 @@ func TestSuiteShape(t *testing.T) {
 			t.Errorf("unexpected analyzer %q", a.Name)
 			continue
 		}
-		if fmt.Sprint(a.Scope) != fmt.Sprint(w.scope) {
-			t.Errorf("%s scope = %v, want %v", a.Name, a.Scope, w.scope)
-		}
-		if a.RequireJustification != w.justify {
-			t.Errorf("%s RequireJustification = %v, want %v", a.Name, a.RequireJustification, w.justify)
+		if fmt.Sprint(a.Scope) != fmt.Sprint(w) {
+			t.Errorf("%s scope = %v, want %v", a.Name, a.Scope, w)
 		}
 		if a.Doc == "" {
 			t.Errorf("%s has no doc", a.Name)

@@ -19,7 +19,6 @@ import (
 type callGraph struct {
 	bodies  map[types.Object]*ast.BlockStmt
 	callees map[types.Object][]types.Object
-	callers map[types.Object][]types.Object
 	decls   map[types.Object]*ast.FuncDecl
 	// aliases maps a function-typed variable or field to the declared
 	// function or method it was bound to (`f := x.Solve`).
@@ -34,7 +33,6 @@ func buildCallGraph(pass *Pass) *callGraph {
 	g := &callGraph{
 		bodies:  map[types.Object]*ast.BlockStmt{},
 		callees: map[types.Object][]types.Object{},
-		callers: map[types.Object][]types.Object{},
 		decls:   map[types.Object]*ast.FuncDecl{},
 		aliases: map[types.Object]types.Object{},
 	}
@@ -130,7 +128,6 @@ func buildCallGraph(pass *Pass) *callGraph {
 			}
 			seen[callee] = true
 			g.callees[caller] = append(g.callees[caller], callee)
-			g.callers[callee] = append(g.callers[callee], caller)
 		}
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -286,36 +283,4 @@ func (g *callGraph) markTransitive(direct func(body *ast.BlockStmt) bool) map[ty
 		}
 	}
 	return marked
-}
-
-// coveredByCallers computes the greatest fixpoint of "marked(F), or F
-// has callers and every caller is covered": a function whose obligation
-// is discharged on every inbound call path within the package. Used by
-// policyflow, where a helper that consumes withheld rows is fine as
-// long as each of its callers consulted the β filter.
-func (g *callGraph) coveredByCallers(marked map[types.Object]bool) map[types.Object]bool {
-	covered := map[types.Object]bool{}
-	for obj := range g.bodies {
-		covered[obj] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj := range g.bodies {
-			if !covered[obj] || marked[obj] {
-				continue
-			}
-			ok := len(g.callers[obj]) > 0
-			for _, caller := range g.callers[obj] {
-				if !covered[caller] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				covered[obj] = false
-				changed = true
-			}
-		}
-	}
-	return covered
 }

@@ -17,3 +17,16 @@ func unknown() {
 	//lint:allow nosuchcheck typo'd analyzer names must be reported
 	mark1()
 }
+
+// bareAllow's allow carries no justification, so it suppresses nothing:
+// probe1 still reports mark1(), with a hint naming what is missing.
+func bareAllow() {
+	//lint:allow probe1
+	mark1()
+}
+
+// justifiedAllow's allow carries one: probe1 is suppressed on mark2().
+func justifiedAllow() {
+	//lint:allow probe1 fixture: a justified allow suppresses
+	mark2()
+}

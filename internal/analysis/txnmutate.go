@@ -3,11 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // Txnmutate returns the txnmutate analyzer. All mutation of versioned
 // state must flow through the MVCC write protocol; two of its rules are
-// checked here (numbered as in DESIGN.md §12):
+// checked here (numbered as in DESIGN.md §7):
 //
 //  1. version-chain publication — slot.head.Store and the cow helper —
 //     happens only inside *Txn methods, the single writer;
@@ -116,4 +117,14 @@ func checkAutoCommitLoop(pass *Pass, body *ast.BlockStmt, reported map[token.Pos
 		}
 		return true
 	})
+}
+
+// namedTypeIs reports whether t (after pointer deref) is a named type
+// with the given name.
+func namedTypeIs(t types.Type, name string) bool {
+	if t == nil {
+		return false
+	}
+	named, ok := deref(t).(*types.Named)
+	return ok && named.Obj().Name() == name
 }

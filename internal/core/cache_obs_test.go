@@ -113,7 +113,7 @@ func TestEngineConfidenceCacheFollowsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Proposal == nil || len(resp.Released) != 0 {
+	if resp.Proposal == nil || resp.Released.Len() != 0 {
 		t.Fatalf("expected a blocked result with a proposal, got %+v", resp)
 	}
 	withheld := resp.Withheld[0].Confidence
@@ -124,12 +124,12 @@ func TestEngineConfidenceCacheFollowsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Released) != 1 {
-		t.Fatalf("post-apply: released=%d, want 1", len(after.Released))
+	if after.Released.Len() != 1 {
+		t.Fatalf("post-apply: released=%d, want 1", after.Released.Len())
 	}
-	if after.Released[0].Confidence <= withheld {
+	if after.Released.At(0).Confidence <= withheld {
 		t.Errorf("confidence %v not raised above pre-apply %v (stale cache?)",
-			after.Released[0].Confidence, withheld)
+			after.Released.At(0).Confidence, withheld)
 	}
 }
 

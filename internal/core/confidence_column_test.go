@@ -81,10 +81,11 @@ func TestConfidenceColumnEqualsRowConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.PolicyApplied || len(all.Released) != 100 {
-		t.Fatalf("applied=%v released=%d, want every one of 100 rows", all.PolicyApplied, len(all.Released))
+	if all.PolicyApplied || all.Released.Len() != 100 {
+		t.Fatalf("applied=%v released=%d, want every one of 100 rows", all.PolicyApplied, all.Released.Len())
 	}
-	for _, row := range all.Released {
+	for i := range all.Released.Len() {
+		row := all.Released.At(i)
 		if col, _ := row.Tuple.Values[1].AsFloat(); col != row.Confidence {
 			t.Errorf("region %v: _confidence %v != Row.Confidence %v", row.Tuple.Values[0], col, row.Confidence)
 		}
@@ -92,11 +93,11 @@ func TestConfidenceColumnEqualsRowConfidence(t *testing.T) {
 
 	// Definition 1 releases a row iff its confidence is strictly above β;
 	// at every row's own confidence as the cut, WHERE must agree.
-	for _, cut := range all.Released {
-		x := cut.Confidence
+	for i := range all.Released.Len() {
+		x := all.Released.At(i).Confidence
 		var want []Row
-		for _, row := range all.Released {
-			if row.Confidence > x {
+		for j := range all.Released.Len() {
+			if row := all.Released.At(j); row.Confidence > x {
 				want = append(want, row)
 			}
 		}
@@ -105,13 +106,13 @@ func TestConfidenceColumnEqualsRowConfidence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if regionsOf(got.Released) != regionsOf(want) {
-			t.Fatalf("WHERE _confidence > %v kept %d rows, the policy rule keeps %d", x, len(got.Released), len(want))
+		if regionsOf(got.Released.rows) != regionsOf(want) {
+			t.Fatalf("WHERE _confidence > %v kept %d rows, the policy rule keeps %d", x, got.Released.Len(), len(want))
 		}
 	}
 
 	// And through the policy filter itself, at the median row's confidence.
-	x := all.Released[50].Confidence
+	x := all.Released.At(50).Confidence
 	store := policy.NewStore(rbac, purposes)
 	if err := store.Add(policy.ConfidencePolicy{Role: "auditor", Purpose: "audit", Beta: x}); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestConfidenceColumnEqualsRowConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gated.PolicyApplied || len(gated.Released) != 50 || regionsOf(gated.Released) != regionsOf(where.Released) {
-		t.Fatalf("policy at β=%v released %d rows, WHERE kept %d", x, len(gated.Released), len(where.Released))
+	if !gated.PolicyApplied || gated.Released.Len() != 50 || regionsOf(gated.Released.rows) != regionsOf(where.Released.rows) {
+		t.Fatalf("policy at β=%v released %d rows, WHERE kept %d", x, gated.Released.Len(), where.Released.Len())
 	}
 }

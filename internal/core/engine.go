@@ -16,6 +16,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"slices"
 	"strings"
 
+	"pcqe/internal/conf"
 	"pcqe/internal/fault"
 	"pcqe/internal/obs"
 	"pcqe/internal/policy"
@@ -110,12 +112,13 @@ type Response struct {
 	// Schema describes the result columns.
 	Schema *relation.Schema
 	// Released holds the rows whose confidence clears the threshold,
-	// in descending confidence order.
-	Released []Row
+	// in descending confidence order. Only Release builds one.
+	Released Released
 	// Withheld holds the rows the policy filtered out (confidence at or
-	// below the threshold), in descending confidence order. Callers in
-	// trusted positions (the improvement planner) see them; a UI would
-	// not display them.
+	// below the threshold, or NaN), in descending confidence order. β
+	// keeps low-confidence data out of decisions; a withheld row's
+	// existence is not a secret (DESIGN.md §12 lists what a session
+	// learns about it), so Withheld is a plain slice.
 	Withheld []Row
 	// Threshold is the effective β; PolicyApplied reports whether any
 	// policy matched (when false, every row is released and Threshold
@@ -145,12 +148,46 @@ type Response struct {
 	Version int64
 }
 
+// Released is the set of rows the β filter let through. Its only
+// constructor is Release, so every Released, whoever built it, holds
+// only rows that cleared the β it was built with.
+type Released struct{ rows []Row }
+
+// Len returns the number of released rows.
+func (r Released) Len() int { return len(r.rows) }
+
+// At returns the i-th released row (descending confidence order).
+func (r Released) At(i int) Row { return r.rows[i] }
+
+// Release is the policy filter: with a policy applied, a row is released
+// only if its confidence is strictly above beta, and withheld otherwise
+// (NaN included); with none applied, every row is released. Both sides
+// come back in sortRows order.
+func Release(rows []Row, beta float64, applied bool) (Released, []Row) {
+	var released, withheld []Row
+	for _, row := range rows {
+		// Definition 1: access requires confidence strictly above β.
+		if !applied || row.Confidence > beta {
+			released = append(released, row)
+		} else {
+			withheld = append(withheld, row)
+		}
+	}
+	sortRows(released)
+	sortRows(withheld)
+	return Released{rows: released}, withheld
+}
+
 // Need returns how many additional rows must clear the policy to honor
 // the request's θ.
 func (r *Response) Need(req Request) int {
-	total := len(r.Released) + len(r.Withheld)
-	want := int(math.Ceil(req.MinFraction * float64(total)))
-	need := want - len(r.Released)
+	total := r.Released.Len() + len(r.Withheld)
+	// ⌈θ·n⌉, with a product within rounding of an integer counted as
+	// that integer: 0.55·100 evaluates to 55.00000000000001, and a plain
+	// Ceil would plan and price a 56th row.
+	x := req.MinFraction * float64(total)
+	want := int(math.Ceil(x - x*conf.Eps))
+	need := want - r.Released.Len()
 	if need < 0 {
 		return 0
 	}
@@ -286,17 +323,8 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	beta, applied := e.policies.Threshold(req.User, req.Purpose)
 	resp.Threshold = beta
 	resp.PolicyApplied = applied
-	for _, row := range all {
-		// Definition 1: access requires confidence strictly above β.
-		if !applied || row.Confidence > beta {
-			resp.Released = append(resp.Released, row)
-		} else {
-			resp.Withheld = append(resp.Withheld, row)
-		}
-	}
-	sortRows(resp.Released)
-	sortRows(resp.Withheld)
-	polSpan.SetAttr("released", int64(len(resp.Released)))
+	resp.Released, resp.Withheld = Release(all, beta, applied)
+	polSpan.SetAttr("released", int64(resp.Released.Len()))
 	polSpan.SetAttr("withheld", int64(len(resp.Withheld)))
 	polSpan.End()
 
@@ -325,16 +353,16 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	e.recordAudit(AuditEvent{
 		Kind: AuditEvaluate, User: req.User, Purpose: req.Purpose,
 		Query: req.Query, Beta: resp.Threshold,
-		Released: len(resp.Released), Withheld: len(resp.Withheld),
+		Released: resp.Released.Len(), Withheld: len(resp.Withheld),
 		ReadVersion: snap.Version(),
 	})
 	e.settle(req, resp.Threshold, prop, cause, resp)
 	root.End()
 	e.metrics.Counter("engine.queries").Inc()
-	e.metrics.Counter("engine.rows.released").Add(int64(len(resp.Released)))
+	e.metrics.Counter("engine.rows.released").Add(int64(resp.Released.Len()))
 	e.metrics.Counter("engine.rows.withheld").Add(int64(len(resp.Withheld)))
 	e.metrics.Histogram("engine.request.seconds", obs.LatencyBuckets).Observe(root.Duration().Seconds())
-	e.metrics.Histogram("engine.result.rows", obs.SizeBuckets).Observe(float64(len(resp.Released) + len(resp.Withheld)))
+	e.metrics.Histogram("engine.result.rows", obs.SizeBuckets).Observe(float64(resp.Released.Len() + len(resp.Withheld)))
 	return resp, nil
 }
 
@@ -413,18 +441,15 @@ func isDegradation(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-// sortRows orders rows by descending confidence with a stable
-// tuple-key tie-break: equal-confidence rows would otherwise keep
+// sortRows orders rows by descending confidence, NaN last, with a
+// stable tuple-key tie-break: equal-confidence rows would otherwise keep
 // whatever order the upstream operators produced, making Response
 // output nondeterministic across evaluations (hash joins and map-based
 // duplicate elimination do not promise an order).
 func sortRows(rows []Row) {
 	slices.SortStableFunc(rows, func(a, b Row) int {
-		switch {
-		case a.Confidence > b.Confidence:
-			return -1
-		case a.Confidence < b.Confidence:
-			return 1
+		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+			return c
 		}
 		return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
 	})
@@ -435,7 +460,7 @@ func sortRows(rows []Row) {
 // proposal would misrepresent what the user is buying.
 func (r *Response) String() string {
 	s := fmt.Sprintf("released %d rows, withheld %d (threshold %.3g)",
-		len(r.Released), len(r.Withheld), r.Threshold)
+		r.Released.Len(), len(r.Withheld), r.Threshold)
 	if r.Degraded != nil {
 		s += fmt.Sprintf("; degraded (%v)", r.Degraded)
 	}

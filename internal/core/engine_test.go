@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,11 +89,11 @@ func TestSecretarySeesResult(t *testing.T) {
 		t.Fatalf("policy: applied=%v β=%v", resp.PolicyApplied, resp.Threshold)
 	}
 	// p38 = 0.058 > 0.05: released.
-	if len(resp.Released) != 1 || len(resp.Withheld) != 0 {
-		t.Fatalf("released=%d withheld=%d", len(resp.Released), len(resp.Withheld))
+	if resp.Released.Len() != 1 || len(resp.Withheld) != 0 {
+		t.Fatalf("released=%d withheld=%d", resp.Released.Len(), len(resp.Withheld))
 	}
-	if math.Abs(resp.Released[0].Confidence-0.058) > 1e-9 {
-		t.Fatalf("confidence = %v", resp.Released[0].Confidence)
+	if math.Abs(resp.Released.At(0).Confidence-0.058) > 1e-9 {
+		t.Fatalf("confidence = %v", resp.Released.At(0).Confidence)
 	}
 }
 
@@ -103,8 +105,8 @@ func TestManagerBlockedThenImproved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0.058 < 0.06: withheld, proposal offered.
-	if len(resp.Released) != 0 || len(resp.Withheld) != 1 {
-		t.Fatalf("released=%d withheld=%d", len(resp.Released), len(resp.Withheld))
+	if resp.Released.Len() != 0 || len(resp.Withheld) != 1 {
+		t.Fatalf("released=%d withheld=%d", resp.Released.Len(), len(resp.Withheld))
 	}
 	if resp.Proposal == nil {
 		t.Fatal("expected an improvement proposal")
@@ -127,11 +129,11 @@ func TestManagerBlockedThenImproved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp2.Released) != 1 {
-		t.Fatalf("after improvement: released=%d", len(resp2.Released))
+	if resp2.Released.Len() != 1 {
+		t.Fatalf("after improvement: released=%d", resp2.Released.Len())
 	}
-	if math.Abs(resp2.Released[0].Confidence-0.065) > 1e-9 {
-		t.Fatalf("after improvement: confidence = %v, want 0.065", resp2.Released[0].Confidence)
+	if math.Abs(resp2.Released.At(0).Confidence-0.065) > 1e-9 {
+		t.Fatalf("after improvement: confidence = %v, want 0.065", resp2.Released.At(0).Confidence)
 	}
 	if resp2.Proposal != nil {
 		t.Fatal("no further proposal needed")
@@ -171,8 +173,8 @@ func TestNoPolicyReleasesEverything(t *testing.T) {
 	if resp.PolicyApplied {
 		t.Fatal("no policy should apply")
 	}
-	if len(resp.Released) != 1 || resp.Proposal != nil {
-		t.Fatalf("released=%d proposal=%v", len(resp.Released), resp.Proposal)
+	if resp.Released.Len() != 1 || resp.Proposal != nil {
+		t.Fatalf("released=%d proposal=%v", resp.Released.Len(), resp.Proposal)
 	}
 }
 
@@ -264,9 +266,19 @@ func freezeTables(t *testing.T, cat *relation.Catalog, names ...string) {
 	}
 }
 
+// releaseRows returns n rows with distinct tuples, all at confidence p.
+func releaseRows(n int, p float64) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Tuple: relation.NewTuple([]relation.Value{relation.Int(int64(i))}, nil), Confidence: p}
+	}
+	return rows
+}
+
 func TestResponseNeed(t *testing.T) {
+	released, _ := Release(releaseRows(2, 1), 0, false)
 	r := &Response{
-		Released: make([]Row, 2),
+		Released: released,
 		Withheld: make([]Row, 3),
 	}
 	if n := r.Need(Request{MinFraction: 0.5}); n != 1 {
@@ -277,6 +289,91 @@ func TestResponseNeed(t *testing.T) {
 	}
 	if n := r.Need(Request{MinFraction: 1.0}); n != 3 {
 		t.Errorf("need = %d, want 3", n)
+	}
+	// θ·n within rounding of an integer counts as that integer: 0.55·100
+	// and 0.07·100 evaluate just above 55 and 7, and must not ask for a
+	// 56th or an 8th row.
+	withheld := make([]Row, 1000)
+	for k := 0; k <= 100; k++ {
+		theta := float64(k) / 100
+		for n := 1; n <= len(withheld); n++ {
+			r := &Response{Withheld: withheld[:n]}
+			if got, want := r.Need(Request{MinFraction: theta}), (k*n+99)/100; got != want {
+				t.Fatalf("θ=%v n=%d: need = %d, want ⌈%d·%d/100⌉ = %d", theta, n, got, k, n, want)
+			}
+		}
+	}
+}
+
+// TestReleaseFilter holds the policy filter to Definition 1 over
+// generated rows whose confidences sit on and around β (one ulp either
+// side), at 0, at 1 and at NaN: every released row clears β strictly,
+// every withheld row does not, the two sides partition the input, each
+// side is in descending confidence order (NaN last) with the tuple-key
+// tie-break, and with no policy applied everything is released.
+func TestReleaseFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 2000; c++ {
+		beta := []float64{0, 0.5, 1, rng.Float64()}[rng.Intn(4)]
+		applied := rng.Intn(5) != 0
+		in := make([]Row, rng.Intn(40))
+		for i := range in {
+			conf := []float64{beta, math.Nextafter(beta, 2), math.Nextafter(beta, -1), 0, 1, math.NaN(), rng.Float64()}[rng.Intn(7)]
+			// Few distinct keys, so equal confidences tie-break on them.
+			key := relation.Int(int64(rng.Intn(5)))
+			in[i] = Row{Tuple: relation.NewTuple([]relation.Value{key}, nil), Confidence: conf}
+		}
+		released, withheld := Release(slices.Clone(in), beta, applied)
+		var out []Row
+		for i := range released.Len() {
+			row := released.At(i)
+			if applied && !(row.Confidence > beta) {
+				t.Fatalf("β=%v: released a row at confidence %v", beta, row.Confidence)
+			}
+			out = append(out, row)
+		}
+		for _, row := range withheld {
+			if !applied {
+				t.Fatalf("no policy applied, yet a row at %v was withheld", row.Confidence)
+			}
+			if row.Confidence > beta {
+				t.Fatalf("β=%v: withheld a row at confidence %v", beta, row.Confidence)
+			}
+		}
+		checkSorted(t, out[:released.Len()])
+		checkSorted(t, withheld)
+		out = append(out, withheld...)
+		seen := map[*relation.Tuple]Row{}
+		for _, row := range in {
+			seen[row.Tuple] = row
+		}
+		if len(out) != len(in) {
+			t.Fatalf("%d rows in, %d released + %d withheld", len(in), released.Len(), len(withheld))
+		}
+		for _, row := range out {
+			src, ok := seen[row.Tuple]
+			if !ok || math.Float64bits(src.Confidence) != math.Float64bits(row.Confidence) {
+				t.Fatalf("row %v at %v is not an input row, or came out twice", row.Tuple, row.Confidence)
+			}
+			delete(seen, row.Tuple)
+		}
+	}
+}
+
+// checkSorted asserts descending confidence, NaN last, ties broken by
+// ascending tuple key.
+func checkSorted(t *testing.T, rows []Row) {
+	t.Helper()
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1], rows[i]
+		aNaN, bNaN := math.IsNaN(a.Confidence), math.IsNaN(b.Confidence)
+		tie := aNaN && bNaN || !aNaN && !bNaN && a.Confidence == b.Confidence
+		switch {
+		case tie && a.Tuple.Key() > b.Tuple.Key():
+			t.Fatalf("rows %d, %d at %v: key %q before %q", i-1, i, a.Confidence, a.Tuple.Key(), b.Tuple.Key())
+		case !tie && (aNaN || !bNaN && a.Confidence < b.Confidence):
+			t.Fatalf("rows %d, %d: confidence %v before %v", i-1, i, a.Confidence, b.Confidence)
+		}
 	}
 }
 
@@ -353,8 +450,8 @@ func TestEvaluateMultiSharedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Released) != 1 {
-		t.Fatalf("after shared improvement: released = %d", len(resp.Released))
+	if resp.Released.Len() != 1 {
+		t.Fatalf("after shared improvement: released = %d", resp.Released.Len())
 	}
 }
 
@@ -386,7 +483,7 @@ func TestEvaluateMultiBothNeedImprovement(t *testing.T) {
 		}
 		if got := resp.Need(req); got != 0 {
 			t.Errorf("query %d still needs %d rows after shared improvement (released %d, withheld %d)",
-				i, got, len(resps[i].Released), len(resp.Withheld))
+				i, got, resps[i].Released.Len(), len(resp.Withheld))
 		}
 	}
 }
@@ -403,36 +500,8 @@ func TestEvaluateMultiNoNeeds(t *testing.T) {
 	if prop != nil {
 		t.Fatal("nothing to improve")
 	}
-	if len(resps[0].Released) != 1 {
+	if resps[0].Released.Len() != 1 {
 		t.Fatal("secretary query should release its row")
-	}
-}
-
-func TestResponseStats(t *testing.T) {
-	e := newVentureEngine(t, nil)
-	resp, err := e.Evaluate(Request{User: "mark", Query: ventureQuery, Purpose: "investment"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := resp.FullStats()
-	if s.Total != 1 || s.Released != 0 || s.Withheld != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if math.Abs(s.Min-0.058) > 1e-9 || math.Abs(s.Max-0.058) > 1e-9 || math.Abs(s.Mean-0.058) > 1e-9 {
-		t.Fatalf("min/max/mean = %v/%v/%v", s.Min, s.Max, s.Mean)
-	}
-	if s.Histogram[0] != 1 {
-		t.Fatalf("histogram = %v", s.Histogram)
-	}
-	// The user-facing summary must not leak the withheld confidence: the
-	// response has no released rows, so every aggregate stays zero.
-	if pub := resp.Stats(); pub.Total != 1 || pub.Withheld != 1 || pub.Min != 0 || pub.Max != 0 || pub.Mean != 0 {
-		t.Fatalf("released-only stats leak withheld confidences: %+v", pub)
-	}
-	// Empty response.
-	empty := &Response{}
-	if st := empty.Stats(); st.Total != 0 || st.Min != 0 || st.Max != 0 {
-		t.Fatalf("empty stats = %+v", st)
 	}
 }
 

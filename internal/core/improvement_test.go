@@ -43,9 +43,9 @@ func TestProposePlansOverTheFilteredLineage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(after.Released) < len(resp.Released)+promised || after.Need(req) != 0 {
+		if after.Released.Len() < resp.Released.Len()+promised || after.Need(req) != 0 {
 			t.Fatalf("%s: released %d after apply, want %d + %d promised (still short %d)",
-				q, len(after.Released), len(resp.Released), promised, after.Need(req))
+				q, after.Released.Len(), resp.Released.Len(), promised, after.Need(req))
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestEvaluateMultiTopUpCoversEveryBlock(t *testing.T) {
 		}
 		if got := resp.Need(req); got != 0 {
 			t.Errorf("query %d still short %d rows (was released=%d withheld=%d)",
-				i, got, len(resps[i].Released), len(resps[i].Withheld))
+				i, got, resps[i].Released.Len(), len(resps[i].Withheld))
 		}
 	}
 }
@@ -136,11 +136,12 @@ func TestExceptLineageSkippedInPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Released) < 2 {
-		t.Fatalf("after improvement released = %d, want ≥ 2", len(after.Released))
+	if after.Released.Len() < 2 {
+		t.Fatalf("after improvement released = %d, want ≥ 2", after.Released.Len())
 	}
 	// Confidence arithmetic sanity: released rows clear β strictly.
-	for _, row := range after.Released {
+	for i := range after.Released.Len() {
+		row := after.Released.At(i)
 		if !(row.Confidence > 0.5) {
 			t.Fatalf("released row at %v", row.Confidence)
 		}

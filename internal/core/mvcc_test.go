@@ -108,8 +108,8 @@ func TestMVCCApplyFaultRollsBackAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp2.Released) != 1 {
-		t.Fatalf("after recovery: released = %d, want 1", len(resp2.Released))
+	if resp2.Released.Len() != 1 {
+		t.Fatalf("after recovery: released = %d, want 1", resp2.Released.Len())
 	}
 }
 
@@ -286,7 +286,8 @@ func TestMVCCEvaluateUnaffectedByConcurrentCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	for _, row := range resp.Released {
+	for i := range resp.Released.Len() {
+		row := resp.Released.At(i)
 		if got := snap.Confidence(row.Tuple); got != row.Confidence {
 			t.Fatalf("confidence at version %d = %v, response says %v", resp.Version, got, row.Confidence)
 		}

@@ -26,8 +26,9 @@ func (r *Response) report(lineageCol bool) string {
 		headers = append(headers, "lineage")
 	}
 
-	rows := make([][]string, 0, len(r.Released))
-	for _, row := range r.Released {
+	rows := make([][]string, 0, r.Released.Len())
+	for i := range r.Released.Len() {
+		row := r.Released.At(i)
 		cells := make([]string, 0, len(headers))
 		for _, v := range row.Tuple.Values {
 			cells = append(cells, v.String())
@@ -42,9 +43,9 @@ func (r *Response) report(lineageCol bool) string {
 
 	if r.PolicyApplied {
 		fmt.Fprintf(&b, "policy threshold β=%.4g: released %d, withheld %d\n",
-			r.Threshold, len(r.Released), len(r.Withheld))
+			r.Threshold, r.Released.Len(), len(r.Withheld))
 	} else {
-		fmt.Fprintf(&b, "no confidence policy applied: released all %d rows\n", len(r.Released))
+		fmt.Fprintf(&b, "no confidence policy applied: released all %d rows\n", r.Released.Len())
 	}
 	if r.Degraded != nil {
 		fmt.Fprintf(&b, "improvement planning degraded: %v\n", r.Degraded)

@@ -35,9 +35,9 @@ func TestEngineSharedStateFreedom(t *testing.T) {
 					errs <- fmt.Errorf("engine %d lost its policy: applied=%v β=%v", i, resp.PolicyApplied, resp.Threshold)
 					return
 				}
-				if len(resp.Released) != 1 || len(resp.Withheld) != 0 ||
-					math.Abs(resp.Released[0].Confidence-0.058) > 1e-9 {
-					errs <- fmt.Errorf("engine %d drifted: released=%d withheld=%d", i, len(resp.Released), len(resp.Withheld))
+				if resp.Released.Len() != 1 || len(resp.Withheld) != 0 ||
+					math.Abs(resp.Released.At(0).Confidence-0.058) > 1e-9 {
+					errs <- fmt.Errorf("engine %d drifted: released=%d withheld=%d", i, resp.Released.Len(), len(resp.Withheld))
 					return
 				}
 			}

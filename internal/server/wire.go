@@ -12,14 +12,16 @@ import (
 // Wire types: the JSON contract between pcqed and its clients. Field
 // names are the stable protocol; renaming one is a breaking change.
 //
-// Two confidentiality rules shape WireResponse. Withheld rows cross the
-// wire only as a count — the whole point of the β filter is that this
-// identity must not see them, and a count still tells the client
-// whether an improvement proposal is worth asking about. And proposals
-// are referenced by an opaque per-session handle: the increments'
-// per-tuple prices are shown (the session is being asked to buy them),
-// but Apply takes only the handle, so a session can never submit a
-// hand-built plan.
+// Two rules shape WireResponse. Withheld rows cross the wire only as a
+// count, never as cells or confidences: the β filter keeps
+// low-confidence data out of this identity's decisions, while a
+// withheld row's existence is not a secret, and the count tells the
+// client whether an improvement proposal is worth asking about
+// (DESIGN.md §12 lists all a session learns about withheld rows). And
+// proposals are referenced by an opaque per-session handle: the
+// increments' per-tuple prices are shown (the session is being asked to
+// buy them), but Apply takes only the handle, so a session can never
+// submit a hand-built plan.
 
 // HandshakeRequest opens a session.
 type HandshakeRequest struct {
@@ -135,12 +137,12 @@ func wireConf(c float64) float64 {
 }
 
 // toWire converts an engine response for the session, applying the
-// confidentiality rules above. propID is the stashed handle for
+// rules above. propID is the stashed handle for
 // resp.Proposal ("" when there is none).
 func toWire(resp *core.Response, propID string) *WireResponse {
 	w := &WireResponse{
 		Columns:       make([]string, 0, resp.Schema.Len()),
-		Released:      make([]WireRow, 0, len(resp.Released)),
+		Released:      make([]WireRow, 0, resp.Released.Len()),
 		WithheldCount: len(resp.Withheld),
 		Threshold:     wireConf(resp.Threshold),
 		PolicyApplied: resp.PolicyApplied,
@@ -150,7 +152,8 @@ func toWire(resp *core.Response, propID string) *WireResponse {
 	for _, c := range resp.Schema.Columns {
 		w.Columns = append(w.Columns, c.QualifiedName())
 	}
-	for _, row := range resp.Released {
+	for i := range resp.Released.Len() {
+		row := resp.Released.At(i)
 		w.Released = append(w.Released, WireRow{
 			Values:     row.Tuple.Values,
 			Confidence: wireConf(row.Confidence),

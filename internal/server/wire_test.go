@@ -123,13 +123,15 @@ func TestWireResponseDegraded(t *testing.T) {
 // hostile confidences. NaN or ±Inf must never reach the JSON document:
 // encoding/json would fail the whole response over one degenerate row.
 func TestWireConfidenceSanitization(t *testing.T) {
+	// The no-policy filter releases every row, hostile or not.
+	released, _ := core.Release([]core.Row{
+		{Tuple: relation.NewTuple([]relation.Value{relation.Float(math.NaN())}, nil), Confidence: math.NaN()},
+		{Tuple: relation.NewTuple([]relation.Value{relation.Float(math.Inf(1))}, nil), Confidence: math.Inf(1)},
+		{Tuple: relation.NewTuple([]relation.Value{relation.Float(1)}, nil), Confidence: 2.5},
+	}, 0, false)
 	resp := &core.Response{
-		Schema: relation.NewSchema(relation.Column{Name: "X", Type: relation.TypeFloat}),
-		Released: []core.Row{
-			{Tuple: relation.NewTuple([]relation.Value{relation.Float(math.NaN())}, nil), Confidence: math.NaN()},
-			{Tuple: relation.NewTuple([]relation.Value{relation.Float(math.Inf(1))}, nil), Confidence: math.Inf(1)},
-			{Tuple: relation.NewTuple([]relation.Value{relation.Float(1)}, nil), Confidence: 2.5},
-		},
+		Schema:    relation.NewSchema(relation.Column{Name: "X", Type: relation.TypeFloat}),
+		Released:  released,
 		Threshold: math.Inf(-1),
 		Version:   1,
 	}
@@ -141,6 +143,9 @@ func TestWireConfidenceSanitization(t *testing.T) {
 	var back WireResponse
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
+	}
+	if len(back.Released) != 3 {
+		t.Fatalf("%d rows on the wire, want 3", len(back.Released))
 	}
 	for i, row := range back.Released {
 		if math.IsNaN(row.Confidence) || math.IsInf(row.Confidence, 0) || row.Confidence < 0 || row.Confidence > 1 {

@@ -413,8 +413,8 @@ func TestEngineReleasesAgainstReference(t *testing.T) {
 			if !resp.PolicyApplied || resp.Threshold != beta {
 				t.Fatalf("%s\npolicy applied %v at β %v, want β %v", in, resp.PolicyApplied, resp.Threshold, beta)
 			}
-			for _, r := range resp.Released {
-				if r.Confidence <= beta {
+			for i := range resp.Released.Len() {
+				if r := resp.Released.At(i); r.Confidence <= beta {
 					t.Errorf("%s\nreleased %v at confidence %v, β %v", in, r.Tuple.Values, r.Confidence, beta)
 				}
 			}
@@ -423,7 +423,11 @@ func TestEngineReleasesAgainstReference(t *testing.T) {
 					t.Errorf("%s\nwithheld %v at confidence %v, β %v", in, r.Tuple.Values, r.Confidence, beta)
 				}
 			}
-			all := append(append([]core.Row{}, resp.Released...), resp.Withheld...)
+			var all []core.Row
+			for i := range resp.Released.Len() {
+				all = append(all, resp.Released.At(i))
+			}
+			all = append(all, resp.Withheld...)
 			got = answer{schema: resp.Schema, conf: func(i int) float64 { return all[i].Confidence }}
 			for _, r := range all {
 				got.rows = append(got.rows, r.Tuple)

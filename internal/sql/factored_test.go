@@ -90,7 +90,11 @@ func TestEngineEvaluatesWideRegionWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := append(resp.Released, resp.Withheld...)
+	var rows []core.Row
+	for i := range resp.Released.Len() {
+		rows = append(rows, resp.Released.At(i))
+	}
+	rows = append(rows, resp.Withheld...)
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, want %d regions", len(rows), len(want))
 	}
@@ -127,7 +131,11 @@ func TestEngineWideRegionWindowsMatchReference(t *testing.T) {
 	resp, engErr := evaluateRegions(t, c)
 	var got answer
 	if engErr == nil {
-		all := append(append([]core.Row{}, resp.Released...), resp.Withheld...)
+		var all []core.Row
+		for i := range resp.Released.Len() {
+			all = append(all, resp.Released.At(i))
+		}
+		all = append(all, resp.Withheld...)
 		got = answer{schema: resp.Schema, conf: func(i int) float64 { return all[i].Confidence }}
 		for _, r := range all {
 			got.rows = append(got.rows, r.Tuple)
