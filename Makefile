@@ -77,8 +77,11 @@ mvcc-stress:
 # (every corpus row, in order, with its lineage), the hash join vs the
 # nested loop (NULL keys included) and every equi-join spelling vs the
 # others, the typed row key vs Value.Key's strings, LIMIT vs the error
-# of a row past it, and the allocation budget of a row no consumer
-# keeps. Beside them:
+# of a row past it, the allocation budget of a row no consumer keeps,
+# the uncached read-once confidence vs the tree walk, and lock-free
+# variable lookups vs the pinned version while the directory grows; in
+# internal/server a wire body vs the same statement and version on a
+# cold, a warm and a fresh engine. Beside them:
 # D&C's top-up reached through a degraded group (the degraded-D&C
 # goldens pin its plans), the solver planning over the filter's own
 # lineage, /v1/explain under admission and drain, and the withheld-row
@@ -87,9 +90,9 @@ mvcc-stress:
 differential:
 	$(GO) test -run 'Differential|OrFactored|FactoredLineagePlansIdentically|EvaluatorMatchesReference|EvaluatorReset|EvaluatorRetarget|DnCCompiles|TooManyShared|MaxPivotsSharedResult|DncSplitGroupFallback' -count=1 ./internal/lineage/ ./internal/strategy/
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage|ReleaseFilter' -count=1 ./internal/core/
-	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl|WithheldRowContract' -count=1 ./internal/server/
+	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl|WithheldRowContract|WireBodyIgnoresCacheState' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget|ReadOnceConfidenceDifferential|VarDirectoryUnderGrowth'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the

@@ -277,8 +277,10 @@ func (e *Engine) evaluateAt(ctx context.Context, snap *relation.Snapshot, req Re
 	// probability is #P-hard in general and routinely dominates query
 	// evaluation, so conflating the two would hide the dominant cost.
 	// Each result formula routes by its complexity class (read-once /
-	// bounded-pivot / hard) through the confidence cache; the span
-	// carries the per-class row and Shannon-pivot totals.
+	// bounded-pivot / hard): a read-once row is computed directly, a
+	// shared one goes through the confidence cache. The span carries the
+	// per-class row and Shannon-pivot totals, and the cache counters
+	// count shared rows only.
 	linSpan := root.StartChild("lineage")
 	enterLayer(ctx, "lineage")
 	var cc relation.ConfCacheStats

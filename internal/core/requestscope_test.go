@@ -101,8 +101,8 @@ func TestSpanAttrsAreRequestScoped(t *testing.T) {
 				}
 				lin := resp.Timings.Find("lineage")
 				rows := lin.Attr("rows")
-				if got := lin.Attr("conf_cache_hits") + lin.Attr("conf_cache_misses"); got != rows {
-					errCh <- fmt.Errorf("conf cache attribution: hits+misses = %d, want rows = %d", got, rows)
+				if got := lin.Attr("readonce_rows") + lin.Attr("conf_cache_hits") + lin.Attr("conf_cache_misses"); got != rows {
+					errCh <- fmt.Errorf("conf cache attribution: readonce_rows+hits+misses = %d, want rows = %d", got, rows)
 					return
 				}
 			}

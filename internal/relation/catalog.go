@@ -23,16 +23,17 @@ import (
 // committed version and are never blocked by, nor observe, in-flight
 // writes.
 type Catalog struct {
-	// mu guards the table registry, the variable registry, and the
-	// registered confidence caches. Writers additionally hold wmu; plain
-	// readers only ever take mu briefly.
+	// mu guards the table registry and the registered confidence
+	// caches. Writers additionally hold wmu; plain readers only ever
+	// take mu briefly, and never to resolve a variable.
 	mu     sync.RWMutex
 	tables map[string]*Table
-	byVar  map[lineage.Var]*versionSlot
 	caches []*ConfidenceCache
 
-	// next is the lineage-variable allocator; only writers (under wmu)
-	// touch it.
+	// vars resolves lineage variables to their rows without a lock (see
+	// varDir's publication rule); next is the variable allocator. Only
+	// writers (under wmu) change either.
+	vars varDir
 	next lineage.Var
 
 	// wmu serializes write transactions (single-writer MVCC).
@@ -50,7 +51,6 @@ type Catalog struct {
 func NewCatalog() *Catalog {
 	c := &Catalog{
 		tables: map[string]*Table{},
-		byVar:  map[lineage.Var]*versionSlot{},
 		next:   1,
 	}
 	c.ver.Store(&version{})

@@ -47,14 +47,17 @@ func (c LineageClass) String() string {
 // is still cheap enough to treat as routine.
 const BoundedPivotLimit = 8
 
-// ConfCacheStats is a snapshot of a ConfidenceCache's counters. The
-// per-class arrays are indexed by LineageClass.
+// ConfCacheStats counts confidence requests. The per-class arrays are
+// indexed by LineageClass. A caller's accumulator (ConfidenceAtAcc's
+// acc) counts every row it asked about, read-once rows included; the
+// cache-wide Stats() count only what the cache serves — shared formulas
+// at the latest version — so their read-once entries stay 0.
 type ConfCacheStats struct {
+	// Hits and Misses count shared formulas served from an entry or
+	// evaluated for one.
 	Hits, Misses int64
-	// Rows counts confidence requests per class (hits and misses).
+	// Rows counts confidence requests per class.
 	Rows [numLineageClasses]int64
-	// Evals counts evaluations per class (one per cache miss).
-	Evals [numLineageClasses]int64
 	// Pivots totals the compiled Machine's Shannon pivot leaf
 	// evaluations per class (always 0 for read-once).
 	Pivots [numLineageClasses]int64
@@ -66,13 +69,14 @@ type ConfCacheStats struct {
 	Dropped     int64
 }
 
-// ConfidenceCache memoizes derived-tuple confidences keyed on the
-// formula's rendering: repeated policy filtering of the same results
-// skips the probability computation entirely until a base confidence
-// the formula reads changes. Evaluation routes by lineage class —
-// read-once formulas go straight to the linear-time path, shared
-// formulas through the compiled Shannon kernel, whose pivot counters
-// the cache aggregates per class. Safe for concurrent use.
+// ConfidenceCache memoizes the confidences of shared formulas — those
+// some variable occurs in more than once — keyed on the formula's
+// rendering: repeated policy filtering of the same results skips the
+// compiled Shannon kernel entirely until a base confidence the formula
+// reads changes. The cache aggregates the kernel's pivot counters per
+// class. A read-once formula never reaches it: its confidence is one
+// linear walk over its own variables, cheaper than the key. Safe for
+// concurrent use.
 //
 // Validity invariant: the cache stands at the confidence epoch its
 // catalog last told it about, and an entry's value is the formula's
@@ -100,7 +104,7 @@ type confEntry struct {
 	key       string
 	validFrom int64 // stale: invalidated by a commit, awaiting a reader
 	p         float64
-	class     LineageClass
+	class     LineageClass  // bounded or hard
 	vars      []lineage.Var // sorted and deduplicated: the postings to keep
 }
 
@@ -149,12 +153,15 @@ func (cc *ConfidenceCache) Len() int {
 }
 
 // ConfidenceAtAcc returns the tuple's exact confidence at the snapshot's
-// pinned version, serving it from the cache when the cached value
-// covers the snapshot's confidence epoch (see the validity invariant).
-// Taking the snapshot guarantees the epoch and the confidences the
-// evaluation reads belong to the same committed version. A formula with
-// more than lineage.DefaultSharedLimit shared variables fails with an
-// error wrapping lineage.ErrTooManyShared and caches nothing.
+// pinned version. A read-once formula is computed directly, by the
+// linear independent-product walk: it renders no key, takes no lock and
+// counts only in acc. A shared formula is served from the cache when the
+// cached value covers the snapshot's confidence epoch (see the validity
+// invariant). Taking the snapshot guarantees the epoch and the
+// confidences the evaluation reads belong to the same committed version.
+// A formula with more than lineage.DefaultSharedLimit shared variables
+// fails with an error wrapping lineage.ErrTooManyShared and caches
+// nothing.
 //
 // The call's counter deltas accumulate into acc (nil-safe). Callers
 // that attribute cache behavior to one request (per-phase span
@@ -162,11 +169,17 @@ func (cc *ConfidenceCache) Len() int {
 // advance for every concurrent session, so a before/after difference
 // around one request charges it with other sessions' rows and pivots.
 // Historical snapshots (SnapshotAt behind the latest commit) bypass the
-// cache — their epoch is unknowable — and accumulate nothing, matching
-// Stats().
+// cache for shared formulas — their epoch is unknowable — and
+// accumulate nothing, matching Stats().
 func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCacheStats) (float64, error) {
+	if t.Lineage.ReadOnce() {
+		if acc != nil {
+			acc.Rows[LineageReadOnce]++
+		}
+		return lineage.ProbIndependent(t.Lineage, snap), nil
+	}
 	if snap.Historical() {
-		_, p, _, err := evalClassified(t.Lineage, snap)
+		_, p, _, err := evalShared(t.Lineage, snap)
 		return p, err
 	}
 	key := t.Lineage.String()
@@ -185,7 +198,7 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	}
 	cc.mu.Unlock()
 
-	class, p, pivots, err := evalClassified(t.Lineage, snap)
+	class, p, pivots, err := evalShared(t.Lineage, snap)
 	if err != nil {
 		return 0, err
 	}
@@ -193,7 +206,6 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	cc.mu.Lock()
 	cc.stats.Misses++
 	cc.stats.Rows[class]++
-	cc.stats.Evals[class]++
 	cc.stats.Pivots[class] += pivots
 	// A commit may have advanced the cache since the lookup: a value
 	// computed at an older epoch must not land beside current ones.
@@ -208,7 +220,6 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 	if acc != nil {
 		acc.Misses++
 		acc.Rows[class]++
-		acc.Evals[class]++
 		acc.Pivots[class] += pivots
 	}
 	return p, nil
@@ -278,17 +289,24 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 }
 
 // evalClassified computes a formula's probability on the path its class
-// dictates. Read-once formulas use the linear independent-product walk
+// dictates: read-once formulas use the linear independent-product walk
 // (exact and bit-identical to Shannon expansion, which never pivots on
-// them); shared formulas use the compiled kernel so the Machine's pivot
-// counters surface the true Shannon cost. More shared variables than
-// lineage.DefaultSharedLimit is an error (wrapping
-// lineage.ErrTooManyShared), not a panic: a client's query shape decides
-// the count.
+// them), shared ones evalShared. The _confidence column prices every row
+// through it.
 func evalClassified(e *lineage.Expr, assign lineage.Assignment) (LineageClass, float64, int64, error) {
 	if e.ReadOnce() {
 		return LineageReadOnce, lineage.ProbIndependent(e, assign), 0, nil
 	}
+	return evalShared(e, assign)
+}
+
+// evalShared computes a shared formula's probability with the compiled
+// kernel, so the Machine's pivot counters surface the true Shannon cost,
+// and classes it bounded or hard. More shared variables than
+// lineage.DefaultSharedLimit is an error (wrapping
+// lineage.ErrTooManyShared), not a panic: a client's query shape decides
+// the count.
+func evalShared(e *lineage.Expr, assign lineage.Assignment) (LineageClass, float64, int64, error) {
 	prog, err := lineage.CompileExact(e, lineage.DefaultSharedLimit)
 	if err != nil {
 		return LineageHard, 0, 0, err

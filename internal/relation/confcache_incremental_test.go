@@ -29,15 +29,21 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 	}
 	v := func(i int) *lineage.Expr { return lineage.NewVar(vars[i%nBase]) }
 
-	// A mixed corpus: read-once conjunctions and shared-variable formulas
-	// that route through the Shannon kernel.
+	// The cached corpus: shared-variable formulas that route through the
+	// Shannon kernel, in two shapes. Read-once conjunctions over the same
+	// variables are computed directly and must leave the cache alone.
 	var exprs []*lineage.Expr
 	for i := 0; i < 40; i++ {
-		exprs = append(exprs, lineage.And(v(3*i), v(3*i+1), v(3*i+2)))
+		x, y, z := v(3*i), v(3*i+1), v(3*i+2)
+		exprs = append(exprs, lineage.Or(lineage.And(x, y), lineage.And(x, lineage.Not(y), z)))
 	}
 	for i := 0; i < 40; i++ {
 		x, y, z := v(2*i), v(2*i+31), v(2*i+67)
 		exprs = append(exprs, lineage.Or(lineage.And(x, y), lineage.And(x, z)))
+	}
+	var readOnce []*Tuple
+	for i := 0; i < 40; i++ {
+		readOnce = append(readOnce, &Tuple{Lineage: lineage.And(v(3*i), v(3*i+1), v(3*i+2))})
 	}
 
 	cc := NewConfidenceCache(c, 0)
@@ -45,6 +51,9 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 	for i, e := range exprs {
 		tuples[i] = &Tuple{Lineage: e}
 		confLatest(t, cc, tuples[i])
+	}
+	for _, tu := range readOnce {
+		readOnceUncached(t, cc, tu)
 	}
 	primed := cc.Stats()
 	if primed.Misses != int64(len(exprs)) {
@@ -101,6 +110,9 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 				t.Fatalf("round %d formula %d: cached %v, fresh %v (not bit-identical)", r, i, got, want)
 			}
 		}
+		for _, tu := range readOnce {
+			readOnceUncached(t, cc, tu)
+		}
 	}
 
 	after := cc.Stats()
@@ -118,7 +130,8 @@ func TestIncrementalAdvanceDifferential(t *testing.T) {
 }
 
 // benchIncrementalCache builds a catalog with n base tuples and a cache
-// primed with n cached formulas (each an AND over 4 neighboring vars).
+// primed with n cached formulas (each a shared formula over 4
+// neighboring vars: read-once ones would not be cached).
 func benchIncrementalCache(b *testing.B, n int) (*Catalog, []lineage.Var, *ConfidenceCache, []*Tuple) {
 	b.Helper()
 	c := NewCatalog()
@@ -143,10 +156,10 @@ func benchIncrementalCache(b *testing.B, n int) (*Catalog, []lineage.Var, *Confi
 	defer snap.Release()
 	tuples := make([]*Tuple, n)
 	for i := 0; i < n; i++ {
-		e := lineage.And(
-			lineage.NewVar(vars[i]),
-			lineage.NewVar(vars[(i+1)%n]),
-			lineage.NewVar(vars[(i+2)%n]),
+		x := lineage.NewVar(vars[i])
+		e := lineage.Or(
+			lineage.And(x, lineage.NewVar(vars[(i+1)%n])),
+			lineage.And(x, lineage.NewVar(vars[(i+2)%n])),
 			lineage.NewVar(vars[(i+3)%n]),
 		)
 		tuples[i] = &Tuple{Lineage: e}

@@ -51,23 +51,24 @@ func TestEvalClassifiedClasses(t *testing.T) {
 	}
 }
 
-// confCacheFixture builds a catalog with base rows and two derived
-// tuples: one read-once, one with shared variables.
-func confCacheFixture(t *testing.T) (*Catalog, *Tuple, *Tuple, []*BaseTuple) {
+// confCacheFixture builds a catalog with base rows and three derived
+// tuples: one read-once, and two shared formulas (built with lineage.Or,
+// so v0 really occurs twice in each) that both read rows[0].
+func confCacheFixture(t *testing.T) (c *Catalog, readOnce, shared, sibling *Tuple, rows []*BaseTuple) {
 	t.Helper()
-	c := NewCatalog()
+	c = NewCatalog()
 	tab, err := c.CreateTable("B", NewSchema(Column{Name: "x", Type: TypeInt}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []*BaseTuple
 	for i, p := range []float64{0.3, 0.4, 0.1, 0.8} {
 		rows = append(rows, tab.MustInsert(p, nil, Int(int64(i))))
 	}
 	v := func(i int) *lineage.Expr { return lineage.NewVar(rows[i].Var()) }
-	readOnce := NewTuple([]Value{Int(1)}, lineage.And(lineage.Or(v(0), v(1)), v(2)))
-	shared := NewTuple([]Value{Int(2)}, lineage.Or(lineage.And(v(0), v(1)), lineage.And(v(0), v(3))))
-	return c, readOnce, shared, rows
+	readOnce = NewTuple([]Value{Int(1)}, lineage.And(lineage.Or(v(0), v(1)), v(2)))
+	shared = NewTuple([]Value{Int(2)}, lineage.Or(lineage.And(v(0), v(1)), lineage.And(v(0), v(3))))
+	sibling = NewTuple([]Value{Int(3)}, lineage.Or(lineage.And(v(0), v(2)), lineage.And(v(0), v(1), v(3))))
+	return c, readOnce, shared, sibling, rows
 }
 
 // confLatest asks the cache for the tuple's confidence at a fresh
@@ -83,35 +84,73 @@ func confLatest(t testing.TB, cc *ConfidenceCache, tup *Tuple) float64 {
 	return p
 }
 
+// readOnceUncached asks for a read-once tuple's confidence at the latest
+// version and fails unless the answer is the tree walk's, bit for bit,
+// and the cache is left as it was: no entry, no postings, no counter.
+// The caller's accumulator alone counts the row, as read-once.
+func readOnceUncached(t *testing.T, cc *ConfidenceCache, tup *Tuple) {
+	t.Helper()
+	if !tup.Lineage.ReadOnce() {
+		t.Fatalf("fixture: %s is not read-once", tup.Lineage)
+	}
+	cc.mu.Lock()
+	n, postings, stats := len(cc.entries), len(cc.postings), cc.stats
+	cc.mu.Unlock()
+	snap := cc.cat.Snapshot()
+	defer snap.Release()
+	var acc ConfCacheStats
+	p, err := cc.ConfidenceAtAcc(tup, snap, &acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lineage.Prob(tup.Lineage, snap); p != want {
+		t.Errorf("read-once %s = %v, want exactly %v", tup.Lineage, p, want)
+	}
+	if acc != (ConfCacheStats{Rows: [numLineageClasses]int64{LineageReadOnce: 1}}) {
+		t.Errorf("read-once row accumulated %+v, want one read-once row and nothing else", acc)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.entries) != n || len(cc.postings) != postings || cc.stats != stats {
+		t.Errorf("a read-once formula touched the cache: %d→%d entries, %d→%d posting lists, stats %+v→%+v",
+			n, len(cc.entries), postings, len(cc.postings), stats, cc.stats)
+	}
+}
+
 func TestConfidenceCacheValuesAndHits(t *testing.T) {
-	c, readOnce, shared, _ := confCacheFixture(t)
+	c, readOnce, shared, sibling, _ := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 
-	// Read-once routing must be bit-identical to the tree walk, not
-	// merely close: both sides compute the same independent product.
-	if got, want := confLatest(t, cc, readOnce), lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version())); got != want {
-		t.Fatalf("read-once confidence = %v, want exactly %v", got, want)
-	}
-	if got, want := confLatest(t, cc, shared), lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version())); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("shared confidence = %v, want %v", got, want)
+	// Read-once formulas are computed directly, bit-identical to the
+	// tree walk (both compute the same independent product), and never
+	// cached.
+	readOnceUncached(t, cc, readOnce)
+	for _, tu := range []*Tuple{shared, sibling} {
+		if got, want := confLatest(t, cc, tu), lineage.Prob(tu.Lineage, c.AssignmentAt(c.Version())); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("shared confidence of %s = %v, want %v", tu.Lineage, got, want)
+		}
 	}
 
 	st := cc.Stats()
 	if st.Hits != 0 || st.Misses != 2 {
 		t.Fatalf("after first pass: hits=%d misses=%d, want 0/2", st.Hits, st.Misses)
 	}
-	if st.Rows[LineageReadOnce] != 1 || st.Evals[LineageReadOnce] != 1 {
-		t.Errorf("read-once counters = %+v", st)
+	if st.Rows[LineageReadOnce] != 0 {
+		t.Errorf("the cache counted read-once rows it never served: %+v", st)
 	}
-	if st.Rows[LineageBounded] != 1 || st.Pivots[LineageBounded] == 0 {
+	if st.Rows[LineageBounded] != 2 || st.Pivots[LineageBounded] == 0 {
 		t.Errorf("bounded class must record rows and pivots, got %+v", st)
 	}
 	if st.Pivots[LineageReadOnce] != 0 {
 		t.Errorf("read-once path must never pivot, got %d", st.Pivots[LineageReadOnce])
 	}
+	if n := cc.Len(); n != 2 {
+		t.Errorf("cache holds %d entries, want the 2 shared formulas", n)
+	}
 
-	confLatest(t, cc, readOnce)
+	readOnceUncached(t, cc, readOnce)
 	confLatest(t, cc, shared)
+	confLatest(t, cc, sibling)
 	st = cc.Stats()
 	if st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("after second pass: hits=%d misses=%d, want 2/2", st.Hits, st.Misses)
@@ -122,10 +161,11 @@ func TestConfidenceCacheValuesAndHits(t *testing.T) {
 // on: if the epoch check were removed, the cache would keep serving the
 // pre-mutation probability and this test would fail.
 func TestConfidenceCacheInvalidation(t *testing.T) {
-	c, readOnce, shared, rows := confCacheFixture(t)
+	c, readOnce, shared, sibling, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 	before := confLatest(t, cc, shared)
-	confLatest(t, cc, readOnce)
+	confLatest(t, cc, sibling)
+	readOnceUncached(t, cc, readOnce)
 
 	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var(), 0.95) }); err != nil {
 		t.Fatal(err)
@@ -147,6 +187,8 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 	if confLatest(t, cc, shared); cc.Stats().Misses != 3 {
 		t.Fatal("the refreshed entry must serve the next read")
 	}
+	// The read-once formula reads rows[0] too: it sees the new value.
+	readOnceUncached(t, cc, readOnce)
 
 	// Deleting base rows also bumps the confidence epoch.
 	tab, err := c.Table("B")
@@ -169,19 +211,22 @@ func TestConfidenceCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := NewConfidenceCache(c, 2)
+	pivot := lineage.NewVar(tab.MustInsert(0.5, nil, Int(-1)).Var())
 	for i := 0; i < 5; i++ {
-		row := tab.MustInsert(0.5, nil, Int(int64(i)))
-		confLatest(t, cc, NewTuple(nil, lineage.NewVar(row.Var())))
+		row := lineage.NewVar(tab.MustInsert(0.5, nil, Int(int64(i))).Var())
+		confLatest(t, cc, NewTuple(nil, lineage.Or(lineage.And(pivot, row), lineage.And(pivot, lineage.Not(row)))))
 	}
 	if n := cc.Len(); n > 2 {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
+	} else if n != 2 {
+		t.Fatalf("cache holds %d entries after 5 distinct shared formulas, want it full at 2", n)
 	}
 }
 
 // TestConfidenceCacheConcurrency hammers one cache from many
 // goroutines (run under -race by `make race` and CI).
 func TestConfidenceCacheConcurrency(t *testing.T) {
-	c, readOnce, shared, rows := confCacheFixture(t)
+	c, readOnce, shared, _, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 	want := map[*Tuple]float64{
 		readOnce: lineage.Prob(readOnce.Lineage, c.AssignmentAt(c.Version())),
@@ -222,9 +267,10 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 // entry recomputed for N+1 — and its late insert does not overwrite
 // that entry. An entry the commit did not touch still serves it.
 func TestConfidenceCacheStaleSnapshot(t *testing.T) {
-	c, readOnce, shared, rows := confCacheFixture(t)
+	c, readOnce, shared, sibling, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
-	untouched := NewTuple(nil, lineage.And(lineage.NewVar(rows[1].Var()), lineage.NewVar(rows[2].Var())))
+	v := func(i int) *lineage.Expr { return lineage.NewVar(rows[i].Var()) }
+	untouched := NewTuple(nil, lineage.Or(lineage.And(v(1), v(2)), lineage.And(v(1), v(3))))
 	old := c.Snapshot()
 	defer old.Release()
 	at := func(s *Snapshot, tu *Tuple) float64 {
@@ -237,7 +283,7 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	}
 	wantOld := map[*Tuple]float64{shared: at(old, shared), untouched: at(old, untouched)}
 
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var(), 0.95) }); err != nil { // epoch N → N+1; shared and readOnce read rows[0]
+	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(rows[0].Var(), 0.95) }); err != nil { // epoch N → N+1; shared, sibling and readOnce read rows[0]
 		t.Fatal(err)
 	}
 	wantNew := lineage.Prob(shared.Lineage, c.AssignmentAt(c.Version()))
@@ -250,8 +296,11 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 			t.Fatalf("snapshot at epoch N read %v after the advance, want its own %v (N+1's is %v)", got, wantOld[shared], wantNew)
 		}
 	}
-	if got := at(old, readOnce); got != lineage.Prob(readOnce.Lineage, old) { // never cached before: a late insert attempt
+	if got := at(old, sibling); got != lineage.Prob(sibling.Lineage, old) { // never cached before: a late insert attempt
 		t.Fatalf("uncached formula at the old snapshot = %v", got)
+	}
+	if got := at(old, readOnce); got != lineage.Prob(readOnce.Lineage, old) { // computed directly at the old snapshot
+		t.Fatalf("read-once formula at the old snapshot = %v", got)
 	}
 	if got := at(old, untouched); got != wantOld[untouched] {
 		t.Fatalf("untouched entry served %v at the old snapshot, want %v", got, wantOld[untouched])
@@ -260,8 +309,9 @@ func TestConfidenceCacheStaleSnapshot(t *testing.T) {
 	if st.Misses-before.Misses != 3 || st.Hits-before.Hits != 1 {
 		t.Fatalf("old-snapshot reads: %d misses, %d hits; want 3 misses (entries newer than the snapshot, or absent) and 1 hit (the untouched entry)", st.Misses-before.Misses, st.Hits-before.Hits)
 	}
+	readOnceUncached(t, cc, readOnce)
 	// Current readers see N+1's values: nothing computed at N landed.
-	for _, tu := range []*Tuple{shared, readOnce, untouched} {
+	for _, tu := range []*Tuple{shared, sibling, readOnce, untouched} {
 		if got, want := confLatest(t, cc, tu), lineage.Prob(tu.Lineage, c.AssignmentAt(c.Version())); got != want {
 			t.Fatalf("after the stale reads the cache serves %v for %s, want %v", got, tu.Lineage, want)
 		}
@@ -290,7 +340,11 @@ func TestConfidenceCachePostingsStayExact(t *testing.T) {
 	cc := NewConfidenceCache(c, capacity)
 	for i := 0; i < 10*capacity; i++ {
 		a, b, d := vars[i%nVars], vars[(i/nVars+i+1)%nVars], vars[(7*i+3)%nVars]
-		confLatest(t, cc, NewTuple(nil, lineage.Or(lineage.And(lineage.NewVar(a), lineage.NewVar(b)), lineage.NewVar(d), lineage.NewVar(lineage.Var(1000+i)))))
+		x, y, z := lineage.NewVar(a), lineage.NewVar(b), lineage.NewVar(d)
+		confLatest(t, cc, NewTuple(nil, lineage.Or(lineage.And(x, y), lineage.And(x, z), lineage.NewVar(lineage.Var(1000+i)))))
+		if i%5 == 0 {
+			readOnceUncached(t, cc, NewTuple(nil, lineage.Or(y, lineage.NewVar(lineage.Var(2000+i)))))
+		}
 		if i%16 == 0 {
 			if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(a, 0.25+float64(i%3)/4) }); err != nil {
 				t.Fatal(err)
@@ -328,7 +382,7 @@ func TestConfidenceCachePostingsStayExact(t *testing.T) {
 // -race in CI): every answer is the formula's confidence at the
 // reader's snapshot, whichever epoch the cache stands at by then.
 func TestConfidenceCacheReadersRaceCommits(t *testing.T) {
-	c, readOnce, shared, rows := confCacheFixture(t)
+	c, readOnce, shared, _, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -99,10 +99,12 @@ func (j *buildJoin) open(left, right Operator, at int64) error {
 		return err
 	}
 	j.build, j.seed = rowStore{w: right.Schema().Len()}, maphash.MakeSeed()
+	var hashes []uint64 // per kept right row, its key's hash
 	err := each(right, at, func(b *batch) error {
 		for i := range b.len() {
-			if _, ok := j.key(b.row(i), j.rkeys); ok {
+			if h, ok := j.key(b.row(i), j.rkeys); ok {
 				j.build.add(b.row(i), lin{e: b.lins[i].expr()})
+				hashes = append(hashes, h)
 			}
 		}
 		return nil
@@ -110,7 +112,7 @@ func (j *buildJoin) open(left, right Operator, at int64) error {
 	// Chained back to front, so a chain runs in input order.
 	j.heads, j.chain = make(map[uint64]int32, j.build.n), make([]int32, j.build.n)
 	for r := j.build.n - 1; r >= 0; r-- {
-		h, _ := j.key(j.build.row(r), j.rkeys)
+		h := hashes[r]
 		j.chain[r] = -1
 		if first, ok := j.heads[h]; ok {
 			j.chain[r] = first

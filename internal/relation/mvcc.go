@@ -114,15 +114,64 @@ func (s *Snapshot) Historical() bool { return s.historical }
 // Catalog returns the catalog the snapshot reads.
 func (s *Snapshot) Catalog() *Catalog { return s.cat }
 
+// varChunk holds the slots of chunkLen consecutive variables (the
+// record store's chunk size).
+type varChunk [chunkLen]atomic.Pointer[versionSlot]
+
+// varDir is the variable directory: lineage variable → the slot of the
+// row it names. Variables are dense from 1 (nextVar), so the directory
+// is a list of fixed chunks behind one atomic pointer, and a lookup is
+// two atomic loads — the list, then the slot — with no lock and no map.
+//
+// Publication rule: only writers, under the catalog's wmu, store into
+// it. Txn.Insert stores a new slot before its commit publishes the
+// version that makes the row visible, and undoAll stores nil back, so a
+// reader whose snapshot can see the row also sees its entry. Growth is
+// copy-on-write: the chunks are shared and never move, a grown list is
+// published whole, and a reader on the old list finds every variable
+// its snapshot can see.
+type varDir struct {
+	chunks atomic.Pointer[[]*varChunk]
+}
+
+// slot returns v's slot, or nil for a variable that was never allocated
+// or whose insert was rolled back.
+func (d *varDir) slot(v lineage.Var) *versionSlot {
+	cs := d.chunks.Load()
+	i := uint(v) // a negative variable wraps past every chunk
+	if cs == nil || i>>chunkBits >= uint(len(*cs)) {
+		return nil
+	}
+	return (*cs)[i>>chunkBits][i&chunkMask].Load()
+}
+
+// set stores v's slot (nil clears it), growing the chunk list as needed
+// (writers only, under wmu).
+func (d *varDir) set(v lineage.Var, s *versionSlot) {
+	var cs []*varChunk
+	if p := d.chunks.Load(); p != nil {
+		cs = *p
+	}
+	c := int(uint(v) >> chunkBits)
+	if c >= len(cs) {
+		grown := make([]*varChunk, c+1)
+		copy(grown, cs)
+		for j := len(cs); j <= c; j++ {
+			grown[j] = new(varChunk)
+		}
+		d.chunks.Store(&grown)
+		cs = grown
+	}
+	cs[c][uint(v)&chunkMask].Store(s)
+}
+
 // rowAt resolves a lineage variable to its slot and the row version
 // visible at commit sequence seq (possibly a tombstone); both are nil
 // for a variable that did not exist at seq. Every by-variable read —
 // snapshots, assignments, transactions at their write sequence — goes
-// through it.
+// through it, and none takes a lock.
 func (c *Catalog) rowAt(v lineage.Var, seq int64) (*versionSlot, *BaseTuple) {
-	c.mu.RLock()
-	slot := c.byVar[v]
-	c.mu.RUnlock()
+	slot := c.vars.slot(v)
 	if slot == nil {
 		return nil, nil
 	}

@@ -148,9 +148,7 @@ func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Funct
 		created:    x.writeSeq,
 	}
 	x.cow(slot, nil, row)
-	x.cat.mu.Lock()
-	x.cat.byVar[row.v] = slot
-	x.cat.mu.Unlock()
+	x.cat.vars.set(row.v, slot)
 	td := x.delta(t)
 	td.live++
 	td.mutated = true
@@ -430,7 +428,6 @@ func (x *Txn) Rollback() {
 // nothing is truncated, so no reader's capture can see a cell
 // rewritten.
 func (x *Txn) undoAll() {
-	var insertedVars []lineage.Var
 	for i := len(x.undo) - 1; i >= 0; i-- {
 		u := x.undo[i]
 		if u.old != nil {
@@ -439,13 +436,6 @@ func (x *Txn) undoAll() {
 			continue
 		}
 		u.slot.head.Store(nil)
-		insertedVars = append(insertedVars, u.v)
-	}
-	if len(insertedVars) > 0 {
-		x.cat.mu.Lock()
-		for _, v := range insertedVars {
-			delete(x.cat.byVar, v)
-		}
-		x.cat.mu.Unlock()
+		x.cat.vars.set(u.v, nil)
 	}
 }
