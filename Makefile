@@ -142,14 +142,15 @@ serve-smoke:
 # the reference tree walk's Prob + Derivatives, the parallel D&C
 # worker-pool scaling benchmark, and the per-group overhead benchmark
 # (2 000 one-result groups; watch allocs/op); then the plan-cache key of
-# point_hot's statement, which every request pays; then the access leaf
-# over a 200K-row Orders table (Item = k, Amount > a, one index bucket),
-# whose rows/op must agree across the commits compared.
+# point_hot's statement, which every request pays; then a 200K-row
+# Orders load (B/op, allocs/op and the live bytes per loaded row) and
+# the access leaf over that table (Item = k, Amount > a, one index
+# bucket), whose rows/op must agree across the commits compared.
 bench:
 	$(GO) test -run xxx -bench BenchmarkCompiledProbDeriv -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkFingerprint -benchmem ./internal/sql/
-	$(GO) test -run xxx -bench BenchmarkLeafScan -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkLoadCSV|BenchmarkLeafScan' -benchmem .
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must

@@ -92,15 +92,20 @@ func (p *Proposal) Increments() []Increment {
 				})
 			}
 		}
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].Cost != out[b].Cost {
-				return out[a].Cost > out[b].Cost
-			}
-			return out[a].Var < out[b].Var
-		})
+		sortIncrements(out)
 		p.increments = out
 	})
 	return p.increments
+}
+
+// sortIncrements orders increments by descending cost, ties by variable.
+func sortIncrements(incs []Increment) {
+	sort.Slice(incs, func(a, b int) bool {
+		if incs[a].Cost != incs[b].Cost {
+			return incs[a].Cost > incs[b].Cost
+		}
+		return incs[a].Var < incs[b].Var
+	})
 }
 
 // instanceBuilder accumulates withheld rows into one optimization
@@ -219,63 +224,79 @@ const betaMargin = 1e-9
 // every increment commits atomically or none does. A fault (injected
 // at the "core.apply.increment" probe or genuine) mid-apply rolls the
 // transaction back, journals an AuditRollback event and leaves every
-// confidence bit-identical to the pre-transaction state. The audit
-// event of a successful apply records the proposal's read version and
-// the transaction's commit version. Re-evaluating the request
-// afterwards releases the additional rows.
-//
-// Increments merge by maximum: a tuple whose confidence a concurrent
-// apply already raised to (or past) the target is skipped rather than
-// lowered, so overlapping plans compose instead of fighting.
-func (e *Engine) Apply(p *Proposal) (err error) {
+// confidence bit-identical to the pre-transaction state. Re-evaluating
+// the request afterwards releases the additional rows. See
+// ApplyOutcome for what the journal records.
+func (e *Engine) Apply(p *Proposal) error {
+	_, err := e.ApplyOutcome(p)
+	return err
+}
+
+// ApplyOutcome is Apply returning the AuditApply event it journals. The
+// event records what the transaction wrote, not what the proposal
+// planned: increments merge by maximum, so a tuple whose confidence a
+// concurrent apply already raised to (or past) the target is skipped
+// rather than lowered, and overlapping plans compose instead of
+// fighting. Each written increment runs From the confidence it
+// replaced To the target, priced by the tuple's cost function; Cost is
+// their sum and CommitVersion the transaction's version, ReadVersion
+// the proposal's. An apply that finds nothing left to raise rolls back
+// and journals a no-op: no increments, cost 0, no CommitVersion.
+func (e *Engine) ApplyOutcome(p *Proposal) (ev AuditEvent, err error) {
 	if p == nil {
-		return fmt.Errorf("core: nil proposal")
+		return AuditEvent{}, fmt.Errorf("core: nil proposal")
 	}
 	if err := p.instance.Verify(p.plan); err != nil {
-		return fmt.Errorf("core: refusing to apply inconsistent proposal: %w", err)
+		return AuditEvent{}, fmt.Errorf("core: refusing to apply inconsistent proposal: %w", err)
 	}
 	x := e.catalog.Begin()
 	defer func() {
 		if r := recover(); r != nil {
 			x.Rollback()
-			err = fmt.Errorf("core: apply fault: %v", r)
+			ev, err = AuditEvent{}, fmt.Errorf("core: apply fault: %v", r)
 			e.recordApplyRollback(p, err)
 		}
 	}()
+	ev = AuditEvent{Kind: AuditApply, User: p.user, Purpose: p.purpose, ReadVersion: p.readVersion}
 	for i, b := range p.instance.Base {
 		np := p.plan.NewP[i]
 		if !conf.GT(np, b.P) {
 			continue
 		}
 		fault.Probe("core.apply.increment")
-		if cur, ok := x.ConfidenceOf(b.Var); ok && conf.GE(cur, np) {
+		cur, ok := x.ConfidenceOf(b.Var)
+		if ok && conf.GE(cur, np) {
 			continue // already at or past the target: max-merge
 		}
 		if err := x.SetConfidence(b.Var, np); err != nil {
 			x.Rollback()
 			err = fmt.Errorf("core: applying increment to tuple %d: %w", int(b.Var), err)
 			e.recordApplyRollback(p, err)
-			return err
+			return AuditEvent{}, err
+		}
+		inc := Increment{Var: b.Var, From: cur, To: np, Cost: b.Cost.Increment(cur, np)}
+		ev.Increments = append(ev.Increments, inc)
+		ev.Cost += inc.Cost
+	}
+	if len(ev.Increments) == 0 {
+		x.Rollback()
+		ev.Detail = "no-op: every target already met"
+	} else {
+		sortIncrements(ev.Increments)
+		if ev.CommitVersion, err = x.Commit(); err != nil {
+			err = fmt.Errorf("core: committing improvement plan: %w", err)
+			e.recordApplyRollback(p, err)
+			return AuditEvent{}, err
 		}
 	}
-	commitVersion, err := x.Commit()
-	if err != nil {
-		err = fmt.Errorf("core: committing improvement plan: %w", err)
-		e.recordApplyRollback(p, err)
-		return err
-	}
-	e.recordAudit(AuditEvent{
-		Kind: AuditApply, User: p.user, Purpose: p.purpose,
-		Cost: p.plan.Cost, Increments: p.Increments(),
-		ReadVersion: p.readVersion, CommitVersion: commitVersion,
-	})
+	e.recordAudit(ev)
 	if e.metrics != nil {
 		e.metrics.Counter("engine.applied").Inc()
 		// The histogram's running sum is the cumulative improvement
 		// spend, mirroring AuditLog.TotalImprovementSpend.
-		e.metrics.Histogram("engine.apply.cost", obs.CostBuckets).Observe(p.plan.Cost)
+		e.metrics.Histogram("engine.apply.cost", obs.CostBuckets).Observe(ev.Cost)
 	}
-	return nil
+	return ev, nil
 }
 
 // recordApplyRollback journals a failed, rolled-back apply.

@@ -83,6 +83,10 @@ func loadCSV(r io.Reader, tableFor func(header, first []string) (*Table, error))
 	if err != nil {
 		return 0, err
 	}
+	// Every later record is consumed before the next is read (the cells
+	// are copied into the record store), so one field slice serves them
+	// all; header and first keep their own.
+	cr.ReuseRecord = true
 	schema := t.Schema()
 	colFor := make([]int, len(header)) // header position -> schema index; -1 = meta/skip
 	confIdx, costIdx := -1, -1
@@ -177,10 +181,15 @@ func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFo
 				if err != nil {
 					return n, fmt.Errorf("relation: CSV line %d: %w", line, err)
 				}
+				if v.typ == TypeString {
+					// The reader returns a line's fields as substrings of
+					// one string: a stored cell must not pin its line.
+					v.s = strings.Clone(v.s)
+				}
 				values[idx] = v
 			}
 		}
-		if _, err := x.Insert(t, values, confidence, fn); err != nil {
+		if _, _, err := x.insert(t, values, confidence, fn); err != nil {
 			return n, fmt.Errorf("relation: CSV line %d: %w", line, err)
 		}
 		n++

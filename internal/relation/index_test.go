@@ -9,7 +9,7 @@ import (
 func lookup(ix *Index, k Value) int {
 	n, at, v := 0, ix.table.catalog.Version(), ix.table.view()
 	for _, r := range ix.candidates(k) {
-		if _, b := v.live(r, at); b != nil {
+		if v.live(r, at) {
 			n++
 		}
 	}

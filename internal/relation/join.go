@@ -244,12 +244,12 @@ func (j *IndexJoin) start(l []Value) bool {
 // match puts the inner match straight into the joined row: no inner
 // row is built only to be copied.
 func (j *IndexJoin) match(l []Value) (*lineage.Expr, error) {
-	ch, off, b, err := j.probe.survivor()
-	if b == nil {
+	ch, off, err := j.probe.survivor()
+	if ch == nil {
 		return nil, err
 	}
 	j.cur.out.vals = j.probe.cells(append(j.cur.out.vals, l...), ch, off)
-	return lineage.NewVar(b.v), nil
+	return lineage.NewVar(ch.vars[off]), nil
 }
 
 // Close implements Operator.

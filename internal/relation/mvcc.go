@@ -8,38 +8,23 @@ import (
 	"pcqe/internal/lineage"
 )
 
-// This file holds the storage-side MVCC machinery: version chains,
-// immutable snapshots, and the one lineage-variable → row-version
-// lookup. See DESIGN.md §11 for the model.
+// This file holds the storage-side MVCC machinery: immutable
+// snapshots and the one lineage-variable → row-version lookup. See
+// DESIGN.md §11 for the model.
 //
-// Every logical row is a versionSlot holding an atomically published
-// chain of immutable BaseTuple versions, newest first. A version is
-// stamped with the commit sequence number that created it; resolving a
-// slot at a pinned sequence walks the chain to the newest version whose
-// creation the pin can see. Each version names the record holding its
-// values (store.go), and scans walk records, keeping those their slot
-// resolves back to. Deletes push a tombstone version, so withdrawn rows
-// vanish from scans while their lineage variables keep resolving (to
-// confidence 0) for previously computed results.
-
-// versionSlot is one logical row: the head of its version chain.
-// The head pointer is the only mutable word; everything it points to is
-// immutable once a commit publishes it, so readers never lock.
-type versionSlot struct {
-	head atomic.Pointer[BaseTuple]
-}
-
-// at resolves the slot to the newest version visible at commit sequence
-// seq, or nil when the row did not exist yet (or the slot's provisional
-// insert was rolled back). The returned version may be a tombstone.
-func (s *versionSlot) at(seq int64) *BaseTuple {
-	for b := s.head.Load(); b != nil; b = b.prev {
-		if b.created <= seq {
-			return b
-		}
-	}
-	return nil
-}
+// A logical row's versions live in two places. The inserted version is
+// its insert record's columns in the record store (store.go), born at
+// the insert's commit. Every later version — a confidence change, an
+// UPDATE, a DELETE's tombstone — is an immutable heap BaseTuple on an
+// atomically published chain, newest first, stamped with the commit
+// sequence that created it and ending at the inserted version.
+// Resolving a row at a pinned sequence walks the later versions to the
+// newest one the pin can see, then falls back to the inserted version
+// if the pin sees its birth. Scans never resolve rows: a record's own
+// [born, dead) stamps decide its visibility. Deletes push a tombstone
+// version (and stamp the record dead), so withdrawn rows vanish from
+// scans while their lineage variables keep resolving (to confidence 0)
+// for previously computed results.
 
 // Snapshot is an immutable read view of the catalog pinned to one
 // committed version. Readers resolve every row, confidence, and epoch
@@ -114,40 +99,53 @@ func (s *Snapshot) Historical() bool { return s.historical }
 // Catalog returns the catalog the snapshot reads.
 func (s *Snapshot) Catalog() *Catalog { return s.cat }
 
-// varChunk holds the slots of chunkLen consecutive variables (the
-// record store's chunk size).
-type varChunk [chunkLen]atomic.Pointer[versionSlot]
+// varEntry is one variable's row: the locator of its insert record
+// and the head of the versions written after the insert. The head is
+// the only word that changes more than once; everything it points to is
+// immutable once a commit publishes it, so readers never lock.
+type varEntry struct {
+	// ins is the chunk holding the insert record, at offset off; nil for
+	// a variable never allocated. Both are written once, off before ins
+	// is published. A rolled-back insert keeps its entry: its record is
+	// never born.
+	ins  atomic.Pointer[chunk]
+	off  int32
+	head atomic.Pointer[BaseTuple]
+}
 
-// varDir is the variable directory: lineage variable → the slot of the
-// row it names. Variables are dense from 1 (nextVar), so the directory
-// is a list of fixed chunks behind one atomic pointer, and a lookup is
-// two atomic loads — the list, then the slot — with no lock and no map.
+// varChunk holds the entries of chunkLen consecutive variables (the
+// record store's chunk size).
+type varChunk [chunkLen]varEntry
+
+// varDir is the variable directory: lineage variable → its row's
+// entry. Variables are dense from 1 (nextVar), so the directory is a
+// list of fixed chunks behind one atomic pointer, and a lookup is two
+// atomic loads — the list, then the entry's locator — with no lock and
+// no map.
 //
 // Publication rule: only writers, under the catalog's wmu, store into
-// it. Txn.Insert stores a new slot before its commit publishes the
-// version that makes the row visible, and undoAll stores nil back, so a
-// reader whose snapshot can see the row also sees its entry. Growth is
-// copy-on-write: the chunks are shared and never move, a grown list is
-// published whole, and a reader on the old list finds every variable
-// its snapshot can see.
+// it. Txn.Insert publishes the locator before its commit publishes the
+// version that makes the row visible, so a reader whose snapshot can see
+// the row also sees its entry. Variables are never reused. Growth is copy-on-write: the chunks are shared and
+// never move, a grown list is published whole, and a reader on the old
+// list finds every variable its snapshot can see.
 type varDir struct {
 	chunks atomic.Pointer[[]*varChunk]
 }
 
-// slot returns v's slot, or nil for a variable that was never allocated
-// or whose insert was rolled back.
-func (d *varDir) slot(v lineage.Var) *versionSlot {
+// entry returns v's entry, or nil for a variable past the directory.
+func (d *varDir) entry(v lineage.Var) *varEntry {
 	cs := d.chunks.Load()
 	i := uint(v) // a negative variable wraps past every chunk
 	if cs == nil || i>>chunkBits >= uint(len(*cs)) {
 		return nil
 	}
-	return (*cs)[i>>chunkBits][i&chunkMask].Load()
+	return &(*cs)[i>>chunkBits][i&chunkMask]
 }
 
-// set stores v's slot (nil clears it), growing the chunk list as needed
-// (writers only, under wmu).
-func (d *varDir) set(v lineage.Var, s *versionSlot) {
+// insert locates v's insert record at offset k of ch, growing the chunk
+// list as needed (writers only, under wmu).
+func (d *varDir) insert(v lineage.Var, ch *chunk, k int) {
 	var cs []*varChunk
 	if p := d.chunks.Load(); p != nil {
 		cs = *p
@@ -162,24 +160,48 @@ func (d *varDir) set(v lineage.Var, s *versionSlot) {
 		d.chunks.Store(&grown)
 		cs = grown
 	}
-	cs[c][uint(v)&chunkMask].Store(s)
+	e := &cs[c][uint(v)&chunkMask]
+	e.off = int32(k)
+	e.ins.Store(ch)
 }
 
-// rowAt resolves a lineage variable to its slot and the row version
-// visible at commit sequence seq (possibly a tombstone); both are nil
-// for a variable that did not exist at seq. Every by-variable read —
+// find resolves a lineage variable at commit sequence seq: the later
+// version visible there (possibly a tombstone), else the chunk and
+// offset of its insert record when the insert is visible; all zero for
+// a variable that did not exist at seq. Every by-variable read —
 // snapshots, assignments, transactions at their write sequence — goes
-// through it, and none takes a lock.
-func (c *Catalog) rowAt(v lineage.Var, seq int64) (*versionSlot, *BaseTuple) {
-	slot := c.vars.slot(v)
-	if slot == nil {
-		return nil, nil
+// through it, and none takes a lock or allocates.
+func (c *Catalog) find(v lineage.Var, seq int64) (*BaseTuple, *chunk, int) {
+	e := c.vars.entry(v)
+	if e == nil {
+		return nil, nil, 0
 	}
-	b := slot.at(seq)
-	if b == nil {
-		return nil, nil
+	ch := e.ins.Load()
+	if ch == nil {
+		return nil, nil, 0
 	}
-	return slot, b
+	for b := e.head.Load(); b != nil; b = b.prev {
+		if b.created <= seq {
+			return b, nil, 0
+		}
+	}
+	if k := int(e.off); ch.born[k].Load() <= seq {
+		return nil, ch, k
+	}
+	return nil, nil, 0
+}
+
+// rowAt resolves a lineage variable to the row version visible at
+// commit sequence seq (possibly a tombstone); false for a variable that
+// did not exist at seq.
+func (c *Catalog) rowAt(v lineage.Var, seq int64) (BaseTuple, bool) {
+	switch b, ch, k := c.find(v, seq); {
+	case b != nil:
+		return *b, true
+	case ch != nil:
+		return ch.inserted(k), true
+	}
+	return BaseTuple{}, false
 }
 
 // ProbOf implements lineage.Assignment against the pinned version: the
@@ -194,9 +216,8 @@ func (s *Snapshot) ProbOf(v lineage.Var) float64 {
 // at the snapshot — possibly a zero-confidence tombstone, so lineage of
 // results computed before a delete stays meaningful. It reports false
 // for variables that did not exist at the pinned version.
-func (s *Snapshot) BaseTupleByVar(v lineage.Var) (*BaseTuple, bool) {
-	_, b := s.cat.rowAt(v, s.seq)
-	return b, b != nil
+func (s *Snapshot) BaseTupleByVar(v lineage.Var) (BaseTuple, bool) {
+	return s.cat.rowAt(v, s.seq)
 }
 
 // Confidence computes the exact confidence of a derived tuple from its
@@ -216,8 +237,11 @@ type pinnedAssign struct {
 }
 
 func (p pinnedAssign) ProbOf(v lineage.Var) float64 {
-	if _, b := p.cat.rowAt(v, p.seq); b != nil {
+	switch b, ch, k := p.cat.find(v, p.seq); {
+	case b != nil:
 		return b.confidence
+	case ch != nil:
+		return ch.conf[k]
 	}
 	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"pcqe/internal/cost"
 	"pcqe/internal/lineage"
@@ -288,9 +287,6 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 	c := NewCatalog()
 	tab, _ := c.CreateTable("T", NewSchema(Column{Name: "a", Type: TypeInt}))
 	row := tab.MustInsert(0.3, cost.Linear{Rate: 1}, Int(1))
-	// Fixture tweak while row is still the only (head) version; later
-	// updates must carry the cap through their copy-on-write versions.
-	row.maxConf = 0.9
 	if p := c.Snapshot().ProbOf(row.Var()); p != 0.3 {
 		t.Errorf("ProbOf = %v", p)
 	}
@@ -306,25 +302,22 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(lineage.Var(9999), 0.5) }); err == nil {
 		t.Error("unknown var should fail")
 	}
-	if err := inTxn(c, func(x *Txn) error { return x.SetConfidence(row.Var(), 0.95) }); err == nil {
-		t.Error("confidence above MaxConf should fail")
-	}
 	if c.Snapshot().ProbOf(lineage.Var(424242)) != 0 {
 		t.Error("unknown var probability should be 0")
 	}
 	// BaseTupleByVar resolves the current version: the 0.8 update's
-	// copy-on-write version, not the inserted one, with MaxConf intact.
+	// copy-on-write version, not the inserted one, with its cost intact.
 	got, ok := c.Snapshot().BaseTupleByVar(row.Var())
 	if !ok || got.Var() != row.Var() {
 		t.Fatal("BaseTupleByVar")
 	}
-	if got.Confidence() != 0.8 || got.MaxConf() != 0.9 {
-		t.Errorf("current version = (%v, max %v), want (0.8, max 0.9)", got.Confidence(), got.MaxConf())
+	if got.Confidence() != 0.8 || got.MaxConf() != 1 || got.Cost() != row.Cost() {
+		t.Errorf("current version = (%v, max %v, cost %v), want (0.8, max 1, cost %v)", got.Confidence(), got.MaxConf(), got.Cost(), row.Cost())
 	}
 }
 
 func TestBaseTupleImprovable(t *testing.T) {
-	b := &BaseTuple{confidence: 0.5, maxConf: 1, cost: cost.Linear{Rate: 1}}
+	b := &BaseTuple{confidence: 0.5, cost: cost.Linear{Rate: 1}}
 	if !b.Improvable() {
 		t.Error("should be improvable")
 	}
@@ -336,15 +329,5 @@ func TestBaseTupleImprovable(t *testing.T) {
 	b.confidence = 1
 	if b.Improvable() {
 		t.Error("at max confidence is not improvable")
-	}
-}
-
-// TestBaseTupleSize pins the version record's footprint: every stored
-// row holds at least one, so a field added or reordered into padding
-// shows up here. tombstone shares a word with rec; 80 B is also the
-// allocator size class each version lands in.
-func TestBaseTupleSize(t *testing.T) {
-	if got := unsafe.Sizeof(BaseTuple{}); got != 80 {
-		t.Fatalf("unsafe.Sizeof(BaseTuple{}) = %d, want 80", got)
 	}
 }

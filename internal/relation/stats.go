@@ -44,8 +44,14 @@ func (t *Table) Stats() *TableStats {
 }
 
 func collectStats(t *Table, version int64) *TableStats {
-	rows := t.rowsAt(t.catalog.Version())
-	v := t.view() // taken after rows: it holds every record they name
+	at := t.catalog.Version()
+	v := t.view() // taken after at: it holds every record visible there
+	var rows []int32
+	for r := int32(0); int(r) < v.n; r++ {
+		if v.live(r, at) {
+			rows = append(rows, r)
+		}
+	}
 	st := &TableStats{Rows: len(rows), Cols: make([]ColumnStats, t.schema.Len()), version: version}
 	for c := range st.Cols {
 		switch t.schema.Columns[c].Type {
@@ -64,17 +70,17 @@ func collectStats(t *Table, version int64) *TableStats {
 
 func less[T cmp.Ordered](a, b T) bool { return a < b }
 
-// columnStats summarises column col over the given rows straight from
+// columnStats summarises column col over the given records straight from
 // its typed vector: distinct values as Value.Key tells them apart (one
 // NaN), bounds as Compare orders them (a NaN never replaces one, nor is
 // replaced).
-func columnStats[T comparable](v recView, rows []*BaseTuple, col int, vec func(*cells) []T, lt func(a, b T) bool, val func(T) Value) ColumnStats {
+func columnStats[T comparable](v recView, rows []int32, col int, vec func(*cells) []T, lt func(a, b T) bool, val func(T) Value) ColumnStats {
 	cs := ColumnStats{Min: Null(), Max: Null()}
 	seen, nan := map[T]struct{}{}, 0
 	var lo, hi T
 	have := false
-	for _, b := range rows {
-		ch, k := v.at(b.rec)
+	for _, r := range rows {
+		ch, k := v.at(r)
 		if ch.cols[col].null(k) {
 			cs.Nulls++
 			continue

@@ -12,15 +12,16 @@ import (
 // BaseTuple is one immutable version of a stored row: the record
 // holding its values plus the confidence metadata the PCQE framework
 // attaches to every data item. Mutations never edit a published
-// version — they push a fresh version onto the row's chain
-// (copy-on-write), stamped with the committing transaction's version.
-// Its fields are unexported and only Txn methods build versions, so a
-// published version cannot be written outside this package; the values,
-// stored once in the table's record store, cannot be written at all.
+// version. A row's inserted version is its insert record's columns in
+// the record store; every later version is a fresh BaseTuple pushed onto
+// the row's chain (copy-on-write), stamped with the committing
+// transaction's version. Its fields are unexported and only Txn methods
+// build versions, so a published version cannot be written outside this
+// package; the values, stored once in the table's record store, cannot
+// be written at all. Readers receive versions by value.
 type BaseTuple struct {
 	v          lineage.Var
 	confidence float64
-	maxConf    float64
 	cost       cost.Function
 
 	// table and rec name the record holding the version's values.
@@ -34,60 +35,53 @@ type BaseTuple struct {
 	// versions of an uncommitted transaction carry its (still invisible)
 	// write sequence.
 	created int64
-	// deleted is the commit sequence that superseded or tombstoned this
-	// version (0 while it is the newest). Maintained for diagnostics and
-	// chain pruning; visibility resolution relies on chain order alone.
-	deleted atomic.Int64
-	// prev is the next-older version of the same row.
+	// prev is the next-older later version of the same row; nil past the
+	// oldest, whose predecessor is the inserted version.
 	prev *BaseTuple
 }
 
 // Var returns the row's catalog-wide lineage variable.
-func (b *BaseTuple) Var() lineage.Var { return b.v }
+func (b BaseTuple) Var() lineage.Var { return b.v }
 
 // Confidence returns the version's confidence in [0,1].
-func (b *BaseTuple) Confidence() float64 { return b.confidence }
+func (b BaseTuple) Confidence() float64 { return b.confidence }
 
-// MaxConf returns the maximum attainable confidence (usually 1).
-func (b *BaseTuple) MaxConf() float64 { return b.maxConf }
+// MaxConf returns the maximum attainable confidence: 1 for every row.
+func (b BaseTuple) MaxConf() float64 { return 1 }
 
 // Cost returns the price of confidence increments; nil means the row is
 // not improvable.
-func (b *BaseTuple) Cost() cost.Function { return b.cost }
+func (b BaseTuple) Cost() cost.Function { return b.cost }
 
 // Values returns a fresh copy of the version's cells, in schema order.
-func (b *BaseTuple) Values() []Value { return b.table.view().values(nil, b.rec) }
+func (b BaseTuple) Values() []Value { return b.table.view().values(nil, b.rec) }
 
 // Improvable reports whether the tuple's confidence can be raised.
-func (b *BaseTuple) Improvable() bool {
-	return b.cost != nil && b.confidence < b.maxConf
+func (b BaseTuple) Improvable() bool {
+	return b.cost != nil && b.confidence < b.MaxConf()
 }
 
 // CreatedVersion returns the committed version that produced this row
 // version.
-func (b *BaseTuple) CreatedVersion() int64 { return b.created }
-
-// DeletedVersion returns the committed version that superseded or
-// deleted this row version, or 0 while it is current.
-func (b *BaseTuple) DeletedVersion() int64 { return b.deleted.Load() }
+func (b BaseTuple) CreatedVersion() int64 { return b.created }
 
 // Tombstone reports whether this version is a deletion marker.
-func (b *BaseTuple) Tombstone() bool { return b.tombstone }
+func (b BaseTuple) Tombstone() bool { return b.tombstone }
 
 // Table is an in-memory multi-versioned relation whose rows carry
 // confidence and are registered with a Catalog for lineage-variable
-// assignment. Values live in a column-major record store (store.go),
-// rows in version slots the records point back to; all mutation goes
-// through catalog transactions.
+// assignment. Values and visibility live in a column-major record store
+// (store.go), later row versions on chains the catalog's variable
+// directory holds; all mutation goes through catalog transactions.
 type Table struct {
 	Name    string
 	schema  *Schema
 	catalog *Catalog
 
 	// mu guards the record count, the chunk directory's header and the
-	// index registry; the cells below the count and the chains the slots
-	// point to are read lock-free (append-only chunks, atomic heads,
-	// immutable versions).
+	// index registry; the cells below the count, their stamps and the
+	// version chains are read lock-free (append-only chunks, atomic
+	// stamps and heads, immutable versions).
 	mu      sync.RWMutex
 	chunks  []*chunk
 	recs    int
@@ -113,15 +107,16 @@ func (t *Table) Len() int { return int(t.live.Load()) }
 // RowsAt returns the rows visible at the snapshot's pinned version, in
 // record order. The returned slice is freshly built — callers may hold
 // it across subsequent mutations.
-func (t *Table) RowsAt(s *Snapshot) []*BaseTuple {
+func (t *Table) RowsAt(s *Snapshot) []BaseTuple {
 	return t.rowsAt(s.Version())
 }
 
-func (t *Table) rowsAt(seq int64) []*BaseTuple {
+func (t *Table) rowsAt(seq int64) []BaseTuple {
 	v := t.view()
-	out := make([]*BaseTuple, 0, t.Len())
-	for r := 0; r < v.n; r++ {
-		if _, b := v.live(int32(r), seq); b != nil {
+	out := make([]BaseTuple, 0, t.Len())
+	for r := int32(0); int(r) < v.n; r++ {
+		if ch, k := v.at(r); ch.live(k, seq) {
+			b, _ := t.catalog.rowAt(ch.vars[k], seq)
 			out = append(out, b)
 		}
 	}
@@ -154,8 +149,8 @@ func (t *Table) validateRow(values []Value) error {
 }
 
 // Insert validates and appends a row in its own committed transaction,
-// assigning it a fresh lineage variable. Confidence defaults to 1 and
-// MaxConf to 1 when given as 0.
+// assigning it a fresh lineage variable, and returns the inserted
+// version.
 func (t *Table) Insert(values []Value, confidence float64, fn cost.Function) (*BaseTuple, error) {
 	x := t.catalog.Begin()
 	row, err := x.Insert(t, values, confidence, fn)

@@ -269,13 +269,14 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: unknown proposal %q for this session", req.ProposalID))
 		return
 	}
-	if err := s.engine.Apply(prop); err != nil {
+	ev, err := s.engine.ApplyOutcome(prop)
+	if err != nil {
 		s.writeError(w, http.StatusConflict, err)
 		return
 	}
 	s.metrics.Counter("server.applies").Inc()
 	s.writeJSON(w, http.StatusOK, ApplyResponse{
-		Applied: true, Cost: prop.Cost(), Version: s.engine.Catalog().Version(),
+		Applied: true, Cost: ev.Cost, Increments: len(ev.Increments), Version: ev.CommitVersion,
 	})
 }
 

@@ -360,6 +360,42 @@ func TestProposalStashIsBounded(t *testing.T) {
 	}
 }
 
+// TestApplyReportsWhatItWrote spends two handles of the same plan: the
+// first commits and reports its cost and commit version, the second
+// finds every target met and answers 200 with zero increments, cost 0
+// and no version, so the journal bills the improvement once.
+func TestApplyReportsWhatItWrote(t *testing.T) {
+	s := newVentureServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	token := handshake(t, ts, "mark", "investment")
+	var props []*WireProposal
+	for range 2 {
+		var wr WireResponse
+		if code := do(t, ts, http.MethodPost, "/v1/query", token, QueryRequest{Query: ventureQuery, MinFraction: 1}, &wr); code != http.StatusOK || wr.Proposal == nil {
+			t.Fatalf("query: status %d, proposal %v", code, wr.Proposal)
+		}
+		props = append(props, wr.Proposal)
+	}
+	before := s.engine.Catalog().Version()
+	var first, second ApplyResponse
+	if code := do(t, ts, http.MethodPost, "/v1/apply", token, ApplyRequest{ProposalID: props[0].ID}, &first); code != http.StatusOK {
+		t.Fatalf("first apply: status %d", code)
+	}
+	if code := do(t, ts, http.MethodPost, "/v1/apply", token, ApplyRequest{ProposalID: props[1].ID}, &second); code != http.StatusOK {
+		t.Fatalf("second apply: status %d", code)
+	}
+	if !first.Applied || first.Cost != props[0].Cost || first.Increments != len(props[0].Increments) || first.Version != before+1 {
+		t.Fatalf("first apply = %+v, want cost %g, %d increments, version %d", first, props[0].Cost, len(props[0].Increments), before+1)
+	}
+	if !second.Applied || second.Cost != 0 || second.Increments != 0 || second.Version != 0 {
+		t.Fatalf("second apply = %+v, want a no-op", second)
+	}
+	if got := s.engine.Audit().TotalImprovementSpend(); got != first.Cost {
+		t.Fatalf("spend = %g, want %g", got, first.Cost)
+	}
+}
+
 func TestBudgetClamping(t *testing.T) {
 	// The server ceiling is one δ-grid step; even a session asking for
 	// "unlimited" (no budget) or an explicit 1000 gets clamped, so the

@@ -106,11 +106,15 @@ type ApplyRequest struct {
 	ProposalID string `json:"proposal_id"`
 }
 
-// ApplyResponse reports the apply outcome.
+// ApplyResponse reports the apply outcome: how many increments the
+// transaction wrote, what they cost and the version it committed. An
+// apply that found every target already met writes nothing: zero
+// increments, cost 0 and version 0 (it committed none).
 type ApplyResponse struct {
-	Applied bool    `json:"applied"`
-	Cost    float64 `json:"cost"`
-	Version int64   `json:"version"`
+	Applied    bool    `json:"applied"`
+	Cost       float64 `json:"cost"`
+	Increments int     `json:"increments"`
+	Version    int64   `json:"version"`
 }
 
 // ExplainRequest asks for the query plan without evaluating.

@@ -8,12 +8,17 @@
 # the change; pair i runs `go run ./benchmark -seed i -runs 1` on both,
 # odd pairs parent first, even pairs change first. Each side's runs are
 # then concatenated into one result document (a document's
-# workloads.<name> is a list of runs), a table counts, per workload and
-# end-to-end metric, the pairs each side won, and `-compare parent
-# change` prints the medians against BENCHMARK.json's bounds. Every
+# workloads.<name> is a list of runs) whose provenance names the side's
+# commit (the change's with +dirty when the tree is), a table counts, per
+# workload and end-to-end metric, the pairs each side won — its verdict
+# column says "better" when every change run beats every parent run,
+# "worse" when every parent run beats every change run, and otherwise
+# defers to -compare — and `-compare parent change` prints the medians
+# against BENCHMARK.json's bounds. Every
 # invocation appends one JSON line to BENCH_history.jsonl: both commits,
 # the date, the host's cores and GOMAXPROCS, and each side's per-workload
-# medians of every end-to-end metric, with the pair wins and failures.
+# medians of every end-to-end metric, with the pair wins, the separated
+# verdicts and the failures.
 # Nothing else may run on the machine meanwhile; one pair takes about 5
 # minutes.
 #
@@ -72,8 +77,7 @@ def one_workload_doc(side, i):
     line = json.loads(open(f"{tmp}/{side}.{i}.line").read().strip().splitlines()[-1])
     run = {"workload": only, "seed": i, "correct": line["correct"], "attempted": line["attempted"],
            "failed": line["failed"], "end_to_end": line["metrics"]}
-    commit = sys.argv[3] if side == "parent" else sys.argv[4]
-    prov = {"commit": commit, "nproc": os.cpu_count(), "seed": i,
+    prov = {"nproc": os.cpu_count(), "seed": i,
             "gomaxprocs": int(os.environ.get("GOMAXPROCS") or os.cpu_count())}
     return {"provenance": prov, "workloads": {only: [run]}}
 
@@ -87,6 +91,9 @@ for side in ("parent", "change"):
         else:
             for name, runs in run["workloads"].items():
                 doc["workloads"][name] += runs
+    # The benchmark records HEAD, which names neither an unpacked parent
+    # (no .git) nor an uncommitted change: say which commit ran.
+    doc["provenance"]["commit"] = sys.argv[3] if side == "parent" else sys.argv[4]
     json.dump(doc, open(f"{tmp}/{side}.json", "w"))
     docs[side] = doc["workloads"]
 
@@ -101,21 +108,27 @@ history = {
 }
 if only:
     history["workload"] = only
-print("\npairs won (same seed, parent vs change; ties count for neither)")
-print(f"{'workload':<14} {'metric':<16} {'parent':>6} {'change':>6} {'tie':>4}")
+print("\npairs won (same seed, parent vs change; ties count for neither) and the verdict")
+print(f"{'workload':<14} {'metric':<16} {'parent':>6} {'change':>6} {'tie':>4}  verdict")
 for w in (w["name"] for w in spec["workloads"] if not only or w["name"] == only):
     for m in spec["end_to_end"]:
         wins = {"parent": 0, "change": 0, "tie": 0}
-        for p, c in zip(parent[w], change[w]):
-            pv, cv = p["end_to_end"][m["name"]]["value"], c["end_to_end"][m["name"]]["value"]
-            if m["better"] == "lower":
-                pv, cv = -pv, -cv
+        # Values signed so that larger is better.
+        sign = -1 if m["better"] == "lower" else 1
+        pvs = [sign * r["end_to_end"][m["name"]]["value"] for r in parent[w]]
+        cvs = [sign * r["end_to_end"][m["name"]]["value"] for r in change[w]]
+        for pv, cv in zip(pvs, cvs):
             wins["tie" if pv == cv else "change" if cv > pv else "parent"] += 1
-        print(f"{w:<14} {m['name']:<16} {wins['parent']:>6} {wins['change']:>6} {wins['tie']:>4}")
+        # Separated runs need no spread bound: every run of one side
+        # beats every run of the other.
+        verdict = "better" if min(cvs) > max(pvs) else "worse" if max(cvs) < min(pvs) else "see -compare"
+        print(f"{w:<14} {m['name']:<16} {wins['parent']:>6} {wins['change']:>6} {wins['tie']:>4}  {verdict}")
         for side, runs in (("parent", parent[w]), ("change", change[w])):
             med = statistics.median(r["end_to_end"][m["name"]]["value"] for r in runs)
             history["workloads"].setdefault(w, {}).setdefault(side, {})[m["name"]] = med
         history["workloads"][w].setdefault("change_wins", {})[m["name"]] = wins["change"]
+        if verdict != "see -compare":
+            history["workloads"][w].setdefault("verdict", {})[m["name"]] = verdict
     failed = sum(r["failed"] for r in parent[w] + change[w])
     wrong = sum(not r["correct"] for r in parent[w] + change[w])
     history["workloads"][w].update(failed=failed, wrong=wrong)
