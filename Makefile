@@ -63,7 +63,10 @@ mvcc-stress:
 # internal/core the _confidence column vs the confidence the policy
 # filter compares with β, and the filter itself (core.Release) vs
 # Definition 1 over generated rows on and around β; in internal/relation the leaf's filter kernels vs
-# EvalBool, IndexJoin vs HashJoin at a pinned version, linear lineage
+# EvalBool (the TEXT ones, on dictionary codes, for all six
+# comparisons too), an index probe vs a full scan at every version of
+# UPDATEs, DELETEs and rollbacks over keys whose hashes collide,
+# IndexJoin vs HashJoin at a pinned version, linear lineage
 # folds vs the pairwise fold, incremental cache advance vs scratch, every
 # operator at the version it is opened at vs that version's rows; in
 # internal/sql the planner vs a reference executor written against the
@@ -79,7 +82,8 @@ mvcc-stress:
 # others, the typed row key vs Value.Key's strings, LIMIT vs the error
 # of a row past it, the allocation budget of a row no consumer keeps,
 # the uncached read-once confidence vs the tree walk, and lock-free
-# variable lookups vs the pinned version while the directory grows; in
+# variable lookups and string-dictionary reads vs the pinned version
+# while the directory and the dictionary grow; in
 # internal/server a wire body vs the same statement and version on a
 # cold, a warm and a fresh engine. Beside them:
 # D&C's top-up reached through a degraded group (the degraded-D&C
@@ -92,7 +96,7 @@ differential:
 	$(GO) test -run 'ConfidenceColumn|StructuralSolverError|ProposePlansOverTheFilteredLineage|ReleaseFilter' -count=1 ./internal/core/
 	$(GO) test -run 'ExplainRefusedWhileDraining|ExplainAdmissionControl|WithheldRowContract|WireBodyIgnoresCacheState' -count=1 ./internal/server/
 	$(GO) test -count=1 ./internal/relation/ ./internal/sql/ \
-		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget|ReadOnceConfidenceDifferential|VarDirectoryUnderGrowth'
+		-run 'Differential|CompiledPredicate|FilteredLeaf|IndexJoin|LineageFolds|PlannerMatchesReference|GeneratedStatementsMatchReference|EngineReleasesAgainstReference|WideRegionWindows|ServingShape|FilterPushdown|RendererPins|EveryOperatorOpensAtTheGivenVersion|DMLSubqueryReadsAtItsTransaction|ResultImageGoldens|HashJoinMatchesNestedLoop|EquiJoinNullKeysMatchNothing|CompositeKeysDoNotCollide|SameValueIsKeyEquality|HashChainsCompareValues|LimitStopsBeforeTheFailingRow|BatchAllocationBudget|ReadOnceConfidenceDifferential|VarDirectoryUnderGrowth|IndexProbeDifferential|TextKernelDifferential|DictionaryUnderGrowth'
 
 # Every fuzz target, ten seconds each past its seed corpus: the SQL
 # query and statement parsers, the executor, filter pushdown into the
@@ -143,14 +147,16 @@ serve-smoke:
 # worker-pool scaling benchmark, and the per-group overhead benchmark
 # (2 000 one-result groups; watch allocs/op); then the plan-cache key of
 # point_hot's statement, which every request pays; then a 200K-row
-# Orders load (B/op, allocs/op and the live bytes per loaded row) and
-# the access leaf over that table (Item = k, Amount > a, one index
-# bucket), whose rows/op must agree across the commits compared.
+# Orders load (B/op, allocs/op and the live bytes per loaded row), the
+# access leaf over that table (Item = k, Amount > a, one index chain)
+# and a hash-index probe beside it (a Suppliers(Name) point probe, an
+# Orders(Supplier) chain walk; ns/op and allocs/op), whose rows/op must
+# agree across the commits compared.
 bench:
 	$(GO) test -run xxx -bench BenchmarkCompiledProbDeriv -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkDnCParallel|BenchmarkDnCSingletonGroups' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkFingerprint -benchmem ./internal/sql/
-	$(GO) test -run xxx -bench 'BenchmarkLoadCSV|BenchmarkLeafScan' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkLoadCSV|BenchmarkLeafScan|BenchmarkIndexProbe' -benchmem .
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must

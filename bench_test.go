@@ -466,6 +466,68 @@ func BenchmarkLoadCSV(b *testing.B) {
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/rows, "live-B/row")
 }
 
+// BenchmarkIndexProbe times one hash-index probe through the access
+// leaf over the serving benchmark's shapes: a point probe of
+// Suppliers(Name), 20K suppliers, and a walk of an Orders(Supplier)
+// chain, ≈10 of 200K orders. Each op probes the next of 64 keys with a
+// plan built beforehand; allocs/op is what RunAt builds for the result
+// rows, as the probe itself allocates nothing.
+func BenchmarkIndexProbe(b *testing.B) {
+	dir := b.TempDir()
+	var sup bytes.Buffer
+	sup.WriteString("Name,Region,Rating,_confidence,_cost_rate\n")
+	for i := 0; i < 20_000; i++ {
+		fmt.Fprintf(&sup, "S%05d,R%02d,%.2f,0.5,2\n", i, i%20, 1+float64(i%400)/100)
+	}
+	files := map[string][]byte{"Suppliers": sup.Bytes(), "Orders": ordersCSV(200_000)}
+	cat := relation.NewCatalog()
+	for name, data := range files {
+		file := filepath.Join(dir, name+".csv")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := relation.LoadCSVFile(cat, name, file); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ name, table, column string }{
+		{"suppliers_name", "Suppliers", "Name"},
+		{"orders_supplier", "Orders", "Supplier"},
+	} {
+		tab, err := cat.Table(tc.table)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tab.CreateIndex(tc.column); err != nil {
+			b.Fatal(err)
+		}
+		col, err := relation.NewColRef(tab.Schema(), "", tc.column)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops := make([]relation.Operator, 64)
+		for i := range ops {
+			k := relation.String_(fmt.Sprintf("S%05d", 313*i%20_000))
+			ops[i] = relation.Filter(tab.Scan(), &relation.Binary{Op: relation.OpEq, Left: col, Right: relation.Const{Value: k}})
+			if !relation.ProbesIndex(ops[i]) {
+				b.Fatalf("%s: the filter does not probe the index", tc.name)
+			}
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			rows := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := relation.RunAt(ops[i%len(ops)], cat.Version())
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += len(out)
+			}
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
 // BenchmarkLeafScan times the access leaf alone over the serving
 // benchmark's Orders shape — 200K rows loaded through LoadCSVFile, the
 // Supplier column indexed: Item = k keeps ≈200 rows, Amount > a ≈15K,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -240,8 +241,10 @@ func (e *Engine) Apply(p *Proposal) error {
 // fighting. Each written increment runs From the confidence it
 // replaced To the target, priced by the tuple's cost function; Cost is
 // their sum and CommitVersion the transaction's version, ReadVersion
-// the proposal's. An apply that finds nothing left to raise rolls back
-// and journals a no-op: no increments, cost 0, no CommitVersion.
+// the proposal's. A tuple deleted since the proposal was read is
+// skipped too: its fact is withdrawn, so nothing is written or billed
+// for it. An apply that finds nothing left to raise rolls back and
+// journals a no-op: no increments, cost 0, no CommitVersion.
 func (e *Engine) ApplyOutcome(p *Proposal) (ev AuditEvent, err error) {
 	if p == nil {
 		return AuditEvent{}, fmt.Errorf("core: nil proposal")
@@ -269,6 +272,10 @@ func (e *Engine) ApplyOutcome(p *Proposal) (ev AuditEvent, err error) {
 			continue // already at or past the target: max-merge
 		}
 		if err := x.SetConfidence(b.Var, np); err != nil {
+			var gone *relation.DeletedRowError
+			if errors.As(err, &gone) {
+				continue
+			}
 			x.Rollback()
 			err = fmt.Errorf("core: applying increment to tuple %d: %w", int(b.Var), err)
 			e.recordApplyRollback(p, err)

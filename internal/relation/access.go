@@ -1,6 +1,9 @@
 package relation
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // access is the one leaf of every plan: a base table read at one
 // committed version. It reads records in batches — one chunk of the
@@ -25,22 +28,22 @@ type access struct {
 	out  *Schema
 
 	// at is the committed version Open was given to read, view the
-	// record store as of Open. pos is the next record to batch, or the
-	// position in bucket, the probed key's records, with an index. A
-	// batch of records lies in one chunk: its filter's sel and unsure
-	// hold offsets from base, the first record of chunk ch; si and ui
-	// are how far survivor has walked them. ids holds every offset, what
-	// a scan's batch starts as. buf is the batch of survivors next hands
-	// out: their kept cells and lineage variables.
+	// record store as of Open. pos is the next record to batch; with an
+	// index, r is the next record on the probed key's chain (-1: none),
+	// walked by links. A batch of records lies in one chunk: its
+	// filter's sel and unsure hold offsets from base, the first record
+	// of chunk ch; si and ui are how far survivor has walked them. buf
+	// is the batch of survivors next hands out: their kept cells and
+	// lineage variables.
 	at     int64
 	view   recView
 	f      leafFilter
-	bucket []int32
 	pos    int
+	r      int32
+	links  []*linkChunk
 	base   int32
 	ch     *chunk
 	si, ui int
-	ids    []int32
 	buf    batch
 }
 
@@ -55,18 +58,18 @@ func (a *access) Schema() *Schema { return a.out }
 // Open implements Operator.
 func (a *access) Open(at int64) error {
 	a.at, a.view = at, a.table.view()
-	a.f = compileFilter(a.residual, a.table.schema)
+	a.f = compileFilter(a.residual, a.table.schema, a.table.catalog.text)
 	a.seek(a.key)
 	return nil
 }
 
-// seek puts the cursor before the rows to read: key's bucket with an
+// seek puts the cursor before the rows to read: key's chain with an
 // index chosen (IndexJoin re-seeks per outer row), every record without.
 func (a *access) seek(key Value) {
 	a.key, a.pos = key, 0
 	a.f.sel, a.f.unsure, a.si, a.ui = a.f.sel[:0], a.f.unsure[:0], 0, 0
 	if a.index != nil {
-		a.bucket = a.index.candidates(key)
+		a.r, a.links = a.index.chain(key)
 	}
 }
 
@@ -82,27 +85,31 @@ func (a *access) fill() bool {
 		}
 		lo := a.pos
 		a.base, a.pos = int32(lo&^chunkMask), min((lo|chunkMask)+1, a.view.n)
-		if a.ids == nil {
-			a.ids = make([]int32, chunkLen)
-			for i := range a.ids {
-				a.ids[i] = int32(i)
-			}
+		f.sel = slices.Grow(f.sel, a.pos-lo)
+		for o := int32(lo & chunkMask); o < int32(a.pos)-a.base; o++ {
+			f.sel = append(f.sel, o)
 		}
-		f.sel = append(f.sel, a.ids[lo&chunkMask:a.pos-int(a.base)]...)
+		a.ch = a.view.chunks[a.base>>chunkBits]
 	} else {
-		if a.pos >= len(a.bucket) || int(a.bucket[a.pos]) >= a.view.n {
+		r := a.r
+		if r < 0 || int(r) >= a.view.n {
 			return false
 		}
-		a.base = a.bucket[a.pos] &^ chunkMask
-		for ; a.pos < len(a.bucket); a.pos++ {
-			r := a.bucket[a.pos]
-			if r&^chunkMask != a.base || int(r) >= a.view.n {
-				break
-			}
+		a.base = r &^ chunkMask
+		for ; r >= 0 && r&^chunkMask == a.base && int(r) < a.view.n; r = next(a.links, r) {
 			f.sel = append(f.sel, r&chunkMask)
 		}
+		a.r, a.ch = r, a.view.chunks[a.base>>chunkBits]
+		// A key of another type can share the probed key's hash: keep
+		// the records whose cell is the key.
+		cc, n := &a.ch.cols[a.index.column], 0
+		for _, o := range f.sel {
+			if sameValue(cc.get(int(o)), a.key) {
+				f.sel[n], n = o, n+1
+			}
+		}
+		f.sel = f.sel[:n]
 	}
-	a.ch = a.view.chunks[a.base>>chunkBits]
 	f.narrow(a.ch)
 	return true
 }
@@ -168,8 +175,14 @@ func (a *access) cells(dst []Value, ch *chunk, off int32) []Value {
 	return dst
 }
 
-// Close implements Operator.
-func (a *access) Close() error { a.buf.release(); return nil }
+// Close implements Operator. A cached plan keeps its leaf: what the
+// last execution read goes, and scratch past a point lookup's size.
+func (a *access) Close() error {
+	a.buf.release()
+	a.f.release()
+	a.view, a.ch, a.links = recView{}, nil, nil
+	return nil
+}
 
 // leafOf unwraps op to its access leaf when op is one, bare or under a
 // Rename (which only re-qualifies the schema); alias is that Rename's.

@@ -130,7 +130,7 @@ func TestCompiledPredicateMatchesEvalBool(t *testing.T) {
 	ch := v.chunks[0]
 	for _, e := range predCorpus(tab.Schema()) {
 		for _, step := range []int{1, 3} {
-			f := compileFilter(e, tab.Schema())
+			f := compileFilter(e, tab.Schema(), c.text)
 			for r := 0; r < v.n; r += step {
 				f.sel = append(f.sel, int32(r))
 			}

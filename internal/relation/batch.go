@@ -142,6 +142,14 @@ type joinCursor struct {
 	out    batch
 }
 
+// release drops what the last drain left: the input batch, a row's
+// lineage and output past a point lookup's size. A cached plan keeps
+// its joins.
+func (c *joinCursor) release() {
+	c.out.release()
+	c.in, c.err, c.lin = nil, nil, nil
+}
+
 func (c *joinCursor) run(left Operator, w int, start func([]Value) bool, match func([]Value) (*lineage.Expr, error)) (*batch, error) {
 	c.out.reset(w, 0)
 	for c.out.len() < chunkLen {

@@ -237,3 +237,54 @@ func TestHashChainsCompareValues(t *testing.T) {
 		t.Errorf("probe 2 against build 1: %v, %v; want no row", b, err)
 	}
 }
+
+// TestClosedPlanPinsNoBatch drains a DISTINCT over a Select over a
+// ColumnMap over a HashJoin of two filtered leaves, wide enough that
+// every batch is past a point lookup's size, and closes it: a plan
+// cache keeps closed plans, so none of their operators may still hold
+// what the execution read — an input batch aliased as the row an
+// expression saw, the join's input or output, a leaf's records or its
+// filter's selection vectors.
+func TestClosedPlanPinsNoBatch(t *testing.T) {
+	c := NewCatalog()
+	l, _ := c.CreateTable("L", NewSchema(Column{Name: "k", Type: TypeInt}, Column{Name: "s", Type: TypeString}))
+	r, _ := c.CreateTable("R", NewSchema(Column{Name: "k", Type: TypeInt}, Column{Name: "w", Type: TypeInt}))
+	x := c.Begin()
+	for i := range 3000 {
+		x.MustInsert(l, 0.5, nil, Int(int64(i%500)), String_(string(rune('a'+i%7))))
+		x.MustInsert(r, 0.5, nil, Int(int64(i%500)), Int(int64(i)))
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	gt := func(tab *Table) Expr {
+		return &Binary{Op: OpGe, Left: &ColRef{Index: 0, Col: tab.Schema().Columns[0]}, Right: Const{Value: Int(0)}}
+	}
+	left, right := Filter(l.Scan(), gt(l)).(*access), Filter(r.Scan(), gt(r)).(*access)
+	join := &HashJoin{Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0}}
+	cm := &ColumnMap{Input: join, Indices: []int{1, 3}}
+	sel := &Select{Input: cm, Pred: &Binary{Op: OpGe, Left: &ColRef{Index: 1, Col: cm.Schema().Columns[1]}, Right: Const{Value: Int(0)}}}
+	p := &Project{Input: sel, Exprs: []Expr{&ColRef{Index: 0, Col: cm.Schema().Columns[0]}}, Distinct: true}
+	rows, err := RunAt(p, c.Version())
+	if err != nil || len(rows) != 7 {
+		t.Fatalf("rows = %d, %v; want 7", len(rows), err)
+	}
+	small := func(b *batch) bool { return cap(b.lins) <= 64 && cap(b.vals) <= 64*b.w }
+	for what, pinned := range map[string]bool{
+		"Project.row":        p.row.Values != nil,
+		"Project's batch":    !small(&p.buf) || p.rows.n != 0,
+		"Select.row":         sel.row.Values != nil,
+		"Select's batch":     !small(&sel.out),
+		"ColumnMap's batch":  !small(&cm.buf),
+		"the join's input":   join.cur.in != nil || join.cur.lin != nil,
+		"the join's output":  !small(&join.cur.out) || join.build.n != 0 || join.heads != nil,
+		"buildJoin.row":      join.row.Values != nil,
+		"the left leaf":      !small(&left.buf) || cap(left.f.sel) > 64 || cap(left.f.unsure) > 64 || left.view.chunks != nil,
+		"the right leaf":     !small(&right.buf) || cap(right.f.sel) > 64 || right.view.chunks != nil || right.ch != nil,
+		"a leaf's last cell": left.f.scratch.Values != nil,
+	} {
+		if pinned {
+			t.Errorf("the closed plan still holds %s", what)
+		}
+	}
+}

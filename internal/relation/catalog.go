@@ -35,6 +35,9 @@ type Catalog struct {
 	// writers (under wmu) change either.
 	vars varDir
 	next lineage.Var
+	// text is the string dictionary every TEXT cell of the catalog's
+	// tables is a code into; read lock-free, written under wmu.
+	text *dict
 
 	// wmu serializes write transactions (single-writer MVCC).
 	wmu sync.Mutex
@@ -52,6 +55,7 @@ func NewCatalog() *Catalog {
 	c := &Catalog{
 		tables: map[string]*Table{},
 		next:   1,
+		text:   newDict(),
 	}
 	c.ver.Store(&version{})
 	return c

@@ -8,8 +8,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"pcqe/internal/cost"
 )
 
 // ConfidenceColumn is the reserved CSV column name holding per-row
@@ -150,7 +148,7 @@ func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFo
 			return n, fmt.Errorf("relation: CSV line %d: %w", line, err)
 		}
 		confidence := 1.0
-		var fn cost.Function
+		var fn price
 		for i, field := range rec {
 			if i >= len(header) {
 				return n, fmt.Errorf("relation: CSV line %d has %d fields, header has %d", line, len(rec), len(header))
@@ -173,18 +171,13 @@ func loadCSVRows(x *Txn, t *Table, cr *csv.Reader, first, header []string, colFo
 					if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
 						return n, fmt.Errorf("relation: CSV line %d: cost rate %q must be a finite non-negative number", line, field)
 					}
-					fn = cost.Linear{Rate: rate}
+					fn = linearPrice(rate)
 				}
 			default:
 				idx := colFor[i]
 				v, err := ParseValue(field, schema.Columns[idx].Type)
 				if err != nil {
 					return n, fmt.Errorf("relation: CSV line %d: %w", line, err)
-				}
-				if v.typ == TypeString {
-					// The reader returns a line's fields as substrings of
-					// one string: a stored cell must not pin its line.
-					v.s = strings.Clone(v.s)
 				}
 				values[idx] = v
 			}

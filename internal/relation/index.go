@@ -1,51 +1,90 @@
 package relation
 
 import (
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
-// Index is a hash index over one column of a table, mapping value keys
-// to the records holding them, ascending. A record's cells never
-// change, so it sits in exactly one bucket for good, and every version
-// of a row is reachable through the bucket of its own record's key:
-// the buckets are chain-aware by construction. Readers keep the records
-// that resolve at their version (recView.live), which screens out
-// superseded, deleted and rolled-back ones.
+// Index is a hash index over one column of a table: per hash of a key
+// (keyHash), the chain of records holding a key of that hash, in
+// ascending record order. A record's cells never change, so it sits on
+// exactly one chain for good, and every version of a row is reachable
+// through the chain of its own record's key: the chains are
+// version-aware by construction. Readers keep the records that hold the
+// probed key (keyHash collides across types by design: NULL and 2 hash
+// alike, so a probe re-checks the cell with sameValue) and resolve at
+// their version (chunk.live), which screens out superseded, deleted and
+// rolled-back ones. No key string is built to file or to probe.
 type Index struct {
 	table  *Table
 	column int
+	seed   maphash.Seed
 
-	mu      sync.RWMutex
-	buckets map[string][]int32
+	// mu guards ends and the links list's header; a link is atomic, as
+	// the writer sets the last record's link while readers walk it.
+	mu    sync.RWMutex
+	ends  map[uint64]chainEnds
+	links []*linkChunk
 }
+
+// chainEnds is a chain's first and last record.
+type chainEnds struct{ first, last int32 }
+
+// linkChunk holds, for chunkLen consecutive records, the next record on
+// each one's chain, or -1: 4 KB, an exact size class.
+type linkChunk [chunkLen]atomic.Int32
 
 // Column returns the indexed column's position in the table schema.
 func (ix *Index) Column() int { return ix.column }
 
-// Len returns the number of distinct keys bucketed (including keys
-// whose records no longer resolve).
+// Len returns the number of chains: the distinct key hashes filed
+// (including those of keys whose records no longer resolve).
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.buckets)
+	return len(ix.ends)
 }
 
-// candidates returns the bucket of v's key. The slice is shared with
-// the index and only ever appended to, so callers iterate it in place:
-// one probe builds one key string and nothing else.
-func (ix *Index) candidates(v Value) []int32 {
-	k := v.Key()
+// chain returns the first record on the chain v's key hashes to, -1
+// when there is none, and the links to walk it by (next): one probe
+// takes one read lock and allocates nothing. Every record a view taken
+// before the probe counts is filed, so its link is in the list.
+func (ix *Index) chain(v Value) (int32, []*linkChunk) {
+	h := keyHash(0, ix.seed, v)
 	ix.mu.RLock()
-	recs := ix.buckets[k]
+	e, ok := ix.ends[h]
+	links := ix.links
 	ix.mu.RUnlock()
-	return recs
+	if !ok {
+		return -1, nil
+	}
+	return e.first, links
 }
 
-// add files record r under key.
-func (ix *Index) add(key string, r int32) {
+// next returns the record after r on its chain, or -1.
+func next(links []*linkChunk, r int32) int32 { return links[r>>chunkBits][r&chunkMask].Load() }
+
+func (ix *Index) link(r int32) *atomic.Int32 { return &ix.links[r>>chunkBits][r&chunkMask] }
+
+// add files record r, which holds v, at the end of v's chain (writers
+// only).
+func (ix *Index) add(v Value, r int32) {
+	h := keyHash(0, ix.seed, v)
 	ix.mu.Lock()
-	ix.buckets[key] = append(ix.buckets[key], r)
-	ix.mu.Unlock()
+	defer ix.mu.Unlock()
+	if int(r>>chunkBits) == len(ix.links) {
+		ix.links = append(ix.links, new(linkChunk))
+	}
+	ix.link(r).Store(-1)
+	e, ok := ix.ends[h]
+	if ok {
+		ix.link(e.last).Store(r)
+		e.last = r
+	} else {
+		e = chainEnds{r, r}
+	}
+	ix.ends[h] = e
 }
 
 // CreateIndex builds (or returns the existing) hash index on the named
@@ -65,11 +104,11 @@ func (t *Table) CreateIndex(column string) (*Index, error) {
 	if ok {
 		return existing, nil
 	}
-	ix := &Index{table: t, column: idx, buckets: map[string][]int32{}}
+	ix := &Index{table: t, column: idx, seed: maphash.MakeSeed(), ends: map[uint64]chainEnds{}}
 	v := t.view()
 	for r := int32(0); int(r) < v.n; r++ {
 		ch, k := v.at(r)
-		ix.add(ch.cols[idx].get(k).Key(), r)
+		ix.add(ch.cols[idx].get(k), r)
 	}
 	t.mu.Lock()
 	if t.indexes == nil {

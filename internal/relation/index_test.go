@@ -1,15 +1,18 @@
 package relation
 
 import (
+	"slices"
 	"testing"
 )
 
 // lookup counts the rows the index resolves under k at the catalog's
-// current version, the way the access leaf probes a bucket.
+// current version, the way the access leaf walks a chain.
 func lookup(ix *Index, k Value) int {
 	n, at, v := 0, ix.table.catalog.Version(), ix.table.view()
-	for _, r := range ix.candidates(k) {
-		if v.live(r, at) {
+	r, links := ix.chain(k)
+	for ; r >= 0 && int(r) < v.n; r = next(links, r) {
+		ch, o := v.at(r)
+		if ch.live(o, at) && sameValue(ch.cols[ix.column].get(o), k) {
 			n++
 		}
 	}
@@ -277,5 +280,148 @@ func TestOneRowUpdateCostIsIndependentOfTableSize(t *testing.T) {
 	small, big := allocs(1000), allocs(16000)
 	if big > small+2 {
 		t.Errorf("a one-row UPDATE allocates %.0f times over 1 000 rows and %.0f over 16 000", small, big)
+	}
+}
+
+// TestIndexProbeDifferential holds the access leaf's index probe to a
+// full scan kept by sameValue, at every version a run of inserts,
+// value-changing UPDATEs, DELETEs and rolled-back transactions
+// committed. Every column mixes NULL cells with keys keyHash puts on one
+// chain by design — NULL hashes as INTEGER 2 — so a probe that skipped
+// its sameValue re-check would return NULL rows for 2 and 2 rows for
+// NULL; REAL cells hold integral values equal to INTEGER keys.
+func TestIndexProbeDifferential(t *testing.T) {
+	c := NewCatalog()
+	tab, err := c.CreateTable("X", NewSchema(
+		Column{Name: "i", Type: TypeInt}, Column{Name: "f", Type: TypeFloat}, Column{Name: "s", Type: TypeString}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := []Value{Null(), Int(2), Int(0), Int(3), Int(-2)}
+	fv := []Value{Null(), Float(2), Float(2.5), Float(0), Float(3)}
+	sv := []Value{Null(), String_("2"), String_("a"), String_(""), String_("b")}
+	row := func(n int) []Value { return []Value{iv[n%5], fv[n/5%5], sv[n/25%5]} }
+	// Half the rows exist before the indexes, half are filed as inserted.
+	x := c.Begin()
+	for n := range 60 {
+		x.MustInsert(tab, 0.5, nil, row(n)...)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var ixs []*Index
+	for _, col := range []string{"i", "f", "s"} {
+		ix, err := tab.CreateIndex(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	versions := []int64{c.Version()}
+	col := func(i int) *ColRef { return &ColRef{Index: i, Col: tab.Schema().Columns[i]} }
+	steps := []func(x *Txn) error{
+		func(x *Txn) error {
+			for n := 60; n < 125; n++ {
+				x.MustInsert(tab, 0.5, nil, row(n)...)
+			}
+			return nil
+		},
+		func(x *Txn) error { // 2 → NULL and NULL → 2, in one statement each
+			_, err := x.Update(tab, &Binary{Op: OpEq, Left: col(0), Right: Const{Value: Int(2)}},
+				[]UpdateSpec{{Column: 0, Value: Const{Value: Null()}}, {Column: 2, Value: Const{Value: String_("2")}}})
+			return err
+		},
+		func(x *Txn) error {
+			_, err := x.Delete(tab, &Binary{Op: OpEq, Left: col(1), Right: Const{Value: Float(2)}})
+			return err
+		},
+		func(x *Txn) error {
+			_, err := x.Update(tab, &Binary{Op: OpEq, Left: col(2), Right: Const{Value: String_("a")}},
+				[]UpdateSpec{{Column: 1, Value: Const{Value: Int(2)}}, {Column: 0, Value: Const{Value: Int(2)}}})
+			return err
+		},
+	}
+	for i, step := range steps {
+		// Each step first runs in a transaction that rolls back.
+		x := c.Begin()
+		if err := step(x); err != nil {
+			t.Fatal(err)
+		}
+		x.Rollback()
+		if err := inTxn(c, step); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		versions = append(versions, c.Version())
+	}
+	keys := []Value{Null(), Int(2), Float(2), Int(0), Float(0), Float(2.5), Int(3), Int(-2), Int(7),
+		String_("2"), String_("a"), String_(""), String_("b"), String_("zz")}
+	for _, at := range versions {
+		all, err := RunAt(tab.Scan(), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range ixs {
+			for _, k := range keys {
+				var want []string
+				for _, r := range all {
+					if sameValue(r.Values[ix.Column()], k) {
+						want = append(want, r.String()+r.Lineage.String())
+					}
+				}
+				rows, err := RunAt(&access{table: tab, out: tab.Schema(), index: ix, key: k}, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, r := range rows {
+					got = append(got, r.String()+r.Lineage.String())
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("version %d, index on %s, key %v (%s): probe %v, scan %v",
+						at, tab.Schema().Columns[ix.Column()].Name, k, k.Type(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexProbeAllocatesNothing walks the access leaf through index
+// chains the way IndexJoin does per outer row — a point key, a key
+// sharing NULL's hash, an absent key — after one warm-up: neither the
+// probe nor the walk allocates.
+func TestIndexProbeAllocatesNothing(t *testing.T) {
+	c, tab := intTable(t, 1, 2, 2, 3, 2)
+	tab.MustInsert(0.5, nil, Null())
+	ix, err := tab.CreateIndex("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := &access{table: tab, out: tab.Schema(), index: ix}
+	if err := leaf.Open(c.Version()); err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	n := 0
+	walk := func() {
+		for _, k := range []Value{Int(2), Float(1), Int(9)} {
+			leaf.seek(k)
+			for {
+				ch, _, err := leaf.survivor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ch == nil {
+					break
+				}
+				n++
+			}
+		}
+	}
+	walk()
+	if n != 4 {
+		t.Fatalf("walk found %d rows, want 3 + 1 + 0", n)
+	}
+	if a := testing.AllocsPerRun(100, walk); a != 0 {
+		t.Fatalf("an index walk allocates %v times", a)
 	}
 }

@@ -175,7 +175,8 @@ func (j *buildJoin) match(l []Value) (*lineage.Expr, error) {
 
 func (j *buildJoin) close(left Operator) error {
 	j.build, j.heads, j.chain = rowStore{}, nil, nil
-	j.cur.out.release()
+	j.cur.release()
+	j.row = Tuple{}
 	return left.Close()
 }
 
@@ -253,4 +254,8 @@ func (j *IndexJoin) match(l []Value) (*lineage.Expr, error) {
 }
 
 // Close implements Operator.
-func (j *IndexJoin) Close() error { j.cur.out.release(); return j.Outer.Close() }
+func (j *IndexJoin) Close() error {
+	j.cur.release()
+	j.probe.Close()
+	return j.Outer.Close()
+}

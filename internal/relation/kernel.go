@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"strings"
 )
 
 // leafFilter is a leaf's filter run over a batch of records in place,
@@ -30,24 +31,54 @@ type leafFilter struct {
 }
 
 // conjunct is one conjunct of a leaf filter: a kernel testing
-// `cell op key` on column col, or (col < 0) e evaluated per record.
+// `cell op key` on column col, or (col < 0) e evaluated per record. On
+// a TEXT column, = and <> test code, key's code in the dictionary (-1,
+// which no cell holds, when no cell ever held key).
 type conjunct struct {
-	e   Expr
-	col int
-	op  BinaryOp
-	key Value // of the column's vector type
+	e    Expr
+	col  int
+	op   BinaryOp
+	key  Value // of the column's vector type
+	code int32
 }
 
-// compileFilter compiles e over rows of schema s; nil passes every row.
-func compileFilter(e Expr, s *Schema) leafFilter {
+// compileFilter compiles e over rows of schema s, whose TEXT cells are
+// codes into text; nil passes every row. Compiled in Open, it looks a
+// TEXT constant up once: every string a record visible at the version
+// opened holds is in the dictionary by then.
+func compileFilter(e Expr, s *Schema, text *dict) leafFilter {
 	f := leafFilter{src: e}
-	if e == nil {
-		return f
-	}
-	for _, c := range splitConjuncts(e) {
-		f.conj = append(f.conj, kernelOf(c, s))
+	if e != nil {
+		f.compile(e, s, text)
 	}
 	return f
+}
+
+// compile appends the conjuncts of e's top-level AND tree, in order.
+func (f *leafFilter) compile(e Expr, s *Schema, text *dict) {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		f.compile(b.Left, s, text)
+		f.compile(b.Right, s, text)
+		return
+	}
+	k := kernelOf(e, s)
+	if k.key.typ == TypeString {
+		if code, ok := text.lookup(k.key.s); ok {
+			k.code = code
+		} else {
+			k.code = -1
+		}
+	}
+	f.conj = append(f.conj, k)
+}
+
+// release drops the filter's selection vectors past a point lookup's
+// size, and the last record's cells.
+func (f *leafFilter) release() {
+	if cap(f.sel) > 64 || cap(f.unsure) > 64 {
+		f.sel, f.unsure = nil, nil
+	}
+	f.scratch = Tuple{}
 }
 
 // kernelOf gives a comparison of a column with a constant (either way
@@ -101,7 +132,11 @@ func (f *leafFilter) narrow(ch *chunk) {
 		case TypeFloat:
 			f.sel = keep(f.sel, cc.f, c.op, c.key.f)
 		case TypeString:
-			f.sel = keep(f.sel, cc.s, c.op, c.key.s)
+			if c.op <= OpNe {
+				f.sel = keep(f.sel, cc.codes, c.op, c.code)
+			} else {
+				f.sel = keepText(f.sel, cc, c.op, c.key.s)
+			}
 		}
 	}
 	slices.Sort(f.unsure)
@@ -139,6 +174,22 @@ func keep[T cmp.Ordered](sel []int32, cells []T, op BinaryOp, k T) []int32 {
 			if (cells[o&chunkMask] > k) == want {
 				sel[n], n = o, n+1
 			}
+		}
+	}
+	return sel[:n]
+}
+
+// keepText is keep for an ordering comparison on a TEXT column, which
+// orders the strings, not their codes.
+func keepText(sel []int32, c *cells, op BinaryOp, k string) []int32 {
+	codes := c.codes[:chunkLen]
+	sign, want, n := 1, op == OpLt || op == OpGt, 0
+	if op == OpLt || op == OpGe {
+		sign = -1
+	}
+	for _, o := range sel {
+		if (strings.Compare(c.text.at(codes[o&chunkMask]), k) == sign) == want {
+			sel[n], n = o, n+1
 		}
 	}
 	return sel[:n]

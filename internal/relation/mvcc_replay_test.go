@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -180,7 +181,15 @@ func TestMVCCStorageMatchesReplay(t *testing.T) {
 					continue
 				}
 				o := replayOp{kind: opSetConf, v: known[r.Intn(len(known))], conf: dyadic(r.Intn(17))}
-				if err := x.SetConfidence(o.v, o.conf); err != nil {
+				cur, _ := c.rowAt(o.v, x.writeSeq)
+				err := x.SetConfidence(o.v, o.conf)
+				var gone *DeletedRowError
+				switch {
+				case cur.Tombstone() && errors.As(err, &gone) && gone.Var == o.v:
+					continue // refused, so nothing to replay: a withdrawn fact keeps 0
+				case cur.Tombstone():
+					t.Fatalf("SetConfidence of deleted tuple %d: %v, want a *DeletedRowError", int(o.v), err)
+				case err != nil:
 					t.Fatal(err)
 				}
 				ops = append(ops, o)
@@ -311,6 +320,9 @@ func (o replayOp) apply(state map[lineage.Var]replayRow, seq int64) {
 		state[o.v] = replayRow{table: o.table, k: o.k, val: o.val, s: o.s, conf: o.conf, cost: o.cost, createdAt: seq}
 	case opSetConf:
 		row := state[o.v]
+		if row.tomb {
+			return // SetConfidence refuses a deleted row
+		}
 		row.conf, row.createdAt = o.conf, seq
 		state[o.v] = row
 	default:

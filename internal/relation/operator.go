@@ -94,7 +94,11 @@ func (s *Select) next() (*batch, error) {
 }
 
 // Close implements Operator.
-func (s *Select) Close() error { s.out.release(); return s.Input.Close() }
+func (s *Select) Close() error {
+	s.out.release()
+	s.row = Tuple{}
+	return s.Input.Close()
+}
 
 // Project computes output columns from expressions. With Distinct set,
 // duplicate output rows are merged and their lineages are OR-ed — this is
@@ -187,6 +191,7 @@ func (p *Project) next() (*batch, error) {
 func (p *Project) Close() error {
 	p.rows = rowStore{}
 	p.buf.release()
+	p.row = Tuple{}
 	return p.Input.Close()
 }
 
@@ -236,4 +241,4 @@ func (l *Limit) next() (*batch, error) {
 }
 
 // Close implements Operator.
-func (l *Limit) Close() error { return l.Input.Close() }
+func (l *Limit) Close() error { l.view = batch{}; return l.Input.Close() }

@@ -317,15 +317,15 @@ func TestCatalogConfidenceUpdates(t *testing.T) {
 }
 
 func TestBaseTupleImprovable(t *testing.T) {
-	b := &BaseTuple{confidence: 0.5, cost: cost.Linear{Rate: 1}}
+	b := &BaseTuple{confidence: 0.5, cost: priceOf(cost.Linear{Rate: 1})}
 	if !b.Improvable() {
 		t.Error("should be improvable")
 	}
-	b.cost = nil
+	b.cost = priceOf(nil)
 	if b.Improvable() {
 		t.Error("nil cost is not improvable")
 	}
-	b.cost = cost.Linear{Rate: 1}
+	b.cost = priceOf(cost.Linear{Rate: 1})
 	b.confidence = 1
 	if b.Improvable() {
 		t.Error("at max confidence is not improvable")

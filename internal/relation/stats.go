@@ -58,7 +58,12 @@ func collectStats(t *Table, version int64) *TableStats {
 		case TypeFloat:
 			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []float64 { return c.f }, less[float64], Float)
 		case TypeString:
-			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []string { return c.s }, less[string], String_)
+			// Distinct codes are distinct strings; the bounds order the
+			// strings.
+			text := t.catalog.text
+			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []int32 { return c.codes },
+				func(a, b int32) bool { return text.at(a) < text.at(b) },
+				func(code int32) Value { return String_(text.at(code)) })
 		case TypeBool:
 			st.Cols[c] = columnStats(v, rows, c, func(c *cells) []bool { return c.b }, func(a, b bool) bool { return !a && b }, Bool)
 		default: // INTEGER, or a column only NULL can be stored in

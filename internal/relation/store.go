@@ -32,7 +32,10 @@ const never = math.MaxInt64
 // chunk holds chunkLen consecutive records of one table, starting at
 // record base: per record its row's lineage variable, its visibility
 // interval and, for an insert record, the inserted version's confidence
-// and cost; per column, the records' cells as one typed vector.
+// and cost rate; per column, the records' cells as one typed vector.
+// Every vector is an allocation of an exact size class (born and dead
+// share 16 KB, conf and rate too; the rest are 8 KB, or 4 KB for TEXT
+// codes), so nothing rounds up.
 //
 // Only writers (under the catalog's wmu) set a stamp. An insert sets
 // born to its write sequence; a DELETE, or an UPDATE that writes a new
@@ -44,33 +47,46 @@ type chunk struct {
 	table *Table
 	base  int32
 
-	vars       [chunkLen]lineage.Var
-	born, dead [chunkLen]atomic.Int64
+	vars       []lineage.Var
+	born, dead []atomic.Int64
 
-	// conf and cost are an insert record's inserted version; a record an
-	// UPDATE wrote leaves them zero (its version is a heap BaseTuple).
-	conf [chunkLen]float64
-	cost [chunkLen]cost.Function
+	// conf and rate are an insert record's inserted version: its
+	// confidence and its cost function as a price's rate, where sideRate
+	// marks a function kept in the table's side map. A record an UPDATE
+	// wrote leaves them zero (its version is a heap BaseTuple).
+	conf, rate []float64
 
 	cols []cells
 }
 
+// sideRate is the rate of a record whose price has its function in fn:
+// a rate no price carries.
+const sideRate = -1
+
 // cells is one column of a chunk: the vector of the column's type
-// (INTEGER i, REAL f, TEXT s, BOOLEAN b; the others stay nil) and a NULL
-// bitmap. The bitmap's words are atomic because one word spans 64
-// records: a reader loads it while the writer sets a later record's bit.
+// (INTEGER i, REAL f, TEXT codes, BOOLEAN b; the others stay nil) and a
+// NULL bitmap. A TEXT cell is a code into text, its catalog's dictionary.
+// The bitmap's words are atomic because one word spans 64 records: a
+// reader loads it while the writer sets a later record's bit.
 type cells struct {
 	typ   Type
 	nulls [chunkLen / 64]atomic.Uint64
 	i     []int64
 	f     []float64
-	s     []string
+	codes []int32
 	b     []bool
+	text  *dict
 }
 
 func newChunk(t *Table, base int32) *chunk {
 	s := t.schema
-	ch := &chunk{table: t, base: base, cols: make([]cells, s.Len())}
+	stamps, inserted := make([]atomic.Int64, 2*chunkLen), make([]float64, 2*chunkLen)
+	ch := &chunk{
+		table: t, base: base, cols: make([]cells, s.Len()),
+		vars: make([]lineage.Var, chunkLen),
+		born: stamps[:chunkLen:chunkLen], dead: stamps[chunkLen:],
+		conf: inserted[:chunkLen:chunkLen], rate: inserted[chunkLen:],
+	}
 	for c, col := range s.Columns {
 		cc := &ch.cols[c]
 		cc.typ = col.Type
@@ -80,7 +96,7 @@ func newChunk(t *Table, base int32) *chunk {
 		case TypeFloat:
 			cc.f = make([]float64, chunkLen)
 		case TypeString:
-			cc.s = make([]string, chunkLen)
+			cc.codes, cc.text = make([]int32, chunkLen), t.catalog.text
 		case TypeBool:
 			cc.b = make([]bool, chunkLen)
 		}
@@ -100,7 +116,7 @@ func (c *cells) set(k int, v Value) {
 	case TypeFloat:
 		c.f[k] = v.f
 	case TypeString:
-		c.s[k] = v.s
+		c.codes[k] = c.text.intern(v.s)
 	case TypeBool:
 		c.b[k] = v.b
 	}
@@ -119,7 +135,7 @@ func (c *cells) get(k int) Value {
 	case TypeFloat:
 		return Float(c.f[k])
 	case TypeString:
-		return String_(c.s[k])
+		return String_(c.text.at(c.codes[k]))
 	case TypeBool:
 		return Bool(c.b[k])
 	}
@@ -133,14 +149,18 @@ func (ch *chunk) live(k int, at int64) bool {
 
 // inserted returns the row version the insert record at offset k holds.
 func (ch *chunk) inserted(k int) BaseTuple {
-	return BaseTuple{
+	b := BaseTuple{
 		v:          ch.vars[k],
 		confidence: ch.conf[k],
-		cost:       ch.cost[k],
+		cost:       price{rate: ch.rate[k]},
 		table:      ch.table,
 		rec:        ch.base + int32(k),
 		created:    ch.born[k].Load(),
 	}
+	if b.cost.rate == sideRate {
+		b.cost = price{fn: ch.table.sideCost(b.rec)}
+	}
+	return b
 }
 
 // recView is a reader's capture of a table's record store: every record
@@ -179,27 +199,43 @@ func (ch *chunk) values(dst []Value, k int) []Value {
 // addRecord appends vals as a new record of v's row, born at seq, files
 // it in every index of the table, and returns its chunk and offset
 // (writers only). An insert record also holds the inserted version's
-// confidence and cost; an UPDATE's passes zero for both.
-func (t *Table) addRecord(v lineage.Var, seq int64, vals []Value, conf float64, fn cost.Function) (*chunk, int) {
+// confidence and price; an UPDATE's passes zero for both. The record is
+// filed before it is counted, so a reader's view never holds a record
+// its indexes lack.
+func (t *Table) addRecord(v lineage.Var, seq int64, vals []Value, conf float64, p price) (*chunk, int) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.recs
 	if r>>chunkBits == len(t.chunks) {
 		t.chunks = append(t.chunks, newChunk(t, int32(r)))
 	}
 	ch, k := t.chunks[r>>chunkBits], r&chunkMask
-	ch.vars[k], ch.conf[k], ch.cost[k] = v, conf, fn
+	ch.vars[k], ch.conf[k], ch.rate[k] = v, conf, p.rate
+	if p.fn != nil {
+		ch.rate[k] = sideRate
+		if t.side == nil {
+			t.side = map[int32]cost.Function{}
+		}
+		t.side[int32(r)] = p.fn
+	}
 	ch.born[k].Store(seq)
 	ch.dead[k].Store(never)
 	for c, val := range vals {
 		ch.cols[c].set(k, val)
 	}
-	t.recs++
-	indexes := t.indexes
-	t.mu.Unlock()
-	for _, ix := range indexes {
-		ix.add(vals[ix.column].Key(), int32(r))
+	for _, ix := range t.indexes {
+		ix.add(vals[ix.column], int32(r))
 	}
+	t.recs++
 	return ch, k
+}
+
+// sideCost returns the cost function of record r, one its rate cannot
+// hold.
+func (t *Table) sideCost(r int32) cost.Function {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.side[r]
 }
 
 // unborn rolls back every record appended since record from: none of

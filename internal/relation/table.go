@@ -22,7 +22,7 @@ import (
 type BaseTuple struct {
 	v          lineage.Var
 	confidence float64
-	cost       cost.Function
+	cost       price
 
 	// table and rec name the record holding the version's values.
 	table *Table
@@ -51,15 +51,48 @@ func (b BaseTuple) MaxConf() float64 { return 1 }
 
 // Cost returns the price of confidence increments; nil means the row is
 // not improvable.
-func (b BaseTuple) Cost() cost.Function { return b.cost }
+func (b BaseTuple) Cost() cost.Function { return b.cost.function() }
 
 // Values returns a fresh copy of the version's cells, in schema order.
 func (b BaseTuple) Values() []Value { return b.table.view().values(nil, b.rec) }
 
 // Improvable reports whether the tuple's confidence can be raised.
 func (b BaseTuple) Improvable() bool {
-	return b.cost != nil && b.confidence < b.MaxConf()
+	return b.cost.improvable() && b.confidence < b.MaxConf()
 }
+
+// price is a version's cost function as the store keeps it: a
+// cost.Linear of positive rate as that rate alone, any other function
+// (Linear{0} too) in fn, none as the zero price. Copying a version
+// copies no box, and equal functions make equal prices.
+type price struct {
+	rate float64
+	fn   cost.Function
+}
+
+func priceOf(fn cost.Function) price {
+	if l, ok := fn.(cost.Linear); ok {
+		return linearPrice(l.Rate)
+	}
+	return price{fn: fn}
+}
+
+func linearPrice(rate float64) price {
+	if rate > 0 {
+		return price{rate: rate}
+	}
+	return price{fn: cost.Linear{Rate: rate}}
+}
+
+// function returns the cost function p holds; nil for none.
+func (p price) function() cost.Function {
+	if p.rate > 0 {
+		return cost.Linear{Rate: p.rate}
+	}
+	return p.fn
+}
+
+func (p price) improvable() bool { return p.rate > 0 || p.fn != nil }
 
 // CreatedVersion returns the committed version that produced this row
 // version.
@@ -78,14 +111,18 @@ type Table struct {
 	schema  *Schema
 	catalog *Catalog
 
-	// mu guards the record count, the chunk directory's header and the
-	// index registry; the cells below the count, their stamps and the
+	// mu guards the record count, the chunk directory's header, the
+	// index registry and the side map; the cells below the count, their stamps and the
 	// version chains are read lock-free (append-only chunks, atomic
 	// stamps and heads, immutable versions).
 	mu      sync.RWMutex
 	chunks  []*chunk
 	recs    int
 	indexes map[int]*Index // column position -> hash index
+	// side holds the cost function of each insert record whose price
+	// has one in fn: any but a cost.Linear, which neither CSV nor SQL
+	// INSERT creates.
+	side map[int32]cost.Function
 
 	// live counts visible rows at the latest committed version;
 	// transactions apply their deltas at commit.

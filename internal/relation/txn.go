@@ -143,7 +143,7 @@ func (x *Txn) kill(ch *chunk, k int) {
 // assigning it a fresh lineage variable, and returns the inserted
 // version. The row is invisible to every snapshot until Commit.
 func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Function) (*BaseTuple, error) {
-	ch, k, err := x.insert(t, values, confidence, fn)
+	ch, k, err := x.insert(t, values, confidence, priceOf(fn))
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Funct
 
 // insert is Insert without building the returned version: the inserted
 // version is the record's columns, and a loader has no use for a copy.
-func (x *Txn) insert(t *Table, values []Value, confidence float64, fn cost.Function) (*chunk, int, error) {
+func (x *Txn) insert(t *Table, values []Value, confidence float64, p price) (*chunk, int, error) {
 	if x.done {
 		return nil, 0, errTxnFinished
 	}
@@ -165,7 +165,7 @@ func (x *Txn) insert(t *Table, values []Value, confidence float64, fn cost.Funct
 	}
 	td := x.delta(t)
 	v := x.cat.nextVar()
-	ch, k := t.addRecord(v, x.writeSeq, values, confidence, fn)
+	ch, k := t.addRecord(v, x.writeSeq, values, confidence, p)
 	x.cat.vars.insert(v, ch, k)
 	td.live++
 	td.mutated = true
@@ -304,7 +304,7 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 			created:    x.writeSeq,
 		}
 		if assignsValues {
-			nch, nk := t.addRecord(b.v, x.writeSeq, vals, 0, nil)
+			nch, nk := t.addRecord(b.v, x.writeSeq, vals, 0, price{})
 			nv.rec = nch.base + int32(nk)
 			x.kill(ch, k)
 		}
@@ -323,7 +323,8 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 // SetConfidence updates a base tuple's confidence through a
 // copy-on-write version sharing the row's values. Growth toward 1 is
 // the normal PCQE path; lowering is allowed for administrative
-// correction but never below 0.
+// correction but never below 0. A deleted row is refused with a
+// *DeletedRowError: a withdrawn fact keeps confidence 0.
 func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 	if x.done {
 		return errTxnFinished
@@ -331,6 +332,9 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 	b, ok := x.cat.rowAt(v, x.writeSeq)
 	if !ok {
 		return fmt.Errorf("relation: unknown lineage variable %d", int(v))
+	}
+	if b.tombstone {
+		return &DeletedRowError{Var: v}
 	}
 	if !conf.Valid(p) {
 		return fmt.Errorf("relation: confidence %g outside [0,1]", p)
@@ -341,7 +345,6 @@ func (x *Txn) SetConfidence(v lineage.Var, p float64) error {
 		cost:       b.cost,
 		table:      b.table,
 		rec:        b.rec,
-		tombstone:  b.tombstone,
 		created:    x.writeSeq,
 	})
 	x.markConf(v)
@@ -356,6 +359,16 @@ func (x *Txn) ConfidenceOf(v lineage.Var) (float64, bool) {
 }
 
 var errTxnFinished = fmt.Errorf("relation: transaction already finished")
+
+// DeletedRowError is SetConfidence's refusal of a variable whose row
+// version at the transaction's write sequence is a tombstone.
+type DeletedRowError struct {
+	Var lineage.Var
+}
+
+func (e *DeletedRowError) Error() string {
+	return fmt.Sprintf("relation: tuple %d is deleted; its confidence stays 0", int(e.Var))
+}
 
 // Commit atomically publishes the transaction: the write sequence
 // becomes the new committed version in one atomic step, together with
