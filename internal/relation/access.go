@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"slices"
-	"strings"
-)
+import "strings"
 
 // access is the one leaf of every plan: a base table read at one
 // committed version. It reads records in batches — one chunk of the
@@ -85,10 +82,7 @@ func (a *access) fill() bool {
 		}
 		lo := a.pos
 		a.base, a.pos = int32(lo&^chunkMask), min((lo|chunkMask)+1, a.view.n)
-		f.sel = slices.Grow(f.sel, a.pos-lo)
-		for o := int32(lo & chunkMask); o < int32(a.pos)-a.base; o++ {
-			f.sel = append(f.sel, o)
-		}
+		f.sel = append(f.sel, a.table.catalog.offsets[lo&chunkMask:a.pos-int(a.base)]...)
 		a.ch = a.view.chunks[a.base>>chunkBits]
 	} else {
 		r := a.r

@@ -38,6 +38,9 @@ type Catalog struct {
 	// text is the string dictionary every TEXT cell of the catalog's
 	// tables is a code into; read lock-free, written under wmu.
 	text *dict
+	// offsets holds every record offset of a chunk, ascending: what a
+	// scan's batch starts as, copied by every leaf, written by none.
+	offsets []int32
 
 	// wmu serializes write transactions (single-writer MVCC).
 	wmu sync.Mutex
@@ -56,6 +59,10 @@ func NewCatalog() *Catalog {
 		tables: map[string]*Table{},
 		next:   1,
 		text:   newDict(),
+	}
+	c.offsets = make([]int32, chunkLen)
+	for i := range c.offsets {
+		c.offsets[i] = int32(i)
 	}
 	c.ver.Store(&version{})
 	return c
