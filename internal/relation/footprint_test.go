@@ -50,8 +50,8 @@ func TestLoadFootprint(t *testing.T) {
 	// The serving benchmark's Orders shape: TEXT, INTEGER, REAL and a
 	// cost rate on every row, 20 000 distinct six-byte suppliers.
 	// Measured on x86-64 with Go 1.24, with and without the race
-	// detector: 95.4 B and 0.009 objects per row — 64 B of chunk
-	// vectors, 24 B of directory entry and 7 B of dictionary (blocks,
+	// detector: 95.4 B and 0.009 objects per row — ≈61 B of chunk
+	// vectors, 24 B of directory entry and ≈7 B of dictionary (blocks,
 	// probe table, slabs), where the objects are the chunks' vectors.
 	// The byte bound is 10 % above.
 	const wantB, wantO = 95.4, 0.01

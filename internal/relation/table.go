@@ -112,16 +112,16 @@ type Table struct {
 	catalog *Catalog
 
 	// mu guards the record count, the chunk directory's header, the
-	// index registry and the side map; the cells below the count, their stamps and the
-	// version chains are read lock-free (append-only chunks, atomic
-	// stamps and heads, immutable versions).
+	// index registry and the side map; the cells below the count, their
+	// stamps and the version chains are read lock-free (append-only
+	// chunks, atomic stamps and heads, immutable versions).
 	mu      sync.RWMutex
 	chunks  []*chunk
 	recs    int
 	indexes map[int]*Index // column position -> hash index
 	// side holds the cost function of each insert record whose price
-	// has one in fn: any but a cost.Linear, which neither CSV nor SQL
-	// INSERT creates.
+	// has one in fn: any but a cost.Linear of positive rate, which CSV
+	// and SQL INSERT create only for a rate of 0 (or a negative COST).
 	side map[int32]cost.Function
 
 	// live counts visible rows at the latest committed version;
