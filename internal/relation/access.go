@@ -4,7 +4,7 @@ import "strings"
 
 // access is the one leaf of every plan: a base table read at one
 // committed version. It reads records in batches — one chunk of the
-// record store, or the part of an index bucket in one chunk when an
+// record store, or the part of an index chain in one chunk when an
 // equality conjunct of its filter has a hash index — and runs the
 // filter's kernels over the batch's selection vector. A survivor's
 // visibility is its record's [born, dead) stamps (MVCC), no row version
@@ -240,7 +240,7 @@ func Prune(op Operator, keep []int) Operator {
 	return &ColumnMap{Input: op, Indices: keep}
 }
 
-// ProbesIndex reports whether op is a leaf reading one index bucket.
+// ProbesIndex reports whether op is a leaf walking one index chain.
 func ProbesIndex(op Operator) bool {
 	leaf, _ := leafOf(op)
 	return leaf != nil && leaf.index != nil
