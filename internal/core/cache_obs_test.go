@@ -40,7 +40,8 @@ func TestEngineCacheObservability(t *testing.T) {
 	}
 	// The plan behind those spans is the join planner's: the Funding
 	// filter and the column pruning run inside a's Proposal leaf, below
-	// the hash join. DISTINCT means the lineage hint is may-share.
+	// the group-join that runs the DISTINCT over the self-join. DISTINCT
+	// means the lineage hint is may-share.
 	stmt, err := sql.Parse(pairQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestEngineCacheObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := relation.ExplainAnnotated(op, info.Notes)
-	if !strings.Contains(plan, "HashJoin (b.Company = a.Company)") ||
+	if !strings.Contains(plan, "GroupJoin DISTINCT [a.Company] (b.Company = a.Company)") ||
 		!strings.Contains(plan, "└─ Scan Proposal filter (a.Funding < 1000000) cols [Company, Funding]") {
 		t.Errorf("self-join not planned by cost:\n%s", plan)
 	}

@@ -444,17 +444,31 @@ func isDegradation(err error) bool {
 }
 
 // sortRows orders rows by descending confidence, NaN last, with a
-// stable tuple-key tie-break: equal-confidence rows would otherwise keep
+// tuple-key tie-break: equal-confidence rows would otherwise keep
 // whatever order the upstream operators produced, making Response
 // output nondeterministic across evaluations (hash joins and map-based
-// duplicate elimination do not promise an order).
+// duplicate elimination do not promise an order). Rows equal in both
+// keep their input order: the last key is the row's position, so one
+// O(n log n) sort gives the stable sort's order. The tuple key is
+// rendered only on a confidence tie.
 func sortRows(rows []Row) {
-	slices.SortStableFunc(rows, func(a, b Row) int {
+	type at struct {
+		Row
+		i int
+	}
+	byPos := make([]at, len(rows))
+	for i, r := range rows {
+		byPos[i] = at{r, i}
+	}
+	slices.SortFunc(byPos, func(a, b at) int {
 		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
+		return cmp.Or(strings.Compare(a.Tuple.Key(), b.Tuple.Key()), cmp.Compare(a.i, b.i))
 	})
+	for i, r := range byPos {
+		rows[i] = r.Row
+	}
 }
 
 // String renders a short human-readable summary, including the

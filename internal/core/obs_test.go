@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"math/rand"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -241,6 +244,40 @@ func TestSortRowsDeterministic(t *testing.T) {
 	}
 	if forward[0].Confidence != 0.9 {
 		t.Fatal("descending confidence must still dominate the tie-break")
+	}
+}
+
+// TestSortRowsMatchesStableSort pins sortRows' one O(n log n) sort to
+// the stable sort it replaced: over generated rows with many confidence
+// ties (NaN, ±0 and repeats among them) and many key ties (distinct
+// tuples with equal values), the order is slices.SortStableFunc's, tuple
+// for tuple.
+func TestSortRowsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	confs := []float64{0, math.Copysign(0, -1), 0.25, 0.5, 0.5000000000000001, 1, math.NaN()}
+	for trial := range 300 {
+		rows := make([]Row, rng.Intn(200))
+		for i := range rows {
+			vals := []relation.Value{relation.Int(int64(rng.Intn(4)))}
+			if rng.Intn(3) == 0 {
+				vals = append(vals, relation.String_(string(rune('a'+rng.Intn(3)))))
+			}
+			rows[i] = Row{Tuple: relation.NewTuple(vals, nil), Confidence: confs[rng.Intn(len(confs))]}
+		}
+		want := slices.Clone(rows)
+		slices.SortStableFunc(want, func(a, b Row) int {
+			if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
+		})
+		sortRows(rows)
+		for i := range rows {
+			if rows[i].Tuple != want[i].Tuple {
+				t.Fatalf("trial %d: row %d is %v at %v, the stable sort puts %v at %v there",
+					trial, i, rows[i].Tuple, rows[i].Confidence, want[i].Tuple, want[i].Confidence)
+			}
+		}
 	}
 }
 

@@ -160,13 +160,17 @@ func (a *access) survivor() (*chunk, int32, error) {
 
 func (a *access) cells(dst []Value, ch *chunk, off int32) []Value {
 	for i := range a.out.Len() {
-		c := i
-		if a.keep != nil {
-			c = a.keep[i]
-		}
-		dst = append(dst, ch.cols[c].get(int(off)))
+		dst = append(dst, ch.cols[a.stored(i)].get(int(off)))
 	}
 	return dst
+}
+
+// stored is the table column the leaf's output column c reads.
+func (a *access) stored(c int) int {
+	if a.keep != nil {
+		return a.keep[c]
+	}
+	return c
 }
 
 // Close implements Operator. A cached plan keeps its leaf: what the

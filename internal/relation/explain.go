@@ -99,6 +99,8 @@ func describe(op Operator) string {
 			pairs[i] = ls.Columns[o.LeftKeys[i]].QualifiedName() + " = " + rs.Columns[o.RightKeys[i]].QualifiedName()
 		}
 		return "HashJoin (" + strings.Join(pairs, " AND ") + ")"
+	case *GroupJoin:
+		return "GroupJoin" + strings.TrimPrefix(describe(o.Project), "Project") + " " + strings.TrimPrefix(describe(o.join), "HashJoin ")
 	case *IndexJoin:
 		// One line carries the whole inner side: it is probed through
 		// its index, not run as a child.
@@ -162,6 +164,8 @@ func childrenOf(op Operator) []Operator {
 		return []Operator{o.Left, o.Right}
 	case *IndexJoin:
 		return []Operator{o.Outer}
+	case *GroupJoin:
+		return []Operator{o.join.Left, o.join.Right}
 	case *Union:
 		return []Operator{o.Left, o.Right}
 	case *Intersect:

@@ -213,11 +213,7 @@ func (j *IndexJoin) Open(at int64) error {
 	leaf, _ := leafOf(j.Inner)
 	var ix *Index
 	if leaf != nil && j.InnerKey >= 0 && j.InnerKey < j.Inner.Schema().Len() {
-		stored := j.InnerKey
-		if leaf.keep != nil {
-			stored = leaf.keep[stored]
-		}
-		ix, _ = leaf.table.IndexOn(stored)
+		ix, _ = leaf.table.IndexOn(leaf.stored(j.InnerKey))
 	}
 	if ix == nil {
 		return fmt.Errorf("relation: index join requires a base-table leaf with a hash index on its key column as inner side")

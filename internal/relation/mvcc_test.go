@@ -665,6 +665,23 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 		return &HashJoin{Left: leaf(a), Right: leaf(b), LeftKeys: []int{0}, RightKeys: []int{0}}
 	}
 	probed := cmp(OpEq, col(a, 0), 2)
+	// distinctOn is DISTINCT over the join's column c; groupJoin runs it
+	// over scans as the one group-join the planner emits for it.
+	distinctOn := func(c int) func(leaf func(*Table) Operator) Operator {
+		return func(leaf func(*Table) Operator) Operator {
+			j := join(leaf)
+			return &Project{Input: j, Exprs: []Expr{&ColRef{Index: c, Col: j.Schema().Columns[c]}}, Distinct: true}
+		}
+	}
+	groupJoin := func(c int) func() Operator {
+		return func() Operator {
+			gj, ok := GroupJoinOf(distinctOn(c)(scan).(*Project)).(*GroupJoin)
+			if !ok {
+				t.Fatalf("fixture: DISTINCT over column %d of the join is not a group-join", c)
+			}
+			return gj
+		}
+	}
 	cases := []struct {
 		name string
 		// shape builds the tree over the given leaves; live, when set,
@@ -699,6 +716,8 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 		{name: "IndexJoin", shape: join, live: func() Operator {
 			return &IndexJoin{Outer: a.Scan(), Inner: b.Scan(), OuterKey: 0, InnerKey: 0}
 		}},
+		{name: "GroupJoin keeping the probe side", shape: distinctOn(1), live: groupJoin(1)},
+		{name: "GroupJoin keeping the build side", shape: distinctOn(3), live: groupJoin(3)},
 		{name: "Union", shape: func(leaf func(*Table) Operator) Operator { return &Union{Left: leaf(a), Right: leaf(b)} }},
 		{name: "Intersect", shape: func(leaf func(*Table) Operator) Operator {
 			return &Intersect{Left: &ColumnMap{Input: leaf(a), Indices: []int{0}}, Right: &ColumnMap{Input: leaf(b), Indices: []int{0}}}
@@ -734,6 +753,29 @@ func TestEveryOperatorOpensAtTheGivenVersion(t *testing.T) {
 		}
 		if images[v1] == images[v2] {
 			t.Errorf("%s: same result at both versions; the case cannot tell them apart", tc.name)
+		}
+		// A group-join prices its rows with the confidences of the
+		// version it is opened at.
+		if _, ok := op.(*GroupJoin); ok {
+			for _, v := range []int64{v1, v2, v1} {
+				snap, err := c.SnapshotAt(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := RunAt(op, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rows {
+					if p, ok := r.Priced(v); !ok || p != lineage.Prob(r.Lineage, snap) {
+						t.Errorf("%s at version %d: row %v %s priced %v (%v), want %v", tc.name, v, r, r.Lineage, p, ok, lineage.Prob(r.Lineage, snap))
+					}
+					if _, ok := r.Priced(v + 1); ok {
+						t.Errorf("%s: a row priced at version %d reads as priced at %d", tc.name, v, v+1)
+					}
+				}
+				snap.Release()
+			}
 		}
 	}
 

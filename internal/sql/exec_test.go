@@ -154,7 +154,7 @@ func TestExplainStatement(t *testing.T) {
 	res := execAll(t, cat, `EXPLAIN SELECT DISTINCT CompanyInfo.Company
 		FROM CompanyInfo JOIN Proposal ON CompanyInfo.Company = Proposal.Company
 		WHERE Funding < 1000000`)
-	for _, want := range []string{"Project DISTINCT", "HashJoin", "Scan Proposal filter (Proposal.Funding < 1000000)", "Scan CompanyInfo cols [Company]"} {
+	for _, want := range []string{"GroupJoin DISTINCT [CompanyInfo.Company] (CompanyInfo.Company = Proposal.Company)", "Scan Proposal filter (Proposal.Funding < 1000000)", "Scan CompanyInfo cols [Company]"} {
 		if !strings.Contains(res.Plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, res.Plan)
 		}

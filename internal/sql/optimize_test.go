@@ -184,7 +184,7 @@ func TestServingShapePlans(t *testing.T) {
 		"supplier_join": {"IndexJoin (Suppliers.Name = Orders.Supplier) probe Orders", "IndexScan Suppliers (Name = S00977) cols [Name]"},
 		"item_join":     {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417)"},
 		"distinct_item": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name]", "Scan Orders filter (Orders.Item = 417) cols [Supplier, Item]"},
-		"distinct_join": {"HashJoin (Orders.Supplier = Suppliers.Name)", "Scan Orders filter (Orders.Amount > 93) cols [Supplier, Amount]", "Scan Suppliers filter (Suppliers.Rating > 3.7) cols [Name, Rating]"},
+		"distinct_join": {"GroupJoin DISTINCT [Suppliers.Name] (Orders.Supplier = Suppliers.Name)", "Scan Orders filter (Orders.Amount > 93) cols [Supplier, Amount]", "Scan Suppliers filter (Suppliers.Rating > 3.7) cols [Name, Rating]"},
 		"region_shared": {"IndexJoin (Orders.Supplier = Suppliers.Name) probe Suppliers cols [Name, Region]"},
 
 		"point":              {"IndexScan Suppliers (Name = S00977) -- "},

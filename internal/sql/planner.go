@@ -345,7 +345,8 @@ func planProjection(op relation.Operator, stmt *SelectStmt) (relation.Operator, 
 		exprs = append(exprs, e)
 		names = append(names, it.Alias)
 	}
-	return &relation.Project{Input: op, Exprs: exprs, Names: names, Distinct: stmt.Distinct}, nil
+	// A DISTINCT onto one side of a key join runs as one group-join.
+	return relation.GroupJoinOf(&relation.Project{Input: op, Exprs: exprs, Names: names, Distinct: stmt.Distinct}), nil
 }
 
 // planAggregate handles GROUP BY / aggregate queries: it builds an
